@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Cross-scheme verification sweep plus oracle query timing.
 
-Runs every labeling scheme against the brute-force oracle on seeded random
-instances and reports agreement, then times centralized oracle queries across
-sizes (the predecessor search is a binary search, so expect ~log n growth).
+Runs every registered labeling scheme against the brute-force oracle on
+seeded random instances and reports agreement, then times centralized oracle
+queries across sizes.  The timing uses C = n/8 colors only, so every color
+class is tiny; the predecessor search rebuilds its stamp list per call
+(O(class size)), so these numbers say nothing about few, large classes.
+
+    python3 scripts/verify_schemes.py [--trials 1000] [--oracle-sizes 64,256]
 """
 
 import argparse
@@ -15,48 +19,22 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from colorfault.generators import gen_random
-from colorfault.multi_fault import (
-    label_large_f,
-    label_recursive,
-    query_large_f_ids,
-    query_recursive_ids,
-)
-from colorfault.nca import build_one_fault_oracle, label_nca_connectivity, pair_connected_nca
-from colorfault.oracle import brute_force_connected
 from colorfault.graph import RemovedVertexError
-from colorfault.single_fault import label_single_fault, pair_connected
-from colorfault.two_fault import label_two_fault, query_two_fault_ids
+from colorfault.nca import build_one_fault_oracle
+from colorfault.oracle import brute_force_connected
+from colorfault.schemes import SCHEMES, query
+
+FAULT_BUDGET = 3  # f for the schemes whose labels are built for a chosen f
 
 
 def sweep(scheme, trials, seed):
     rng = random.Random(seed)
     agree = total = 0
+    fmax = scheme.budget(FAULT_BUDGET)
     for t in range(trials // 50):
         g = gen_random(12 + t % 21, 30 + t % 12, 4 + t % 4, seed=seed + t,
                        connected=True)
-        if scheme == "single":
-            ls = label_single_fault(g)
-            ask = lambda u, v, F: pair_connected(
-                ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[F[0]])
-            fmax = 1
-        elif scheme == "nca":
-            ls = label_nca_connectivity(g)
-            ask = lambda u, v, F: pair_connected_nca(
-                ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[F[0]])
-            fmax = 1
-        elif scheme == "two-diam":
-            ls = label_two_fault(g)
-            ask = lambda u, v, F: query_two_fault_ids(
-                ls, u, v, F[0], F[-1])
-            fmax = 2
-        elif scheme == "multi":
-            ls = label_recursive(g, f=2, seed=seed + t)
-            ask = lambda u, v, F: query_recursive_ids(ls, u, v, F)
-            fmax = 2
-        else:
-            ls = label_large_f(g, seed=seed + t)
-            ask = lambda u, v, F: query_large_f_ids(ls, u, v, F)
-            fmax = 3
+        ls = scheme.build(g, f=FAULT_BUDGET, seed=seed + t)
         for _ in range(50):
             u, v = rng.randrange(g.n), rng.randrange(g.n)
             F = rng.sample(range(g.C), rng.randrange(1, fmax + 1))
@@ -65,7 +43,7 @@ def sweep(scheme, trials, seed):
             except RemovedVertexError:
                 continue
             total += 1
-            agree += ask(u, v, sorted(F)) == want
+            agree += query(ls, u, v, F) == want
     return agree, total
 
 
@@ -92,9 +70,9 @@ def main():
     ap.add_argument("--seed", type=int, default=int(os.environ.get("CFL_SEED", "0")))
     ap.add_argument("--oracle-sizes", default="64,256,1024,4096")
     args = ap.parse_args()
-    for scheme in ("single", "nca", "two-diam", "multi", "large"):
+    for scheme in SCHEMES.values():
         agree, total = sweep(scheme, args.trials, args.seed)
-        print(f"scheme={scheme} agreement={agree}/{total}")
+        print(f"scheme={scheme.name} agreement={agree}/{total}")
     print()
     time_oracle([int(s) for s in args.oracle_sizes.split(",")], args.seed)
 

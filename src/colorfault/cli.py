@@ -27,27 +27,11 @@ from .graph import (
     serialize_graph,
 )
 from .labels import loglog_slope, measure_labels, report_lines
-from .multi_fault import (
-    label_large_f,
-    label_recursive,
-    query_large_f_ids,
-    query_recursive_ids,
-)
-from .nca import (
-    build_one_fault_oracle,
-    dump_oracle,
-    label_nca_connectivity,
-    load_oracle,
-    oracle_file_bits,
-    pair_connected_nca,
-)
+from .nca import build_one_fault_oracle, dump_oracle, load_oracle, oracle_file_bits
 from .oracle import brute_force_connected
 from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from .routing import UnreachableError, build_routing_scheme, route
-from .single_fault import label_single_fault, pair_connected
-from .two_fault import label_two_fault, query_two_fault_ids
-
-LABEL_SCHEMES = ("single", "two-diam", "multi", "large", "nca")
+from .schemes import SCHEMES, query
 
 
 def _default_seed() -> int:
@@ -65,55 +49,6 @@ def _emit(report: dict, summary: str | None) -> None:
     if summary:
         with open(summary, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, default=str)
-
-
-def _build_labels(
-    g: ColoredGraph,
-    scheme: str,
-    f: int,
-    seed: int,
-    repetitions: int = 24,
-    checksum_bits: int = 32,
-):
-    if scheme == "single":
-        return label_single_fault(g)
-    if scheme == "two-diam":
-        return label_two_fault(g)
-    if scheme == "multi":
-        return label_recursive(g, f=f, seed=seed, repetitions=repetitions,
-                               checksum_bits=checksum_bits)
-    if scheme == "large":
-        return label_large_f(g, seed=seed, repetitions=repetitions,
-                             checksum_bits=checksum_bits)
-    if scheme == "nca":
-        return label_nca_connectivity(g)
-    raise GraphError(f"unknown scheme {scheme!r}")
-
-
-def _query_labels(ls, u: int, v: int, colors: list[int]) -> bool:
-    scheme = ls.scheme
-    if scheme in ("single-fault", "nca-connectivity") or ls.meta.get("base"):
-        if len(colors) != 1:
-            raise GraphError(f"scheme {scheme} answers exactly one faulted color")
-        c = colors[0]
-        if scheme == "nca-connectivity":
-            return pair_connected_nca(
-                ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[c]
-            )
-        return pair_connected(
-            ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[c]
-        )
-    if scheme == "two-fault-diam":
-        if not 1 <= len(colors) <= 2:
-            raise GraphError("two-fault scheme answers one or two faulted colors")
-        c = colors[0]
-        d = colors[1] if len(colors) > 1 else colors[0]
-        return query_two_fault_ids(ls, u, v, c, d)
-    if scheme == "multi-fault":
-        return query_recursive_ids(ls, u, v, colors)
-    if scheme == "large-f":
-        return query_large_f_ids(ls, u, v, colors)
-    raise GraphError(f"unknown label file scheme {scheme!r}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -168,8 +103,8 @@ def cmd_label(args) -> int:
                 file=sys.stderr,
             )
             return 0
-    ls = _build_labels(g, args.scheme, args.f, seed,
-                       args.repetitions, args.checksum_bits)
+    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=seed, repetitions=args.repetitions,
+                                    checksum_bits=args.checksum_bits)
     report = measure_labels(ls)
     if args.scheme == "multi" and "manifest" in ls.meta:
         report["manifest"] = ls.meta["manifest"]
@@ -185,7 +120,7 @@ def cmd_query(args) -> int:
         ls = pickle.load(fh)
     colors = [int(c) for c in args.colors.split(",")] if args.colors else []
     try:
-        ok = _query_labels(ls, args.u, args.v, colors)
+        ok = query(ls, args.u, args.v, colors)
     except RemovedVertexError as exc:
         print(f"error=removed-vertex detail={exc}")
         return 2
@@ -219,10 +154,11 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
-    ls = _build_labels(g, args.scheme, args.f, seed,
-                       args.repetitions, args.checksum_bits)
+    scheme = SCHEMES[args.scheme]
+    ls = scheme.build(g, f=args.f, seed=seed, repetitions=args.repetitions,
+                      checksum_bits=args.checksum_bits)
     rng = random.Random(seed)
-    max_faults = {"single": 1, "nca": 1, "two-diam": 2}.get(args.scheme, args.f)
+    max_faults = scheme.budget(args.f)
     agree = 0
     skipped = 0
     for _ in range(args.trials):
@@ -235,7 +171,7 @@ def cmd_verify(args) -> int:
         except RemovedVertexError:
             skipped += 1
             continue
-        got = _query_labels(ls, u, v, sorted(F) if len(F) > 1 else F)
+        got = query(ls, u, v, F)
         agree += got == want
     effective = args.trials - skipped
     report = {
@@ -261,7 +197,7 @@ def cmd_bench(args) -> int:
                 n, int(n * args.density), args.C or max(2, math.isqrt(n)),
                 seed=seed, coloring=args.coloring, connected=True,
             )
-        ls = _build_labels(g, args.scheme, args.f, seed)
+        ls = SCHEMES[args.scheme].build(g, f=args.f, seed=seed)
         max_bits = ls.max_label_bits()
         words = max_bits / max(id_width(max(g.n, 2)), 1)
         rows.append((n, max_bits, words))
@@ -354,22 +290,9 @@ def cmd_encode(args) -> int:
         decoded = inst.decode_with_oracle()
     else:
         faults = max((len(e.faults) for e in inst.decoder), default=1)
-        if faults <= 1:
-            ls = label_single_fault(inst.graph)
-
-            def answer(u, v, F):
-                (c,) = F
-                return pair_connected(
-                    ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[c]
-                )
-
-        else:
-            ls = label_recursive(inst.graph, f=faults, seed=seed)
-
-            def answer(u, v, F):
-                return query_recursive_ids(ls, u, v, F)
-
-        decoded = inst.decode(answer)
+        scheme = SCHEMES["single" if faults <= 1 else "multi"]
+        ls = scheme.build(inst.graph, f=faults, seed=seed)
+        decoded = inst.decode(lambda u, v, F: query(ls, u, v, F))
     matches = sum(a == b for a, b in zip(decoded, bits))
     report = {
         "capacity": inst.capacity,
@@ -421,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="build labels for a graph")
     p.add_argument("graph")
-    p.add_argument("--scheme", choices=LABEL_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--f", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
@@ -455,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare a scheme against brute force")
     p.add_argument("graph")
-    p.add_argument("--scheme", choices=LABEL_SCHEMES, required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--f", type=int, default=2)
     p.add_argument("--repetitions", type=int, default=24)
     p.add_argument("--checksum-bits", type=int, default=32)
@@ -465,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="measure label sizes across sizes")
-    p.add_argument("--scheme", choices=LABEL_SCHEMES, default="single")
+    p.add_argument("--scheme", choices=tuple(SCHEMES), default="single")
     p.add_argument("--sizes", required=True, help="comma-separated n values")
     p.add_argument("--generator", choices=("path", "random"), default="path")
     p.add_argument("--coloring", choices=generators.COLORINGS, default="unique")

@@ -268,13 +268,20 @@ class RollbackUnionFind:
 # -- connectivity primitives ------------------------------------------------
 
 
+def union_find(gv: ColoredGraph | GraphView) -> UnionFind:
+    """Union-find over the surviving edges: the one loop that partitions G - F."""
+    gv = as_view(gv)
+    uf = UnionFind(gv.n)
+    for _eid, u, v in gv.surviving_edges():
+        if u != v:
+            uf.union(u, v)
+    return uf
+
+
 def components(gv: ColoredGraph | GraphView) -> list[int | None]:
     """Component id (minimum member id) per vertex; None for removed vertices."""
     gv = as_view(gv)
-    uf = UnionFind(gv.n)
-    for eid, u, v in gv.surviving_edges():
-        if u != v:
-            uf.union(u, v)
+    uf = union_find(gv)
     return [uf.component_min(v) if gv.vertex_present(v) else None for v in range(gv.n)]
 
 

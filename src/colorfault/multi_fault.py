@@ -28,6 +28,7 @@ from .graph import (
     ColoredGraph,
     RemovedVertexError,
     UnionFind,
+    components,
     edge_graph,
     reduce_between_modes,
 )
@@ -247,7 +248,7 @@ def _recurse(
                 v, 1, base_cid, base.vertex_labels[v], None, (),
                 bits=wid + base.vertex_labels[v].bits,
             )
-            for v, base_cid in enumerate(_plain_cids(g))
+            for v, base_cid in enumerate(components(g))
         ]
         cls = [
             RecursiveColorLabel(
@@ -298,7 +299,7 @@ def _recurse(
         child_ctx.append(cn)
         child_manifests[h] = man
 
-    plain = _plain_cids(g)
+    plain = components(g)
     wbranch = width_for(g.C + 1)
     vertex_labels = []
     for v in range(g.n):
@@ -338,14 +339,6 @@ def _recurse(
         "children": child_manifests,
     }
     return vertex_labels, color_labels, ContextNode(ctx, tuple(child_ctx)), manifest
-
-
-def _plain_cids(g: ColoredGraph) -> list[int]:
-    uf = UnionFind(g.n)
-    for u, v in g.edges:
-        if u != v:
-            uf.union(u, v)
-    return [uf.component_min(v) for v in range(g.n)]
 
 
 def label_recursive(

@@ -33,6 +33,7 @@ from .labels import LabelSet
 
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 1
+CONN_SCHEME = "nca-connectivity"
 
 
 @dataclass(frozen=True)
@@ -267,10 +268,6 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
         root_cid=tuple(root_cid),
         vertex_colors=original.vertex_colors,
     )
-
-
-def oracle_query(o: OneFaultOracle, u: int, v: int, c: int) -> bool:
-    return o.query(u, v, c)
 
 
 # -- canonical oracle file -------------------------------------------------------
@@ -546,7 +543,7 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
         color_labels.append(NcaConnColorLabel(c, False, entries, bits))
 
     return LabelSet(
-        scheme="nca-connectivity",
+        scheme=CONN_SCHEME,
         n=g.n,
         C=oracle.C,
         mode=g.mode,

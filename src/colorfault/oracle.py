@@ -8,8 +8,9 @@ from .graph import (
     ColoredGraph,
     GraphError,
     RemovedVertexError,
-    UnionFind,
+    components,
     remove_colors,
+    union_find,
 )
 
 
@@ -25,29 +26,9 @@ def brute_force_connected(
             raise RemovedVertexError(f"vertex {x} has a faulted color")
     if u == v:
         return True
-    uf = UnionFind(g.n)
-    for _eid, a, b in gv.surviving_edges():
-        if a != b:
-            uf.union(a, b)
-    return uf.connected(u, v)
-
-
-def brute_force_cid(g: ColoredGraph, v: int, faults: Iterable[int] = ()) -> int:
-    gv = remove_colors(g, faults)
-    if not gv.vertex_present(v):
-        raise RemovedVertexError(f"vertex {v} has a faulted color")
-    uf = UnionFind(g.n)
-    for _eid, a, b in gv.surviving_edges():
-        if a != b:
-            uf.union(a, b)
-    return uf.component_min(v)
+    return union_find(gv).connected(u, v)
 
 
 def brute_force_partition(g: ColoredGraph, faults: Iterable[int] = ()) -> list[int | None]:
     """cid per vertex under ``faults``; None for removed vertices."""
-    gv = remove_colors(g, faults)
-    uf = UnionFind(g.n)
-    for _eid, a, b in gv.surviving_edges():
-        if a != b:
-            uf.union(a, b)
-    return [uf.component_min(v) if gv.vertex_present(v) else None for v in range(g.n)]
+    return components(remove_colors(g, faults))

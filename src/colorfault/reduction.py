@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, UnionFind, remove_colors
+from .graph import EDGE, VERTEX, ColoredGraph, components, remove_colors
 from .labels import LabelSet
 from .sketch import _hash_fields as derive_seed
 
@@ -92,14 +92,10 @@ class ExactSingleSource:
         ]
         reach_by_subset = {}
         for F in subsets:
-            view = remove_colors(g, F)
-            uf = UnionFind(g.n)
-            for _eid, a, b in view.surviving_edges():
-                if a != b:
-                    uf.union(a, b)
-            root = uf.find(source)
+            comp = components(remove_colors(g, F))
+            root = comp[source]
             reach_by_subset[F] = {
-                v for v in range(g.n) if view.vertex_present(v) and uf.find(v) == root
+                v for v, c in enumerate(comp) if c is not None and c == root
             }
         vertex_labels = []
         for v in range(g.n):
@@ -249,15 +245,11 @@ def row_separation_estimate(
 ) -> float:
     """Monte Carlo estimate that a single row at the matched column separates
     a disconnected pair: exactly one of the two components gets a source edge."""
-    view = remove_colors(g, F)
-    uf = UnionFind(g.n)
-    for _eid, a, b in view.surviving_edges():
-        if a != b:
-            uf.union(a, b)
-    if uf.find(u) == uf.find(w):
+    comp = components(remove_colors(g, F))
+    if comp[u] == comp[w]:
         raise ValueError("pair is connected; plant a disconnected one")
-    U = [v for v in range(g.n) if uf.find(v) == uf.find(u)]
-    W = [v for v in range(g.n) if uf.find(v) == uf.find(w)]
+    U = [v for v, c in enumerate(comp) if c == comp[u]]
+    W = [v for v, c in enumerate(comp) if c == comp[w]]
     if len(U) > len(W):
         U, W = W, U
     j = matching_column(len(U))

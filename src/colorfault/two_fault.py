@@ -28,7 +28,6 @@ from .graph import (
     remove_colors,
 )
 from .labels import LabelSet
-from .oracle import brute_force_partition
 
 SCHEME = "two-fault-diam"
 
@@ -134,13 +133,6 @@ def truncated_bfs(gv: GraphView, origin: int, cap: int, excluded_color: int) -> 
     )
 
 
-def _tree_edge_color(gv: GraphView, child: int, parent: int) -> int:
-    for nbr, eid in gv.adjacency(child):
-        if nbr == parent:
-            return gv.graph.edge_color(eid)
-    raise AssertionError("parent edge vanished")
-
-
 def _path_colors_to_root(g: ColoredGraph, tree, v: int) -> set[int]:
     """Colors on T[s,v]; vertex mode includes both endpoints, minus v's own."""
     path = tree.path_to_root(v)
@@ -163,7 +155,7 @@ class _PairCids:
         key = frozenset((c, d))
         part = self.cache.get(key)
         if part is None:
-            part = self.cache[key] = brute_force_partition(self.g, key)
+            part = self.cache[key] = components(remove_colors(self.g, key))
         return part
 
     def cid(self, v: int, c: int, d: int) -> int:

@@ -1,8 +1,13 @@
 import json
+import random
+
+import pytest
 
 from colorfault.cli import main
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import parse_graph, serialize_graph
+from colorfault.oracle import brute_force_connected
+from colorfault.schemes import SCHEMES
 
 
 def write_graph(tmp_path, g, name="g.ccg"):
@@ -36,6 +41,43 @@ def test_label_and_query_single(tmp_path, capsys):
     code = main(["query", str(labels), "0", "3", "--colors", "0"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("connected=")
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_label_query_verify_round_trip(tmp_path, capsys, name):
+    g = gen_random(24, 40, 4, seed=11, connected=True)
+    gpath = write_graph(tmp_path, g)
+    labels = tmp_path / "labels.bin"
+    assert main(["label", gpath, "--scheme", name, "--force", "--seed", "3",
+                 "-o", str(labels)]) == 0
+    capsys.readouterr()
+    rng = random.Random(5)
+    for _ in range(20):
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        F = rng.sample(range(g.C), rng.randrange(1, SCHEMES[name].budget(2) + 1))
+        colors = ",".join(str(c) for c in F)
+        assert main(["query", str(labels), str(u), str(v), "--colors", colors]) == 0
+        want = int(brute_force_connected(g, u, v, F))
+        assert capsys.readouterr().out.strip() == f"connected={want}"
+    assert main(["verify", gpath, "--scheme", name, "--trials", "60", "--seed", "3"]) == 0
+    assert "agreement=1.000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["single", "two-diam"])
+@pytest.mark.parametrize("u, v, colors", [
+    ("-1", "8", "3"),  # would wrap to vertex 8
+    ("0", "8", "-1"),  # would wrap to the last color
+    ("99", "8", "3"),
+    ("0", "8", "9"),
+])
+def test_query_rejects_out_of_range_ids(tmp_path, capsys, name, u, v, colors):
+    gpath = write_graph(tmp_path, gen_path(9))  # unique colors: C = 8
+    labels = tmp_path / "labels.bin"
+    assert main(["label", gpath, "--scheme", name, "--force", "-o", str(labels)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(labels), u, v, "--colors", colors]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_label_summary_file(tmp_path):
@@ -75,8 +117,6 @@ def test_oracle_build_and_query(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", "query", str(opath), "0", "1", "0"]) == 0
     out = capsys.readouterr().out
-    from colorfault.oracle import brute_force_connected
-
     want = int(brute_force_connected(g, 0, 1, {0}))
     assert out.strip() == f"connected={want}"
 

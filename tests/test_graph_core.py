@@ -54,8 +54,17 @@ def test_remove_colors_bad_color():
 
 
 def test_remove_colors_matches_union_find_partition():
-    g = gen_random(20, 35, 5, seed=7)
-    assert components(remove_colors(g, {3})) == brute_force_partition(g, {3})
+    # the union-find partition against the independent DFS cid
+    for mode in ("edge", "vertex"):
+        g = gen_random(20, 35, 5, seed=7, mode=mode)
+        for F in [(), (3,), (0, 2), (1, 3, 4)]:
+            part = components(remove_colors(g, F))
+            for v in range(g.n):
+                if part[v] is None:
+                    with pytest.raises(RemovedVertexError):
+                        cid(g, v, F)
+                else:
+                    assert part[v] == cid(g, v, F)
 
 
 def test_vertex_mode_removal_isolates():

@@ -18,7 +18,6 @@ from colorfault.nca import (
     nca_query,
     nca_threshold,
     oracle_file_bits,
-    oracle_query,
     query_nca_labels,
 )
 from colorfault.oracle import brute_force_partition
@@ -78,8 +77,8 @@ def test_matches_naive_walk_on_random_trees():
 def test_oracle_path_aba():
     g = edge_graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
     o = build_one_fault_oracle(g)
-    assert not oracle_query(o, 0, 3, 1)
-    assert oracle_query(o, 2, 3, 1)
+    assert not o.query(0, 3, 1)
+    assert o.query(2, 3, 1)
 
 
 def test_oracle_reflexive():
@@ -87,7 +86,7 @@ def test_oracle_reflexive():
     o = build_one_fault_oracle(g)
     for v in range(g.n):
         for c in range(g.C):
-            assert oracle_query(o, v, v, c)
+            assert o.query(v, v, c)
 
 
 def _check_oracle(g, o):
