@@ -4,8 +4,8 @@
 Runs every registered labeling scheme against the brute-force oracle on
 seeded random instances and reports agreement, then times centralized oracle
 queries across sizes.  The timing uses C = n/8 colors only, so every color
-class is tiny; the predecessor search rebuilds its stamp list per call
-(O(class size)), so these numbers say nothing about few, large classes.
+class is tiny; a query is two binary searches in stamp arrays built once, and
+few, large classes are timed by the benchmark's ``few-colors-read`` workload.
 
     python3 scripts/verify_schemes.py [--trials 1000] [--oracle-sizes 64,256]
 """

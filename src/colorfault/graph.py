@@ -342,6 +342,34 @@ def spanning_forest(gv: ColoredGraph | GraphView) -> tuple[int, ...]:
     return tuple(forest)
 
 
+def orient_forest(
+    g: ColoredGraph, edge_ids: Iterable[int]
+) -> tuple[list[int | None], list[int | None]]:
+    """(parent, parent edge) of the forest ``edge_ids``, each tree rooted at its minimum id."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in edge_ids:
+        a, b = g.edges[eid]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    parent: list[int | None] = [None] * g.n
+    parent_edge: list[int | None] = [None] * g.n
+    seen = bytearray(g.n)
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for w, eid in adj[x]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = x
+                    parent_edge[w] = eid
+                    stack.append(w)
+    return parent, parent_edge
+
+
 @dataclass(frozen=True)
 class BfsTree:
     root: int

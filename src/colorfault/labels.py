@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
+
+from .graph import GraphError
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,17 @@ class LabelSet:
     vertex_labels: tuple
     color_labels: tuple
     meta: dict = field(default_factory=dict)
+
+    def check_ids(self, u: int, v: int, colors: Iterable[int]) -> None:
+        """Raise GraphError unless u and v are vertices and every color is in the palette."""
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            bad = v if 0 <= u < n else u
+            raise GraphError(f"vertex {bad} outside 0..{n - 1}")
+        C = self.C
+        for c in colors:
+            if not 0 <= c < C:
+                raise GraphError(f"color {c} outside palette of size {C}")
 
     def vertex_bits(self) -> list[int]:
         return [lbl.bits for lbl in self.vertex_labels]

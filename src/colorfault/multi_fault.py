@@ -441,6 +441,7 @@ def _query_node(lu: RecursiveVertexLabel, lv: RecursiveVertexLabel, faults, ctx:
 
 def query_recursive_ids(ls: LabelSet, u: int, v: int, F: Iterable[int]) -> bool:
     colors = sorted(set(F))
+    ls.check_ids(u, v, colors)
     return query_recursive(
         ls,
         ls.vertex_labels[u],
@@ -451,6 +452,7 @@ def query_recursive_ids(ls: LabelSet, u: int, v: int, F: Iterable[int]) -> bool:
 
 def query_large_f_ids(ls: LabelSet, u: int, v: int, F: Iterable[int]) -> bool:
     colors = sorted(set(F))
+    ls.check_ids(u, v, colors)
     return query_large_f(
         ls,
         ls.vertex_labels[u],

@@ -1,22 +1,24 @@
 """Nearest-colored-ancestor structures: centralized one-fault oracle and labels.
 
-A rooted forest gets DFS pre/post timestamps; for each color, the timestamps of
-its vertices go into one sorted array, each annotated with the vertex, its
-nearest strictly-above same-color ancestor, and an optional payload.  The
-nearest c-colored ancestor of v (v itself included) is then a predecessor
-search for pre(v) in c's array: a pre-timestamp hit is the answer itself, a
-post-timestamp hit points to its stored ancestor.  Binary search gives O(log n)
-queries; the asymptotically faster predecessor structures this replaces would
-return identical answers.
+One index serves every query here.  A rooted forest gets DFS pre/post stamps;
+for each color, the stamps of its vertices form one sorted tuple, with a
+parallel tuple of answers: the vertex at its pre stamp, its nearest
+strictly-above same-color ancestor at its post stamp.  The nearest c-colored
+ancestor of v (v itself included) is then the answer at the predecessor of
+pre(v) in c's stamps.  Binary search gives O(log n) queries; the
+asymptotically faster predecessor structures this replaces would return
+identical answers.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
-forest with its parent-edge color and stores cid(u, G-color) as the payload.
+forest with its parent-edge color and stores cid(u, G-color) as its payload.
+The two label families split the same index by color prevalence.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .bits import BitReader, BitWriter, id_width, width_for
 from .graph import (
@@ -26,6 +28,7 @@ from .graph import (
     GraphError,
     RemovedVertexError,
     cids_for_color_queries,
+    orient_forest,
     reduce_between_modes,
     spanning_forest,
 )
@@ -37,128 +40,87 @@ CONN_SCHEME = "nca-connectivity"
 
 
 @dataclass(frozen=True)
-class NcaEntry:
-    timestamp: int
-    vertex: int
-    is_pre: bool
-    above: int | None  # nearest strictly-above same-color ancestor
-    payload: int | None
-
-
-@dataclass(frozen=True)
 class NcaStructure:
     parent: tuple[int | None, ...]
-    roots: tuple[int, ...]
     pre: tuple[int, ...]
-    post: tuple[int, ...]
+    root: tuple[int, ...]  # per vertex: the root of its tree
     colors: tuple[int | None, ...]
-    arrays: dict[int, list[NcaEntry]]  # per color, sorted by timestamp
-    payloads: tuple[int | None, ...]
+    arrays: dict[int, tuple[int, ...]]  # per color: sorted pre/post stamps
+    answers: dict[int, tuple[int | None, ...]]  # parallel: vertex at pre, its above at post
 
 
-def _dfs_timestamps(
-    n: int, parent: list[int | None]
-) -> tuple[list[int], list[int], list[int]]:
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for v in range(n):
-        p = parent[v]
-        if p is None:
-            roots.append(v)
-        else:
-            children[p].append(v)
-    pre = [0] * n
-    post = [0] * n
-    clock = 0
-    for root in roots:  # roots in increasing id, children in increasing id
-        stack = [(root, 0)]
-        while stack:
-            v, idx = stack.pop()
-            if idx == 0:
-                pre[v] = clock
-                clock += 1
-            if idx < len(children[v]):
-                stack.append((v, idx + 1))
-                stack.append((children[v][idx], 0))
-            else:
-                post[v] = clock
-                clock += 1
-    return pre, post, roots
-
-
-def build_nca(
-    parent: list[int | None],
-    colors: list[int | None],
-    payloads: list[int | None] | None = None,
-) -> NcaStructure:
+def build_nca(parent: list[int | None], colors: list[int | None]) -> NcaStructure:
     """Index a rooted forest for nearest-colored-ancestor queries.
 
     ``parent[v] is None`` marks roots; ``colors[v] is None`` leaves v out of
-    every array.  Each colored vertex contributes its two timestamps.
+    every array.  One DFS (roots and children in increasing id) stamps each
+    vertex and, from a per-color stack of open vertices, finds its nearest
+    strictly-above same-color ancestor; each colored vertex contributes its
+    two stamps.  Raises GraphError when the parents do not form a forest.
     """
     n = len(parent)
-    if payloads is None:
-        payloads = [None] * n
-    pre, post, roots = _dfs_timestamps(n, parent)
-
-    above: list[int | None] = [None] * n
-    order = sorted(range(n), key=lambda v: pre[v])
-    for v in order:
-        p = parent[v]
-        while p is not None and colors[p] != colors[v]:
-            p = parent[p]
-        above[v] = p
-
-    arrays: dict[int, list[NcaEntry]] = {}
-    for v in range(n):
-        c = colors[v]
-        if c is None:
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].append(v)
+    pre = [0] * n
+    root = [0] * n
+    arrays: dict[int, list[int]] = {}
+    answers: dict[int, list[int | None]] = {}
+    open_: dict[int, list[int]] = {}  # per color: colored vertices on the DFS path
+    clock = 0
+    for r in range(n):
+        if parent[r] is not None:
             continue
-        arrays.setdefault(c, []).append(
-            NcaEntry(pre[v], v, True, above[v], payloads[v])
-        )
-        arrays.setdefault(c, []).append(
-            NcaEntry(post[v], v, False, above[v], payloads[v])
-        )
-    for entries in arrays.values():
-        entries.sort(key=lambda e: e.timestamp)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            if v >= 0:  # enter v; ~v on the stack marks its exit
+                pre[v] = clock
+                root[v] = r
+                c = colors[v]
+                if c is not None:
+                    open_.setdefault(c, []).append(v)
+                    arrays.setdefault(c, []).append(clock)
+                    answers.setdefault(c, []).append(v)
+                stack.append(~v)
+                stack.extend(reversed(children[v]))
+            else:
+                c = colors[~v]
+                if c is not None:
+                    chain = open_[c]
+                    chain.pop()
+                    arrays[c].append(clock)
+                    answers[c].append(chain[-1] if chain else None)
+            clock += 1
+    if clock != 2 * n:
+        raise GraphError("parent pointers do not form a forest")
     return NcaStructure(
         parent=tuple(parent),
-        roots=tuple(roots),
         pre=tuple(pre),
-        post=tuple(post),
+        root=tuple(root),
         colors=tuple(colors),
-        arrays=arrays,
-        payloads=tuple(payloads),
+        arrays={c: tuple(a) for c, a in arrays.items()},
+        answers={c: tuple(a) for c, a in answers.items()},
     )
 
 
-def _predecessor(entries: list[NcaEntry], stamp: int) -> NcaEntry | None:
-    idx = bisect.bisect_right([e.timestamp for e in entries], stamp) - 1
-    return entries[idx] if idx >= 0 else None
+def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
+    """Answer stored at the last stamp <= key, or None when there is none.
+
+    A pre-stamp hit is an ancestor of the key's vertex with no same-color
+    stamp between them; a post-stamp hit is a finished subtree, whose stored
+    above is the answer.
+    """
+    idx = bisect.bisect_right(stamps, key)
+    return answers[idx - 1] if idx else None
 
 
 def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
     """Nearest c-colored ancestor of v (v itself included), or None."""
     if not 0 <= v < len(s.pre):
         raise GraphError(f"vertex {v} out of range")
-    entries = s.arrays.get(c)
-    if not entries:
-        return None
-    hit = _predecessor(entries, s.pre[v])
-    if hit is None:
-        return None
-    if hit.is_pre:
-        return hit.vertex  # ancestor of v: no same-color stamp between them
-    return hit.above
-
-
-def nca_query_payload(s: NcaStructure, v: int, c: int) -> tuple[int | None, int | None]:
-    """(nearest c-colored ancestor, its payload); (None, None) when absent."""
-    w = nca_query(s, v, c)
-    if w is None:
-        return None, None
-    return w, s.payloads[w]
+    return _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
 
 
 def naive_nearest_colored_ancestor(
@@ -185,6 +147,7 @@ class OneFaultOracle:
     mode: str
     structure: NcaStructure
     root_cid: tuple[int, ...]  # per forest vertex: id of its tree root
+    payloads: tuple[int | None, ...]  # per non-root: cid in G minus its parent color
     vertex_colors: tuple[int, ...] | None  # original colors (vertex mode)
 
     def query(self, u: int, v: int, c: int) -> bool:
@@ -201,12 +164,11 @@ class OneFaultOracle:
         return self._cid(u, c) == self._cid(v, c)
 
     def _cid(self, v: int, c: int) -> int:
-        w, payload = nca_query_payload(self.structure, v, c)
-        if w is None:
-            # the path to the root survives; the root is its component minimum
-            return self.root_cid[v]
-        assert payload is not None
-        return payload
+        s = self.structure
+        w = _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
+        # no c-colored ancestor: the path to the root survives, and the root
+        # is its component minimum
+        return self.root_cid[v] if w is None else self.payloads[w]  # type: ignore[return-value]
 
 
 def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
@@ -220,52 +182,21 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
     if g.mode == VERTEX:
         g = reduce_between_modes(g)
 
-    forest = spanning_forest(g)
-    parent: list[int | None] = [None] * g.n
-    edge_of: list[int | None] = [None] * g.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in forest:
-        a, b = g.edges[eid]
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    root_cid = [0] * g.n
-    seen = bytearray(g.n)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        root_cid[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for w, eid in adj[x]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = x
-                    edge_of[w] = eid
-                    root_cid[w] = root
-                    stack.append(w)
-
-    colors: list[int | None] = [
-        None if edge_of[v] is None else g.edge_color(edge_of[v])  # type: ignore[arg-type]
-        for v in range(g.n)
-    ]
+    parent, edge_of = orient_forest(g, spanning_forest(g))
+    colors: list[int | None] = [None if e is None else g.edge_color(e) for e in edge_of]
     wanted: dict[int, set[int]] = {}
-    for v in range(g.n):
-        c = colors[v]
+    for v, c in enumerate(colors):
         if c is not None:
             wanted.setdefault(c, set()).add(v)
     cids = cids_for_color_queries(g, wanted) if wanted else {}
-    payloads: list[int | None] = [
-        None if colors[v] is None else cids[colors[v]][v] for v in range(g.n)
-    ]
-    structure = build_nca(parent, colors, payloads)
+    structure = build_nca(parent, colors)
     return OneFaultOracle(
         n=original.n,
         C=original.C,
         mode=original.mode,
         structure=structure,
-        root_cid=tuple(root_cid),
+        root_cid=structure.root,
+        payloads=tuple(None if c is None else cids[c][v] for v, c in enumerate(colors)),
         vertex_colors=original.vertex_colors,
     )
 
@@ -302,7 +233,7 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
         p = s.parent[v]
         w.write(v if p is None else p, wid)
         w.write(s.colors[v] if s.colors[v] is not None else 0, wc)
-        payload = s.payloads[v]
+        payload = o.payloads[v]
         w.write(o.root_cid[v] if payload is None else payload, wid)
     # vertex-mode oracles additionally persist the original coloring so
     # removed-endpoint queries can be detected; counted as header-side data
@@ -314,6 +245,7 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
 
 
 def load_oracle(data: bytes) -> OneFaultOracle:
+    """Parse an oracle file; a malformed one raises GraphError."""
     r = BitReader(data)
     if r.read(32) != ORACLE_MAGIC:
         raise GraphError("not an oracle file")
@@ -328,37 +260,34 @@ def load_oracle(data: bytes) -> OneFaultOracle:
     colors: list[int | None] = []
     stored: list[int] = []
     for v in range(n):
-        p = r.read(wid)
-        parent.append(None if p == v else p)
-        colors.append(r.read(wc))
-        stored.append(r.read(wid))
-    root_cid = [0] * n
-    payloads: list[int | None] = [None] * n
-    for v in range(n):
-        if parent[v] is None:
-            colors[v] = None
-    # roots store their component minimum; walk up to recover root ids
-    def find_root(v: int) -> int:
-        while parent[v] is not None:
-            v = parent[v]  # type: ignore[assignment]
-        return v
-
-    for v in range(n):
-        root = find_root(v)
-        root_cid[v] = stored[root]
-        if parent[v] is not None:
-            payloads[v] = stored[v]
-    structure = build_nca(parent, colors, payloads)
+        p, c, cid = r.read(wid), r.read(wc), r.read(wid)
+        if not (p < n and cid < n):
+            raise GraphError(f"oracle file: vertex {v} has parent {p}, cid {cid} outside 0..{n - 1}")
+        if p == v:
+            parent.append(None)
+            colors.append(None)
+        elif c < C:
+            parent.append(p)
+            colors.append(c)
+        else:
+            raise GraphError(f"oracle file: vertex {v} has color {c} outside palette of size {C}")
+        stored.append(cid)
+    structure = build_nca(parent, colors)  # GraphError unless a forest
     orig_n, vertex_colors = n, None
     if mode == VERTEX:
         orig_n = r.read(32)
+        if orig_n > n:
+            raise GraphError(f"oracle file: {orig_n} original vertices exceed forest size {n}")
         vertex_colors = tuple(r.read(wc) for _ in range(orig_n))
+        if any(c >= C for c in vertex_colors):
+            raise GraphError(f"oracle file: vertex color outside palette of size {C}")
     return OneFaultOracle(
         n=orig_n,
         C=C,
         mode=mode,
         structure=structure,
-        root_cid=tuple(root_cid),
+        root_cid=tuple(stored[root] for root in structure.root),
+        payloads=tuple(None if p is None else cid for p, cid in zip(parent, stored)),
         vertex_colors=vertex_colors,
     )
 
@@ -382,7 +311,9 @@ def nca_threshold(n: int) -> int:
 class NcaVertexLabel:
     vertex: int
     pre: int
-    prevalent: dict[int, int | None]  # color -> nearest ancestor id (None = absent)
+    root_cid: int | None  # connectivity labels: cid of the tree root
+    own_color: int | None  # vertex-mode connectivity labels: the vertex's color
+    prevalent: dict[int, int | None]  # color -> answer at the nearest ancestor (None = absent)
     bits: int = field(default=0, compare=False)
 
 
@@ -390,8 +321,57 @@ class NcaVertexLabel:
 class NcaColorLabel:
     color: int
     prevalent: bool
-    entries: tuple[tuple[int, int, int, int | None], ...]  # (pre, post, vertex, above)
+    stamps: tuple[int, ...]  # the color's sorted pre/post stamps (rare colors only)
+    answers: tuple[int | None, ...]  # parallel to stamps
     bits: int = field(default=0, compare=False)
+
+
+def _split_labels(
+    s: NcaStructure,
+    answers: dict[int, tuple[int | None, ...]],
+    C: int,
+    vertices: int,
+    wid: int,
+    wc: int,
+    root_cid: Sequence[int] | None = None,
+    own_colors: Sequence[int] | None = None,
+) -> tuple[tuple[NcaVertexLabel, ...], tuple[NcaColorLabel, ...], int]:
+    """Prevalence-split labels over one index: (vertex labels, color labels, tau).
+
+    Colors with at least ``nca_threshold(n)`` vertices are answered directly
+    from the labels of the first ``vertices`` vertices; rarer colors ship
+    their stamps and ``answers`` (parallel to ``s.arrays``) in the color
+    label.  Connectivity labels also carry ``root_cid`` and, in vertex mode,
+    the vertex's own color.
+    """
+    n = len(s.parent)
+    tau = nca_threshold(n)
+    wstamp = width_for(2 * n)
+    wlen = width_for(n + 1)
+    prevalent = [c for c in range(C) if len(s.arrays.get(c, ())) >= 2 * tau]
+
+    extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
+    vertex_labels = []
+    for v in range(vertices):
+        pre = s.pre[v]
+        hits = {c: _predecessor(s.arrays[c], answers[c], pre) for c in prevalent}
+        bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
+        vertex_labels.append(NcaVertexLabel(
+            v, pre,
+            None if root_cid is None else root_cid[v],
+            None if own_colors is None else own_colors[v],
+            hits, bits,
+        ))
+
+    color_labels = []
+    for c in range(C):
+        stamps = s.arrays.get(c, ())
+        if len(stamps) >= 2 * tau:
+            color_labels.append(NcaColorLabel(c, True, (), (), wc + 1))
+            continue
+        bits = wc + 1 + wlen + len(stamps) // 2 * (2 * wstamp + 2 * wid + 1)
+        color_labels.append(NcaColorLabel(c, False, stamps, answers.get(c, ()), bits))
+    return tuple(vertex_labels), tuple(color_labels), tau
 
 
 def label_nca(
@@ -400,178 +380,73 @@ def label_nca(
     """Nearest-colored-ancestor labels with a prevalence split.
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from vertex labels; rarer colors ship their whole timestamp array in the
-    color label and are answered by predecessor search against pre(v).
+    from vertex labels; rarer colors ship their whole stamp array in the color
+    label and are answered by predecessor search against pre(v).
     """
     n = len(parent)
     if C is None:
         C = max((c for c in colors if c is not None), default=-1) + 1
     s = build_nca(parent, colors)
-    tau = nca_threshold(n)
-    counts = [0] * C
-    for c in colors:
-        if c is not None:
-            counts[c] += 1
-    prevalent = {c for c in range(C) if counts[c] >= tau}
-
-    wid = id_width(n)
-    wstamp = width_for(2 * n)
-    wc = width_for(C)
-    wlen = width_for(n + 1)
-
-    vertex_labels = []
-    for v in range(n):
-        answers: dict[int, int | None] = {}
-        for c in sorted(prevalent):
-            answers[c] = nca_query(s, v, c)
-        bits = wstamp + wlen + len(answers) * (wc + wid + 1)
-        vertex_labels.append(NcaVertexLabel(v, s.pre[v], answers, bits))
-
-    color_labels = []
-    for c in range(C):
-        if c in prevalent:
-            color_labels.append(NcaColorLabel(c, True, (), wc + 1))
-            continue
-        entries = tuple(
-            sorted(
-                (s.pre[v], s.post[v], v, above)
-                for (v, above) in {
-                    (e.vertex, e.above) for e in s.arrays.get(c, [])
-                }
-            )
-        )
-        bits = wc + 1 + wlen + len(entries) * (2 * wstamp + 2 * wid + 1)
-        color_labels.append(NcaColorLabel(c, False, entries, bits))
-
+    vertex_labels, color_labels, tau = _split_labels(
+        s, s.answers, C, n, id_width(n), width_for(C)
+    )
     return LabelSet(
         scheme="nca",
         n=n,
         C=C,
         mode=VERTEX,
-        vertex_labels=tuple(vertex_labels),
-        color_labels=tuple(color_labels),
+        vertex_labels=vertex_labels,
+        color_labels=color_labels,
         meta={"threshold": tau},
     )
 
 
 def query_nca_labels(lv: NcaVertexLabel, lc: NcaColorLabel) -> int | None:
-    """Nearest ancestor of lv's vertex in lc's color, from the labels alone."""
+    """The stored answer at lv's nearest ancestor in lc's color, from the labels alone."""
     if lc.prevalent:
         return lv.prevalent.get(lc.color)
-    stamps: list[tuple[int, int | None]] = []
-    for pre, post, vertex, above in lc.entries:
-        stamps.append((pre, vertex))
-        stamps.append((post, above))
-    stamps.sort(key=lambda pair: pair[0])
-    idx = bisect.bisect_right([t for t, _ in stamps], lv.pre) - 1
-    if idx < 0:
-        return None
-    return stamps[idx][1]
+    return _predecessor(lc.stamps, lc.answers, lv.pre)
 
 
 # -- connectivity labels via nearest colored ancestors ---------------------------
 
 
-@dataclass(frozen=True)
-class NcaConnVertexLabel:
-    vertex: int
-    pre: int
-    root_cid: int
-    own_color: int | None
-    prevalent: dict[int, int | None]  # color -> cid at the nearest ancestor
-    bits: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class NcaConnColorLabel:
-    color: int
-    prevalent: bool
-    entries: tuple[tuple[int, int, int, int | None], ...]
-    # per colored forest vertex: (pre, post, own payload cid, ancestor payload)
-    bits: int = field(default=0, compare=False)
-
-
 def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     """One-fault connectivity labels built from the ancestor structure.
 
-    Same forest reduction as the centralized oracle, but distributed: vertex
-    labels carry answers for prevalent colors, color labels carry their whole
-    annotated timestamp array.  Exact, like the oracle.
+    Same forest reduction and index as the centralized oracle, but
+    distributed: an answer is the oracle's payload at the nearest ancestor,
+    its cid in G minus its color.  Exact, like the oracle.
     """
     oracle = build_one_fault_oracle(g)
     s = oracle.structure
     n = len(s.parent)
-    tau = nca_threshold(n)
-    counts: dict[int, int] = {}
-    for c in s.colors:
-        if c is not None:
-            counts[c] = counts.get(c, 0) + 1
-    prevalent = {c for c, k in counts.items() if k >= tau}
-
-    wid = id_width(max(n, 2))
-    wstamp = width_for(2 * n)
-    wc = width_for(max(oracle.C, 2))
-    wlen = width_for(n + 1)
-
-    vertex_labels = []
-    for v in range(g.n):
-        answers: dict[int, int | None] = {}
-        for c in sorted(prevalent):
-            _w, payload = nca_query_payload(s, v, c)
-            answers[c] = payload
-        bits = wstamp + wid + (wc if g.mode == VERTEX else 0)
-        bits += wlen + len(answers) * (wc + wid + 1)
-        own = g.vertex_colors[v] if g.vertex_colors is not None else None
-        vertex_labels.append(
-            NcaConnVertexLabel(v, s.pre[v], oracle.root_cid[v], own, answers, bits)
-        )
-
-    color_labels = []
-    for c in range(oracle.C):
-        if c in prevalent:
-            color_labels.append(NcaConnColorLabel(c, True, (), wc + 1))
-            continue
-        seen: dict[int, tuple[int, int, int, int | None]] = {}
-        for e in s.arrays.get(c, ()):  # one entry per colored vertex
-            if e.vertex in seen:
-                continue
-            above_payload = s.payloads[e.above] if e.above is not None else None
-            seen[e.vertex] = (s.pre[e.vertex], s.post[e.vertex],
-                              s.payloads[e.vertex], above_payload)  # type: ignore[index]
-        entries = tuple(sorted(seen.values()))
-        bits = wc + 1 + wlen + len(entries) * (2 * wstamp + 2 * wid + 1)
-        color_labels.append(NcaConnColorLabel(c, False, entries, bits))
-
+    cids = {
+        c: tuple(None if w is None else oracle.payloads[w] for w in a)
+        for c, a in s.answers.items()
+    }
+    vertex_labels, color_labels, tau = _split_labels(
+        s, cids, oracle.C, g.n, id_width(max(n, 2)), width_for(max(oracle.C, 2)),
+        root_cid=oracle.root_cid, own_colors=g.vertex_colors,
+    )
     return LabelSet(
         scheme=CONN_SCHEME,
         n=g.n,
         C=oracle.C,
         mode=g.mode,
-        vertex_labels=tuple(vertex_labels),
-        color_labels=tuple(color_labels),
+        vertex_labels=vertex_labels,
+        color_labels=color_labels,
         meta={"threshold": tau, "forest_n": n},
     )
 
 
-def query_nca_connectivity(lv: NcaConnVertexLabel, lc: NcaConnColorLabel) -> int:
+def query_nca_connectivity(lv: NcaVertexLabel, lc: NcaColorLabel) -> int:
     """cid(v, G-c) from the two labels alone."""
-    if lv.own_color is not None and lv.own_color == lc.color:
+    if lv.own_color == lc.color:
         raise RemovedVertexError(f"vertex {lv.vertex} has color {lc.color}")
-    if lc.prevalent:
-        hit = lv.prevalent.get(lc.color)
-        return lv.root_cid if hit is None else hit
-    stamps: list[tuple[int, int | None]] = []
-    for pre, post, payload, above_payload in lc.entries:
-        stamps.append((pre, payload))
-        stamps.append((post, above_payload))
-    stamps.sort(key=lambda pair: pair[0])
-    idx = bisect.bisect_right([t for t, _ in stamps], lv.pre) - 1
-    if idx < 0 or stamps[idx][1] is None:
-        return lv.root_cid
-    return stamps[idx][1]
+    hit = query_nca_labels(lv, lc)
+    return lv.root_cid if hit is None else hit  # type: ignore[return-value]
 
 
-def pair_connected_nca(
-    lu: NcaConnVertexLabel, lv: NcaConnVertexLabel, lc: NcaConnColorLabel
-) -> bool:
+def pair_connected_nca(lu: NcaVertexLabel, lv: NcaVertexLabel, lc: NcaColorLabel) -> bool:
     return query_nca_connectivity(lu, lc) == query_nca_connectivity(lv, lc)

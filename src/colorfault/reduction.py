@@ -227,6 +227,7 @@ def query_all_pairs(
 
 def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
     colors = sorted(set(F))
+    ls.check_ids(u, w, colors)
     return query_all_pairs(
         ls,
         ls.vertex_labels[u],

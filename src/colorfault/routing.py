@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bits import id_width, width_for
-from .graph import EDGE, ColoredGraph, GraphError, UnionFind, as_view
+from .graph import EDGE, ColoredGraph, GraphError, UnionFind, as_view, orient_forest
 from .labels import LabelSet
 from .single_fault import (
     RulingSet,
@@ -322,25 +322,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     net = PortedNetwork.build(g)
     root = 0 if g.n else -1
 
-    # orient T at the root
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in tree_edges:
-        u, v = g.edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    for a in adj:
-        a.sort()
-    tparent: list[int | None] = [None] * g.n
-    tparent_edge: list[int | None] = [None] * g.n
-    order = [root]
-    seen = {root}
-    for x in order:
-        for w, eid in adj[x]:
-            if w not in seen:
-                seen.add(w)
-                tparent[w] = x
-                tparent_edge[w] = eid
-                order.append(w)
+    tparent, tparent_edge = orient_forest(g, tree_edges)  # rooted at 0
     tree_routing = build_tree_routing(net, tree_edges, roots=[root])
 
     # P(v) as chains of the anchor forest; their union is a subforest of T

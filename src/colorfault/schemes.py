@@ -68,13 +68,8 @@ def query(ls: LabelSet, u: int, v: int, colors: Iterable[int]) -> bool:
     scheme = _BY_LABEL_SCHEME.get(ls.scheme)
     if scheme is None:
         raise GraphError(f"unknown label file scheme {ls.scheme!r}")
-    for x in (u, v):
-        if not 0 <= x < ls.n:
-            raise GraphError(f"vertex {x} outside 0..{ls.n - 1}")
     F = sorted(set(colors))
-    for c in F:
-        if not 0 <= c < ls.C:
-            raise GraphError(f"color {c} outside palette of size {ls.C}")
+    ls.check_ids(u, v, F)
     if scheme.max_faults is not None and not 1 <= len(F) <= scheme.max_faults:
         raise GraphError(
             f"scheme {scheme.name} needs 1..{scheme.max_faults} faulted colors, got {len(F)}"

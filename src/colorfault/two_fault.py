@@ -320,6 +320,12 @@ def query_two_fault(
 
 
 def query_two_fault_ids(ls: LabelSet, u: int, v: int, c: int, d: int) -> bool:
+    # A two-fault query takes about a microsecond and a call to check_ids
+    # costs a third of that, so the valid case is tested inline and
+    # check_ids only names the bad id.
+    n, C = ls.n, ls.C
+    if not (0 <= u < n and 0 <= v < n and 0 <= c < C and 0 <= d < C):
+        ls.check_ids(u, v, (c, d))
     return query_two_fault(
         ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[c], ls.color_labels[d]
     )

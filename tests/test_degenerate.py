@@ -1,12 +1,20 @@
-"""Degenerate inputs: empty graphs, singletons, loop-only graphs."""
+"""Degenerate inputs: empty graphs, singletons, loop-only graphs, bad ids."""
 
 import pytest
 
-from colorfault.graph import ColoredGraph, components, parse_graph, serialize_graph
-from colorfault.multi_fault import build_certificate, label_recursive
+from colorfault.generators import gen_path
+from colorfault.graph import ColoredGraph, GraphError, components, parse_graph, serialize_graph
+from colorfault.multi_fault import (
+    build_certificate,
+    label_large_f,
+    label_recursive,
+    query_large_f_ids,
+    query_recursive_ids,
+)
 from colorfault.nca import build_one_fault_oracle
+from colorfault.reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from colorfault.single_fault import build_ruling_set, label_single_fault
-from colorfault.two_fault import label_two_fault
+from colorfault.two_fault import label_two_fault, query_two_fault_ids
 
 
 EMPTY = ColoredGraph(n=0, mode="edge", edges=(), C=0, edge_colors=())
@@ -53,3 +61,27 @@ def test_vertex_mode_singleton():
 
     with pytest.raises(RemovedVertexError):
         query_single_fault(ls.vertex_labels[0], ls.color_labels[0])
+
+
+PATH9 = gen_path(9)  # unique colors 0..7
+ID_QUERIES = {
+    "two-fault": (lambda: label_two_fault(PATH9),
+                  lambda ls, u, v, F: query_two_fault_ids(ls, u, v, *F)),
+    "recursive": (lambda: label_recursive(PATH9, 2, 0), query_recursive_ids),
+    "large-f": (lambda: label_large_f(PATH9, 0), query_large_f_ids),
+    "all-pairs": (lambda: build_all_pairs(PATH9, 2, ExactSingleSource(2, PATH9.C), 1.0, 0),
+                  query_all_pairs_ids),
+}
+
+
+@pytest.mark.parametrize("u, v, F", [
+    (-1, 8, (3, 3)), (0, -1, (3, 4)), (0, 9, (3, 4)),
+    (0, 8, (-1, 3)), (0, 8, (3, 8)),
+])
+@pytest.mark.parametrize("name", sorted(ID_QUERIES))
+def test_id_queries_reject_out_of_range_ids(name, u, v, F):
+    build, ask = ID_QUERIES[name]
+    ls = build()
+    assert not ask(ls, 0, 8, (3, 4))  # a valid question still answers
+    with pytest.raises(GraphError):
+        ask(ls, u, v, F)

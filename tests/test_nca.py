@@ -1,18 +1,26 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorfault.bits import id_width
+from colorfault.bits import BitWriter, id_width, width_for
 from colorfault.generators import gen_random
-from colorfault.graph import RemovedVertexError, edge_graph
+from colorfault.graph import GraphError, RemovedVertexError, edge_graph
 from colorfault.nca import (
+    ORACLE_MAGIC,
+    ORACLE_VERSION,
     build_nca,
     build_one_fault_oracle,
     dump_oracle,
     label_nca,
+    label_nca_connectivity,
     load_oracle,
     naive_nearest_colored_ancestor,
     nca_query,
@@ -138,6 +146,89 @@ def test_oracle_file_size_bound():
     assert len(dump_oracle(o)) * 8 <= _header + body + 7
 
 
+def _oracle_file(parents, colors, cids, C, vertex_colors=None):
+    """Hand-written oracle file; a parent equal to the vertex marks a root."""
+    n = len(parents)
+    wid, wc = id_width(n), width_for(C)
+    w = BitWriter()
+    w.write(ORACLE_MAGIC, 32)
+    w.write(ORACLE_VERSION, 8)
+    w.write(0 if vertex_colors is None else 1, 8)
+    w.write(n, 32)
+    w.write(C, 32)
+    for p, c, cid in zip(parents, colors, cids):
+        w.write(p, wid)
+        w.write(c, wc)
+        w.write(cid, wid)
+    if vertex_colors is not None:
+        w.write(len(vertex_colors), 32)
+        for c in vertex_colors:
+            w.write(c, wc)
+    return w.to_bytes()
+
+
+def test_hand_written_oracle_file_loads():
+    # path 0 -1- 1 -0- 2: failing color 1 cuts 0 from {1, 2}
+    o = load_oracle(_oracle_file((0, 0, 1), (0, 1, 0), (0, 1, 2), C=2))
+    assert not o.query(0, 2, 1)
+    assert o.query(1, 2, 1)
+    assert not o.query(1, 2, 0)
+
+
+@pytest.mark.parametrize("parents, colors, cids, C, vertex_colors", [
+    ((0, 2, 1), (0, 0, 0), (0, 0, 0), 2, None),  # 1 and 2 parent each other
+    ((0, 3, 1), (0, 0, 0), (0, 0, 0), 2, None),  # parent outside 0..2
+    ((0, 0, 1), (0, 0, 0), (0, 3, 0), 2, None),  # cid outside 0..2
+    ((0, 0, 1), (0, 3, 0), (0, 0, 0), 3, None),  # color outside the palette
+    ((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 1, 2, 0)),  # 4 original vertices > 3
+    ((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 3)),  # vertex color outside the palette
+], ids=["cycle", "parent", "cid", "color", "original-n", "vertex-color"])
+def test_malformed_oracle_file_rejected(parents, colors, cids, C, vertex_colors):
+    with pytest.raises(GraphError):
+        load_oracle(_oracle_file(parents, colors, cids, C, vertex_colors))
+
+
+def test_cli_rejects_cyclic_oracle_file(tmp_path):
+    path = tmp_path / "cycle.cfo"
+    path.write_bytes(_oracle_file((0, 2, 1), (0, 0, 0), (0, 0, 0), C=2))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-m", "colorfault.cli", "oracle", "query", str(path), "0", "1", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error:"), run.stderr
+
+
+# Recorded before the index was merged into one DFS: sha256 of the oracle file,
+# then (max, total) label bits of label_nca on the oracle's forest and of
+# label_nca_connectivity, on gen_random(40, 70, 8, seed=9).
+PINNED = {
+    "edge": ("a6b5ef3eccebb36d3044bdfa60a6551223fb51c1dc215e9857be7c7d70680b52",
+             (91, 2705), (91, 2945)),
+    "vertex": ("319431636148d5221cf58a9a2fa231e08b1f24424f24a2be5869f8cb895593e2",
+               (104, 9111), (104, 3841)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_outputs_pinned(mode):
+    def bits(ls):
+        sizes = ls.vertex_bits() + ls.color_bits()
+        return max(sizes), sum(sizes)
+
+    g = gen_random(40, 70, 8, seed=9, mode=mode)
+    o = build_one_fault_oracle(g)
+    forest = label_nca(list(o.structure.parent), list(o.structure.colors), C=g.C)
+    assert (
+        hashlib.sha256(dump_oracle(o)).hexdigest(),
+        bits(forest),
+        bits(label_nca_connectivity(g)),
+    ) == PINNED[mode]
+
+
 # -- nearest-colored-ancestor labels -------------------------------------------------
 
 
@@ -158,7 +249,7 @@ def test_all_distinct_colors_two_timestamps():
     ls = label_nca(parent, colors, C=5)
     for lbl in ls.color_labels:
         assert not lbl.prevalent
-        assert len(lbl.entries) == 1  # one colored vertex = one (pre, post) pair
+        assert len(lbl.stamps) == 2  # one colored vertex = one (pre, post) pair
 
 
 def test_labels_match_structure_on_random_trees():
@@ -193,7 +284,7 @@ def test_threshold_examples():
 
 
 def test_connectivity_labels_exact():
-    from colorfault.nca import label_nca_connectivity, pair_connected_nca
+    from colorfault.nca import pair_connected_nca
 
     for seed in range(6):
         for mode in ("edge", "vertex"):

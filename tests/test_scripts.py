@@ -18,3 +18,28 @@ def test_verify_schemes_script_reports_full_agreement():
     for line in lines:
         agree, total = line.split("agreement=")[1].split("/")
         assert int(total) > 0 and agree == total, line
+
+
+def _run_script(name, *args):
+    run = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_bench_label_sizes_script_reports_slopes():
+    lines = _run_script("bench_label_sizes.py", "--path-sizes", "16,32,64",
+                        "--dense-sizes", "16,32")
+    slopes = [line for line in lines if line.startswith("slope_bits=")]
+    assert len(slopes) == 2  # one-fault paths, two-fault dense colorings
+    for line in slopes:
+        float(line.split("=")[1])
+
+
+def test_sketch_success_report_script_reports_rates():
+    lines = _run_script("sketch_success_report.py", "--sizes", "16,32", "--queries", "20")
+    header = lines.index("n success_rate target(1-1/n)")
+    rows = [line.split() for line in lines[header + 1:] if line.strip()]
+    assert [row[0] for row in rows] == ["16", "32"]
+    for _n, rate, _target in rows:
+        assert 0.0 <= float(rate) <= 1.0
