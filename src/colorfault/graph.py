@@ -13,6 +13,7 @@ share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -222,8 +223,9 @@ class UnionFind:
 class RollbackUnionFind:
     """Union by size without path compression, with an undo stack.
 
-    Used by the divide-and-conquer sweep over the color palette; rollback must
-    restore both structure and per-set minima exactly.
+    Used by the divide-and-conquer sweep over a family of fault sets
+    (:func:`cids_after_faults`) and by the per-color certificate forests;
+    rollback must restore both structure and per-set minima exactly.
     """
 
     __slots__ = ("parent", "size", "min_id", "trail")
@@ -239,10 +241,10 @@ class RollbackUnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
         a, b = self.find(a), self.find(b)
         if a == b:
-            return
+            return False
         if self.size[a] < self.size[b]:
             a, b = b, a
         self.trail.append((b, a, self.min_id[a]))
@@ -250,6 +252,7 @@ class RollbackUnionFind:
         self.size[a] += self.size[b]
         if self.min_id[b] < self.min_id[a]:
             self.min_id[a] = self.min_id[b]
+        return True
 
     def checkpoint(self) -> int:
         return len(self.trail)
@@ -409,90 +412,68 @@ def bfs_tree(gv: ColoredGraph | GraphView, root: int) -> BfsTree:
     return BfsTree(root, tuple(parent), tuple(parent_edge), tuple(depth))
 
 
-# -- per-color fault sweep ---------------------------------------------------
+# -- fault-set family sweep ---------------------------------------------------
 
 
-def _sweep_single_color_faults(g: ColoredGraph, at_leaf) -> None:
-    """Visit every single-color fault with a shared rollback union-find.
+def cids_after_faults(
+    g: ColoredGraph, wanted: dict[frozenset[int], Iterable[int]]
+) -> dict[frozenset[int], dict[int, int | None]]:
+    """cid(v, g - F) for every fault set F of ``wanted`` and each vertex it lists.
 
-    Divide and conquer over the palette: each edge is inserted O(log C) times
-    instead of rebuilding C partitions from scratch.  ``at_leaf(c, uf, dead)``
-    runs with the union-find holding exactly the partition of ``g - c``; in
-    vertex mode ``dead`` is the set of vertices removed by color c.
+    One rollback union-find serves the whole family.  The sets are sorted by
+    their sorted tuples, so sets sharing their smallest color sit together,
+    and the sweep divides and conquers over that order: an edge is unioned at
+    the highest node of the recursion whose sets all keep it, instead of
+    once per set.  Vertices removed by F (vertex mode) come out as None.
     """
-    if g.C == 0:
-        return
+    keys = sorted((g.check_fault_set(F) for F in wanted), key=sorted)
+    out: dict[frozenset[int], dict[int, int | None]] = {F: {} for F in keys}
+    if not keys:
+        return out
+    killed_by: list[list[int]] = [[] for _ in range(g.C)]  # per color: indices of sets holding it
+    for i, F in enumerate(keys):
+        for c in F:
+            killed_by[c].append(i)
     uf = RollbackUnionFind(g.n)
-    # exclusion colors per edge: the colors whose failure kills it (1 in edge
-    # mode, <=2 in vertex mode)
-    pending: list[tuple[int, int, tuple[int, ...]]] = []
+    # an edge with its kill list: the sorted indices of the sets it fails in
+    pending: list[tuple[int, int, list[int]]] = []
     for eid, (u, v) in enumerate(g.edges):
         if u == v:
             continue
         if g.mode == EDGE:
-            excl: tuple[int, ...] = (g.edge_color(eid),)
+            kill = killed_by[g.edge_color(eid)]
         else:
             cu, cv = g.vertex_color(u), g.vertex_color(v)
-            excl = (cu,) if cu == cv else (cu, cv)
-        pending.append((u, v, excl))
+            kill = killed_by[cu] if cu == cv else sorted({*killed_by[cu], *killed_by[cv]})
+        if kill:
+            pending.append((u, v, kill))
+        else:
+            uf.union(u, v)
+    vertex_colors = g.vertex_colors if g.mode == VERTEX else None
 
-    removed_by_color: list[set[int]] = [set() for _ in range(g.C)]
-    if g.mode == VERTEX:
-        for v, c in enumerate(g.vertex_colors or ()):
-            removed_by_color[c].add(v)
-
-    def solve(lo: int, hi: int, edges: list[tuple[int, int, tuple[int, ...]]]) -> None:
+    def solve(lo: int, hi: int, edges: list[tuple[int, int, list[int]]]) -> None:
         if hi - lo == 1:
-            at_leaf(lo, uf, removed_by_color[lo])
+            F = keys[lo]
+            res = out[F]
+            for v in wanted[F]:
+                dead = vertex_colors is not None and vertex_colors[v] in F
+                res[v] = None if dead else uf.component_min(v)
             return
         mid = (lo + hi) // 2
         for side_lo, side_hi in ((lo, mid), (mid, hi)):
             mark = uf.checkpoint()
-            dirty: list[tuple[int, int, tuple[int, ...]]] = []
-            for u, v, excl in edges:
-                if any(side_lo <= c < side_hi for c in excl):
-                    dirty.append((u, v, excl))
+            dirty: list[tuple[int, int, list[int]]] = []
+            for edge in edges:
+                kill = edge[2]
+                i = bisect_left(kill, side_lo)
+                if i < len(kill) and kill[i] < side_hi:
+                    dirty.append(edge)
                 else:
-                    uf.union(u, v)
+                    uf.union(edge[0], edge[1])
             solve(side_lo, side_hi, dirty)
             uf.rollback(mark)
 
-    solve(0, g.C, pending)
-
-
-def components_per_color(g: ColoredGraph) -> list[list[int | None]]:
-    """For every color c, the component-id array of ``g - c``.
-
-    In vertex mode, vertices of the failing color come out as None.
-    """
-    out: list[list[int | None]] = [[] for _ in range(g.C)]
-
-    def at_leaf(c: int, uf: RollbackUnionFind, dead: set[int]) -> None:
-        out[c] = [None if v in dead else uf.component_min(v) for v in range(g.n)]
-
-    _sweep_single_color_faults(g, at_leaf)
-    return out
-
-
-def cids_for_color_queries(
-    g: ColoredGraph, wanted: dict[int, Iterable[int]]
-) -> dict[int, dict[int, int | None]]:
-    """cid(v, g - c) for selected (color, vertex) pairs only.
-
-    ``wanted`` maps a color to the vertices whose cid under that single fault
-    is needed; far cheaper than full per-color arrays when the palette is big.
-    """
-    ask = {c: sorted(set(vs)) for c, vs in wanted.items()}
-    out: dict[int, dict[int, int | None]] = {c: {} for c in ask}
-
-    def at_leaf(c: int, uf: RollbackUnionFind, dead: set[int]) -> None:
-        if c not in ask:
-            return
-        res = out[c]
-        for v in ask[c]:
-            res[v] = None if v in dead else uf.component_min(v)
-
-    _sweep_single_color_faults(g, at_leaf)
+    solve(0, len(keys), pending)
     return out
 
 

@@ -27,7 +27,7 @@ from .graph import (
     VERTEX,
     ColoredGraph,
     RemovedVertexError,
-    UnionFind,
+    RollbackUnionFind,
     components,
     edge_graph,
     reduce_between_modes,
@@ -89,17 +89,12 @@ def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
     original_mode = g.mode
     if g.mode == VERTEX:
         g = reduce_between_modes(g)
-    forests: list[list[int]] = [[] for _ in range(g.C)]
-    finders = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        c = g.edge_color(eid)
-        uf = finders.get(c)
-        if uf is None:
-            uf = finders[c] = UnionFind(g.n)
-        if uf.union(u, v):
-            forests[c].append(eid)
+    forests: list[list[int]] = []
+    uf = RollbackUnionFind(g.n)
+    for cls in g.color_classes():
+        mark = uf.checkpoint()
+        forests.append([eid for eid in cls if uf.union(*g.edges[eid])])
+        uf.rollback(mark)
     edge_ids = sorted(eid for forest in forests for eid in forest)
     return ColorForestCertificate(
         graph=g,

@@ -27,7 +27,7 @@ from .graph import (
     ColoredGraph,
     GraphError,
     RemovedVertexError,
-    cids_for_color_queries,
+    cids_after_faults,
     orient_forest,
     reduce_between_modes,
     spanning_forest,
@@ -184,11 +184,11 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
 
     parent, edge_of = orient_forest(g, spanning_forest(g))
     colors: list[int | None] = [None if e is None else g.edge_color(e) for e in edge_of]
-    wanted: dict[int, set[int]] = {}
+    wanted: dict[frozenset[int], list[int]] = {}
     for v, c in enumerate(colors):
         if c is not None:
-            wanted.setdefault(c, set()).add(v)
-    cids = cids_for_color_queries(g, wanted) if wanted else {}
+            wanted.setdefault(frozenset((c,)), []).append(v)
+    cids = cids_after_faults(g, wanted)
     structure = build_nca(parent, colors)
     return OneFaultOracle(
         n=original.n,
@@ -196,7 +196,9 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
         mode=original.mode,
         structure=structure,
         root_cid=structure.root,
-        payloads=tuple(None if c is None else cids[c][v] for v, c in enumerate(colors)),
+        payloads=tuple(
+            None if c is None else cids[frozenset((c,))][v] for v, c in enumerate(colors)
+        ),
         vertex_colors=original.vertex_colors,
     )
 
@@ -215,6 +217,8 @@ def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
     wid = id_width(n)
     wc = width_for(o.C)
     header = 32 + 8 + 8 + 32 + 32  # magic, version, mode, n', C
+    if o.vertex_colors is not None:
+        header += 32 + o.n * wc  # original n and the original coloring
     return header, n * (wid + wc + wid)
 
 
@@ -236,7 +240,8 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
         payload = o.payloads[v]
         w.write(o.root_cid[v] if payload is None else payload, wid)
     # vertex-mode oracles additionally persist the original coloring so
-    # removed-endpoint queries can be detected; counted as header-side data
+    # removed-endpoint queries can be detected; oracle_file_bits counts it in
+    # the header
     if o.vertex_colors is not None:
         w.write(o.n, 32)
         for c in o.vertex_colors:
@@ -245,17 +250,27 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
 
 
 def load_oracle(data: bytes) -> OneFaultOracle:
-    """Parse an oracle file; a malformed one raises GraphError."""
+    """Parse an oracle file; a malformed or truncated one raises GraphError."""
     r = BitReader(data)
+
+    def expect(bits: int, part: str) -> None:
+        if r.remaining < bits:
+            raise GraphError(f"oracle file truncated in its {part}")
+
+    expect(32 + 8 + 8 + 32 + 32, "header")
     if r.read(32) != ORACLE_MAGIC:
         raise GraphError("not an oracle file")
     if r.read(8) != ORACLE_VERSION:
         raise GraphError("unsupported oracle file version")
-    mode = EDGE if r.read(8) == 0 else VERTEX
+    mode_byte = r.read(8)
+    if mode_byte > 1:
+        raise GraphError(f"oracle file: unknown mode byte {mode_byte}")
+    mode = EDGE if mode_byte == 0 else VERTEX
     n = r.read(32)
     C = r.read(32)
     wid = id_width(n)
     wc = width_for(C)
+    expect(n * (wid + wc + wid), "body")
     parent: list[int | None] = []
     colors: list[int | None] = []
     stored: list[int] = []
@@ -275,9 +290,11 @@ def load_oracle(data: bytes) -> OneFaultOracle:
     structure = build_nca(parent, colors)  # GraphError unless a forest
     orig_n, vertex_colors = n, None
     if mode == VERTEX:
+        expect(32, "vertex colors")
         orig_n = r.read(32)
         if orig_n > n:
             raise GraphError(f"oracle file: {orig_n} original vertices exceed forest size {n}")
+        expect(orig_n * wc, "vertex colors")
         vertex_colors = tuple(r.read(wc) for _ in range(orig_n))
         if any(c >= C for c in vertex_colors):
             raise GraphError(f"oracle file: vertex color outside palette of size {C}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, components, remove_colors
+from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults, components, remove_colors
 from .labels import LabelSet
 from .sketch import _hash_fields as derive_seed
 
@@ -90,16 +90,12 @@ class ExactSingleSource:
             for size in range(self.f + 1)
             for F in itertools.combinations(range(self.fault_palette), size)
         ]
-        reach_by_subset = {}
-        for F in subsets:
-            comp = components(remove_colors(g, F))
-            root = comp[source]
-            reach_by_subset[F] = {
-                v for v, c in enumerate(comp) if c is not None and c == root
-            }
+        cids = cids_after_faults(g, {F: range(g.n) for F in subsets})
         vertex_labels = []
         for v in range(g.n):
-            answers = {F: v in reach_by_subset[F] for F in subsets}
+            answers = {
+                F: cids[F][v] is not None and cids[F][v] == cids[F][source] for F in subsets
+            }
             vertex_labels.append(ExactVertexLabel(v, answers, len(subsets)))
         color_labels = tuple(
             ExactColorLabel(c, width_for(max(g.C, 2))) for c in range(g.C)

@@ -25,7 +25,7 @@ from .graph import (
     RemovedVertexError,
     as_view,
     bfs_tree,
-    cids_for_color_queries,
+    cids_after_faults,
     components,
 )
 from .labels import LabelSet
@@ -158,11 +158,12 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
     paths = [path_to_anchor(parent, v) for v in range(g.n)]
     colors_on_path = [_path_colors(g, paths[v], parent_edge) for v in range(g.n)]
 
-    wanted: dict[int, set[int]] = {c: set(ruling.A) for c in range(g.C)}
+    wanted: dict[frozenset[int], set[int]] = {frozenset((c,)): set(ruling.A) for c in range(g.C)}
     for v in range(g.n):
         for c in colors_on_path[v]:
-            wanted[c].add(v)
-    cids = cids_for_color_queries(g, wanted) if g.C else {}
+            wanted[frozenset((c,))].add(v)
+    by_set = cids_after_faults(g, wanted)
+    cids = [by_set[frozenset((c,))] for c in range(g.C)]
 
     wid = id_width(g.n)
     wc = width_for(g.C)

@@ -24,6 +24,7 @@ from .graph import (
     GraphView,
     RemovedVertexError,
     bfs_tree,
+    cids_after_faults,
     components,
     remove_colors,
 )
@@ -144,26 +145,6 @@ def _path_colors_to_root(g: ColoredGraph, tree, v: int) -> set[int]:
     return {g.vertex_color(x) for x in path} - {g.vertex_color(v)}
 
 
-class _PairCids:
-    """Cache of component-id arrays under two-color fault sets."""
-
-    def __init__(self, g: ColoredGraph):
-        self.g = g
-        self.cache: dict[frozenset[int], list[int | None]] = {}
-
-    def partition(self, c: int, d: int) -> list[int | None]:
-        key = frozenset((c, d))
-        part = self.cache.get(key)
-        if part is None:
-            part = self.cache[key] = components(remove_colors(self.g, key))
-        return part
-
-    def cid(self, v: int, c: int, d: int) -> int:
-        value = self.partition(c, d)[v]
-        assert value is not None
-        return value
-
-
 def label_two_fault(g: ColoredGraph) -> LabelSet:
     cap = math.isqrt(g.n) if math.isqrt(g.n) ** 2 == g.n else math.isqrt(g.n) + 1
     cap = max(cap, 1)
@@ -180,7 +161,6 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         tree = trees[comp[v]]
         path_colors.append(_path_colors_to_root(g, tree, v))
 
-    single = _PairCids(g)  # pair cache also answers c == d
     truncated: dict[tuple[int, int], TruncatedTree] = {}
     full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
     for v in range(g.n):
@@ -195,6 +175,35 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     else:
         U = ()
     in_U = set(U)
+    reps = {key: min(w for w in t.vertices if w in in_U) for key, t in full_family}
+    own = g.vertex_colors if g.mode == VERTEX else [None] * g.n
+
+    # every cid(x, G-{c,d}) the labels store, with d = c for cid(x, G-c);
+    # path_colors[x] never holds x's own color
+    wanted: dict[frozenset[int], set[int]] = {}
+
+    def want(x: int, c: int, d: int) -> None:
+        wanted.setdefault(frozenset((c, d)), set()).add(x)
+
+    for (v, c), t in truncated.items():
+        want(v, c, c)
+        for d in t.colors - {own[v]}:
+            want(v, c, d)
+        rep = reps.get((v, c))
+        if rep is not None:
+            for d in path_colors[rep]:
+                want(rep, c, d)
+    for c in range(g.C):
+        for u in U:
+            if own[u] != c:  # u itself dies with c; never consulted for this color
+                for d in path_colors[u]:
+                    want(u, c, d)
+    cids = cids_after_faults(g, wanted)
+
+    def pair_cid(x: int, c: int, d: int) -> int:
+        value = cids[frozenset((c, d))][x]
+        assert value is not None
+        return value
 
     wid = id_width(max(g.n, 2))
     wc = width_for(max(g.C, 2))
@@ -205,28 +214,15 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         entries: dict[int, ColorEntry] = {}
         for c in sorted(path_colors[v]):
             t = truncated[(v, c)]
-            own = g.vertex_color(v) if g.mode == VERTEX else None
-            pair_cids = {
-                d: single.cid(v, c, d)
-                for d in sorted(t.colors)
-                if d != own
-            }
-            rep = None
-            rep_pairs: dict[int, int] = {}
-            if t.full:
-                rep = min(w for w in t.vertices if w in in_U)
-                rep_own = g.vertex_color(rep) if g.mode == VERTEX else None
-                rep_pairs = {
-                    d: single.cid(rep, c, d)
-                    for d in sorted(path_colors[rep])
-                    if d != rep_own
-                }
+            rep = reps.get((v, c))
             entries[c] = ColorEntry(
-                cid_minus_c=single.cid(v, c, c),
-                pair_cids=pair_cids,
+                cid_minus_c=pair_cid(v, c, c),
+                pair_cids={d: pair_cid(v, c, d) for d in sorted(t.colors - {own[v]})},
                 full=t.full,
                 rep=rep,
-                rep_pair_cids=rep_pairs,
+                rep_pair_cids={} if rep is None else {
+                    d: pair_cid(rep, c, d) for d in sorted(path_colors[rep])
+                },
             )
         bits = wid + (wc if g.mode == VERTEX else 0) + wlen
         for c, e in entries.items():
@@ -237,7 +233,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
             TwoFaultVertexLabel(
                 v,
                 root_id=comp[v],  # type: ignore[arg-type]
-                own_color=g.vertex_color(v) if g.mode == VERTEX else None,
+                own_color=own[v],
                 entries=entries,
                 bits=bits,
             )
@@ -245,15 +241,11 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
 
     color_labels = []
     for c in range(g.C):
-        pairs: dict[tuple[int, int], int] = {}
-        for u in U:
-            if g.mode == VERTEX and g.vertex_color(u) == c:
-                continue  # u itself dies with c; never consulted for this color
-            own = g.vertex_color(u) if g.mode == VERTEX else None
-            for d in sorted(path_colors[u]):
-                if d == own:
-                    continue
-                pairs[(u, d)] = single.cid(u, c, d)
+        pairs = {
+            (u, d): pair_cid(u, c, d)
+            for u in U if own[u] != c
+            for d in sorted(path_colors[u])
+        }
         bits = wc + wlen + len(pairs) * (wid + wc + wid)
         color_labels.append(TwoFaultColorLabel(c, pairs, bits))
 

@@ -17,7 +17,6 @@ from colorfault.generators import gen_grid, gen_path, gen_random, gen_tree, gen_
 from colorfault.graph import (
     RemovedVertexError,
     components,
-    components_per_color,
     edge_graph,
 )
 from colorfault.labels import loglog_slope
@@ -90,7 +89,7 @@ def _check_single_fault_exact(g, rng) -> int:
     # the length bound of criterion 2 holds on every corpus instance
     w = max(1, width_for(max(g.n, g.C, 2)))
     assert ls.max_label_bits() <= 3 * ls.meta["k"] * w
-    sweep = components_per_color(g)
+    sweep = [brute_force_partition(g, {c}) for c in range(g.C)]
     checked = 0
     for c in range(g.C):
         truth = sweep[c]
@@ -455,7 +454,7 @@ def test_criterion_8_single_source_reduction():
         g = gen_random(32, 36, 6, seed=6000 + b)
         inner = ExactSingleSource(f=1, fault_palette=g.C)
         ls = build_all_pairs(g, f=1, inner=inner, alpha=2.0, seed=b)
-        sweep = components_per_color(g)
+        sweep = [brute_force_partition(g, {c}) for c in range(g.C)]
         disc_pairs = []
         conn_pairs = []
         for c in range(g.C):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,8 @@ from colorfault.graph import (
     RemovedVertexError,
     bfs_tree,
     cid,
+    cids_after_faults,
     components,
-    components_per_color,
     connected,
     edge_graph,
     parse_graph,
@@ -267,18 +270,29 @@ def test_monotone_removal(seed):
         assert rep[b] == small[v]
 
 
-@given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]))
-@settings(max_examples=20, deadline=None)
-def test_components_per_color_matches_brute_force(seed, mode):
-    g = gen_random(12, 20, 4, seed=seed, mode=mode)
-    sweep = components_per_color(g)
-    for c in range(g.C):
-        assert sweep[c] == brute_force_partition(g, {c})
+@given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_cids_after_faults_matches_brute_force(seed, mode, simple):
+    rng = random.Random(seed)
+    # 12 vertices and 14 edges: often disconnected, with parallel edges and
+    # self-loops when not simple
+    g = gen_random(12, 14, 5, seed=seed, mode=mode, simple=simple)
+    every = [frozenset(F) for size in range(4) for F in itertools.combinations(range(g.C), size)]
+    family = rng.sample(every, rng.randrange(len(every) + 1))
+    wanted = {F: rng.sample(range(g.n), rng.randrange(g.n + 1)) for F in family}
+    got = cids_after_faults(g, wanted)
+    assert set(got) == set(family)
+    for F, vertices in wanted.items():
+        truth = brute_force_partition(g, F)
+        assert got[F] == {v: truth[v] for v in vertices}, sorted(F)
+
+
+def test_cids_after_faults_rejects_bad_color():
+    with pytest.raises(InvalidFaultSetError):
+        cids_after_faults(TRIANGLE, {frozenset((0,)): [0], frozenset((2,)): [0]})
 
 
 def test_dual_oracles_agree_on_random_queries():
-    import random
-
     rng = random.Random(123)
     g = gen_random(30, 60, 6, seed=42)
     for _ in range(1000):

@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from colorfault.generators import gen_random
+from colorfault.generators import gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph, vertex_graph
 from colorfault.multi_fault import (
     build_certificate,
@@ -77,6 +78,19 @@ def test_certificate_vertex_mode_subdivides():
                         assert brute_force_connected(sub, u, v, F) == (
                             brute_force_connected(gv, u, v, F)
                         )
+
+
+def test_certificate_memory_on_long_path():
+    # one union-find per color would hold C arrays of n entries: 75.8 MB here
+    g = gen_path(1024)
+    tracemalloc.start()
+    try:
+        cert = build_certificate(g)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.edge_ids == tuple(range(g.m))
+    assert peak < 8 * 2**20
 
 
 # -- large-f scheme ---------------------------------------------------------------

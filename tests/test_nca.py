@@ -137,13 +137,15 @@ def test_oracle_file_round_trip():
         _check_oracle(g, loaded)
 
 
-def test_oracle_file_size_bound():
-    g = gen_random(40, 70, 8, seed=9)
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_oracle_file_size_bound(mode):
+    g = gen_random(40, 70, 8, seed=9, mode=mode)
     o = build_one_fault_oracle(g)
-    _header, body = oracle_file_bits(o)
+    header, body = oracle_file_bits(o)
     n = len(o.structure.parent)
     assert body <= 3 * n * id_width(n)
-    assert len(dump_oracle(o)) * 8 <= _header + body + 7
+    # the counted bits are the file's, up to the padding of its last byte
+    assert 0 <= 8 * len(dump_oracle(o)) - header - body < 8
 
 
 def _oracle_file(parents, colors, cids, C, vertex_colors=None):
@@ -175,17 +177,26 @@ def test_hand_written_oracle_file_loads():
     assert not o.query(1, 2, 0)
 
 
-@pytest.mark.parametrize("parents, colors, cids, C, vertex_colors", [
-    ((0, 2, 1), (0, 0, 0), (0, 0, 0), 2, None),  # 1 and 2 parent each other
-    ((0, 3, 1), (0, 0, 0), (0, 0, 0), 2, None),  # parent outside 0..2
-    ((0, 0, 1), (0, 0, 0), (0, 3, 0), 2, None),  # cid outside 0..2
-    ((0, 0, 1), (0, 3, 0), (0, 0, 0), 3, None),  # color outside the palette
-    ((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 1, 2, 0)),  # 4 original vertices > 3
-    ((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 3)),  # vertex color outside the palette
-], ids=["cycle", "parent", "cid", "color", "original-n", "vertex-color"])
-def test_malformed_oracle_file_rejected(parents, colors, cids, C, vertex_colors):
+_DUMPED = {mode: dump_oracle(build_one_fault_oracle(gen_random(16, 26, 5, seed=3, mode=mode)))
+           for mode in ("edge", "vertex")}
+
+
+@pytest.mark.parametrize("blob", [
+    _oracle_file((0, 2, 1), (0, 0, 0), (0, 0, 0), 2),  # 1 and 2 parent each other
+    _oracle_file((0, 3, 1), (0, 0, 0), (0, 0, 0), 2),  # parent outside 0..2
+    _oracle_file((0, 0, 1), (0, 0, 0), (0, 3, 0), 2),  # cid outside 0..2
+    _oracle_file((0, 0, 1), (0, 3, 0), (0, 0, 0), 3),  # color outside the palette
+    _oracle_file((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 1, 2, 0)),  # 4 original vertices > 3
+    _oracle_file((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 3)),  # vertex color outside the palette
+    _DUMPED["edge"][:5],  # cut inside the header
+    _DUMPED["edge"][:-3],  # cut inside the body
+    _DUMPED["vertex"][:-3],  # cut inside the vertex colors
+    _DUMPED["edge"][:5] + bytes([7]) + _DUMPED["edge"][6:],  # mode byte neither 0 nor 1
+], ids=["cycle", "parent", "cid", "color", "original-n", "vertex-color",
+        "truncated-header", "truncated-body", "truncated-vertex-colors", "mode"])
+def test_malformed_oracle_file_rejected(blob):
     with pytest.raises(GraphError):
-        load_oracle(_oracle_file(parents, colors, cids, C, vertex_colors))
+        load_oracle(blob)
 
 
 def test_cli_rejects_cyclic_oracle_file(tmp_path):

@@ -174,3 +174,18 @@ def test_entry_counts_respect_structure():
     U = ls.meta["hitting_set"]
     for lbl in ls.color_labels:
         assert len(lbl.pairs) <= len(U) * D
+
+
+# Recorded before the pair cids came from one fault-set sweep: (max, total)
+# label bits and the hitting set of label_two_fault on gen_random(40, 70, 8, seed=9).
+PINNED = {
+    "edge": ((326, 7898), (2, 4, 5, 8, 12, 17)),
+    "vertex": ((306, 7334), (3, 4, 8, 12, 17)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_outputs_pinned(mode):
+    ls = label_two_fault(gen_random(40, 70, 8, seed=9, mode=mode))
+    sizes = ls.vertex_bits() + ls.color_bits()
+    assert ((max(sizes), sum(sizes)), ls.meta["hitting_set"]) == PINNED[mode]
