@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Hashable, Iterable, Protocol, Sequence
 
 from .bits import width_for
 from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults, components, remove_colors
@@ -45,9 +45,13 @@ def matching_column(component_size: int) -> int:
 
 
 class SingleSourceScheme(Protocol):
+    """A vertex label's ``answers[fault_key(fault_labels)]`` is its ``query`` answer."""
+
     error_rate: float
 
     def build(self, g: ColoredGraph, source: int) -> "SingleSourceLabels": ...
+
+    def fault_key(self, fault_labels: Sequence) -> Hashable: ...
 
     def query(self, vertex_label, fault_labels: Sequence) -> bool: ...
 
@@ -102,11 +106,15 @@ class ExactSingleSource:
         )
         return SingleSourceLabels(tuple(vertex_labels), color_labels)
 
-    def query(self, vertex_label: ExactVertexLabel, fault_labels: Sequence) -> bool:
+    def fault_key(self, fault_labels: Sequence) -> frozenset[int]:
+        """The fault set as the answer tables key it, after the budget check."""
         F = frozenset(fl.color for fl in fault_labels)
         if len(F) > self.f:
             raise ValueError("fault set larger than the scheme's budget")
-        return vertex_label.answers[F]
+        return F
+
+    def query(self, vertex_label: ExactVertexLabel, fault_labels: Sequence) -> bool:
+        return vertex_label.answers[self.fault_key(fault_labels)]
 
 
 # -- augmented grid -----------------------------------------------------------------
@@ -212,13 +220,14 @@ def query_all_pairs(
     lw: ReductionVertexLabel,
     fault_labels: Sequence[ReductionColorLabel],
 ) -> bool:
-    """Connected iff the two vertices agree with the source in every cell."""
+    """Connected iff the two vertices agree with the source in every cell.
+
+    A fault set names the same colors in every cell, so its key into the
+    cells' answer tables is built (and its budget checked) once.
+    """
     inner: SingleSourceScheme = ls.meta["inner"]
-    for idx in range(len(lu.cells)):
-        faults = [fl.cells[idx] for fl in fault_labels]
-        if inner.query(lu.cells[idx], faults) != inner.query(lw.cells[idx], faults):
-            return False
-    return True
+    key = inner.fault_key([fl.cells[0] for fl in fault_labels])
+    return all(a.answers[key] == b.answers[key] for a, b in zip(lu.cells, lw.cells))
 
 
 def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:

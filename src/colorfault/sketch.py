@@ -8,10 +8,13 @@ vertex set S leaves, per cell, the XOR of sampled edge names crossing the cut
 id and a keyed checksum, so a cell holding exactly one surviving cut edge is
 recognizable and decodable.
 
-A query XORs the given faulty edges' contributions out of every vertex sketch
-and then merges components in sketch space until the two query vertices meet
-or nothing grows.  Merging only ever follows checksum-verified non-faulty
-edges, so "connected" answers come with an explicit witness forest; errors are
+A query XORs the given faulty edges' contributions out of their endpoints'
+sketches only (every other vertex is read straight from its label) and then
+merges components in sketch space, Borůvka style, until the two query
+vertices meet or nothing grows.  Each vertex label memoizes its fault-free
+decode (``first_hit``), so a singleton part decodes again only when that edge
+is faulty.  Merging only ever follows checksum-verified non-faulty edges, so
+"connected" answers come with an explicit witness forest; errors are
 one-sided toward "disconnected" and vanish quickly with t.
 
 Seeding is splittable and counter-based: every random decision is a hash of
@@ -21,6 +24,8 @@ Seeding is splittable and counter-based: every random decision is a hash of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
 from .bits import id_width, width_for
@@ -103,14 +108,18 @@ class SketchParams:
         ) | chk
 
     def parse_name(self, cell: int) -> tuple[int, int, int] | None:
-        """(u, v, eid) when the checksum verifies and fields are in range."""
+        """(u, v, eid) when the checksum verifies and fields are in range.
+
+        Self-loops are never sketched, so a cell naming one (a == b) can only
+        be a checksum false positive and is rejected.
+        """
         chk = cell & ((1 << self.checksum_bits) - 1)
         rest = cell >> self.checksum_bits
         eid = rest & ((1 << self.eid_bits) - 1)
         rest >>= self.eid_bits
         b = rest & ((1 << self.id_bits) - 1)
         a = rest >> self.id_bits
-        if a > b or b >= self.n or eid >= self.edge_id_bound:
+        if a >= b or b >= self.n or eid >= self.edge_id_bound:
             return None
         expect = _hash_fields(self.seed ^ _CHECKSUM_SALT, a, b, eid) & (
             (1 << self.checksum_bits) - 1
@@ -129,6 +138,8 @@ class VertexSketchLabel:
     scheme_id: int
     reps: tuple[int, ...]  # per repetition: levels * cell_bits packed bits
     bits: int = field(default=0, compare=False)
+    # decode_cut_edge(params, reps, frozenset()): a query-time memo, not label content
+    first_hit: tuple[int, int, int] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -215,7 +226,9 @@ def build_edge_fault_labels(
 
     vbits = params.id_bits + 64 + t * L * w  # vertex id + scheme id + cells
     vertex_labels = tuple(
-        VertexSketchLabel(v, params.scheme_id, tuple(acc[v]), vbits) for v in range(n)
+        VertexSketchLabel(v, params.scheme_id, tuple(acc[v]), vbits,
+                          decode_cut_edge(params, acc[v], frozenset()))
+        for v in range(n)
     )
     return EdgeFaultLabels("edge-fault-sketch", params, vertex_labels, edge_labels)
 
@@ -261,9 +274,18 @@ def query_edge_fault(
 ):
     """Connectivity of the two vertices after removing the faulty edges.
 
-    Merging in sketch space follows only verified, non-faulty edges, so a True
-    answer is certified by the returned witness forest; False may (rarely) be
-    returned for connected pairs when no cell isolates a single cut edge.
+    Borůvka over parts of the vertex set: in each round every part decodes one
+    cut edge from its sketch (faulty ids rejected), then all decoded merges are
+    applied.  Only the faulty edges' endpoints have sketches that differ from
+    their labels, so only they are patched; a part that is still an untouched
+    singleton takes its label's memoized ``first_hit`` and decodes again only
+    when that edge is faulty.  A merged part keeps its members' sketches and
+    folds a repetition only when its decode reaches it.  The query returns as
+    soon as a merge joins the two vertices.
+
+    Merging follows only verified, non-faulty edges, so a True answer is
+    certified by the returned witness forest; False may (rarely) be returned
+    for connected pairs when no cell isolates a single cut edge.
     """
     params = labels.params
     for lbl in (lu, lv):
@@ -279,50 +301,55 @@ def query_edge_fault(
     if u == v:
         return (True, witness) if want_witness else True
 
-    n, t = params.n, params.repetitions
-    sketches = {w: list(labels.vertex_labels[w].reps) for w in range(n)}
+    vertex_labels = labels.vertex_labels
+    t = params.repetitions
+    # Member sketches per part root, for merged parts and fault endpoints only;
+    # any other root is an untouched singleton whose sketch is its label's reps.
+    # A part's repetitions are folded one at a time as its decode reaches them.
+    parts: dict[int, list[Sequence[int]]] = {}
     for fl in fault_list.values():
         a, b = fl.endpoints
-        if a == b:
-            continue
-        for r in range(t):
-            c = fl.contrib[r]
-            sketches[a][r] ^= c
-            sketches[b][r] ^= c
+        if a != b:
+            for x in (a, b):
+                sketch = parts[x][0] if x in parts else vertex_labels[x].reps
+                parts[x] = [list(map(xor, sketch, fl.contrib))]
 
+    n = params.n
     uf = UnionFind(n)
-    folded = {w: sketches[w] for w in range(n)}
+    find, parent = uf.find, uf.parent
     reject = frozenset(fault_list)
-    max_rounds = max(n - 1, 1).bit_length() + 1
-    for _round in range(max_rounds):
-        if uf.connected(u, v):
-            break
-        roots = sorted({uf.find(w) for w in range(n)})
-        if len(roots) == 1:
-            break
+    ru, rv = u, v  # roots of the parts holding u and v
+    roots = range(n)
+    for _round in range(max(n - 1, 1).bit_length() + 1):
         merges: list[tuple[int, int, int]] = []
         for root in roots:
-            hit = decode_cut_edge(params, folded[root], reject)
-            if hit is None:
-                continue
-            a, b, eid = hit
-            if uf.find(a) != uf.find(b):
-                merges.append((a, b, eid))
+            members = parts.get(root)
+            if members is not None:
+                folded = (reduce(xor, map(itemgetter(r), members)) for r in range(t))
+                hit = decode_cut_edge(params, folded, reject)
+            else:
+                hit = vertex_labels[root].first_hit
+                if hit is not None and hit[2] in reject:
+                    hit = decode_cut_edge(params, vertex_labels[root].reps, reject)
+            if hit is not None and find(hit[0]) != find(hit[1]):
+                merges.append(hit)
         if not merges:
             break  # cannot certify further growth: stop toward "disconnected"
         for a, b, eid in merges:
-            ra, rb = uf.find(a), uf.find(b)
+            ra, rb = find(a), find(b)
             if ra == rb:
                 continue
             witness.append((eid, a, b))
-            uf.union(a, b)
-            r = uf.find(a)
-            other = rb if r == ra else ra
-            merged = [folded[ra][i] ^ folded[rb][i] for i in range(t)]
-            folded[r] = merged
-            folded.pop(other, None)
-
-    ok = uf.connected(u, v)
-    if not ok:
-        witness = []
-    return (ok, witness) if want_witness else ok
+            uf.union(ra, rb)
+            r, other = (ra, rb) if parent[rb] == ra else (rb, ra)  # r: the larger part
+            members = parts.pop(r, None) or [vertex_labels[r].reps]
+            members += parts.pop(other, None) or [vertex_labels[other].reps]
+            parts[r] = members
+            if ru in (ra, rb):
+                ru = r
+            if rv in (ra, rb):
+                rv = r
+            if ru == rv:
+                return (True, witness) if want_witness else True
+        roots = [root for root in roots if parent[root] == root]
+    return (False, []) if want_witness else False

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -223,3 +224,40 @@ def test_manifest_records_each_node():
     for h, child in man["children"].items():
         assert child["f"] == 2
         assert 1.0 <= man["delta"] <= max(man["certificate_edges"], 1)
+
+
+def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
+    """(True count, sha256) of 200 seeded large-f and recursive f=3 queries each.
+
+    Two sketch repetitions make some connected pairs read "disconnected", so
+    the digests depend on which cut edges the sketch query decodes.
+    """
+    g = gen_random(40, 90, 8, seed=19, mode=mode)
+    out = []
+    for ls, query in ((label_large_f(g, seed=6, repetitions=2), query_large_f_ids),
+                      (label_recursive(g, 3, seed=7, repetitions=2), query_recursive_ids)):
+        rng = random.Random(29)
+        answers = []
+        for _ in range(200):
+            u, v = rng.sample(range(g.n), 2)
+            F = rng.sample(range(g.C), rng.randrange(0, 4))
+            try:
+                answers.append(int(query(ls, u, v, F)))
+            except RemovedVertexError:
+                answers.append(2)
+        out.append((sum(a == 1 for a in answers), hashlib.sha256(bytes(answers)).hexdigest()))
+    return tuple(out)
+
+
+# Recorded before the edge-fault sketch query memoized its singleton decodes.
+PINNED = {
+    "edge": ((117, "72fa11d3b824e6274920a55047c7cd504d7069834d165b038de95983e566d925"),
+             (148, "1b6f43a4110dad9ac7af42f2aed76de71354f8fc0840cf77c2b880da1c6ef3c0")),
+    "vertex": ((94, "9ad86ea80f57345e4b56fd754912560b46c58abcdd9eb2c36172df66b6782104"),
+               (111, "9db392b9aa97a34097f5ba4e613d591a8ca9b0e516d9d2b0708be2ce1b6f662f")),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_answers_pinned(mode):
+    assert pinned_multi_answers(mode) == PINNED[mode]

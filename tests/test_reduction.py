@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -125,3 +126,22 @@ def test_alpha_validation():
     inner = ExactSingleSource(f=1, fault_palette=g.C)
     with pytest.raises(ValueError):
         build_all_pairs(g, f=1, inner=inner, alpha=0.5)
+
+
+def pinned_reduction_answers() -> tuple[int, str]:
+    """(True count, sha256) of every pair under 12 seeded fault sets of size <= 2."""
+    g = gen_random(16, 24, 4, seed=31)
+    ls = build_all_pairs(g, f=2, inner=ExactSingleSource(2, g.C), alpha=1.0, seed=3)
+    rng = random.Random(37)
+    answers = [query_all_pairs_ids(ls, u, w, F)
+               for F in (rng.sample(range(g.C), rng.randrange(0, 3)) for _ in range(12))
+               for u in range(g.n) for w in range(g.n)]
+    return sum(answers), hashlib.sha256(bytes(answers)).hexdigest()
+
+
+# Recorded before a query computed its fault key once for every grid cell.
+PINNED = (2114, "82dcbfb8902375512fac658fe5987b3e21563aa2a911c93a0117166801a3ccb6")
+
+
+def test_answers_pinned():
+    assert pinned_reduction_answers() == PINNED

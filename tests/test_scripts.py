@@ -43,3 +43,12 @@ def test_sketch_success_report_script_reports_rates():
     assert [row[0] for row in rows] == ["16", "32"]
     for _n, rate, _target in rows:
         assert 0.0 <= float(rate) <= 1.0
+
+
+def test_fingerprint_script_is_stable():
+    args = ("--workload", "few-colors-read", "--seed", "1")
+    first = _run_script("fingerprint.py", *args)
+    assert first == _run_script("fingerprint.py", *args)
+    assert first[0] == "# few-colors-read seed 1"
+    names = [line.split("  ")[1] for line in first[1:]]
+    assert "oracle file" in names and "answers nca.oracle_query" in names

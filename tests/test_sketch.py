@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -181,3 +183,75 @@ def test_membership_reproducible_from_seed():
         assert lbl.level_per_rep == tuple(
             p.edge_level(r, eid) for r in range(p.repetitions)
         )
+
+
+def test_parse_name_rejects_self_loop_names():
+    # a checksum-valid cell naming a self-loop can only be a false positive
+    p = build_edge_fault_labels(gen_path(5), seed=14).params
+    assert p.parse_name(p.edge_name(1, 2, 1)) == (1, 2, 1)
+    assert p.parse_name(p.edge_name(3, 3, 1)) is None
+
+
+def test_first_hit_is_the_fault_free_decode():
+    g = gen_random(30, 70, 4, seed=41)
+    labels = build_edge_fault_labels(g, seed=12)
+    for lbl in labels.vertex_labels:
+        assert lbl.first_hit == decode_cut_edge(labels.params, lbl.reps, frozenset())
+
+
+def test_faulting_a_first_hit_edge_redecodes():
+    # A genuine first_hit edge is incident to its vertex, so faulting it makes
+    # the vertex a patched fault endpoint that decodes its patched sketch.
+    g = gen_random(30, 70, 4, seed=43)
+    labels = build_edge_fault_labels(g, seed=13)
+    rng = random.Random(5)
+    hits = sorted({lbl.first_hit[2] for lbl in labels.vertex_labels if lbl.first_hit})
+    assert hits
+    for eid in hits:
+        faults = {eid} | set(rng.sample(range(g.m), 2))
+        truth = brute_force_partition(edge_graph(g.n, [
+            (a, b, 0) for e, (a, b) in enumerate(g.edges) if e not in faults]))
+        for u in range(g.n):
+            got = query_edge_fault(labels, labels.vertex_labels[u], labels.vertex_labels[0],
+                                   [labels.edge_labels[e] for e in faults])
+            assert got == (truth[u] == truth[0])
+    # A memo naming a faulty edge away from its vertex (only a checksum false
+    # positive could) must be decoded again, never followed.
+    x = 0
+    eid = next(e for e, (a, b) in enumerate(g.edges) if x not in (a, b))
+    fake = dataclasses.replace(labels.vertex_labels[x], first_hit=(*g.edges[eid], eid))
+    forged = dataclasses.replace(labels, vertex_labels=(fake, *labels.vertex_labels[1:]))
+    faults = [labels.edge_labels[eid]]
+    for v in range(1, g.n):
+        got, witness = query_edge_fault(forged, fake, forged.vertex_labels[v], faults,
+                                        want_witness=True)
+        assert all(e != eid for e, _a, _b in witness)
+        assert got == query_edge_fault(labels, labels.vertex_labels[x], labels.vertex_labels[v],
+                                       faults)
+
+
+def pinned_edge_fault_answers(repetitions: int) -> tuple[int, str]:
+    """(True count, sha256) of 300 seeded queries on gen_random(40, 90, 5, seed=17)."""
+    g = gen_random(40, 90, 5, seed=17)
+    labels = build_edge_fault_labels(g, seed=4, repetitions=repetitions)
+    rng = random.Random(23)
+    answers = []
+    for _ in range(300):
+        faults = rng.sample(range(g.m), rng.randrange(0, 40))
+        u, v = rng.sample(range(g.n), 2)
+        answers.append(query_edge_fault(labels, labels.vertex_labels[u], labels.vertex_labels[v],
+                                        [labels.edge_labels[e] for e in faults]))
+    return sum(answers), hashlib.sha256(bytes(answers)).hexdigest()
+
+
+# Recorded before singleton decodes were memoized and only fault endpoints
+# patched; two repetitions make some connected pairs read "disconnected".
+PINNED = {
+    2: (159, "42f653dc8c0ee68c5ab65cb8433c9258051e413574b2b11c35bd98abe557870b"),
+    24: (271, "40ceeea172ddaff88abf1588b70eac40a982ee798461589d62f8c6c77d8f2bcb"),
+}
+
+
+@pytest.mark.parametrize("repetitions", sorted(PINNED))
+def test_answers_pinned(repetitions):
+    assert pinned_edge_fault_answers(repetitions) == PINNED[repetitions]
