@@ -334,12 +334,22 @@ def connected(g: ColoredGraph, u: int, v: int, faults: Iterable[int] = ()) -> bo
     return False
 
 
-def spanning_forest(gv: ColoredGraph | GraphView) -> tuple[int, ...]:
-    """Maximal forest as a sorted tuple of edge ids (increasing-id scan)."""
+def spanning_forest(
+    gv: ColoredGraph | GraphView, order: Iterable[int] | None = None
+) -> tuple[int, ...]:
+    """Maximal forest of the edges in ``order`` as a tuple of edge ids, in scan order.
+
+    The default scans the surviving edges by increasing id, giving a sorted
+    tuple; a caller-given ``order`` picks which edges are preferred.
+    """
     gv = as_view(gv)
+    if order is None:
+        order = (eid for eid, _, _ in gv.surviving_edges())
+    edges = gv.graph.edges
     uf = UnionFind(gv.n)
     forest: list[int] = []
-    for eid, u, v in gv.surviving_edges():
+    for eid in order:
+        u, v = edges[eid]
         if u != v and uf.union(u, v):
             forest.append(eid)
     return tuple(forest)

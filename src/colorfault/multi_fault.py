@@ -3,12 +3,25 @@
 Two schemes share one sparsifier.  The certificate keeps, per color, a spanning
 forest of that color's subgraph; the union H preserves connectivity under every
 color fault set exactly, because a surviving edge always has a same-colored
-forest path.  The large-f scheme sketches H once and lets each color label
-carry the sketch labels of its forest edges, so a query is one edge-fault query
-with all stored edges faulted.  The recursive scheme splits colors by
-prevalence against a threshold Delta: prevalent colors are handled by recursing
-into the graph without them (one level per removable fault), rare colors by the
-sketch, whose labels they carry for their whole class.
+forest path.  Both schemes then run the edge-fault sketch labels of
+:mod:`colorfault.sketch` on H: a spanning forest T of H, vertex labels holding
+pre-order positions in T, and tree-edge labels holding subtree sketches.
+
+The recursive scheme splits colors by prevalence against a threshold Delta:
+prevalent colors are handled by recursing into the graph without them (one
+level per removable fault), rare colors by the sketch, whose edge labels they
+carry for their whole class.  T takes prevalent-colored edges first, so few
+rare edges are tree edges and few rare color labels carry a subtree sketch.
+Its queries read only the labels of u, v and F.
+
+The large-f scheme lets every color fault, so a color label would have to
+carry a subtree sketch for each of its tree edges, which is far larger than
+any other label.  It keeps those sketches in a shared context instead (the
+sketch label set, in ``meta["context"]``): a color label carries only the
+names and sampling levels of its forest edges, a query looks up the tree-edge
+labels of the faulted edges in the context, and each vertex label is charged
+one sketch, since the context holds one subtree sketch per tree edge.  T takes
+the smallest color classes first, which caps the tree edges of any one color.
 
 Vertex-colored inputs are subdivided into the equivalent edge-colored graph up
 front (original vertex ids are preserved); conveniently, a color's class size
@@ -19,7 +32,7 @@ prevalence measure vertex mode calls for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import id_width, width_for
@@ -45,6 +58,7 @@ from .sketch import (
     EdgeFaultLabels,
     EdgeSketchLabel,
     SchemeMismatchError,
+    SketchParams,
     VertexSketchLabel,
     _hash_fields,
     build_edge_fault_labels,
@@ -70,9 +84,6 @@ class ColorForestCertificate:
     @property
     def m(self) -> int:
         return len(self.edge_ids)
-
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        return [(eid, *self.graph.edges[eid]) for eid in self.edge_ids]
 
     def subgraph(self) -> ColoredGraph:
         """H as a standalone edge-colored graph (edge ids renumbered)."""
@@ -111,13 +122,14 @@ def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
 class LargeFVertexLabel:
     vertex: int
     sketch: VertexSketchLabel
+    own_color: int | None = None  # vertex mode only: v's color, whose fault removes v
     bits: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class LargeFColorLabel:
     color: int
-    edge_sketches: tuple[EdgeSketchLabel, ...]
+    edge_sketches: tuple[EdgeSketchLabel, ...]  # forest edges, tree parts left in the context
     bits: int = field(default=0, compare=False)
 
 
@@ -127,22 +139,35 @@ def label_large_f(
     repetitions: int = DEFAULT_REPETITIONS,
     checksum_bits: int = DEFAULT_CHECKSUM_BITS,
 ) -> LabelSet:
-    """Sketch the certificate; a color ships its forest edges' sketch labels."""
+    """Sketch the certificate; a color ships its forest edges' names and levels.
+
+    The subtree sketches of tree edges stay in the shared context, charged as
+    one sketch per vertex label (module docstring).
+    """
     cert = build_certificate(g)
+    smallest_first = sorted(range(g.C), key=lambda c: len(cert.per_color[c]))
     ctx = build_edge_fault_labels(
-        (cert.graph.n, cert.edge_list()),
+        cert.graph,
         seed=seed,
         repetitions=repetitions,
         checksum_bits=checksum_bits,
+        order=[eid for c in smallest_first for eid in cert.per_color[c]],
     )
+    params = ctx.params
+    edge_bits = params.cell_bits + params.repetitions * params.levels
     wlen = width_for(cert.graph.n)
+    own = g.vertex_colors if g.mode == VERTEX else [None] * g.n
+    wown = width_for(g.C) if g.mode == VERTEX else 0
     vertex_labels = tuple(
-        LargeFVertexLabel(v, ctx.vertex_labels[v], ctx.vertex_labels[v].bits)
+        LargeFVertexLabel(v, ctx.vertex_labels[v], own[v], params.sketch_bits + wown)
         for v in range(g.n)
     )
     color_labels = []
     for c in range(g.C):
-        sketches = tuple(ctx.edge_labels[eid] for eid in cert.per_color[c])
+        sketches = tuple(
+            replace(ctx.edge_labels[eid], lower=None, subtree=(), bits=edge_bits)
+            for eid in cert.per_color[c]
+        )
         bits = width_for(g.C) + wlen + sum(s.bits for s in sketches)
         color_labels.append(LargeFColorLabel(c, sketches, bits))
     return LabelSet(
@@ -152,12 +177,7 @@ def label_large_f(
         mode=g.mode,
         vertex_labels=vertex_labels,
         color_labels=tuple(color_labels),
-        meta={
-            "context": ctx,
-            "seed": seed,
-            "certificate_edges": cert.m,
-            "vertex_colors": g.vertex_colors,
-        },
+        meta={"context": ctx, "seed": seed, "certificate_edges": cert.m},
     )
 
 
@@ -167,20 +187,23 @@ def query_large_f(
     lv: LargeFVertexLabel,
     color_labels: Sequence[LargeFColorLabel],
 ) -> bool:
-    _check_removed(ls, lu.vertex, lv.vertex, [lc.color for lc in color_labels])
+    _check_removed(lu, lv, [lc.color for lc in color_labels])
     ctx: EdgeFaultLabels = ls.meta["context"]
-    faults = [e for lc in color_labels for e in lc.edge_sketches]
+    faults = []
+    for lc in color_labels:
+        for e in lc.edge_sketches:
+            if e.scheme_id != ctx.params.scheme_id:
+                raise SchemeMismatchError("color label from a different build")
+            faults.append(ctx.edge_labels[e.eid])  # with its tree part, if a tree edge
     return query_edge_fault(ctx, lu.sketch, lv.sketch, faults)
 
 
-def _check_removed(ls: LabelSet, u: int, v: int, colors: Iterable[int]) -> None:
-    vcolors = ls.meta.get("vertex_colors")
-    if vcolors is None:
-        return
+def _check_removed(lu, lv, colors: Iterable[int]) -> None:
+    """RemovedVertexError when u's or v's own color (vertex mode) is faulted."""
     F = set(colors)
-    for x in (u, v):
-        if vcolors[x] in F:
-            raise RemovedVertexError(f"vertex {x} has a faulted color")
+    for lbl in (lu, lv):
+        if lbl.own_color is not None and lbl.own_color in F:
+            raise RemovedVertexError(f"vertex {lbl.vertex} has a faulted color")
 
 
 # -- recursive prevalence-split scheme -------------------------------------------
@@ -194,6 +217,7 @@ class RecursiveVertexLabel:
     base: SingleFaultVertexLabel | None  # f = 1
     sketch: VertexSketchLabel | None  # f >= 2
     children: tuple["RecursiveVertexLabel", ...]  # one per prevalent color
+    own_color: int | None = None  # vertex mode, top level only: v's color
     bits: int = field(default=0, compare=False)
 
 
@@ -206,14 +230,6 @@ class RecursiveColorLabel:
     edge_sketches: tuple[EdgeSketchLabel, ...]  # low-prevalence colors
     children: tuple["RecursiveColorLabel", ...]
     bits: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ContextNode:
-    """Per-node shared sketch context, mirroring the recursion tree."""
-
-    sketch: EdgeFaultLabels | None
-    children: tuple["ContextNode", ...]
 
 
 def _delta(m_cert: int, b_lower: float, sketch_label_bits: int) -> float:
@@ -233,8 +249,8 @@ def _b_estimate(level: int, b1: float, m_cert: int, sketch_label_bits: int) -> f
 
 def _recurse(
     g: ColoredGraph, f: int, seed: int, repetitions: int, checksum_bits: int
-) -> tuple[list, list, ContextNode, dict]:
-    """Returns (vertex labels, color labels, context node, manifest)."""
+) -> tuple[list, list, dict]:
+    """Returns (vertex labels, color labels, manifest)."""
     wid = id_width(max(g.n, 2))
     if f <= 1:
         base = label_single_fault(g)
@@ -253,18 +269,14 @@ def _recurse(
             for c in range(g.C)
         ]
         manifest = {"f": 1, "n": g.n, "m": g.m, "scheme": "single-fault"}
-        return vls, cls, ContextNode(None, ()), manifest
+        return vls, cls, manifest
 
     cert = build_certificate(g)
     assert cert.graph is g  # vertex mode is subdivided before recursion
     sparse = cert.subgraph()
-    ctx = build_edge_fault_labels(
-        sparse,
-        seed=_hash_fields(seed, 0xEDE),
-        repetitions=repetitions,
-        checksum_bits=checksum_bits,
-    )
-    sketch_label_bits = ctx.vertex_labels[0].bits if sparse.n else 0
+    sketch_seed = _hash_fields(seed, 0xEDE)
+    params = SketchParams.create(sparse.n, sparse.m, sketch_seed, repetitions, checksum_bits)
+    sketch_label_bits = params.sketch_bits if sparse.n else 0
 
     base_probe = label_single_fault(sparse)
     b1 = float(base_probe.max_label_bits())
@@ -274,10 +286,16 @@ def _recurse(
     class_size = [len(cls_edges) for cls_edges in sparse.color_classes()]
     prevalent = [c for c in range(g.C) if class_size[c] >= delta]
     branch_of = {c: i for i, c in enumerate(prevalent)}
+    ctx = build_edge_fault_labels(
+        sparse,
+        seed=sketch_seed,
+        repetitions=repetitions,
+        checksum_bits=checksum_bits,
+        order=sorted(range(sparse.m), key=lambda eid: sparse.edge_color(eid) not in branch_of),
+    )
 
     child_vls: list[list] = []
     child_cls: list[list] = []
-    child_ctx: list[ContextNode] = []
     child_manifests = {}
     for idx, h in enumerate(prevalent):
         triples = [
@@ -286,12 +304,11 @@ def _recurse(
             if sparse.edge_color(eid) != h
         ]
         child = edge_graph(sparse.n, triples, C=g.C)
-        vls, cls, cn, man = _recurse(
+        vls, cls, man = _recurse(
             child, f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
         )
         child_vls.append(vls)
         child_cls.append(cls)
-        child_ctx.append(cn)
         child_manifests[h] = man
 
     plain = components(g)
@@ -301,7 +318,7 @@ def _recurse(
         children = tuple(child_vls[i][v] for i in range(len(prevalent)))
         sk = ctx.vertex_labels[v]
         bits = wid + wbranch + sk.bits + sum(ch.bits for ch in children)
-        vertex_labels.append(RecursiveVertexLabel(v, f, plain[v], None, sk, children, bits))
+        vertex_labels.append(RecursiveVertexLabel(v, f, plain[v], None, sk, children, bits=bits))
 
     ecls = sparse.color_classes()
     color_labels = []
@@ -333,7 +350,7 @@ def _recurse(
         "prevalent_colors": prevalent,
         "children": child_manifests,
     }
-    return vertex_labels, color_labels, ContextNode(ctx, tuple(child_ctx)), manifest
+    return vertex_labels, color_labels, manifest
 
 
 def label_recursive(
@@ -362,21 +379,20 @@ def label_recursive(
         # subdivide to the equivalent edge-colored instance; vertex ids and
         # the palette are preserved
         g = reduce_between_modes(g)
-    vls, cls, ctx, manifest = _recurse(g, f, seed, repetitions, checksum_bits)
+    vls, cls, manifest = _recurse(g, f, seed, repetitions, checksum_bits)
+    vls = vls[: original.n]
+    if original.mode == VERTEX:
+        wown = width_for(original.C)
+        vls = [replace(l, own_color=c, bits=l.bits + wown)
+               for l, c in zip(vls, original.vertex_colors)]
     return LabelSet(
         scheme=RECURSIVE_SCHEME,
         n=original.n,
         C=original.C,
         mode=original.mode,
-        vertex_labels=tuple(vls[: original.n]),
+        vertex_labels=tuple(vls),
         color_labels=tuple(cls[: original.C]),
-        meta={
-            "f": f,
-            "seed": seed,
-            "context": ctx,
-            "manifest": manifest,
-            "vertex_colors": original.vertex_colors,
-        },
+        meta={"f": f, "seed": seed, "manifest": manifest},
     )
 
 
@@ -390,14 +406,10 @@ def query_recursive(
     faults = list(color_labels)
     if len(faults) > ls.meta["f"]:
         raise ValueError("fault set larger than the scheme's budget")
-    _check_removed(ls, _label_vertex(lu), _label_vertex(lv), [c.color for c in faults])
+    _check_removed(lu, lv, [c.color for c in faults])
     if ls.meta.get("base"):
         return _query_base(lu, lv, faults)
-    return _query_node(lu, lv, faults, ls.meta["context"])
-
-
-def _label_vertex(lbl) -> int:
-    return lbl.vertex
+    return _query_node(lu, lv, faults)
 
 
 def _query_base(lu, lv, faults) -> bool:
@@ -407,7 +419,7 @@ def _query_base(lu, lv, faults) -> bool:
     return query_single_fault(lu, lc) == query_single_fault(lv, lc)
 
 
-def _query_node(lu: RecursiveVertexLabel, lv: RecursiveVertexLabel, faults, ctx: ContextNode) -> bool:
+def _query_node(lu: RecursiveVertexLabel, lv: RecursiveVertexLabel, faults) -> bool:
     if lu.f == 1:
         if not faults:
             return lu.plain_cid == lv.plain_cid
@@ -423,15 +435,16 @@ def _query_node(lu: RecursiveVertexLabel, lv: RecursiveVertexLabel, faults, ctx:
     if descend:
         pick = min(descend, key=lambda fc: fc.branch)
         branch = pick.branch
-        if branch >= len(lu.children) or branch >= len(ctx.children):
+        if branch >= len(lu.children) or branch >= len(lv.children):
             raise SchemeMismatchError("color label references a missing branch")
         rest = [fc.children[branch] for fc in faults if fc is not pick]
-        return _query_node(lu.children[branch], lv.children[branch], rest, ctx.children[branch])
+        return _query_node(lu.children[branch], lv.children[branch], rest)
     # all faulted colors are low-prevalence: one edge-fault query
-    if ctx.sketch is None or lu.sketch is None or lv.sketch is None:
-        raise SchemeMismatchError("sketch context missing at an inner node")
+    if lu.sketch is None or lv.sketch is None:
+        raise SchemeMismatchError("sketch label missing at an inner node")
     edge_faults = [e for fc in faults for e in fc.edge_sketches]
-    return query_edge_fault(ctx.sketch, lu.sketch, lv.sketch, edge_faults)
+    # a sketch vertex label carries its build's params, the only thing read from the first argument
+    return query_edge_fault(lu.sketch, lu.sketch, lv.sketch, edge_faults)
 
 
 def query_recursive_ids(ls: LabelSet, u: int, v: int, F: Iterable[int]) -> bool:

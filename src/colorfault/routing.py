@@ -111,9 +111,6 @@ class TreeRouting:
     tables: dict[int, TreeNodeTable]
     label: dict[int, int]  # vertex -> DFS entry index
 
-    def next_port(self, v: int, target_label: int) -> int | None:
-        return self.tables[v].next_port_for(target_label)
-
 
 def build_tree_routing(
     net: PortedNetwork,

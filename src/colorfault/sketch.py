@@ -1,21 +1,41 @@
 """Randomized connectivity labels under arbitrary edge-fault sets.
 
-Each vertex holds, for t repetitions and levels 0..L-1 (L = floor(log2 m) + 1),
-the XOR of the names of its sampled incident edges; an edge is sampled at level
-i with probability 2^-i via a seeded hash, so XOR-folding the sketches of a
-vertex set S leaves, per cell, the XOR of sampled edge names crossing the cut
-(S, V-S) -- internal edges cancel.  An edge name packs both endpoints, the edge
-id and a keyed checksum, so a cell holding exactly one surviving cut edge is
+These are Dory–Parter f-edge-fault labels (PODC 2021) built from XOR cut
+sketches in the style of Kapron–King–Mountjoy (SODA 2013).  The sketch of a
+vertex set S holds, for t repetitions and levels 0..L-1 (L = floor(log2 m) + 1),
+the XOR of the names of the sampled edges crossing the cut (S, V-S); an edge
+is sampled at level i with probability 2^-i via a seeded hash.  So the sketch
+of a union of disjoint sets is the XOR of their sketches, and the sketch of a
+whole connected component is zero.  An edge name packs both endpoints, the
+edge id and a keyed checksum, so a cell holding exactly one cut edge is
 recognizable and decodable.
 
-A query XORs the given faulty edges' contributions out of their endpoints'
-sketches only (every other vertex is read straight from its label) and then
-merges components in sketch space, Borůvka style, until the two query
-vertices meet or nothing grows.  Each vertex label memoizes its fault-free
-decode (``first_hit``), so a singleton part decodes again only when that edge
-is faulty.  Merging only ever follows checksum-verified non-faulty edges, so
-"connected" answers come with an explicit witness forest; errors are
+The build fixes a spanning forest T of the graph (the caller may say which
+edges T should prefer) and numbers the vertices in T's pre-order, so that each
+subtree is an interval of pre-order numbers.  Edge names pack pre-order
+numbers.  The labels are:
+
+- a vertex: its pre-order number, its tree's pre-order interval and the
+  scheme id; no sketch;
+- an edge: its name and its sampling level per repetition; a tree edge also
+  holds its lower endpoint's (pre, subtree size) and that subtree's sketch.
+
+A query reads only the labels of u, v and the faulty edges.  The k faulty tree
+edges cut u's tree into at most k+1 parts, each a pre-order interval minus the
+intervals cut below it.  A part's sketch is its top's subtree sketch XOR those
+of the cut tops directly below it; the part holding the root is the XOR of its
+cut children alone, because a whole tree's sketch is zero.  The query XORs the
+faulty edges' contributions out of the parts holding their endpoints, then
+merges parts Borůvka style; a decoded cut edge places its endpoints in parts by
+a bisect over the cut intervals.  Merging only ever follows checksum-verified
+non-faulty edges, so a "connected" answer comes with a witness; errors are
 one-sided toward "disconnected" and vanish quickly with t.
+
+The many-fault schemes of :mod:`colorfault.multi_fault` run these labels on
+their certificate.  The recursive scheme queries from labels alone; the
+large-f scheme keeps the tree-edge labels in a shared context, because a
+color label carrying a subtree sketch for each of its tree edges would be far
+larger than any other label.
 
 Seeding is splittable and counter-based: every random decision is a hash of
 (seed, repetition, edge id), with no global RNG state anywhere.
@@ -23,13 +43,13 @@ Seeding is splittable and counter-based: every random decision is a hash of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import itemgetter, xor
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from operator import xor
 from typing import Iterable, Sequence
 
 from .bits import id_width, width_for
-from .graph import ColoredGraph, GraphView, UnionFind, as_view
+from .graph import ColoredGraph, GraphView, UnionFind, as_view, orient_forest, spanning_forest
 
 DEFAULT_REPETITIONS = 24
 DEFAULT_CHECKSUM_BITS = 32
@@ -69,6 +89,7 @@ class SketchParams:
     eid_bits: int
     cell_bits: int
     scheme_id: int
+    checksum_key: int  # the seed-only first round of every checksum hash
 
     @staticmethod
     def create(
@@ -95,20 +116,29 @@ class SketchParams:
             eid_bits=weid,
             cell_bits=cell,
             scheme_id=scheme_id,
+            checksum_key=_hash_fields(seed ^ _CHECKSUM_SALT),
         )
 
+    @property
+    def sketch_bits(self) -> int:
+        """One full sketch (t * L cells) plus a vertex id and the 64-bit scheme id."""
+        return self.id_bits + 64 + self.repetitions * self.levels * self.cell_bits
+
+    def checksum(self, a: int, b: int, eid: int) -> int:
+        """``_hash_fields(seed ^ _CHECKSUM_SALT, a, b, eid)`` cut to the checksum width."""
+        h = _splitmix64(_splitmix64(_splitmix64(self.checksum_key ^ a) ^ b) ^ eid)
+        return h & ((1 << self.checksum_bits) - 1)
+
     def edge_name(self, u: int, v: int, eid: int) -> int:
+        """The cell value naming edge ``eid`` between pre-order numbers u and v."""
         a, b = (u, v) if u <= v else (v, u)
-        chk = _hash_fields(self.seed ^ _CHECKSUM_SALT, a, b, eid) & (
-            (1 << self.checksum_bits) - 1
-        )
         return (
             (((a << self.id_bits) | b) << self.eid_bits | eid)
             << self.checksum_bits
-        ) | chk
+        ) | self.checksum(a, b, eid)
 
     def parse_name(self, cell: int) -> tuple[int, int, int] | None:
-        """(u, v, eid) when the checksum verifies and fields are in range.
+        """(a, b, eid) when the checksum verifies and fields are in range.
 
         Self-loops are never sketched, so a cell naming one (a == b) can only
         be a checksum false positive and is rejected.
@@ -121,10 +151,7 @@ class SketchParams:
         a = rest >> self.id_bits
         if a >= b or b >= self.n or eid >= self.edge_id_bound:
             return None
-        expect = _hash_fields(self.seed ^ _CHECKSUM_SALT, a, b, eid) & (
-            (1 << self.checksum_bits) - 1
-        )
-        return (a, b, eid) if chk == expect else None
+        return (a, b, eid) if chk == self.checksum(a, b, eid) else None
 
     def edge_level(self, rep: int, eid: int) -> int:
         """Deepest sampling level of the edge: trailing zeros, capped."""
@@ -134,28 +161,39 @@ class SketchParams:
 
 @dataclass(frozen=True)
 class VertexSketchLabel:
-    vertex: int
-    scheme_id: int
-    reps: tuple[int, ...]  # per repetition: levels * cell_bits packed bits
+    """A vertex's pre-order number in T and its tree's pre-order interval [first, end).
+
+    ``params`` are the build's public parameters, which the 64-bit scheme id
+    stands for in ``bits``.
+    """
+
+    pre: int
+    tree: tuple[int, int]
+    params: SketchParams
     bits: int = field(default=0, compare=False)
-    # decode_cut_edge(params, reps, frozenset()): a query-time memo, not label content
-    first_hit: tuple[int, int, int] | None = field(default=None, compare=False)
+
+    @property
+    def scheme_id(self) -> int:
+        return self.params.scheme_id
 
 
 @dataclass(frozen=True)
 class EdgeSketchLabel:
     eid: int
-    endpoints: tuple[int, int]
     scheme_id: int
     name: int
     level_per_rep: tuple[int, ...]
-    contrib: tuple[int, ...] = field(compare=False, default=())
+    lower: tuple[int, int] | None = None  # tree edge: lower endpoint's (pre, subtree size)
+    subtree: tuple[int, ...] = ()  # tree edge: the lower endpoint's subtree sketch
+    # read off ``name`` and ``level_per_rep``: query-time conveniences, not label content
+    endpoints: tuple[int, int] = field(default=(0, 0), compare=False)
+    contrib: tuple[int, ...] = field(default=(), compare=False)
     bits: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class EdgeFaultLabels:
-    """Label set over V u E plus the shared query context (all vertex sketches)."""
+    """Label set over V u E; a query reads only ``params`` from it."""
 
     scheme: str
     params: SketchParams
@@ -187,61 +225,109 @@ def _edge_contributions(params: SketchParams, name: int, level_per_rep: Sequence
 
 
 def build_edge_fault_labels(
-    source: ColoredGraph | GraphView | tuple[int, list[tuple[int, int, int]]],
+    source: ColoredGraph | GraphView,
     seed: int,
     repetitions: int = DEFAULT_REPETITIONS,
     checksum_bits: int = DEFAULT_CHECKSUM_BITS,
+    order: Sequence[int] | None = None,
 ) -> EdgeFaultLabels:
-    """Sketch labels for a multigraph given as a view or (n, [(eid, u, v)]).
+    """Tree-part sketch labels for the edges ``order`` of a graph or fault view.
 
-    Self-loops never influence connectivity and are skipped (their XOR would
-    cancel within a single vertex anyway).
+    ``order`` lists the edge ids to sketch, in the order the spanning forest T
+    prefers them; the default is every surviving edge by increasing id.
+    Self-loops get a label but never influence connectivity: their sketch
+    contribution is zero.
     """
-    if isinstance(source, tuple):
-        n, edge_list = source
-    else:
-        gv = as_view(source)
-        n = gv.n
-        edge_list = [(eid, u, v) for eid, u, v in gv.surviving_edges()]
-    eid_bound = max((eid for eid, _, _ in edge_list), default=-1) + 1
-    params = SketchParams.create(n, eid_bound, seed, repetitions, checksum_bits)
-
+    gv = as_view(source)
+    g, n = gv.graph, gv.n
+    eids = [eid for eid, _, _ in gv.surviving_edges()] if order is None else list(order)
+    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions, checksum_bits)
     t, L, w = params.repetitions, params.levels, params.cell_bits
+
+    parent, parent_edge = orient_forest(g, spanning_forest(gv, eids))
+    children: list[list[int]] = [[] for _ in range(n)]
+    preorder: list[int] = []
+    for x in range(n):
+        if parent[x] is not None:
+            children[parent[x]].append(x)
+    for root in range(n):
+        if parent[root] is None:
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                preorder.append(x)
+                stack.extend(children[x])
+    pre = [0] * n
+    for i, x in enumerate(preorder):
+        pre[x] = i
+    size = [1] * n
+    for x in reversed(preorder):
+        if parent[x] is not None:
+            size[parent[x]] += size[x]
+    tree: list[tuple[int, int]] = [(0, 0)] * n
+    for x in preorder:
+        p = parent[x]
+        tree[x] = (pre[x], pre[x] + size[x]) if p is None else tree[p]
+
+    ebits = params.cell_bits + t * L  # name + membership bit-vector
+    tree_bits = 2 * params.id_bits + t * L * w  # lower endpoint's (pre, size) + subtree sketch
     acc = [[0] * t for _ in range(n)]
     edge_labels: dict[int, EdgeSketchLabel] = {}
-    for eid, u, v in edge_list:
-        name = params.edge_name(u, v, eid)
+    for eid in eids:
+        u, v = g.edges[eid]
+        name = params.edge_name(pre[u], pre[v], eid)
         levels = tuple(params.edge_level(r, eid) for r in range(t))
-        contrib = _edge_contributions(params, name, levels) if u != v else tuple([0] * t)
-        ebits = params.cell_bits + t * L  # name + membership bit-vector
+        contrib = _edge_contributions(params, name, levels) if u != v else (0,) * t
         edge_labels[eid] = EdgeSketchLabel(
-            eid, (u, v), params.scheme_id, name, levels, contrib, ebits
+            eid=eid, scheme_id=params.scheme_id, name=name, level_per_rep=levels,
+            endpoints=tuple(sorted((pre[u], pre[v]))), contrib=contrib, bits=ebits,
         )
-        if u == v:
-            continue
-        for r in range(t):
-            c = contrib[r]
-            acc[u][r] ^= c
-            acc[v][r] ^= c
-
-    vbits = params.id_bits + 64 + t * L * w  # vertex id + scheme id + cells
-    vertex_labels = tuple(
-        VertexSketchLabel(v, params.scheme_id, tuple(acc[v]), vbits,
-                          decode_cut_edge(params, acc[v], frozenset()))
-        for v in range(n)
-    )
+        if u != v:
+            acc[u] = list(map(xor, acc[u], contrib))
+            acc[v] = list(map(xor, acc[v], contrib))
+    for x in reversed(preorder):  # acc[x] is complete: x's subtree sketch
+        p = parent[x]
+        if p is not None:
+            acc[p] = list(map(xor, acc[p], acc[x]))
+            eid = parent_edge[x]
+            edge_labels[eid] = replace(edge_labels[eid], lower=(pre[x], size[x]),
+                                       subtree=tuple(acc[x]), bits=ebits + tree_bits)
+    vbits = 3 * params.id_bits + 64  # pre, tree interval, scheme id
+    vertex_labels = tuple(VertexSketchLabel(pre[x], tree[x], params, vbits) for x in range(n))
     return EdgeFaultLabels("edge-fault-sketch", params, vertex_labels, edge_labels)
 
 
-def fold_sketch(labels: EdgeFaultLabels, vertices: Iterable[int]) -> tuple[int, ...]:
-    """XOR of the vertex sketches over a set: the sketch of the contracted set."""
-    t = labels.params.repetitions
-    acc = [0] * t
-    for v in vertices:
-        reps = labels.vertex_labels[v].reps
-        for r in range(t):
-            acc[r] ^= reps[r]
-    return tuple(acc)
+class TreeParts:
+    """The parts of one tree of T once some of its tree edges are cut.
+
+    Part 0 holds the root; part i > 0 is the subtree of the i-th cut top (by
+    pre-order) minus the subtrees cut below it.  ``sketches[i]`` is part i's
+    sketch: its top's subtree sketch XOR those of the cut tops directly below
+    it; the root part has no top sketch, since its whole tree's is zero.
+    """
+
+    def __init__(self, tree: tuple[int, int], cuts: Iterable[EdgeSketchLabel], repetitions: int):
+        cuts = sorted(cuts, key=lambda lbl: lbl.lower)
+        self.starts = starts = [tree[0]] + [lbl.lower[0] for lbl in cuts]
+        self.ends = ends = [tree[1]] + [p + s for p, s in (lbl.lower for lbl in cuts)]
+        self.up = up = [0] * len(starts)  # the part enclosing each cut top
+        self.sketches = sketches = [[0] * repetitions]
+        stack = [0]
+        for i, lbl in enumerate(cuts, 1):
+            while ends[stack[-1]] <= starts[i]:
+                stack.pop()
+            up[i] = stack[-1]
+            stack.append(i)
+            sketches.append(list(lbl.subtree))
+            sketches[up[i]] = list(map(xor, sketches[up[i]], lbl.subtree))
+
+    def part_of(self, p: int) -> int:
+        """The part holding pre-order number ``p`` of this tree."""
+        i = bisect_right(self.starts, p) - 1
+        ends, up = self.ends, self.up
+        while p >= ends[i]:
+            i = up[i]
+        return i
 
 
 def decode_cut_edge(
@@ -266,7 +352,7 @@ def decode_cut_edge(
 
 
 def query_edge_fault(
-    labels: EdgeFaultLabels,
+    labels,
     lu: VertexSketchLabel,
     lv: VertexSketchLabel,
     faulty: Iterable[EdgeSketchLabel],
@@ -274,82 +360,78 @@ def query_edge_fault(
 ):
     """Connectivity of the two vertices after removing the faulty edges.
 
-    Borůvka over parts of the vertex set: in each round every part decodes one
-    cut edge from its sketch (faulty ids rejected), then all decoded merges are
-    applied.  Only the faulty edges' endpoints have sketches that differ from
-    their labels, so only they are patched; a part that is still an untouched
-    singleton takes its label's memoized ``first_hit`` and decodes again only
-    when that edge is faulty.  A merged part keeps its members' sketches and
-    folds a repetition only when its decode reaches it.  The query returns as
-    soon as a merge joins the two vertices.
+    ``labels`` is the label set or one of its vertex labels: only its
+    ``params`` are read, and everything else comes from ``lu``, ``lv`` and
+    the faulty edges' labels.  Vertices in different trees of T are
+    disconnected.  Otherwise the faulty tree edges in their tree split it into
+    parts (:class:`TreeParts`), and Borůvka merges parts: in each round every
+    part decodes one cut edge from its sketch (faulty ids rejected), then all
+    decoded merges are applied, returning as soon as the two vertices' parts
+    meet.  A round that merges nothing ends the query toward "disconnected".
 
-    Merging follows only verified, non-faulty edges, so a True answer is
-    certified by the returned witness forest; False may (rarely) be returned
-    for connected pairs when no cell isolates a single cut edge.
+    A part is joined inside by T's non-faulty edges, so a True answer is
+    certified by the witness (edge id, pre-order endpoints) of merge edges
+    together with T minus the faulty edges; False may (rarely) be returned
+    for connected pairs when no cell isolates a single cut edge.  (The
+    large-f scheme passes the faulty tree edges' labels from its shared
+    context; see :mod:`colorfault.multi_fault`.)
     """
     params = labels.params
+    sid = params.scheme_id
     for lbl in (lu, lv):
-        if lbl.scheme_id != params.scheme_id:
+        if lbl.scheme_id != sid:
             raise SchemeMismatchError("vertex label from a different build")
-    fault_list: dict[int, EdgeSketchLabel] = {}
+    faults: dict[int, EdgeSketchLabel] = {}
     for fl in faulty:
-        if fl.scheme_id != params.scheme_id:
+        if fl.scheme_id != sid:
             raise SchemeMismatchError("edge label from a different build")
-        fault_list[fl.eid] = fl
-    u, v = lu.vertex, lv.vertex
+        faults[fl.eid] = fl
     witness: list[tuple[int, int, int]] = []
-    if u == v:
-        return (True, witness) if want_witness else True
+    if lu.tree != lv.tree:
+        return (False, witness) if want_witness else False
 
-    vertex_labels = labels.vertex_labels
-    t = params.repetitions
-    # Member sketches per part root, for merged parts and fault endpoints only;
-    # any other root is an untouched singleton whose sketch is its label's reps.
-    # A part's repetitions are folded one at a time as its decode reaches them.
-    parts: dict[int, list[Sequence[int]]] = {}
-    for fl in fault_list.values():
+    lo, hi = lu.tree
+    parts = TreeParts(
+        lu.tree,
+        (fl for fl in faults.values() if fl.lower is not None and lo <= fl.lower[0] < hi),
+        params.repetitions,
+    )
+    part_of, sketches = parts.part_of, parts.sketches
+    for fl in faults.values():
         a, b = fl.endpoints
-        if a != b:
-            for x in (a, b):
-                sketch = parts[x][0] if x in parts else vertex_labels[x].reps
-                parts[x] = [list(map(xor, sketch, fl.contrib))]
+        if lo <= a < hi:
+            pa, pb = part_of(a), part_of(b)
+            if pa != pb:
+                sketches[pa] = list(map(xor, sketches[pa], fl.contrib))
+                sketches[pb] = list(map(xor, sketches[pb], fl.contrib))
 
-    n = params.n
-    uf = UnionFind(n)
+    pu, pv = part_of(lu.pre), part_of(lv.pre)
+    uf = UnionFind(len(sketches))
     find, parent = uf.find, uf.parent
-    reject = frozenset(fault_list)
-    ru, rv = u, v  # roots of the parts holding u and v
-    roots = range(n)
-    for _round in range(max(n - 1, 1).bit_length() + 1):
-        merges: list[tuple[int, int, int]] = []
+    reject = frozenset(faults)
+    roots = range(len(sketches))
+    while find(pu) != find(pv):
+        merges: list[tuple[int, int, int, int, int]] = []
         for root in roots:
-            members = parts.get(root)
-            if members is not None:
-                folded = (reduce(xor, map(itemgetter(r), members)) for r in range(t))
-                hit = decode_cut_edge(params, folded, reject)
-            else:
-                hit = vertex_labels[root].first_hit
-                if hit is not None and hit[2] in reject:
-                    hit = decode_cut_edge(params, vertex_labels[root].reps, reject)
-            if hit is not None and find(hit[0]) != find(hit[1]):
-                merges.append(hit)
+            hit = decode_cut_edge(params, sketches[root], reject)
+            if hit is None:
+                continue
+            a, b, eid = hit
+            if lo <= a < hi and lo <= b < hi:  # a checksum false positive may name any pair
+                pa, pb = part_of(a), part_of(b)
+                if find(pa) != find(pb):
+                    merges.append((eid, a, b, pa, pb))
         if not merges:
-            break  # cannot certify further growth: stop toward "disconnected"
-        for a, b, eid in merges:
-            ra, rb = find(a), find(b)
+            return (False, []) if want_witness else False
+        for eid, a, b, pa, pb in merges:
+            ra, rb = find(pa), find(pb)
             if ra == rb:
                 continue
             witness.append((eid, a, b))
+            merged = list(map(xor, sketches[ra], sketches[rb]))
             uf.union(ra, rb)
-            r, other = (ra, rb) if parent[rb] == ra else (rb, ra)  # r: the larger part
-            members = parts.pop(r, None) or [vertex_labels[r].reps]
-            members += parts.pop(other, None) or [vertex_labels[other].reps]
-            parts[r] = members
-            if ru in (ra, rb):
-                ru = r
-            if rv in (ra, rb):
-                rv = r
-            if ru == rv:
-                return (True, witness) if want_witness else True
+            sketches[find(ra)] = merged
+            if find(pu) == find(pv):
+                break
         roots = [root for root in roots if parent[root] == root]
-    return (False, []) if want_witness else False
+    return (True, witness) if want_witness else True

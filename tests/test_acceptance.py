@@ -319,6 +319,7 @@ def test_criterion_6_edge_fault_sketch():
     for t in range(25):
         g = gen_random(8 + t % 9, 18 + t % 10, 3, seed=4000 + t)
         labels = build_edge_fault_labels(g, seed=t, repetitions=24)
+        vertex_of = {lbl.pre: x for x, lbl in enumerate(labels.vertex_labels)}
         for _ in range(40):
             faults = rng.sample(range(g.m), rng.randrange(0, g.m // 2 + 1))
             u, v = rng.randrange(g.n), rng.randrange(g.n)
@@ -330,11 +331,15 @@ def test_criterion_6_edge_fault_sketch():
                 want_witness=True,
             )
             if got:  # structural certification, required at 100%
+                # witness endpoints are pre-order numbers in the spanning forest
+                # T; T's non-faulty edges join each part the query merged
                 reach = {u}
-                pending = list(witness)
-                for eid, a, b in witness:
+                pending = [(eid, vertex_of[a], vertex_of[b]) for eid, a, b in witness]
+                for eid, a, b in pending:
                     assert eid not in faults
-                    assert tuple(sorted(g.edges[eid])) == (a, b)
+                    assert tuple(sorted(g.edges[eid])) == tuple(sorted((a, b)))
+                pending += [(lbl.eid, *g.edges[lbl.eid]) for lbl in labels.edge_labels.values()
+                            if lbl.lower is not None and lbl.eid not in faults]
                 progress = True
                 while progress and pending:
                     progress = False

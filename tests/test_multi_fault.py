@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,11 +12,13 @@ from colorfault.multi_fault import (
     build_certificate,
     label_large_f,
     label_recursive,
+    query_large_f,
     query_large_f_ids,
     query_recursive_ids,
 )
 from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.single_fault import label_single_fault
+from colorfault.sketch import SchemeMismatchError
 
 
 # -- certificate ---------------------------------------------------------------
@@ -111,6 +114,15 @@ def test_large_f_triangle_example():
     ls = label_large_f(g, seed=2)
     assert not query_large_f_ids(ls, 0, 1, [0])
     assert query_large_f_ids(ls, 0, 2, [0])
+
+
+def test_large_f_rejects_labels_of_another_build():
+    g = edge_graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+    ls, other = label_large_f(g, seed=2), label_large_f(g, seed=3)
+    with pytest.raises(SchemeMismatchError):
+        query_large_f(ls, ls.vertex_labels[0], ls.vertex_labels[1], [other.color_labels[0]])
+    with pytest.raises(SchemeMismatchError):
+        query_large_f(ls, other.vertex_labels[0], ls.vertex_labels[1], [ls.color_labels[0]])
 
 
 def test_large_f_sampled_agreement():
@@ -226,6 +238,26 @@ def test_manifest_records_each_node():
         assert 1.0 <= man["delta"] <= max(man["certificate_edges"], 1)
 
 
+def test_recursive_queries_read_only_labels():
+    # no shared context: the answers hold with every meta entry but the budget dropped
+    for mode in ("edge", "vertex"):
+        g = gen_random(24, 50, 6, seed=31, mode=mode)
+        ls = label_recursive(g, f=3, seed=9)
+        assert "context" not in ls.meta
+        bare = dataclasses.replace(ls, meta={"f": ls.meta["f"]})
+        rng = random.Random(4)
+        for _ in range(150):
+            u, v = rng.sample(range(g.n), 2)
+            F = rng.sample(range(g.C), rng.randrange(0, 4))
+            answers = []
+            for labels in (ls, bare):
+                try:
+                    answers.append(query_recursive_ids(labels, u, v, F))
+                except RemovedVertexError:
+                    answers.append("removed")
+            assert answers[0] == answers[1]
+
+
 def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
     """(True count, sha256) of 200 seeded large-f and recursive f=3 queries each.
 
@@ -236,6 +268,7 @@ def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
     out = []
     for ls, query in ((label_large_f(g, seed=6, repetitions=2), query_large_f_ids),
                       (label_recursive(g, 3, seed=7, repetitions=2), query_recursive_ids)):
+        assert "vertex_colors" not in ls.meta  # removed vertices are told by their labels
         rng = random.Random(29)
         answers = []
         for _ in range(200):
@@ -249,12 +282,14 @@ def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
     return tuple(out)
 
 
-# Recorded before the edge-fault sketch query memoized its singleton decodes.
+# Re-recorded when sketch queries moved to tree parts; the True counts were
+# edge (117, 148) and vertex (94, 111) before, and the 64 RemovedVertexError
+# answers in vertex mode are unchanged.
 PINNED = {
-    "edge": ((117, "72fa11d3b824e6274920a55047c7cd504d7069834d165b038de95983e566d925"),
-             (148, "1b6f43a4110dad9ac7af42f2aed76de71354f8fc0840cf77c2b880da1c6ef3c0")),
-    "vertex": ((94, "9ad86ea80f57345e4b56fd754912560b46c58abcdd9eb2c36172df66b6782104"),
-               (111, "9db392b9aa97a34097f5ba4e613d591a8ca9b0e516d9d2b0708be2ce1b6f662f")),
+    "edge": ((175, "7f8378bcd3729c9f23ff4a3f51dd75c1bc5d92c6e0079058c468d99fd599aa32"),
+             (173, "f034d81f938701397c7fbd3486a3de9eea5e2950c8fb4c0b0b4d2cb4ccec5563")),
+    "vertex": ((129, "dcf144c5d8f5054b37500d2df33f7b40b70ee3c31e801263baf47499669cc694"),
+               (126, "f6f55a20f0e28d3bbad57edb71f62279988fd260487ed327dbcc4146e22f0258")),
 }
 
 

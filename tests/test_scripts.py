@@ -38,11 +38,12 @@ def test_bench_label_sizes_script_reports_slopes():
 
 def test_sketch_success_report_script_reports_rates():
     lines = _run_script("sketch_success_report.py", "--sizes", "16,32", "--queries", "20")
-    header = lines.index("n success_rate target(1-1/n)")
+    header = lines.index("n success_rate target(1-1/n) query_p50_us brute_force_p50_us")
     rows = [line.split() for line in lines[header + 1:] if line.strip()]
     assert [row[0] for row in rows] == ["16", "32"]
-    for _n, rate, _target in rows:
+    for _n, rate, _target, query_us, brute_us in rows:
         assert 0.0 <= float(rate) <= 1.0
+        assert float(query_us) > 0 and float(brute_us) > 0
 
 
 def test_fingerprint_script_is_stable():

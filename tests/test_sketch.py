@@ -1,17 +1,20 @@
 import dataclasses
 import hashlib
 import random
+from operator import xor
 
 import pytest
 
 from colorfault.generators import gen_path, gen_random
-from colorfault.graph import edge_graph
+from colorfault.graph import UnionFind, edge_graph
 from colorfault.oracle import brute_force_partition
 from colorfault.sketch import (
+    _CHECKSUM_SALT,
     SchemeMismatchError,
+    TreeParts,
+    _hash_fields,
     build_edge_fault_labels,
     decode_cut_edge,
-    fold_sketch,
     query_edge_fault,
 )
 
@@ -20,59 +23,115 @@ def cell_at(params, packed, level):
     return (packed >> (params.cell_bits * level)) & ((1 << params.cell_bits) - 1)
 
 
+def vertex_of_pre(labels):
+    """Vertex id of each pre-order number, read through the vertex labels."""
+    out = [0] * labels.n
+    for x, lbl in enumerate(labels.vertex_labels):
+        out[lbl.pre] = x
+    return out
+
+
+def cut_sketch(labels, g, S):
+    """The sketch of vertex set S, from scratch: XOR of its cut edges' contributions."""
+    acc = [0] * labels.params.repetitions
+    for eid, (a, b) in enumerate(g.edges):
+        if (a in S) != (b in S):
+            acc = list(map(xor, acc, labels.edge_labels[eid].contrib))
+    return acc
+
+
+def tree_edges(labels):
+    return [lbl for lbl in labels.edge_labels.values() if lbl.lower is not None]
+
+
+def assert_certified(g, labels, u, v, faults, witness):
+    """Witness edges are real and non-faulty, and with T - F they join u and v."""
+    vertex_of = vertex_of_pre(labels)
+    uf = UnionFind(g.n)
+    for eid, a, b in witness:
+        assert eid not in faults
+        assert sorted(g.edges[eid]) == sorted((vertex_of[a], vertex_of[b]))
+        uf.union(*g.edges[eid])
+    for lbl in tree_edges(labels):
+        if lbl.eid not in faults:
+            uf.union(*g.edges[lbl.eid])
+    assert uf.connected(u, v)
+
+
 def test_single_edge_level0_cells_match():
     g = edge_graph(2, [(0, 1, 0)])
     labels = build_edge_fault_labels(g, seed=1)
     p = labels.params
+    tree_edge = labels.edge_labels[0]
+    assert [lbl.pre for lbl in labels.vertex_labels] == [0, 1]
+    assert tree_edge.lower == (1, 1)  # vertex 1's subtree sketch is the edge's contribution
     for r in range(p.repetitions):
-        c0 = cell_at(p, labels.vertex_labels[0].reps[r], 0)
-        c1 = cell_at(p, labels.vertex_labels[1].reps[r], 0)
-        assert c0 == c1 == labels.edge_labels[0].name
+        assert cell_at(p, tree_edge.subtree[r], 0) == tree_edge.name
 
 
 def test_level0_xor_of_all_vertices_is_zero():
+    # cutting every tree edge leaves one part per vertex; a whole tree's sketch is zero
     g = gen_random(12, 30, 3, seed=5)
     labels = build_edge_fault_labels(g, seed=2)
-    folded = fold_sketch(labels, range(g.n))
-    assert all(x == 0 for x in folded)
+    for tree in {lbl.tree for lbl in labels.vertex_labels}:
+        cuts = [e for e in tree_edges(labels) if tree[0] <= e.lower[0] < tree[1]]
+        parts = TreeParts(tree, cuts, labels.params.repetitions)
+        assert len(parts.sketches) == tree[1] - tree[0]
+        total = [0] * labels.params.repetitions
+        for sketch in parts.sketches:
+            total = list(map(xor, total, sketch))
+        assert all(x == 0 for x in total)
 
 
 def test_decoded_cut_edges_are_genuine():
     rng = random.Random(7)
     g = gen_random(14, 30, 3, seed=9)
     labels = build_edge_fault_labels(g, seed=3)
+    vertex_of = vertex_of_pre(labels)
     for _ in range(50):
         S = {v for v in range(g.n) if rng.random() < 0.5}
         if not S or len(S) == g.n:
             continue
-        hit = decode_cut_edge(labels.params, fold_sketch(labels, S), frozenset())
+        hit = decode_cut_edge(labels.params, cut_sketch(labels, g, S), frozenset())
         cut = {
             eid
             for eid, (u, v) in enumerate(g.edges)
             if (u in S) != (v in S)
         }
         if hit is not None:
-            u, v, eid = hit
+            a, b, eid = hit
             assert eid in cut
-            assert tuple(sorted(g.edges[eid])) == (u, v)
+            assert sorted(g.edges[eid]) == sorted((vertex_of[a], vertex_of[b]))
         else:
             assert not cut  # only edgeless cuts may fail to decode
 
 
-def test_linearity_fold_equals_scratch_on_cut():
-    # folding sketches of S equals sketching the contracted vertex: same cells
-    g = gen_random(8, 14, 2, seed=11)
-    labels = build_edge_fault_labels(g, seed=4)
-    p = labels.params
-    for bits in range(1, 2**g.n - 1):
-        S = {v for v in range(g.n) if bits >> v & 1}
-        folded = fold_sketch(labels, S)
-        expect = [0] * p.repetitions
-        for eid, (u, v) in enumerate(g.edges):
-            if (u in S) != (v in S):
-                for r in range(p.repetitions):
-                    expect[r] ^= labels.edge_labels[eid].contrib[r]
-        assert list(folded) == expect
+def test_part_sketches_fold_their_members():
+    # each part is a component of T minus the cut edges, and its sketch is its
+    # members' sketch computed from scratch
+    rng = random.Random(11)
+    for trial in range(6):
+        g = gen_random(20, 40, 3, seed=50 + trial)
+        labels = build_edge_fault_labels(g, seed=trial)
+        tedges = tree_edges(labels)
+        for _ in range(10):
+            cut = rng.sample(tedges, rng.randrange(0, len(tedges) + 1))
+            cut_ids = {lbl.eid for lbl in cut}
+            rest = UnionFind(g.n)
+            for lbl in tedges:
+                if lbl.eid not in cut_ids:
+                    rest.union(*g.edges[lbl.eid])
+            for tree in {lbl.tree for lbl in labels.vertex_labels}:
+                parts = TreeParts(tree, [e for e in cut if tree[0] <= e.lower[0] < tree[1]],
+                                  labels.params.repetitions)
+                members = [set() for _ in parts.sketches]
+                for x, lbl in enumerate(labels.vertex_labels):
+                    if lbl.tree == tree:
+                        members[parts.part_of(lbl.pre)].add(x)
+                for part, S in enumerate(members):
+                    assert len({rest.find(x) for x in S}) == 1
+                    assert parts.sketches[part] == cut_sketch(labels, g, S)
+                assert len({rest.find(x) for S in members for x in S}) == len(members)
 
 
 def test_path_middle_fault_disconnects():
@@ -114,18 +173,7 @@ def test_random_fault_sets_against_brute_force():
             )
             # structural certification of every "connected" answer
             if got:
-                uf = {x: x for x in range(g.n)}
-
-                def find(x):
-                    while uf[x] != x:
-                        x = uf[x]
-                    return x
-
-                for eid, a, b in witness:
-                    assert eid not in faults
-                    assert tuple(sorted(g.edges[eid])) == (a, b)
-                    uf[find(a)] = find(b)
-                assert find(u) == find(v)
+                assert_certified(g, labels, u, v, faults, witness)
             # agreement statistics
             alive = [
                 (e, a, b)
@@ -169,10 +217,14 @@ def test_label_bit_accounting():
     g = gen_random(16, 30, 3, seed=21)
     labels = build_edge_fault_labels(g, seed=9)
     p = labels.params
+    cells = p.repetitions * p.levels * p.cell_bits
+    assert p.sketch_bits == p.id_bits + 64 + cells
     for lbl in labels.vertex_labels:
-        assert lbl.bits == p.id_bits + 64 + p.repetitions * p.levels * p.cell_bits
+        assert lbl.bits == 3 * p.id_bits + 64
     for lbl in labels.edge_labels.values():
-        assert lbl.bits == p.cell_bits + p.repetitions * p.levels
+        tree_part = 0 if lbl.lower is None else 2 * p.id_bits + cells
+        assert lbl.bits == p.cell_bits + p.repetitions * p.levels + tree_part
+    assert len(tree_edges(labels)) == g.n - 1  # gen_random is connected here
 
 
 def test_membership_reproducible_from_seed():
@@ -192,42 +244,45 @@ def test_parse_name_rejects_self_loop_names():
     assert p.parse_name(p.edge_name(3, 3, 1)) is None
 
 
-def test_first_hit_is_the_fault_free_decode():
-    g = gen_random(30, 70, 4, seed=41)
-    labels = build_edge_fault_labels(g, seed=12)
-    for lbl in labels.vertex_labels:
-        assert lbl.first_hit == decode_cut_edge(labels.params, lbl.reps, frozenset())
+def test_checksum_matches_hash_fields():
+    # the checksum continues from the seed-only first hash round computed once
+    rng = random.Random(3)
+    for seed in (0, 14, -5, 2**64 + 9):
+        p = build_edge_fault_labels(gen_path(5), seed=seed).params
+        mask = (1 << p.checksum_bits) - 1
+        for _ in range(200):
+            a, b, eid = rng.randrange(2**20), rng.randrange(2**20), rng.randrange(2**20)
+            assert p.checksum(a, b, eid) == _hash_fields(seed ^ _CHECKSUM_SALT, a, b, eid) & mask
 
 
-def test_faulting_a_first_hit_edge_redecodes():
-    # A genuine first_hit edge is incident to its vertex, so faulting it makes
-    # the vertex a patched fault endpoint that decodes its patched sketch.
+def test_faulting_tree_edges_matches_brute_force():
+    # every tree edge faulted in turn, with two more random faults
     g = gen_random(30, 70, 4, seed=43)
     labels = build_edge_fault_labels(g, seed=13)
     rng = random.Random(5)
-    hits = sorted({lbl.first_hit[2] for lbl in labels.vertex_labels if lbl.first_hit})
-    assert hits
-    for eid in hits:
-        faults = {eid} | set(rng.sample(range(g.m), 2))
+    for tree_edge in tree_edges(labels):
+        faults = {tree_edge.eid} | set(rng.sample(range(g.m), 2))
         truth = brute_force_partition(edge_graph(g.n, [
             (a, b, 0) for e, (a, b) in enumerate(g.edges) if e not in faults]))
         for u in range(g.n):
-            got = query_edge_fault(labels, labels.vertex_labels[u], labels.vertex_labels[0],
-                                   [labels.edge_labels[e] for e in faults])
+            got, witness = query_edge_fault(
+                labels, labels.vertex_labels[u], labels.vertex_labels[0],
+                [labels.edge_labels[e] for e in faults], want_witness=True)
             assert got == (truth[u] == truth[0])
-    # A memo naming a faulty edge away from its vertex (only a checksum false
-    # positive could) must be decoded again, never followed.
-    x = 0
-    eid = next(e for e, (a, b) in enumerate(g.edges) if x not in (a, b))
-    fake = dataclasses.replace(labels.vertex_labels[x], first_hit=(*g.edges[eid], eid))
-    forged = dataclasses.replace(labels, vertex_labels=(fake, *labels.vertex_labels[1:]))
-    faults = [labels.edge_labels[eid]]
-    for v in range(1, g.n):
-        got, witness = query_edge_fault(forged, fake, forged.vertex_labels[v], faults,
-                                        want_witness=True)
-        assert all(e != eid for e, _a, _b in witness)
-        assert got == query_edge_fault(labels, labels.vertex_labels[x], labels.vertex_labels[v],
-                                       faults)
+            if got:
+                assert_certified(g, labels, u, 0, faults, witness)
+
+
+def test_query_reads_only_the_given_labels():
+    g = gen_random(30, 60, 4, seed=45)
+    labels = build_edge_fault_labels(g, seed=15)
+    bare = dataclasses.replace(labels, vertex_labels=(), edge_labels={})
+    rng = random.Random(8)
+    for _ in range(200):
+        faults = [labels.edge_labels[e] for e in rng.sample(range(g.m), rng.randrange(0, 12))]
+        lu, lv = (labels.vertex_labels[x] for x in rng.sample(range(g.n), 2))
+        assert query_edge_fault(bare, lu, lv, faults, want_witness=True) == query_edge_fault(
+            labels, lu, lv, faults, want_witness=True)
 
 
 def pinned_edge_fault_answers(repetitions: int) -> tuple[int, str]:
@@ -244,10 +299,11 @@ def pinned_edge_fault_answers(repetitions: int) -> tuple[int, str]:
     return sum(answers), hashlib.sha256(bytes(answers)).hexdigest()
 
 
-# Recorded before singleton decodes were memoized and only fault endpoints
-# patched; two repetitions make some connected pairs read "disconnected".
+# Two repetitions make some connected pairs read "disconnected", so that pin
+# depends on the decoder; it was re-recorded when queries moved to tree parts
+# (159 True answers before).  With 24 repetitions every answer is brute force's.
 PINNED = {
-    2: (159, "42f653dc8c0ee68c5ab65cb8433c9258051e413574b2b11c35bd98abe557870b"),
+    2: (246, "56c59a37edbfb6b58280c736d5527301656c1a5b39a50175d9410b7b0d3b90aa"),
     24: (271, "40ceeea172ddaff88abf1588b70eac40a982ee798461589d62f8c6c77d8f2bcb"),
 }
 
