@@ -6,7 +6,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .graph import GraphError
+from .graph import GraphError, RemovedVertexError
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,14 @@ class LabelSet:
 
     def label_groups(self) -> dict[str, Sequence]:
         return {"vertex": self.vertex_labels, "color": self.color_labels}
+
+
+def check_removed(lu, lv, colors: Iterable[int]) -> None:
+    """RemovedVertexError when u's or v's ``own_color`` (vertex mode) is faulted."""
+    F = set(colors)
+    for lbl in (lu, lv):
+        if lbl.own_color is not None and lbl.own_color in F:
+            raise RemovedVertexError(f"vertex {lbl.vertex} has a faulted color")
 
 
 def _stats(sizes: Sequence[int]) -> dict[str, float | int]:

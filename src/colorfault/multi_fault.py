@@ -39,13 +39,12 @@ from .bits import id_width, width_for
 from .graph import (
     VERTEX,
     ColoredGraph,
-    RemovedVertexError,
     RollbackUnionFind,
     components,
     edge_graph,
     reduce_between_modes,
 )
-from .labels import LabelSet
+from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
     SingleFaultVertexLabel,
@@ -187,7 +186,7 @@ def query_large_f(
     lv: LargeFVertexLabel,
     color_labels: Sequence[LargeFColorLabel],
 ) -> bool:
-    _check_removed(lu, lv, [lc.color for lc in color_labels])
+    check_removed(lu, lv, [lc.color for lc in color_labels])
     ctx: EdgeFaultLabels = ls.meta["context"]
     faults = []
     for lc in color_labels:
@@ -196,14 +195,6 @@ def query_large_f(
                 raise SchemeMismatchError("color label from a different build")
             faults.append(ctx.edge_labels[e.eid])  # with its tree part, if a tree edge
     return query_edge_fault(ctx, lu.sketch, lv.sketch, faults)
-
-
-def _check_removed(lu, lv, colors: Iterable[int]) -> None:
-    """RemovedVertexError when u's or v's own color (vertex mode) is faulted."""
-    F = set(colors)
-    for lbl in (lu, lv):
-        if lbl.own_color is not None and lbl.own_color in F:
-            raise RemovedVertexError(f"vertex {lbl.vertex} has a faulted color")
 
 
 # -- recursive prevalence-split scheme -------------------------------------------
@@ -406,7 +397,7 @@ def query_recursive(
     faults = list(color_labels)
     if len(faults) > ls.meta["f"]:
         raise ValueError("fault set larger than the scheme's budget")
-    _check_removed(lu, lv, [c.color for c in faults])
+    check_removed(lu, lv, [c.color for c in faults])
     if ls.meta.get("base"):
         return _query_base(lu, lv, faults)
     return _query_node(lu, lv, faults)

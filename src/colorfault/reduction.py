@@ -2,14 +2,15 @@
 
 A grid of independently augmented graphs G_ij is built: each adds one fresh
 source s_ij joined to every original vertex independently with probability
-2^-j, with the new elements never failing.  Labels concatenate the inner
-scheme's labels across the grid; a pair query compares the two vertices'
-source-connectivity answers cell by cell and declares them connected exactly
-when no cell disagrees.  Connected pairs therefore can never be misreported
-(with an exact inner scheme); for a disconnected pair, the column whose rate
-matches the smaller component size separates the two vertices in any single
-row with constant probability, and the row count turns that into a high
-probability overall.
+2^-j, with the new elements never failing.  A vertex label stores the inner
+scheme's answers transposed: for each fault set, one grid mask whose bit i
+(cells row-major) is the vertex's source-connectivity answer in cell i.  A
+pair is declared connected exactly when its two masks for the fault set are
+equal, i.e. when no cell disagrees.  Connected pairs therefore can never be
+misreported (with an exact inner scheme); for a disconnected pair, the column
+whose rate matches the smaller component size separates the two vertices in
+any single row with constant probability, and the row count turns that into
+a high probability overall.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Protocol, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults, components, remove_colors
-from .labels import LabelSet
+from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults
+from .labels import LabelSet, check_removed
 from .sketch import _hash_fields as derive_seed
 
 SCHEME = "all-pairs-reduction"
@@ -45,7 +46,11 @@ def matching_column(component_size: int) -> int:
 
 
 class SingleSourceScheme(Protocol):
-    """A vertex label's ``answers[fault_key(fault_labels)]`` is its ``query`` answer."""
+    """A vertex label's ``answers[fault_key(fault_labels)]`` is its ``query`` answer.
+
+    The reduction reads each inner vertex label's ``answers`` once, at build
+    time, to fill its grid masks, and never at query time.
+    """
 
     error_rate: float
 
@@ -154,8 +159,9 @@ def augment(g: ColoredGraph, row: int, col: int, seed: int) -> AugmentedCell:
 @dataclass(frozen=True)
 class ReductionVertexLabel:
     vertex: int
-    cells: tuple  # inner vertex labels, row-major
+    rows: dict[Hashable, int]  # fault key -> grid mask: bit i is the answer in cell i
     bits: int = field(default=0, compare=False)
+    own_color: int | None = None  # vertex mode only: v's color, whose fault removes v
 
 
 @dataclass(frozen=True)
@@ -176,23 +182,32 @@ def build_all_pairs(
         raise ValueError("alpha must be at least 1")
     rows = grid_rows(g.n, alpha)
     cols = grid_cols(g.n)
-    cell_labels = []
-    cell_meta = []
-    for i in range(1, rows + 1):
-        for j in range(1, cols + 1):
-            cell = augment(g, i, j, seed)
-            cell_labels.append(inner.build(cell.graph, cell.source))
-            cell_meta.append(cell)
+    masks: list[dict] = [{} for _ in range(g.n)]
+    vertex_bits = [0] * g.n
+    cell_colors = []
+    grid = itertools.product(range(1, rows + 1), range(1, cols + 1))
+    for i, (row, col) in enumerate(grid):
+        cell = augment(g, row, col, seed)
+        labels = inner.build(cell.graph, cell.source)
+        bit = 1 << i
+        for v in range(g.n):
+            lbl = labels.vertex_labels[v]
+            mask = masks[v]
+            for key, answer in lbl.answers.items():
+                mask[key] = mask.get(key, 0) | (bit if answer else 0)
+            vertex_bits[v] += lbl.bits
+        cell_colors.append(labels.color_labels)
 
-    vertex_labels = []
-    for v in range(g.n):
-        parts = tuple(ls.vertex_labels[v] for ls in cell_labels)
-        vertex_labels.append(
-            ReductionVertexLabel(v, parts, sum(p.bits for p in parts))
-        )
+    own = g.vertex_colors if g.mode == VERTEX else None
+    own_bits = width_for(g.C) if own is not None else 0
+    vertex_labels = tuple(
+        ReductionVertexLabel(v, masks[v], vertex_bits[v] + own_bits,
+                             None if own is None else own[v])
+        for v in range(g.n)
+    )
     color_labels = []
     for c in range(g.C):
-        parts = tuple(ls.color_labels[c] for ls in cell_labels)
+        parts = tuple(cl[c] for cl in cell_colors)
         color_labels.append(
             ReductionColorLabel(c, parts, sum(p.bits for p in parts))
         )
@@ -201,16 +216,9 @@ def build_all_pairs(
         n=g.n,
         C=g.C,
         mode=g.mode,
-        vertex_labels=tuple(vertex_labels),
+        vertex_labels=vertex_labels,
         color_labels=tuple(color_labels),
-        meta={
-            "rows": rows,
-            "cols": cols,
-            "alpha": alpha,
-            "seed": seed,
-            "inner": inner,
-            "cells": tuple(cell_meta),
-        },
+        meta={"rows": rows, "cols": cols, "alpha": alpha, "seed": seed, "inner": inner},
     )
 
 
@@ -222,12 +230,13 @@ def query_all_pairs(
 ) -> bool:
     """Connected iff the two vertices agree with the source in every cell.
 
-    A fault set names the same colors in every cell, so its key into the
-    cells' answer tables is built (and its budget checked) once.
+    A fault set names the same colors in every cell, so its key (and its
+    budget check) is built once and selects one grid mask per vertex.
     """
+    check_removed(lu, lw, [fl.color for fl in fault_labels])
     inner: SingleSourceScheme = ls.meta["inner"]
     key = inner.fault_key([fl.cells[0] for fl in fault_labels])
-    return all(a.answers[key] == b.answers[key] for a, b in zip(lu.cells, lw.cells))
+    return lu.rows[key] == lw.rows[key]
 
 
 def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
@@ -239,31 +248,3 @@ def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
         ls.vertex_labels[w],
         [ls.color_labels[c] for c in colors],
     )
-
-
-def row_separation_estimate(
-    g: ColoredGraph,
-    u: int,
-    w: int,
-    F: Iterable[int],
-    trials: int,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate that a single row at the matched column separates
-    a disconnected pair: exactly one of the two components gets a source edge."""
-    comp = components(remove_colors(g, F))
-    if comp[u] == comp[w]:
-        raise ValueError("pair is connected; plant a disconnected one")
-    U = [v for v, c in enumerate(comp) if c == comp[u]]
-    W = [v for v, c in enumerate(comp) if c == comp[w]]
-    if len(U) > len(W):
-        U, W = W, U
-    j = matching_column(len(U))
-    p = 2.0 ** (-j)
-    rng = random.Random(derive_seed(seed, u, w, j))
-    hits = 0
-    for _ in range(trials):
-        n_u = any(rng.random() < p for _ in U)
-        n_w = any(rng.random() < p for _ in W)
-        hits += n_u != n_w
-    return hits / trials

@@ -41,7 +41,6 @@ from colorfault.reduction import (
     ExactSingleSource,
     build_all_pairs,
     query_all_pairs_ids,
-    row_separation_estimate,
 )
 from colorfault.routing import (
     build_routing_scheme,
@@ -58,6 +57,7 @@ from colorfault.single_fault import (
 )
 from colorfault.sketch import build_edge_fault_labels, query_edge_fault
 from colorfault.two_fault import derived_cid, label_two_fault, query_two_fault_ids
+from test_reduction import row_separation_estimate
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

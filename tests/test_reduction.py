@@ -1,22 +1,60 @@
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
+from typing import Iterable
 
 import pytest
 
+from colorfault.bits import width_for
 from colorfault.generators import gen_random
-from colorfault.graph import edge_graph
+from colorfault.graph import (
+    ColoredGraph,
+    RemovedVertexError,
+    components,
+    edge_graph,
+    remove_colors,
+)
 from colorfault.oracle import brute_force_connected
 from colorfault.reduction import (
     ExactSingleSource,
     augment,
     build_all_pairs,
+    derive_seed,
     grid_cols,
     grid_rows,
     matching_column,
     query_all_pairs_ids,
-    row_separation_estimate,
 )
+
+
+def row_separation_estimate(
+    g: ColoredGraph,
+    u: int,
+    w: int,
+    F: Iterable[int],
+    trials: int,
+    seed: int = 0,
+) -> float:
+    """Monte Carlo estimate that a single row at the matched column separates
+    a disconnected pair: exactly one of the two components gets a source edge."""
+    comp = components(remove_colors(g, F))
+    if comp[u] == comp[w]:
+        raise ValueError("pair is connected; plant a disconnected one")
+    U = [v for v, c in enumerate(comp) if c == comp[u]]
+    W = [v for v, c in enumerate(comp) if c == comp[w]]
+    if len(U) > len(W):
+        U, W = W, U
+    j = matching_column(len(U))
+    p = 2.0 ** (-j)
+    rng = random.Random(derive_seed(seed, u, w, j))
+    hits = 0
+    for _ in range(trials):
+        n_u = any(rng.random() < p for _ in U)
+        n_w = any(rng.random() < p for _ in W)
+        hits += n_u != n_w
+    return hits / trials
 
 
 def test_grid_dimensions_smallest():
@@ -50,8 +88,6 @@ def test_exact_inner_scheme_is_exact():
     inner = ExactSingleSource(f=2, fault_palette=g.C)
     cell = augment(g, 1, 2, seed=5)
     labels = inner.build(cell.graph, cell.source)
-    import itertools
-
     for size in range(3):
         for F in itertools.combinations(range(g.C), size):
             faults = [labels.color_labels[c] for c in F]
@@ -72,14 +108,75 @@ def test_connected_pairs_never_misreported():
                         assert query_all_pairs_ids(ls, u, w, {c})
 
 
-def test_label_bits_sum_over_grid():
-    g = gen_random(8, 12, 3, seed=2)
+def assert_bits_sum_over_grid(mode: str) -> None:
+    g = gen_random(8, 12, 3, seed=2, mode=mode)
     inner = ExactSingleSource(f=1, fault_palette=g.C)
     ls = build_all_pairs(g, f=1, inner=inner, alpha=1.0, seed=1)
     cells = ls.meta["rows"] * ls.meta["cols"]
-    lbl = ls.vertex_labels[0]
-    assert len(lbl.cells) == cells
-    assert lbl.bits == sum(p.bits for p in lbl.cells)
+    one_cell = inner.build(augment(g, 1, 1, seed=1).graph, g.n)
+    own_bits = width_for(g.C) if mode == "vertex" else 0
+    for v, lbl in enumerate(ls.vertex_labels):
+        assert all(0 <= row < 1 << cells for row in lbl.rows.values())
+        assert len(lbl.rows) == len(one_cell.vertex_labels[v].answers)
+        assert lbl.bits == cells * one_cell.vertex_labels[v].bits + own_bits
+
+
+def test_label_bits_sum_over_grid():
+    assert_bits_sum_over_grid("edge")
+
+
+def test_vertex_label_bits_add_own_color():
+    assert_bits_sum_over_grid("vertex")
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_rows_match_per_cell_answers(mode):
+    g = gen_random(10, 16, 3, seed=5, mode=mode)
+    f, seed = 2, 4
+    inner = ExactSingleSource(f=f, fault_palette=g.C)
+    ls = build_all_pairs(g, f=f, inner=inner, alpha=1.0, seed=seed)
+    grid = itertools.product(range(1, ls.meta["rows"] + 1), range(1, ls.meta["cols"] + 1))
+    for i, (row, col) in enumerate(grid):
+        cell = augment(g, row, col, seed)
+        labels = inner.build(cell.graph, cell.source)
+        for size in range(f + 1):
+            for F in itertools.combinations(range(g.C), size):
+                faults = [labels.color_labels[c] for c in F]
+                key = inner.fault_key(faults)
+                for v in range(g.n):
+                    got = ls.vertex_labels[v].rows[key] >> i & 1
+                    assert got == inner.query(labels.vertex_labels[v], faults)
+
+
+def test_build_peak_memory_small():
+    # one cell's labels at a time: the per-cell answer tables are never all resident
+    g = gen_random(48, 96, 6, seed=1)
+    tracemalloc.start()
+    try:
+        build_all_pairs(g, 2, ExactSingleSource(2, 6), 1.0, 5)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_vertex_mode_removed_endpoint_raises():
+    g = gen_random(12, 20, 3, seed=4, mode="vertex")
+    ls = build_all_pairs(g, 1, ExactSingleSource(1, g.C), 1.0, 0)
+    assert g.vertex_colors[0] == g.vertex_colors[3] == 1
+    with pytest.raises(RemovedVertexError):
+        query_all_pairs_ids(ls, 0, 3, [1])
+    for c in range(g.C):
+        for u in range(g.n):
+            for w in range(g.n):
+                try:
+                    want = brute_force_connected(g, u, w, {c})
+                except RemovedVertexError:
+                    with pytest.raises(RemovedVertexError):
+                        query_all_pairs_ids(ls, u, w, {c})
+                    continue
+                if want:
+                    assert query_all_pairs_ids(ls, u, w, {c})
 
 
 def test_disconnected_error_rate_small():
