@@ -383,18 +383,75 @@ def orient_forest(
     return parent, parent_edge
 
 
+def preorder(parent: Sequence[int | None]) -> tuple[list[int], list[int], list[int]]:
+    """(order, pre, end) of the rooted forest ``parent``; roots and children by increasing id.
+
+    ``order`` lists the vertices in pre-order and ``pre[v]`` is v's index in
+    it, so v's subtree is the interval [pre[v], end[v]) of ``order``.
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for v in range(n - 1, -1, -1):  # decreasing id, so the stack pops the smallest first
+        p = parent[v]
+        if p is None:
+            roots.append(v)
+        else:
+            children[p].append(v)
+    order: list[int] = []
+    stack = roots
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(children[x])
+    pre = [0] * n
+    for i, x in enumerate(order):
+        pre[x] = i
+    end = [i + 1 for i in pre]
+    for x in reversed(order):
+        p = parent[x]
+        if p is not None and end[x] > end[p]:
+            end[p] = end[x]
+    return order, pre, end
+
+
+def path_colors(
+    g: ColoredGraph, parent: Sequence[int | None], parent_edge: Sequence[int | None]
+) -> list[frozenset[int]]:
+    """The colors on each vertex's path to its root in the forest ``parent``.
+
+    Edge mode: the colors of the path's edges.  Vertex mode: the colors of the
+    path's vertices, root included, minus the vertex's own color.  Each set is
+    built from its parent's, so a vertex whose step adds nothing shares it.
+    """
+    n = g.n
+    out: list[frozenset[int]] = [frozenset()] * n
+    if g.mode == EDGE:
+        for x in preorder(parent)[0]:
+            p = parent[x]
+            if p is not None:
+                c = g.edge_color(parent_edge[x])  # type: ignore[arg-type]
+                up = out[p]
+                out[x] = up if c in up else up | {c}
+        return out
+    colors = g.vertex_colors
+    assert colors is not None
+    full: list[frozenset[int]] = [frozenset()] * n  # the path's colors, x's own included
+    for x in preorder(parent)[0]:
+        p = parent[x]
+        c = colors[x]
+        up = full[p] if p is not None else frozenset()
+        full[x] = up if c in up else up | {c}
+        out[x] = up - {c} if c in up else up
+    return out
+
+
 @dataclass(frozen=True)
 class BfsTree:
     root: int
     parent: tuple[int | None, ...]
     parent_edge: tuple[int | None, ...]
     depth: tuple[int, ...]  # -1 for unreachable or removed vertices
-
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])  # type: ignore[arg-type]
-        return path
 
 
 def bfs_tree(gv: ColoredGraph | GraphView, root: int) -> BfsTree:

@@ -37,11 +37,6 @@ def grid_cols(n: int) -> int:
     return max(1, math.ceil(math.log2(max(n, 2)))) + 2
 
 
-def matching_column(component_size: int) -> int:
-    """The j with 2^(j-2) < |U| <= 2^(j-1)."""
-    return (component_size - 1).bit_length() + 1 if component_size >= 1 else 1
-
-
 # -- single-source scheme contract -------------------------------------------------
 
 

@@ -24,7 +24,17 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .bits import id_width, width_for
-from .graph import EDGE, ColoredGraph, GraphError, UnionFind, as_view, orient_forest
+from .graph import (
+    EDGE,
+    ColoredGraph,
+    GraphError,
+    UnionFind,
+    as_view,
+    orient_forest,
+    path_colors,
+    preorder,
+    spanning_forest,
+)
 from .labels import LabelSet
 from .single_fault import (
     RulingSet,
@@ -112,85 +122,29 @@ class TreeRouting:
     label: dict[int, int]  # vertex -> DFS entry index
 
 
-def build_tree_routing(
-    net: PortedNetwork,
-    tree_edges: Iterable[int],
-    roots: Iterable[int] | None = None,
-    universe: Iterable[int] | None = None,
-) -> TreeRouting:
-    """DFS interval labeling over the given tree edges, children in id order.
+def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRouting:
+    """Interval labeling of the forest ``tree_edges`` over every vertex.
 
-    ``universe`` adds vertices that must get (singleton) tables even when no
-    tree edge touches them.
+    Each tree is rooted at its minimum id and numbered in pre-order with
+    children in id order; a vertex no tree edge touches is a singleton tree.
     """
-    g = net.graph
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    members: set[int] = set(universe) if universe is not None else set()
-    for eid in tree_edges:
-        u, v = g.edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-        members.add(u)
-        members.add(v)
-    for a in adj:
-        a.sort()
-    if roots is None:
-        seen: set[int] = set()
-        roots_list = []
-        for v in sorted(members):
-            if v in seen:
-                continue
-            roots_list.append(v)
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for w, _eid in adj[x]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    else:
-        roots_list = sorted(roots)
-
-    tables: dict[int, TreeNodeTable] = {}
-    label: dict[int, int] = {}
-    clock = 0
-    for root in roots_list:
-        stack: list[tuple[int, int | None, int | None]] = [(root, None, None)]
-        order: list[tuple[int, int | None, int | None]] = []
-        seen2 = {root}
-        while stack:
-            v, parent, peid = stack.pop()
-            order.append((v, parent, peid))
-            for w, eid in reversed(adj[v]):
-                if w not in seen2:
-                    seen2.add(w)
-                    stack.append((w, v, eid))
-        # assign pre indices in DFS order, then subtree sizes bottom-up
-        pre: dict[int, int] = {}
-        for v, _p, _e in order:
-            pre[v] = clock
-            clock += 1
-        size = {v: 1 for v, _p, _e in order}
-        for v, p, _e in reversed(order):
-            if p is not None:
-                size[p] += size[v]
-        children: dict[int, list[tuple[int, int, int]]] = {v: [] for v, _p, _e in order}
-        parent_port: dict[int, int | None] = {root: None}
-        for v, p, eid in order:
-            if p is None:
-                continue
-            parent_port[v] = net.port_of(v, eid)  # type: ignore[arg-type]
-            children[p].append((pre[v], pre[v] + size[v], net.port_of(p, eid)))
-        for v, _p, _e in order:
-            label[v] = pre[v]
-            tables[v] = TreeNodeTable(
-                parent_port=parent_port[v],
-                pre=pre[v],
-                end=pre[v] + size[v],
-                child_slots=tuple(sorted(children[v])),
-            )
-    return TreeRouting(tables, label)
+    parent, parent_edge = orient_forest(net.graph, tree_edges)
+    order, pre, end = preorder(parent)
+    slots: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for v in order:  # children come in pre-order, so their slots are sorted
+        p = parent[v]
+        if p is not None:
+            slots[p].append((pre[v], end[v], net.port_of(p, parent_edge[v])))
+    tables = {
+        v: TreeNodeTable(
+            parent_port=None if parent[v] is None else net.port_of(v, parent_edge[v]),
+            pre=pre[v],
+            end=end[v],
+            child_slots=tuple(slots[v]),
+        )
+        for v in order
+    }
+    return TreeRouting(tables, {v: pre[v] for v in order})
 
 
 # -- blocks and per-color recovery structure -------------------------------------------
@@ -212,7 +166,6 @@ class ColorStructure:
 
     color: int
     fragment_of: tuple[int, ...]  # fragment root per vertex
-    recovery_edges: tuple[int, ...]
     frag_adj: dict[int, list[tuple[int, int]]]  # frag root -> (other root, edge id)
     tc_routing: TreeRouting
     a_fragments: tuple[int, ...]  # fragment roots containing an anchor
@@ -226,7 +179,6 @@ class RoutingTable:
     blocks: dict[int, FirstRecEdgeBlock | None]  # anchor -> block for color c(v)
     tc_tables: dict[int, TreeNodeTable]  # color on P(v) -> T_c table
     bits: int = field(default=0, compare=False)
-    child_structure_bits: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -277,10 +229,6 @@ class RoutingScheme:
     net: PortedNetwork
     ruling: RulingSet
     anchors: tuple[int, ...]
-    root: int
-    tree_edges: tuple[int, ...]
-    tree_parent: tuple[int | None, ...]
-    tree_parent_edge: tuple[int | None, ...]
     tree_routing: TreeRouting
     colors_on_tree: frozenset[int]
     structures: dict[int, ColorStructure]
@@ -288,22 +236,6 @@ class RoutingScheme:
     vertex_labels: tuple[RoutingVertexLabel, ...]
     color_labels: tuple[RoutingColorLabel, ...]
     connectivity: LabelSet  # one-fault labels for the pre-flight check
-    path_colors: tuple[frozenset[int], ...]
-
-
-def _assemble_tree(g: ColoredGraph, anchors, parent, parent_edge):
-    """Anchor-path forest joined into one spanning tree by min-id edges."""
-    uf = UnionFind(g.n)
-    edges = [parent_edge[v] for v in range(g.n) if parent_edge[v] is not None]
-    for v in range(g.n):
-        if parent[v] is not None:
-            uf.union(v, parent[v])
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v and uf.union(u, v):
-            edges.append(eid)
-    if len(edges) != g.n - 1:
-        raise GraphError("routing scheme needs a connected graph")
-    return sorted(edges)
 
 
 def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
@@ -315,42 +247,33 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     parent, parent_edge, _depth, anchor_of = anchor_paths(gv, anchors)
     connectivity = label_single_fault(g, ruling)
 
-    tree_edges = _assemble_tree(g, anchors, parent, parent_edge)
+    # T: the anchor-path forest (every P(v) a T-path) joined by min-id edges
+    anchor_forest = [e for e in parent_edge if e is not None]
+    tree_edges = spanning_forest(g, anchor_forest + list(range(g.m)))
+    if len(tree_edges) != g.n - 1:
+        raise GraphError("routing scheme needs a connected graph")
     net = PortedNetwork.build(g)
     root = 0 if g.n else -1
 
     tparent, tparent_edge = orient_forest(g, tree_edges)  # rooted at 0
-    tree_routing = build_tree_routing(net, tree_edges, roots=[root])
-
-    # P(v) as chains of the anchor forest; their union is a subforest of T
-    path_colors = []
-    for v in range(g.n):
-        colors = set()
-        x = v
-        while parent[x] is not None:
-            colors.add(g.edge_color(parent_edge[x]))  # type: ignore[arg-type]
-            x = parent[x]  # type: ignore[assignment]
-        path_colors.append(frozenset(colors))
+    torder = preorder(tparent)[0]
+    tree_routing = build_tree_routing(net, tree_edges)
 
     colors_on_tree = frozenset(g.edge_color(eid) for eid in tree_edges)
     structures = {
-        c: _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, anchors, root)
+        c: _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder, anchors)
         for c in sorted(colors_on_tree)
     }
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
         g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
-        path_colors, structures,
+        path_colors(g, parent, parent_edge), structures,
     )
     return RoutingScheme(
         graph=g,
         net=net,
         ruling=ruling,
         anchors=anchors,
-        root=root,
-        tree_edges=tuple(tree_edges),
-        tree_parent=tuple(tparent),
-        tree_parent_edge=tuple(tparent_edge),
         tree_routing=tree_routing,
         colors_on_tree=colors_on_tree,
         structures=structures,
@@ -358,27 +281,21 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
         vertex_labels=vertex_labels,
         color_labels=color_labels,
         connectivity=connectivity,
-        path_colors=tuple(path_colors),
     )
 
 
-def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, anchors, root):
+def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder, anchors):
     n = g.n
-    uf = UnionFind(n)
-    for eid in tree_edges:
-        if g.edge_color(eid) != c:
-            u, v = g.edges[eid]
-            uf.union(u, v)
-    # fragment root: the unique vertex whose parent edge is c-colored (or r)
-    frag_root: dict[int, int] = {}
-    for v in range(n):
+    # fragment root: the root r, or a vertex whose parent edge is c-colored
+    fragment_of = [0] * n
+    for v in torder:
         pe = tparent_edge[v]
-        if pe is None or g.edge_color(pe) == c:
-            frag_root[uf.find(v)] = v
-    fragment_of = tuple(frag_root[uf.find(v)] for v in range(n))
+        fragment_of[v] = v if pe is None or g.edge_color(pe) == c else fragment_of[tparent[v]]
 
     recovery: list[int] = []
-    frag_adj: dict[int, list[tuple[int, int]]] = {r: [] for r in frag_root.values()}
+    frag_adj: dict[int, list[tuple[int, int]]] = {
+        v: [] for v in range(n) if fragment_of[v] == v
+    }
     joiner = UnionFind(n)
     for eid, (u, v) in enumerate(g.edges):
         if u == v or g.edge_color(eid) == c:
@@ -389,16 +306,12 @@ def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, anchors
             frag_adj[fu].append((fv, eid))
             frag_adj[fv].append((fu, eid))
     tc_routing = build_tree_routing(
-        net,
-        [e for e in tree_edges if g.edge_color(e) != c] + recovery,
-        universe=range(n),
+        net, [e for e in tree_edges if g.edge_color(e) != c] + recovery
     )
-    anchor_set = set(anchors)
-    a_fragments = tuple(sorted({fragment_of[a] for a in anchor_set}))
+    a_fragments = tuple(sorted({fragment_of[a] for a in anchors}))
     return ColorStructure(
         color=c,
-        fragment_of=fragment_of,
-        recovery_edges=tuple(recovery),
+        fragment_of=tuple(fragment_of),
         frag_adj={k: sorted(v) for k, v in frag_adj.items()},
         tc_routing=tc_routing,
         a_fragments=a_fragments,
@@ -446,7 +359,7 @@ def _block_for(g, net, cs, tree_label, from_frag, to_frag) -> FirstRecEdgeBlock 
 
 def _build_tables_and_labels(
     g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
-    path_colors, structures,
+    colors_on_path, structures,
 ):
     n = g.n
     wid = id_width(max(n, 2))
@@ -471,15 +384,11 @@ def _build_tables_and_labels(
                     cs.fragment_of[v], cs.fragment_of[a],
                 )
         tc_tables = {
-            c: structures[c].tc_routing.tables[v] for c in sorted(path_colors[v])
+            c: structures[c].tc_routing.tables[v] for c in sorted(colors_on_path[v])
         }
         tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
         tbits += len(anchor_list) * wblock
         tbits += len(tc_tables) * (wc + wport_v + 2 * wid)
-        child_bits = len(tree_routing.tables[v].child_slots) * (2 * wid + wport_v)
-        child_bits += sum(
-            len(t.child_slots) * (2 * wid + wport_v) for t in tc_tables.values()
-        )
         tables.append(
             RoutingTable(
                 vertex=v,
@@ -488,12 +397,11 @@ def _build_tables_and_labels(
                 blocks=blocks,
                 tc_tables=tc_tables,
                 bits=tbits,
-                child_structure_bits=child_bits,
             )
         )
 
         per_color: dict[int, tuple[int, FirstRecEdgeBlock | None, int]] = {}
-        for c in sorted(path_colors[v]):
+        for c in sorted(colors_on_path[v]):
             cs = structures[c]
             my_frag = cs.fragment_of[v]
             reach = _fragment_bfs(cs, my_frag)
@@ -504,7 +412,7 @@ def _build_tables_and_labels(
                     if best is None or (d, fr) < best:
                         best = (d, fr)
             if best is None:
-                per_color[c] = (-1, None, cs.tc_routing.label.get(v, 0))
+                per_color[c] = (-1, None, cs.tc_routing.label[v])
                 continue
             target_frag = best[1]
             a_vc = min(a for a in anchor_list if cs.fragment_of[a] == target_frag)
@@ -569,19 +477,6 @@ def _tree_port(table: TreeNodeTable, target_label: int) -> int:
     if port is None:
         raise RoutingBugError("tree routing asked to move while already there")
     return port
-
-
-def expected_first_recovery_block(
-    scheme: RoutingScheme, v: int, c: int, a_star: int
-) -> FirstRecEdgeBlock | None:
-    """The e_i block invariant (I) demands while sitting in v's fragment."""
-    cs = scheme.structures.get(c)
-    if cs is None:
-        return None
-    return _block_for(
-        scheme.graph, scheme.net, cs, scheme.tree_routing.label,
-        cs.fragment_of[v], cs.fragment_of[a_star],
-    )
 
 
 def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:

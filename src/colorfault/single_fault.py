@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .bits import id_width, width_for
 from .graph import (
-    EDGE,
     VERTEX,
     ColoredGraph,
     GraphView,
@@ -27,6 +26,7 @@ from .graph import (
     bfs_tree,
     cids_after_faults,
     components,
+    path_colors,
 )
 from .labels import LabelSet
 
@@ -117,13 +117,6 @@ def anchor_paths(
     return parent, parent_edge, depth, anchor
 
 
-def path_to_anchor(parent: list[int | None], v: int) -> list[int]:
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[index]
-    return path
-
-
 @dataclass(frozen=True)
 class SingleFaultVertexLabel:
     vertex: int
@@ -140,13 +133,6 @@ class SingleFaultColorLabel:
     bits: int = field(default=0, compare=False)
 
 
-def _path_colors(g: ColoredGraph, path: list[int], parent_edge: list[int | None]) -> set[int]:
-    if g.mode == EDGE:
-        return {g.edge_color(parent_edge[x]) for x in path[:-1]}  # type: ignore[index]
-    own = g.vertex_color(path[0])
-    return {g.vertex_color(x) for x in path} - {own}
-
-
 def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> LabelSet:
     """Build the one-fault labels; handles disconnected input via A0."""
     gv = as_view(g)
@@ -154,9 +140,7 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
         ruling = build_ruling_set(gv)
     anchors = ruling.anchors()
     parent, parent_edge, depth, anchor_of = anchor_paths(gv, anchors)
-
-    paths = [path_to_anchor(parent, v) for v in range(g.n)]
-    colors_on_path = [_path_colors(g, paths[v], parent_edge) for v in range(g.n)]
+    colors_on_path = path_colors(g, parent, parent_edge)
 
     wanted: dict[frozenset[int], set[int]] = {frozenset((c,)): set(ruling.A) for c in range(g.C)}
     for v in range(g.n):
@@ -176,8 +160,6 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
             value = cids[c][v]
             assert value is not None  # d != own color, so v survives G-d
             mapping[c] = value
-        # soundness: re-walk P(v) and confirm every color on it is a map hit
-        assert all(c in mapping for c in _path_colors(g, paths[v], parent_edge))
         assert len(mapping) < ruling.k
         own = g.vertex_color(v) if g.mode == VERTEX else None
         bits = wid + (wc if g.mode == VERTEX else 0) + wlen + len(mapping) * (wc + wid)

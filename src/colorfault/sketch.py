@@ -49,7 +49,15 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from .bits import id_width, width_for
-from .graph import ColoredGraph, GraphView, UnionFind, as_view, orient_forest, spanning_forest
+from .graph import (
+    ColoredGraph,
+    GraphView,
+    UnionFind,
+    as_view,
+    orient_forest,
+    preorder,
+    spanning_forest,
+)
 
 DEFAULT_REPETITIONS = 24
 DEFAULT_CHECKSUM_BITS = 32
@@ -245,29 +253,11 @@ def build_edge_fault_labels(
     t, L, w = params.repetitions, params.levels, params.cell_bits
 
     parent, parent_edge = orient_forest(g, spanning_forest(gv, eids))
-    children: list[list[int]] = [[] for _ in range(n)]
-    preorder: list[int] = []
-    for x in range(n):
-        if parent[x] is not None:
-            children[parent[x]].append(x)
-    for root in range(n):
-        if parent[root] is None:
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                preorder.append(x)
-                stack.extend(children[x])
-    pre = [0] * n
-    for i, x in enumerate(preorder):
-        pre[x] = i
-    size = [1] * n
-    for x in reversed(preorder):
-        if parent[x] is not None:
-            size[parent[x]] += size[x]
+    order, pre, end = preorder(parent)
     tree: list[tuple[int, int]] = [(0, 0)] * n
-    for x in preorder:
+    for x in order:
         p = parent[x]
-        tree[x] = (pre[x], pre[x] + size[x]) if p is None else tree[p]
+        tree[x] = (pre[x], end[x]) if p is None else tree[p]
 
     ebits = params.cell_bits + t * L  # name + membership bit-vector
     tree_bits = 2 * params.id_bits + t * L * w  # lower endpoint's (pre, size) + subtree sketch
@@ -285,12 +275,12 @@ def build_edge_fault_labels(
         if u != v:
             acc[u] = list(map(xor, acc[u], contrib))
             acc[v] = list(map(xor, acc[v], contrib))
-    for x in reversed(preorder):  # acc[x] is complete: x's subtree sketch
+    for x in reversed(order):  # acc[x] is complete: x's subtree sketch
         p = parent[x]
         if p is not None:
             acc[p] = list(map(xor, acc[p], acc[x]))
             eid = parent_edge[x]
-            edge_labels[eid] = replace(edge_labels[eid], lower=(pre[x], size[x]),
+            edge_labels[eid] = replace(edge_labels[eid], lower=(pre[x], end[x] - pre[x]),
                                        subtree=tuple(acc[x]), bits=ebits + tree_bits)
     vbits = 3 * params.id_bits + 64  # pre, tree interval, scheme id
     vertex_labels = tuple(VertexSketchLabel(pre[x], tree[x], params, vbits) for x in range(n))

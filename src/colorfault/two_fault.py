@@ -26,6 +26,7 @@ from .graph import (
     bfs_tree,
     cids_after_faults,
     components,
+    path_colors,
     remove_colors,
 )
 from .labels import LabelSet
@@ -134,17 +135,6 @@ def truncated_bfs(gv: GraphView, origin: int, cap: int, excluded_color: int) -> 
     )
 
 
-def _path_colors_to_root(g: ColoredGraph, tree, v: int) -> set[int]:
-    """Colors on T[s,v]; vertex mode includes both endpoints, minus v's own."""
-    path = tree.path_to_root(v)
-    if g.mode == EDGE:
-        return {
-            g.edge_color(tree.parent_edge[x])
-            for x in path[:-1]
-        }
-    return {g.vertex_color(x) for x in path} - {g.vertex_color(v)}
-
-
 def label_two_fault(g: ColoredGraph) -> LabelSet:
     cap = math.isqrt(g.n) if math.isqrt(g.n) ** 2 == g.n else math.isqrt(g.n) + 1
     cap = max(cap, 1)
@@ -152,19 +142,19 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     comp = components(gv)
     roots = sorted({c for c in comp if c is not None})
     trees = {s: bfs_tree(gv, s) for s in roots}
-    depth_max = 0
-    for s in roots:
-        depth_max = max(depth_max, max((d for d in trees[s].depth if d >= 0), default=0))
-
-    path_colors: list[set[int]] = []
-    for v in range(g.n):
-        tree = trees[comp[v]]
-        path_colors.append(_path_colors_to_root(g, tree, v))
+    tree_of = [trees[s] for s in comp]  # type: ignore[index]
+    depth_max = max((t.depth[v] for v, t in enumerate(tree_of)), default=0)
+    # colors on T[s,v]; vertex mode includes both endpoints, minus v's own
+    colors_on_path = path_colors(
+        g,
+        [t.parent[v] for v, t in enumerate(tree_of)],
+        [t.parent_edge[v] for v, t in enumerate(tree_of)],
+    )
 
     truncated: dict[tuple[int, int], TruncatedTree] = {}
     full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
     for v in range(g.n):
-        for c in sorted(path_colors[v]):
+        for c in sorted(colors_on_path[v]):
             t = truncated_bfs(remove_colors(g, {c}), v, cap, c)
             truncated[(v, c)] = t
             if t.full:
@@ -179,7 +169,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     own = g.vertex_colors if g.mode == VERTEX else [None] * g.n
 
     # every cid(x, G-{c,d}) the labels store, with d = c for cid(x, G-c);
-    # path_colors[x] never holds x's own color
+    # colors_on_path[x] never holds x's own color
     wanted: dict[frozenset[int], set[int]] = {}
 
     def want(x: int, c: int, d: int) -> None:
@@ -191,12 +181,12 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
             want(v, c, d)
         rep = reps.get((v, c))
         if rep is not None:
-            for d in path_colors[rep]:
+            for d in colors_on_path[rep]:
                 want(rep, c, d)
     for c in range(g.C):
         for u in U:
             if own[u] != c:  # u itself dies with c; never consulted for this color
-                for d in path_colors[u]:
+                for d in colors_on_path[u]:
                     want(u, c, d)
     cids = cids_after_faults(g, wanted)
 
@@ -212,7 +202,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     vertex_labels = []
     for v in range(g.n):
         entries: dict[int, ColorEntry] = {}
-        for c in sorted(path_colors[v]):
+        for c in sorted(colors_on_path[v]):
             t = truncated[(v, c)]
             rep = reps.get((v, c))
             entries[c] = ColorEntry(
@@ -221,7 +211,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
                 full=t.full,
                 rep=rep,
                 rep_pair_cids={} if rep is None else {
-                    d: pair_cid(rep, c, d) for d in sorted(path_colors[rep])
+                    d: pair_cid(rep, c, d) for d in sorted(colors_on_path[rep])
                 },
             )
         bits = wid + (wc if g.mode == VERTEX else 0) + wlen
@@ -244,7 +234,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         pairs = {
             (u, d): pair_cid(u, c, d)
             for u in U if own[u] != c
-            for d in sorted(path_colors[u])
+            for d in sorted(colors_on_path[u])
         }
         bits = wc + wlen + len(pairs) * (wid + wc + wid)
         color_labels.append(TwoFaultColorLabel(c, pairs, bits))
@@ -321,8 +311,3 @@ def query_two_fault_ids(ls: LabelSet, u: int, v: int, c: int, d: int) -> bool:
     return query_two_fault(
         ls.vertex_labels[u], ls.vertex_labels[v], ls.color_labels[c], ls.color_labels[d]
     )
-
-
-def derived_cid(ls: LabelSet, v: int, c: int, d: int) -> int:
-    """cid(v, G-{c,d}) as the query procedure computes it (for verification)."""
-    return _derive_cid(ls.vertex_labels[v], ls.color_labels[c], ls.color_labels[d])

@@ -42,12 +42,7 @@ from colorfault.reduction import (
     build_all_pairs,
     query_all_pairs_ids,
 )
-from colorfault.routing import (
-    build_routing_scheme,
-    expected_first_recovery_block,
-    header_bit_sizes,
-    route,
-)
+from colorfault.routing import build_routing_scheme, header_bit_sizes, route
 from colorfault.single_fault import (
     ball_packing_exact,
     ball_packing_greedy,
@@ -56,8 +51,10 @@ from colorfault.single_fault import (
     query_single_fault,
 )
 from colorfault.sketch import build_edge_fault_labels, query_edge_fault
-from colorfault.two_fault import derived_cid, label_two_fault, query_two_fault_ids
+from colorfault.two_fault import label_two_fault, query_two_fault_ids
 from test_reduction import row_separation_estimate
+from test_routing import expected_first_recovery_block
+from test_two_fault import derived_cid
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

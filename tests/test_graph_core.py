@@ -17,7 +17,10 @@ from colorfault.graph import (
     components,
     connected,
     edge_graph,
+    orient_forest,
     parse_graph,
+    path_colors,
+    preorder,
     reduce_between_modes,
     remove_colors,
     serialize_graph,
@@ -285,6 +288,40 @@ def test_cids_after_faults_matches_brute_force(seed, mode, simple):
     for F, vertices in wanted.items():
         truth = brute_force_partition(g, F)
         assert got[F] == {v: truth[v] for v in vertices}, sorted(F)
+
+
+@given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]),
+       st.integers(0, 30), st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_preorder_and_path_colors_match_parent_chain_walks(seed, mode, n, m):
+    # few edges leave the graph disconnected, so the forest has several roots
+    g = gen_random(n, min(m, n * (n - 1) // 2), 4, seed=seed, mode=mode)
+    parent, parent_edge = orient_forest(g, spanning_forest(g))
+    chains = []
+    for v in range(n):
+        chain = [v]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        chains.append(chain)
+
+    order, pre, end = preorder(parent)
+    assert sorted(order) == list(range(n))
+    assert all(order[pre[v]] == v for v in range(n))
+    for v in range(n):
+        below = {x for x in range(n) if v in chains[x]}
+        assert set(order[pre[v]:end[v]]) == below
+    for a in range(n):  # roots, and the children of one parent, in id order
+        for b in range(a + 1, n):
+            if parent[a] == parent[b]:
+                assert pre[a] < pre[b]
+
+    got = path_colors(g, parent, parent_edge)
+    for v, chain in enumerate(chains):
+        if mode == "edge":
+            want = {g.edge_color(parent_edge[x]) for x in chain[:-1]}
+        else:
+            want = {g.vertex_color(x) for x in chain} - {g.vertex_color(v)}
+        assert got[v] == want, (v, chain)
 
 
 def test_cids_after_faults_rejects_bad_color():

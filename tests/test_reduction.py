@@ -24,9 +24,13 @@ from colorfault.reduction import (
     derive_seed,
     grid_cols,
     grid_rows,
-    matching_column,
     query_all_pairs_ids,
 )
+
+
+def matching_column(component_size: int) -> int:
+    """The j with 2^(j-2) < |U| <= 2^(j-1)."""
+    return (component_size - 1).bit_length() + 1 if component_size >= 1 else 1
 
 
 def row_separation_estimate(

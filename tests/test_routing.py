@@ -1,21 +1,38 @@
+import hashlib
 import random
 
 import pytest
 
-from colorfault.generators import gen_path, gen_random, gen_wheel
+from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
 from colorfault.graph import GraphError, components, edge_graph
 from colorfault.oracle import brute_force_connected
 from colorfault.routing import (
+    FirstRecEdgeBlock,
     PortedNetwork,
+    RoutingBugError,
+    RoutingScheme,
     UnreachableError,
+    _block_for,
     build_routing_scheme,
     build_tree_routing,
-    expected_first_recovery_block,
     header_bit_sizes,
     route,
 )
 
 FOUR_CYCLE = edge_graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3)])
+
+
+def expected_first_recovery_block(
+    scheme: RoutingScheme, v: int, c: int, a_star: int
+) -> FirstRecEdgeBlock | None:
+    """The e_i block invariant (I) demands while sitting in v's fragment."""
+    cs = scheme.structures.get(c)
+    if cs is None:
+        return None
+    return _block_for(
+        scheme.graph, scheme.net, cs, scheme.tree_routing.label,
+        cs.fragment_of[v], cs.fragment_of[a_star],
+    )
 
 
 # -- ported network ------------------------------------------------------------
@@ -42,7 +59,7 @@ def test_tree_routing_walks_tree_paths():
         n = rng.randrange(2, 40)
         g = edge_graph(n, [(rng.randrange(v), v, 0) for v in range(1, n)], C=1)
         net = PortedNetwork.build(g)
-        tr = build_tree_routing(net, range(n - 1), roots=[0])
+        tr = build_tree_routing(net, range(n - 1))
         parent = {v: u for (u, v) in g.edges} | {v: u for (v, u) in g.edges}
         for u in range(n):
             for v in range(n):
@@ -59,7 +76,7 @@ def test_tree_routing_walks_tree_paths():
 def test_tree_route_arrival_is_none():
     g = gen_path(3, coloring="uniform", C=1)
     net = PortedNetwork.build(g)
-    tr = build_tree_routing(net, [0, 1], roots=[0])
+    tr = build_tree_routing(net, [0, 1])
     assert tr.tables[1].next_port_for(tr.label[1]) is None
     assert tr.tables[1].next_port_for(tr.label[2]) is not None
 
@@ -230,3 +247,65 @@ def test_header_and_table_sizes():
         perm, mut = header_bit_sizes(scheme, hdr)
         assert perm <= KAPPA_PERMANENT_HEADER * wid
         assert mut <= KAPPA_MUTABLE * wid
+
+
+def pinned_routing_outputs(g):
+    """(delivered routes, sha256) of the whole scheme and of every route.
+
+    Hashes the tables, the vertex and color labels, T's and every T_c's
+    tables and labels (dicts as sorted items), each fragment structure, and
+    the trace and header of route(s, t, c) for every s != t and color c, or
+    the type name of its refusal.
+    """
+    scheme = build_routing_scheme(g)
+    h = hashlib.sha256()
+
+    def put(item):
+        h.update(repr(item).encode())
+        h.update(b"\n")
+
+    def put_tree(tr):
+        put(sorted(tr.tables.items()))
+        put(sorted(tr.label.items()))
+
+    for t in scheme.tables:
+        put((t.vertex, t.parent_port, t.parent_color, sorted(t.blocks.items()),
+             sorted(t.tc_tables.items()), t.bits))
+    for lbl in scheme.vertex_labels:
+        put((lbl.vertex, lbl.tree_label, lbl.anchor, sorted(lbl.per_color.items()), lbl.bits))
+    for lbl in scheme.color_labels:
+        put((lbl.color, sorted(lbl.blocks.items()), lbl.bits))
+    put_tree(scheme.tree_routing)
+    for c, cs in sorted(scheme.structures.items()):
+        put((c, cs.fragment_of, sorted(cs.frag_adj.items()), cs.a_fragments))
+        put_tree(cs.tc_routing)
+    delivered = 0
+    for c in range(g.C):
+        for s in range(g.n):
+            for t in range(g.n):
+                if s == t:
+                    continue
+                try:
+                    result = route(scheme, s, t, c)
+                except (UnreachableError, RoutingBugError) as exc:
+                    put(type(exc).__name__)
+                else:
+                    put((result.trace, result.header))
+                    delivered += 1
+    return delivered, h.hexdigest()
+
+
+# Recorded before the tree walks moved onto graph.preorder / graph.path_colors.
+PINNED = {
+    "random": (2030, "5277e6179e527a1d0548bcf616dbc8d0f12e8d106a6cc2877dbd06f4c4639593"),
+    "grid": (51584, "643d72d9d9881570eefc2e2b25b7ed90b49feac8fb733cbdcc9dbd1a050f8829"),
+}
+PINNED_GRAPHS = {
+    "random": lambda: gen_random(24, 44, 4, seed=5, connected=True),
+    "grid": lambda: gen_grid(4, 8),  # unique colors
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_pinned(name):
+    assert pinned_routing_outputs(PINNED_GRAPHS[name]()) == PINNED[name]

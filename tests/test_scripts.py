@@ -47,9 +47,15 @@ def test_sketch_success_report_script_reports_rates():
 
 
 def test_fingerprint_script_is_stable():
-    args = ("--workload", "few-colors-read", "--seed", "1")
-    first = _run_script("fingerprint.py", *args)
-    assert first == _run_script("fingerprint.py", *args)
-    assert first[0] == "# few-colors-read seed 1"
-    names = [line.split("  ")[1] for line in first[1:]]
-    assert "oracle file" in names and "answers nca.oracle_query" in names
+    # long-unique-build is the only workload that builds routing
+    expected = {
+        "few-colors-read": ("oracle file", "answers nca.oracle_query"),
+        "long-unique-build": ("routing bits", "answers routing.route"),
+    }
+    for workload, wanted in expected.items():
+        args = ("--workload", workload, "--seed", "1")
+        first = _run_script("fingerprint.py", *args)
+        assert first == _run_script("fingerprint.py", *args)
+        assert first[0] == f"# {workload} seed 1"
+        names = [line.split("  ")[1] for line in first[1:]]
+        assert all(name in names for name in wanted), (workload, names)

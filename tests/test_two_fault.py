@@ -6,9 +6,10 @@ import pytest
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph
+from colorfault.labels import LabelSet
 from colorfault.oracle import brute_force_partition
 from colorfault.two_fault import (
-    derived_cid,
+    _derive_cid,
     greedy_hitting_set,
     label_two_fault,
     query_two_fault_ids,
@@ -16,6 +17,11 @@ from colorfault.two_fault import (
 )
 
 PATH_ABA = edge_graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
+
+
+def derived_cid(ls: LabelSet, v: int, c: int, d: int) -> int:
+    """cid(v, G-{c,d}) as the query procedure computes it (for verification)."""
+    return _derive_cid(ls.vertex_labels[v], ls.color_labels[c], ls.color_labels[d])
 
 
 # -- hitting set -----------------------------------------------------------------
