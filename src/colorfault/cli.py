@@ -238,8 +238,6 @@ def cmd_route(args) -> int:
 def cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.inner != "exact":
-        raise GraphError("only the exact inner scheme is bundled")
     inner = ExactSingleSource(f=args.f, fault_palette=g.C)
     ls = build_all_pairs(g, f=args.f, inner=inner, alpha=args.alpha, seed=seed)
     rng = random.Random(seed)

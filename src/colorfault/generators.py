@@ -9,15 +9,16 @@ from .graph import EDGE, VERTEX, ColoredGraph, GraphError
 COLORINGS = ("uniform", "unique", "blocks")
 
 
-def _edge_colors(m: int, C: int, coloring: str, rng: random.Random) -> tuple[list[int], int]:
+def _colors(count: int, C: int, coloring: str, rng: random.Random) -> tuple[list[int], int]:
+    """``count`` colors (one per edge or per vertex) and the palette size."""
     if coloring == "unique":
-        return list(range(m)), max(m, 1)
+        return list(range(count)), max(count, 1)
     if C <= 0:
         raise GraphError("palette size must be positive for this coloring")
     if coloring == "uniform":
-        return [rng.randrange(C) for _ in range(m)], C
+        return [rng.randrange(C) for _ in range(count)], C
     if coloring == "blocks":
-        return [min(i * C // max(m, 1), C - 1) for i in range(m)], C
+        return [min(i * C // max(count, 1), C - 1) for i in range(count)], C
     raise GraphError(f"unknown coloring mode {coloring!r}")
 
 
@@ -30,17 +31,10 @@ def _finish(
     mode: str,
 ) -> ColoredGraph:
     if mode == EDGE:
-        colors, palette = _edge_colors(len(edges), C, coloring, rng)
+        colors, palette = _colors(len(edges), C, coloring, rng)
         return ColoredGraph(n=n, mode=EDGE, edges=tuple(edges), C=palette,
                             edge_colors=tuple(colors))
-    if coloring == "unique":
-        vcolors, palette = list(range(n)), max(n, 1)
-    elif coloring == "uniform":
-        vcolors, palette = [rng.randrange(C) for _ in range(n)], C
-    elif coloring == "blocks":
-        vcolors, palette = [min(v * C // max(n, 1), C - 1) for v in range(n)], C
-    else:
-        raise GraphError(f"unknown coloring mode {coloring!r}")
+    vcolors, palette = _colors(n, C, coloring, rng)
     return ColoredGraph(n=n, mode=VERTEX, edges=tuple(edges), C=palette,
                         vertex_colors=tuple(vcolors))
 

@@ -47,8 +47,6 @@ class SingleSourceScheme(Protocol):
     time, to fill its grid masks, and never at query time.
     """
 
-    error_rate: float
-
     def build(self, g: ColoredGraph, source: int) -> "SingleSourceLabels": ...
 
     def fault_key(self, fault_labels: Sequence) -> Hashable: ...
@@ -81,8 +79,6 @@ class ExactSingleSource:
     Isolates the reduction's own randomness in tests; every inner answer is
     exact, so the reduction's one-sided guarantee is assertable.
     """
-
-    error_rate = 0.0
 
     def __init__(self, f: int, fault_palette: int):
         self.f = f

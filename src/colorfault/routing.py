@@ -244,7 +244,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     gv = as_view(g)
     ruling = build_ruling_set(gv)
     anchors = ruling.anchors()
-    parent, parent_edge, _depth, anchor_of = anchor_paths(gv, anchors)
+    parent, parent_edge, anchor_of = anchor_paths(gv, ruling)
     connectivity = label_single_fault(g, ruling)
 
     # T: the anchor-path forest (every P(v) a T-path) joined by min-id edges

@@ -39,82 +39,81 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class RulingSet:
-    """A0 (component minima), the chosen sequence A, and the halting index k."""
+    """A0 (component minima), the chosen sequence A, and the halting index k.
+
+    ``depth`` is each vertex's distance to A0 u A (-1 if removed).
+    """
 
     A0: tuple[int, ...]
     A: tuple[int, ...]
     k: int
+    depth: tuple[int, ...] = field(compare=False, repr=False)
 
     def anchors(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.A0) | set(self.A)))
 
 
-def _multi_source_depth(gv: GraphView, sources: list[int]) -> list[int]:
-    depth = [-1] * gv.n
-    queue: list[int] = []
-    for s in sources:
-        if depth[s] < 0:
-            depth[s] = 0
-            queue.append(s)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for w, _eid in gv.adjacency(x):
-            if depth[w] < 0:
-                depth[w] = depth[x] + 1
-                queue.append(w)
-    return depth
-
-
 def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
-    """Distance-i selection loop with minimum-id tie-breaks."""
+    """Distance-i selection loop with minimum-id tie-breaks.
+
+    One BFS from A0 seeds the distances; each new anchor then lowers them in
+    place with a BFS that enters only the vertices whose distance drops.
+    """
     gv = as_view(g)
     comp = components(gv)
     A0 = sorted({c for c in comp if c is not None})
+    depth = [-1] * gv.n
+    for s in A0:
+        depth[s] = 0
     A: list[int] = []
+    queue = list(A0)
     i = 1
     while True:
-        depth = _multi_source_depth(gv, A0 + A)
-        candidate = next((v for v in range(gv.n) if depth[v] == i), None)
-        if candidate is None:
-            return RulingSet(tuple(A0), tuple(A), i)
-        A.append(candidate)
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            dx = depth[x] + 1
+            for w, _eid in gv.adjacency(x):
+                if depth[w] < 0 or depth[w] > dx:
+                    depth[w] = dx
+                    queue.append(w)
+        try:
+            a = depth.index(i)
+        except ValueError:
+            return RulingSet(tuple(A0), tuple(A), i, tuple(depth))
+        A.append(a)
+        depth[a] = 0
+        queue = [a]
         i += 1
 
 
 def anchor_paths(
-    gv: GraphView, sources: tuple[int, ...]
-) -> tuple[list[int | None], list[int | None], list[int], list[int | None]]:
-    """Level-synchronized multi-source BFS from ``sources``.
+    gv: GraphView, ruling: RulingSet
+) -> tuple[list[int | None], list[int | None], list[int | None]]:
+    """Shortest paths to A0 u A read off ``ruling.depth``.
 
-    Returns (parent, parent_edge, depth, anchor).  Levels are processed in
-    increasing vertex id, so parent(w) is the minimum-id previous-level
-    neighbor of w (first edge id among parallels).  Parent chains are therefore
-    consistent: if u lies on the chain of v, u's chain is a suffix of v's, and
-    the union of all chains is a forest.
+    Returns (parent, parent_edge, anchor).  parent(w) is the minimum-id
+    neighbor one level closer (first edge id among parallels), as a
+    level-synchronized BFS scanning each level in increasing id would choose.
+    Parent chains are therefore consistent: if u lies on the chain of v, u's
+    chain is a suffix of v's, and the union of all chains is a forest.
     """
+    depth = ruling.depth
     n = gv.n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
-    depth = [-1] * n
     anchor: list[int | None] = [None] * n
-    level = sorted(set(sources))
-    for s in level:
-        depth[s] = 0
-        anchor[s] = s
-    while level:
-        nxt: list[int] = []
-        for x in level:
-            for w, eid in gv.adjacency(x):
-                if depth[w] < 0:
-                    depth[w] = depth[x] + 1
-                    parent[w] = x
-                    parent_edge[w] = eid
-                    anchor[w] = anchor[x]
-                    nxt.append(w)
-        level = sorted(set(nxt))
-    return parent, parent_edge, depth, anchor
+    for w in sorted(range(n), key=depth.__getitem__):
+        d = depth[w]
+        if d == 0:
+            anchor[w] = w
+        elif d > 0:
+            x, eid = next((x, eid) for x, eid in gv.adjacency(w) if depth[x] == d - 1)
+            parent[w] = x
+            parent_edge[w] = eid
+            anchor[w] = anchor[x]
+    return parent, parent_edge, anchor
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,7 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
     gv = as_view(g)
     if ruling is None:
         ruling = build_ruling_set(gv)
-    anchors = ruling.anchors()
-    parent, parent_edge, depth, anchor_of = anchor_paths(gv, anchors)
+    parent, parent_edge, anchor_of = anchor_paths(gv, ruling)
     colors_on_path = path_colors(g, parent, parent_edge)
 
     wanted: dict[frozenset[int], set[int]] = {frozenset((c,)): set(ruling.A) for c in range(g.C)}

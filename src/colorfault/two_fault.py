@@ -69,10 +69,7 @@ def greedy_hitting_set(sets: Sequence[Collection[int]], n: int) -> tuple[int, ..
 
 @dataclass(frozen=True)
 class TruncatedTree:
-    origin: int
-    excluded_color: int
     vertices: tuple[int, ...]
-    parent: dict[int, int]
     colors: frozenset[int]  # colors present in the tree
     full: bool
 
@@ -102,10 +99,9 @@ class TwoFaultColorLabel:
     bits: int = field(default=0, compare=False)
 
 
-def truncated_bfs(gv: GraphView, origin: int, cap: int, excluded_color: int) -> TruncatedTree:
+def truncated_bfs(gv: GraphView, origin: int, cap: int) -> TruncatedTree:
     """BFS from origin halting once ``cap`` vertices are reached."""
     order = [origin]
-    parent: dict[int, int] = {}
     tree_edges: list[int] = []
     seen = {origin}
     head = 0
@@ -115,7 +111,6 @@ def truncated_bfs(gv: GraphView, origin: int, cap: int, excluded_color: int) -> 
         for w, eid in gv.adjacency(x):
             if w not in seen:
                 seen.add(w)
-                parent[w] = x
                 tree_edges.append(eid)
                 order.append(w)
                 if len(order) >= cap:
@@ -125,14 +120,7 @@ def truncated_bfs(gv: GraphView, origin: int, cap: int, excluded_color: int) -> 
         colors = {g.edge_color(eid) for eid in tree_edges}
     else:
         colors = {g.vertex_color(w) for w in order}
-    return TruncatedTree(
-        origin=origin,
-        excluded_color=excluded_color,
-        vertices=tuple(order),
-        parent=parent,
-        colors=frozenset(colors),
-        full=len(order) >= cap,
-    )
+    return TruncatedTree(tuple(order), frozenset(colors), len(order) >= cap)
 
 
 def label_two_fault(g: ColoredGraph) -> LabelSet:
@@ -155,7 +143,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
     for v in range(g.n):
         for c in sorted(colors_on_path[v]):
-            t = truncated_bfs(remove_colors(g, {c}), v, cap, c)
+            t = truncated_bfs(remove_colors(g, {c}), v, cap)
             truncated[(v, c)] = t
             if t.full:
                 full_family.append(((v, c), t))

@@ -143,6 +143,12 @@ def test_bench_reports_slope(capsys):
     assert "slope_words=" in out and "n64.max_bits=" in out
 
 
+def test_bench_multi_on_dense_random(capsys):
+    assert main(["bench", "--scheme", "multi", "--generator", "random", "--coloring", "uniform",
+                 "--density", "4", "--f", "2", "--sizes", "16,32", "--seed", "0"]) == 0
+    assert "slope_bits=" in capsys.readouterr().out
+
+
 def test_route_trace_format(tmp_path, capsys):
     g = gen_random(10, 18, 3, seed=8, connected=True)
     gpath = write_graph(tmp_path, g)

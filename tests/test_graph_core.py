@@ -343,6 +343,13 @@ def test_self_loops_do_not_affect_connectivity():
     assert spanning_forest(g) == (1,)
 
 
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+@pytest.mark.parametrize("coloring", ["uniform", "blocks"])
+def test_generators_reject_empty_palette(coloring, mode):
+    with pytest.raises(GraphError, match="palette size must be positive"):
+        gen_path(5, coloring=coloring, C=0, mode=mode)
+
+
 def test_construction_validation():
     with pytest.raises(GraphError):
         ColoredGraph(n=2, mode="edge", edges=((0, 5),), C=1, edge_colors=(0,))

@@ -27,15 +27,6 @@ def _run_script(name, *args):
     return run.stdout.splitlines()
 
 
-def test_bench_label_sizes_script_reports_slopes():
-    lines = _run_script("bench_label_sizes.py", "--path-sizes", "16,32,64",
-                        "--dense-sizes", "16,32")
-    slopes = [line for line in lines if line.startswith("slope_bits=")]
-    assert len(slopes) == 2  # one-fault paths, two-fault dense colorings
-    for line in slopes:
-        float(line.split("=")[1])
-
-
 def test_sketch_success_report_script_reports_rates():
     lines = _run_script("sketch_success_report.py", "--sizes", "16,32", "--queries", "20")
     header = lines.index("n success_rate target(1-1/n) query_p50_us brute_force_p50_us")

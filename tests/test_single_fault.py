@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfault.bits import width_for
-from colorfault.graph import RemovedVertexError, edge_graph, vertex_graph
+from colorfault.graph import RemovedVertexError, components, edge_graph, vertex_graph
 from colorfault.generators import gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.oracle import brute_force_partition
 from colorfault.single_fault import (
     SizeLimitError,
+    anchor_paths,
     ball_packing_exact,
     ball_packing_greedy,
     build_ruling_set,
@@ -65,6 +67,112 @@ def test_ruling_set_invariants_random():
                 default=math.inf,
             )
             assert dist < rs.k
+
+
+def reference_ruling_and_paths(gv):
+    """The ruling set and anchor forest by a fresh BFS per round.
+
+    Round i runs a multi-source BFS from A0 u {a_1..a_{i-1}} and picks the
+    minimum-id vertex at distance exactly i; a level-synchronized BFS from
+    every anchor, each level scanned in increasing id, then gives
+    (depth, parent, parent_edge, anchor).
+    """
+    n = gv.n
+    A0 = sorted({c for c in components(gv) if c is not None})
+    A = []
+    i = 1
+    while True:
+        depth = [-1] * n
+        queue = sorted(set(A0 + A))
+        for s in queue:
+            depth[s] = 0
+        for x in queue:
+            for w, _eid in gv.adjacency(x):
+                if depth[w] < 0:
+                    depth[w] = depth[x] + 1
+                    queue.append(w)
+        candidate = next((v for v in range(n) if depth[v] == i), None)
+        if candidate is None:
+            break
+        A.append(candidate)
+        i += 1
+    parent = [None] * n
+    parent_edge = [None] * n
+    anchor = [None] * n
+    level = sorted(set(A0 + A))
+    for s in level:
+        anchor[s] = s
+    while level:
+        nxt = []
+        for x in level:
+            for w, eid in gv.adjacency(x):
+                if anchor[w] is None:
+                    parent[w] = x
+                    parent_edge[w] = eid
+                    anchor[w] = anchor[x]
+                    nxt.append(w)
+        level = sorted(set(nxt))
+    return (tuple(A0), tuple(A), i), depth, (parent, parent_edge, anchor)
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(0, 45),
+    st.integers(1, 5),
+    st.integers(0, 2**30),
+    st.sampled_from(["edge", "vertex"]),
+    st.booleans(),
+    st.sets(st.integers(0, 4), max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_ruling_set_and_anchor_paths_match_reference(n, m, C, seed, mode, simple, faults):
+    m = min(m, n * (n - 1) // 2) if simple else m
+    g = gen_random(n, m, C, seed=seed, mode=mode, simple=simple)
+    gv = g.view({c for c in faults if c < C})
+    (A0, A, k), depth, paths = reference_ruling_and_paths(gv)
+    rs = build_ruling_set(gv)
+    assert (rs.A0, rs.A, rs.k) == (A0, A, k)
+    assert list(rs.depth) == depth
+    assert anchor_paths(gv, rs) == paths
+    for v in range(n):
+        if not gv.vertex_present(v):
+            assert rs.depth[v] == -1 and paths[2][v] is None
+
+
+# Recorded before the ruling set and the anchor forest shared one distance
+# array: sha256 of (A0, A, k) and of every vertex and color label.
+PINNED_LABELS = {
+    "random-edge": (4, "dfa7fe51bf749c4e6e996a1b581ef6e52bee5a40a6cf19309490ae67276c796b"),
+    "random-vertex": (4, "4dedac14d7150a25b49d8350c8b8c583520146b6fa5c42d522ae1136ce3ba65a"),
+    "multigraph": (3, "ca247088146ab647eca8939cdaa062f0a08e883d312025a7c55b61064da4fb4b"),
+}
+PINNED_LABEL_GRAPHS = {
+    "random-edge": lambda: gen_random(40, 70, 8, seed=9),
+    "random-vertex": lambda: gen_random(40, 70, 8, seed=9, mode="vertex"),
+    # components with parallel edges and self-loops, and an isolated vertex 8
+    "multigraph": lambda: edge_graph(14, [
+        (0, 1, 0), (0, 1, 1), (1, 2, 2), (2, 2, 0), (2, 3, 1), (3, 4, 2), (4, 5, 0),
+        (5, 6, 1), (6, 7, 2), (3, 7, 0), (7, 7, 1), (9, 10, 1), (10, 11, 0),
+        (10, 11, 2), (11, 12, 1), (12, 13, 0), (9, 13, 2),
+    ], C=3),
+}
+
+
+def pinned_label_outputs(g):
+    ls = label_single_fault(g)
+    h = hashlib.sha256()
+    h.update(repr((ls.meta["A0"], ls.meta["A"], ls.meta["k"])).encode())
+    for lbl in ls.vertex_labels:
+        h.update(repr((lbl.vertex, lbl.anchor, sorted(lbl.cid_by_color.items()),
+                       lbl.own_color, lbl.bits)).encode())
+    for lbl in ls.color_labels:
+        h.update(repr((lbl.color, sorted(lbl.cid_by_anchor.items()), lbl.bits)).encode())
+    return ls.meta["k"], h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LABELS))
+def test_outputs_pinned(name):
+    assert pinned_label_outputs(PINNED_LABEL_GRAPHS[name]()) == PINNED_LABELS[name]
 
 
 # -- labels ------------------------------------------------------------------

@@ -62,9 +62,9 @@ def test_greedy_size_bound():
 def test_truncated_tree_small_spans_component():
     g = gen_path(6, coloring="uniform", C=2, seed=0)
     view = g.view({1})
-    t = truncated_bfs(view, 0, cap=3, excluded_color=1)
+    t = truncated_bfs(view, 0, cap=3)
     assert len(t.vertices) <= 3
-    big = truncated_bfs(view, 0, cap=100, excluded_color=1)
+    big = truncated_bfs(view, 0, cap=100)
     from colorfault.graph import components
 
     comp = components(view)
@@ -74,7 +74,7 @@ def test_truncated_tree_small_spans_component():
 
 def test_truncated_tree_cap_exact():
     g = gen_random(25, 60, 4, seed=2, connected=True)
-    t = truncated_bfs(g.view({0}), 3, cap=5, excluded_color=0)
+    t = truncated_bfs(g.view({0}), 3, cap=5)
     assert t.full and len(t.vertices) == 5
 
 
