@@ -31,7 +31,6 @@ from .graph import (
     UnionFind,
     as_view,
     orient_forest,
-    path_colors,
     preorder,
     spanning_forest,
 )
@@ -244,7 +243,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     gv = as_view(g)
     ruling = build_ruling_set(gv)
     anchors = ruling.anchors()
-    parent, parent_edge, anchor_of = anchor_paths(gv, ruling)
+    _, parent_edge, anchor_of = anchor_paths(gv, ruling)
     connectivity = label_single_fault(g, ruling)
 
     # T: the anchor-path forest (every P(v) a T-path) joined by min-id edges
@@ -267,7 +266,8 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
         g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
-        path_colors(g, parent, parent_edge), structures,
+        [lbl.cid_by_color for lbl in connectivity.vertex_labels],  # keyed by the colors on P(v)
+        structures,
     )
     return RoutingScheme(
         graph=g,

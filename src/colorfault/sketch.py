@@ -22,14 +22,18 @@ numbers.  The labels are:
 
 A query reads only the labels of u, v and the faulty edges.  The k faulty tree
 edges cut u's tree into at most k+1 parts, each a pre-order interval minus the
-intervals cut below it.  A part's sketch is its top's subtree sketch XOR those
-of the cut tops directly below it; the part holding the root is the XOR of its
-cut children alone, because a whole tree's sketch is zero.  The query XORs the
-faulty edges' contributions out of the parts holding their endpoints, then
-merges parts Borůvka style; a decoded cut edge places its endpoints in parts by
-a bisect over the cut intervals.  Merging only ever follows checksum-verified
-non-faulty edges, so a "connected" answer comes with a witness; errors are
-one-sided toward "disconnected" and vanish quickly with t.
+intervals cut below it; a bisect over the cut intervals finds a vertex's part.
+When u and v share a part, T joins them and the query returns at once.
+Otherwise a part's sketch is its top's subtree sketch XOR those of the cut tops
+directly below it (the part holding the root is the XOR of its cut children
+alone, because a whole tree's sketch is zero), XOR the contribution of each
+faulty edge with one endpoint in it.  A part holds those rows as a set of keys
+and folds them one repetition at a time, only when a decode reads that
+repetition; a decode usually stops within the first one or two of the t.
+Parts merge Borůvka style, a merge taking the symmetric difference of the key
+sets, and decoding stops as soon as u's and v's parts meet.  Merging only ever
+follows checksum-verified non-faulty edges, so a "connected" answer comes with
+a witness; errors are one-sided toward "disconnected" and vanish quickly with t.
 
 The many-fault schemes of :mod:`colorfault.multi_fault` run these labels on
 their certificate.  The recursive scheme queries from labels alone; the
@@ -46,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bits import id_width, width_for
 from .graph import (
@@ -291,25 +295,34 @@ class TreeParts:
     """The parts of one tree of T once some of its tree edges are cut.
 
     Part 0 holds the root; part i > 0 is the subtree of the i-th cut top (by
-    pre-order) minus the subtrees cut below it.  ``sketches[i]`` is part i's
-    sketch: its top's subtree sketch XOR those of the cut tops directly below
-    it; the root part has no top sketch, since its whole tree's is zero.
+    pre-order) minus the subtrees cut below it.  Part i is a set of row keys,
+    ``keys[i]``, and its sketch is the XOR of the t-lists ``rows[k]`` for k in
+    it.  Row i > 0 is the i-th cut top's subtree sketch, held by part i and by
+    the part directly above it (the root part has no top row, since its whole
+    tree's sketch is zero); :meth:`cross` adds a row per faulty edge with its
+    endpoints in two parts.  Merging two parts takes the symmetric difference
+    of their key sets, so a shared cut top or crossing edge cancels exactly as
+    in the XOR.  Nothing is folded until :meth:`folds` is read.
     """
 
     def __init__(self, tree: tuple[int, int], cuts: Iterable[EdgeSketchLabel], repetitions: int):
         cuts = sorted(cuts, key=lambda lbl: lbl.lower)
+        self.repetitions = repetitions
         self.starts = starts = [tree[0]] + [lbl.lower[0] for lbl in cuts]
         self.ends = ends = [tree[1]] + [p + s for p, s in (lbl.lower for lbl in cuts)]
         self.up = up = [0] * len(starts)  # the part enclosing each cut top
-        self.sketches = sketches = [[0] * repetitions]
+        # row i > 0: the i-th cut top's subtree sketch; no part holds row 0
+        self.rows: list[Sequence[int]] = [()] + [lbl.subtree for lbl in cuts]
+        self.keys: list[set[int]] = [set()]
+        keys = self.keys
         stack = [0]
-        for i, lbl in enumerate(cuts, 1):
+        for i in range(1, len(starts)):
             while ends[stack[-1]] <= starts[i]:
                 stack.pop()
             up[i] = stack[-1]
             stack.append(i)
-            sketches.append(list(lbl.subtree))
-            sketches[up[i]] = list(map(xor, sketches[up[i]], lbl.subtree))
+            keys.append({i})
+            keys[up[i]].add(i)
 
     def part_of(self, p: int) -> int:
         """The part holding pre-order number ``p`` of this tree."""
@@ -319,13 +332,37 @@ class TreeParts:
             i = up[i]
         return i
 
+    def cross(self, contrib: Sequence[int], pa: int, pb: int) -> None:
+        """Add an edge's sketch contribution to parts ``pa`` and ``pb``."""
+        key = len(self.rows)
+        self.rows.append(contrib)
+        self.keys[pa].add(key)
+        self.keys[pb].add(key)
+
+    def folds(self, part: int) -> Iterator[int]:
+        """Part ``part``'s sketch, one repetition at a time, each folded when read."""
+        rows = [self.rows[k] for k in self.keys[part]]
+        for r in range(self.repetitions):
+            acc = 0
+            for row in rows:
+                acc ^= row[r]
+            yield acc
+
+    def sketch(self, part: int) -> list[int]:
+        """Part ``part``'s full sketch, all t repetitions."""
+        return list(self.folds(part))
+
 
 def decode_cut_edge(
     params: SketchParams,
-    folded: Sequence[int],
+    folded: Iterable[int],
     reject: frozenset[int],
 ) -> tuple[int, int, int] | None:
-    """First checksum-verified edge in any cell, ids in ``reject`` skipped."""
+    """First checksum-verified edge in any cell, ids in ``reject`` skipped.
+
+    ``folded`` gives one packed repetition at a time; the search stops reading
+    it at the first hit.
+    """
     w = params.cell_bits
     mask = (1 << w) - 1
     for rep_value in folded:
@@ -354,10 +391,17 @@ def query_edge_fault(
     ``params`` are read, and everything else comes from ``lu``, ``lv`` and
     the faulty edges' labels.  Vertices in different trees of T are
     disconnected.  Otherwise the faulty tree edges in their tree split it into
-    parts (:class:`TreeParts`), and Borůvka merges parts: in each round every
-    part decodes one cut edge from its sketch (faulty ids rejected), then all
-    decoded merges are applied, returning as soon as the two vertices' parts
-    meet.  A round that merges nothing ends the query toward "disconnected".
+    parts (:class:`TreeParts`); when u and v fall in one part the answer is
+    True with an empty witness, and no sketch row is read.  Else each faulty
+    edge joining two parts adds its contribution row to both, and Borůvka
+    merges parts in rounds.  In part order, each part of the round decodes one
+    cut edge from its sketch as the round began (faulty ids rejected),
+    folding each repetition only when the decode reaches it, and a decoded
+    edge between two parts not yet merged is merged at once; the query
+    returns as soon as the two vertices' parts meet, leaving the rest of the
+    round undecoded.  This applies the merges, and builds the witness, that
+    decoding the whole round first would.  A round that merges nothing ends
+    the query toward "disconnected".
 
     A part is joined inside by T's non-faulty edges, so a True answer is
     certified by the witness (edge id, pre-order endpoints) of merge edges
@@ -386,42 +430,42 @@ def query_edge_fault(
         (fl for fl in faults.values() if fl.lower is not None and lo <= fl.lower[0] < hi),
         params.repetitions,
     )
-    part_of, sketches = parts.part_of, parts.sketches
+    part_of = parts.part_of
+    pu, pv = part_of(lu.pre), part_of(lv.pre)
+    if pu == pv:
+        return (True, witness) if want_witness else True
     for fl in faults.values():
         a, b = fl.endpoints
         if lo <= a < hi:
             pa, pb = part_of(a), part_of(b)
             if pa != pb:
-                sketches[pa] = list(map(xor, sketches[pa], fl.contrib))
-                sketches[pb] = list(map(xor, sketches[pb], fl.contrib))
+                parts.cross(fl.contrib, pa, pb)
 
-    pu, pv = part_of(lu.pre), part_of(lv.pre)
-    uf = UnionFind(len(sketches))
+    keys = parts.keys
+    uf = UnionFind(len(keys))
     find, parent = uf.find, uf.parent
     reject = frozenset(faults)
-    roots = range(len(sketches))
-    while find(pu) != find(pv):
-        merges: list[tuple[int, int, int, int, int]] = []
+    roots = range(len(keys))
+    while True:
+        grown: dict[int, set[int]] = {}  # this round's merged key sets, decoded from the next
         for root in roots:
-            hit = decode_cut_edge(params, sketches[root], reject)
+            hit = decode_cut_edge(params, parts.folds(root), reject)
             if hit is None:
                 continue
             a, b, eid = hit
-            if lo <= a < hi and lo <= b < hi:  # a checksum false positive may name any pair
-                pa, pb = part_of(a), part_of(b)
-                if find(pa) != find(pb):
-                    merges.append((eid, a, b, pa, pb))
-        if not merges:
-            return (False, []) if want_witness else False
-        for eid, a, b, pa, pb in merges:
-            ra, rb = find(pa), find(pb)
+            if not (lo <= a < hi and lo <= b < hi):  # a checksum false positive may name any pair
+                continue
+            ra, rb = find(part_of(a)), find(part_of(b))
             if ra == rb:
                 continue
             witness.append((eid, a, b))
-            merged = list(map(xor, sketches[ra], sketches[rb]))
+            merged = grown.get(ra, keys[ra]) ^ grown.get(rb, keys[rb])
             uf.union(ra, rb)
-            sketches[find(ra)] = merged
+            grown[find(ra)] = merged
             if find(pu) == find(pv):
-                break
+                return (True, witness) if want_witness else True
+        if not grown:
+            return (False, []) if want_witness else False
+        for root, merged in grown.items():
+            keys[root] = merged
         roots = [root for root in roots if parent[root] == root]
-    return (True, witness) if want_witness else True

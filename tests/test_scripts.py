@@ -29,12 +29,13 @@ def _run_script(name, *args):
 
 def test_sketch_success_report_script_reports_rates():
     lines = _run_script("sketch_success_report.py", "--sizes", "16,32", "--queries", "20")
-    header = lines.index("n success_rate target(1-1/n) query_p50_us brute_force_p50_us")
+    header = lines.index(
+        "n success_rate target(1-1/n) query_p50_us brute_force_p50_us query_m/4_p50_us")
     rows = [line.split() for line in lines[header + 1:] if line.strip()]
     assert [row[0] for row in rows] == ["16", "32"]
-    for _n, rate, _target, query_us, brute_us in rows:
+    for _n, rate, _target, query_us, brute_us, many_us in rows:
         assert 0.0 <= float(rate) <= 1.0
-        assert float(query_us) > 0 and float(brute_us) > 0
+        assert float(query_us) > 0 and float(brute_us) > 0 and float(many_us) > 0
 
 
 def test_fingerprint_script_is_stable():

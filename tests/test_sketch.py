@@ -5,6 +5,7 @@ from operator import xor
 
 import pytest
 
+from colorfault import multi_fault
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import UnionFind, edge_graph
 from colorfault.oracle import brute_force_partition
@@ -76,10 +77,10 @@ def test_level0_xor_of_all_vertices_is_zero():
     for tree in {lbl.tree for lbl in labels.vertex_labels}:
         cuts = [e for e in tree_edges(labels) if tree[0] <= e.lower[0] < tree[1]]
         parts = TreeParts(tree, cuts, labels.params.repetitions)
-        assert len(parts.sketches) == tree[1] - tree[0]
+        assert len(parts.keys) == tree[1] - tree[0]
         total = [0] * labels.params.repetitions
-        for sketch in parts.sketches:
-            total = list(map(xor, total, sketch))
+        for i in range(len(parts.keys)):
+            total = list(map(xor, total, parts.sketch(i)))
         assert all(x == 0 for x in total)
 
 
@@ -124,13 +125,13 @@ def test_part_sketches_fold_their_members():
             for tree in {lbl.tree for lbl in labels.vertex_labels}:
                 parts = TreeParts(tree, [e for e in cut if tree[0] <= e.lower[0] < tree[1]],
                                   labels.params.repetitions)
-                members = [set() for _ in parts.sketches]
+                members = [set() for _ in parts.keys]
                 for x, lbl in enumerate(labels.vertex_labels):
                     if lbl.tree == tree:
                         members[parts.part_of(lbl.pre)].add(x)
                 for part, S in enumerate(members):
                     assert len({rest.find(x) for x in S}) == 1
-                    assert parts.sketches[part] == cut_sketch(labels, g, S)
+                    assert parts.sketch(part) == cut_sketch(labels, g, S)
                 assert len({rest.find(x) for S in members for x in S}) == len(members)
 
 
@@ -283,6 +284,143 @@ def test_query_reads_only_the_given_labels():
         lu, lv = (labels.vertex_labels[x] for x in rng.sample(range(g.n), 2))
         assert query_edge_fault(bare, lu, lv, faults, want_witness=True) == query_edge_fault(
             labels, lu, lv, faults, want_witness=True)
+
+
+def eager_query_edge_fault(labels, lu, lv, faulty, want_witness=False):
+    """The query with every part's full sketch folded before the first decode.
+
+    The reference for the lazy parts of ``query_edge_fault``: each part's
+    t-list is its top's subtree sketch XOR its cut children's, every crossing
+    faulty edge's ``contrib`` is XORed into both its parts, and each Borůvka
+    round decodes every part before it applies any merge.
+    """
+    params = labels.params
+    faults = {fl.eid: fl for fl in faulty}
+    if lu.tree != lv.tree:
+        return (False, []) if want_witness else False
+    lo, hi = lu.tree
+    cuts = sorted((fl for fl in faults.values() if fl.lower is not None and lo <= fl.lower[0] < hi),
+                  key=lambda lbl: lbl.lower)
+    parts = TreeParts(lu.tree, cuts, params.repetitions)  # the part structure only
+    part_of = parts.part_of
+    sketches = [[0] * params.repetitions] + [list(lbl.subtree) for lbl in cuts]
+    for i, lbl in enumerate(cuts, 1):
+        sketches[parts.up[i]] = list(map(xor, sketches[parts.up[i]], lbl.subtree))
+    for fl in faults.values():
+        a, b = fl.endpoints
+        if lo <= a < hi:
+            pa, pb = part_of(a), part_of(b)
+            if pa != pb:
+                sketches[pa] = list(map(xor, sketches[pa], fl.contrib))
+                sketches[pb] = list(map(xor, sketches[pb], fl.contrib))
+    pu, pv = part_of(lu.pre), part_of(lv.pre)
+    uf = UnionFind(len(sketches))
+    witness = []
+    roots = range(len(sketches))
+    while uf.find(pu) != uf.find(pv):
+        merges = []
+        for root in roots:
+            hit = decode_cut_edge(params, sketches[root], frozenset(faults))
+            if hit is None:
+                continue
+            a, b, eid = hit
+            if lo <= a < hi and lo <= b < hi:
+                pa, pb = part_of(a), part_of(b)
+                if uf.find(pa) != uf.find(pb):
+                    merges.append((eid, a, b, pa, pb))
+        if not merges:
+            return (False, []) if want_witness else False
+        for eid, a, b, pa, pb in merges:
+            ra, rb = uf.find(pa), uf.find(pb)
+            if ra == rb:
+                continue
+            witness.append((eid, a, b))
+            merged = list(map(xor, sketches[ra], sketches[rb]))
+            uf.union(ra, rb)
+            sketches[uf.find(ra)] = merged
+            if uf.find(pu) == uf.find(pv):
+                break
+        roots = [root for root in roots if uf.find(root) == root]
+    return (True, witness) if want_witness else True
+
+
+@pytest.mark.parametrize("repetitions", [2, 24])
+def test_lazy_parts_match_the_eager_fold(repetitions):
+    # two repetitions leave many parts undecodable, so "disconnected" answers are exercised too
+    rng = random.Random(31)
+    answers = set()
+    for trial in range(12):
+        g = gen_random(24, 48, 3, seed=300 + trial)
+        labels = build_edge_fault_labels(g, seed=trial, repetitions=repetitions)
+        tedges = [lbl.eid for lbl in tree_edges(labels)]
+        for _ in range(40):
+            faults = set(rng.sample(range(g.m), rng.randrange(0, g.m // 2 + 1)))
+            faults |= set(rng.sample(tedges, rng.randrange(0, 4)))
+            fault_labels = [labels.edge_labels[e] for e in faults]
+            lu, lv = (labels.vertex_labels[x] for x in rng.sample(range(g.n), 2))
+            got = query_edge_fault(labels, lu, lv, fault_labels, want_witness=True)
+            assert got == eager_query_edge_fault(labels, lu, lv, fault_labels, want_witness=True)
+            answers.add(got[0])
+    assert answers == {True, False}
+
+
+def test_large_f_matches_the_eager_fold(monkeypatch):
+    # 3-color faults on a Zipf(1.3) palette, every sketch query also asked of the reference
+    calls = []
+
+    def both(labels, lu, lv, faulty, want_witness=False):
+        faulty = list(faulty)
+        got = query_edge_fault(labels, lu, lv, faulty, want_witness=True)
+        assert got == eager_query_edge_fault(labels, lu, lv, faulty, want_witness=True)
+        calls.append(got[0])
+        return got[0]
+
+    monkeypatch.setattr(multi_fault, "query_edge_fault", both)
+    rng = random.Random(37)
+    C = 12
+    weights = [(k + 1) ** -1.3 for k in range(C)]
+    for trial in range(4):
+        base = gen_random(40, 100, 1, seed=400 + trial, connected=True)
+        colors = rng.choices(range(C), weights, k=base.m)
+        g = edge_graph(base.n, [(a, b, c) for (a, b), c in zip(base.edges, colors)], C)
+        ls = multi_fault.label_large_f(g, seed=trial)
+        for _ in range(50):
+            u, v = rng.sample(range(g.n), 2)
+            multi_fault.query_large_f_ids(ls, u, v, rng.sample(range(C), 3))
+    assert len(calls) == 200 and set(calls) == {True, False}
+
+
+class Unread(tuple):
+    """A sketch row that fails the test when anything reads it."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a sketch row was read")
+
+    def __iter__(self):
+        raise AssertionError("a sketch row was read")
+
+
+UNREAD = Unread()
+
+
+def test_same_part_returns_before_reading_any_row():
+    # every edge off u's T-path to v fails, so u and v share a part and the
+    # answer needs no sketch: fault labels whose rows raise on any read still
+    # answer (with rows of (), an eager fold would pass too, as map stops early)
+    g = gen_random(30, 60, 4, seed=47, connected=True)
+    labels = build_edge_fault_labels(g, seed=16)
+    lu, lv = labels.vertex_labels[0], labels.vertex_labels[1]
+
+    def on_path(lbl):  # a tree edge whose subtree holds exactly one of u and v
+        top, size = lbl.lower
+        return (top <= lu.pre < top + size) != (top <= lv.pre < top + size)
+
+    faults = [lbl for lbl in labels.edge_labels.values() if lbl.lower is None or not on_path(lbl)]
+    parts = TreeParts(lu.tree, [lbl for lbl in faults if lbl.lower is not None],
+                      labels.params.repetitions)
+    assert len(parts.keys) > 1 and parts.part_of(lu.pre) == parts.part_of(lv.pre)
+    bare = [dataclasses.replace(lbl, subtree=UNREAD, contrib=UNREAD) for lbl in faults]
+    assert query_edge_fault(labels, lu, lv, bare, want_witness=True) == (True, [])
 
 
 def pinned_edge_fault_answers(repetitions: int) -> tuple[int, str]:
