@@ -405,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("reduce", help="all-pairs labels from a single-source scheme")
+    p = sub.add_parser("reduce", help="all-pairs source-grid labels, checked against brute force")
     p.add_argument("graph")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--inner", choices=("exact",), default="exact")
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--summary", default=None)

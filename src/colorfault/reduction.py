@@ -1,16 +1,17 @@
-"""All-pairs fault-tolerant connectivity from any single-source scheme.
+"""All-pairs fault-tolerant connectivity from one fault-set sweep of G.
 
-A grid of independently augmented graphs G_ij is built: each adds one fresh
-source s_ij joined to every original vertex independently with probability
-2^-j, with the new elements never failing.  A vertex label stores the inner
-scheme's answers transposed: for each fault set, one grid mask whose bit i
-(cells row-major) is the vertex's source-connectivity answer in cell i.  A
-pair is declared connected exactly when its two masks for the fault set are
-equal, i.e. when no cell disagrees.  Connected pairs therefore can never be
-misreported (with an exact inner scheme); for a disconnected pair, the column
-whose rate matches the smaller component size separates the two vertices in
-any single row with constant probability, and the row count turns that into
-a high probability overall.
+The reduction's grid of cells G_ij each add to G a fresh, never-failing source
+joined to every vertex independently with probability 2^-j.  A vertex label
+holds, for each fault set F, one grid mask whose bit i (cells row-major) says
+whether the vertex reaches cell i's source in G_i - F.  Every such path enters
+the source through a joined vertex, so the bit is "v survives F and its
+component of G - F holds a surviving joined vertex of cell i": the build runs
+``cids_after_faults`` once on G and builds no augmented graph.  ``augment``
+and ``ExactSingleSource.build`` answer the cells one by one, as the tests'
+reference.  A pair is connected exactly when its two masks are equal, so
+connected pairs are never misreported; for a disconnected pair, the column
+whose rate matches the smaller component size separates the two in any row
+with constant probability, and the row count makes that a high probability.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .bits import width_for
 from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults
@@ -37,21 +38,11 @@ def grid_cols(n: int) -> int:
     return max(1, math.ceil(math.log2(max(n, 2)))) + 2
 
 
-# -- single-source scheme contract -------------------------------------------------
-
-
-class SingleSourceScheme(Protocol):
-    """A vertex label's ``answers[fault_key(fault_labels)]`` is its ``query`` answer.
-
-    The reduction reads each inner vertex label's ``answers`` once, at build
-    time, to fill its grid masks, and never at query time.
-    """
-
-    def build(self, g: ColoredGraph, source: int) -> "SingleSourceLabels": ...
-
-    def fault_key(self, fault_labels: Sequence) -> Hashable: ...
-
-    def query(self, vertex_label, fault_labels: Sequence) -> bool: ...
+def joined_vertices(n: int, row: int, col: int, seed: int) -> tuple[int, ...]:
+    """The vertices of 0..n-1 joined to cell (row, col)'s source, each with rate 2^-col."""
+    rng = random.Random(derive_seed(seed, row, col))
+    p = 2.0 ** (-col)
+    return tuple(v for v in range(n) if rng.random() < p)
 
 
 @dataclass(frozen=True)
@@ -74,22 +65,26 @@ class ExactColorLabel:
 
 
 class ExactSingleSource:
-    """Brute-force table scheme: one answer bit per fault set (small C, f only).
+    """Brute-force single-source table: one answer bit per fault set (small C, f only).
 
-    Isolates the reduction's own randomness in tests; every inner answer is
-    exact, so the reduction's one-sided guarantee is assertable.
+    Its fault sets and ``fault_key`` serve the reduction; ``build`` answers
+    one augmented cell, the tests' reference for the grid masks.
     """
 
     def __init__(self, f: int, fault_palette: int):
         self.f = f
         self.fault_palette = fault_palette  # colors eligible to fail: 0..C-1
 
-    def build(self, g: ColoredGraph, source: int) -> SingleSourceLabels:
-        subsets = [
+    def fault_sets(self) -> list[frozenset[int]]:
+        """Every fault set of at most f colors of the palette, smallest first."""
+        return [
             frozenset(F)
             for size in range(self.f + 1)
             for F in itertools.combinations(range(self.fault_palette), size)
         ]
+
+    def build(self, g: ColoredGraph, source: int) -> SingleSourceLabels:
+        subsets = self.fault_sets()
         cids = cids_after_faults(g, {F: range(g.n) for F in subsets})
         vertex_labels = []
         for v in range(g.n):
@@ -113,9 +108,6 @@ class ExactSingleSource:
         return vertex_label.answers[self.fault_key(fault_labels)]
 
 
-# -- augmented grid -----------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class AugmentedCell:
     row: int
@@ -127,10 +119,8 @@ class AugmentedCell:
 
 def augment(g: ColoredGraph, row: int, col: int, seed: int) -> AugmentedCell:
     """G plus a never-failing source joined to each vertex with rate 2^-col."""
-    rng = random.Random(derive_seed(seed, row, col))
-    p = 2.0 ** (-col)
     source = g.n
-    joined = tuple(v for v in range(g.n) if rng.random() < p)
+    joined = joined_vertices(g.n, row, col, seed)
     edges = list(g.edges) + [(source, v) for v in joined]
     if g.mode == EDGE:
         colors = list(g.edge_colors or ()) + [g.C] * len(joined)
@@ -150,7 +140,7 @@ def augment(g: ColoredGraph, row: int, col: int, seed: int) -> AugmentedCell:
 @dataclass(frozen=True)
 class ReductionVertexLabel:
     vertex: int
-    rows: dict[Hashable, int]  # fault key -> grid mask: bit i is the answer in cell i
+    rows: dict[frozenset[int], int]  # fault set -> grid mask: bit i is the answer in cell i
     bits: int = field(default=0, compare=False)
     own_color: int | None = None  # vertex mode only: v's color, whose fault removes v
 
@@ -158,57 +148,62 @@ class ReductionVertexLabel:
 @dataclass(frozen=True)
 class ReductionColorLabel:
     color: int
-    cells: tuple
     bits: int = field(default=0, compare=False)
 
 
 def build_all_pairs(
     g: ColoredGraph,
     f: int,
-    inner: SingleSourceScheme,
+    inner: ExactSingleSource,
     alpha: float = 2.0,
     seed: int = 0,
 ) -> LabelSet:
+    """A G - F component reaches the cells its surviving vertices are joined to.
+
+    Bits are the per-cell tables': a vertex pays one answer bit per fault set
+    and cell, a color one id of the augmented palette per cell.
+    """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    if inner.f != f or inner.fault_palette != g.C:
+        raise ValueError(
+            f"inner scheme is for f={inner.f} over {inner.fault_palette} colors; "
+            f"the build needs f={f} over {g.C}"
+        )
     rows = grid_rows(g.n, alpha)
     cols = grid_cols(g.n)
-    masks: list[dict] = [{} for _ in range(g.n)]
-    vertex_bits = [0] * g.n
-    cell_colors = []
+    cells = rows * cols
+    joined = [0] * g.n  # bit i: the vertex is joined to cell i's source
     grid = itertools.product(range(1, rows + 1), range(1, cols + 1))
     for i, (row, col) in enumerate(grid):
-        cell = augment(g, row, col, seed)
-        labels = inner.build(cell.graph, cell.source)
-        bit = 1 << i
+        for v in joined_vertices(g.n, row, col, seed):
+            joined[v] |= 1 << i
+
+    subsets = inner.fault_sets()
+    cids = cids_after_faults(g, {F: range(g.n) for F in subsets})
+    masks: list[dict[frozenset[int], int]] = [{} for _ in range(g.n)]
+    for F in subsets:
+        cid = cids[F]
+        reach: dict[int, int] = {}  # component id -> cells whose source it reaches
         for v in range(g.n):
-            lbl = labels.vertex_labels[v]
-            mask = masks[v]
-            for key, answer in lbl.answers.items():
-                mask[key] = mask.get(key, 0) | (bit if answer else 0)
-            vertex_bits[v] += lbl.bits
-        cell_colors.append(labels.color_labels)
+            if cid[v] is not None:
+                reach[cid[v]] = reach.get(cid[v], 0) | joined[v]
+        for v in range(g.n):
+            masks[v][F] = 0 if cid[v] is None else reach[cid[v]]
 
     own = g.vertex_colors if g.mode == VERTEX else None
-    own_bits = width_for(g.C) if own is not None else 0
-    vertex_labels = tuple(
-        ReductionVertexLabel(v, masks[v], vertex_bits[v] + own_bits,
-                             None if own is None else own[v])
-        for v in range(g.n)
-    )
-    color_labels = []
-    for c in range(g.C):
-        parts = tuple(cl[c] for cl in cell_colors)
-        color_labels.append(
-            ReductionColorLabel(c, parts, sum(p.bits for p in parts))
-        )
+    vertex_bits = cells * len(subsets) + (width_for(g.C) if own is not None else 0)
+    color_bits = cells * width_for(max(g.C + 1, 2))
     return LabelSet(
         scheme=SCHEME,
         n=g.n,
         C=g.C,
         mode=g.mode,
-        vertex_labels=vertex_labels,
-        color_labels=tuple(color_labels),
+        vertex_labels=tuple(
+            ReductionVertexLabel(v, masks[v], vertex_bits, None if own is None else own[v])
+            for v in range(g.n)
+        ),
+        color_labels=tuple(ReductionColorLabel(c, color_bits) for c in range(g.C)),
         meta={"rows": rows, "cols": cols, "alpha": alpha, "seed": seed, "inner": inner},
     )
 
@@ -225,8 +220,7 @@ def query_all_pairs(
     budget check) is built once and selects one grid mask per vertex.
     """
     check_removed(lu, lw, [fl.color for fl in fault_labels])
-    inner: SingleSourceScheme = ls.meta["inner"]
-    key = inner.fault_key([fl.cells[0] for fl in fault_labels])
+    key = ls.meta["inner"].fault_key(fault_labels)
     return lu.rows[key] == lw.rows[key]
 
 

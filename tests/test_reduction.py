@@ -15,6 +15,7 @@ from colorfault.graph import (
     components,
     edge_graph,
     remove_colors,
+    vertex_graph,
 )
 from colorfault.oracle import brute_force_connected
 from colorfault.reduction import (
@@ -123,6 +124,8 @@ def assert_bits_sum_over_grid(mode: str) -> None:
         assert all(0 <= row < 1 << cells for row in lbl.rows.values())
         assert len(lbl.rows) == len(one_cell.vertex_labels[v].answers)
         assert lbl.bits == cells * one_cell.vertex_labels[v].bits + own_bits
+    for c, lbl in enumerate(ls.color_labels):
+        assert lbl.bits == cells * one_cell.color_labels[c].bits
 
 
 def test_label_bits_sum_over_grid():
@@ -133,13 +136,25 @@ def test_vertex_label_bits_add_own_color():
     assert_bits_sum_over_grid("vertex")
 
 
-@pytest.mark.parametrize("mode", ["edge", "vertex"])
-def test_rows_match_per_cell_answers(mode):
-    g = gen_random(10, 16, 3, seed=5, mode=mode)
-    f, seed = 2, 4
+@pytest.mark.parametrize("g, seed", [
+    pytest.param(gen_random(10, 16, 3, seed=5), 4, id="edge"),
+    pytest.param(gen_random(10, 16, 3, seed=5, mode="vertex"), 4, id="vertex"),
+    # three components, one of them an isolated vertex
+    pytest.param(edge_graph(9, [(0, 1, 0), (1, 2, 1), (2, 0, 2), (3, 4, 0), (4, 5, 1),
+                                (5, 6, 2), (6, 3, 3), (4, 6, 1)], C=4), 1,
+                 id="edge-disconnected"),
+    pytest.param(vertex_graph([0, 1, 2, 0, 1, 2, 3, 3, 0, 1],
+                              [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8), (8, 5)]),
+                 2, id="vertex-disconnected"),
+    pytest.param(gen_random(9, 20, 3, seed=11, simple=False), 6, id="multigraph"),
+    pytest.param(gen_random(12, 30, 4, seed=8, mode="vertex"), 3, id="vertex-dense"),
+])
+def test_rows_match_per_cell_answers(g, seed):
+    f = 2
     inner = ExactSingleSource(f=f, fault_palette=g.C)
     ls = build_all_pairs(g, f=f, inner=inner, alpha=1.0, seed=seed)
     grid = itertools.product(range(1, ls.meta["rows"] + 1), range(1, ls.meta["cols"] + 1))
+    removed_joined = False  # vertex mode: some fault set removes a vertex joined to a source
     for i, (row, col) in enumerate(grid):
         cell = augment(g, row, col, seed)
         labels = inner.build(cell.graph, cell.source)
@@ -147,13 +162,17 @@ def test_rows_match_per_cell_answers(mode):
             for F in itertools.combinations(range(g.C), size):
                 faults = [labels.color_labels[c] for c in F]
                 key = inner.fault_key(faults)
+                if g.mode == "vertex":
+                    removed_joined |= any(g.vertex_colors[v] in F for v in cell.source_edges)
                 for v in range(g.n):
                     got = ls.vertex_labels[v].rows[key] >> i & 1
                     assert got == inner.query(labels.vertex_labels[v], faults)
+    assert g.mode == "edge" or removed_joined
 
 
 def test_build_peak_memory_small():
-    # one cell's labels at a time: the per-cell answer tables are never all resident
+    # one component-id table per fault set (22 tables of 48 entries here) and one grid mask
+    # per vertex and fault set
     g = gen_random(48, 96, 6, seed=1)
     tracemalloc.start()
     try:
@@ -227,6 +246,14 @@ def test_alpha_validation():
     inner = ExactSingleSource(f=1, fault_palette=g.C)
     with pytest.raises(ValueError):
         build_all_pairs(g, f=1, inner=inner, alpha=0.5)
+    # the inner scheme must be for the build's fault budget and the graph's palette
+    with pytest.raises(ValueError):
+        build_all_pairs(g, f=2, inner=inner, alpha=1.0)
+    with pytest.raises(ValueError):
+        build_all_pairs(g, f=1, inner=ExactSingleSource(f=1, fault_palette=g.C - 1), alpha=1.0)
+    g = gen_random(12, 20, 4, seed=3)  # a short palette would leave fault sets without a mask
+    with pytest.raises(ValueError):
+        build_all_pairs(g, 1, ExactSingleSource(1, 2), 1.0, 0)
 
 
 def pinned_reduction_answers() -> tuple[int, str]:
