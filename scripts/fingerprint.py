@@ -5,10 +5,12 @@ Builds a workload's set-up and one round of its questions through the
 benchmark's own adapter table (``perfbench/layers.py``, untraced), then prints
 a digest of every label's ``bits`` per label set, the oracle file bytes, the
 routing tables and labels, the encoder round trip, and every answer of the
-round per answering scheme (an exception is recorded by its type name).  Two
+round per answering scheme (an exception is recorded by its type name).
+``--workload`` takes one or more workload names (all of them by default) and
+prints one block per workload under a ``# <workload> seed N`` header.  Two
 checkouts whose outputs should not differ print the same lines:
 
-    python3 scripts/fingerprint.py --workload many-faults-skewed --seed 1 > a.txt
+    python3 scripts/fingerprint.py --workload few-colors-read long-unique-build --seed 1 > a.txt
     (in the other checkout, the same command) > b.txt
     diff a.txt b.txt
 """
@@ -75,12 +77,14 @@ def fingerprint(name: str, seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS),
+                    default=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    print(f"# {args.workload} seed {args.seed}")
-    for line in fingerprint(args.workload, args.seed):
-        print(line)
+    for name in args.workload:
+        print(f"# {name} seed {args.seed}")
+        for line in fingerprint(name, args.seed):
+            print(line)
     return 0
 
 

@@ -16,12 +16,18 @@ Phase one climbs each fragment and jumps recovery edges toward a*'s fragment;
 an undefined block doubles as the "already there" signal.  Phase two routes
 inside the target fragment over T, optionally crossing one last recovery edge
 and finishing over T_c through fragments that are guaranteed to carry tables.
+
+The simulator ``route`` returns the delivered path as a tuple of immutable
+``Hop`` records (a NamedTuple: source, port, neighbor, edge id, edge color).
+Each hop costs one ``_decide_port`` decision, one port-list read and one tuple,
+so a route's time is the cost of its decisions; the hop budget, the
+forbidden-color check and ``on_state`` still run at every hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bits import id_width, width_for
 from .graph import (
@@ -76,11 +82,6 @@ class PortedNetwork:
             for p, (eid, _nbr) in enumerate(plist):
                 index[(v, eid)] = p
         return PortedNetwork(g, tuple(tuple(p) for p in ports), index)
-
-    def deliver(self, v: int, port: int) -> tuple[int, int]:
-        """(neighbor, edge id) reached by sending through the port."""
-        eid, nbr = self.ports[v][port]
-        return nbr, eid
 
     def port_of(self, v: int, eid: int) -> int:
         return self.port_index[(v, eid)]
@@ -450,8 +451,7 @@ def _build_tables_and_labels(
 # -- simulation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     src: int
     port: int
     dst: int
@@ -578,7 +578,10 @@ def route(
         raise UnreachableError(f"{s} and {t} are separated once color {c} fails")
 
     header = make_header(scheme, t, c)
+    ports = scheme.net.ports
+    edge_colors = g.edge_colors
     trace: list[Hop] = []
+    record = trace.append
     budget = g.n * g.n
     current = s
     if on_state is not None:
@@ -587,11 +590,12 @@ def route(
         if len(trace) >= budget:
             raise RoutingBugError("hop budget exceeded")
         port = _decide_port(scheme, current, header)
-        nxt, eid = scheme.net.deliver(current, port)
-        color = g.edge_color(eid)
+        eid, nxt = ports[current][port]
+        color = edge_colors[eid]
         if color == c:
             raise RoutingBugError("routed over a forbidden edge")
-        trace.append(Hop(current, port, nxt, eid, color))
+        # tuple.__new__ builds the Hop in C, skipping NamedTuple's Python-level __new__
+        record(tuple.__new__(Hop, (current, port, nxt, eid, color)))
         current = nxt
         if on_state is not None:
             on_state(current, header)

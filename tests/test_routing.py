@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -8,6 +9,7 @@ from colorfault.graph import GraphError, components, edge_graph
 from colorfault.oracle import brute_force_connected
 from colorfault.routing import (
     FirstRecEdgeBlock,
+    Hop,
     PortedNetwork,
     RoutingBugError,
     RoutingScheme,
@@ -44,7 +46,7 @@ def test_ports_are_bijective():
     for v in range(g.n):
         seen = set()
         for p in range(len(net.ports[v])):
-            nbr, eid = net.deliver(v, p)
+            eid, nbr = net.ports[v][p]
             assert net.port_of(v, eid) == p
             seen.add((eid, nbr))
         assert len(seen) == len(net.ports[v])
@@ -69,7 +71,7 @@ def test_tree_routing_walks_tree_paths():
                     if cur == v:
                         break
                     port = tr.tables[cur].next_port_for(tr.label[v])
-                    cur, _eid = net.deliver(cur, port)
+                    _eid, cur = net.ports[cur][port]
                 assert cur == v
 
 
@@ -209,6 +211,77 @@ def test_doubled_path_maximal_fragmentation():
     scheme, checked = _sweep(edge_graph(n, triples))
     assert checked == 2 * n * (n - 1)
     assert max(len(set(cs.fragment_of)) for cs in scheme.structures.values()) == n
+
+
+# -- simulator contract --------------------------------------------------------------
+
+
+def _check_hop_contract(hop):
+    fields = (hop.src, hop.port, hop.dst, hop.edge, hop.color)
+    assert repr(hop) == "Hop(src={}, port={}, dst={}, edge={}, color={})".format(*fields)
+    for name in ("src", "port", "dst", "edge", "color"):
+        with pytest.raises(AttributeError):
+            setattr(hop, name, 0)
+    twin = Hop(*fields)
+    assert twin == hop and hash(twin) == hash(hop)
+
+
+def test_hop_contract_on_literal_hop():
+    hop = Hop(1, 0, 2, 5, 3)
+    assert repr(hop) == "Hop(src=1, port=0, dst=2, edge=5, color=3)"
+    assert (hop.src, hop.port, hop.dst, hop.edge, hop.color) == (1, 0, 2, 5, 3)
+    _check_hop_contract(hop)
+    assert Hop(1, 0, 2, 5, 4) != hop
+
+
+def test_hop_contract_on_routed_hops():
+    g = gen_random(12, 22, 3, seed=4, connected=True)
+    scheme = build_routing_scheme(g)
+    result = route(scheme, 0, g.n - 1, 1)
+    at = 0
+    for hop in result.trace:
+        _check_hop_contract(hop)
+        assert hop.src == at
+        assert scheme.net.ports[hop.src][hop.port] == (hop.edge, hop.dst)
+        assert set(g.edges[hop.edge]) == {hop.src, hop.dst}
+        assert hop.color == g.edge_color(hop.edge) != 1
+        at = hop.dst
+    assert at == g.n - 1
+
+
+def test_on_state_fires_at_source_and_after_every_hop():
+    scheme = build_routing_scheme(gen_grid(3, 4))  # unique colors: no fault disconnects
+    calls = []
+    result = route(scheme, 3, 8, 2, on_state=lambda v, h: calls.append((v, h)))
+    assert result.hops > 1
+    assert [v for v, _h in calls] == [3] + [hop.dst for hop in result.trace]
+    assert all(h is result.header for _v, h in calls)
+
+
+def test_hop_over_forbidden_edge_is_a_bug():
+    # the only way out of 0 avoiding color 0 is edge 3; swap it with edge 0
+    scheme = build_routing_scheme(FOUR_CYCLE)
+    assert route(scheme, 0, 2, 0).trace[0].edge == 3
+    ports = list(scheme.net.ports)
+    ports[0] = ports[0][::-1]
+    scheme.net = dataclasses.replace(scheme.net, ports=tuple(ports))
+    with pytest.raises(RoutingBugError, match="routed over a forbidden edge"):
+        route(scheme, 0, 2, 0)
+
+
+def test_two_vertex_bounce_exhausts_hop_budget():
+    # color 2 is off the tree, so 0 -> 2 walks T; point 1's child slot back at 0
+    g = edge_graph(3, [(0, 1, 0), (1, 2, 1)], C=3)
+    scheme = build_routing_scheme(g)
+    assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
+    tables = scheme.tree_routing.tables
+    (lo, hi, _port), = tables[1].child_slots
+    tables[1] = dataclasses.replace(tables[1], child_slots=((lo, hi, tables[1].parent_port),))
+    visited = []
+    with pytest.raises(RoutingBugError, match="hop budget exceeded"):
+        route(scheme, 0, 2, 2, on_state=lambda v, _h: visited.append(v))
+    assert len(visited) == 1 + g.n * g.n
+    assert visited == [0, 1] * 5
 
 
 def test_ladder_with_alternating_colors():

@@ -29,10 +29,12 @@ def test_fingerprint_script_is_stable():
         "few-colors-read": ("oracle file", "answers nca.oracle_query"),
         "long-unique-build": ("routing bits", "answers routing.route"),
     }
+    joined = []
     for workload, wanted in expected.items():
-        args = ("--workload", workload, "--seed", "1")
-        first = _run_script("fingerprint.py", *args)
-        assert first == _run_script("fingerprint.py", *args)
-        assert first[0] == f"# {workload} seed 1"
-        names = [line.split("  ")[1] for line in first[1:]]
+        single = _run_script("fingerprint.py", "--workload", workload, "--seed", "1")
+        assert single[0] == f"# {workload} seed 1"
+        names = [line.split("  ")[1] for line in single[1:]]
         assert all(name in names for name in wanted), (workload, names)
+        joined += single
+    # one run over several workloads prints the single-workload blocks in order
+    assert joined == _run_script("fingerprint.py", "--workload", *expected, "--seed", "1")
