@@ -8,7 +8,10 @@ neighbors in increasing ``(neighbor id, edge id)`` order, and component ids are
 minimum vertex ids.
 
 Graphs are immutable after construction; all queries are pure reads and safe to
-share between threads.
+share between threads.  A :class:`GraphView` is the one representation of
+G - F: it tests survival inline from its fault set, and a view with no faults
+hands out the graph's own immutable adjacency tuples.  The one
+:class:`UnionFind` has no path compression, so that it can roll back.
 """
 
 from __future__ import annotations
@@ -148,25 +151,32 @@ class GraphView:
 
     def vertex_present(self, v: int) -> bool:
         g = self.graph
-        if g.mode == VERTEX and g.vertex_colors is not None:
-            return g.vertex_colors[v] not in self.faults
-        return True
-
-    def edge_present(self, eid: int) -> bool:
-        g = self.graph
-        if g.mode == EDGE:
-            return g.edge_color(eid) not in self.faults
-        u, v = g.edges[eid]
-        return self.vertex_present(u) and self.vertex_present(v)
+        return g.mode == EDGE or g.vertex_colors[v] not in self.faults
 
     def surviving_edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (edge id, u, v) in increasing edge id."""
-        for eid, (u, v) in enumerate(self.graph.edges):
-            if self.edge_present(eid):
-                yield eid, u, v
+        g, F = self.graph, self.faults
+        edges = enumerate(g.edges)
+        if g.mode == EDGE:
+            ec = g.edge_colors
+            return ((eid, u, v) for eid, (u, v) in edges if ec[eid] not in F)
+        vc = g.vertex_colors
+        return ((eid, u, v) for eid, (u, v) in edges if vc[u] not in F and vc[v] not in F)
 
-    def adjacency(self, v: int) -> list[tuple[int, int]]:
-        return [(w, eid) for (w, eid) in self.graph.adjacency(v) if self.edge_present(eid)]
+    def adjacency(self, v: int) -> Sequence[tuple[int, int]]:
+        """Surviving (neighbor, edge id) pairs of ``v``, sorted; empty for a removed ``v``.
+
+        With no faults this is the graph's own tuple, so callers only iterate it.
+        """
+        g, F = self.graph, self.faults
+        adj = g.adjacency(v)
+        if not F:
+            return adj
+        if g.mode == EDGE:
+            ec = g.edge_colors
+            return [(w, eid) for w, eid in adj if ec[eid] not in F]
+        vc = g.vertex_colors
+        return [] if vc[v] in F else [(w, eid) for w, eid in adj if vc[w] not in F]
 
 
 def as_view(g: ColoredGraph | GraphView) -> GraphView:
@@ -184,48 +194,13 @@ def remove_colors(g: ColoredGraph, faults: Iterable[int]) -> GraphView:
 
 
 class UnionFind:
-    """Path-compressing union-find tracking the minimum member id per set."""
+    """Union by size with an undo stack, tracking the minimum member id per set.
 
-    __slots__ = ("parent", "size", "min_id")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.min_id = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-        if self.min_id[b] < self.min_id[a]:
-            self.min_id[a] = self.min_id[b]
-        return True
-
-    def component_min(self, x: int) -> int:
-        return self.min_id[self.find(x)]
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
-class RollbackUnionFind:
-    """Union by size without path compression, with an undo stack.
-
-    Used by the divide-and-conquer sweep over a family of fault sets
-    (:func:`cids_after_faults`) and by the per-color certificate forests;
-    rollback must restore both structure and per-set minima exactly.
+    There is no path compression, so :meth:`rollback` can restore the parents,
+    sizes and per-set minima exactly; union by size keeps every tree's height,
+    and so a find, at O(log n).  The divide-and-conquer sweep over a family of
+    fault sets (:func:`cids_after_faults`) and the per-color certificate
+    forests roll back; every other caller only unions.
     """
 
     __slots__ = ("parent", "size", "min_id", "trail")
@@ -237,8 +212,9 @@ class RollbackUnionFind:
         self.trail: list[tuple[int, int, int]] = []
 
     def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
         return x
 
     def union(self, a: int, b: int) -> bool:
@@ -267,6 +243,9 @@ class RollbackUnionFind:
     def component_min(self, x: int) -> int:
         return self.min_id[self.find(x)]
 
+    def connected(self, a: int, b: int) -> bool:
+        return self.find(a) == self.find(b)
+
 
 # -- connectivity primitives ------------------------------------------------
 
@@ -289,25 +268,13 @@ def components(gv: ColoredGraph | GraphView) -> list[int | None]:
 
 
 def cid(g: ColoredGraph, v: int, faults: Iterable[int] = ()) -> int:
-    """Minimum vertex id connected to ``v`` in ``g`` minus ``faults``."""
+    """Minimum vertex id connected to ``v`` in ``g`` minus ``faults``, by BFS."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
     gv = remove_colors(g, faults)
     if not gv.vertex_present(v):
         raise RemovedVertexError(f"vertex {v} has a faulted color")
-    best = v
-    seen = bytearray(g.n)
-    seen[v] = 1
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        if x < best:
-            best = x
-        for w, _eid in gv.adjacency(x):
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-    return best
+    return next(x for x, d in enumerate(bfs_tree(gv, v).depth) if d >= 0)
 
 
 def connected(g: ColoredGraph, u: int, v: int, faults: Iterable[int] = ()) -> bool:
@@ -318,20 +285,7 @@ def connected(g: ColoredGraph, u: int, v: int, faults: Iterable[int] = ()) -> bo
     for x in (u, v):
         if not gv.vertex_present(x):
             raise RemovedVertexError(f"vertex {x} has a faulted color")
-    if u == v:
-        return True
-    seen = bytearray(g.n)
-    seen[u] = 1
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for w, _eid in gv.adjacency(x):
-            if w == v:
-                return True
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-    return False
+    return u == v or bfs_tree(gv, u).depth[v] >= 0
 
 
 def spanning_forest(
@@ -501,7 +455,7 @@ def cids_after_faults(
     for i, F in enumerate(keys):
         for c in F:
             killed_by[c].append(i)
-    uf = RollbackUnionFind(g.n)
+    uf = UnionFind(g.n)
     # an edge with its kill list: the sorted indices of the sets it fails in
     pending: list[tuple[int, int, list[int]]] = []
     for eid, (u, v) in enumerate(g.edges):

@@ -39,7 +39,7 @@ from .bits import id_width, width_for
 from .graph import (
     VERTEX,
     ColoredGraph,
-    RollbackUnionFind,
+    UnionFind,
     components,
     edge_graph,
     reduce_between_modes,
@@ -100,7 +100,7 @@ def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
     if g.mode == VERTEX:
         g = reduce_between_modes(g)
     forests: list[list[int]] = []
-    uf = RollbackUnionFind(g.n)
+    uf = UnionFind(g.n)
     for cls in g.color_classes():
         mark = uf.checkpoint()
         forests.append([eid for eid in cls if uf.union(*g.edges[eid])])

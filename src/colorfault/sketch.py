@@ -111,6 +111,12 @@ class SketchParams:
         repetitions: int = DEFAULT_REPETITIONS,
         checksum_bits: int = DEFAULT_CHECKSUM_BITS,
     ) -> "SketchParams":
+        # no repetition leaves no sketch, and without a checksum any in-range
+        # cell decodes, so a query could answer "connected" wrongly
+        if repetitions < 1:
+            raise ValueError(f"sketch repetitions must be >= 1, got {repetitions}")
+        if checksum_bits < 1:
+            raise ValueError(f"sketch checksum bits must be >= 1, got {checksum_bits}")
         m = max(edge_id_bound, 1)
         levels = m.bit_length()  # floor(log2 m) + 1
         wid = id_width(max(n, 2))

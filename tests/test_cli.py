@@ -136,6 +136,17 @@ def test_verify_two_diam(tmp_path, capsys):
     assert "agreement=1.000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["label", "verify"])
+@pytest.mark.parametrize("scheme", ["multi", "large"])
+@pytest.mark.parametrize("flag", [["--repetitions", "0"], ["--repetitions", "-1"],
+                                  ["--checksum-bits", "0"]])
+def test_sketch_schemes_reject_empty_sketch_params(tmp_path, capsys, command, scheme, flag):
+    gpath = write_graph(tmp_path, gen_random(12, 24, 4, seed=4))
+    assert main([command, gpath, "--scheme", scheme, "--seed", "5", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_bench_reports_slope(capsys):
     assert main(["bench", "--scheme", "single", "--sizes", "32,64,128",
                  "--generator", "path"]) == 0

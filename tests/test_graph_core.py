@@ -11,6 +11,7 @@ from colorfault.graph import (
     InvalidFaultSetError,
     ParseError,
     RemovedVertexError,
+    UnionFind,
     bfs_tree,
     cid,
     cids_after_faults,
@@ -81,6 +82,82 @@ def test_vertex_mode_removal_isolates():
     assert components(view)[1] is None
 
 
+def edge_present(view, eid):
+    """The per-edge survival rule the views applied before testing it inline."""
+    g = view.graph
+    if g.mode == "edge":
+        return g.edge_color(eid) not in view.faults
+    u, v = g.edges[eid]
+    return view.vertex_present(u) and view.vertex_present(v)
+
+
+@st.composite
+def multigraphs_with_faults(draw):
+    """A small multigraph in either mode (self-loops and parallel edges likely) and a fault set."""
+    mode = draw(st.sampled_from(["edge", "vertex"]))
+    n, C = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    color = st.integers(0, C - 1)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    if mode == "edge":
+        colors = draw(st.lists(color, min_size=len(edges), max_size=len(edges)))
+        g = edge_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)], C=C)
+    else:
+        g = vertex_graph(draw(st.lists(color, min_size=n, max_size=n)), edges, C=C)
+    return g, draw(st.frozensets(color))
+
+
+@given(multigraphs_with_faults())
+@settings(max_examples=200, deadline=None)
+def test_view_matches_the_per_edge_rule(case):
+    g, F = case
+    view = remove_colors(g, F)
+    assert list(view.surviving_edges()) == [
+        (eid, u, v) for eid, (u, v) in enumerate(g.edges) if edge_present(view, eid)
+    ]
+    for v in range(g.n):
+        got = list(view.adjacency(v))
+        assert got == [(w, eid) for w, eid in g.adjacency(v) if edge_present(view, eid)]
+        if not view.vertex_present(v):
+            assert got == []
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_fault_free_view_hands_out_the_graphs_adjacency(mode):
+    g = gen_random(12, 24, 3, seed=5, mode=mode, simple=False)
+    view = remove_colors(g, ())
+    assert all(view.adjacency(v) is g.adjacency(v) for v in range(g.n))
+
+
+# -- union-find ------------------------------------------------------------------
+
+
+@given(st.integers(1, 10), st.lists(st.one_of(
+    st.tuples(st.just("union"), st.integers(0, 9), st.integers(0, 9)),
+    st.just(("checkpoint",)),
+    st.just(("rollback",)),
+), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_union_find_rolls_back_to_each_checkpoint(n, ops):
+    uf = UnionFind(n)
+    block = list(range(n))  # naive partition: a block id per vertex
+    snapshots = []  # nested checkpoints, innermost last
+    for op in ops + [("rollback",)] * len(ops):
+        if op[0] == "union":
+            a, b = op[1] % n, op[2] % n
+            assert uf.union(a, b) == (block[a] != block[b])
+            old, new = block[b], block[a]
+            block = [new if x == old else x for x in block]
+        elif op[0] == "checkpoint":
+            snapshots.append((uf.checkpoint(), uf.parent[:], uf.size[:], uf.min_id[:], block[:]))
+        elif snapshots:
+            mark, parent, size, min_id, block = snapshots.pop()
+            uf.rollback(mark)
+            assert (uf.parent, uf.size, uf.min_id) == (parent, size, min_id)
+        for x in range(n):
+            assert uf.component_min(x) == block.index(block[x])
+            assert all(uf.connected(x, y) == (block[x] == block[y]) for y in range(n))
+
+
 # -- cid -----------------------------------------------------------------------
 
 
@@ -108,6 +185,30 @@ def test_cid_no_fault_matches_union_find():
             best = cid(g, v)
             assert best == part[v]
             assert best <= v
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_cid_and_connected_contracts(mode):
+    g = gen_random(16, 22, 4, seed=3, mode=mode, simple=False)
+    for bad in (-1, g.n):
+        for call in (lambda: cid(g, bad), lambda: connected(g, bad, 0),
+                     lambda: connected(g, 0, bad)):
+            with pytest.raises(GraphError):
+                call()
+    rng = random.Random(8)
+    for _ in range(300):
+        F = frozenset(rng.sample(range(g.C), rng.randrange(g.C + 1)))
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        if mode == "vertex" and g.vertex_color(u) in F:
+            for call in (lambda: cid(g, u, F), lambda: connected(g, u, u, F),
+                         lambda: connected(g, v, u, F)):
+                with pytest.raises(RemovedVertexError):
+                    call()
+            continue
+        assert connected(g, u, u, F)
+        assert cid(g, u, F) == brute_force_partition(g, F)[u]
+        if mode == "edge" or g.vertex_color(v) not in F:
+            assert connected(g, u, v, F) == brute_force_connected(g, u, v, F)
 
 
 # -- spanning forest -----------------------------------------------------------

@@ -12,6 +12,7 @@ from colorfault.oracle import brute_force_partition
 from colorfault.sketch import (
     _CHECKSUM_SALT,
     SchemeMismatchError,
+    SketchParams,
     TreeParts,
     _hash_fields,
     build_edge_fault_labels,
@@ -243,6 +244,17 @@ def test_parse_name_rejects_self_loop_names():
     p = build_edge_fault_labels(gen_path(5), seed=14).params
     assert p.parse_name(p.edge_name(1, 2, 1)) == (1, 2, 1)
     assert p.parse_name(p.edge_name(3, 3, 1)) is None
+
+
+@pytest.mark.parametrize("repetitions, checksum_bits", [(0, 32), (-1, 32), (24, 0), (24, -3)])
+def test_params_reject_empty_sketches_and_checksums(repetitions, checksum_bits):
+    # repetitions=-1 gave a negative label size; with no checksum bits any
+    # in-range cell decodes, and a query may wrongly answer "connected"
+    with pytest.raises(ValueError):
+        SketchParams.create(10, 20, 1, repetitions=repetitions, checksum_bits=checksum_bits)
+    with pytest.raises(ValueError):
+        build_edge_fault_labels(gen_path(5), seed=1, repetitions=repetitions,
+                                checksum_bits=checksum_bits)
 
 
 def test_checksum_matches_hash_fields():
