@@ -23,6 +23,7 @@ from .graph import (
     ColoredGraph,
     GraphError,
     RemovedVertexError,
+    bfs_tree,
     parse_graph,
     serialize_graph,
 )
@@ -90,12 +91,7 @@ def cmd_label(args) -> int:
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.scheme == "two-diam" and not args.force:
-        from .graph import bfs_tree, components
-
-        comp = components(g.view())
-        depth = 0
-        for s in sorted({c for c in comp if c is not None}):
-            depth = max(depth, max(d for d in bfs_tree(g, s).depth if d >= 0))
+        depth = max(bfs_tree(g).depth, default=0)
         if depth > math.sqrt(g.n):
             print(
                 f"warning: measured depth {depth} exceeds sqrt(n)={math.sqrt(g.n):.1f}; "
@@ -152,6 +148,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     scheme = SCHEMES[args.scheme]
@@ -188,6 +186,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must all be at least 1, got {args.sizes}")
     rows = []
     for n in sizes:
         if args.generator == "path":
@@ -236,6 +236,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     inner = ExactSingleSource(f=args.f, fault_palette=g.C)

@@ -12,6 +12,8 @@ share between threads.  A :class:`GraphView` is the one representation of
 G - F: it tests survival inline from its fault set, and a view with no faults
 hands out the graph's own immutable adjacency tuples.  The one
 :class:`UnionFind` has no path compression, so that it can roll back.
+:func:`bfs_tree` without a root is the one BFS forest of every component,
+each tree rooted at its minimum id.
 """
 
 from __future__ import annotations
@@ -402,35 +404,45 @@ def path_colors(
 
 @dataclass(frozen=True)
 class BfsTree:
-    root: int
+    root: tuple[int | None, ...]  # v's tree's root; None for unreached or removed vertices
     parent: tuple[int | None, ...]
     parent_edge: tuple[int | None, ...]
-    depth: tuple[int, ...]  # -1 for unreachable or removed vertices
+    depth: tuple[int, ...]  # -1 for unreached or removed vertices
 
 
-def bfs_tree(gv: ColoredGraph | GraphView, root: int) -> BfsTree:
-    """BFS tree of ``root``'s component; neighbors in (id, edge id) order."""
+def bfs_tree(gv: ColoredGraph | GraphView, root: int | None = None) -> BfsTree:
+    """BFS tree of ``root``'s component; without a root, the BFS forest of every component.
+
+    Neighbors are explored in (id, edge id) order.  The forest roots each tree
+    at its minimum id: the present vertices are scanned in increasing id, and
+    each one no tree has reached yet starts the next tree.
+    """
     gv = as_view(gv)
-    if not 0 <= root < gv.n:
+    n = gv.n
+    if root is not None and not 0 <= root < n:
         raise GraphError(f"root {root} out of range")
-    if not gv.vertex_present(root):
+    if root is not None and not gv.vertex_present(root):
         raise RemovedVertexError(f"root {root} has a faulted color")
-    parent: list[int | None] = [None] * gv.n
-    parent_edge: list[int | None] = [None] * gv.n
-    depth = [-1] * gv.n
-    depth[root] = 0
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for w, eid in gv.adjacency(x):
-            if depth[w] < 0:
-                depth[w] = depth[x] + 1
-                parent[w] = x
-                parent_edge[w] = eid
-                queue.append(w)
-    return BfsTree(root, tuple(parent), tuple(parent_edge), tuple(depth))
+    root_of: list[int | None] = [None] * n
+    parent: list[int | None] = [None] * n
+    parent_edge: list[int | None] = [None] * n
+    depth = [-1] * n
+    for s in range(n) if root is None else (root,):
+        if depth[s] >= 0 or not gv.vertex_present(s):
+            continue
+        root_of[s] = s
+        depth[s] = 0
+        queue = [s]
+        for x in queue:  # the queue grows while it is scanned
+            dx = depth[x] + 1
+            for w, eid in gv.adjacency(x):
+                if depth[w] < 0:
+                    root_of[w] = s
+                    depth[w] = dx
+                    parent[w] = x
+                    parent_edge[w] = eid
+                    queue.append(w)
+    return BfsTree(tuple(root_of), tuple(parent), tuple(parent_edge), tuple(depth))
 
 
 # -- fault-set family sweep ---------------------------------------------------

@@ -98,6 +98,8 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log(y) against log(x)."""
     import math
 
+    if len(set(xs)) < 2 or min(xs) <= 0:
+        raise ValueError(f"a log-log slope needs two distinct positive x values, got {list(xs)}")
     lx = [math.log(x) for x in xs]
     ly = [math.log(max(y, 1e-12)) for y in ys]
     mean_x = sum(lx) / len(lx)

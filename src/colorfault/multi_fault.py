@@ -241,7 +241,7 @@ def _b_estimate(level: int, b1: float, m_cert: int, sketch_label_bits: int) -> f
 def _recurse(
     g: ColoredGraph, f: int, seed: int, repetitions: int, checksum_bits: int
 ) -> tuple[list, list, dict]:
-    """Returns (vertex labels, color labels, manifest)."""
+    """Returns (vertex labels, color labels, manifest) of the certificate ``g``."""
     wid = id_width(max(g.n, 2))
     if f <= 1:
         base = label_single_fault(g)
@@ -262,39 +262,37 @@ def _recurse(
         manifest = {"f": 1, "n": g.n, "m": g.m, "scheme": "single-fault"}
         return vls, cls, manifest
 
-    cert = build_certificate(g)
-    assert cert.graph is g  # vertex mode is subdivided before recursion
-    sparse = cert.subgraph()
     sketch_seed = _hash_fields(seed, 0xEDE)
-    params = SketchParams.create(sparse.n, sparse.m, sketch_seed, repetitions, checksum_bits)
-    sketch_label_bits = params.sketch_bits if sparse.n else 0
+    params = SketchParams.create(g.n, g.m, sketch_seed, repetitions, checksum_bits)
+    sketch_label_bits = params.sketch_bits if g.n else 0
 
-    base_probe = label_single_fault(sparse)
+    base_probe = label_single_fault(g)
     b1 = float(base_probe.max_label_bits())
-    b_lower = _b_estimate(f - 1, b1, sparse.m, sketch_label_bits)
-    delta = _delta(sparse.m, b_lower, sketch_label_bits)
+    b_lower = _b_estimate(f - 1, b1, g.m, sketch_label_bits)
+    delta = _delta(g.m, b_lower, sketch_label_bits)
 
-    class_size = [len(cls_edges) for cls_edges in sparse.color_classes()]
+    class_size = [len(cls_edges) for cls_edges in g.color_classes()]
     prevalent = [c for c in range(g.C) if class_size[c] >= delta]
     branch_of = {c: i for i, c in enumerate(prevalent)}
     ctx = build_edge_fault_labels(
-        sparse,
+        g,
         seed=sketch_seed,
         repetitions=repetitions,
         checksum_bits=checksum_bits,
-        order=sorted(range(sparse.m), key=lambda eid: sparse.edge_color(eid) not in branch_of),
+        order=sorted(range(g.m), key=lambda eid: g.edge_color(eid) not in branch_of),
     )
 
     child_vls: list[list] = []
     child_cls: list[list] = []
     child_manifests = {}
     for idx, h in enumerate(prevalent):
+        # g - h keeps every other color's spanning forest, so it is its own certificate
         triples = [
-            (u, v, sparse.edge_color(eid))
-            for eid, (u, v) in enumerate(sparse.edges)
-            if sparse.edge_color(eid) != h
+            (u, v, g.edge_color(eid))
+            for eid, (u, v) in enumerate(g.edges)
+            if g.edge_color(eid) != h
         ]
-        child = edge_graph(sparse.n, triples, C=g.C)
+        child = edge_graph(g.n, triples, C=g.C)
         vls, cls, man = _recurse(
             child, f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
         )
@@ -311,7 +309,7 @@ def _recurse(
         bits = wid + wbranch + sk.bits + sum(ch.bits for ch in children)
         vertex_labels.append(RecursiveVertexLabel(v, f, plain[v], None, sk, children, bits=bits))
 
-    ecls = sparse.color_classes()
+    ecls = g.color_classes()
     color_labels = []
     for c in range(g.C):
         children = tuple(child_cls[i][c] for i in range(len(prevalent)))
@@ -334,7 +332,7 @@ def _recurse(
         "f": f,
         "n": g.n,
         "m": g.m,
-        "certificate_edges": sparse.m,
+        "certificate_edges": g.m,
         "delta": delta,
         "b_lower_estimate": b_lower,
         "sketch_label_bits": sketch_label_bits,
@@ -370,7 +368,9 @@ def label_recursive(
         # subdivide to the equivalent edge-colored instance; vertex ids and
         # the palette are preserved
         g = reduce_between_modes(g)
-    vls, cls, manifest = _recurse(g, f, seed, repetitions, checksum_bits)
+    sparse = build_certificate(g).subgraph()
+    vls, cls, manifest = _recurse(sparse, f, seed, repetitions, checksum_bits)
+    manifest["m"] = g.m
     vls = vls[: original.n]
     if original.mode == VERTEX:
         wown = width_for(original.C)

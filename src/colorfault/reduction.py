@@ -163,6 +163,8 @@ def build_all_pairs(
     Bits are the per-cell tables': a vertex pays one answer bit per fault set
     and cell, a color one id of the augmented palette per cell.
     """
+    if f < 0:
+        raise ValueError(f"fault budget f={f} must be at least 0")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     if inner.f != f or inner.fault_palette != g.C:

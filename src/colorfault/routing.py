@@ -35,7 +35,6 @@ from .graph import (
     ColoredGraph,
     GraphError,
     UnionFind,
-    as_view,
     orient_forest,
     preorder,
     spanning_forest,
@@ -43,7 +42,6 @@ from .graph import (
 from .labels import LabelSet
 from .single_fault import (
     RulingSet,
-    anchor_paths,
     build_ruling_set,
     label_single_fault,
     pair_connected,
@@ -241,14 +239,12 @@ class RoutingScheme:
 def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     if g.mode != EDGE:
         raise GraphError("routing is defined for edge-colored graphs")
-    gv = as_view(g)
-    ruling = build_ruling_set(gv)
+    ruling = build_ruling_set(g)
     anchors = ruling.anchors()
-    _, parent_edge, anchor_of = anchor_paths(gv, ruling)
     connectivity = label_single_fault(g, ruling)
 
     # T: the anchor-path forest (every P(v) a T-path) joined by min-id edges
-    anchor_forest = [e for e in parent_edge if e is not None]
+    anchor_forest = [e for e in ruling.parent_edge if e is not None]
     tree_edges = spanning_forest(g, anchor_forest + list(range(g.m)))
     if len(tree_edges) != g.n - 1:
         raise GraphError("routing scheme needs a connected graph")
@@ -266,7 +262,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     }
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
-        g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
+        g, net, anchors, ruling.anchor, root, tparent_edge, tree_routing,
         [lbl.cid_by_color for lbl in connectivity.vertex_labels],  # keyed by the colors on P(v)
         structures,
     )

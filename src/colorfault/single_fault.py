@@ -25,7 +25,6 @@ from .graph import (
     as_view,
     bfs_tree,
     cids_after_faults,
-    components,
     path_colors,
 )
 from .labels import LabelSet
@@ -39,67 +38,60 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class RulingSet:
-    """A0 (component minima), the chosen sequence A, and the halting index k.
+    """A0 (component minima), the chosen sequence A, the halting index k, and P(v).
 
-    ``depth`` is each vertex's distance to A0 u A (-1 if removed).
+    ``depth`` is each vertex's distance to A0 u A (-1 if removed).  The
+    shortest paths P(v) form a forest: ``parent`` and ``parent_edge`` give
+    v's next step towards A0 u A (None at an anchor or a removed vertex), and
+    ``anchor`` the vertex of A0 u A where P(v) ends.
     """
 
     A0: tuple[int, ...]
     A: tuple[int, ...]
     k: int
     depth: tuple[int, ...] = field(compare=False, repr=False)
+    parent: tuple[int | None, ...] = field(compare=False, repr=False)
+    parent_edge: tuple[int | None, ...] = field(compare=False, repr=False)
+    anchor: tuple[int | None, ...] = field(compare=False, repr=False)
 
     def anchors(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.A0) | set(self.A)))
 
 
 def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
-    """Distance-i selection loop with minimum-id tie-breaks.
+    """Distance-i selection loop with minimum-id tie-breaks, then the paths P(v).
 
-    One BFS from A0 seeds the distances; each new anchor then lowers them in
-    place with a BFS that enters only the vertices whose distance drops.
+    The BFS forest of G seeds A0 and the distances; each new anchor then
+    lowers them in place with a BFS that enters only the vertices whose
+    distance drops.  P(v) steps from v to its minimum-id neighbor one level
+    closer (first edge id among parallels), as a level-synchronized BFS
+    scanning each level in increasing id would choose.  Parent chains are
+    therefore consistent: if u lies on the chain of v, u's chain is a suffix
+    of v's, and the union of all chains is a forest.
     """
     gv = as_view(g)
-    comp = components(gv)
-    A0 = sorted({c for c in comp if c is not None})
-    depth = [-1] * gv.n
-    for s in A0:
-        depth[s] = 0
+    forest = bfs_tree(gv)
+    A0 = [v for v, r in enumerate(forest.root) if r == v]
+    depth = list(forest.depth)
     A: list[int] = []
-    queue = list(A0)
+    queue: list[int] = []
     i = 1
     while True:
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
+        for x in queue:  # the queue grows while it is scanned
             dx = depth[x] + 1
             for w, _eid in gv.adjacency(x):
-                if depth[w] < 0 or depth[w] > dx:
+                if depth[w] > dx:
                     depth[w] = dx
                     queue.append(w)
         try:
             a = depth.index(i)
         except ValueError:
-            return RulingSet(tuple(A0), tuple(A), i, tuple(depth))
+            break
         A.append(a)
         depth[a] = 0
         queue = [a]
         i += 1
 
-
-def anchor_paths(
-    gv: GraphView, ruling: RulingSet
-) -> tuple[list[int | None], list[int | None], list[int | None]]:
-    """Shortest paths to A0 u A read off ``ruling.depth``.
-
-    Returns (parent, parent_edge, anchor).  parent(w) is the minimum-id
-    neighbor one level closer (first edge id among parallels), as a
-    level-synchronized BFS scanning each level in increasing id would choose.
-    Parent chains are therefore consistent: if u lies on the chain of v, u's
-    chain is a suffix of v's, and the union of all chains is a forest.
-    """
-    depth = ruling.depth
     n = gv.n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
@@ -113,7 +105,9 @@ def anchor_paths(
             parent[w] = x
             parent_edge[w] = eid
             anchor[w] = anchor[x]
-    return parent, parent_edge, anchor
+    return RulingSet(
+        tuple(A0), tuple(A), i, tuple(depth), tuple(parent), tuple(parent_edge), tuple(anchor)
+    )
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,9 @@ class SingleFaultColorLabel:
 
 def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> LabelSet:
     """Build the one-fault labels; handles disconnected input via A0."""
-    gv = as_view(g)
     if ruling is None:
-        ruling = build_ruling_set(gv)
-    parent, parent_edge, anchor_of = anchor_paths(gv, ruling)
-    colors_on_path = path_colors(g, parent, parent_edge)
+        ruling = build_ruling_set(g)
+    colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
 
     wanted: dict[frozenset[int], set[int]] = {frozenset((c,)): set(ruling.A) for c in range(g.C)}
     for v in range(g.n):
@@ -162,7 +154,7 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
         own = g.vertex_color(v) if g.mode == VERTEX else None
         bits = wid + (wc if g.mode == VERTEX else 0) + wlen + len(mapping) * (wc + wid)
         vertex_labels.append(
-            SingleFaultVertexLabel(v, anchor_of[v], mapping, own, bits)  # type: ignore[arg-type]
+            SingleFaultVertexLabel(v, ruling.anchor[v], mapping, own, bits)  # type: ignore[arg-type]
         )
 
     color_labels = []

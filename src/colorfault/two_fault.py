@@ -1,7 +1,8 @@
 """Deterministic labels for two color faults on bounded-diameter graphs.
 
-Per component, a BFS tree T rooted at the minimum id s.  For each vertex v and
-each color c on T[s,v], a BFS of G-c from v is truncated at ceil(sqrt n)
+Per component, a BFS tree T rooted at the minimum id s, all of them one
+forest from :func:`colorfault.graph.bfs_tree`.  For each vertex v and each
+color c on T[s,v], a BFS of G-c from v is truncated at ceil(sqrt n)
 vertices: a smaller tree spans v's whole component of G-c, a full one is hit by
 a greedily chosen set U.  The vertex label stores cid(v, G-c), the pair cids
 for every color in the truncated tree, and, for full trees, a representative
@@ -25,7 +26,6 @@ from .graph import (
     RemovedVertexError,
     bfs_tree,
     cids_after_faults,
-    components,
     path_colors,
     remove_colors,
 )
@@ -126,18 +126,9 @@ def truncated_bfs(gv: GraphView, origin: int, cap: int) -> TruncatedTree:
 def label_two_fault(g: ColoredGraph) -> LabelSet:
     cap = math.isqrt(g.n) if math.isqrt(g.n) ** 2 == g.n else math.isqrt(g.n) + 1
     cap = max(cap, 1)
-    gv = remove_colors(g, ())
-    comp = components(gv)
-    roots = sorted({c for c in comp if c is not None})
-    trees = {s: bfs_tree(gv, s) for s in roots}
-    tree_of = [trees[s] for s in comp]  # type: ignore[index]
-    depth_max = max((t.depth[v] for v, t in enumerate(tree_of)), default=0)
+    forest = bfs_tree(g)
     # colors on T[s,v]; vertex mode includes both endpoints, minus v's own
-    colors_on_path = path_colors(
-        g,
-        [t.parent[v] for v, t in enumerate(tree_of)],
-        [t.parent_edge[v] for v, t in enumerate(tree_of)],
-    )
+    colors_on_path = path_colors(g, forest.parent, forest.parent_edge)
 
     truncated: dict[tuple[int, int], TruncatedTree] = {}
     full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
@@ -210,7 +201,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         vertex_labels.append(
             TwoFaultVertexLabel(
                 v,
-                root_id=comp[v],  # type: ignore[arg-type]
+                root_id=forest.root[v],  # type: ignore[arg-type]
                 own_color=own[v],
                 entries=entries,
                 bits=bits,
@@ -236,7 +227,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         color_labels=tuple(color_labels),
         meta={
             "cap": cap,
-            "depth": depth_max,
+            "depth": max(forest.depth, default=0),
             "hitting_set": U,
             "full_trees": len(full_family),
         },

@@ -160,6 +160,27 @@ def test_bench_multi_on_dense_random(capsys):
     assert "slope_bits=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sizes, cause", [("8,8", "distinct"), ("0,8", "--sizes"),
+                                          ("8,0", "--sizes")])
+def test_bench_rejects_degenerate_sizes(capsys, sizes, cause):
+    assert main(["bench", "--scheme", "single", "--sizes", sizes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and cause in captured.err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["verify", "--scheme", "single", "--trials", "0"], "--trials"),
+    (["verify", "--scheme", "two-diam", "--trials", "-3"], "--trials"),
+    (["reduce", "--trials", "0"], "--trials"),
+    (["reduce", "--f", "-1"], "fault budget"),
+])
+def test_trials_and_fault_budget_rejected(tmp_path, capsys, argv, cause):
+    gpath = write_graph(tmp_path, gen_random(12, 20, 3, seed=9))
+    assert main([argv[0], gpath, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and cause in captured.err
+
+
 def test_route_trace_format(tmp_path, capsys):
     g = gen_random(10, 18, 3, seed=8, connected=True)
     gpath = write_graph(tmp_path, g)

@@ -92,12 +92,13 @@ def edge_present(view, eid):
 
 
 @st.composite
-def multigraphs_with_faults(draw):
+def multigraphs_with_faults(draw, min_n=1, max_n=7, max_edges=16):
     """A small multigraph in either mode (self-loops and parallel edges likely) and a fault set."""
     mode = draw(st.sampled_from(["edge", "vertex"]))
-    n, C = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    n, C = draw(st.integers(min_n, max_n)), draw(st.integers(1, 4))
     color = st.integers(0, C - 1)
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges if n else 0))
     if mode == "edge":
         colors = draw(st.lists(color, min_size=len(edges), max_size=len(edges)))
         g = edge_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)], C=C)
@@ -268,6 +269,28 @@ def test_bfs_matches_all_pairs_shortest_paths():
     depth = bfs_tree(g, 0).depth
     for v in range(g.n):
         assert depth[v] == (dist[0][v] if dist[0][v] < INF else -1)
+
+
+@given(st.one_of(multigraphs_with_faults(), multigraphs_with_faults(0, 14, 8)))
+@settings(max_examples=200, deadline=None)
+def test_bfs_forest_matches_a_tree_per_component_minimum(case):
+    g, F = case
+    view = remove_colors(g, F)
+    forest = bfs_tree(view)
+    comp = components(view)
+    assert list(forest.root) == comp
+    for s in sorted({c for c in comp if c is not None}):
+        tree = bfs_tree(view, s)
+        assert list(tree.root) == [s if c == s else None for c in comp]
+        for v in range(g.n):
+            if comp[v] == s:
+                got = (forest.parent[v], forest.parent_edge[v], forest.depth[v])
+                assert got == (tree.parent[v], tree.parent_edge[v], tree.depth[v])
+            else:
+                assert (tree.parent[v], tree.parent_edge[v], tree.depth[v]) == (None, None, -1)
+    for v in range(g.n):
+        if comp[v] is None:
+            assert (forest.parent[v], forest.parent_edge[v], forest.depth[v]) == (None, None, -1)
 
 
 # -- mode reduction --------------------------------------------------------------

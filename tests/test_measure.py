@@ -1,3 +1,5 @@
+import pytest
+
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_random
 from colorfault.graph import edge_graph
@@ -36,6 +38,13 @@ def test_loglog_slope_of_power_law():
     xs = [64, 128, 256, 512]
     assert abs(loglog_slope(xs, [x**0.5 for x in xs]) - 0.5) < 1e-9
     assert abs(loglog_slope(xs, [x * 3 for x in xs]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("xs, cause", [([8, 8], "distinct"), ([5], "distinct"),
+                                       ([0, 8], "positive"), ([-2, 8, 16], "positive")])
+def test_loglog_slope_rejects_degenerate_x(xs, cause):
+    with pytest.raises(ValueError, match=cause):
+        loglog_slope(xs, [3] * len(xs))
 
 
 def test_report_lines_flatten():

@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph, vertex_graph
@@ -95,6 +97,21 @@ def test_certificate_memory_on_long_path():
         tracemalloc.stop()
     assert cert.edge_ids == tuple(range(g.m))
     assert peak < 8 * 2**20
+
+
+@given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]), st.integers(1, 10),
+       st.integers(0, 30), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_certificate_minus_a_color_is_its_own_certificate(seed, mode, n, m, C):
+    # the recursive scheme hands H - h to its child without re-sparsifying it
+    g = gen_random(n, m, C, seed=seed, mode=mode, simple=False)
+    H = build_certificate(g).subgraph()
+    for h in range(C):
+        child = edge_graph(H.n, [(u, v, H.edge_color(eid)) for eid, (u, v) in enumerate(H.edges)
+                                 if H.edge_color(eid) != h], C=H.C)
+        cert = build_certificate(child)
+        assert cert.edge_ids == tuple(range(child.m))
+        assert cert.subgraph() == child
 
 
 # -- large-f scheme ---------------------------------------------------------------
@@ -233,6 +250,7 @@ def test_manifest_records_each_node():
     ls = label_recursive(g, f=3, seed=5)
     man = ls.meta["manifest"]
     assert man["f"] == 3
+    assert man["m"] == g.m
     for h, child in man["children"].items():
         assert child["f"] == 2
         assert 1.0 <= man["delta"] <= max(man["certificate_edges"], 1)

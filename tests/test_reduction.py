@@ -256,6 +256,12 @@ def test_alpha_validation():
         build_all_pairs(g, 1, ExactSingleSource(1, 2), 1.0, 0)
 
 
+def test_negative_fault_budget_rejected():
+    g = gen_random(6, 8, 2, seed=1)
+    with pytest.raises(ValueError, match="fault budget"):
+        build_all_pairs(g, f=-1, inner=ExactSingleSource(-1, g.C), alpha=1.0)
+
+
 def pinned_reduction_answers() -> tuple[int, str]:
     """(True count, sha256) of every pair under 12 seeded fault sets of size <= 2."""
     g = gen_random(16, 24, 4, seed=31)

@@ -11,7 +11,6 @@ from colorfault.generators import gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.oracle import brute_force_partition
 from colorfault.single_fault import (
     SizeLimitError,
-    anchor_paths,
     ball_packing_exact,
     ball_packing_greedy,
     build_ruling_set,
@@ -133,7 +132,7 @@ def test_ruling_set_and_anchor_paths_match_reference(n, m, C, seed, mode, simple
     rs = build_ruling_set(gv)
     assert (rs.A0, rs.A, rs.k) == (A0, A, k)
     assert list(rs.depth) == depth
-    assert anchor_paths(gv, rs) == paths
+    assert (list(rs.parent), list(rs.parent_edge), list(rs.anchor)) == paths
     for v in range(n):
         if not gv.vertex_present(v):
             assert rs.depth[v] == -1 and paths[2][v] is None
