@@ -4,8 +4,10 @@
 Builds a workload's set-up and one round of its questions through the
 benchmark's own adapter table (``perfbench/layers.py``, untraced), then prints
 a digest of every label's ``bits`` per label set, the oracle file bytes, the
-routing tables and labels, the encoder round trip, and every answer of the
-round per answering scheme (an exception is recorded by its type name).
+routing tables' and labels' ``bits`` and contents (each table's blocks and T_c
+tables, each vertex label's per-color entries, each color label's blocks), the
+encoder round trip, and every answer of the round per answering scheme (an
+exception is recorded by its type name).
 ``--workload`` takes one or more workload names (all of them by default) and
 prints one block per workload under a ``# <workload> seed N`` header.  Two
 checkouts whose outputs should not differ print the same lines:
@@ -64,6 +66,10 @@ def fingerprint(name: str, seed: int) -> list[str]:
         emit("routing bits", [[t.bits for t in rs.tables],
                               [lbl.bits for lbl in rs.vertex_labels],
                               [lbl.bits for lbl in rs.color_labels]])
+        emit("routing tables", [[(sorted(t.blocks.items()), sorted(t.tc_tables.items()))
+                                 for t in rs.tables],
+                                [sorted(lbl.per_color.items()) for lbl in rs.vertex_labels],
+                                [sorted(lbl.blocks.items()) for lbl in rs.color_labels]])
     if "decoded" in state:
         emit("decoded", [state["decoded"]])
     answers = defaultdict(list)

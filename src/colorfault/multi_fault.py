@@ -271,8 +271,8 @@ def _recurse(
     b_lower = _b_estimate(f - 1, b1, g.m, sketch_label_bits)
     delta = _delta(g.m, b_lower, sketch_label_bits)
 
-    class_size = [len(cls_edges) for cls_edges in g.color_classes()]
-    prevalent = [c for c in range(g.C) if class_size[c] >= delta]
+    ecls = g.color_classes()
+    prevalent = [c for c in range(g.C) if len(ecls[c]) >= delta]
     branch_of = {c: i for i, c in enumerate(prevalent)}
     ctx = build_edge_fault_labels(
         g,
@@ -309,7 +309,6 @@ def _recurse(
         bits = wid + wbranch + sk.bits + sum(ch.bits for ch in children)
         vertex_labels.append(RecursiveVertexLabel(v, f, plain[v], None, sk, children, bits=bits))
 
-    ecls = g.color_classes()
     color_labels = []
     for c in range(g.C):
         children = tuple(child_cls[i][c] for i in range(len(prevalent)))

@@ -7,10 +7,12 @@ recovery edges (minimum edge id joining two fragments) turn them into a
 spanning tree T_c of G-c.  Tables hold interval tree-routing data for T, the
 first-recovery-edge block toward every anchor for the fragment rooted at the
 vertex (its parent edge carries the only color that ever matters there), and
-T_c-routing data for colors on the vertex's anchor path.  A message carries a
-small permanent header (forbidden color, target anchor a*, the root's block,
-the target's tree label, and, when c lies on P(t), the block and T_c label for
-the final approach) plus two mutable fields UP and NEXT.
+T_c-routing data for colors on the vertex's anchor path.  T_c is oriented and
+numbered whole, but its tables and labels exist only at those stored pairs
+(v with c on P(v)), so ``ColorStructure.tc_routing`` is partial.  A message
+carries a small permanent header (forbidden color, target anchor a*, the
+root's block, the target's tree label, and, when c lies on P(t), the block and
+T_c label for the final approach) plus two mutable fields UP and NEXT.
 
 Phase one climbs each fragment and jumps recovery edges toward a*'s fragment;
 an undefined block doubles as the "already there" signal.  Phase two routes
@@ -120,29 +122,37 @@ class TreeRouting:
     label: dict[int, int]  # vertex -> DFS entry index
 
 
-def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRouting:
-    """Interval labeling of the forest ``tree_edges`` over every vertex.
+def build_tree_routing(
+    net: PortedNetwork, tree_edges: Iterable[int], vertices: Iterable[int] | None = None
+) -> TreeRouting:
+    """Interval labeling of the forest ``tree_edges``, stored at ``vertices``.
 
     Each tree is rooted at its minimum id and numbered in pre-order with
     children in id order; a vertex no tree edge touches is a singleton tree.
+    The whole forest is always oriented and numbered, so a table or label
+    does not depend on ``vertices``; it only limits where tables and labels
+    are kept (every vertex when None).  The scheme builds T over every vertex
+    and each T_c only at the v with c on P(v), the pairs its tables store.
     """
     parent, parent_edge = orient_forest(net.graph, tree_edges)
     order, pre, end = preorder(parent)
-    slots: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    slots: dict[int, list[tuple[int, int, int]]] = {
+        v: [] for v in (order if vertices is None else vertices)
+    }
     for v in order:  # children come in pre-order, so their slots are sorted
         p = parent[v]
-        if p is not None:
+        if p in slots:
             slots[p].append((pre[v], end[v], net.port_of(p, parent_edge[v])))
     tables = {
         v: TreeNodeTable(
             parent_port=None if parent[v] is None else net.port_of(v, parent_edge[v]),
             pre=pre[v],
             end=end[v],
-            child_slots=tuple(slots[v]),
+            child_slots=tuple(child_slots),
         )
-        for v in order
+        for v, child_slots in slots.items()
     }
-    return TreeRouting(tables, {v: pre[v] for v in order})
+    return TreeRouting(tables, {v: pre[v] for v in slots})
 
 
 # -- blocks and per-color recovery structure -------------------------------------------
@@ -165,7 +175,7 @@ class ColorStructure:
     color: int
     fragment_of: tuple[int, ...]  # fragment root per vertex
     frag_adj: dict[int, list[tuple[int, int]]]  # frag root -> (other root, edge id)
-    tc_routing: TreeRouting
+    tc_routing: TreeRouting  # partial: only the vertices v with c on P(v)
     a_fragments: tuple[int, ...]  # fragment roots containing an anchor
 
 
@@ -256,15 +266,22 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     tree_routing = build_tree_routing(net, tree_edges)
 
     colors_on_tree = frozenset(g.edge_color(eid) for eid in tree_edges)
+    # keyed by the colors on P(v): v stores T_c data exactly for these c
+    colors_on_path = [lbl.cid_by_color for lbl in connectivity.vertex_labels]
+    stored_at: dict[int, list[int]] = {c: [] for c in colors_on_tree}
+    for v, colors in enumerate(colors_on_path):
+        for c in colors:
+            stored_at[c].append(v)
     structures = {
-        c: _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder, anchors)
+        c: _build_color_structure(
+            g, net, c, tree_edges, tparent, tparent_edge, torder, anchors, stored_at[c]
+        )
         for c in sorted(colors_on_tree)
     }
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
         g, net, anchors, ruling.anchor, root, tparent_edge, tree_routing,
-        [lbl.cid_by_color for lbl in connectivity.vertex_labels],  # keyed by the colors on P(v)
-        structures,
+        colors_on_path, structures,
     )
     return RoutingScheme(
         graph=g,
@@ -281,13 +298,16 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     )
 
 
-def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder, anchors):
+def _build_color_structure(
+    g, net, c, tree_edges, tparent, tparent_edge, torder, anchors, stored
+):
     n = g.n
+    colors = g.edge_colors
     # fragment root: the root r, or a vertex whose parent edge is c-colored
     fragment_of = [0] * n
     for v in torder:
         pe = tparent_edge[v]
-        fragment_of[v] = v if pe is None or g.edge_color(pe) == c else fragment_of[tparent[v]]
+        fragment_of[v] = v if pe is None or colors[pe] == c else fragment_of[tparent[v]]
 
     recovery: list[int] = []
     frag_adj: dict[int, list[tuple[int, int]]] = {
@@ -295,7 +315,7 @@ def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder,
     }
     joiner = UnionFind(n)
     for eid, (u, v) in enumerate(g.edges):
-        if u == v or g.edge_color(eid) == c:
+        if u == v or colors[eid] == c:
             continue
         fu, fv = fragment_of[u], fragment_of[v]
         if fu != fv and joiner.union(fu, fv):
@@ -303,7 +323,7 @@ def _build_color_structure(g, net, c, tree_edges, tparent, tparent_edge, torder,
             frag_adj[fu].append((fv, eid))
             frag_adj[fv].append((fu, eid))
     tc_routing = build_tree_routing(
-        net, [e for e in tree_edges if g.edge_color(e) != c] + recovery
+        net, [e for e in tree_edges if colors[e] != c] + recovery, stored
     )
     a_fragments = tuple(sorted({fragment_of[a] for a in anchors}))
     return ColorStructure(

@@ -58,18 +58,13 @@ class RulingSet:
         return tuple(sorted(set(self.A0) | set(self.A)))
 
 
-def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
-    """Distance-i selection loop with minimum-id tie-breaks, then the paths P(v).
+def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int]]:
+    """(A0, A, k, depth): the distance-i selection loop with minimum-id tie-breaks.
 
     The BFS forest of G seeds A0 and the distances; each new anchor then
     lowers them in place with a BFS that enters only the vertices whose
-    distance drops.  P(v) steps from v to its minimum-id neighbor one level
-    closer (first edge id among parallels), as a level-synchronized BFS
-    scanning each level in increasing id would choose.  Parent chains are
-    therefore consistent: if u lies on the chain of v, u's chain is a suffix
-    of v's, and the union of all chains is a forest.
+    distance drops.
     """
-    gv = as_view(g)
     forest = bfs_tree(gv)
     A0 = [v for v, r in enumerate(forest.root) if r == v]
     depth = list(forest.depth)
@@ -91,7 +86,20 @@ def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
         depth[a] = 0
         queue = [a]
         i += 1
+    return A0, A, i, depth
 
+
+def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
+    """A0, A and k from ``_ruling_sequence``, then the paths P(v).
+
+    P(v) steps from v to its minimum-id neighbor one level closer (first edge
+    id among parallels), as a level-synchronized BFS scanning each level in
+    increasing id would choose.  Parent chains are therefore consistent: if u
+    lies on the chain of v, u's chain is a suffix of v's, and the union of all
+    chains is a forest.
+    """
+    gv = as_view(g)
+    A0, A, k, depth = _ruling_sequence(gv)
     n = gv.n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
@@ -106,7 +114,7 @@ def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
             parent_edge[w] = eid
             anchor[w] = anchor[x]
     return RulingSet(
-        tuple(A0), tuple(A), i, tuple(depth), tuple(parent), tuple(parent_edge), tuple(anchor)
+        tuple(A0), tuple(A), k, tuple(depth), tuple(parent), tuple(parent_edge), tuple(anchor)
     )
 
 
@@ -204,7 +212,7 @@ def pair_connected(
 
 def ball_packing_greedy(g: ColoredGraph | GraphView) -> int:
     """Halting iteration k of the ruling-set loop: floor(k/4) <= exact packing."""
-    return build_ruling_set(g).k
+    return _ruling_sequence(as_view(g))[2]
 
 
 def find_disjoint_proper_balls(g: ColoredGraph | GraphView, r: int) -> list[int] | None:

@@ -3,6 +3,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
 from colorfault.graph import GraphError, components, edge_graph
@@ -213,6 +215,80 @@ def test_doubled_path_maximal_fragmentation():
     assert max(len(set(cs.fragment_of)) for cs in scheme.structures.values()) == n
 
 
+# -- T_c data at the stored (v, c) pairs ------------------------------------------
+
+
+def stored_pairs(scheme, c):
+    """The vertices whose routing tables and labels store T_c data: c on P(v)."""
+    return {v for v, lbl in enumerate(scheme.connectivity.vertex_labels)
+            if c in lbl.cid_by_color}
+
+
+@st.composite
+def connected_edge_multigraphs(draw, max_n=12, max_extra=16):
+    """A connected edge-colored multigraph: a random tree plus extra edges (loops, parallels)."""
+    n, C = draw(st.integers(1, max_n)), draw(st.integers(1, 5))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.permutations(tree + draw(st.lists(st.tuples(vertex, vertex),
+                                                        max_size=max_extra))))
+    colors = draw(st.lists(st.integers(0, C - 1), min_size=len(edges), max_size=len(edges)))
+    return edge_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)], C=C)
+
+
+def check_tc_data_only_at_stored_pairs(scheme):
+    """T_c tables and labels exist exactly where c lies on P(v), equal to a full T_c build."""
+    g, net = scheme.graph, scheme.net
+    assert set(scheme.tree_routing.tables) == set(scheme.tree_routing.label) == set(range(g.n))
+    tree_edges = [net.ports[v][t.parent_port][0]
+                  for v, t in scheme.tree_routing.tables.items() if t.parent_port is not None]
+    assert len(tree_edges) == g.n - 1
+    assert set(scheme.structures) == scheme.colors_on_tree
+    for c, cs in scheme.structures.items():
+        stored = stored_pairs(scheme, c)
+        assert set(cs.tc_routing.tables) == set(cs.tc_routing.label) == stored
+        recovery = sorted({eid for adj in cs.frag_adj.values() for _other, eid in adj})
+        full = build_tree_routing(
+            net, [e for e in tree_edges if g.edge_color(e) != c] + recovery
+        )
+        assert set(full.tables) == set(range(g.n))
+        for v in stored:
+            assert cs.tc_routing.tables[v] == full.tables[v]
+            assert cs.tc_routing.label[v] == full.label[v]
+    for v, (table, lbl) in enumerate(zip(scheme.tables, scheme.vertex_labels)):
+        on_path = scheme.connectivity.vertex_labels[v].cid_by_color
+        assert set(table.tc_tables) == set(lbl.per_color) == set(on_path)
+
+
+@given(connected_edge_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_tc_data_only_at_stored_pairs_random(g):
+    check_tc_data_only_at_stored_pairs(build_routing_scheme(g))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_path(40), lambda: gen_grid(5, 7)],
+                         ids=["path", "grid"])
+def test_tc_data_only_at_stored_pairs_unique_colors(make):
+    scheme = build_routing_scheme(make())
+    assert len(scheme.colors_on_tree) == scheme.graph.n - 1
+    check_tc_data_only_at_stored_pairs(scheme)
+
+
+def test_tree_routing_at_given_vertices_matches_full_build():
+    # a forest of two trees plus singleton 7; edge 5 (parallel to 0) is not in it
+    g = edge_graph(8, [(0, 1, 0), (1, 2, 0), (1, 3, 1), (4, 5, 0), (5, 6, 1), (0, 1, 1)])
+    net = PortedNetwork.build(g)
+    forest = range(5)
+    full = build_tree_routing(net, forest)
+    part = build_tree_routing(net, forest, [7, 5, 1, 0])
+    assert list(part.tables) == list(part.label) == [7, 5, 1, 0]
+    assert all(part.tables[v] == full.tables[v] and part.label[v] == full.label[v]
+               for v in (7, 5, 1, 0))
+    assert len(full.tables[1].child_slots) == 2
+    empty = build_tree_routing(net, forest, [])
+    assert empty.tables == {} and empty.label == {}
+
+
 # -- simulator contract --------------------------------------------------------------
 
 
@@ -325,10 +401,11 @@ def test_header_and_table_sizes():
 def pinned_routing_outputs(g):
     """(delivered routes, sha256) of the whole scheme and of every route.
 
-    Hashes the tables, the vertex and color labels, T's and every T_c's
-    tables and labels (dicts as sorted items), each fragment structure, and
-    the trace and header of route(s, t, c) for every s != t and color c, or
-    the type name of its refusal.
+    Hashes the tables, the vertex and color labels, T's tables and labels,
+    every T_c's tables and labels at the vertices v with c on P(v) (dicts as
+    sorted items), each fragment structure, and the trace and header of
+    route(s, t, c) for every s != t and color c, or the type name of its
+    refusal.
     """
     scheme = build_routing_scheme(g)
     h = hashlib.sha256()
@@ -337,9 +414,10 @@ def pinned_routing_outputs(g):
         h.update(repr(item).encode())
         h.update(b"\n")
 
-    def put_tree(tr):
-        put(sorted(tr.tables.items()))
-        put(sorted(tr.label.items()))
+    def put_tree(tr, stored=None):
+        keep = tr.tables.keys() if stored is None else stored
+        put(sorted((v, tr.tables[v]) for v in keep))
+        put(sorted((v, tr.label[v]) for v in keep))
 
     for t in scheme.tables:
         put((t.vertex, t.parent_port, t.parent_color, sorted(t.blocks.items()),
@@ -351,7 +429,7 @@ def pinned_routing_outputs(g):
     put_tree(scheme.tree_routing)
     for c, cs in sorted(scheme.structures.items()):
         put((c, cs.fragment_of, sorted(cs.frag_adj.items()), cs.a_fragments))
-        put_tree(cs.tc_routing)
+        put_tree(cs.tc_routing, stored_pairs(scheme, c))
     delivered = 0
     for c in range(g.C):
         for s in range(g.n):
@@ -368,10 +446,11 @@ def pinned_routing_outputs(g):
     return delivered, h.hexdigest()
 
 
-# Recorded before the tree walks moved onto graph.preorder / graph.path_colors.
+# Recorded while every T_c was still built over all vertices, and unchanged
+# once T_c data is kept only at the vertices that store it.
 PINNED = {
-    "random": (2030, "5277e6179e527a1d0548bcf616dbc8d0f12e8d106a6cc2877dbd06f4c4639593"),
-    "grid": (51584, "643d72d9d9881570eefc2e2b25b7ed90b49feac8fb733cbdcc9dbd1a050f8829"),
+    "random": (2030, "e78bb39cfb78baa447ebea657fde912b306d558fa5e8f52f1ebdc76e0e438d22"),
+    "grid": (51584, "7f7c6509ec54e8414b8abc8db5cd8e9808b83a9ed55cdc3eb370e83572cc036b"),
 }
 PINNED_GRAPHS = {
     "random": lambda: gen_random(24, 44, 4, seed=5, connected=True),

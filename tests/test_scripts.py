@@ -27,7 +27,7 @@ def test_fingerprint_script_is_stable():
     # long-unique-build is the only workload that builds routing
     expected = {
         "few-colors-read": ("oracle file", "answers nca.oracle_query"),
-        "long-unique-build": ("routing bits", "answers routing.route"),
+        "long-unique-build": ("routing bits", "routing tables", "answers routing.route"),
     }
     joined = []
     for workload, wanted in expected.items():
