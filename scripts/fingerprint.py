@@ -3,11 +3,12 @@
 
 Builds a workload's set-up and one round of its questions through the
 benchmark's own adapter table (``perfbench/layers.py``, untraced), then prints
-a digest of every label's ``bits`` per label set, the oracle file bytes, the
-routing tables' and labels' ``bits`` and contents (each table's blocks and T_c
-tables, each vertex label's per-color entries, each color label's blocks), the
-encoder round trip, and every answer of the round per answering scheme (an
-exception is recorded by its type name).
+a digest of every label's ``bits`` and one of every label's ``repr`` per group
+of label sets (so label contents count, the reduction's masks included), the
+oracle file bytes, the routing tables' and labels' ``bits`` and contents (each
+table's blocks and T_c tables, each vertex label's per-color entries, each
+color label's blocks), the encoder round trip, and every answer of the round
+per answering scheme (an exception is recorded by its type name).
 ``--workload`` takes one or more workload names (all of them by default) and
 prints one block per workload under a ``# <workload> seed N`` header.  Two
 checkouts whose outputs should not differ print the same lines:
@@ -57,8 +58,9 @@ def fingerprint(name: str, seed: int) -> list[str]:
         lines.append(f"{digest(items)}  {label}  ({len(items)})")
 
     for key, sets in wl.label_sets(state).items():
-        emit(f"bits {key}", [[lbl.bits for lbl in group]
-                             for ls in sets for group in ls.label_groups().values()])
+        groups = [group for ls in sets for group in ls.label_groups().values()]
+        emit(f"bits {key}", [[lbl.bits for lbl in group] for group in groups])
+        emit(f"labels {key}", [lbl for group in groups for lbl in group])
     if "oracle_blob" in state:
         emit("oracle file", [state["oracle_blob"]])
     if "routing" in state:

@@ -28,8 +28,7 @@ class DecoderEntry:
     bit: int
     u: int
     v: int
-    faults: frozenset[int]
-    one_means_disconnected: bool = True
+    faults: frozenset[int]  # the bit is 1 iff u and v are disconnected under these faults
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,7 @@ class EncodedInstance:
     capacity: int
 
     def decode(self, answer: Callable[[int, int, frozenset[int]], bool]) -> list[int]:
-        out = []
-        for entry in self.decoder:
-            connected = answer(entry.u, entry.v, entry.faults)
-            bit = (not connected) if entry.one_means_disconnected else connected
-            out.append(1 if bit else 0)
-        return out
+        return [0 if answer(e.u, e.v, e.faults) else 1 for e in self.decoder]
 
     def decode_with_oracle(self) -> list[int]:
         return self.decode(lambda u, v, F: brute_force_connected(self.graph, u, v, F))

@@ -76,7 +76,6 @@ class ColorForestCertificate:
     """H = union of per-color spanning forests of an edge-colored graph."""
 
     graph: ColoredGraph  # the graph H lives in (input, or its subdivision)
-    original_mode: str
     edge_ids: tuple[int, ...]
     per_color: tuple[tuple[int, ...], ...]  # forest edge ids per color
 
@@ -96,7 +95,6 @@ class ColorForestCertificate:
 
 def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
     """Spanning forest per color class, scanned in increasing edge id."""
-    original_mode = g.mode
     if g.mode == VERTEX:
         g = reduce_between_modes(g)
     forests: list[list[int]] = []
@@ -108,7 +106,6 @@ def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
     edge_ids = sorted(eid for forest in forests for eid in forest)
     return ColorForestCertificate(
         graph=g,
-        original_mode=original_mode,
         edge_ids=tuple(edge_ids),
         per_color=tuple(tuple(f) for f in forests),
     )

@@ -29,6 +29,7 @@ from .graph import (
     RemovedVertexError,
     cids_after_faults,
     orient_forest,
+    preorder,
     reduce_between_modes,
     spanning_forest,
 )
@@ -53,55 +54,49 @@ def build_nca(parent: list[int | None], colors: list[int | None]) -> NcaStructur
     """Index a rooted forest for nearest-colored-ancestor queries.
 
     ``parent[v] is None`` marks roots; ``colors[v] is None`` leaves v out of
-    every array.  One DFS (roots and children in increasing id) stamps each
-    vertex and, from a per-color stack of open vertices, finds its nearest
-    strictly-above same-color ancestor; each colored vertex contributes its
-    two stamps.  Raises GraphError when the parents do not form a forest.
+    every array.  The stamps are a DFS's that visits roots and children by
+    increasing id, read off ``preorder``: v enters at 2 pre - depth and exits
+    at 2 end - depth - 1.  Walking a color's vertices in pre-order, a stack of
+    open ones exits each vertex whose subtree has ended, with the vertex below
+    it, its nearest strictly-above same-color ancestor, as the answer at its
+    exit.  Raises GraphError when the parents do not form a forest.
     """
     n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p is not None:
-            children[p].append(v)
-    pre = [0] * n
-    root = [0] * n
-    arrays: dict[int, list[int]] = {}
-    answers: dict[int, list[int | None]] = {}
-    open_: dict[int, list[int]] = {}  # per color: colored vertices on the DFS path
-    clock = 0
-    for r in range(n):
-        if parent[r] is not None:
-            continue
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            if v >= 0:  # enter v; ~v on the stack marks its exit
-                pre[v] = clock
-                root[v] = r
-                c = colors[v]
-                if c is not None:
-                    open_.setdefault(c, []).append(v)
-                    arrays.setdefault(c, []).append(clock)
-                    answers.setdefault(c, []).append(v)
-                stack.append(~v)
-                stack.extend(reversed(children[v]))
-            else:
-                c = colors[~v]
-                if c is not None:
-                    chain = open_[c]
-                    chain.pop()
-                    arrays[c].append(clock)
-                    answers[c].append(chain[-1] if chain else None)
-            clock += 1
-    if clock != 2 * n:
+    order, pre, end = preorder(parent)
+    if len(order) != n:
         raise GraphError("parent pointers do not form a forest")
+    depth = [0] * n
+    root = list(range(n))
+    members: dict[int, list[int]] = {}  # per color: its vertices in pre-order
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            depth[v] = depth[p] + 1
+            root[v] = root[p]
+        if colors[v] is not None:
+            members.setdefault(colors[v], []).append(v)
+    arrays: dict[int, tuple[int, ...]] = {}
+    answers: dict[int, tuple[int | None, ...]] = {}
+    for c, vs in members.items():
+        stamps, above, chain = [], [], []  # chain: the color's open vertices
+        for v in vs + [None]:  # None closes every open vertex
+            until = n if v is None else pre[v]
+            while chain and end[chain[-1]] <= until:
+                x = chain.pop()
+                stamps.append(2 * end[x] - depth[x] - 1)
+                above.append(chain[-1] if chain else None)
+            if v is not None:
+                chain.append(v)
+                stamps.append(2 * pre[v] - depth[v])
+                above.append(v)
+        arrays[c], answers[c] = tuple(stamps), tuple(above)
     return NcaStructure(
         parent=tuple(parent),
-        pre=tuple(pre),
+        pre=tuple(2 * i - d for i, d in zip(pre, depth)),
         root=tuple(root),
         colors=tuple(colors),
-        arrays={c: tuple(a) for c, a in arrays.items()},
-        answers={c: tuple(a) for c, a in answers.items()},
+        arrays=arrays,
+        answers=answers,
     )
 
 

@@ -7,11 +7,12 @@ whether the vertex reaches cell i's source in G_i - F.  Every such path enters
 the source through a joined vertex, so the bit is "v survives F and its
 component of G - F holds a surviving joined vertex of cell i": the build runs
 ``cids_after_faults`` once on G and builds no augmented graph.  ``augment``
-and ``ExactSingleSource.build`` answer the cells one by one, as the tests'
-reference.  A pair is connected exactly when its two masks are equal, so
-connected pairs are never misreported; for a disconnected pair, the column
-whose rate matches the smaller component size separates the two in any row
-with constant probability, and the row count makes that a high probability.
+builds one cell's graph, G plus its source, on which the tests check every
+mask bit against brute force.  A query reads only the labels.  A pair is
+connected exactly when its two masks are equal, so connected pairs are never
+misreported; for a disconnected pair, the column whose rate matches the
+smaller component size separates the two in any row with constant
+probability, and the row count makes that a high probability.
 """
 
 from __future__ import annotations
@@ -45,30 +46,11 @@ def joined_vertices(n: int, row: int, col: int, seed: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if rng.random() < p)
 
 
-@dataclass(frozen=True)
-class SingleSourceLabels:
-    vertex_labels: tuple
-    color_labels: tuple
-
-
-@dataclass(frozen=True)
-class ExactVertexLabel:
-    vertex: int
-    answers: dict[frozenset[int], bool]
-    bits: int
-
-
-@dataclass(frozen=True)
-class ExactColorLabel:
-    color: int
-    bits: int
-
-
 class ExactSingleSource:
-    """Brute-force single-source table: one answer bit per fault set (small C, f only).
+    """The fault-set family the CLI and the benchmark hand to ``build_all_pairs``.
 
-    Its fault sets and ``fault_key`` serve the reduction; ``build`` answers
-    one augmented cell, the tests' reference for the grid masks.
+    Every set of at most f colors of the palette 0..C-1 fails; the reduction
+    keeps one grid mask per set.
     """
 
     def __init__(self, f: int, fault_palette: int):
@@ -82,30 +64,6 @@ class ExactSingleSource:
             for size in range(self.f + 1)
             for F in itertools.combinations(range(self.fault_palette), size)
         ]
-
-    def build(self, g: ColoredGraph, source: int) -> SingleSourceLabels:
-        subsets = self.fault_sets()
-        cids = cids_after_faults(g, {F: range(g.n) for F in subsets})
-        vertex_labels = []
-        for v in range(g.n):
-            answers = {
-                F: cids[F][v] is not None and cids[F][v] == cids[F][source] for F in subsets
-            }
-            vertex_labels.append(ExactVertexLabel(v, answers, len(subsets)))
-        color_labels = tuple(
-            ExactColorLabel(c, width_for(max(g.C, 2))) for c in range(g.C)
-        )
-        return SingleSourceLabels(tuple(vertex_labels), color_labels)
-
-    def fault_key(self, fault_labels: Sequence) -> frozenset[int]:
-        """The fault set as the answer tables key it, after the budget check."""
-        F = frozenset(fl.color for fl in fault_labels)
-        if len(F) > self.f:
-            raise ValueError("fault set larger than the scheme's budget")
-        return F
-
-    def query(self, vertex_label: ExactVertexLabel, fault_labels: Sequence) -> bool:
-        return vertex_label.answers[self.fault_key(fault_labels)]
 
 
 @dataclass(frozen=True)
@@ -160,8 +118,9 @@ def build_all_pairs(
 ) -> LabelSet:
     """A G - F component reaches the cells its surviving vertices are joined to.
 
-    Bits are the per-cell tables': a vertex pays one answer bit per fault set
-    and cell, a color one id of the augmented palette per cell.
+    ``inner`` names the fault sets; a vertex label keeps one grid mask per set.
+    A vertex pays one bit per fault set and cell (plus its own color in vertex
+    mode), a color one id of the augmented palette per cell.
     """
     if f < 0:
         raise ValueError(f"fault budget f={f} must be at least 0")
@@ -206,23 +165,24 @@ def build_all_pairs(
             for v in range(g.n)
         ),
         color_labels=tuple(ReductionColorLabel(c, color_bits) for c in range(g.C)),
-        meta={"rows": rows, "cols": cols, "alpha": alpha, "seed": seed, "inner": inner},
+        meta={"rows": rows, "cols": cols, "alpha": alpha, "seed": seed, "f": f},
     )
 
 
 def query_all_pairs(
-    ls: LabelSet,
     lu: ReductionVertexLabel,
     lw: ReductionVertexLabel,
     fault_labels: Sequence[ReductionColorLabel],
 ) -> bool:
     """Connected iff the two vertices agree with the source in every cell.
 
-    A fault set names the same colors in every cell, so its key (and its
-    budget check) is built once and selects one grid mask per vertex.
+    A fault set names the same colors in every cell, so its colors select one
+    grid mask per vertex; a set the labels hold no mask for is over budget.
     """
     check_removed(lu, lw, [fl.color for fl in fault_labels])
-    key = ls.meta["inner"].fault_key(fault_labels)
+    key = frozenset(fl.color for fl in fault_labels)
+    if key not in lu.rows:
+        raise ValueError("fault set larger than the scheme's budget")
     return lu.rows[key] == lw.rows[key]
 
 
@@ -230,7 +190,6 @@ def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
     colors = sorted(set(F))
     ls.check_ids(u, w, colors)
     return query_all_pairs(
-        ls,
         ls.vertex_labels[u],
         ls.vertex_labels[w],
         [ls.color_labels[c] for c in colors],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -88,19 +89,6 @@ def test_augment_reproducible_and_never_failing():
             assert k in surviving
 
 
-def test_exact_inner_scheme_is_exact():
-    g = gen_random(12, 20, 4, seed=3)
-    inner = ExactSingleSource(f=2, fault_palette=g.C)
-    cell = augment(g, 1, 2, seed=5)
-    labels = inner.build(cell.graph, cell.source)
-    for size in range(3):
-        for F in itertools.combinations(range(g.C), size):
-            faults = [labels.color_labels[c] for c in F]
-            for v in range(g.n):
-                want = brute_force_connected(cell.graph, v, cell.source, F)
-                assert inner.query(labels.vertex_labels[v], faults) == want
-
-
 def test_connected_pairs_never_misreported():
     for seed in range(5):
         g = gen_random(14, 26, 4, seed=seed)
@@ -114,18 +102,18 @@ def test_connected_pairs_never_misreported():
 
 
 def assert_bits_sum_over_grid(mode: str) -> None:
-    g = gen_random(8, 12, 3, seed=2, mode=mode)
+    g = gen_random(8, 12, 4, seed=2, mode=mode)  # width_for(C) < width_for(C + 1)
     inner = ExactSingleSource(f=1, fault_palette=g.C)
     ls = build_all_pairs(g, f=1, inner=inner, alpha=1.0, seed=1)
     cells = ls.meta["rows"] * ls.meta["cols"]
-    one_cell = inner.build(augment(g, 1, 1, seed=1).graph, g.n)
+    fault_sets = 1 + g.C  # the empty set and every single color
     own_bits = width_for(g.C) if mode == "vertex" else 0
-    for v, lbl in enumerate(ls.vertex_labels):
+    for lbl in ls.vertex_labels:
         assert all(0 <= row < 1 << cells for row in lbl.rows.values())
-        assert len(lbl.rows) == len(one_cell.vertex_labels[v].answers)
-        assert lbl.bits == cells * one_cell.vertex_labels[v].bits + own_bits
-    for c, lbl in enumerate(ls.color_labels):
-        assert lbl.bits == cells * one_cell.color_labels[c].bits
+        assert len(lbl.rows) == fault_sets
+        assert lbl.bits == cells * fault_sets + own_bits
+    for lbl in ls.color_labels:
+        assert lbl.bits == cells * width_for(g.C + 1)  # a color of the augmented palette
 
 
 def test_label_bits_sum_over_grid():
@@ -157,16 +145,16 @@ def test_rows_match_per_cell_answers(g, seed):
     removed_joined = False  # vertex mode: some fault set removes a vertex joined to a source
     for i, (row, col) in enumerate(grid):
         cell = augment(g, row, col, seed)
-        labels = inner.build(cell.graph, cell.source)
         for size in range(f + 1):
             for F in itertools.combinations(range(g.C), size):
-                faults = [labels.color_labels[c] for c in F]
-                key = inner.fault_key(faults)
                 if g.mode == "vertex":
                     removed_joined |= any(g.vertex_colors[v] in F for v in cell.source_edges)
                 for v in range(g.n):
-                    got = ls.vertex_labels[v].rows[key] >> i & 1
-                    assert got == inner.query(labels.vertex_labels[v], faults)
+                    got = ls.vertex_labels[v].rows[frozenset(F)] >> i & 1
+                    # a vertex that F removes reaches no source
+                    removed = g.mode == "vertex" and g.vertex_colors[v] in F
+                    assert got == (not removed and
+                                   brute_force_connected(cell.graph, v, cell.source, F))
     assert g.mode == "edge" or removed_joined
 
 
@@ -262,10 +250,13 @@ def test_negative_fault_budget_rejected():
         build_all_pairs(g, f=-1, inner=ExactSingleSource(-1, g.C), alpha=1.0)
 
 
-def pinned_reduction_answers() -> tuple[int, str]:
-    """(True count, sha256) of every pair under 12 seeded fault sets of size <= 2."""
+def pinned_reduction_answers(rebuild=lambda ls: ls) -> tuple[int, str]:
+    """(True count, sha256) of every pair under 12 seeded fault sets of size <= 2.
+
+    ``rebuild`` maps the built label set to the one asked.
+    """
     g = gen_random(16, 24, 4, seed=31)
-    ls = build_all_pairs(g, f=2, inner=ExactSingleSource(2, g.C), alpha=1.0, seed=3)
+    ls = rebuild(build_all_pairs(g, f=2, inner=ExactSingleSource(2, g.C), alpha=1.0, seed=3))
     rng = random.Random(37)
     answers = [query_all_pairs_ids(ls, u, w, F)
                for F in (rng.sample(range(g.C), rng.randrange(0, 3)) for _ in range(12))
@@ -279,3 +270,14 @@ PINNED = (2114, "82dcbfb8902375512fac658fe5987b3e21563aa2a911c93a0117166801a3ccb
 
 def test_answers_pinned():
     assert pinned_reduction_answers() == PINNED
+
+
+def test_queries_read_labels_only():
+    assert pinned_reduction_answers(lambda ls: dataclasses.replace(ls, meta={})) == PINNED
+
+
+def test_oversized_fault_set_rejected():
+    g = gen_random(10, 16, 3, seed=5)
+    ls = build_all_pairs(g, f=1, inner=ExactSingleSource(1, g.C), alpha=1.0, seed=4)
+    with pytest.raises(ValueError, match="budget"):
+        query_all_pairs_ids(ls, 0, 1, [0, 1])

@@ -26,8 +26,10 @@ def test_sketch_success_report_script_reports_rates():
 def test_fingerprint_script_is_stable():
     # long-unique-build is the only workload that builds routing
     expected = {
-        "few-colors-read": ("oracle file", "answers nca.oracle_query"),
-        "long-unique-build": ("routing bits", "routing tables", "answers routing.route"),
+        "few-colors-read": ("labels nca.label_bits_max", "oracle file",
+                            "answers nca.oracle_query"),
+        "long-unique-build": ("labels single_fault.label_bits_max", "routing bits",
+                              "routing tables", "answers routing.route"),
     }
     joined = []
     for workload, wanted in expected.items():
