@@ -30,7 +30,6 @@ from .graph import (
 from .labels import loglog_slope, measure_labels, report_lines
 from .nca import build_one_fault_oracle, dump_oracle, load_oracle, oracle_file_bits
 from .oracle import brute_force_connected
-from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from .routing import UnreachableError, build_routing_scheme, route
 from .schemes import SCHEMES, query
 
@@ -153,34 +152,41 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     scheme = SCHEMES[args.scheme]
+    max_faults = scheme.budget(args.f)
     ls = scheme.build(g, f=args.f, seed=seed, repetitions=args.repetitions,
                       checksum_bits=args.checksum_bits)
     rng = random.Random(seed)
-    max_faults = scheme.budget(args.f)
-    agree = 0
     skipped = 0
+    mismatches = []  # (u, v, F, wrong answer)
     for _ in range(args.trials):
         u = rng.randrange(g.n)
         v = rng.randrange(g.n)
-        size = rng.randrange(1, max_faults + 1)
+        size = rng.randrange(min(1, max_faults), max_faults + 1)
         F = rng.sample(range(g.C), min(size, g.C))
         try:
             want = brute_force_connected(g, u, v, F)
         except RemovedVertexError:
             skipped += 1
             continue
-        got = query(ls, u, v, F)
-        agree += got == want
+        if query(ls, u, v, F) != want:
+            mismatches.append((u, v, F, not want))
     effective = args.trials - skipped
+    false_connected = sum(got for *_, got in mismatches)
     report = {
         "scheme": args.scheme,
         "trials": args.trials,
         "skipped_removed": skipped,
-        "agreement": agree / max(effective, 1),
+        "agreement": (effective - len(mismatches)) / max(effective, 1),
+        "false_connected": false_connected,
+        "false_disconnected": len(mismatches) - false_connected,
         "seed": seed,
+        "mismatch": tuple(  # each replays as `cfl label --seed S -o` then `cfl query`
+            f"u={u} v={v} F={','.join(map(str, F))} got={int(got)} want={int(not got)}"
+            for u, v, F, got in mismatches
+        ),
     }
     _emit(report, args.summary)
-    return 0 if agree == effective else 1
+    return int(any(got != scheme.false_answer for *_, got in mismatches))  # a forbidden error
 
 
 def cmd_bench(args) -> int:
@@ -233,47 +239,6 @@ def cmd_route(args) -> int:
                 f"(edge color {hop.color})"
             )
     return 0
-
-
-def cmd_reduce(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    g = _read_graph(args.graph)
-    seed = args.seed if args.seed is not None else _default_seed()
-    inner = ExactSingleSource(f=args.f, fault_palette=g.C)
-    ls = build_all_pairs(g, f=args.f, inner=inner, alpha=args.alpha, seed=seed)
-    rng = random.Random(seed)
-    wrong_connected = 0
-    wrong_disconnected = 0
-    conn = disc = 0
-    for _ in range(args.trials):
-        u = rng.randrange(g.n)
-        w = rng.randrange(g.n)
-        F = rng.sample(range(g.C), min(args.f, g.C))
-        try:
-            want = brute_force_connected(g, u, w, F)
-        except RemovedVertexError:
-            continue
-        got = query_all_pairs_ids(ls, u, w, F)
-        if want:
-            conn += 1
-            wrong_connected += not got
-        else:
-            disc += 1
-            wrong_disconnected += got
-    report = {
-        "rows": ls.meta["rows"],
-        "cols": ls.meta["cols"],
-        "alpha": args.alpha,
-        "seed": seed,
-        "connected_queries": conn,
-        "connected_errors": wrong_connected,
-        "disconnected_queries": disc,
-        "disconnected_errors": wrong_disconnected,
-        "max_label_bits": ls.max_label_bits(),
-    }
-    _emit(report, args.summary)
-    return 0 if wrong_connected == 0 else 1
 
 
 def cmd_encode(args) -> int:
@@ -406,15 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", type=int, required=True)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_route)
-
-    p = sub.add_parser("reduce", help="all-pairs source-grid labels, checked against brute force")
-    p.add_argument("graph")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--summary", default=None)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("encode", help="lower-bound round-trip encodings")
     esub = p.add_subparsers(dest="encoder", required=True)

@@ -110,12 +110,14 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def report_lines(report: dict[str, Any], prefix: str = "") -> list[str]:
-    """Flatten a report dict into line-oriented key=value text."""
+    """Flatten a report dict into key=value lines; a tuple gives one ``key item`` line each."""
     lines: list[str] = []
     for key, value in report.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             lines.extend(report_lines(value, prefix=f"{name}."))
+        elif isinstance(value, tuple):
+            lines.extend(f"{name} {item}" for item in value)
         else:
             if isinstance(value, float):
                 value = f"{value:.3f}"

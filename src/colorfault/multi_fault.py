@@ -358,7 +358,7 @@ def label_recursive(
             mode=g.mode,
             vertex_labels=ls.vertex_labels,
             color_labels=ls.color_labels,
-            meta={**ls.meta, "f": 1, "base": True},
+            meta={**ls.meta, "f": 1},
         )
     if g.mode == VERTEX:
         # subdivide to the equivalent edge-colored instance; vertex ids and
@@ -383,18 +383,14 @@ def label_recursive(
     )
 
 
-def query_recursive(
-    ls: LabelSet,
-    lu,
-    lv,
-    color_labels: Sequence,
-) -> bool:
+def query_recursive(lu, lv, color_labels: Sequence) -> bool:
     """Case split per node: descend on a prevalent fault, else sketch it out."""
     faults = list(color_labels)
-    if len(faults) > ls.meta["f"]:
+    base = not isinstance(lu, RecursiveVertexLabel)  # f = 1 builds plain one-fault labels
+    if len(faults) > (1 if base else lu.f):
         raise ValueError("fault set larger than the scheme's budget")
     check_removed(lu, lv, [c.color for c in faults])
-    if ls.meta.get("base"):
+    if base:
         return _query_base(lu, lv, faults)
     return _query_node(lu, lv, faults)
 
@@ -438,7 +434,6 @@ def query_recursive_ids(ls: LabelSet, u: int, v: int, F: Iterable[int]) -> bool:
     colors = sorted(set(F))
     ls.check_ids(u, v, colors)
     return query_recursive(
-        ls,
         ls.vertex_labels[u],
         ls.vertex_labels[v],
         [ls.color_labels[c] for c in colors],

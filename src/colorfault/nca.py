@@ -118,18 +118,6 @@ def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
     return _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
 
 
-def naive_nearest_colored_ancestor(
-    parent: list[int | None], colors: list[int | None], v: int, c: int
-) -> int | None:
-    """Reference oracle: walk the parent chain."""
-    x: int | None = v
-    while x is not None:
-        if colors[x] == c:
-            return x
-        x = parent[x]
-    return None
-
-
 # -- one-fault connectivity oracle ---------------------------------------------
 
 

@@ -6,9 +6,9 @@ holds, for each fault set F, one grid mask whose bit i (cells row-major) says
 whether the vertex reaches cell i's source in G_i - F.  Every such path enters
 the source through a joined vertex, so the bit is "v survives F and its
 component of G - F holds a surviving joined vertex of cell i": the build runs
-``cids_after_faults`` once on G and builds no augmented graph.  ``augment``
-builds one cell's graph, G plus its source, on which the tests check every
-mask bit against brute force.  A query reads only the labels.  A pair is
+``cids_after_faults`` once on G and builds no augmented graph; the tests
+build each cell's graph, G plus its source, and check every mask bit against
+brute force on it.  A query reads only the labels.  A pair is
 connected exactly when its two masks are equal, so connected pairs are never
 misreported; for a disconnected pair, the column whose rate matches the
 smaller component size separates the two in any row with constant
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, cids_after_faults
+from .graph import VERTEX, ColoredGraph, cids_after_faults
 from .labels import LabelSet, check_removed
 from .sketch import _hash_fields as derive_seed
 
@@ -64,35 +64,6 @@ class ExactSingleSource:
             for size in range(self.f + 1)
             for F in itertools.combinations(range(self.fault_palette), size)
         ]
-
-
-@dataclass(frozen=True)
-class AugmentedCell:
-    row: int
-    col: int
-    graph: ColoredGraph
-    source: int
-    source_edges: tuple[int, ...]  # original vertices joined to the source
-
-
-def augment(g: ColoredGraph, row: int, col: int, seed: int) -> AugmentedCell:
-    """G plus a never-failing source joined to each vertex with rate 2^-col."""
-    source = g.n
-    joined = joined_vertices(g.n, row, col, seed)
-    edges = list(g.edges) + [(source, v) for v in joined]
-    if g.mode == EDGE:
-        colors = list(g.edge_colors or ()) + [g.C] * len(joined)
-        graph = ColoredGraph(
-            n=g.n + 1, mode=EDGE, edges=tuple(edges), C=g.C + 1,
-            edge_colors=tuple(colors),
-        )
-    else:
-        vcolors = list(g.vertex_colors or ()) + [g.C]
-        graph = ColoredGraph(
-            n=g.n + 1, mode=VERTEX, edges=tuple(edges), C=g.C + 1,
-            vertex_colors=tuple(vcolors),
-        )
-    return AugmentedCell(row, col, graph, source, joined)
 
 
 @dataclass(frozen=True)

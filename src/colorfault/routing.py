@@ -356,21 +356,18 @@ def _fragment_bfs(cs: ColorStructure, source_frag: int) -> dict[int, tuple[int, 
     return out
 
 
-def _block_for(g, net, cs, tree_label, from_frag, to_frag) -> FirstRecEdgeBlock | None:
-    """FirstRecEdge on the directed fragment path from_frag -> to_frag."""
-    if from_frag == to_frag:
+def _block_for(g, net, cs, tree_label, from_frag, reach) -> FirstRecEdgeBlock | None:
+    """FirstRecEdge on the fragment path from_frag -> target, ``reach`` the target's BFS."""
+    dist, _peer, eid = reach.get(from_frag, (0, None, None))
+    if dist == 0:  # from_frag is the target, or the fragment tree does not reach it
         return None
-    reach = _fragment_bfs(cs, to_frag)
-    if from_frag not in reach:
-        return None
-    _dist, peer, eid = reach[from_frag]
     u, v = g.edges[eid]
-    x, y = (u, v) if cs.fragment_of[u] == from_frag else (v, u)
+    x = u if cs.fragment_of[u] == from_frag else v
     return FirstRecEdgeBlock(
         port=net.port_of(x, eid),
         x_tree_label=tree_label[x],
         x=x,
-        into_target_fragment=cs.fragment_of[y] == to_frag,
+        into_target_fragment=dist == 1,
     )
 
 
@@ -384,6 +381,9 @@ def _build_tables_and_labels(
     wport = width_for(max(net.max_ports(), 2))  # ports named at other vertices
     wblock = wport + wid + 2  # port, L_T(x), into-target flag, defined flag
     anchor_list = list(anchors)
+    anchor_reach = {  # color -> anchor fragment -> its fragment-tree BFS
+        c: {fr: _fragment_bfs(cs, fr) for fr in cs.a_fragments} for c, cs in structures.items()
+    }
 
     # nearest A-fragment (and its minimum anchor) per vertex and color
     tables = []
@@ -398,7 +398,7 @@ def _build_tables_and_labels(
             for a in anchor_list:
                 blocks[a] = _block_for(
                     g, net, cs, tree_routing.label,
-                    cs.fragment_of[v], cs.fragment_of[a],
+                    cs.fragment_of[v], anchor_reach[pcolor][cs.fragment_of[a]],
                 )
         tc_tables = {
             c: structures[c].tc_routing.tables[v] for c in sorted(colors_on_path[v])
@@ -433,7 +433,7 @@ def _build_tables_and_labels(
                 continue
             target_frag = best[1]
             a_vc = min(a for a in anchor_list if cs.fragment_of[a] == target_frag)
-            block = _block_for(g, net, cs, tree_routing.label, target_frag, my_frag)
+            block = _block_for(g, net, cs, tree_routing.label, target_frag, reach)
             per_color[c] = (a_vc, block, cs.tc_routing.label[v])
         lbits = wid + wid + width_for(n + 1)
         lbits += len(per_color) * (wc + wid + wblock + wid)
@@ -457,7 +457,7 @@ def _build_tables_and_labels(
             else:
                 blocks[a] = _block_for(
                     g, net, cs, tree_routing.label,
-                    cs.fragment_of[root], cs.fragment_of[a],
+                    cs.fragment_of[root], anchor_reach[c][cs.fragment_of[a]],
                 )
         cbits = wc + width_for(len(anchor_list) + 1) + len(anchor_list) * wblock
         color_labels.append(RoutingColorLabel(c, blocks, cbits))

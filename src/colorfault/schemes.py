@@ -3,7 +3,9 @@
 A labeling scheme is its labels alone: ``build`` turns a graph into a
 :class:`LabelSet` once, and ``ask`` answers "are u and v connected once the
 colors F fail?" from the labels of u, v and F.  :func:`query` is the one
-checked entry point over a built label set.
+checked entry point over a built label set.  ``false_answer`` is the one wrong
+answer a scheme may give: sketches may miss a connection, the all-pairs
+reduction a separation; the other schemes are exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .multi_fault import (
     query_recursive_ids,
 )
 from .nca import CONN_SCHEME, label_nca_connectivity, pair_connected_nca
+from .reduction import SCHEME as ALL_PAIRS_SCHEME
+from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from .single_fault import SCHEME as SINGLE_SCHEME
 from .single_fault import label_single_fault, pair_connected
 from .two_fault import SCHEME as TWO_SCHEME
@@ -32,11 +36,14 @@ from .two_fault import label_two_fault, query_two_fault_ids
 class Scheme:
     name: str  # the --scheme choice
     label_scheme: str  # LabelSet.scheme of the labels it builds
-    build: Callable[..., LabelSet]  # (g, *, f, seed[, repetitions, checksum_bits])
+    build: Callable[..., LabelSet]  # (g, *, f, seed, repetitions, checksum_bits)
     ask: Callable[[LabelSet, int, int, list[int]], bool]  # colors sorted, distinct
     max_faults: int | None  # None: the f the labels were built for
+    false_answer: bool | None = None  # the one wrong answer it may give; None: exact
 
     def budget(self, f: int) -> int:
+        if self.max_faults is None and f < 0:
+            raise ValueError(f"fault budget f={f} must be at least 0")
         return f if self.max_faults is None else self.max_faults
 
 
@@ -53,19 +60,20 @@ SCHEMES: dict[str, Scheme] = {s.name: s for s in (
            _one_fault(pair_connected), 1),
     Scheme("two-diam", TWO_SCHEME, lambda g, **_: label_two_fault(g),
            lambda ls, u, v, F: query_two_fault_ids(ls, u, v, F[0], F[-1]), 2),
-    Scheme("multi", RECURSIVE_SCHEME, label_recursive, query_recursive_ids, None),
+    Scheme("multi", RECURSIVE_SCHEME, label_recursive, query_recursive_ids, None, False),
     Scheme("large", LARGE_SCHEME, lambda g, f, **kw: label_large_f(g, **kw),
-           query_large_f_ids, None),
+           query_large_f_ids, None, False),
     Scheme("nca", CONN_SCHEME, lambda g, **_: label_nca_connectivity(g),
            _one_fault(pair_connected_nca), 1),
+    Scheme("all-pairs", ALL_PAIRS_SCHEME,
+           lambda g, f, seed, **_: build_all_pairs(g, f, ExactSingleSource(f, g.C), seed=seed),
+           query_all_pairs_ids, None, True),
 )}
-
-_BY_LABEL_SCHEME = {s.label_scheme: s for s in SCHEMES.values()}
 
 
 def query(ls: LabelSet, u: int, v: int, colors: Iterable[int]) -> bool:
     """Answer from ``ls`` after checking ids and the fault budget (GraphError)."""
-    scheme = _BY_LABEL_SCHEME.get(ls.scheme)
+    scheme = next((s for s in SCHEMES.values() if s.label_scheme == ls.scheme), None)
     if scheme is None:
         raise GraphError(f"unknown label file scheme {ls.scheme!r}")
     F = sorted(set(colors))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -171,8 +172,9 @@ def test_bench_rejects_degenerate_sizes(capsys, sizes, cause):
 @pytest.mark.parametrize("argv, cause", [
     (["verify", "--scheme", "single", "--trials", "0"], "--trials"),
     (["verify", "--scheme", "two-diam", "--trials", "-3"], "--trials"),
-    (["reduce", "--trials", "0"], "--trials"),
-    (["reduce", "--f", "-1"], "fault budget"),
+    (["verify", "--scheme", "all-pairs", "--trials", "0"], "--trials"),
+    (["verify", "--scheme", "all-pairs", "--f", "-1"], "fault budget"),
+    (["verify", "--scheme", "large", "--f", "-1"], "fault budget"),  # large builds for any f
 ])
 def test_trials_and_fault_budget_rejected(tmp_path, capsys, argv, cause):
     gpath = write_graph(tmp_path, gen_random(12, 20, 3, seed=9))
@@ -194,13 +196,78 @@ def test_route_trace_format(tmp_path, capsys):
         assert code == 2  # honest unreachable
 
 
-def test_reduce_reports_no_connected_errors(tmp_path, capsys):
+def test_verify_all_pairs_reports_no_false_disconnected(tmp_path, capsys):
     g = gen_random(12, 20, 3, seed=9)
     gpath = write_graph(tmp_path, g)
-    assert main(["reduce", gpath, "--alpha", "2", "--trials", "150",
+    assert main(["verify", gpath, "--scheme", "all-pairs", "--f", "1", "--trials", "150",
                  "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert "connected_errors=0" in out
+    assert "false_disconnected=0" in out
+
+
+# connected=True, yet three faults of twelve colors still cut many pairs
+SKETCH_GRAPH = gen_random(60, 150, 12, seed=4, connected=True)
+SKETCH_ARGS = ["--f", "3", "--repetitions", "1", "--seed", "5"]
+
+
+@pytest.mark.parametrize("name", ["multi", "large"])
+def test_verify_passes_sketch_errors_toward_disconnected(tmp_path, capsys, name):
+    gpath = write_graph(tmp_path, SKETCH_GRAPH)
+    assert main(["verify", gpath, "--scheme", name, "--trials", "300", *SKETCH_ARGS]) == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("mismatch "))
+    assert report["false_connected"] == "0" and int(report["false_disconnected"]) > 0
+
+
+def flip_one_answer(g, ask, wrong):
+    """``ask``, but the first question whose true answer is ``not wrong`` gets ``wrong``."""
+    flipped = []
+
+    def flipping(ls, u, v, F):
+        if not flipped and brute_force_connected(g, u, v, F) != wrong:
+            flipped.append((u, v, F))
+            return wrong
+        return ask(ls, u, v, F)
+
+    return flipping
+
+
+@pytest.mark.parametrize("name, wrong, code", [
+    ("multi", False, 0), ("multi", True, 1),
+    ("all-pairs", True, 0), ("all-pairs", False, 1),
+    ("single", True, 1), ("single", False, 1),
+])
+def test_verify_fails_only_on_forbidden_errors(tmp_path, capsys, monkeypatch, name, wrong, code):
+    g = gen_random(24, 40, 4, seed=11, connected=True)
+    gpath = write_graph(tmp_path, g)
+    row = SCHEMES[name]
+    monkeypatch.setitem(SCHEMES, name,
+                        dataclasses.replace(row, ask=flip_one_answer(g, row.ask, wrong)))
+    assert main(["verify", gpath, "--scheme", name, "--f", "2", "--trials", "60",
+                 "--seed", "3"]) == code
+    mismatches = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("mismatch ")]
+    assert len(mismatches) == 1
+    assert mismatches[0].endswith(f"got={int(wrong)} want={int(not wrong)}")
+
+
+def test_verify_mismatches_replay(tmp_path, capsys):
+    gpath = write_graph(tmp_path, SKETCH_GRAPH)
+    summary = tmp_path / "s.json"
+    assert main(["verify", gpath, "--scheme", "multi", "--trials", "100", *SKETCH_ARGS,
+                 "--summary", str(summary)]) == 0
+    lines = [line.removeprefix("mismatch ") for line in capsys.readouterr().out.splitlines()
+             if line.startswith("mismatch ")]
+    assert lines and json.loads(summary.read_text())["mismatch"] == lines
+    labels = tmp_path / "labels.bin"
+    assert main(["label", gpath, "--scheme", "multi", *SKETCH_ARGS, "-o", str(labels)]) == 0
+    capsys.readouterr()
+    for line in lines:
+        m = dict(field.split("=") for field in line.split())
+        assert main(["query", str(labels), m["u"], m["v"], "--colors", m["F"]]) == 0
+        assert capsys.readouterr().out.strip() == f"connected={m['got']}"
+        assert int(brute_force_connected(SKETCH_GRAPH, int(m["u"]), int(m["v"]),
+                                         [int(c) for c in m["F"].split(",")])) == int(m["want"])
 
 
 def test_encode_balls_cli(tmp_path, capsys):

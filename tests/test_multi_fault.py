@@ -257,16 +257,16 @@ def test_manifest_records_each_node():
 
 
 def test_recursive_queries_read_only_labels():
-    # no shared context: the answers hold with every meta entry but the budget dropped
-    for mode in ("edge", "vertex"):
+    # no shared context: the answers and the budget hold with every meta entry dropped
+    for f, mode in itertools.product((1, 3), ("edge", "vertex")):
         g = gen_random(24, 50, 6, seed=31, mode=mode)
-        ls = label_recursive(g, f=3, seed=9)
+        ls = label_recursive(g, f=f, seed=9)
         assert "context" not in ls.meta
-        bare = dataclasses.replace(ls, meta={"f": ls.meta["f"]})
+        bare = dataclasses.replace(ls, meta={})
         rng = random.Random(4)
         for _ in range(150):
             u, v = rng.sample(range(g.n), 2)
-            F = rng.sample(range(g.C), rng.randrange(0, 4))
+            F = rng.sample(range(g.C), rng.randrange(1 if f == 1 else 0, f + 1))
             answers = []
             for labels in (ls, bare):
                 try:
@@ -274,6 +274,8 @@ def test_recursive_queries_read_only_labels():
                 except RemovedVertexError:
                     answers.append("removed")
             assert answers[0] == answers[1]
+        with pytest.raises(ValueError, match="budget"):
+            query_recursive_ids(bare, 0, 1, range(f + 1))
 
 
 def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:

@@ -22,7 +22,6 @@ from colorfault.nca import (
     label_nca,
     label_nca_connectivity,
     load_oracle,
-    naive_nearest_colored_ancestor,
     nca_query,
     nca_threshold,
     oracle_file_bits,
@@ -35,6 +34,18 @@ RED, BLUE, GREEN = 0, 1, 2
 # chain 0 -> 1 -> 2 -> 3 colored red, blue, red, blue
 CHAIN_PARENT = [None, 0, 1, 2]
 CHAIN_COLORS = [RED, BLUE, RED, BLUE]
+
+
+def naive_nearest_colored_ancestor(
+    parent: list[int | None], colors: list[int | None], v: int, c: int
+) -> int | None:
+    """Reference oracle: walk the parent chain."""
+    x: int | None = v
+    while x is not None:
+        if colors[x] == c:
+            return x
+        x = parent[x]
+    return None
 
 
 def random_forest(rng, n):

@@ -11,6 +11,8 @@ import pytest
 from colorfault.bits import width_for
 from colorfault.generators import gen_random
 from colorfault.graph import (
+    EDGE,
+    VERTEX,
     ColoredGraph,
     RemovedVertexError,
     components,
@@ -21,13 +23,45 @@ from colorfault.graph import (
 from colorfault.oracle import brute_force_connected
 from colorfault.reduction import (
     ExactSingleSource,
-    augment,
     build_all_pairs,
     derive_seed,
     grid_cols,
     grid_rows,
+    joined_vertices,
     query_all_pairs_ids,
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class AugmentedCell:
+    row: int
+    col: int
+    graph: ColoredGraph
+    source: int
+    source_edges: tuple[int, ...]  # original vertices joined to the source
+
+
+def augment(g: ColoredGraph, row: int, col: int, seed: int) -> AugmentedCell:
+    """G plus a never-failing source joined to each vertex with rate 2^-col.
+
+    The paper's cell graph G_ij, the reference the label masks are checked on.
+    """
+    source = g.n
+    joined = joined_vertices(g.n, row, col, seed)
+    edges = list(g.edges) + [(source, v) for v in joined]
+    if g.mode == EDGE:
+        colors = list(g.edge_colors or ()) + [g.C] * len(joined)
+        graph = ColoredGraph(
+            n=g.n + 1, mode=EDGE, edges=tuple(edges), C=g.C + 1,
+            edge_colors=tuple(colors),
+        )
+    else:
+        vcolors = list(g.vertex_colors or ()) + [g.C]
+        graph = ColoredGraph(
+            n=g.n + 1, mode=VERTEX, edges=tuple(edges), C=g.C + 1,
+            vertex_colors=tuple(vcolors),
+        )
+    return AugmentedCell(row, col, graph, source, joined)
 
 
 def matching_column(component_size: int) -> int:

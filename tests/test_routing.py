@@ -17,6 +17,7 @@ from colorfault.routing import (
     RoutingScheme,
     UnreachableError,
     _block_for,
+    _fragment_bfs,
     build_routing_scheme,
     build_tree_routing,
     header_bit_sizes,
@@ -35,7 +36,7 @@ def expected_first_recovery_block(
         return None
     return _block_for(
         scheme.graph, scheme.net, cs, scheme.tree_routing.label,
-        cs.fragment_of[v], cs.fragment_of[a_star],
+        cs.fragment_of[v], _fragment_bfs(cs, cs.fragment_of[a_star]),
     )
 
 
