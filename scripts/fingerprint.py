@@ -6,9 +6,11 @@ benchmark's own adapter table (``perfbench/layers.py``, untraced), then prints
 a digest of every label's ``bits`` and one of every label's ``repr`` per group
 of label sets (so label contents count, the reduction's masks included), the
 oracle file bytes, the routing tables' and labels' ``bits`` and contents (each
-table's blocks and T_c tables, each vertex label's per-color entries, each
+table's blocks and fragment tables, each vertex label's per-color entries, each
 color label's blocks), the encoder round trip, and every answer of the round
-per answering scheme (an exception is recorded by its type name).
+per answering scheme (an exception is recorded by its type name).  Routes get
+two lines, their hops and their headers, so a change to the header encoding
+does not hide routes that stayed equal.
 ``--workload`` takes one or more workload names (all of them by default) and
 prints one block per workload under a ``# <workload> seed N`` header.  Two
 checkouts whose outputs should not differ print the same lines:
@@ -68,7 +70,7 @@ def fingerprint(name: str, seed: int) -> list[str]:
         emit("routing bits", [[t.bits for t in rs.tables],
                               [lbl.bits for lbl in rs.vertex_labels],
                               [lbl.bits for lbl in rs.color_labels]])
-        emit("routing tables", [[(sorted(t.blocks.items()), sorted(t.tc_tables.items()))
+        emit("routing tables", [[(sorted(t.blocks.items()), sorted(t.fragment_tables.items()))
                                  for t in rs.tables],
                                 [sorted(lbl.per_color.items()) for lbl in rs.vertex_labels],
                                 [sorted(lbl.blocks.items()) for lbl in rs.color_labels]])
@@ -79,7 +81,11 @@ def fingerprint(name: str, seed: int) -> list[str]:
         for op, key in q.ops:
             answers[op].append(answer_of(api[op], state[key], q))
     for op in sorted(answers):
-        emit(f"answers {op}", answers[op])
+        if op == "routing.route":  # a RouteResult, None for a refusal, or an exception name
+            emit(f"routes {op}", [getattr(a, "trace", a) for a in answers[op]])
+            emit(f"headers {op}", [getattr(a, "header", a) for a in answers[op]])
+        else:
+            emit(f"answers {op}", answers[op])
     return lines
 
 

@@ -4,20 +4,26 @@ The spanning tree T is assembled from the anchor-path forest of the one-fault
 scheme (so every P(v) is a T-path) plus minimum-id joining edges, rooted at the
 minimum-id vertex r.  For each color c on T, the tree splits into fragments;
 recovery edges (minimum edge id joining two fragments) turn them into a
-spanning tree T_c of G-c.  Tables hold interval tree-routing data for T, the
+spanning tree T_c of G-c.  Every fragment hangs from its nearest anchor
+fragment in a fragment forest over those recovery edges, numbered in
+pre-order; each fragment gets one interval table whose steps are
+first-recovery-edge blocks.  A component of G-c without an anchor hangs from
+its minimum fragment, and its tables also step toward the parent.  Tables hold interval tree-routing data for T, the
 first-recovery-edge block toward every anchor for the fragment rooted at the
 vertex (its parent edge carries the only color that ever matters there), and
-T_c-routing data for colors on the vertex's anchor path.  T_c is oriented and
-numbered whole, but its tables and labels exist only at those stored pairs
-(v with c on P(v)), so ``ColorStructure.tc_routing`` is partial.  A message
+the fragment table for each color on the vertex's anchor path.  A message
 carries a small permanent header (forbidden color, target anchor a*, the
 root's block, the target's tree label, and, when c lies on P(t), the block and
-T_c label for the final approach) plus two mutable fields UP and NEXT.
+fragment number for the final approach) plus two mutable fields UP and NEXT.
 
 Phase one climbs each fragment and jumps recovery edges toward a*'s fragment;
 an undefined block doubles as the "already there" signal.  Phase two routes
 inside the target fragment over T, optionally crossing one last recovery edge
-and finishing over T_c through fragments that are guaranteed to carry tables.
+into the final approach.  There each fragment's table names the block that
+crosses into the next fragment toward t's, and the message follows T to it,
+so the route walks the T_c path through fragments that carry tables.  A
+target in a component without an anchor gets a* = -1, and its route is all
+final approach from the source.
 
 The simulator ``route`` returns the delivered path as a tuple of immutable
 ``Hop`` records (a NamedTuple: source, port, neighbor, edge id, edge color).
@@ -28,7 +34,8 @@ forbidden-color check and ``on_state`` still run at every hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, NamedTuple
 
 from .bits import id_width, width_for
@@ -95,13 +102,16 @@ class PortedNetwork:
 
 @dataclass(frozen=True)
 class TreeNodeTable:
-    parent_port: int | None
+    """Interval routing at one node: T's steps are ports, a fragment table's are blocks."""
+
+    parent_port: int | FirstRecEdgeBlock | None
     pre: int
     end: int  # subtree interval [pre, end)
-    child_slots: tuple[tuple[int, int, int], ...]  # (lo, hi, port), excluded from size
+    # (lo, hi, step), excluded from size
+    child_slots: tuple[tuple[int, int, int | FirstRecEdgeBlock], ...]
 
-    def next_port_for(self, target_label: int) -> int | None:
-        """Port on the tree path toward the labeled target; None when arrived."""
+    def next_port_for(self, target_label: int) -> int | FirstRecEdgeBlock | None:
+        """Step on the tree path toward the labeled target; None when arrived."""
         if self.pre == target_label:
             return None
         if not (self.pre <= target_label < self.end):
@@ -122,26 +132,18 @@ class TreeRouting:
     label: dict[int, int]  # vertex -> DFS entry index
 
 
-def build_tree_routing(
-    net: PortedNetwork, tree_edges: Iterable[int], vertices: Iterable[int] | None = None
-) -> TreeRouting:
-    """Interval labeling of the forest ``tree_edges``, stored at ``vertices``.
+def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRouting:
+    """Interval labeling of the forest ``tree_edges``, a table and label per vertex.
 
     Each tree is rooted at its minimum id and numbered in pre-order with
     children in id order; a vertex no tree edge touches is a singleton tree.
-    The whole forest is always oriented and numbered, so a table or label
-    does not depend on ``vertices``; it only limits where tables and labels
-    are kept (every vertex when None).  The scheme builds T over every vertex
-    and each T_c only at the v with c on P(v), the pairs its tables store.
     """
     parent, parent_edge = orient_forest(net.graph, tree_edges)
     order, pre, end = preorder(parent)
-    slots: dict[int, list[tuple[int, int, int]]] = {
-        v: [] for v in (order if vertices is None else vertices)
-    }
+    slots: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
     for v in order:  # children come in pre-order, so their slots are sorted
         p = parent[v]
-        if p in slots:
+        if p is not None:
             slots[p].append((pre[v], end[v], net.port_of(p, parent_edge[v])))
     tables = {
         v: TreeNodeTable(
@@ -164,8 +166,7 @@ class FirstRecEdgeBlock:
 
     port: int  # from the first endpoint x
     x_tree_label: int  # L_T(x)
-    x: int  # simulator convenience; the label above is what routing uses
-    into_target_fragment: bool
+    into_target_fragment: bool  # False in a fragment table, which has no one target
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,9 @@ class ColorStructure:
     color: int
     fragment_of: tuple[int, ...]  # fragment root per vertex
     frag_adj: dict[int, list[tuple[int, int]]]  # frag root -> (other root, edge id)
-    tc_routing: TreeRouting  # partial: only the vertices v with c on P(v)
-    a_fragments: tuple[int, ...]  # fragment roots containing an anchor
+    fragment_tables: dict[int, TreeNodeTable]  # frag root -> its table in the fragment forest
+    fragment_labels: dict[int, tuple[int, FirstRecEdgeBlock | None, int]]
+    # frag root -> (a(v,c), block e(a(v,c), v, c), its forest number) for v in it
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ class RoutingTable:
     parent_port: int | None
     parent_color: int | None
     blocks: dict[int, FirstRecEdgeBlock | None]  # anchor -> block for color c(v)
-    tc_tables: dict[int, TreeNodeTable]  # color on P(v) -> T_c table
+    fragment_tables: dict[int, TreeNodeTable]  # color on P(v) -> v's fragment's table
     bits: int = field(default=0, compare=False)
 
 
@@ -195,7 +197,7 @@ class RoutingVertexLabel:
     tree_label: int
     anchor: int
     per_color: dict[int, tuple[int, FirstRecEdgeBlock | None, int]]
-    # color on P(v) -> (a(v,c), block e(a(v,c), v, c), L_{T_c}(v))
+    # color on P(v) -> (a(v,c), block e(a(v,c), v, c), v's fragment's forest number)
     bits: int = field(default=0, compare=False)
 
 
@@ -215,7 +217,7 @@ class MessageHeader:
     target_tree_label: int
     target_on_path: bool
     target_block: FirstRecEdgeBlock | None
-    target_tc_label: int | None
+    target_fragment_label: int | None
     # mutable part: the only fields edited en route
     up: bool | None = True
     next_block: FirstRecEdgeBlock | None = None
@@ -266,22 +268,16 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     tree_routing = build_tree_routing(net, tree_edges)
 
     colors_on_tree = frozenset(g.edge_color(eid) for eid in tree_edges)
-    # keyed by the colors on P(v): v stores T_c data exactly for these c
-    colors_on_path = [lbl.cid_by_color for lbl in connectivity.vertex_labels]
-    stored_at: dict[int, list[int]] = {c: [] for c in colors_on_tree}
-    for v, colors in enumerate(colors_on_path):
-        for c in colors:
-            stored_at[c].append(v)
-    structures = {
-        c: _build_color_structure(
-            g, net, c, tree_edges, tparent, tparent_edge, torder, anchors, stored_at[c]
+    structures = {}
+    anchor_reach = {}  # color -> forest root (each anchor fragment among them) -> its BFS
+    for c in sorted(colors_on_tree):
+        structures[c], anchor_reach[c] = _build_color_structure(
+            g, net, c, tparent, tparent_edge, torder, anchors, tree_routing.label
         )
-        for c in sorted(colors_on_tree)
-    }
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
         g, net, anchors, ruling.anchor, root, tparent_edge, tree_routing,
-        colors_on_path, structures,
+        connectivity, structures, anchor_reach,
     )
     return RoutingScheme(
         graph=g,
@@ -298,9 +294,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     )
 
 
-def _build_color_structure(
-    g, net, c, tree_edges, tparent, tparent_edge, torder, anchors, stored
-):
+def _build_color_structure(g, net, c, tparent, tparent_edge, torder, anchors, tree_label):
     n = g.n
     colors = g.edge_colors
     # fragment root: the root r, or a vertex whose parent edge is c-colored
@@ -309,7 +303,6 @@ def _build_color_structure(
         pe = tparent_edge[v]
         fragment_of[v] = v if pe is None or colors[pe] == c else fragment_of[tparent[v]]
 
-    recovery: list[int] = []
     frag_adj: dict[int, list[tuple[int, int]]] = {
         v: [] for v in range(n) if fragment_of[v] == v
     }
@@ -319,23 +312,56 @@ def _build_color_structure(
             continue
         fu, fv = fragment_of[u], fragment_of[v]
         if fu != fv and joiner.union(fu, fv):
-            recovery.append(eid)
             frag_adj[fu].append((fv, eid))
             frag_adj[fv].append((fu, eid))
-    tc_routing = build_tree_routing(
-        net, [e for e in tree_edges if colors[e] != c] + recovery, stored
-    )
-    a_fragments = tuple(sorted({fragment_of[a] for a in anchors}))
-    return ColorStructure(
-        color=c,
-        fragment_of=tuple(fragment_of),
-        frag_adj={k: sorted(v) for k, v in frag_adj.items()},
-        tc_routing=tc_routing,
-        a_fragments=a_fragments,
-    )
+    frags = sorted(frag_adj)
+    frag_adj = {k: sorted(v) for k, v in frag_adj.items()}
+    lead: dict[int, int] = {}  # anchor fragment -> its minimum anchor
+    for a in sorted(anchors):
+        lead.setdefault(fragment_of[a], a)
+
+    # the fragment forest: each fragment hangs from its nearest anchor fragment
+    # (ties to the smaller root), read off the anchor fragments' BFS trees; a
+    # component of G - c without an anchor hangs from its minimum fragment
+    reach = {fr: _fragment_bfs(frag_adj, fr) for fr in sorted(lead)}
+    hang: dict[int, tuple[int, int]] = {}  # fragment -> (dist, forest root)
+    for root, tree in reach.items():  # increasing root, so a tie keeps the smaller
+        for fr, (dist, _peer, _eid) in tree.items():
+            if fr not in hang or dist < hang[fr][0]:
+                hang[fr] = (dist, root)
+    for root in frags:
+        if root not in hang:
+            reach[root] = _fragment_bfs(frag_adj, root)
+            hang.update((fr, (dist, root)) for fr, (dist, _p, _e) in reach[root].items())
+    index = {fr: i for i, fr in enumerate(frags)}
+    # a fragment's forest parent is the peer one hop closer to its root
+    order, pre, end = preorder([
+        index[reach[hang[fr][1]][fr][1]] if hang[fr][0] else None for fr in frags
+    ])
+    cross = partial(_crossing, g, net, fragment_of, tree_label)
+    slots: dict[int, list] = {fr: [] for fr in frags}
+    up = {}  # fragment hung without an anchor -> block toward its forest parent
+    for i in order:  # children come in pre-order, so their slots are sorted
+        dist, root = hang[frags[i]]
+        if dist:
+            _dist, peer, eid = reach[root][frags[i]]
+            slots[peer].append((pre[i], end[i], cross(peer, eid)))
+            if root not in lead:
+                up[frags[i]] = cross(frags[i], eid)
+    tables = {
+        fr: TreeNodeTable(up.get(fr), pre[index[fr]], end[index[fr]], tuple(slots[fr]))
+        for fr in frags
+    }
+    labels = {}
+    for fr, (dist, root) in hang.items():
+        num = tables[fr].pre
+        block = tables[root].next_port_for(num) if dist and root in lead else None
+        block = block and replace(block, into_target_fragment=dist == 1)
+        labels[fr] = (lead.get(root, -1), block, num)
+    return ColorStructure(c, tuple(fragment_of), frag_adj, tables, labels), reach
 
 
-def _fragment_bfs(cs: ColorStructure, source_frag: int) -> dict[int, tuple[int, int, int]]:
+def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int, int]]:
     """BFS over the fragment tree from a fragment: frag -> (dist, peer, edge id).
 
     ``peer`` is the neighbor fragment one hop closer to the source; the edge id
@@ -348,7 +374,7 @@ def _fragment_bfs(cs: ColorStructure, source_frag: int) -> dict[int, tuple[int, 
         nxt = []
         dist += 1
         for fr in sorted(frontier):
-            for other, eid in cs.frag_adj.get(fr, ()):  # sorted lists
+            for other, eid in frag_adj.get(fr, ()):  # sorted lists
                 if other not in out:
                     out[other] = (dist, fr, eid)
                     nxt.append(other)
@@ -361,19 +387,19 @@ def _block_for(g, net, cs, tree_label, from_frag, reach) -> FirstRecEdgeBlock | 
     dist, _peer, eid = reach.get(from_frag, (0, None, None))
     if dist == 0:  # from_frag is the target, or the fragment tree does not reach it
         return None
+    return _crossing(g, net, cs.fragment_of, tree_label, from_frag, eid, dist == 1)
+
+
+def _crossing(g, net, fragment_of, tree_label, from_frag, eid, into_target=False):
+    """The block that leaves fragment ``from_frag`` over recovery edge ``eid``."""
     u, v = g.edges[eid]
-    x = u if cs.fragment_of[u] == from_frag else v
-    return FirstRecEdgeBlock(
-        port=net.port_of(x, eid),
-        x_tree_label=tree_label[x],
-        x=x,
-        into_target_fragment=dist == 1,
-    )
+    x = u if fragment_of[u] == from_frag else v
+    return FirstRecEdgeBlock(net.port_of(x, eid), tree_label[x], into_target)
 
 
 def _build_tables_and_labels(
     g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
-    colors_on_path, structures,
+    connectivity, structures, anchor_reach,
 ):
     n = g.n
     wid = id_width(max(n, 2))
@@ -381,11 +407,6 @@ def _build_tables_and_labels(
     wport = width_for(max(net.max_ports(), 2))  # ports named at other vertices
     wblock = wport + wid + 2  # port, L_T(x), into-target flag, defined flag
     anchor_list = list(anchors)
-    anchor_reach = {  # color -> anchor fragment -> its fragment-tree BFS
-        c: {fr: _fragment_bfs(cs, fr) for fr in cs.a_fragments} for c, cs in structures.items()
-    }
-
-    # nearest A-fragment (and its minimum anchor) per vertex and color
     tables = []
     vertex_labels = []
     for v in range(n):
@@ -400,41 +421,25 @@ def _build_tables_and_labels(
                     g, net, cs, tree_routing.label,
                     cs.fragment_of[v], anchor_reach[pcolor][cs.fragment_of[a]],
                 )
-        tc_tables = {
-            c: structures[c].tc_routing.tables[v] for c in sorted(colors_on_path[v])
-        }
+        on_path = connectivity.vertex_labels[v].cid_by_color  # v stores data for these c
+        frags = {c: structures[c].fragment_of[v] for c in sorted(on_path)}
+        fragment_tables = {c: structures[c].fragment_tables[fr] for c, fr in frags.items()}
         tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
         tbits += len(anchor_list) * wblock
-        tbits += len(tc_tables) * (wc + wport_v + 2 * wid)
+        tbits += len(fragment_tables) * (wc + wport_v + 2 * wid)
+        tbits += wblock * sum(t.parent_port is not None for t in fragment_tables.values())
         tables.append(
             RoutingTable(
                 vertex=v,
                 parent_port=tree_routing.tables[v].parent_port,
                 parent_color=pcolor,
                 blocks=blocks,
-                tc_tables=tc_tables,
+                fragment_tables=fragment_tables,
                 bits=tbits,
             )
         )
 
-        per_color: dict[int, tuple[int, FirstRecEdgeBlock | None, int]] = {}
-        for c in sorted(colors_on_path[v]):
-            cs = structures[c]
-            my_frag = cs.fragment_of[v]
-            reach = _fragment_bfs(cs, my_frag)
-            best: tuple[int, int] | None = None  # (dist, fragment root)
-            for fr in cs.a_fragments:
-                if fr in reach:
-                    d = reach[fr][0]
-                    if best is None or (d, fr) < best:
-                        best = (d, fr)
-            if best is None:
-                per_color[c] = (-1, None, cs.tc_routing.label[v])
-                continue
-            target_frag = best[1]
-            a_vc = min(a for a in anchor_list if cs.fragment_of[a] == target_frag)
-            block = _block_for(g, net, cs, tree_routing.label, target_frag, reach)
-            per_color[c] = (a_vc, block, cs.tc_routing.label[v])
+        per_color = {c: structures[c].fragment_labels[fr] for c, fr in frags.items()}
         lbits = wid + wid + width_for(n + 1)
         lbits += len(per_color) * (wc + wid + wblock + wid)
         vertex_labels.append(
@@ -500,9 +505,7 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
     lt = scheme.vertex_labels[t]
     lcol = scheme.color_labels[c]
     if c in lt.per_color:
-        a_star, target_block, tc_label = lt.per_color[c]
-        if a_star < 0:
-            raise UnreachableError("no anchor fragment reachable once the color fails")
+        a_star, target_block, fragment_label = lt.per_color[c]
         return MessageHeader(
             color=c,
             a_star=a_star,
@@ -510,7 +513,8 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
             target_tree_label=lt.tree_label,
             target_on_path=True,
             target_block=target_block,
-            target_tc_label=tc_label,
+            target_fragment_label=fragment_label,
+            up=None if a_star < 0 else True,  # no anchor: the whole route is the final approach
         )
     return MessageHeader(
         color=c,
@@ -519,7 +523,7 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
         target_tree_label=lt.tree_label,
         target_on_path=False,
         target_block=None,
-        target_tc_label=None,
+        target_fragment_label=None,
     )
 
 
@@ -552,19 +556,19 @@ def _decide_port(scheme: RoutingScheme, v: int, h: MessageHeader) -> int:
                 h.up = True
             return nb.port
     # second phase
-    if h.next_block is not None:
-        nb = h.next_block
-        if tree_table.pre != nb.x_tree_label:
-            return _tree_port(tree_table, nb.x_tree_label)
-        h.next_block = None
-        return nb.port
-    if h.target_on_path and h.target_block is not None:
-        tc_table = scheme.tables[v].tc_tables.get(h.color)
-        if tc_table is None:
-            raise RoutingBugError("recovery-tree table missing on the final approach")
-        assert h.target_tc_label is not None
-        return _tree_port(tc_table, h.target_tc_label)
-    return _tree_port(tree_table, h.target_tree_label)
+    nb = h.next_block
+    if nb is None and h.target_on_path and (h.target_block is not None or h.a_star < 0):
+        # the final approach: the fragment's table names the next crossing toward t
+        table = scheme.tables[v].fragment_tables.get(h.color)
+        if table is None:
+            raise RoutingBugError("fragment table missing on the final approach")
+        nb = h.next_block = table.next_port_for(h.target_fragment_label)
+    if nb is None:
+        return _tree_port(tree_table, h.target_tree_label)
+    if tree_table.pre != nb.x_tree_label:
+        return _tree_port(tree_table, nb.x_tree_label)
+    h.next_block = None
+    return nb.port
 
 
 def route(

@@ -1,9 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
@@ -36,7 +37,7 @@ def expected_first_recovery_block(
         return None
     return _block_for(
         scheme.graph, scheme.net, cs, scheme.tree_routing.label,
-        cs.fragment_of[v], _fragment_bfs(cs, cs.fragment_of[a_star]),
+        cs.fragment_of[v], _fragment_bfs(cs.frag_adj, cs.fragment_of[a_star]),
     )
 
 
@@ -216,13 +217,7 @@ def test_doubled_path_maximal_fragmentation():
     assert max(len(set(cs.fragment_of)) for cs in scheme.structures.values()) == n
 
 
-# -- T_c data at the stored (v, c) pairs ------------------------------------------
-
-
-def stored_pairs(scheme, c):
-    """The vertices whose routing tables and labels store T_c data: c on P(v)."""
-    return {v for v, lbl in enumerate(scheme.connectivity.vertex_labels)
-            if c in lbl.cid_by_color}
+# -- the final approach over the fragment forest ------------------------------------
 
 
 @st.composite
@@ -237,57 +232,120 @@ def connected_edge_multigraphs(draw, max_n=12, max_extra=16):
     return edge_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)], C=C)
 
 
-def check_tc_data_only_at_stored_pairs(scheme):
-    """T_c tables and labels exist exactly where c lies on P(v), equal to a full T_c build."""
+def tc_routing(scheme, c):
+    """The reference: interval routing over T_c, the tree (T - c) plus c's recovery edges."""
     g, net = scheme.graph, scheme.net
-    assert set(scheme.tree_routing.tables) == set(scheme.tree_routing.label) == set(range(g.n))
     tree_edges = [net.ports[v][t.parent_port][0]
                   for v, t in scheme.tree_routing.tables.items() if t.parent_port is not None]
-    assert len(tree_edges) == g.n - 1
-    assert set(scheme.structures) == scheme.colors_on_tree
-    for c, cs in scheme.structures.items():
-        stored = stored_pairs(scheme, c)
-        assert set(cs.tc_routing.tables) == set(cs.tc_routing.label) == stored
-        recovery = sorted({eid for adj in cs.frag_adj.values() for _other, eid in adj})
-        full = build_tree_routing(
-            net, [e for e in tree_edges if g.edge_color(e) != c] + recovery
-        )
-        assert set(full.tables) == set(range(g.n))
-        for v in stored:
-            assert cs.tc_routing.tables[v] == full.tables[v]
-            assert cs.tc_routing.label[v] == full.label[v]
-    for v, (table, lbl) in enumerate(zip(scheme.tables, scheme.vertex_labels)):
-        on_path = scheme.connectivity.vertex_labels[v].cid_by_color
-        assert set(table.tc_tables) == set(lbl.per_color) == set(on_path)
+    cs = scheme.structures[c]
+    recovery = {eid for adj in cs.frag_adj.values() for _other, eid in adj}
+    return build_tree_routing(
+        net, [e for e in tree_edges if g.edge_color(e) != c] + sorted(recovery))
+
+
+def tc_path(scheme, tc, s, t):
+    """The hops of the T_c path from s to t, walked with the reference tables ``tc``."""
+    g, net = scheme.graph, scheme.net
+    cur, walk = s, []
+    while cur != t:
+        port = tc.tables[cur].next_port_for(tc.label[t])
+        eid, nxt = net.ports[cur][port]
+        walk.append(Hop(cur, port, nxt, eid, g.edge_color(eid)))
+        cur = nxt
+    return tuple(walk)
+
+
+def in_final_approach(h):
+    return h.up is None and h.next_block is None and h.target_on_path and (
+        h.target_block is not None or h.a_star < 0)
+
+
+def check_final_approach_is_tc_path(scheme):
+    """Every route is delivered exactly when G - c connects s and t, and from where
+    its final approach starts it walks the T_c path, at vertices that carry tables."""
+    g = scheme.graph
+    for c in range(g.C):
+        comp = components(g.view({c}))
+        tc = tc_routing(scheme, c) if c in scheme.structures else None
+        for s, t in itertools.permutations(range(g.n), 2):
+            if comp[s] != comp[t]:
+                with pytest.raises(UnreachableError):
+                    route(scheme, s, t, c)
+                continue
+            start = []
+
+            def watch(v, h, seen=start):
+                if seen or in_final_approach(h):
+                    assert c in scheme.tables[v].fragment_tables
+                    seen.append(v)
+
+            trace = route(scheme, s, t, c, on_state=watch).trace
+            assert trace[-1].dst == t and all(hop.color != c for hop in trace)
+            if start:
+                assert trace[len(trace) + 1 - len(start):] == tc_path(scheme, tc, start[0], t)
 
 
 @given(connected_edge_multigraphs())
+@example(gen_path(40))
+@example(gen_grid(5, 7))
 @settings(max_examples=150, deadline=None)
-def test_tc_data_only_at_stored_pairs_random(g):
-    check_tc_data_only_at_stored_pairs(build_routing_scheme(g))
+def test_final_approach_walks_tc_path(g):
+    check_final_approach_is_tc_path(build_routing_scheme(g))
 
 
-@pytest.mark.parametrize("make", [lambda: gen_path(40), lambda: gen_grid(5, 7)],
-                         ids=["path", "grid"])
-def test_tc_data_only_at_stored_pairs_unique_colors(make):
-    scheme = build_routing_scheme(make())
-    assert len(scheme.colors_on_tree) == scheme.graph.n - 1
-    check_tc_data_only_at_stored_pairs(scheme)
+@given(connected_edge_multigraphs())
+@example(gen_path(40))
+@example(gen_grid(5, 7))
+@settings(max_examples=150, deadline=None)
+def test_fragment_forest_invariants(g):
+    scheme = build_routing_scheme(g)
+    tree_label = scheme.tree_routing.label
+    for c, cs in scheme.structures.items():
+        lead = {}
+        for a in sorted(scheme.anchors):
+            lead.setdefault(cs.fragment_of[a], a)
+        members = {}
+        for v, fr in enumerate(cs.fragment_of):
+            members.setdefault(fr, []).append(v)
+        for fr, vertices in members.items():
+            # every fragment but an anchor fragment is one a final approach passes
+            # through: each of its vertices has c on P(v) and stores the fragment's table
+            if fr not in lead:
+                for v in vertices:
+                    assert c in scheme.connectivity.vertex_labels[v].cid_by_color
+                    assert scheme.tables[v].fragment_tables[c] == cs.fragment_tables[fr]
+            # a(v, c) is the minimum anchor of the nearest anchor fragment by
+            # (distance, root) in a BFS out of v's fragment, or -1 when none is reached
+            reach = _fragment_bfs(cs.frag_adj, fr)
+            near = min(((reach[a_fr][0], a_fr) for a_fr in lead if a_fr in reach),
+                       default=None)
+            a_vc, block, number = cs.fragment_labels[fr]
+            assert number == cs.fragment_tables[fr].pre
+            if near is None:
+                assert (a_vc, block) == (-1, None)
+            else:
+                assert a_vc == lead[near[1]]
+                assert block == _block_for(g, scheme.net, cs, tree_label, near[1], reach)
 
 
-def test_tree_routing_at_given_vertices_matches_full_build():
-    # a forest of two trees plus singleton 7; edge 5 (parallel to 0) is not in it
-    g = edge_graph(8, [(0, 1, 0), (1, 2, 0), (1, 3, 1), (4, 5, 0), (5, 6, 1), (0, 1, 1)])
-    net = PortedNetwork.build(g)
-    forest = range(5)
-    full = build_tree_routing(net, forest)
-    part = build_tree_routing(net, forest, [7, 5, 1, 0])
-    assert list(part.tables) == list(part.label) == [7, 5, 1, 0]
-    assert all(part.tables[v] == full.tables[v] and part.label[v] == full.label[v]
-               for v in (7, 5, 1, 0))
-    assert len(full.tables[1].child_slots) == 2
-    empty = build_tree_routing(net, forest, [])
-    assert empty.tables == {} and empty.label == {}
+def test_refusals_match_brute_force_on_random_sweep():
+    # a route is refused exactly when G - c separates s and t, also when t's
+    # component of G - c holds no anchor
+    delivered = 0
+    for seed in range(300):
+        n = 6 + seed % 20
+        g = gen_random(n, int(n * 1.7), 3 + seed % 4, seed=seed, connected=True)
+        scheme = build_routing_scheme(g)
+        for c in range(g.C):
+            comp = components(g.view({c}))
+            for s, t in itertools.permutations(range(g.n), 2):
+                if comp[s] != comp[t]:
+                    with pytest.raises(UnreachableError):
+                        route(scheme, s, t, c)
+                else:
+                    assert route(scheme, s, t, c).trace[-1].dst == t
+                    delivered += 1
+    assert delivered > 100000
 
 
 # -- simulator contract --------------------------------------------------------------
@@ -403,10 +461,9 @@ def pinned_routing_outputs(g):
     """(delivered routes, sha256) of the whole scheme and of every route.
 
     Hashes the tables, the vertex and color labels, T's tables and labels,
-    every T_c's tables and labels at the vertices v with c on P(v) (dicts as
-    sorted items), each fragment structure, and the trace and header of
-    route(s, t, c) for every s != t and color c, or the type name of its
-    refusal.
+    each color's fragments with their forest tables and labels (dicts as
+    sorted items), and the trace and header of route(s, t, c) for every
+    s != t and color c, or the type name of its refusal.
     """
     scheme = build_routing_scheme(g)
     h = hashlib.sha256()
@@ -415,22 +472,18 @@ def pinned_routing_outputs(g):
         h.update(repr(item).encode())
         h.update(b"\n")
 
-    def put_tree(tr, stored=None):
-        keep = tr.tables.keys() if stored is None else stored
-        put(sorted((v, tr.tables[v]) for v in keep))
-        put(sorted((v, tr.label[v]) for v in keep))
-
     for t in scheme.tables:
         put((t.vertex, t.parent_port, t.parent_color, sorted(t.blocks.items()),
-             sorted(t.tc_tables.items()), t.bits))
+             sorted(t.fragment_tables.items()), t.bits))
     for lbl in scheme.vertex_labels:
         put((lbl.vertex, lbl.tree_label, lbl.anchor, sorted(lbl.per_color.items()), lbl.bits))
     for lbl in scheme.color_labels:
         put((lbl.color, sorted(lbl.blocks.items()), lbl.bits))
-    put_tree(scheme.tree_routing)
+    put(sorted(scheme.tree_routing.tables.items()))
+    put(sorted(scheme.tree_routing.label.items()))
     for c, cs in sorted(scheme.structures.items()):
-        put((c, cs.fragment_of, sorted(cs.frag_adj.items()), cs.a_fragments))
-        put_tree(cs.tc_routing, stored_pairs(scheme, c))
+        put((c, cs.fragment_of, sorted(cs.frag_adj.items()),
+             sorted(cs.fragment_tables.items()), sorted(cs.fragment_labels.items())))
     delivered = 0
     for c in range(g.C):
         for s in range(g.n):
@@ -447,11 +500,12 @@ def pinned_routing_outputs(g):
     return delivered, h.hexdigest()
 
 
-# Recorded while every T_c was still built over all vertices, and unchanged
-# once T_c data is kept only at the vertices that store it.
+# Recorded once the final approach walked fragment tables: the headers' fragment
+# numbers and the tables differ from the T_c ones, and "random" delivers the two
+# ANCHORLESS_REFUSALS; test_route_traces_pinned holds every other route's hops.
 PINNED = {
-    "random": (2030, "e78bb39cfb78baa447ebea657fde912b306d558fa5e8f52f1ebdc76e0e438d22"),
-    "grid": (51584, "7f7c6509ec54e8414b8abc8db5cd8e9808b83a9ed55cdc3eb370e83572cc036b"),
+    "random": (2032, "454cf5017dfc7d3e7fe1156f04a0ffadc413549f71bab19974c56650cb9598ac"),
+    "grid": (51584, "14d9bd3eadaa4b2be7bc181bd810185cf34871748e434fc2a86a6e93dc3ef653"),
 }
 PINNED_GRAPHS = {
     "random": lambda: gen_random(24, 44, 4, seed=5, connected=True),
@@ -462,3 +516,64 @@ PINNED_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_outputs_pinned(name):
     assert pinned_routing_outputs(PINNED_GRAPHS[name]()) == PINNED[name]
+
+
+def route_triples(g, sample=None):
+    """Every (s, t, c) with s != t in a fixed order, or ``sample`` seeded draws of them."""
+    if sample is None:
+        return [(s, t, c) for c in range(g.C) for s in range(g.n) for t in range(g.n) if s != t]
+    rng = random.Random(0)
+    out = []
+    while len(out) < sample:
+        s, t, c = rng.randrange(g.n), rng.randrange(g.n), rng.randrange(g.C)
+        if s != t:
+            out.append((s, t, c))
+    return out
+
+
+def trace_digest(scheme, triples):
+    """(delivered, sha256) over the hops of every route, or the type name of its refusal."""
+    h = hashlib.sha256()
+    delivered = 0
+    for s, t, c in triples:
+        try:
+            item = route(scheme, s, t, c).trace
+        except (UnreachableError, RoutingBugError) as exc:
+            item = type(exc).__name__
+        else:
+            delivered += 1
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return delivered, h.hexdigest()
+
+
+# Traces alone, so the pin holds across changes to table and header encodings.
+TRACE_GRAPHS = {**PINNED_GRAPHS, "grid-4x64": lambda: gen_grid(4, 64)}
+TRACE_SAMPLE = {"grid-4x64": 10000}  # 29M triples in all; a seeded sample of them
+# (s, t, c) once refused with UnreachableError although G - c connects s and t:
+# t's component of G - c held no anchor.  The trace pin leaves them out.
+ANCHORLESS_REFUSALS = {"random": [(16, 23, 2), (23, 16, 2)]}
+TRACE_PINNED = {  # recorded while the final approach still walked a per-color tree T_c
+    "random": (2030, "056e64e4f8d25d813df8aec0e4cab174c36cdd548019d832a27e3fbd8279764d"),
+    "grid": (51584, "47db133fc351f0fbef3512604ef17886241bb1b82a4df116fd21fdcd74b3b845"),
+    "grid-4x64": (10000, "cdd41d8525140de9a163948ea111c2881aa9f382b6de81e658cdfbb5f20b4f59"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORLESS_REFUSALS))
+def test_anchorless_refusals_are_delivered(name):
+    # a* = -1: the whole route is the final approach, so it is the T_c path from s
+    g = TRACE_GRAPHS[name]()
+    scheme = build_routing_scheme(g)
+    for s, t, c in ANCHORLESS_REFUSALS[name]:
+        assert brute_force_connected(g, s, t, {c})
+        assert scheme.vertex_labels[t].per_color[c][0] == -1
+        assert route(scheme, s, t, c).trace == tc_path(scheme, tc_routing(scheme, c), s, t)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINNED))
+def test_route_traces_pinned(name):
+    g = TRACE_GRAPHS[name]()
+    skip = ANCHORLESS_REFUSALS.get(name, ())
+    triples = [x for x in route_triples(g, TRACE_SAMPLE.get(name)) if x not in skip]
+    assert trace_digest(build_routing_scheme(g), triples) == TRACE_PINNED[name]

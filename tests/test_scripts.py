@@ -29,7 +29,8 @@ def test_fingerprint_script_is_stable():
         "few-colors-read": ("labels nca.label_bits_max", "oracle file",
                             "answers nca.oracle_query"),
         "long-unique-build": ("labels single_fault.label_bits_max", "routing bits",
-                              "routing tables", "answers routing.route"),
+                              "routing tables", "routes routing.route",
+                              "headers routing.route"),
     }
     joined = []
     for workload, wanted in expected.items():
