@@ -4,13 +4,15 @@
 Builds a workload's set-up and one round of its questions through the
 benchmark's own adapter table (``perfbench/layers.py``, untraced), then prints
 a digest of every label's ``bits`` and one of every label's ``repr`` per group
-of label sets (so label contents count, the reduction's masks included), the
-oracle file bytes, the routing tables' and labels' ``bits`` and contents (each
-table's blocks and fragment tables, each vertex label's per-color entries, each
-color label's blocks), the encoder round trip, and every answer of the round
-per answering scheme (an exception is recorded by its type name).  Routes get
-two lines, their hops and their headers, so a change to the header encoding
-does not hide routes that stayed equal.
+of label sets (so label contents count, the reduction's masks included), one
+of the recursion manifests of each group whose sets carry one
+(``meta["manifest"]``: each node's delta, prevalent colors and size
+estimates), the oracle file bytes, the routing tables' and labels' ``bits``
+and contents (each table's blocks and fragment tables, each vertex label's
+per-color entries, each color label's blocks), the encoder round trip, and
+every answer of the round per answering scheme (an exception is recorded by
+its type name).  Routes get two lines, their hops and their headers, so a
+change to the header encoding does not hide routes that stayed equal.
 ``--workload`` takes one or more workload names (all of them by default) and
 prints one block per workload under a ``# <workload> seed N`` header.  Two
 checkouts whose outputs should not differ print the same lines:
@@ -63,6 +65,9 @@ def fingerprint(name: str, seed: int) -> list[str]:
         groups = [group for ls in sets for group in ls.label_groups().values()]
         emit(f"bits {key}", [[lbl.bits for lbl in group] for group in groups])
         emit(f"labels {key}", [lbl for group in groups for lbl in group])
+        manifests = [ls.meta["manifest"] for ls in sets if "manifest" in getattr(ls, "meta", ())]
+        if manifests:
+            emit(f"manifest {key}", manifests)
     if "oracle_blob" in state:
         emit("oracle file", [state["oracle_blob"]])
     if "routing" in state:

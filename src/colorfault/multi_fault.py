@@ -12,6 +12,10 @@ prevalent colors are handled by recursing into the graph without them (one
 level per removable fault), rare colors by the sketch, whose edge labels they
 carry for their whole class.  T takes prevalent-colored edges first, so few
 rare edges are tree edges and few rare color labels carry a subtree sketch.
+Below f = 2 a node's labels are the one-fault labels of its graph themselves.
+A descent on a prevalent color that leaves no other fault fails that color
+again in the child, which has no edge of it; a node with no fault left asks
+its sketch with no faulty edge, which is exact, since T spans the node's graph.
 Its queries read only the labels of u, v and F.
 
 The large-f scheme lets every color fault, so a color label would have to
@@ -35,15 +39,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .bits import id_width, width_for
-from .graph import (
-    VERTEX,
-    ColoredGraph,
-    UnionFind,
-    components,
-    edge_graph,
-    reduce_between_modes,
-)
+from .bits import width_for
+from .graph import VERTEX, ColoredGraph, UnionFind, edge_graph, reduce_between_modes
 from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
@@ -201,10 +198,9 @@ def query_large_f(
 class RecursiveVertexLabel:
     vertex: int
     f: int
-    plain_cid: int
-    base: SingleFaultVertexLabel | None  # f = 1
-    sketch: VertexSketchLabel | None  # f >= 2
-    children: tuple["RecursiveVertexLabel", ...]  # one per prevalent color
+    sketch: VertexSketchLabel
+    # one per prevalent color: recursive labels, or one-fault labels once f = 2
+    children: tuple["RecursiveVertexLabel | SingleFaultVertexLabel", ...]
     own_color: int | None = None  # vertex mode, top level only: v's color
     bits: int = field(default=0, compare=False)
 
@@ -212,12 +208,14 @@ class RecursiveVertexLabel:
 @dataclass(frozen=True)
 class RecursiveColorLabel:
     color: int
-    f: int
     branch: int | None  # index into the node's prevalent list, if prevalent
-    base: SingleFaultColorLabel | None
     edge_sketches: tuple[EdgeSketchLabel, ...]  # low-prevalence colors
-    children: tuple["RecursiveColorLabel", ...]
+    children: tuple["RecursiveColorLabel | SingleFaultColorLabel", ...]
     bits: int = field(default=0, compare=False)
+
+
+# the color label kind that answers beside each vertex label kind
+_COLOR_KIND = {RecursiveVertexLabel: RecursiveColorLabel, SingleFaultVertexLabel: SingleFaultColorLabel}
 
 
 def _delta(m_cert: int, b_lower: float, sketch_label_bits: int) -> float:
@@ -238,26 +236,14 @@ def _b_estimate(level: int, b1: float, m_cert: int, sketch_label_bits: int) -> f
 def _recurse(
     g: ColoredGraph, f: int, seed: int, repetitions: int, checksum_bits: int
 ) -> tuple[list, list, dict]:
-    """Returns (vertex labels, color labels, manifest) of the certificate ``g``."""
-    wid = id_width(max(g.n, 2))
+    """Returns (vertex labels, color labels, manifest) of the certificate ``g``.
+
+    Below f = 2 these are the one-fault labels of ``g`` themselves.
+    """
     if f <= 1:
         base = label_single_fault(g)
-        vls = [
-            RecursiveVertexLabel(
-                v, 1, base_cid, base.vertex_labels[v], None, (),
-                bits=wid + base.vertex_labels[v].bits,
-            )
-            for v, base_cid in enumerate(components(g))
-        ]
-        cls = [
-            RecursiveColorLabel(
-                c, 1, None, base.color_labels[c], (), (),
-                bits=base.color_labels[c].bits,
-            )
-            for c in range(g.C)
-        ]
         manifest = {"f": 1, "n": g.n, "m": g.m, "scheme": "single-fault"}
-        return vls, cls, manifest
+        return list(base.vertex_labels), list(base.color_labels), manifest
 
     sketch_seed = _hash_fields(seed, 0xEDE)
     params = SketchParams.create(g.n, g.m, sketch_seed, repetitions, checksum_bits)
@@ -297,14 +283,13 @@ def _recurse(
         child_cls.append(cls)
         child_manifests[h] = man
 
-    plain = components(g)
     wbranch = width_for(g.C + 1)
     vertex_labels = []
     for v in range(g.n):
         children = tuple(child_vls[i][v] for i in range(len(prevalent)))
         sk = ctx.vertex_labels[v]
-        bits = wid + wbranch + sk.bits + sum(ch.bits for ch in children)
-        vertex_labels.append(RecursiveVertexLabel(v, f, plain[v], None, sk, children, bits=bits))
+        bits = wbranch + sk.bits + sum(ch.bits for ch in children)
+        vertex_labels.append(RecursiveVertexLabel(v, f, sk, children, bits=bits))
 
     color_labels = []
     for c in range(g.C):
@@ -321,7 +306,7 @@ def _recurse(
             + sum(ch.bits for ch in children)
         )
         color_labels.append(
-            RecursiveColorLabel(c, f, branch_of.get(c), None, sketches, children, bits)
+            RecursiveColorLabel(c, branch_of.get(c), sketches, children, bits)
         )
 
     manifest = {
@@ -348,7 +333,6 @@ def label_recursive(
     """Prevalence-split recursion; f = 1 is exactly the one-fault scheme."""
     if f < 1:
         raise ValueError("fault budget must be >= 1")
-    original = g
     if f == 1:
         ls = label_single_fault(g)
         return LabelSet(
@@ -360,25 +344,23 @@ def label_recursive(
             color_labels=ls.color_labels,
             meta={**ls.meta, "f": 1},
         )
+    # vertex-colored input is subdivided to the equivalent edge-colored
+    # instance; vertex ids and the palette are preserved
+    cert = build_certificate(g)
+    vls, cls, manifest = _recurse(cert.subgraph(), f, seed, repetitions, checksum_bits)
+    manifest["m"] = cert.graph.m
+    vls = vls[: g.n]
     if g.mode == VERTEX:
-        # subdivide to the equivalent edge-colored instance; vertex ids and
-        # the palette are preserved
-        g = reduce_between_modes(g)
-    sparse = build_certificate(g).subgraph()
-    vls, cls, manifest = _recurse(sparse, f, seed, repetitions, checksum_bits)
-    manifest["m"] = g.m
-    vls = vls[: original.n]
-    if original.mode == VERTEX:
-        wown = width_for(original.C)
+        wown = width_for(g.C)
         vls = [replace(l, own_color=c, bits=l.bits + wown)
-               for l, c in zip(vls, original.vertex_colors)]
+               for l, c in zip(vls, g.vertex_colors)]
     return LabelSet(
         scheme=RECURSIVE_SCHEME,
-        n=original.n,
-        C=original.C,
-        mode=original.mode,
+        n=g.n,
+        C=g.C,
+        mode=g.mode,
         vertex_labels=tuple(vls),
-        color_labels=tuple(cls[: original.C]),
+        color_labels=tuple(cls[: g.C]),
         meta={"f": f, "seed": seed, "manifest": manifest},
     )
 
@@ -386,12 +368,10 @@ def label_recursive(
 def query_recursive(lu, lv, color_labels: Sequence) -> bool:
     """Case split per node: descend on a prevalent fault, else sketch it out."""
     faults = list(color_labels)
-    base = not isinstance(lu, RecursiveVertexLabel)  # f = 1 builds plain one-fault labels
-    if len(faults) > (1 if base else lu.f):
+    # f = 1 builds plain one-fault labels
+    if len(faults) > (lu.f if isinstance(lu, RecursiveVertexLabel) else 1):
         raise ValueError("fault set larger than the scheme's budget")
     check_removed(lu, lv, [c.color for c in faults])
-    if base:
-        return _query_base(lu, lv, faults)
     return _query_node(lu, lv, faults)
 
 
@@ -402,29 +382,24 @@ def _query_base(lu, lv, faults) -> bool:
     return query_single_fault(lu, lc) == query_single_fault(lv, lc)
 
 
-def _query_node(lu: RecursiveVertexLabel, lv: RecursiveVertexLabel, faults) -> bool:
-    if lu.f == 1:
-        if not faults:
-            return lu.plain_cid == lv.plain_cid
-        if lu.base is None or lv.base is None:
-            raise SchemeMismatchError("missing base labels at a leaf")
-        lc = faults[0].base
-        if lc is None:
-            raise SchemeMismatchError("missing base color label at a leaf")
-        return query_single_fault(lu.base, lc) == query_single_fault(lv.base, lc)
-    if not faults:
-        return lu.plain_cid == lv.plain_cid
+def _query_node(lu, lv, faults) -> bool:
+    kind = _COLOR_KIND.get(type(lu))
+    if kind is None or type(lv) is not type(lu) or any(type(fc) is not kind for fc in faults):
+        raise SchemeMismatchError("labels of builds with different fault budgets")
+    if kind is SingleFaultColorLabel:
+        return _query_base(lu, lv, faults)
     descend = [fc for fc in faults if fc.branch is not None]
     if descend:
         pick = min(descend, key=lambda fc: fc.branch)
         branch = pick.branch
         if branch >= len(lu.children) or branch >= len(lv.children):
             raise SchemeMismatchError("color label references a missing branch")
-        rest = [fc.children[branch] for fc in faults if fc is not pick]
+        # g - h has no h edge, so with no other fault the child fails h again:
+        # that changes nothing, and the one-fault leaves always get a fault
+        rest = [fc.children[branch] for fc in faults if fc is not pick] or [pick.children[branch]]
         return _query_node(lu.children[branch], lv.children[branch], rest)
-    # all faulted colors are low-prevalence: one edge-fault query
-    if lu.sketch is None or lv.sketch is None:
-        raise SchemeMismatchError("sketch label missing at an inner node")
+    # all faulted colors are low-prevalence (or none is left): one edge-fault
+    # query, exact with no faulty edges since T spans the node's graph
     edge_faults = [e for fc in faults for e in fc.edge_sketches]
     # a sketch vertex label carries its build's params, the only thing read from the first argument
     return query_edge_fault(lu.sketch, lu.sketch, lv.sketch, edge_faults)

@@ -8,13 +8,15 @@ spanning tree T_c of G-c.  Every fragment hangs from its nearest anchor
 fragment in a fragment forest over those recovery edges, numbered in
 pre-order; each fragment gets one interval table whose steps are
 first-recovery-edge blocks.  A component of G-c without an anchor hangs from
-its minimum fragment, and its tables also step toward the parent.  Tables hold interval tree-routing data for T, the
-first-recovery-edge block toward every anchor for the fragment rooted at the
-vertex (its parent edge carries the only color that ever matters there), and
-the fragment table for each color on the vertex's anchor path.  A message
-carries a small permanent header (forbidden color, target anchor a*, the
-root's block, the target's tree label, and, when c lies on P(t), the block and
-fragment number for the final approach) plus two mutable fields UP and NEXT.
+its minimum fragment, and its tables also step toward the parent.  Tables
+hold interval tree-routing data for T, the first-recovery-edge block toward
+every anchor for the fragment rooted at the vertex (its parent edge carries
+the only color that ever matters there), and the fragment table for each color
+on the vertex's anchor path whose fragment a final approach can enter, which
+no anchor fragment is.  A message carries a small permanent header (forbidden
+color, target anchor a*, the root's block, the target's tree label, and, when
+c lies on P(t), the block and fragment number for the final approach) plus two
+mutable fields UP and NEXT.
 
 Phase one climbs each fragment and jumps recovery edges toward a*'s fragment;
 an undefined block doubles as the "already there" signal.  Phase two routes
@@ -187,7 +189,8 @@ class RoutingTable:
     parent_port: int | None
     parent_color: int | None
     blocks: dict[int, FirstRecEdgeBlock | None]  # anchor -> block for color c(v)
-    fragment_tables: dict[int, TreeNodeTable]  # color on P(v) -> v's fragment's table
+    # color on P(v), unless v is in an anchor fragment -> v's fragment's table
+    fragment_tables: dict[int, TreeNodeTable]
     bits: int = field(default=0, compare=False)
 
 
@@ -423,7 +426,11 @@ def _build_tables_and_labels(
                 )
         on_path = connectivity.vertex_labels[v].cid_by_color  # v stores data for these c
         frags = {c: structures[c].fragment_of[v] for c in sorted(on_path)}
-        fragment_tables = {c: structures[c].fragment_tables[fr] for c, fr in frags.items()}
+        per_color = {c: structures[c].fragment_labels[fr] for c, fr in frags.items()}
+        # a final approach reads a table only where v's entry has a block or no
+        # anchor (``_decide_port``), so never in an anchor fragment
+        fragment_tables = {c: structures[c].fragment_tables[fr] for c, fr in frags.items()
+                           if per_color[c][1] is not None or per_color[c][0] < 0}
         tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
         tbits += len(anchor_list) * wblock
         tbits += len(fragment_tables) * (wc + wport_v + 2 * wid)
@@ -439,7 +446,6 @@ def _build_tables_and_labels(
             )
         )
 
-        per_color = {c: structures[c].fragment_labels[fr] for c, fr in frags.items()}
         lbits = wid + wid + width_for(n + 1)
         lbits += len(per_color) * (wc + wid + wblock + wid)
         vertex_labels.append(

@@ -16,6 +16,7 @@ from colorfault.multi_fault import (
     label_recursive,
     query_large_f,
     query_large_f_ids,
+    query_recursive,
     query_recursive_ids,
 )
 from colorfault.oracle import brute_force_connected, brute_force_partition
@@ -243,6 +244,37 @@ def test_recursive_rejects_oversized_fault_sets():
     ls = label_recursive(g, f=2, seed=1)
     with pytest.raises(ValueError):
         query_recursive_ids(ls, 0, 1, {0, 1, 2})
+
+
+def test_recursive_rejects_labels_of_another_budget():
+    # every color is prevalent at both budgets, so each query descends into a
+    # child whose labels are one-fault labels in one build and recursive in the other
+    g = gen_random(40, 120, 6, seed=3)
+    two, three = label_recursive(g, 2, seed=1), label_recursive(g, 3, seed=1)
+    for ls in (two, three):
+        assert ls.meta["manifest"]["prevalent_colors"] == list(range(g.C))
+    for vertices, colors in ((two, three), (three, two)):
+        for F in ({0}, {1}, {0, 1}, {2, 3}):
+            with pytest.raises(SchemeMismatchError):
+                query_recursive(vertices.vertex_labels[4], vertices.vertex_labels[9],
+                                [colors.color_labels[c] for c in sorted(F)])
+
+
+@pytest.mark.parametrize("f", (2, 3))
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_descents_that_leave_no_fault_are_exact(f, mode):
+    # no fault, or one prevalent color: the node with no fault left asks its
+    # sketch with no faulty edge, and a one-fault leaf fails the picked color
+    # again; neither decodes a sketch, so every answer is exact
+    g = gen_random(40, 120, 6, seed=3, mode=mode)
+    ls = label_recursive(g, f, seed=1)
+    prevalent = ls.meta["manifest"]["prevalent_colors"]
+    assert prevalent
+    for F in [()] + [(h,) for h in prevalent]:
+        for u, v in itertools.product(range(g.n), repeat=2):
+            if mode == "vertex" and {g.vertex_color(u), g.vertex_color(v)} & set(F):
+                continue
+            assert query_recursive_ids(ls, u, v, F) == brute_force_connected(g, u, v, F)
 
 
 def test_manifest_records_each_node():

@@ -309,9 +309,12 @@ def test_fragment_forest_invariants(g):
             members.setdefault(fr, []).append(v)
         for fr, vertices in members.items():
             # every fragment but an anchor fragment is one a final approach passes
-            # through: each of its vertices has c on P(v) and stores the fragment's table
-            if fr not in lead:
-                for v in vertices:
+            # through: each of its vertices has c on P(v) and stores the fragment's
+            # table; no final approach enters an anchor fragment, so none stores one
+            for v in vertices:
+                if fr in lead:
+                    assert c not in scheme.tables[v].fragment_tables
+                else:
                     assert c in scheme.connectivity.vertex_labels[v].cid_by_color
                     assert scheme.tables[v].fragment_tables[c] == cs.fragment_tables[fr]
             # a(v, c) is the minimum anchor of the nearest anchor fragment by
@@ -500,12 +503,12 @@ def pinned_routing_outputs(g):
     return delivered, h.hexdigest()
 
 
-# Recorded once the final approach walked fragment tables: the headers' fragment
-# numbers and the tables differ from the T_c ones, and "random" delivers the two
-# ANCHORLESS_REFUSALS; test_route_traces_pinned holds every other route's hops.
+# Recorded once anchor fragments stopped storing fragment tables, which no final
+# approach reads: the tables and their bits differ, while every route, header and
+# label equals the earlier pins; test_route_traces_pinned holds the routes' hops.
 PINNED = {
-    "random": (2032, "454cf5017dfc7d3e7fe1156f04a0ffadc413549f71bab19974c56650cb9598ac"),
-    "grid": (51584, "14d9bd3eadaa4b2be7bc181bd810185cf34871748e434fc2a86a6e93dc3ef653"),
+    "random": (2032, "edd431e93ee7c747560d4d95728b440a701336053182b065a80eba97f425a34b"),
+    "grid": (51584, "501bf259a0574883a22a50e58619bc3326379d67fac3cebfd7a455c716b54a2f"),
 }
 PINNED_GRAPHS = {
     "random": lambda: gen_random(24, 44, 4, seed=5, connected=True),

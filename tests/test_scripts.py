@@ -24,13 +24,17 @@ def test_sketch_success_report_script_reports_rates():
 
 
 def test_fingerprint_script_is_stable():
-    # long-unique-build is the only workload that builds routing
+    # long-unique-build is the only workload that builds routing, and
+    # many-faults-skewed the only one whose label sets carry a recursion manifest
     expected = {
         "few-colors-read": ("labels nca.label_bits_max", "oracle file",
                             "answers nca.oracle_query"),
         "long-unique-build": ("labels single_fault.label_bits_max", "routing bits",
                               "routing tables", "routes routing.route",
                               "headers routing.route"),
+        "many-faults-skewed": ("labels multi_fault.label_bits_max",
+                               "manifest multi_fault.label_bits_max",
+                               "answers multi_fault.query"),
     }
     joined = []
     for workload, wanted in expected.items():
