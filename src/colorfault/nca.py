@@ -10,15 +10,18 @@ asymptotically faster predecessor structures this replaces would return
 identical answers.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
-forest with its parent-edge color and stores cid(u, G-color) as its payload.
-The two label families split the same index by color prevalence.
+forest with its parent-edge color (edge mode) or its parent's own color
+(vertex mode, on the graph as given, with no subdivision) and stores
+cid(u, G-color) as its payload.  ``OneFaultOracle.cids`` reads cid(v, G-c)
+off that index; the one-fault labels of ``single_fault`` take every entry
+from it.  The two label families here split the same index by color prevalence.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bits import BitReader, BitWriter, id_width, width_for
 from .graph import (
@@ -30,7 +33,6 @@ from .graph import (
     cids_after_faults,
     orient_forest,
     preorder,
-    reduce_between_modes,
     spanning_forest,
 )
 from .labels import LabelSet
@@ -107,7 +109,7 @@ def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
     stamp between them; a post-stamp hit is a finished subtree, whose stored
     above is the answer.
     """
-    idx = bisect.bisect_right(stamps, key)
+    idx = bisect_right(stamps, key)
     return answers[idx - 1] if idx else None
 
 
@@ -125,71 +127,84 @@ def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
 class OneFaultOracle:
     """O(n)-word centralized structure answering (u, v, c) connectivity."""
 
-    n: int  # vertices of the original graph
+    n: int  # vertices of the graph
     C: int
     mode: str
     structure: NcaStructure
     root_cid: tuple[int, ...]  # per forest vertex: id of its tree root
-    payloads: tuple[int | None, ...]  # per non-root: cid in G minus its parent color
-    vertex_colors: tuple[int, ...] | None  # original colors (vertex mode)
+    payloads: tuple[int | None, ...]  # per non-root: cid in G minus its forest color
+    vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
 
     def query(self, u: int, v: int, c: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError("vertex out of range")
+        cu, cv = self.cids(c, (u, v))
+        return cu == cv
+
+    def cids(self, c: int, vertices: Iterable[int]) -> list[int]:
+        """cid(v, G-c) for each of ``vertices``: the one read-off of the index.
+
+        The answer is the payload at v's nearest c-colored ancestor or, with
+        none, v's root: the path to the root survives, and the root is its
+        component minimum.  c's stamps are bound once for all the vertices.
+        Raises GraphError for an id outside the graph or the palette, and
+        RemovedVertexError for a vertex of color c itself.
+        """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        if self.vertex_colors is not None:
-            for x in (u, v):
-                if self.vertex_colors[x] == c:
-                    raise RemovedVertexError(f"vertex {x} has color {c}")
-        if u == v:
-            return True
-        return self._cid(u, c) == self._cid(v, c)
-
-    def _cid(self, v: int, c: int) -> int:
         s = self.structure
-        w = _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
-        # no c-colored ancestor: the path to the root survives, and the root
-        # is its component minimum
-        return self.root_cid[v] if w is None else self.payloads[w]  # type: ignore[return-value]
+        stamps, answers = s.arrays.get(c, ()), s.answers.get(c, ())
+        out = []
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise GraphError(f"vertex {v} out of range")
+            if self.vertex_colors is not None and self.vertex_colors[v] == c:
+                raise RemovedVertexError(f"vertex {v} has color {c}")
+            i = bisect_right(stamps, s.pre[v])  # _predecessor, inlined
+            w = answers[i - 1] if i else None
+            out.append(self.root_cid[v] if w is None else self.payloads[w])
+        return out
 
 
 def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
     """Spanning-forest reduction to nearest colored ancestor.
 
-    Vertex-colored inputs are first subdivided into the equivalent edge-colored
-    graph (original vertex ids are preserved and subdivision ids come after, so
-    component minima of original vertices are unchanged).
+    Each non-root forest vertex w takes the one color whose fault cuts it
+    from its parent: its parent edge's color in edge mode, its parent's own
+    color in vertex mode (no subdivision; the forest has g.n vertices).  Its
+    payload is cid(w, G minus that color).  In vertex mode the nearest such w
+    above a surviving v sits below v's nearest ancestor of the failed color,
+    so it survives too; a w of its parent's color is never read and stores w.
     """
-    original = g
-    if g.mode == VERTEX:
-        g = reduce_between_modes(g)
-
     parent, edge_of = orient_forest(g, spanning_forest(g))
-    colors: list[int | None] = [None if e is None else g.edge_color(e) for e in edge_of]
+    colors: list[int | None]
+    if g.mode == EDGE:
+        colors = [None if e is None else g.edge_color(e) for e in edge_of]
+    else:
+        colors = [None if p is None else g.vertex_color(p) for p in parent]
     wanted: dict[frozenset[int], list[int]] = {}
     for v, c in enumerate(colors):
         if c is not None:
             wanted.setdefault(frozenset((c,)), []).append(v)
     cids = cids_after_faults(g, wanted)
+    payloads: list[int | None] = [None] * g.n
+    for got in cids.values():
+        for v, value in got.items():
+            payloads[v] = v if value is None else value
     structure = build_nca(parent, colors)
     return OneFaultOracle(
-        n=original.n,
-        C=original.C,
-        mode=original.mode,
+        n=g.n,
+        C=g.C,
+        mode=g.mode,
         structure=structure,
         root_cid=structure.root,
-        payloads=tuple(
-            None if c is None else cids[frozenset((c,))][v] for v, c in enumerate(colors)
-        ),
-        vertex_colors=original.vertex_colors,
+        payloads=tuple(payloads),
+        vertex_colors=g.vertex_colors,
     )
 
 
 # -- canonical oracle file -------------------------------------------------------
 #
 # The file stores, per forest vertex: parent pointer (self-loop marks a root),
-# parent-edge color (0 filler at roots) and the payload cid.  Timestamps and
+# forest color (0 filler at roots) and the payload cid.  Timestamps and
 # per-color arrays are derived deterministically on load, so the body costs at
 # most 3 * ceil(log2 n') bits per vertex when C <= n'.
 
@@ -330,7 +345,6 @@ def _split_labels(
     s: NcaStructure,
     answers: dict[int, tuple[int | None, ...]],
     C: int,
-    vertices: int,
     wid: int,
     wc: int,
     root_cid: Sequence[int] | None = None,
@@ -339,10 +353,9 @@ def _split_labels(
     """Prevalence-split labels over one index: (vertex labels, color labels, tau).
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the labels of the first ``vertices`` vertices; rarer colors ship
-    their stamps and ``answers`` (parallel to ``s.arrays``) in the color
-    label.  Connectivity labels also carry ``root_cid`` and, in vertex mode,
-    the vertex's own color.
+    from the vertex labels; rarer colors ship their stamps and ``answers``
+    (parallel to ``s.arrays``) in the color label.  Connectivity labels also
+    carry ``root_cid`` and, in vertex mode, the vertex's own color.
     """
     n = len(s.parent)
     tau = nca_threshold(n)
@@ -352,7 +365,7 @@ def _split_labels(
 
     extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
     vertex_labels = []
-    for v in range(vertices):
+    for v in range(n):
         pre = s.pre[v]
         hits = {c: _predecessor(s.arrays[c], answers[c], pre) for c in prevalent}
         bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
@@ -388,7 +401,7 @@ def label_nca(
         C = max((c for c in colors if c is not None), default=-1) + 1
     s = build_nca(parent, colors)
     vertex_labels, color_labels, tau = _split_labels(
-        s, s.answers, C, n, id_width(n), width_for(C)
+        s, s.answers, C, id_width(n), width_for(C)
     )
     return LabelSet(
         scheme="nca",
@@ -420,23 +433,22 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     """
     oracle = build_one_fault_oracle(g)
     s = oracle.structure
-    n = len(s.parent)
     cids = {
         c: tuple(None if w is None else oracle.payloads[w] for w in a)
         for c, a in s.answers.items()
     }
     vertex_labels, color_labels, tau = _split_labels(
-        s, cids, oracle.C, g.n, id_width(max(n, 2)), width_for(max(oracle.C, 2)),
+        s, cids, g.C, id_width(max(g.n, 2)), width_for(max(g.C, 2)),
         root_cid=oracle.root_cid, own_colors=g.vertex_colors,
     )
     return LabelSet(
         scheme=CONN_SCHEME,
         n=g.n,
-        C=oracle.C,
+        C=g.C,
         mode=g.mode,
         vertex_labels=vertex_labels,
         color_labels=color_labels,
-        meta={"threshold": tau, "forest_n": n},
+        meta={"threshold": tau},
     )
 
 

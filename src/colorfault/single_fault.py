@@ -5,7 +5,9 @@ sequence A = (a_1, ..., a_{k-1}) where a_i is the minimum-id vertex at distance
 exactly i from everything chosen so far.  Every vertex then has a shortest path
 P(v) of length < k to A0 u A.  A vertex label stores its anchor and
 cid(v, G-d) for each color d on P(v); a color label stores cid(a, G-c) for
-every a in A.  Queries resolve with one map hit or one anchor lookup.
+every a in A.  Every entry is read off the index of the one-fault oracle
+(``nca.build_one_fault_oracle``), which holds cid(v, G-c) for all (v, c) in
+O(n) words.  Queries resolve with one map hit or one anchor lookup.
 
 The halting iteration k doubles as a greedy upper bound tied to the packing of
 disjoint proper balls in the topology: floor(k/4) never exceeds the exact
@@ -18,16 +20,15 @@ from dataclasses import dataclass, field
 
 from .bits import id_width, width_for
 from .graph import (
-    VERTEX,
     ColoredGraph,
     GraphView,
     RemovedVertexError,
     as_view,
     bfs_tree,
-    cids_after_faults,
     path_colors,
 )
 from .labels import LabelSet
+from .nca import build_one_fault_oracle
 
 SCHEME = "single-fault"
 
@@ -139,43 +140,38 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
     if ruling is None:
         ruling = build_ruling_set(g)
     colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
-
-    wanted: dict[frozenset[int], set[int]] = {frozenset((c,)): set(ruling.A) for c in range(g.C)}
-    for v in range(g.n):
-        for c in colors_on_path[v]:
-            wanted[frozenset((c,))].add(v)
-    by_set = cids_after_faults(g, wanted)
-    cids = [by_set[frozenset((c,))] for c in range(g.C)]
+    oracle = build_one_fault_oracle(g)
+    own = g.vertex_colors
 
     wid = id_width(g.n)
     wc = width_for(g.C)
     wlen = width_for(ruling.k)
 
-    vertex_labels = []
+    on_path: list[list[int]] = [[] for _ in range(g.C)]  # per color: the v with it on P(v)
     for v in range(g.n):
-        mapping = {}
-        for c in sorted(colors_on_path[v]):
-            value = cids[c][v]
-            assert value is not None  # d != own color, so v survives G-d
-            mapping[c] = value
-        assert len(mapping) < ruling.k
-        own = g.vertex_color(v) if g.mode == VERTEX else None
-        bits = wid + (wc if g.mode == VERTEX else 0) + wlen + len(mapping) * (wc + wid)
-        vertex_labels.append(
-            SingleFaultVertexLabel(v, ruling.anchor[v], mapping, own, bits)  # type: ignore[arg-type]
-        )
-
+        for c in colors_on_path[v]:
+            on_path[c].append(v)
+    mappings: list[dict[int, int]] = [{} for _ in range(g.n)]
     color_labels = []
-    for c in range(g.C):
-        entries = {}
-        for a in ruling.A:
-            value = cids[c][a]
-            # an anchor removed by its own color is never consulted: any vertex
-            # anchored there has c on P(v), so the query resolves earlier
-            entries[a] = a if value is None else value
-        assert len(entries) == len(ruling.A)
+    for c in range(g.C):  # in increasing c, so each mapping is sorted
+        # c is not v's own color, so v survives G-c
+        for v, value in zip(on_path[c], oracle.cids(c, on_path[c])):
+            mappings[v][c] = value
+        # an anchor removed by its own color is never consulted: any vertex
+        # anchored there has c on P(v), so the query resolves earlier
+        live = [a for a in ruling.A if own is None or own[a] != c]
+        read = dict(zip(live, oracle.cids(c, live)))
+        entries = {a: read.get(a, a) for a in ruling.A}
         bits = wc + wlen + len(entries) * (wid + wid)
         color_labels.append(SingleFaultColorLabel(c, entries, bits))
+
+    vertex_labels = []
+    for v, mapping in enumerate(mappings):
+        assert len(mapping) < ruling.k
+        bits = wid + (wc if own is not None else 0) + wlen + len(mapping) * (wc + wid)
+        vertex_labels.append(SingleFaultVertexLabel(
+            v, ruling.anchor[v], mapping, None if own is None else own[v], bits  # type: ignore[arg-type]
+        ))
 
     return LabelSet(
         scheme=SCHEME,

@@ -423,7 +423,8 @@ def test_criterion_7_routing():
     strict=True,
     reason=(
         "the stated 4-word constants are below what the routing procedure's "
-        "own header and table contents require (~9.4 and ~6.2 words measured); "
+        "own header and table contents require (a 38-bit permanent header, "
+        "7.6 words, and tables of up to 4.15 k words measured); "
         "see the honest declared constants in test_routing.py"
     ),
 )

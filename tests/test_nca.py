@@ -28,6 +28,7 @@ from colorfault.nca import (
     query_nca_labels,
 )
 from colorfault.oracle import brute_force_partition
+from colorfault.single_fault import label_single_fault, query_single_fault
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -108,6 +109,24 @@ def test_oracle_reflexive():
             assert o.query(v, v, c)
 
 
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_oracle_cid_rejects_bad_ids(mode):
+    g = gen_random(12, 18, 4, seed=7, mode=mode)
+    o = build_one_fault_oracle(g)
+    for oracle in (o, load_oracle(dump_oracle(o))):
+        # -1 would wrap around to the last vertex or color
+        for v, c in ((-1, 0), (g.n, 0), (0, -1), (0, g.C)):
+            with pytest.raises(GraphError):
+                oracle.cids(c, [1, v])
+        for c in range(g.C):
+            part = brute_force_partition(g, {c})
+            live = [v for v in range(g.n) if part[v] is not None]
+            assert oracle.cids(c, live) == [part[v] for v in live]
+            for v in set(range(g.n)) - set(live):
+                with pytest.raises(RemovedVertexError):
+                    oracle.cids(c, [v])
+
+
 def _check_oracle(g, o):
     for c in range(g.C):
         part = brute_force_partition(g, {c})
@@ -127,9 +146,40 @@ def test_oracle_exhaustive_small_random(seed):
     _check_oracle(g, build_one_fault_oracle(g))
 
 
+# vertex-mode graphs from sparse to dense, connected or not, among them
+# multigraphs; every one has an anchor of the one-fault ruling set whose own
+# color is one the tests fail
+VERTEX_GRAPHS = [gen_random(12, 18, 4, seed=7, mode="vertex")] + [
+    gen_random(n, m, C, seed=seed, mode="vertex", simple=simple, connected=connected)
+    for seed, (n, m, C, simple, connected) in enumerate([
+        (2, 1, 2, True, True), (9, 8, 3, True, True), (17, 16, 2, True, True),
+        (20, 24, 3, True, False), (24, 30, 5, True, True), (30, 34, 4, False, False),
+        (31, 60, 6, True, True), (40, 44, 3, True, False),
+    ], start=700)
+]
+
+
 def test_oracle_vertex_mode():
-    g = gen_random(12, 18, 4, seed=7, mode="vertex")
-    _check_oracle(g, build_one_fault_oracle(g))
+    for g in VERTEX_GRAPHS:
+        o = build_one_fault_oracle(g)
+        assert len(o.structure.parent) == g.n  # the graph as given, not subdivided
+        for oracle in (o, load_oracle(dump_oracle(o))):
+            _check_oracle(g, oracle)
+        # the one-fault labels read the same index; an anchor of the failed
+        # color (each anchor's own color is failed once) keeps its own id
+        ls = label_single_fault(g)
+        assert ls.meta["A"]
+        for c in range(g.C):
+            part = brute_force_partition(g, {c})
+            lc = ls.color_labels[c]
+            for a, value in lc.cid_by_anchor.items():
+                assert value == (a if g.vertex_color(a) == c else part[a]), (a, c)
+            for v, lv in enumerate(ls.vertex_labels):
+                if part[v] is None:
+                    with pytest.raises(RemovedVertexError):
+                        query_single_fault(lv, lc)
+                else:
+                    assert query_single_fault(lv, lc) == part[v], (v, c)
 
 
 def test_oracle_disconnected():
@@ -224,14 +274,16 @@ def test_cli_rejects_cyclic_oracle_file(tmp_path):
     assert run.stderr.startswith("error:"), run.stderr
 
 
-# Recorded before the index was merged into one DFS: sha256 of the oracle file,
-# then (max, total) label bits of label_nca on the oracle's forest and of
-# label_nca_connectivity, on gen_random(40, 70, 8, seed=9).
+# sha256 of the oracle file, then (max, total) label bits of label_nca on the
+# oracle's forest and of label_nca_connectivity, on gen_random(40, 70, 8,
+# seed=9).  The edge row was recorded before the index was merged into one
+# DFS; the vertex row when the vertex-mode forest stopped being subdivided
+# (n vertices, not n + m).
 PINNED = {
     "edge": ("a6b5ef3eccebb36d3044bdfa60a6551223fb51c1dc215e9857be7c7d70680b52",
              (91, 2705), (91, 2945)),
-    "vertex": ("319431636148d5221cf58a9a2fa231e08b1f24424f24a2be5869f8cb895593e2",
-               (104, 9111), (104, 3841)),
+    "vertex": ("d39c1c26f16611b6a45f4f43a9f10bcbe8ce6403a6286f3c952ab498283dc0c8",
+               (64, 2284), (64, 2644)),
 }
 
 
@@ -308,23 +360,23 @@ def test_threshold_examples():
 def test_connectivity_labels_exact():
     from colorfault.nca import pair_connected_nca
 
-    for seed in range(6):
-        for mode in ("edge", "vertex"):
-            g = gen_random(14, 24, 4, seed=seed, mode=mode)
-            ls = label_nca_connectivity(g)
-            for c in range(g.C):
-                part = brute_force_partition(g, {c})
-                for u in range(g.n):
-                    for v in range(u + 1, g.n):
-                        if part[u] is None or part[v] is None:
-                            with pytest.raises(RemovedVertexError):
-                                pair_connected_nca(
-                                    ls.vertex_labels[u], ls.vertex_labels[v],
-                                    ls.color_labels[c],
-                                )
-                        else:
-                            got = pair_connected_nca(
+    graphs = [gen_random(14, 24, 4, seed=seed, mode=mode)
+              for seed in range(6) for mode in ("edge", "vertex")]
+    for g in graphs + VERTEX_GRAPHS:
+        ls = label_nca_connectivity(g)
+        for c in range(g.C):
+            part = brute_force_partition(g, {c})
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if part[u] is None or part[v] is None:
+                        with pytest.raises(RemovedVertexError):
+                            pair_connected_nca(
                                 ls.vertex_labels[u], ls.vertex_labels[v],
                                 ls.color_labels[c],
                             )
-                            assert got == (part[u] == part[v])
+                    else:
+                        got = pair_connected_nca(
+                            ls.vertex_labels[u], ls.vertex_labels[v],
+                            ls.color_labels[c],
+                        )
+                        assert got == (part[u] == part[v])
