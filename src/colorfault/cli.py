@@ -32,6 +32,7 @@ from .nca import build_one_fault_oracle, dump_oracle, load_oracle, oracle_file_b
 from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
 from .schemes import SCHEMES, query
+from .sketch import DEFAULT_CHECKSUM_BITS, DEFAULT_REPETITIONS
 
 
 def _default_seed() -> int:
@@ -314,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
                    help="build two-diam labels even when depth exceeds sqrt(n)")
-    p.add_argument("--repetitions", type=int, default=24,
+    p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS,
                    help="sketch repetitions for multi/large schemes")
-    p.add_argument("--checksum-bits", type=int, default=32,
+    p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS,
                    help="sketch edge-name checksum width")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary", default=None)
@@ -345,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--f", type=int, default=2)
-    p.add_argument("--repetitions", type=int, default=24)
-    p.add_argument("--checksum-bits", type=int, default=32)
+    p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
+    p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--summary", default=None)

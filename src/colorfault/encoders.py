@@ -4,7 +4,7 @@ Both encoders turn an arbitrary bit string into a coloring of a fixed topology
 such that each bit is recoverable with one connectivity query against a small
 fault set.  They are used to exercise the exact constructions behind the
 length lower bounds: packed proper balls (one fault per bit) and multi-arm
-parallel-edge spiders (f faults per bit).
+parallel-edge spiders (f faults per bit).  A ball is ``single_fault.proper_ball``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graph import EDGE, VERTEX, ColoredGraph, GraphError, as_view, bfs_tree
+from .graph import EDGE, VERTEX, ColoredGraph, GraphError, as_view
 from .oracle import brute_force_connected
-from .single_fault import ball_packing_exact, find_disjoint_proper_balls
+from .single_fault import ball_packing_exact, find_disjoint_proper_balls, proper_ball
 
 
 class WitnessError(ValueError):
@@ -68,45 +68,37 @@ def encode_balls(
     Bit k*r+l chooses whether the edges between layers l and l+1 of ball k get
     color l (bit 1) or the never-failing color r (bit 0).  Bit k*r+l is then
     exactly the disconnection of the center from its radius witness under the
-    single fault {l}.
+    single fault {l}.  Each ball is one ``proper_ball``, and its layer edges
+    come from its own vertices' adjacency: the work is linear in the balls.
     """
     gv = as_view(topology)
-    n = gv.n
     if centers is None:
         r = ball_packing_exact(gv)
         centers = find_disjoint_proper_balls(gv, r) or []
     r = len(centers)
-    depth = {v: bfs_tree(gv, v).depth for v in centers}
+    balls = [proper_ball(gv, v, r) for v in centers]
     covered: set[int] = set()
     witnesses = []
-    for v in centers:
-        dv = depth[v]
-        ball = {u for u in range(n) if 0 <= dv[u] <= r}
-        realizers = [u for u in range(n) if dv[u] == r]
-        if not realizers:
+    for v, ball in zip(centers, balls):
+        if ball is None:
             raise WitnessError(f"ball at {v} has no vertex at distance exactly {r}")
-        if ball & covered:
+        if not covered.isdisjoint(ball):
             raise WitnessError(f"ball at {v} overlaps an earlier ball")
-        covered |= ball
-        witnesses.append(min(realizers))
+        covered.update(ball)
+        witnesses.append(min(u for u, d in ball.items() if d == r))
     if len(bits) != r * r:
         raise ValueError(f"need exactly {r * r} bits, got {len(bits)}")
 
     never = r  # palette {0..r-1} u {never-failing}
     edge_colors = [never] * topology.m
-    for k, v in enumerate(centers):
-        dv = depth[v]
-        for eid, (a, b) in enumerate(topology.edges):
-            da, db = dv[a], dv[b]
-            if da > db:
-                da, db = db, da
-            if da < 0 or db != da + 1 or db > r:
-                continue
-            l = da  # edge crosses layers l -> l+1 of ball k
+    for k, ball in enumerate(balls):
+        for a, l in ball.items():
             if l < r and bits[k * r + l]:
-                edge_colors[eid] = l
+                for b, eid in gv.adjacency(a):
+                    if ball.get(b) == l + 1:  # the edge crosses layers l -> l+1 of ball k
+                        edge_colors[eid] = l
     graph = ColoredGraph(
-        n=n, mode=EDGE, edges=topology.edges, C=max(never + 1, 1),
+        n=topology.n, mode=EDGE, edges=topology.edges, C=max(never + 1, 1),
         edge_colors=tuple(edge_colors),
     )
     decoder = tuple(
@@ -186,36 +178,19 @@ def encode_spider(
             C=never + 1,
             edge_colors=tuple(c for _, _, c in triples),
         )
-        return EncodedInstance(graph, decoder, arms * M)
-
-    if subdivide == "edge":
+    elif subdivide in ("edge", "vertex"):
         # split every parallel edge through a fresh vertex: simple and planar
-        edges = []
-        colors = []
-        for idx, (a, b, c) in enumerate(triples):
-            x = n + idx
-            edges.append((a, x))
-            edges.append((x, b))
-            colors.extend((c, c))
-        graph = ColoredGraph(
-            n=n + len(triples), mode=EDGE, edges=tuple(edges), C=never + 1,
-            edge_colors=tuple(colors),
-        )
-        return EncodedInstance(graph, decoder, arms * M)
-
-    if subdivide == "vertex":
-        # subdivision vertices carry the edge colors; originals never fail
-        vcolors = [never] * n
-        edges = []
-        for idx, (a, b, c) in enumerate(triples):
-            x = n + idx
-            vcolors.append(c)
-            edges.append((a, x))
-            edges.append((x, b))
-        graph = ColoredGraph(
-            n=n + len(triples), mode=VERTEX, edges=tuple(edges), C=never + 1,
-            vertex_colors=tuple(vcolors),
-        )
-        return EncodedInstance(graph, decoder, arms * M)
-
-    raise GraphError(f"unknown subdivision mode {subdivide!r}")
+        edges = tuple(e for x, (a, b, _) in enumerate(triples, n) for e in ((a, x), (x, b)))
+        if subdivide == "edge":
+            colors = tuple(c for _, _, c in triples for _ in range(2))
+            graph = ColoredGraph(
+                n=n + len(triples), mode=EDGE, edges=edges, C=never + 1, edge_colors=colors,
+            )
+        else:  # subdivision vertices carry the edge colors; originals never fail
+            colors = (never,) * n + tuple(c for _, _, c in triples)
+            graph = ColoredGraph(
+                n=n + len(triples), mode=VERTEX, edges=edges, C=never + 1, vertex_colors=colors,
+            )
+    else:
+        raise GraphError(f"unknown subdivision mode {subdivide!r}")
+    return EncodedInstance(graph, decoder, arms * M)

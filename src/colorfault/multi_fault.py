@@ -40,11 +40,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import VERTEX, ColoredGraph, UnionFind, edge_graph, reduce_between_modes
+from .graph import VERTEX, ColoredGraph, UnionFind, edge_graph, path_colors, reduce_between_modes
 from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
     SingleFaultVertexLabel,
+    build_ruling_set,
+    label_bits,
     label_single_fault,
     query_single_fault,
 )
@@ -249,8 +251,10 @@ def _recurse(
     params = SketchParams.create(g.n, g.m, sketch_seed, repetitions, checksum_bits)
     sketch_label_bits = params.sketch_bits if g.n else 0
 
-    base_probe = label_single_fault(g)
-    b1 = float(base_probe.max_label_bits())
+    ruling = build_ruling_set(g)  # b1: g's largest one-fault label, sized unbuilt
+    colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
+    vertex_bits, color_bits = label_bits(g, ruling, colors_on_path)
+    b1 = float(max(vertex_bits + color_bits, default=0))
     b_lower = _b_estimate(f - 1, b1, g.m, sketch_label_bits)
     delta = _delta(g.m, b_lower, sketch_label_bits)
 

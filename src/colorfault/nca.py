@@ -130,8 +130,7 @@ class OneFaultOracle:
     n: int  # vertices of the graph
     C: int
     mode: str
-    structure: NcaStructure
-    root_cid: tuple[int, ...]  # per forest vertex: id of its tree root
+    structure: NcaStructure  # its ``root``: each vertex's tree root, its component minimum
     payloads: tuple[int | None, ...]  # per non-root: cid in G minus its forest color
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
 
@@ -160,7 +159,7 @@ class OneFaultOracle:
                 raise RemovedVertexError(f"vertex {v} has color {c}")
             i = bisect_right(stamps, s.pre[v])  # _predecessor, inlined
             w = answers[i - 1] if i else None
-            out.append(self.root_cid[v] if w is None else self.payloads[w])
+            out.append(s.root[v] if w is None else self.payloads[w])
         return out
 
 
@@ -195,7 +194,6 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
         C=g.C,
         mode=g.mode,
         structure=structure,
-        root_cid=structure.root,
         payloads=tuple(payloads),
         vertex_colors=g.vertex_colors,
     )
@@ -236,7 +234,7 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
         w.write(v if p is None else p, wid)
         w.write(s.colors[v] if s.colors[v] is not None else 0, wc)
         payload = o.payloads[v]
-        w.write(o.root_cid[v] if payload is None else payload, wid)
+        w.write(s.root[v] if payload is None else payload, wid)
     # vertex-mode oracles additionally persist the original coloring so
     # removed-endpoint queries can be detected; oracle_file_bits counts it in
     # the header
@@ -248,7 +246,10 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
 
 
 def load_oracle(data: bytes) -> OneFaultOracle:
-    """Parse an oracle file; a malformed or truncated one raises GraphError."""
+    """Parse an oracle file; a malformed or truncated one raises GraphError.
+
+    A stored cid is a component minimum: a root's is its own id, another vertex's at most its id.
+    """
     r = BitReader(data)
 
     def expect(bits: int, part: str) -> None:
@@ -271,20 +272,18 @@ def load_oracle(data: bytes) -> OneFaultOracle:
     expect(n * (wid + wc + wid), "body")
     parent: list[int | None] = []
     colors: list[int | None] = []
-    stored: list[int] = []
+    payloads: list[int | None] = []
     for v in range(n):
         p, c, cid = r.read(wid), r.read(wc), r.read(wid)
-        if not (p < n and cid < n):
-            raise GraphError(f"oracle file: vertex {v} has parent {p}, cid {cid} outside 0..{n - 1}")
-        if p == v:
-            parent.append(None)
-            colors.append(None)
-        elif c < C:
-            parent.append(p)
-            colors.append(c)
-        else:
+        if p >= n:
+            raise GraphError(f"oracle file: vertex {v} has parent {p} outside 0..{n - 1}")
+        if cid > v or (p == v and cid != v):
+            raise GraphError(f"oracle file: vertex {v} stores cid {cid}, not a component minimum")
+        if p != v and c >= C:
             raise GraphError(f"oracle file: vertex {v} has color {c} outside palette of size {C}")
-        stored.append(cid)
+        parent.append(None if p == v else p)
+        colors.append(None if p == v else c)
+        payloads.append(None if p == v else cid)
     structure = build_nca(parent, colors)  # GraphError unless a forest
     orig_n, vertex_colors = n, None
     if mode == VERTEX:
@@ -301,8 +300,7 @@ def load_oracle(data: bytes) -> OneFaultOracle:
         C=C,
         mode=mode,
         structure=structure,
-        root_cid=tuple(stored[root] for root in structure.root),
-        payloads=tuple(None if p is None else cid for p, cid in zip(parent, stored)),
+        payloads=tuple(payloads),
         vertex_colors=vertex_colors,
     )
 
@@ -439,7 +437,7 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     }
     vertex_labels, color_labels, tau = _split_labels(
         s, cids, g.C, id_width(max(g.n, 2)), width_for(max(g.C, 2)),
-        root_cid=oracle.root_cid, own_colors=g.vertex_colors,
+        root_cid=s.root, own_colors=g.vertex_colors,
     )
     return LabelSet(
         scheme=CONN_SCHEME,

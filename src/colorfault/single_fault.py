@@ -7,11 +7,13 @@ P(v) of length < k to A0 u A.  A vertex label stores its anchor and
 cid(v, G-d) for each color d on P(v); a color label stores cid(a, G-c) for
 every a in A.  Every entry is read off the index of the one-fault oracle
 (``nca.build_one_fault_oracle``), which holds cid(v, G-c) for all (v, c) in
-O(n) words.  Queries resolve with one map hit or one anchor lookup.
+O(n) words.  Queries resolve with one map hit or one anchor lookup.  Label
+sizes come from ``label_bits``, given the ruling set and its path colors.
 
 The halting iteration k doubles as a greedy upper bound tied to the packing of
 disjoint proper balls in the topology: floor(k/4) never exceeds the exact
-packing number, and k = O(sqrt n).
+packing number, and k = O(sqrt n).  A proper r-ball is one BFS bounded at r
+(``proper_ball``), which the exact packing and the ball encoder share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from .bits import id_width, width_for
 from .graph import (
     ColoredGraph,
+    GraphError,
     GraphView,
     RemovedVertexError,
     as_view,
@@ -135,17 +138,31 @@ class SingleFaultColorLabel:
     bits: int = field(default=0, compare=False)
 
 
+def label_bits(
+    g: ColoredGraph, ruling: RulingSet, colors_on_path: list[frozenset[int]]
+) -> tuple[list[int], list[int]]:
+    """The ``bits`` of each vertex label and each color label, with no label built.
+
+    A vertex label holds its anchor, own color (vertex mode), map length and a
+    (color, cid) per color on P(v); a color label its color, map length and an
+    (anchor, cid) per a in A.
+    """
+    wid = id_width(g.n)
+    wc = width_for(g.C)
+    wlen = width_for(ruling.k)
+    head = wid + (wc if g.vertex_colors is not None else 0) + wlen
+    vertex_bits = [head + len(colors) * (wc + wid) for colors in colors_on_path]
+    return vertex_bits, [wc + wlen + len(ruling.A) * (wid + wid)] * g.C
+
+
 def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> LabelSet:
     """Build the one-fault labels; handles disconnected input via A0."""
     if ruling is None:
         ruling = build_ruling_set(g)
     colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
+    vertex_bits, color_bits = label_bits(g, ruling, colors_on_path)
     oracle = build_one_fault_oracle(g)
     own = g.vertex_colors
-
-    wid = id_width(g.n)
-    wc = width_for(g.C)
-    wlen = width_for(ruling.k)
 
     on_path: list[list[int]] = [[] for _ in range(g.C)]  # per color: the v with it on P(v)
     for v in range(g.n):
@@ -162,15 +179,14 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
         live = [a for a in ruling.A if own is None or own[a] != c]
         read = dict(zip(live, oracle.cids(c, live)))
         entries = {a: read.get(a, a) for a in ruling.A}
-        bits = wc + wlen + len(entries) * (wid + wid)
-        color_labels.append(SingleFaultColorLabel(c, entries, bits))
+        color_labels.append(SingleFaultColorLabel(c, entries, color_bits[c]))
 
     vertex_labels = []
     for v, mapping in enumerate(mappings):
         assert len(mapping) < ruling.k
-        bits = wid + (wc if own is not None else 0) + wlen + len(mapping) * (wc + wid)
         vertex_labels.append(SingleFaultVertexLabel(
-            v, ruling.anchor[v], mapping, None if own is None else own[v], bits  # type: ignore[arg-type]
+            v, ruling.anchor[v], mapping,  # type: ignore[arg-type]
+            None if own is None else own[v], vertex_bits[v],
         ))
 
     return LabelSet(
@@ -211,25 +227,43 @@ def ball_packing_greedy(g: ColoredGraph | GraphView) -> int:
     return _ruling_sequence(as_view(g))[2]
 
 
+def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, int] | None:
+    """Distance of every vertex within r of ``center`` by a BFS that stops at depth r.
+
+    None when no vertex lies at distance exactly r: the ball is not proper.
+    """
+    gv = as_view(g)
+    if not 0 <= center < gv.n:
+        raise GraphError(f"center {center} out of range")
+    dist = {center: 0}
+    layer = [center]
+    for d in range(1, r + 1):
+        below, layer = layer, []
+        for x in below:
+            for w, _eid in gv.adjacency(x):
+                if w not in dist:
+                    dist[w] = d
+                    layer.append(w)
+        if not layer:
+            return None
+    return dist
+
+
 def find_disjoint_proper_balls(g: ColoredGraph | GraphView, r: int) -> list[int] | None:
     """Centers of r pairwise disjoint proper r-balls, or None.
 
-    Candidate centers are restricted to vertices with some vertex at distance
-    exactly r (without one, the ball cannot be proper); balls are bitmasks so
-    disjointness is a single AND.
+    Candidate centers are the vertices whose ``proper_ball`` exists; balls
+    are bitmasks so disjointness is a single AND.
     """
     gv = as_view(g)
     if r == 0:
         return []
-    candidates = []
     balls = {}
     for v in range(gv.n):
-        if not gv.vertex_present(v):
-            continue
-        dv = bfs_tree(gv, v).depth
-        if any(d == r for d in dv):
-            candidates.append(v)
-            balls[v] = sum(1 << u for u in range(gv.n) if 0 <= dv[u] <= r)
+        dist = proper_ball(gv, v, r) if gv.vertex_present(v) else None
+        if dist is not None:
+            balls[v] = sum(1 << u for u in dist)
+    candidates = list(balls)
     if len(candidates) < r:
         return None
 
@@ -258,15 +292,7 @@ def ball_packing_exact(g: ColoredGraph | GraphView, size_limit: int = 32) -> int
     gv = as_view(g)
     if gv.n > size_limit:
         raise SizeLimitError(f"exact ball packing limited to n <= {size_limit}")
-    upper = 0
-    for v in range(gv.n):
-        if gv.vertex_present(v):
-            ecc = max((d for d in bfs_tree(gv, v).depth if d >= 0), default=0)
-            upper = max(upper, ecc)
-    # a proper r-ball holds >= r+1 vertices, so r*(r+1) <= n as well
-    while upper * (upper + 1) > gv.n:
-        upper -= 1
-    for r in range(upper, 0, -1):
-        if find_disjoint_proper_balls(gv, r) is not None:
-            return r
-    return 0
+    # a proper r-ball holds >= r+1 vertices, so r*(r+1) <= n; a radius past
+    # every eccentricity has no proper ball, so its search fails at once
+    fits = (r for r in range(gv.n, 0, -1) if r * (r + 1) <= gv.n)
+    return next((r for r in fits if find_disjoint_proper_balls(gv, r) is not None), 0)

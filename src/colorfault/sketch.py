@@ -354,10 +354,6 @@ class TreeParts:
                 acc ^= row[r]
             yield acc
 
-    def sketch(self, part: int) -> list[int]:
-        """Part ``part``'s full sketch, all t repetitions."""
-        return list(self.folds(part))
-
 
 def decode_cut_edge(
     params: SketchParams,

@@ -260,6 +260,30 @@ def test_malformed_oracle_file_rejected(blob):
         load_oracle(blob)
 
 
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_oracle_file_rejects_impossible_cid(mode):
+    # a stored cid is a component minimum: a root stores itself, and any
+    # other vertex a cid no larger than its own id
+    g = gen_random(16, 26, 5, seed=3, mode=mode)
+    o = build_one_fault_oracle(g)
+    s = o.structure
+    n = len(s.parent)
+    parents = [v if p is None else p for v, p in enumerate(s.parent)]
+    colors = [0 if c is None else c for c in s.colors]
+    cids = [v if w is None else w for v, w in enumerate(o.payloads)]
+    assert _oracle_file(parents, colors, cids, g.C, g.vertex_colors) == _DUMPED[mode]
+    v = next(v for v in range(n - 1) if s.parent[v] is not None)
+    raised = cids[:v] + [n - 1] + cids[v + 1:]
+    with pytest.raises(GraphError):
+        load_oracle(_oracle_file(parents, colors, raised, g.C, g.vertex_colors))
+
+
+def test_oracle_file_rejects_root_storing_another_vertex():
+    # roots 0 and 1, vertex 2 below 1; root 1 stores 0 instead of itself
+    with pytest.raises(GraphError):
+        load_oracle(_oracle_file((0, 1, 1), (0, 0, 0), (0, 0, 1), C=1))
+
+
 def test_cli_rejects_cyclic_oracle_file(tmp_path):
     path = tmp_path / "cycle.cfo"
     path.write_bytes(_oracle_file((0, 2, 1), (0, 0, 0), (0, 0, 0), C=2))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfault.bits import width_for
-from colorfault.graph import RemovedVertexError, components, edge_graph, vertex_graph
+from colorfault.graph import RemovedVertexError, components, edge_graph, path_colors, vertex_graph
 from colorfault.generators import gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.oracle import brute_force_partition
 from colorfault.single_fault import (
@@ -15,6 +15,7 @@ from colorfault.single_fault import (
     ball_packing_greedy,
     build_ruling_set,
     find_disjoint_proper_balls,
+    label_bits,
     label_single_fault,
     pair_connected,
     query_single_fault,
@@ -322,3 +323,28 @@ def test_label_bits_bound():
             k = ls.meta["k"]
             w = max(1, width_for(max(g.n, g.C)))
             assert ls.max_label_bits() <= 3 * k * w
+
+
+SIZE_GRAPHS = {
+    **PINNED_LABEL_GRAPHS,
+    "random-edge-dense": lambda: gen_random(20, 90, 4, seed=2),
+    "random-vertex-sparse": lambda: gen_random(30, 32, 9, seed=4, mode="vertex"),
+    "empty": lambda: edge_graph(0, [], C=0),
+    "one-vertex": lambda: edge_graph(1, [], C=1),
+    "one-vertex-vertex-mode": lambda: vertex_graph([0], []),
+    "two-isolated-no-colors": lambda: edge_graph(2, [], C=0),
+    "one-edge": lambda: edge_graph(2, [(0, 1, 0)]),
+    "one-edge-vertex-mode": lambda: vertex_graph([0, 1], [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_GRAPHS))
+def test_label_bits_match_built_labels(name):
+    # the recursion's size probe reads label_bits without building the labels
+    g = SIZE_GRAPHS[name]()
+    rs = build_ruling_set(g)
+    vertex_bits, color_bits = label_bits(g, rs, path_colors(g, rs.parent, rs.parent_edge))
+    ls = label_single_fault(g, rs)
+    assert vertex_bits == ls.vertex_bits()
+    assert color_bits == ls.color_bits()
+    assert max(vertex_bits + color_bits, default=0) == ls.max_label_bits()

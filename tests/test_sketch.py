@@ -81,7 +81,7 @@ def test_level0_xor_of_all_vertices_is_zero():
         assert len(parts.keys) == tree[1] - tree[0]
         total = [0] * labels.params.repetitions
         for i in range(len(parts.keys)):
-            total = list(map(xor, total, parts.sketch(i)))
+            total = list(map(xor, total, parts.folds(i)))
         assert all(x == 0 for x in total)
 
 
@@ -132,7 +132,7 @@ def test_part_sketches_fold_their_members():
                         members[parts.part_of(lbl.pre)].add(x)
                 for part, S in enumerate(members):
                     assert len({rest.find(x) for x in S}) == 1
-                    assert parts.sketch(part) == cut_sketch(labels, g, S)
+                    assert list(parts.folds(part)) == cut_sketch(labels, g, S)
                 assert len({rest.find(x) for S in members for x in S}) == len(members)
 
 
@@ -160,6 +160,7 @@ def test_random_fault_sets_against_brute_force():
     rng = random.Random(99)
     agree = 0
     total = 0
+    witnessed = 0  # connected answers that needed merge edges
     for trial in range(40):
         g = gen_random(12, 22, 3, seed=100 + trial)
         labels = build_edge_fault_labels(g, seed=trial)
@@ -176,6 +177,9 @@ def test_random_fault_sets_against_brute_force():
             # structural certification of every "connected" answer
             if got:
                 assert_certified(g, labels, u, v, faults, witness)
+                witnessed += bool(witness)
+            else:
+                assert witness == []
             # agreement statistics
             alive = [
                 (e, a, b)
@@ -194,6 +198,7 @@ def test_random_fault_sets_against_brute_force():
             total += 1
             agree += got == (findp(u) == findp(v))
     assert agree / total >= 0.99
+    assert witnessed > total // 4  # the certification above is not vacuous
 
 
 def test_seed_mismatch_rejected():
