@@ -20,9 +20,7 @@ from .graph import (
     ParseError,
     RemovedVertexError,
     bfs_tree,
-    cid,
     components,
-    connected,
     edge_graph,
     parse_graph,
     reduce_between_modes,
@@ -83,9 +81,7 @@ __all__ = [
     "build_one_fault_oracle",
     "build_routing_scheme",
     "build_ruling_set",
-    "cid",
     "components",
-    "connected",
     "edge_graph",
     "encode_balls",
     "encode_spider",

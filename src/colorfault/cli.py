@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, OSError) as exc:  # OSError: an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

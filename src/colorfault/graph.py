@@ -12,15 +12,15 @@ share between threads.  A :class:`GraphView` is the one representation of
 G - F: it tests survival inline from its fault set, and a view with no faults
 hands out the graph's own immutable adjacency tuples.  The one
 :class:`UnionFind` has no path compression, so that it can roll back.
-:func:`bfs_tree` without a root is the one BFS forest of every component,
-each tree rooted at its minimum id.
+:func:`bfs` is the one first-discovery breadth-first walk; :func:`bfs_tree`
+is its forest of every component, each tree rooted at its minimum id.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 EDGE = "edge"
 VERTEX = "vertex"
@@ -269,27 +269,6 @@ def components(gv: ColoredGraph | GraphView) -> list[int | None]:
     return [uf.component_min(v) if gv.vertex_present(v) else None for v in range(gv.n)]
 
 
-def cid(g: ColoredGraph, v: int, faults: Iterable[int] = ()) -> int:
-    """Minimum vertex id connected to ``v`` in ``g`` minus ``faults``, by BFS."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    gv = remove_colors(g, faults)
-    if not gv.vertex_present(v):
-        raise RemovedVertexError(f"vertex {v} has a faulted color")
-    return next(x for x, d in enumerate(bfs_tree(gv, v).depth) if d >= 0)
-
-
-def connected(g: ColoredGraph, u: int, v: int, faults: Iterable[int] = ()) -> bool:
-    """BFS-based reachability of ``u`` and ``v`` in ``g`` minus ``faults``."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError("vertex out of range")
-    gv = remove_colors(g, faults)
-    for x in (u, v):
-        if not gv.vertex_present(x):
-            raise RemovedVertexError(f"vertex {x} has a faulted color")
-    return u == v or bfs_tree(gv, u).depth[v] >= 0
-
-
 def spanning_forest(
     gv: ColoredGraph | GraphView, order: Iterable[int] | None = None
 ) -> tuple[int, ...]:
@@ -314,7 +293,11 @@ def spanning_forest(
 def orient_forest(
     g: ColoredGraph, edge_ids: Iterable[int]
 ) -> tuple[list[int | None], list[int | None]]:
-    """(parent, parent edge) of the forest ``edge_ids``, each tree rooted at its minimum id."""
+    """(parent, parent edge) of the forest ``edge_ids``, each tree rooted at its minimum id.
+
+    A vertex has one path to its tree's root, so the :func:`bfs` parents are
+    those of any walk from that root.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid in edge_ids:
         a, b = g.edges[eid]
@@ -322,20 +305,9 @@ def orient_forest(
         adj[b].append((a, eid))
     parent: list[int | None] = [None] * g.n
     parent_edge: list[int | None] = [None] * g.n
-    seen = bytearray(g.n)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for w, eid in adj[x]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = x
-                    parent_edge[w] = eid
-                    stack.append(w)
+    for x, p, eid, _depth in bfs(adj.__getitem__, range(g.n)):
+        parent[x] = p
+        parent_edge[x] = eid
     return parent, parent_edge
 
 
@@ -402,46 +374,61 @@ def path_colors(
     return out
 
 
+def bfs(
+    adjacency: Callable[[int], Iterable[tuple[int, int]]], roots: Iterable[int]
+) -> Iterator[tuple[int, int | None, int | None, int]]:
+    """Yield (vertex, parent, parent edge, depth) in BFS order: the one first-discovery walk.
+
+    Each root no earlier tree has reached starts the next tree (a root comes
+    out with parent, edge None and depth 0).  ``adjacency(x)`` gives x's
+    (neighbor, edge id) pairs, scanned in that order, and a vertex keeps the
+    first parent that discovers it.  A caller that stops reading has seen a
+    prefix of the walk and paid only for the scans up to its last vertex.
+    """
+    reached: set[int] = set()
+    for s in roots:
+        if s in reached:
+            continue
+        reached.add(s)
+        yield s, None, None, 0
+        layer, d = [s], 0
+        while layer:  # one level at a time: the same order as one FIFO queue
+            below, layer, d = layer, [], d + 1
+            for x in below:
+                for w, eid in adjacency(x):
+                    if w not in reached:
+                        reached.add(w)
+                        yield w, x, eid, d
+                        layer.append(w)
+
+
 @dataclass(frozen=True)
 class BfsTree:
-    root: tuple[int | None, ...]  # v's tree's root; None for unreached or removed vertices
+    root: tuple[int | None, ...]  # v's tree's root; None for removed vertices
     parent: tuple[int | None, ...]
     parent_edge: tuple[int | None, ...]
-    depth: tuple[int, ...]  # -1 for unreached or removed vertices
+    depth: tuple[int, ...]  # -1 for removed vertices
 
 
-def bfs_tree(gv: ColoredGraph | GraphView, root: int | None = None) -> BfsTree:
-    """BFS tree of ``root``'s component; without a root, the BFS forest of every component.
+def bfs_tree(gv: ColoredGraph | GraphView) -> BfsTree:
+    """The BFS forest of every component, each tree rooted at its minimum id.
 
-    Neighbors are explored in (id, edge id) order.  The forest roots each tree
-    at its minimum id: the present vertices are scanned in increasing id, and
-    each one no tree has reached yet starts the next tree.
+    This is :func:`bfs` from the present vertices in increasing id, so
+    neighbors are explored in (id, edge id) order and each vertex no tree has
+    reached yet starts the next tree.
     """
     gv = as_view(gv)
     n = gv.n
-    if root is not None and not 0 <= root < n:
-        raise GraphError(f"root {root} out of range")
-    if root is not None and not gv.vertex_present(root):
-        raise RemovedVertexError(f"root {root} has a faulted color")
     root_of: list[int | None] = [None] * n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
     depth = [-1] * n
-    for s in range(n) if root is None else (root,):
-        if depth[s] >= 0 or not gv.vertex_present(s):
-            continue
-        root_of[s] = s
-        depth[s] = 0
-        queue = [s]
-        for x in queue:  # the queue grows while it is scanned
-            dx = depth[x] + 1
-            for w, eid in gv.adjacency(x):
-                if depth[w] < 0:
-                    root_of[w] = s
-                    depth[w] = dx
-                    parent[w] = x
-                    parent_edge[w] = eid
-                    queue.append(w)
+    roots = (s for s in range(n) if gv.vertex_present(s))
+    for x, p, eid, d in bfs(gv.adjacency, roots):
+        root_of[x] = x if p is None else root_of[p]
+        parent[x] = p
+        parent_edge[x] = eid
+        depth[x] = d
     return BfsTree(tuple(root_of), tuple(parent), tuple(parent_edge), tuple(depth))
 
 
@@ -457,7 +444,8 @@ def cids_after_faults(
     their sorted tuples, so sets sharing their smallest color sit together,
     and the sweep divides and conquers over that order: an edge is unioned at
     the highest node of the recursion whose sets all keep it, instead of
-    once per set.  Vertices removed by F (vertex mode) come out as None.
+    once per set.  Vertices removed by F (vertex mode) come out as None; a
+    vertex outside 0..n-1 raises ``GraphError``.
     """
     keys = sorted((g.check_fault_set(F) for F in wanted), key=sorted)
     out: dict[frozenset[int], dict[int, int | None]] = {F: {} for F in keys}
@@ -483,12 +471,15 @@ def cids_after_faults(
         else:
             uf.union(u, v)
     vertex_colors = g.vertex_colors if g.mode == VERTEX else None
+    n = g.n
 
     def solve(lo: int, hi: int, edges: list[tuple[int, int, list[int]]]) -> None:
         if hi - lo == 1:
             F = keys[lo]
             res = out[F]
             for v in wanted[F]:
+                if not 0 <= v < n:
+                    raise GraphError(f"vertex {v} out of range")
                 dead = vertex_colors is not None and vertex_colors[v] in F
                 res[v] = None if dead else uf.component_min(v)
             return

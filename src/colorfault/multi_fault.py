@@ -48,7 +48,7 @@ from .single_fault import (
     build_ruling_set,
     label_bits,
     label_single_fault,
-    query_single_fault,
+    pair_connected,
 )
 from .sketch import (
     DEFAULT_CHECKSUM_BITS,
@@ -382,8 +382,7 @@ def query_recursive(lu, lv, color_labels: Sequence) -> bool:
 def _query_base(lu, lv, faults) -> bool:
     if not faults:
         raise ValueError("the plain one-fault scheme needs a faulted color")
-    lc = faults[0]
-    return query_single_fault(lu, lc) == query_single_fault(lv, lc)
+    return pair_connected(lu, lv, faults[0])
 
 
 def _query_node(lu, lv, faults) -> bool:

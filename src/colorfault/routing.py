@@ -46,6 +46,7 @@ from .graph import (
     ColoredGraph,
     GraphError,
     UnionFind,
+    bfs,
     orient_forest,
     preorder,
     spanning_forest,
@@ -364,25 +365,14 @@ def _build_color_structure(g, net, c, tparent, tparent_edge, torder, anchors, tr
     return ColorStructure(c, tuple(fragment_of), frag_adj, tables, labels), reach
 
 
-def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int, int]]:
+def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int | None, int | None]]:
     """BFS over the fragment tree from a fragment: frag -> (dist, peer, edge id).
 
-    ``peer`` is the neighbor fragment one hop closer to the source; the edge id
-    is the recovery edge between them.
+    ``peer`` is the neighbor fragment one hop closer to the source (None at
+    the source); the edge id is the recovery edge between them.  The fragment
+    graph is a forest, so each fragment has one such peer whatever the order.
     """
-    out = {source_frag: (0, source_frag, -1)}
-    frontier = [source_frag]
-    dist = 0
-    while frontier:
-        nxt = []
-        dist += 1
-        for fr in sorted(frontier):
-            for other, eid in frag_adj.get(fr, ()):  # sorted lists
-                if other not in out:
-                    out[other] = (dist, fr, eid)
-                    nxt.append(other)
-        frontier = nxt
-    return out
+    return {fr: (dist, peer, eid) for fr, peer, eid, dist in bfs(frag_adj.get, (source_frag,))}
 
 
 def _block_for(g, net, cs, tree_label, from_frag, reach) -> FirstRecEdgeBlock | None:

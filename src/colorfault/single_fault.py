@@ -27,6 +27,7 @@ from .graph import (
     GraphView,
     RemovedVertexError,
     as_view,
+    bfs,
     bfs_tree,
     path_colors,
 )
@@ -34,6 +35,7 @@ from .labels import LabelSet
 from .nca import build_one_fault_oracle
 
 SCHEME = "single-fault"
+EXACT_PACKING_MAX_N = 32  # ``ball_packing_exact``'s exhaustive search refuses larger graphs
 
 
 class SizeLimitError(ValueError):
@@ -67,7 +69,10 @@ def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int
 
     The BFS forest of G seeds A0 and the distances; each new anchor then
     lowers them in place with a BFS that enters only the vertices whose
-    distance drops.
+    distance drops.  That lowering is not a first-discovery walk like
+    ``graph.bfs``: it reads the distances left by the earlier anchors, and
+    enters a vertex again whenever a new anchor brings it closer, so it keeps
+    its own queue.
     """
     forest = bfs_tree(gv)
     A0 = [v for v, r in enumerate(forest.root) if r == v]
@@ -235,18 +240,12 @@ def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, i
     gv = as_view(g)
     if not 0 <= center < gv.n:
         raise GraphError(f"center {center} out of range")
-    dist = {center: 0}
-    layer = [center]
-    for d in range(1, r + 1):
-        below, layer = layer, []
-        for x in below:
-            for w, _eid in gv.adjacency(x):
-                if w not in dist:
-                    dist[w] = d
-                    layer.append(w)
-        if not layer:
-            return None
-    return dist
+    dist = {}
+    for x, _p, _eid, d in bfs(gv.adjacency, (center,)):
+        if d > r:
+            break
+        dist[x] = d
+    return dist if d >= r else None
 
 
 def find_disjoint_proper_balls(g: ColoredGraph | GraphView, r: int) -> list[int] | None:
@@ -287,11 +286,11 @@ def find_disjoint_proper_balls(g: ColoredGraph | GraphView, r: int) -> list[int]
     return chosen if search(0, 0) else None
 
 
-def ball_packing_exact(g: ColoredGraph | GraphView, size_limit: int = 32) -> int:
+def ball_packing_exact(g: ColoredGraph | GraphView) -> int:
     """Maximum r admitting r vertex-disjoint proper r-balls (exhaustive)."""
     gv = as_view(g)
-    if gv.n > size_limit:
-        raise SizeLimitError(f"exact ball packing limited to n <= {size_limit}")
+    if gv.n > EXACT_PACKING_MAX_N:
+        raise SizeLimitError(f"n = {gv.n} exceeds EXACT_PACKING_MAX_N = {EXACT_PACKING_MAX_N}")
     # a proper r-ball holds >= r+1 vertices, so r*(r+1) <= n; a radius past
     # every eccentricity has no proper ball, so its search fails at once
     fits = (r for r in range(gv.n, 0, -1) if r * (r + 1) <= gv.n)

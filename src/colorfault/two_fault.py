@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Collection, Sequence
 
 from .bits import id_width, width_for
@@ -24,6 +25,7 @@ from .graph import (
     ColoredGraph,
     GraphView,
     RemovedVertexError,
+    bfs,
     bfs_tree,
     cids_after_faults,
     path_colors,
@@ -101,23 +103,11 @@ class TwoFaultColorLabel:
 
 def truncated_bfs(gv: GraphView, origin: int, cap: int) -> TruncatedTree:
     """BFS from origin halting once ``cap`` vertices are reached."""
-    order = [origin]
-    tree_edges: list[int] = []
-    seen = {origin}
-    head = 0
-    while head < len(order) and len(order) < cap:
-        x = order[head]
-        head += 1
-        for w, eid in gv.adjacency(x):
-            if w not in seen:
-                seen.add(w)
-                tree_edges.append(eid)
-                order.append(w)
-                if len(order) >= cap:
-                    break
+    walk = list(islice(bfs(gv.adjacency, (origin,)), cap))
+    order = [x for x, _p, _eid, _d in walk]
     g = gv.graph
     if g.mode == EDGE:
-        colors = {g.edge_color(eid) for eid in tree_edges}
+        colors = {g.edge_color(eid) for _x, _p, eid, _d in walk[1:]}
     else:
         colors = {g.vertex_color(w) for w in order}
     return TruncatedTree(tuple(order), frozenset(colors), len(order) >= cap)

@@ -300,3 +300,18 @@ def test_bad_graph_file_errors(tmp_path, capsys):
     path.write_text("ccg 1 edge 2 1 1\n0 5 0\n")
     assert main(["label", str(path), "--scheme", "single"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "{missing}", "--scheme", "single"],
+    ["query", "{missing}", "0", "1", "--colors", "0"],
+    ["oracle", "query", "{missing}", "0", "1", "0"],
+    ["oracle", "build", "{missing}", "-o", "{out}"],
+], ids=["label", "query", "oracle-query", "oracle-build"])
+def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
+    missing, out = tmp_path / "missing.txt", tmp_path / "x"
+    argv = [a.format(missing=missing, out=out) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err and "Traceback" not in err
+    assert not out.exists()

@@ -175,8 +175,8 @@ def test_parse_bits():
 
 def test_wheel_generator_matches_stated_shape():
     g = gen_wheel(5)
-    from colorfault.graph import bfs_tree
+    from colorfault.graph import bfs
 
-    ecc = max(max(bfs_tree(g, v).depth) for v in range(g.n))
+    ecc = max(max(d for _x, _p, _eid, d in bfs(g.adjacency, (v,))) for v in range(g.n))
     assert ecc == 2  # hub keeps the diameter at two
     assert g.m == 8

@@ -12,11 +12,10 @@ from colorfault.graph import (
     ParseError,
     RemovedVertexError,
     UnionFind,
+    bfs,
     bfs_tree,
-    cid,
     cids_after_faults,
     components,
-    connected,
     edge_graph,
     orient_forest,
     parse_graph,
@@ -61,17 +60,17 @@ def test_remove_colors_bad_color():
 
 
 def test_remove_colors_matches_union_find_partition():
-    # the union-find partition against the independent DFS cid
+    # the union-find partition against the independent BFS forest's roots
     for mode in ("edge", "vertex"):
         g = gen_random(20, 35, 5, seed=7, mode=mode)
         for F in [(), (3,), (0, 2), (1, 3, 4)]:
-            part = components(remove_colors(g, F))
+            view = remove_colors(g, F)
+            part = components(view)
+            assert part == list(bfs_tree(view).root)
             for v in range(g.n):
                 if part[v] is None:
                     with pytest.raises(RemovedVertexError):
-                        cid(g, v, F)
-                else:
-                    assert part[v] == cid(g, v, F)
+                        brute_force_connected(g, v, v, F)
 
 
 def test_vertex_mode_removal_isolates():
@@ -159,41 +158,41 @@ def test_union_find_rolls_back_to_each_checkpoint(n, ops):
             assert all(uf.connected(x, y) == (block[x] == block[y]) for y in range(n))
 
 
-# -- cid -----------------------------------------------------------------------
+# -- cid (the brute-force reference) ------------------------------------------
 
 
 def test_cid_triangle_examples():
-    assert cid(TRIANGLE, 2, {RED}) == 0
-    assert cid(TRIANGLE, 1, {RED}) == 1
+    assert brute_force_partition(TRIANGLE, {RED})[2] == 0
+    assert brute_force_partition(TRIANGLE, {RED})[1] == 1
 
 
 def test_cid_path_aba():
-    assert cid(PATH_ABA, 2, {1}) == 2
+    assert brute_force_partition(PATH_ABA, {1})[2] == 2
 
 
 def test_cid_errors():
     with pytest.raises(GraphError):
-        cid(TRIANGLE, 9)
+        brute_force_connected(TRIANGLE, 9, 0)
     g = vertex_graph([0, 1], [(0, 1)])
     with pytest.raises(RemovedVertexError):
-        cid(g, 0, {0})
+        brute_force_connected(g, 0, 0, {0})
+    assert brute_force_partition(g, {0})[0] is None
 
 
 def test_cid_no_fault_matches_union_find():
+    # the union-find cid against the independent BFS forest's roots
     for g in random_graphs():
         part = brute_force_partition(g)
-        for v in range(g.n):
-            best = cid(g, v)
-            assert best == part[v]
-            assert best <= v
+        assert part == list(bfs_tree(g).root)
+        assert all(part[v] <= v for v in range(g.n))
 
 
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
 def test_cid_and_connected_contracts(mode):
     g = gen_random(16, 22, 4, seed=3, mode=mode, simple=False)
     for bad in (-1, g.n):
-        for call in (lambda: cid(g, bad), lambda: connected(g, bad, 0),
-                     lambda: connected(g, 0, bad)):
+        for call in (lambda: brute_force_connected(g, bad, 0),
+                     lambda: brute_force_connected(g, 0, bad)):
             with pytest.raises(GraphError):
                 call()
     rng = random.Random(8)
@@ -201,15 +200,16 @@ def test_cid_and_connected_contracts(mode):
         F = frozenset(rng.sample(range(g.C), rng.randrange(g.C + 1)))
         u, v = rng.randrange(g.n), rng.randrange(g.n)
         if mode == "vertex" and g.vertex_color(u) in F:
-            for call in (lambda: cid(g, u, F), lambda: connected(g, u, u, F),
-                         lambda: connected(g, v, u, F)):
+            for call in (lambda: brute_force_connected(g, u, u, F),
+                         lambda: brute_force_connected(g, v, u, F)):
                 with pytest.raises(RemovedVertexError):
                     call()
             continue
-        assert connected(g, u, u, F)
-        assert cid(g, u, F) == brute_force_partition(g, F)[u]
+        assert brute_force_connected(g, u, u, F)
+        root = bfs_tree(remove_colors(g, F)).root  # an independent BFS cid
+        assert brute_force_partition(g, F)[u] == root[u]
         if mode == "edge" or g.vertex_color(v) not in F:
-            assert connected(g, u, v, F) == brute_force_connected(g, u, v, F)
+            assert brute_force_connected(g, u, v, F) == (root[u] == root[v])
 
 
 # -- spanning forest -----------------------------------------------------------
@@ -239,11 +239,55 @@ def test_spanning_forest_is_maximal_and_acyclic():
 # -- bfs -----------------------------------------------------------------------
 
 
+def bfs_depths(g, s):
+    """Distance from ``s`` of each vertex it reaches, read off ``bfs`` from s."""
+    return {x: d for x, _p, _eid, d in bfs(g.adjacency, (s,))}
+
+
 def test_bfs_depths_path_and_star():
     path = gen_path(4)
-    assert bfs_tree(path, 0).depth == (0, 1, 2, 3)
+    assert bfs_depths(path, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
     star = edge_graph(5, [(0, i, 0) for i in range(1, 5)])
-    assert bfs_tree(star, 0).depth == (0, 1, 1, 1, 1)
+    assert bfs_depths(star, 0) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_bfs_roots_start_trees_in_order_only_when_unreached():
+    # components {0, 2} and {1, 3, 4}; the roots come in increasing id
+    g = edge_graph(5, [(0, 2, 0), (1, 3, 0), (3, 4, 0)])
+    walk = list(bfs(g.adjacency, range(g.n)))
+    assert walk == [(0, None, None, 0), (2, 0, 0, 1),
+                    (1, None, None, 0), (3, 1, 1, 1), (4, 3, 2, 2)]
+    # a repeated or already reached root starts nothing; an isolated root is a tree alone
+    assert list(bfs(g.adjacency, (3, 4, 3, 1))) == [(3, None, None, 0), (1, 3, 1, 1),
+                                                    (4, 3, 2, 1)]
+    assert list(bfs(edge_graph(2, [], C=1).adjacency, (1, 0))) == [(1, None, None, 0),
+                                                                 (0, None, None, 0)]
+
+
+def test_bfs_scans_neighbors_in_adjacency_order_and_first_discovery_wins():
+    # an adjacency that is not sorted, with parallel edges 11 and 13 between 0 and 1
+    adj = {0: [(3, 10), (1, 11), (2, 12), (1, 13)], 1: [(0, 11), (0, 13), (2, 14)],
+           2: [(0, 12), (1, 14)], 3: [(0, 10)]}
+    assert list(bfs(adj.__getitem__, (0,))) == [
+        (0, None, None, 0), (3, 0, 10, 1), (1, 0, 11, 1), (2, 0, 12, 1)]
+    assert list(bfs(adj.__getitem__, (1,))) == [
+        (1, None, None, 0), (0, 1, 11, 1), (2, 1, 14, 1), (3, 0, 10, 2)]
+
+
+def test_bfs_reader_that_stops_sees_a_prefix():
+    g = gen_random(25, 45, 4, seed=3)
+    full = list(bfs(g.adjacency, range(g.n)))
+    assert sorted(x for x, *_ in full) == list(range(g.n))
+    for k in range(len(full) + 1):
+        scanned = []
+
+        def adjacency(x):
+            scanned.append(x)
+            return g.adjacency(x)
+
+        assert list(itertools.islice(bfs(adjacency, range(g.n)), k)) == full[:k]
+        # only vertices already handed out had their neighbors scanned
+        assert set(scanned) <= {x for x, *_ in full[:k]}
 
 
 def test_bfs_matches_all_pairs_shortest_paths():
@@ -266,9 +310,9 @@ def test_bfs_matches_all_pairs_shortest_paths():
             for v in range(g.n):
                 if duw + dw[v] < du[v]:
                     du[v] = duw + dw[v]
-    depth = bfs_tree(g, 0).depth
+    depth = bfs_depths(g, 0)
     for v in range(g.n):
-        assert depth[v] == (dist[0][v] if dist[0][v] < INF else -1)
+        assert depth.get(v, -1) == (dist[0][v] if dist[0][v] < INF else -1)
 
 
 @given(st.one_of(multigraphs_with_faults(), multigraphs_with_faults(0, 14, 8)))
@@ -280,14 +324,10 @@ def test_bfs_forest_matches_a_tree_per_component_minimum(case):
     comp = components(view)
     assert list(forest.root) == comp
     for s in sorted({c for c in comp if c is not None}):
-        tree = bfs_tree(view, s)
-        assert list(tree.root) == [s if c == s else None for c in comp]
-        for v in range(g.n):
-            if comp[v] == s:
-                got = (forest.parent[v], forest.parent_edge[v], forest.depth[v])
-                assert got == (tree.parent[v], tree.parent_edge[v], tree.depth[v])
-            else:
-                assert (tree.parent[v], tree.parent_edge[v], tree.depth[v]) == (None, None, -1)
+        tree = {x: (p, eid, d) for x, p, eid, d in bfs(view.adjacency, (s,))}
+        assert sorted(tree) == [v for v in range(g.n) if comp[v] == s]
+        for v, got in tree.items():
+            assert got == (forest.parent[v], forest.parent_edge[v], forest.depth[v])
     for v in range(g.n):
         if comp[v] is None:
             assert (forest.parent[v], forest.parent_edge[v], forest.depth[v]) == (None, None, -1)
@@ -451,14 +491,19 @@ def test_preorder_and_path_colors_match_parent_chain_walks(seed, mode, n, m):
 def test_cids_after_faults_rejects_bad_color():
     with pytest.raises(InvalidFaultSetError):
         cids_after_faults(TRIANGLE, {frozenset((0,)): [0], frozenset((2,)): [0]})
+    path = gen_path(3)
+    for bad in (-1, path.n):  # -1 must not wrap around to the last vertex
+        with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+            cids_after_faults(path, {frozenset((0,)): [bad]})
 
 
 def test_dual_oracles_agree_on_random_queries():
     rng = random.Random(123)
     g = gen_random(30, 60, 6, seed=42)
+    roots = [bfs_tree(g.view({c})).root for c in range(g.C)]  # the BFS side
     for _ in range(1000):
         u, v, c = rng.randrange(g.n), rng.randrange(g.n), rng.randrange(g.C)
-        assert brute_force_connected(g, u, v, {c}) == connected(g, u, v, {c})
+        assert brute_force_connected(g, u, v, {c}) == (roots[c][u] == roots[c][v])
 
 
 def test_self_loops_do_not_affect_connectivity():

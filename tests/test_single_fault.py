@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfault.bits import width_for
-from colorfault.graph import RemovedVertexError, components, edge_graph, path_colors, vertex_graph
+from colorfault.graph import (
+    RemovedVertexError,
+    bfs,
+    components,
+    edge_graph,
+    path_colors,
+    vertex_graph,
+)
 from colorfault.generators import gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.oracle import brute_force_partition
 from colorfault.single_fault import (
+    EXACT_PACKING_MAX_N,
     SizeLimitError,
     ball_packing_exact,
     ball_packing_greedy,
@@ -44,29 +52,23 @@ def test_ruling_set_path4():
     assert rs.A0 == (0,) and rs.A == (1, 3) and rs.k == 3
 
 
-def test_ruling_set_invariants_random():
-    from colorfault.graph import bfs_tree
+def dist_from(g, s):
+    """Distance from ``s`` of each vertex it reaches, read off ``bfs`` from s."""
+    return {x: d for x, _p, _eid, d in bfs(g.adjacency, (s,))}
 
+
+def test_ruling_set_invariants_random():
     for seed in range(8):
         g = gen_random(24, 40, 5, seed=seed)
         rs = build_ruling_set(g)
         # distance of a_i from the prefix is exactly i
         chosen = list(rs.A0)
         for i, a in enumerate(rs.A, start=1):
-            dist = min(
-                d
-                for d in (bfs_tree(g, s).depth[a] for s in chosen)
-                if d >= 0
-            )
-            assert dist == i
+            assert min(dist_from(g, s).get(a, math.inf) for s in chosen) == i
             chosen.append(a)
         # everything is within distance < k of A0 u A
         for v in range(g.n):
-            dist = min(
-                (d for d in (bfs_tree(g, s).depth[v] for s in chosen) if d >= 0),
-                default=math.inf,
-            )
-            assert dist < rs.k
+            assert min(dist_from(g, s).get(v, math.inf) for s in chosen) < rs.k
 
 
 def reference_ruling_and_paths(gv):
@@ -278,8 +280,9 @@ def test_exact_small_cases():
 
 
 def test_exact_size_limit():
-    with pytest.raises(SizeLimitError):
-        ball_packing_exact(gen_path(40))
+    with pytest.raises(SizeLimitError, match="n = 33 exceeds EXACT_PACKING_MAX_N = 32"):
+        ball_packing_exact(gen_path(EXACT_PACKING_MAX_N + 1))
+    assert ball_packing_exact(gen_path(EXACT_PACKING_MAX_N)) == 4
 
 
 def test_exact_respects_sqrt_n():
@@ -289,16 +292,14 @@ def test_exact_respects_sqrt_n():
 
 
 def test_witness_balls_are_proper_and_disjoint():
-    from colorfault.graph import bfs_tree
-
     g = gen_path(9)
     centers = find_disjoint_proper_balls(g, 2)
     assert centers is not None and len(centers) == 2
     seen = set()
     for v in centers:
-        depth = bfs_tree(g, v).depth
-        ball = {u for u in range(g.n) if 0 <= depth[u] <= 2}
-        assert any(depth[u] == 2 for u in range(g.n))
+        depth = dist_from(g, v)
+        ball = {u for u, d in depth.items() if d <= 2}
+        assert 2 in depth.values()
         assert not (ball & seen)
         seen |= ball
 
