@@ -40,9 +40,7 @@ from .multi_fault import (
 from .nca import (
     build_nca,
     build_one_fault_oracle,
-    label_nca,
     label_nca_connectivity,
-    nca_query,
 )
 from .oracle import brute_force_connected
 from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
@@ -87,13 +85,11 @@ __all__ = [
     "encode_spider",
     "greedy_hitting_set",
     "label_large_f",
-    "label_nca",
     "label_nca_connectivity",
     "label_recursive",
     "label_single_fault",
     "label_two_fault",
     "measure_labels",
-    "nca_query",
     "pair_connected",
     "parse_graph",
     "query_all_pairs_ids",

@@ -113,7 +113,10 @@ def cmd_label(args) -> int:
 
 def cmd_query(args) -> int:
     with open(args.labels, "rb") as fh:
-        ls = pickle.load(fh)
+        try:
+            ls = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError) as exc:
+            raise GraphError(f"{args.labels} is not a label file: {exc}") from exc
     colors = [int(c) for c in args.colors.split(",")] if args.colors else []
     try:
         ok = query(ls, args.u, args.v, colors)

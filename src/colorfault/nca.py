@@ -14,7 +14,7 @@ forest with its parent-edge color (edge mode) or its parent's own color
 (vertex mode, on the graph as given, with no subdivision) and stores
 cid(u, G-color) as its payload.  ``OneFaultOracle.cids`` reads cid(v, G-c)
 off that index; the one-fault labels of ``single_fault`` take every entry
-from it.  The two label families here split the same index by color prevalence.
+from it.  The connectivity labels here split the same index by color prevalence.
 """
 
 from __future__ import annotations
@@ -111,13 +111,6 @@ def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
     """
     idx = bisect_right(stamps, key)
     return answers[idx - 1] if idx else None
-
-
-def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
-    """Nearest c-colored ancestor of v (v itself included), or None."""
-    if not 0 <= v < len(s.pre):
-        raise GraphError(f"vertex {v} out of range")
-    return _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
 
 
 # -- one-fault connectivity oracle ---------------------------------------------
@@ -383,33 +376,6 @@ def _split_labels(
         bits = wc + 1 + wlen + len(stamps) // 2 * (2 * wstamp + 2 * wid + 1)
         color_labels.append(NcaColorLabel(c, False, stamps, answers.get(c, ()), bits))
     return tuple(vertex_labels), tuple(color_labels), tau
-
-
-def label_nca(
-    parent: list[int | None], colors: list[int | None], C: int | None = None
-) -> LabelSet:
-    """Nearest-colored-ancestor labels with a prevalence split.
-
-    Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from vertex labels; rarer colors ship their whole stamp array in the color
-    label and are answered by predecessor search against pre(v).
-    """
-    n = len(parent)
-    if C is None:
-        C = max((c for c in colors if c is not None), default=-1) + 1
-    s = build_nca(parent, colors)
-    vertex_labels, color_labels, tau = _split_labels(
-        s, s.answers, C, id_width(n), width_for(C)
-    )
-    return LabelSet(
-        scheme="nca",
-        n=n,
-        C=C,
-        mode=VERTEX,
-        vertex_labels=vertex_labels,
-        color_labels=color_labels,
-        meta={"threshold": tau},
-    )
 
 
 def query_nca_labels(lv: NcaVertexLabel, lc: NcaColorLabel) -> int | None:

@@ -27,11 +27,12 @@ so the route walks the T_c path through fragments that carry tables.  A
 target in a component without an anchor gets a* = -1, and its route is all
 final approach from the source.
 
-The simulator ``route`` returns the delivered path as a tuple of immutable
-``Hop`` records (a NamedTuple: source, port, neighbor, edge id, edge color).
-Each hop costs one ``_decide_port`` decision, one port-list read and one tuple,
-so a route's time is the cost of its decisions; the hop budget, the
-forbidden-color check and ``on_state`` still run at every hop.
+Each port of the network is an immutable ``Hop`` record (a NamedTuple:
+source, port, neighbor, edge id, edge color) built once with the network.
+The simulator ``route`` makes one decision per hop in a single loop, reads
+the chosen port's ``Hop`` and appends that shared record to the trace, so a
+hop allocates nothing and a route's time is the cost of its decisions; the
+hop budget, the forbidden-color check and ``on_state`` still run at every hop.
 """
 
 from __future__ import annotations
@@ -71,27 +72,39 @@ class RoutingBugError(RuntimeError):
 # -- ported network ---------------------------------------------------------------
 
 
+class Hop(NamedTuple):
+    src: int
+    port: int
+    dst: int
+    edge: int
+    color: int
+
+
 @dataclass(frozen=True)
 class PortedNetwork:
-    """Port p of vertex v is its p-th incident edge in increasing edge id."""
+    """Port p of vertex v is its p-th incident edge in increasing edge id.
+
+    ``ports[v][p]`` is the ``Hop`` that leaves v by port p; a route's trace is
+    made of these shared records.
+    """
 
     graph: ColoredGraph
-    ports: tuple[tuple[tuple[int, int], ...], ...]  # per vertex: (edge id, neighbor)
+    ports: tuple[tuple[Hop, ...], ...]
     port_index: dict[tuple[int, int], int]  # (vertex, edge id) -> port
 
     @staticmethod
     def build(g: ColoredGraph) -> "PortedNetwork":
-        ports: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for eid, (u, v) in enumerate(g.edges):
-            ports[u].append((eid, v))
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for eid, (u, v) in enumerate(g.edges):  # so each list is in increasing edge id
+            incident[u].append((eid, v))
             if u != v:
-                ports[v].append((eid, u))
-        index = {}
-        for v, plist in enumerate(ports):
-            plist.sort()
-            for p, (eid, _nbr) in enumerate(plist):
-                index[(v, eid)] = p
-        return PortedNetwork(g, tuple(tuple(p) for p in ports), index)
+                incident[v].append((eid, u))
+        ports = tuple(
+            tuple(Hop(v, p, nbr, eid, g.edge_color(eid)) for p, (eid, nbr) in enumerate(plist))
+            for v, plist in enumerate(incident)
+        )
+        index = {(hop.src, hop.edge): hop.port for plist in ports for hop in plist}
+        return PortedNetwork(g, ports, index)
 
     def port_of(self, v: int, eid: int) -> int:
         return self.port_index[(v, eid)]
@@ -418,7 +431,7 @@ def _build_tables_and_labels(
         frags = {c: structures[c].fragment_of[v] for c in sorted(on_path)}
         per_color = {c: structures[c].fragment_labels[fr] for c, fr in frags.items()}
         # a final approach reads a table only where v's entry has a block or no
-        # anchor (``_decide_port``), so never in an anchor fragment
+        # anchor (``route``), so never in an anchor fragment
         fragment_tables = {c: structures[c].fragment_tables[fr] for c, fr in frags.items()
                            if per_color[c][1] is not None or per_color[c][0] < 0}
         tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
@@ -468,14 +481,6 @@ def _build_tables_and_labels(
 # -- simulation --------------------------------------------------------------------
 
 
-class Hop(NamedTuple):
-    src: int
-    port: int
-    dst: int
-    edge: int
-    color: int
-
-
 @dataclass(frozen=True)
 class RouteResult:
     source: int
@@ -487,13 +492,6 @@ class RouteResult:
     @property
     def hops(self) -> int:
         return len(self.trace)
-
-
-def _tree_port(table: TreeNodeTable, target_label: int) -> int:
-    port = table.next_port_for(target_label)
-    if port is None:
-        raise RoutingBugError("tree routing asked to move while already there")
-    return port
 
 
 def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
@@ -523,50 +521,6 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
     )
 
 
-def _decide_port(scheme: RoutingScheme, v: int, h: MessageHeader) -> int:
-    tree_table = scheme.tree_routing.tables[v]
-    if h.up is not None:
-        if h.up:
-            at_root = tree_table.parent_port is None
-            table = scheme.tables[v]
-            if not at_root and table.parent_color != h.color:
-                return tree_table.parent_port  # climb inside the fragment
-            block = h.root_block if at_root else table.blocks.get(h.a_star)
-            if block is None:
-                # already in the target fragment: switch to the second phase
-                h.up = None
-                h.next_block = h.target_block
-            else:
-                h.next_block = block
-                h.up = False
-        if h.up is False:
-            nb = h.next_block
-            if nb is None:
-                raise RoutingBugError("descending without a recovery edge")
-            if tree_table.pre != nb.x_tree_label:
-                return _tree_port(tree_table, nb.x_tree_label)
-            if nb.into_target_fragment:
-                h.up = None
-                h.next_block = h.target_block
-            else:
-                h.up = True
-            return nb.port
-    # second phase
-    nb = h.next_block
-    if nb is None and h.target_on_path and (h.target_block is not None or h.a_star < 0):
-        # the final approach: the fragment's table names the next crossing toward t
-        table = scheme.tables[v].fragment_tables.get(h.color)
-        if table is None:
-            raise RoutingBugError("fragment table missing on the final approach")
-        nb = h.next_block = table.next_port_for(h.target_fragment_label)
-    if nb is None:
-        return _tree_port(tree_table, h.target_tree_label)
-    if tree_table.pre != nb.x_tree_label:
-        return _tree_port(tree_table, nb.x_tree_label)
-    h.next_block = None
-    return nb.port
-
-
 def route(
     scheme: RoutingScheme,
     s: int,
@@ -593,29 +547,76 @@ def route(
     ):
         raise UnreachableError(f"{s} and {t} are separated once color {c} fails")
 
-    header = make_header(scheme, t, c)
+    h = make_header(scheme, t, c)
+    tree_tables = scheme.tree_routing.tables
+    tables = scheme.tables
     ports = scheme.net.ports
-    edge_colors = g.edge_colors
     trace: list[Hop] = []
     record = trace.append
     budget = g.n * g.n
-    current = s
+    v = s
     if on_state is not None:
-        on_state(current, header)
-    while current != t:
+        on_state(v, h)
+    while v != t:
         if len(trace) >= budget:
             raise RoutingBugError("hop budget exceeded")
-        port = _decide_port(scheme, current, header)
-        eid, nxt = ports[current][port]
-        color = edge_colors[eid]
-        if color == c:
+        # each hop either names its port or steps along T toward a tree label
+        node = tree_tables[v]
+        port = toward = None
+        up = h.up
+        if up:
+            table = tables[v]
+            if node.parent_port is not None and table.parent_color != h.color:
+                port = node.parent_port  # climb inside the fragment
+            else:
+                block = h.root_block if node.parent_port is None else table.blocks.get(h.a_star)
+                if block is None:
+                    # already in the target fragment: switch to the second phase
+                    h.up = up = None
+                    h.next_block = h.target_block
+                else:
+                    h.next_block = block
+                    h.up = up = False
+        if up is False:
+            nb = h.next_block
+            if nb is None:
+                raise RoutingBugError("descending without a recovery edge")
+            if node.pre != nb.x_tree_label:
+                toward = nb.x_tree_label
+            else:
+                if nb.into_target_fragment:
+                    h.up = None
+                    h.next_block = h.target_block
+                else:
+                    h.up = True
+                port = nb.port
+        elif up is None:  # second phase
+            nb = h.next_block
+            if nb is None and h.target_on_path and (h.target_block is not None or h.a_star < 0):
+                # the final approach: the fragment's table names the next crossing toward t
+                table = tables[v].fragment_tables.get(h.color)
+                if table is None:
+                    raise RoutingBugError("fragment table missing on the final approach")
+                nb = h.next_block = table.next_port_for(h.target_fragment_label)
+            if nb is None:
+                toward = h.target_tree_label
+            elif node.pre != nb.x_tree_label:
+                toward = nb.x_tree_label
+            else:
+                h.next_block = None
+                port = nb.port
+        if port is None:
+            port = node.next_port_for(toward)
+            if port is None:
+                raise RoutingBugError("tree routing asked to move while already there")
+        hop = ports[v][port]
+        if hop.color == c:
             raise RoutingBugError("routed over a forbidden edge")
-        # tuple.__new__ builds the Hop in C, skipping NamedTuple's Python-level __new__
-        record(tuple.__new__(Hop, (current, port, nxt, eid, color)))
-        current = nxt
+        record(hop)
+        v = hop.dst
         if on_state is not None:
-            on_state(current, header)
-    return RouteResult(s, t, c, tuple(trace), header)
+            on_state(v, h)
+    return RouteResult(s, t, c, tuple(trace), h)
 
 
 def header_bit_sizes(scheme: RoutingScheme, header: MessageHeader) -> tuple[int, int]:

@@ -30,9 +30,7 @@ from colorfault.multi_fault import (
 from colorfault.nca import (
     build_one_fault_oracle,
     dump_oracle,
-    label_nca,
     load_oracle,
-    nca_query,
     oracle_file_bits,
     query_nca_labels,
 )
@@ -52,6 +50,7 @@ from colorfault.single_fault import (
 )
 from colorfault.sketch import build_edge_fault_labels, query_edge_fault
 from colorfault.two_fault import label_two_fault, query_two_fault_ids
+from test_nca import label_nca, nca_query
 from test_reduction import row_separation_estimate
 from test_routing import expected_first_recovery_block
 from test_two_fault import derived_cid

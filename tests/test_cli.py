@@ -315,3 +315,20 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.txt" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cut", [None, 0, 20], ids=["junk", "empty", "first-20-bytes"])
+def test_query_of_a_file_that_is_not_labels_is_an_error_line(tmp_path, capsys, cut):
+    bad = tmp_path / "bad.bin"
+    if cut is None:
+        bad.write_bytes(b"hello")
+    else:
+        labels = tmp_path / "labels.bin"
+        gpath = write_graph(tmp_path, gen_path(6, coloring="uniform", C=2, seed=1))
+        assert main(["label", gpath, "--scheme", "single", "-o", str(labels)]) == 0
+        bad.write_bytes(labels.read_bytes()[:cut])
+    capsys.readouterr()
+    assert main(["query", str(bad), "0", "1", "--colors", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "bad.bin" in err
+    assert err.count("\n") == 1

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 
 from colorfault.bits import BitWriter, id_width, width_for
 from colorfault.generators import gen_random
-from colorfault.graph import GraphError, RemovedVertexError, edge_graph
+from colorfault.graph import VERTEX, GraphError, RemovedVertexError, edge_graph
+from colorfault.labels import LabelSet
 from colorfault.nca import (
     ORACLE_MAGIC,
     ORACLE_VERSION,
+    NcaStructure,
+    _predecessor,
+    _split_labels,
     build_nca,
     build_one_fault_oracle,
     dump_oracle,
-    label_nca,
     label_nca_connectivity,
     load_oracle,
-    nca_query,
     nca_threshold,
     oracle_file_bits,
     query_nca_labels,
@@ -47,6 +49,36 @@ def naive_nearest_colored_ancestor(
             return x
         x = parent[x]
     return None
+
+
+def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
+    """Nearest c-colored ancestor of v (v itself included), or None, off the index."""
+    if not 0 <= v < len(s.pre):
+        raise GraphError(f"vertex {v} out of range")
+    return _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
+
+
+def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> LabelSet:
+    """Nearest-colored-ancestor labels with the connectivity labels' prevalence split.
+
+    Colors with at least ``nca_threshold(n)`` vertices are answered directly
+    from vertex labels; rarer colors ship their whole stamp array in the color
+    label and are answered by predecessor search against pre(v).
+    """
+    n = len(parent)
+    s = build_nca(parent, colors)
+    vertex_labels, color_labels, tau = _split_labels(
+        s, s.answers, C, id_width(n), width_for(C)
+    )
+    return LabelSet(
+        scheme="nca",
+        n=n,
+        C=C,
+        mode=VERTEX,
+        vertex_labels=vertex_labels,
+        color_labels=color_labels,
+        meta={"threshold": tau},
+    )
 
 
 def random_forest(rng, n):

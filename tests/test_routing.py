@@ -50,8 +50,10 @@ def test_ports_are_bijective():
     for v in range(g.n):
         seen = set()
         for p in range(len(net.ports[v])):
-            eid, nbr = net.ports[v][p]
+            hop = net.ports[v][p]
+            eid, nbr = hop.edge, hop.dst
             assert net.port_of(v, eid) == p
+            assert hop == Hop(v, p, nbr, eid, g.edge_color(eid))
             seen.add((eid, nbr))
         assert len(seen) == len(net.ports[v])
 
@@ -75,7 +77,7 @@ def test_tree_routing_walks_tree_paths():
                     if cur == v:
                         break
                     port = tr.tables[cur].next_port_for(tr.label[v])
-                    _eid, cur = net.ports[cur][port]
+                    cur = net.ports[cur][port].dst
                 assert cur == v
 
 
@@ -235,7 +237,7 @@ def connected_edge_multigraphs(draw, max_n=12, max_extra=16):
 def tc_routing(scheme, c):
     """The reference: interval routing over T_c, the tree (T - c) plus c's recovery edges."""
     g, net = scheme.graph, scheme.net
-    tree_edges = [net.ports[v][t.parent_port][0]
+    tree_edges = [net.ports[v][t.parent_port].edge
                   for v, t in scheme.tree_routing.tables.items() if t.parent_port is not None]
     cs = scheme.structures[c]
     recovery = {eid for adj in cs.frag_adj.values() for _other, eid in adj}
@@ -249,7 +251,8 @@ def tc_path(scheme, tc, s, t):
     cur, walk = s, []
     while cur != t:
         port = tc.tables[cur].next_port_for(tc.label[t])
-        eid, nxt = net.ports[cur][port]
+        hop = net.ports[cur][port]
+        eid, nxt = hop.edge, hop.dst
         walk.append(Hop(cur, port, nxt, eid, g.edge_color(eid)))
         cur = nxt
     return tuple(walk)
@@ -380,7 +383,7 @@ def test_hop_contract_on_routed_hops():
     for hop in result.trace:
         _check_hop_contract(hop)
         assert hop.src == at
-        assert scheme.net.ports[hop.src][hop.port] == (hop.edge, hop.dst)
+        assert scheme.net.ports[hop.src][hop.port] is hop
         assert set(g.edges[hop.edge]) == {hop.src, hop.dst}
         assert hop.color == g.edge_color(hop.edge) != 1
         at = hop.dst
@@ -420,6 +423,44 @@ def test_two_vertex_bounce_exhausts_hop_budget():
         route(scheme, 0, 2, 2, on_state=lambda v, _h: visited.append(v))
     assert len(visited) == 1 + g.n * g.n
     assert visited == [0, 1] * 5
+
+
+def test_missing_fragment_table_on_final_approach_is_a_bug():
+    scheme = build_routing_scheme(PINNED_GRAPHS["random"]())
+    for s, t, c in route_triples(scheme.graph):
+        starts = []
+
+        def watch(v, h, t=t):
+            if v != t and not starts and in_final_approach(h):
+                starts.append(v)
+
+        try:
+            route(scheme, s, t, c, on_state=watch)
+        except UnreachableError:
+            continue
+        if starts:
+            break
+    else:
+        pytest.fail("no route with a final approach")
+    scheme.tables[starts[0]].fragment_tables.pop(c)
+    with pytest.raises(RoutingBugError, match="fragment table missing on the final approach"):
+        route(scheme, s, t, c)
+
+
+def test_tree_step_contract_errors():
+    # color 2 is off the tree, so 0 -> 2 walks T down through 1
+    g = edge_graph(3, [(0, 1, 0), (1, 2, 1)], C=3)
+    scheme = build_routing_scheme(g)
+    assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
+    tables = scheme.tree_routing.tables
+    intact = dict(tables)
+    tables[1] = dataclasses.replace(tables[1], child_slots=())
+    with pytest.raises(RoutingBugError, match="interval tables inconsistent"):
+        route(scheme, 0, 2, 2)
+    tables.update(intact)
+    tables[0] = dataclasses.replace(tables[0], end=tables[0].pre + 1)
+    with pytest.raises(RoutingBugError, match="target outside this routing tree"):
+        route(scheme, 0, 2, 2)
 
 
 def test_ladder_with_alternating_colors():
