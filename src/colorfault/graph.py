@@ -501,42 +501,29 @@ def cids_after_faults(
     return out
 
 
-# -- mode reduction ----------------------------------------------------------
+# -- vertex-mode subdivision -------------------------------------------------
 
 
 def reduce_between_modes(g: ColoredGraph) -> ColoredGraph:
-    """Subdivide every edge to swap coloring modes.
+    """Subdivide every edge of a vertex-colored graph into an edge-colored one.
 
-    Edge mode -> vertex mode: edge e={u,v} becomes u - x_e - v with x_e carrying
-    e's color and all original vertices carrying a fresh never-failing color C
-    (so the palette grows to C+1).  Vertex mode -> edge mode: each half-edge
-    gets the color of its incident original vertex; the palette is unchanged.
-    Either way the output has n+m vertices and 2m edges, and connectivity of
-    original vertices under any fault set over the original palette agrees with
-    the input.
+    Each half-edge gets the color of its incident original vertex; the palette
+    is unchanged.  The output has n+m vertices and 2m edges, and connectivity
+    of surviving original vertices under any fault set agrees with the input.
+    Raises GraphError for an edge-colored input.
     """
-    n, m = g.n, g.m
+    if g.mode != VERTEX:
+        raise GraphError("only a vertex-colored graph is subdivided")
     new_edges: list[tuple[int, int]] = []
-    if g.mode == EDGE:
-        vcolors = [g.C] * n + [0] * m
-        for eid, (u, v) in enumerate(g.edges):
-            x = n + eid
-            vcolors[x] = g.edge_color(eid)
-            new_edges.append((u, x))
-            new_edges.append((x, v))
-        return ColoredGraph(
-            n=n + m, mode=VERTEX, edges=tuple(new_edges), C=g.C + 1,
-            vertex_colors=tuple(vcolors),
-        )
     ecolors: list[int] = []
     for eid, (u, v) in enumerate(g.edges):
-        x = n + eid
+        x = g.n + eid
         new_edges.append((u, x))
         ecolors.append(g.vertex_color(u))
         new_edges.append((x, v))
         ecolors.append(g.vertex_color(v))
     return ColoredGraph(
-        n=n + m, mode=EDGE, edges=tuple(new_edges), C=max(g.C, 1),
+        n=g.n + g.m, mode=EDGE, edges=tuple(new_edges), C=max(g.C, 1),
         edge_colors=tuple(ecolors),
     )
 

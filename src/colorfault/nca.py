@@ -12,21 +12,22 @@ identical answers.
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
 (vertex mode, on the graph as given, with no subdivision) and stores
-cid(u, G-color) as its payload.  ``OneFaultOracle.cids`` reads cid(v, G-c)
-off that index; the one-fault labels of ``single_fault`` take every entry
-from it.  The connectivity labels here split the same index by color prevalence.
+cid(u, G-color) as its payload.  Its index answers payloads instead of
+vertices, so ``OneFaultOracle.cids`` reads cid(v, G-c) off the index
+directly; the one-fault labels of ``single_fault`` take every entry from it.
+The connectivity labels here split the same index by color prevalence.  The
+oracle file stores one row per vertex, (parent, color, cid), in both modes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import BitReader, BitWriter, id_width, width_for
 from .graph import (
     EDGE,
-    VERTEX,
     ColoredGraph,
     GraphError,
     RemovedVertexError,
@@ -38,7 +39,7 @@ from .graph import (
 from .labels import LabelSet
 
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
-ORACLE_VERSION = 1
+ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
 
 
@@ -49,7 +50,8 @@ class NcaStructure:
     root: tuple[int, ...]  # per vertex: the root of its tree
     colors: tuple[int | None, ...]
     arrays: dict[int, tuple[int, ...]]  # per color: sorted pre/post stamps
-    answers: dict[int, tuple[int | None, ...]]  # parallel: vertex at pre, its above at post
+    # parallel to arrays: the vertex at pre, its above at post (the oracle's: their payloads)
+    answers: dict[int, tuple[int | None, ...]]
 
 
 def build_nca(parent: list[int | None], colors: list[int | None]) -> NcaStructure:
@@ -120,11 +122,10 @@ def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
 class OneFaultOracle:
     """O(n)-word centralized structure answering (u, v, c) connectivity."""
 
-    n: int  # vertices of the graph
+    n: int  # vertices of the graph, the forest's
     C: int
-    mode: str
     structure: NcaStructure  # its ``root``: each vertex's tree root, its component minimum
-    payloads: tuple[int | None, ...]  # per non-root: cid in G minus its forest color
+    payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
 
     def query(self, u: int, v: int, c: int) -> bool:
@@ -134,11 +135,11 @@ class OneFaultOracle:
     def cids(self, c: int, vertices: Iterable[int]) -> list[int]:
         """cid(v, G-c) for each of ``vertices``: the one read-off of the index.
 
-        The answer is the payload at v's nearest c-colored ancestor or, with
-        none, v's root: the path to the root survives, and the root is its
-        component minimum.  c's stamps are bound once for all the vertices.
-        Raises GraphError for an id outside the graph or the palette, and
-        RemovedVertexError for a vertex of color c itself.
+        The answer is the index's at v's nearest c-colored ancestor, its
+        payload, or, with none, v's root: the path to the root survives, and
+        the root is its component minimum.  c's stamps are bound once for all
+        the vertices.  Raises GraphError for an id outside the graph or the
+        palette, and RemovedVertexError for a vertex of color c itself.
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
@@ -151,9 +152,28 @@ class OneFaultOracle:
             if self.vertex_colors is not None and self.vertex_colors[v] == c:
                 raise RemovedVertexError(f"vertex {v} has color {c}")
             i = bisect_right(stamps, s.pre[v])  # _predecessor, inlined
-            w = answers[i - 1] if i else None
-            out.append(s.root[v] if w is None else self.payloads[w])
+            cid = answers[i - 1] if i else None
+            out.append(s.root[v] if cid is None else cid)
         return out
+
+
+def _oracle(
+    parent: list[int | None],
+    colors: list[int | None],
+    payloads: list[int],
+    C: int,
+    vertex_colors: tuple[int, ...] | None,
+) -> OneFaultOracle:
+    """The oracle over a forest, its index answering each stored vertex's payload.
+
+    Raises GraphError when the parents do not form a forest.
+    """
+    s = build_nca(parent, colors)
+    answers = {c: tuple([None if w is None else payloads[w] for w in a])
+               for c, a in s.answers.items()}
+    return OneFaultOracle(
+        len(parent), C, replace(s, answers=answers), tuple(payloads), vertex_colors
+    )
 
 
 def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
@@ -176,70 +196,55 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
     for v, c in enumerate(colors):
         if c is not None:
             wanted.setdefault(frozenset((c,)), []).append(v)
-    cids = cids_after_faults(g, wanted)
-    payloads: list[int | None] = [None] * g.n
-    for got in cids.values():
+    payloads = list(range(g.n))
+    for got in cids_after_faults(g, wanted).values():
         for v, value in got.items():
-            payloads[v] = v if value is None else value
-    structure = build_nca(parent, colors)
-    return OneFaultOracle(
-        n=g.n,
-        C=g.C,
-        mode=g.mode,
-        structure=structure,
-        payloads=tuple(payloads),
-        vertex_colors=g.vertex_colors,
-    )
+            if value is not None:
+                payloads[v] = value
+    return _oracle(parent, colors, payloads, g.C, g.vertex_colors)
 
 
 # -- canonical oracle file -------------------------------------------------------
 #
-# The file stores, per forest vertex: parent pointer (self-loop marks a root),
-# forest color (0 filler at roots) and the payload cid.  Timestamps and
-# per-color arrays are derived deterministically on load, so the body costs at
-# most 3 * ceil(log2 n') bits per vertex when C <= n'.
+# Header: magic, version, mode byte (0 edge, 1 vertex), n, C.  Body: one row
+# per forest vertex, (parent, color, cid): the parent pointer (a self-loop
+# marks a root), a color, and the payload cid (a root's own id).  In edge mode
+# the color is the parent edge's (0 filler at roots); in vertex mode it is the
+# vertex's own, and a vertex's forest color is its parent's row color.  The
+# body ends the file.  Timestamps and per-color arrays are derived
+# deterministically on load, so the body costs at most 3 * ceil(log2 n) bits
+# per vertex when C <= n.
 
 
 def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
     """(header bits, body bits) of the canonical encoding."""
-    n = len(o.structure.parent)
-    wid = id_width(n)
-    wc = width_for(o.C)
-    header = 32 + 8 + 8 + 32 + 32  # magic, version, mode, n', C
-    if o.vertex_colors is not None:
-        header += 32 + o.n * wc  # original n and the original coloring
-    return header, n * (wid + wc + wid)
+    return 32 + 8 + 8 + 32 + 32, o.n * (2 * id_width(o.n) + width_for(o.C))
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
-    s = o.structure
-    n = len(s.parent)
+    s, n = o.structure, o.n
     wid = id_width(n)
     wc = width_for(o.C)
+    if o.vertex_colors is None:
+        row_colors = [0 if c is None else c for c in s.colors]
+    else:
+        row_colors = list(o.vertex_colors)
     w = BitWriter()
     w.write(ORACLE_MAGIC, 32)
     w.write(ORACLE_VERSION, 8)
-    w.write(0 if o.mode == EDGE else 1, 8)
+    w.write(0 if o.vertex_colors is None else 1, 8)
     w.write(n, 32)
     w.write(o.C, 32)
     for v in range(n):
         p = s.parent[v]
         w.write(v if p is None else p, wid)
-        w.write(s.colors[v] if s.colors[v] is not None else 0, wc)
-        payload = o.payloads[v]
-        w.write(s.root[v] if payload is None else payload, wid)
-    # vertex-mode oracles additionally persist the original coloring so
-    # removed-endpoint queries can be detected; oracle_file_bits counts it in
-    # the header
-    if o.vertex_colors is not None:
-        w.write(o.n, 32)
-        for c in o.vertex_colors:
-            w.write(c, wc)
+        w.write(row_colors[v], wc)
+        w.write(o.payloads[v], wid)
     return w.to_bytes()
 
 
 def load_oracle(data: bytes) -> OneFaultOracle:
-    """Parse an oracle file; a malformed or truncated one raises GraphError.
+    """Parse an oracle file; a malformed, truncated or overlong one raises GraphError.
 
     A stored cid is a component minimum: a root's is its own id, another vertex's at most its id.
     """
@@ -257,45 +262,32 @@ def load_oracle(data: bytes) -> OneFaultOracle:
     mode_byte = r.read(8)
     if mode_byte > 1:
         raise GraphError(f"oracle file: unknown mode byte {mode_byte}")
-    mode = EDGE if mode_byte == 0 else VERTEX
     n = r.read(32)
     C = r.read(32)
     wid = id_width(n)
     wc = width_for(C)
     expect(n * (wid + wc + wid), "body")
     parent: list[int | None] = []
-    colors: list[int | None] = []
-    payloads: list[int | None] = []
+    row_colors: list[int] = []
+    payloads: list[int] = []
     for v in range(n):
         p, c, cid = r.read(wid), r.read(wc), r.read(wid)
         if p >= n:
             raise GraphError(f"oracle file: vertex {v} has parent {p} outside 0..{n - 1}")
         if cid > v or (p == v and cid != v):
             raise GraphError(f"oracle file: vertex {v} stores cid {cid}, not a component minimum")
-        if p != v and c >= C:
+        if (p != v or mode_byte == 1) and c >= C:
             raise GraphError(f"oracle file: vertex {v} has color {c} outside palette of size {C}")
         parent.append(None if p == v else p)
-        colors.append(None if p == v else c)
-        payloads.append(None if p == v else cid)
-    structure = build_nca(parent, colors)  # GraphError unless a forest
-    orig_n, vertex_colors = n, None
-    if mode == VERTEX:
-        expect(32, "vertex colors")
-        orig_n = r.read(32)
-        if orig_n > n:
-            raise GraphError(f"oracle file: {orig_n} original vertices exceed forest size {n}")
-        expect(orig_n * wc, "vertex colors")
-        vertex_colors = tuple(r.read(wc) for _ in range(orig_n))
-        if any(c >= C for c in vertex_colors):
-            raise GraphError(f"oracle file: vertex color outside palette of size {C}")
-    return OneFaultOracle(
-        n=orig_n,
-        C=C,
-        mode=mode,
-        structure=structure,
-        payloads=tuple(payloads),
-        vertex_colors=vertex_colors,
-    )
+        row_colors.append(c)
+        payloads.append(cid)
+    if r.remaining >= 8:
+        raise GraphError(f"oracle file: {r.remaining // 8} bytes after its body")
+    if mode_byte == 0:
+        colors = [None if p is None else c for p, c in zip(parent, row_colors)]
+        return _oracle(parent, colors, payloads, C, None)
+    colors = [None if p is None else row_colors[p] for p in parent]
+    return _oracle(parent, colors, payloads, C, tuple(row_colors))
 
 
 # -- nearest-colored-ancestor labels ---------------------------------------------
@@ -334,7 +326,6 @@ class NcaColorLabel:
 
 def _split_labels(
     s: NcaStructure,
-    answers: dict[int, tuple[int | None, ...]],
     C: int,
     wid: int,
     wc: int,
@@ -344,9 +335,9 @@ def _split_labels(
     """Prevalence-split labels over one index: (vertex labels, color labels, tau).
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the vertex labels; rarer colors ship their stamps and ``answers``
-    (parallel to ``s.arrays``) in the color label.  Connectivity labels also
-    carry ``root_cid`` and, in vertex mode, the vertex's own color.
+    from the vertex labels; rarer colors ship their stamps and the index's
+    answers in the color label.  Connectivity labels also carry ``root_cid``
+    and, in vertex mode, the vertex's own color.
     """
     n = len(s.parent)
     tau = nca_threshold(n)
@@ -358,7 +349,7 @@ def _split_labels(
     vertex_labels = []
     for v in range(n):
         pre = s.pre[v]
-        hits = {c: _predecessor(s.arrays[c], answers[c], pre) for c in prevalent}
+        hits = {c: _predecessor(s.arrays[c], s.answers[c], pre) for c in prevalent}
         bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
         vertex_labels.append(NcaVertexLabel(
             v, pre,
@@ -374,7 +365,7 @@ def _split_labels(
             color_labels.append(NcaColorLabel(c, True, (), (), wc + 1))
             continue
         bits = wc + 1 + wlen + len(stamps) // 2 * (2 * wstamp + 2 * wid + 1)
-        color_labels.append(NcaColorLabel(c, False, stamps, answers.get(c, ()), bits))
+        color_labels.append(NcaColorLabel(c, False, stamps, s.answers.get(c, ()), bits))
     return tuple(vertex_labels), tuple(color_labels), tau
 
 
@@ -391,18 +382,13 @@ def query_nca_labels(lv: NcaVertexLabel, lc: NcaColorLabel) -> int | None:
 def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     """One-fault connectivity labels built from the ancestor structure.
 
-    Same forest reduction and index as the centralized oracle, but
-    distributed: an answer is the oracle's payload at the nearest ancestor,
-    its cid in G minus its color.  Exact, like the oracle.
+    The centralized oracle's index, distributed: an answer is the index's at
+    the nearest ancestor, that ancestor's cid in G minus its color.  Exact,
+    like the oracle.
     """
-    oracle = build_one_fault_oracle(g)
-    s = oracle.structure
-    cids = {
-        c: tuple(None if w is None else oracle.payloads[w] for w in a)
-        for c, a in s.answers.items()
-    }
+    s = build_one_fault_oracle(g).structure
     vertex_labels, color_labels, tau = _split_labels(
-        s, cids, g.C, id_width(max(g.n, 2)), width_for(max(g.C, 2)),
+        s, g.C, id_width(max(g.n, 2)), width_for(max(g.C, 2)),
         root_cid=s.root, own_colors=g.vertex_colors,
     )
     return LabelSet(

@@ -332,3 +332,26 @@ def test_query_of_a_file_that_is_not_labels_is_an_error_line(tmp_path, capsys, c
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "bad.bin" in err
     assert err.count("\n") == 1
+
+
+def test_oracle_round_trip_on_vertex_colored_graph(tmp_path, capsys):
+    gpath, opath = tmp_path / "g.ccg", tmp_path / "oracle.bin"
+    assert main(["gen", "random", "--n", "14", "--m", "22", "--C", "3", "--seed", "8",
+                 "--mode", "vertex", "-o", str(gpath)]) == 0
+    g = parse_graph(gpath.read_text())
+    assert g.mode == "vertex"
+    assert main(["oracle", "build", str(gpath), "-o", str(opath)]) == 0
+    capsys.readouterr()
+    removed = 0
+    for c in range(g.C):
+        for u in range(g.n):
+            for v in (0, g.n - 1):
+                code = main(["oracle", "query", str(opath), str(u), str(v), str(c)])
+                out = capsys.readouterr().out
+                if c in (g.vertex_color(u), g.vertex_color(v)):
+                    assert code == 2 and out.startswith("error=removed-vertex"), out
+                    removed += 1
+                else:
+                    want = int(brute_force_connected(g, u, v, {c}))
+                    assert code == 0 and out.strip() == f"connected={want}", (u, v, c)
+    assert removed

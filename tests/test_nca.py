@@ -67,9 +67,7 @@ def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> Lab
     """
     n = len(parent)
     s = build_nca(parent, colors)
-    vertex_labels, color_labels, tau = _split_labels(
-        s, s.answers, C, id_width(n), width_for(C)
-    )
+    vertex_labels, color_labels, tau = _split_labels(s, C, id_width(n), width_for(C))
     return LabelSet(
         scheme="nca",
         n=n,
@@ -230,6 +228,18 @@ def test_oracle_file_round_trip():
         _check_oracle(g, loaded)
 
 
+@pytest.mark.parametrize("g", VERTEX_GRAPHS + [
+    gen_random(n, m, C, seed=seed) for seed, (n, m, C) in enumerate([
+        (2, 1, 2), (16, 26, 5), (30, 34, 4), (40, 70, 8),
+    ], start=300)
+], ids=lambda g: f"{g.mode}-{g.n}-{g.m}-{g.C}")
+def test_oracle_file_is_byte_stable(g):
+    # a loaded file dumps back to the same bytes: one row per vertex, nothing else
+    blob = dump_oracle(build_one_fault_oracle(g))
+    assert dump_oracle(load_oracle(blob)) == blob
+    assert len(blob) == math.ceil((112 + g.n * (2 * id_width(g.n) + width_for(g.C))) / 8)
+
+
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
 def test_oracle_file_size_bound(mode):
     g = gen_random(40, 70, 8, seed=9, mode=mode)
@@ -241,24 +251,23 @@ def test_oracle_file_size_bound(mode):
     assert 0 <= 8 * len(dump_oracle(o)) - header - body < 8
 
 
-def _oracle_file(parents, colors, cids, C, vertex_colors=None):
-    """Hand-written oracle file; a parent equal to the vertex marks a root."""
+def _oracle_file(parents, colors, cids, C, vertex=False, version=ORACLE_VERSION):
+    """Hand-written oracle file; a parent equal to the vertex marks a root.
+
+    ``colors`` are parent-edge colors, or with ``vertex`` the vertices' own.
+    """
     n = len(parents)
     wid, wc = id_width(n), width_for(C)
     w = BitWriter()
     w.write(ORACLE_MAGIC, 32)
-    w.write(ORACLE_VERSION, 8)
-    w.write(0 if vertex_colors is None else 1, 8)
+    w.write(version, 8)
+    w.write(1 if vertex else 0, 8)
     w.write(n, 32)
     w.write(C, 32)
     for p, c, cid in zip(parents, colors, cids):
         w.write(p, wid)
         w.write(c, wc)
         w.write(cid, wid)
-    if vertex_colors is not None:
-        w.write(len(vertex_colors), 32)
-        for c in vertex_colors:
-            w.write(c, wc)
     return w.to_bytes()
 
 
@@ -279,17 +288,27 @@ _DUMPED = {mode: dump_oracle(build_one_fault_oracle(gen_random(16, 26, 5, seed=3
     _oracle_file((0, 3, 1), (0, 0, 0), (0, 0, 0), 2),  # parent outside 0..2
     _oracle_file((0, 0, 1), (0, 0, 0), (0, 3, 0), 2),  # cid outside 0..2
     _oracle_file((0, 0, 1), (0, 3, 0), (0, 0, 0), 3),  # color outside the palette
-    _oracle_file((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 1, 2, 0)),  # 4 original vertices > 3
-    _oracle_file((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, (0, 3)),  # vertex color outside the palette
+    _oracle_file((0, 0, 1), (0, 0, 0), (0, 0, 0), 3, version=1),  # a version-1 file
+    _oracle_file((0, 0, 1), (3, 0, 0), (0, 0, 0), 3, vertex=True),  # a root's color outside the palette
     _DUMPED["edge"][:5],  # cut inside the header
     _DUMPED["edge"][:-3],  # cut inside the body
-    _DUMPED["vertex"][:-3],  # cut inside the vertex colors
+    _DUMPED["vertex"][:-3],  # cut inside the vertex-mode body, which holds the vertex colors
     _DUMPED["edge"][:5] + bytes([7]) + _DUMPED["edge"][6:],  # mode byte neither 0 nor 1
-], ids=["cycle", "parent", "cid", "color", "original-n", "vertex-color",
+], ids=["cycle", "parent", "cid", "color", "version-1", "vertex-color",
         "truncated-header", "truncated-body", "truncated-vertex-colors", "mode"])
 def test_malformed_oracle_file_rejected(blob):
     with pytest.raises(GraphError):
         load_oracle(blob)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_oracle_file_rejects_bytes_after_its_body(mode):
+    blob = _DUMPED[mode]
+    load_oracle(blob)
+    with pytest.raises(GraphError):
+        load_oracle(blob + b"garbage!")
+    with pytest.raises(GraphError):
+        load_oracle(blob + b"\0")
 
 
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
@@ -301,13 +320,14 @@ def test_oracle_file_rejects_impossible_cid(mode):
     s = o.structure
     n = len(s.parent)
     parents = [v if p is None else p for v, p in enumerate(s.parent)]
-    colors = [0 if c is None else c for c in s.colors]
-    cids = [v if w is None else w for v, w in enumerate(o.payloads)]
-    assert _oracle_file(parents, colors, cids, g.C, g.vertex_colors) == _DUMPED[mode]
+    colors = g.vertex_colors or [0 if c is None else c for c in s.colors]
+    cids = list(o.payloads)
+    vertex = mode == VERTEX
+    assert _oracle_file(parents, colors, cids, g.C, vertex) == _DUMPED[mode]
     v = next(v for v in range(n - 1) if s.parent[v] is not None)
     raised = cids[:v] + [n - 1] + cids[v + 1:]
     with pytest.raises(GraphError):
-        load_oracle(_oracle_file(parents, colors, raised, g.C, g.vertex_colors))
+        load_oracle(_oracle_file(parents, colors, raised, g.C, vertex))
 
 
 def test_oracle_file_rejects_root_storing_another_vertex():
@@ -332,13 +352,13 @@ def test_cli_rejects_cyclic_oracle_file(tmp_path):
 
 # sha256 of the oracle file, then (max, total) label bits of label_nca on the
 # oracle's forest and of label_nca_connectivity, on gen_random(40, 70, 8,
-# seed=9).  The edge row was recorded before the index was merged into one
-# DFS; the vertex row when the vertex-mode forest stopped being subdivided
-# (n vertices, not n + m).
+# seed=9).  The edge row's bits were recorded before the index was merged
+# into one DFS; the vertex row's when the vertex-mode forest stopped being
+# subdivided (n vertices, not n + m).  Both hashes are of version-2 files.
 PINNED = {
-    "edge": ("a6b5ef3eccebb36d3044bdfa60a6551223fb51c1dc215e9857be7c7d70680b52",
+    "edge": ("2e5c4e7216bee34a39aefa8a056812d91afe820e72ea69bbbfe14862ac22c827",
              (91, 2705), (91, 2945)),
-    "vertex": ("d39c1c26f16611b6a45f4f43a9f10bcbe8ce6403a6286f3c952ab498283dc0c8",
+    "vertex": ("585696963339aa661153c159bbae7b0612ad0a21793554f35fb371e4adf2dd17",
                (64, 2284), (64, 2644)),
 }
 
