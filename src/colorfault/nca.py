@@ -211,9 +211,10 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
 # marks a root), a color, and the payload cid (a root's own id).  In edge mode
 # the color is the parent edge's (0 filler at roots); in vertex mode it is the
 # vertex's own, and a vertex's forest color is its parent's row color.  The
-# body ends the file.  Timestamps and per-color arrays are derived
-# deterministically on load, so the body costs at most 3 * ceil(log2 n) bits
-# per vertex when C <= n.
+# body ends the file, padded with 0 bits to a whole byte; a file with another
+# root filler or padding is refused, so an oracle has exactly one file.
+# Timestamps and per-color arrays are derived deterministically on load, so
+# the body costs at most 3 * ceil(log2 n) bits per vertex when C <= n.
 
 
 def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
@@ -244,7 +245,7 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
 
 
 def load_oracle(data: bytes) -> OneFaultOracle:
-    """Parse an oracle file; a malformed, truncated or overlong one raises GraphError.
+    """Parse an oracle file; a malformed, truncated, overlong or non-canonical one is a GraphError.
 
     A stored cid is a component minimum: a root's is its own id, another vertex's at most its id.
     """
@@ -278,11 +279,15 @@ def load_oracle(data: bytes) -> OneFaultOracle:
             raise GraphError(f"oracle file: vertex {v} stores cid {cid}, not a component minimum")
         if (p != v or mode_byte == 1) and c >= C:
             raise GraphError(f"oracle file: vertex {v} has color {c} outside palette of size {C}")
+        if p == v and mode_byte == 0 and c:
+            raise GraphError(f"oracle file: root {v} has color filler {c}, not 0")
         parent.append(None if p == v else p)
         row_colors.append(c)
         payloads.append(cid)
     if r.remaining >= 8:
         raise GraphError(f"oracle file: {r.remaining // 8} bytes after its body")
+    if r.read(r.remaining):
+        raise GraphError("oracle file: padding bits after its body are not 0")
     if mode_byte == 0:
         colors = [None if p is None else c for p, c in zip(parent, row_colors)]
         return _oracle(parent, colors, payloads, C, None)

@@ -28,11 +28,14 @@ target in a component without an anchor gets a* = -1, and its route is all
 final approach from the source.
 
 Each port of the network is an immutable ``Hop`` record (a NamedTuple:
-source, port, neighbor, edge id, edge color) built once with the network.
-The simulator ``route`` makes one decision per hop in a single loop, reads
-the chosen port's ``Hop`` and appends that shared record to the trace, so a
-hop allocates nothing and a route's time is the cost of its decisions; the
-hop budget, the forbidden-color check and ``on_state`` still run at every hop.
+source, port, neighbor, edge id, edge color) built once with the network,
+and each vertex's T table is also kept as a plain step naming the ``Hop``s of
+its ports (``TreeRouting.steps``).  The simulator ``route`` decides once per
+phase: it climbs a fragment to its first c-colored parent edge, or walks T
+toward a tree label (stopping early at t) and crosses a block's recovery
+edge there.  Only phase boundaries touch the header; each hop appends a
+shared ``Hop`` and allocates nothing, and the hop budget, the forbidden-color
+check (in a climb, its stop condition) and ``on_state`` run at every hop.
 """
 
 from __future__ import annotations
@@ -146,6 +149,9 @@ class TreeRouting:
 
     tables: dict[int, TreeNodeTable]
     label: dict[int, int]  # vertex -> DFS entry index
+    # per vertex, the tables as route walks them: (pre, end, parent Hop or None,
+    # ((hi, child Hop), ...)); the child intervals tile (pre, end), so hi alone bounds each
+    steps: tuple[tuple[int, int, Hop | None, tuple[tuple[int, Hop], ...]], ...]
 
 
 def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRouting:
@@ -156,21 +162,23 @@ def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRou
     """
     parent, parent_edge = orient_forest(net.graph, tree_edges)
     order, pre, end = preorder(parent)
+    up = [None if p is None else net.port_of(v, parent_edge[v]) for v, p in enumerate(parent)]
     slots: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
     for v in order:  # children come in pre-order, so their slots are sorted
         p = parent[v]
         if p is not None:
             slots[p].append((pre[v], end[v], net.port_of(p, parent_edge[v])))
     tables = {
-        v: TreeNodeTable(
-            parent_port=None if parent[v] is None else net.port_of(v, parent_edge[v]),
-            pre=pre[v],
-            end=end[v],
-            child_slots=tuple(child_slots),
-        )
+        v: TreeNodeTable(parent_port=up[v], pre=pre[v], end=end[v], child_slots=tuple(child_slots))
         for v, child_slots in slots.items()
     }
-    return TreeRouting(tables, {v: pre[v] for v in slots})
+    ports = net.ports
+    steps = tuple(
+        (pre[v], end[v], None if up[v] is None else ports[v][up[v]],
+         tuple((hi, ports[v][port]) for _lo, hi, port in slots[v]))
+        for v in range(len(parent))
+    )
+    return TreeRouting(tables, {v: pre[v] for v in slots}, steps)
 
 
 # -- blocks and per-color recovery structure -------------------------------------------
@@ -481,8 +489,7 @@ def _build_tables_and_labels(
 # -- simulation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     source: int
     target: int
     avoided_color: int
@@ -495,7 +502,12 @@ class RouteResult:
 
 
 def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
-    """Initialization at the source from L(t) and L(c) alone."""
+    """Initialization at the source from L(t) and L(c) alone; GraphError for an unknown t or c."""
+    g = scheme.graph
+    if not 0 <= t < g.n:
+        raise GraphError("vertex out of range")
+    if not 0 <= c < g.C:
+        raise GraphError(f"color {c} outside palette of size {g.C}")
     lt = scheme.vertex_labels[t]
     lcol = scheme.color_labels[c]
     if c in lt.per_color:
@@ -535,10 +547,9 @@ def route(
     the endpoints are separated, RoutingBugError on internal contract breaks.
     """
     g = scheme.graph
-    if not (0 <= s < g.n and 0 <= t < g.n):
+    if not 0 <= s < g.n:
         raise GraphError("vertex out of range")
-    if not 0 <= c < g.C:
-        raise GraphError(f"color {c} outside palette of size {g.C}")
+    h = make_header(scheme, t, c)  # checks t and c
     if s == t:
         raise GraphError("source and target must differ")
     conn = scheme.connectivity
@@ -547,75 +558,83 @@ def route(
     ):
         raise UnreachableError(f"{s} and {t} are separated once color {c} fails")
 
-    h = make_header(scheme, t, c)
-    tree_tables = scheme.tree_routing.tables
+    steps = scheme.tree_routing.steps
     tables = scheme.tables
-    ports = scheme.net.ports
     trace: list[Hop] = []
     record = trace.append
     budget = g.n * g.n
     v = s
     if on_state is not None:
         on_state(v, h)
+    # one pass per phase: climb the fragment, or walk T toward a tree label and
+    # cross a recovery edge there; the header is touched only between phases
     while v != t:
-        if len(trace) >= budget:
-            raise RoutingBugError("hop budget exceeded")
-        # each hop either names its port or steps along T toward a tree label
-        node = tree_tables[v]
-        port = toward = None
         up = h.up
         if up:
-            table = tables[v]
-            if node.parent_port is not None and table.parent_color != h.color:
-                port = node.parent_port  # climb inside the fragment
+            hop = steps[v][2]
+            if hop is not None and hop.color != c:
+                while True:  # climb inside the fragment, to its first c-colored parent edge
+                    if len(trace) >= budget:
+                        raise RoutingBugError("hop budget exceeded")
+                    record(hop)
+                    v = hop.dst
+                    if on_state is not None:
+                        on_state(v, h)
+                    hop = steps[v][2]
+                    if v == t or hop is None or hop.color == c:
+                        break
+                continue
+            block = h.root_block if hop is None else tables[v].blocks.get(h.a_star)
+            if block is None:
+                # already in the target fragment: switch to the second phase
+                h.up = up = None
+                h.next_block = h.target_block
             else:
-                block = h.root_block if node.parent_port is None else table.blocks.get(h.a_star)
-                if block is None:
-                    # already in the target fragment: switch to the second phase
-                    h.up = up = None
-                    h.next_block = h.target_block
-                else:
-                    h.next_block = block
-                    h.up = up = False
+                h.next_block = block
+                h.up = up = False
+        nb = h.next_block
         if up is False:
-            nb = h.next_block
             if nb is None:
                 raise RoutingBugError("descending without a recovery edge")
-            if node.pre != nb.x_tree_label:
-                toward = nb.x_tree_label
-            else:
-                if nb.into_target_fragment:
+        elif nb is None and h.target_on_path and (h.target_block is not None or h.a_star < 0):
+            # the final approach: the fragment's table names the next crossing toward t
+            table = tables[v].fragment_tables.get(h.color)
+            if table is None:
+                raise RoutingBugError("fragment table missing on the final approach")
+            nb = h.next_block = table.next_port_for(h.target_fragment_label)
+        x = h.target_tree_label if nb is None else nb.x_tree_label
+        while x is not None:  # walk T toward the tree label x, stopping at t on the way
+            pre, end, hop, children = steps[v]
+            if pre == x:  # cross the block's recovery edge, the phase's last hop
+                if nb is None:
+                    raise RoutingBugError("tree routing asked to move while already there")
+                if up is None:
+                    h.next_block = None
+                elif nb.into_target_fragment:
                     h.up = None
                     h.next_block = h.target_block
                 else:
                     h.up = True
-                port = nb.port
-        elif up is None:  # second phase
-            nb = h.next_block
-            if nb is None and h.target_on_path and (h.target_block is not None or h.a_star < 0):
-                # the final approach: the fragment's table names the next crossing toward t
-                table = tables[v].fragment_tables.get(h.color)
-                if table is None:
-                    raise RoutingBugError("fragment table missing on the final approach")
-                nb = h.next_block = table.next_port_for(h.target_fragment_label)
-            if nb is None:
-                toward = h.target_tree_label
-            elif node.pre != nb.x_tree_label:
-                toward = nb.x_tree_label
-            else:
-                h.next_block = None
-                port = nb.port
-        if port is None:
-            port = node.next_port_for(toward)
-            if port is None:
-                raise RoutingBugError("tree routing asked to move while already there")
-        hop = ports[v][port]
-        if hop.color == c:
-            raise RoutingBugError("routed over a forbidden edge")
-        record(hop)
-        v = hop.dst
-        if on_state is not None:
-            on_state(v, h)
+                hop = scheme.net.ports[v][nb.port]
+                x = None
+            elif pre < x < end:
+                for hi, hop in children:
+                    if x < hi:
+                        break
+                else:
+                    raise RoutingBugError("interval tables inconsistent")
+            elif hop is None:
+                raise RoutingBugError("target outside this routing tree")
+            if len(trace) >= budget:
+                raise RoutingBugError("hop budget exceeded")
+            if hop.color == c:
+                raise RoutingBugError("routed over a forbidden edge")
+            record(hop)
+            v = hop.dst
+            if on_state is not None:
+                on_state(v, h)
+            if v == t:
+                break
     return RouteResult(s, t, c, tuple(trace), h)
 
 

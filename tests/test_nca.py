@@ -281,6 +281,7 @@ def test_hand_written_oracle_file_loads():
 
 _DUMPED = {mode: dump_oracle(build_one_fault_oracle(gen_random(16, 26, 5, seed=3, mode=mode)))
            for mode in ("edge", "vertex")}
+_PADDED = dump_oracle(build_one_fault_oracle(gen_random(9, 8, 3, seed=701)))  # ends in padding
 
 
 @pytest.mark.parametrize("blob", [
@@ -294,8 +295,11 @@ _DUMPED = {mode: dump_oracle(build_one_fault_oracle(gen_random(16, 26, 5, seed=3
     _DUMPED["edge"][:-3],  # cut inside the body
     _DUMPED["vertex"][:-3],  # cut inside the vertex-mode body, which holds the vertex colors
     _DUMPED["edge"][:5] + bytes([7]) + _DUMPED["edge"][6:],  # mode byte neither 0 nor 1
+    _PADDED[:-1] + bytes([_PADDED[-1] | 1]),  # a padding bit after the body set
+    _oracle_file((0, 0, 1), (2, 1, 0), (0, 1, 2), C=3),  # an edge-mode root's color filler not 0
 ], ids=["cycle", "parent", "cid", "color", "version-1", "vertex-color",
-        "truncated-header", "truncated-body", "truncated-vertex-colors", "mode"])
+        "truncated-header", "truncated-body", "truncated-vertex-colors", "mode",
+        "padding", "root-filler"])
 def test_malformed_oracle_file_rejected(blob):
     with pytest.raises(GraphError):
         load_oracle(blob)

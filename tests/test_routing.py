@@ -22,6 +22,7 @@ from colorfault.routing import (
     build_routing_scheme,
     build_tree_routing,
     header_bit_sizes,
+    make_header,
     route,
 )
 
@@ -390,39 +391,82 @@ def test_hop_contract_on_routed_hops():
     assert at == g.n - 1
 
 
+def check_on_state(scheme, triples):
+    """``on_state`` fires at the source and after every hop, and changes no route."""
+    for s, t, c in triples:
+        try:
+            plain = route(scheme, s, t, c)
+        except UnreachableError:
+            with pytest.raises(UnreachableError):
+                route(scheme, s, t, c, on_state=lambda v, h: None)
+            continue
+        calls = []
+        result = route(scheme, s, t, c, on_state=lambda v, h: calls.append((v, h)))
+        assert (result.trace, result.header) == (plain.trace, plain.header)
+        assert len(calls) == result.hops + 1
+        assert [v for v, _h in calls] == [s] + [hop.dst for hop in result.trace]
+        assert all(h is result.header for _v, h in calls)
+
+
 def test_on_state_fires_at_source_and_after_every_hop():
-    scheme = build_routing_scheme(gen_grid(3, 4))  # unique colors: no fault disconnects
-    calls = []
-    result = route(scheme, 3, 8, 2, on_state=lambda v, h: calls.append((v, h)))
-    assert result.hops > 1
-    assert [v for v, _h in calls] == [3] + [hop.dst for hop in result.trace]
-    assert all(h is result.header for _v, h in calls)
+    g = gen_grid(3, 4)  # unique colors: no fault disconnects
+    scheme = build_routing_scheme(g)
+    assert route(scheme, 3, 8, 2).hops > 1
+    check_on_state(scheme, route_triples(g))
+
+
+def test_unknown_ids_are_graph_errors():
+    scheme = build_routing_scheme(FOUR_CYCLE)
+    for t, c in ((-1, 0), (4, 0), (0, -1), (0, 4)):
+        with pytest.raises(GraphError):
+            make_header(scheme, t, c)
+    for s, t, c in ((-1, 2, 0), (4, 2, 0), (0, -1, 0), (0, 4, 0), (0, 2, -1), (0, 2, 4),
+                    (1, 1, 0)):
+        with pytest.raises(GraphError):
+            route(scheme, s, t, c)
+
+
+def set_step(scheme, v, step):
+    """Replace the T step that ``route`` reads at v, as a corrupted build would leave it."""
+    steps = list(scheme.tree_routing.steps)
+    steps[v] = step
+    scheme.tree_routing = dataclasses.replace(scheme.tree_routing, steps=tuple(steps))
 
 
 def test_hop_over_forbidden_edge_is_a_bug():
-    # the only way out of 0 avoiding color 0 is edge 3; swap it with edge 0
+    # the only way out of 0 avoiding color 0 is edge 3; swap it with edge 0 in 0's step
     scheme = build_routing_scheme(FOUR_CYCLE)
     assert route(scheme, 0, 2, 0).trace[0].edge == 3
-    ports = list(scheme.net.ports)
-    ports[0] = ports[0][::-1]
-    scheme.net = dataclasses.replace(scheme.net, ports=tuple(ports))
+    swapped = dict(zip(scheme.net.ports[0], scheme.net.ports[0][::-1]))
+    pre, end, _up, children = scheme.tree_routing.steps[0]  # 0 is T's root
+    set_step(scheme, 0, (pre, end, None, tuple((hi, swapped[hop]) for hi, hop in children)))
     with pytest.raises(RoutingBugError, match="routed over a forbidden edge"):
         route(scheme, 0, 2, 0)
 
 
 def test_two_vertex_bounce_exhausts_hop_budget():
-    # color 2 is off the tree, so 0 -> 2 walks T; point 1's child slot back at 0
+    # color 2 is off the tree, so 0 -> 2 walks T; point 1's child step back at 0
     g = edge_graph(3, [(0, 1, 0), (1, 2, 1)], C=3)
     scheme = build_routing_scheme(g)
     assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
-    tables = scheme.tree_routing.tables
-    (lo, hi, _port), = tables[1].child_slots
-    tables[1] = dataclasses.replace(tables[1], child_slots=((lo, hi, tables[1].parent_port),))
+    intact = scheme.tree_routing.steps
+    pre, end, up, ((hi, _down),) = intact[1]
+    set_step(scheme, 1, (pre, end, up, ((hi, up),)))
     visited = []
     with pytest.raises(RoutingBugError, match="hop budget exceeded"):
         route(scheme, 0, 2, 2, on_state=lambda v, _h: visited.append(v))
     assert len(visited) == 1 + g.n * g.n
     assert visited == [0, 1] * 5
+    # 1 -> 2 climbs to the root 0 before it walks down; give the root a
+    # parent step back to 1 and the climb bounces instead
+    set_step(scheme, 1, intact[1])
+    assert [hop.dst for hop in route(scheme, 1, 2, 2).trace] == [0, 1, 2]
+    pre, end, _up, children = intact[0]
+    set_step(scheme, 0, (pre, end, scheme.net.ports[0][0], children))
+    visited.clear()
+    with pytest.raises(RoutingBugError, match="hop budget exceeded"):
+        route(scheme, 1, 2, 2, on_state=lambda v, _h: visited.append(v))
+    assert visited == [1, 0] * 5
 
 
 def test_missing_fragment_table_on_final_approach_is_a_bug():
@@ -452,13 +496,14 @@ def test_tree_step_contract_errors():
     g = edge_graph(3, [(0, 1, 0), (1, 2, 1)], C=3)
     scheme = build_routing_scheme(g)
     assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
-    tables = scheme.tree_routing.tables
-    intact = dict(tables)
-    tables[1] = dataclasses.replace(tables[1], child_slots=())
+    intact = scheme.tree_routing.steps
+    pre, end, up, _children = intact[1]
+    set_step(scheme, 1, (pre, end, up, ()))
     with pytest.raises(RoutingBugError, match="interval tables inconsistent"):
         route(scheme, 0, 2, 2)
-    tables.update(intact)
-    tables[0] = dataclasses.replace(tables[0], end=tables[0].pre + 1)
+    set_step(scheme, 1, intact[1])
+    pre, _end, up, children = intact[0]
+    set_step(scheme, 0, (pre, pre + 1, up, children))
     with pytest.raises(RoutingBugError, match="target outside this routing tree"):
         route(scheme, 0, 2, 2)
 
@@ -621,3 +666,39 @@ def test_route_traces_pinned(name):
     skip = ANCHORLESS_REFUSALS.get(name, ())
     triples = [x for x in route_triples(g, TRACE_SAMPLE.get(name)) if x not in skip]
     assert trace_digest(build_routing_scheme(g), triples) == TRACE_PINNED[name]
+
+
+# -- the per-vertex T steps, and on_state, on the pinned and random graphs -------
+
+
+def check_steps_match_tables(scheme):
+    """The T step ``route`` walks at each vertex says what its ``TreeNodeTable`` says."""
+    tr, ports = scheme.tree_routing, scheme.net.ports
+    assert len(tr.steps) == scheme.graph.n == len(tr.tables)
+    for v, (pre, end, up, children) in enumerate(tr.steps):
+        table = tr.tables[v]
+        assert (pre, end) == (table.pre, table.end)
+        assert up is (None if table.parent_port is None else ports[v][table.parent_port])
+        assert len(children) == len(table.child_slots)
+        for (hi, hop), (_lo, table_hi, port) in zip(children, table.child_slots):
+            assert hi == table_hi and hop is ports[v][port]
+        # the child intervals tile (pre, end), so the first hi above a label finds its child
+        bounds = [pre + 1] + [hi for hi, _hop in children]
+        assert [lo for lo, _hi, _port in table.child_slots] == bounds[:-1]
+        assert bounds[-1] == end
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_steps_and_on_state_on_pinned_graphs(name):
+    g = PINNED_GRAPHS[name]()
+    scheme = build_routing_scheme(g)
+    check_steps_match_tables(scheme)
+    check_on_state(scheme, route_triples(g))
+
+
+@given(connected_edge_multigraphs(max_n=10))
+@settings(max_examples=100, deadline=None)
+def test_steps_and_on_state_on_random_graphs(g):
+    scheme = build_routing_scheme(g)
+    check_steps_match_tables(scheme)
+    check_on_state(scheme, route_triples(g))
