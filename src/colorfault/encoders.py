@@ -23,7 +23,7 @@ class WitnessError(ValueError):
     """Supplied ball centers are not disjoint proper balls."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoderEntry:
     bit: int
     u: int
@@ -31,7 +31,7 @@ class DecoderEntry:
     faults: frozenset[int]  # the bit is 1 iff u and v are disconnected under these faults
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedInstance:
     """A colored topology plus the query map recovering every encoded bit."""
 

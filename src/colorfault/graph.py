@@ -44,7 +44,7 @@ class RemovedVertexError(ValueError):
     """Vertex-mode query on a vertex whose own color is faulted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredGraph:
     """Immutable colored multigraph.
 
@@ -136,7 +136,7 @@ class ColoredGraph:
         return remove_colors(self, faults)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphView:
     """``graph`` minus a fault set; vertex ids are preserved.
 
@@ -402,7 +402,7 @@ def bfs(
                         layer.append(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BfsTree:
     root: tuple[int | None, ...]  # v's tree's root; None for removed vertices
     parent: tuple[int | None, ...]

@@ -9,7 +9,7 @@ from typing import Any, Iterable, Sequence
 from .graph import GraphError, RemovedVertexError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelSet:
     """Product of a labeling scheme: one label per vertex, one per color.
 

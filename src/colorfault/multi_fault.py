@@ -70,7 +70,7 @@ RECURSIVE_SCHEME = "multi-fault"
 # -- certificate ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorForestCertificate:
     """H = union of per-color spanning forests of an edge-colored graph."""
 
@@ -113,7 +113,7 @@ def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
 # -- large-f scheme -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LargeFVertexLabel:
     vertex: int
     sketch: VertexSketchLabel
@@ -121,7 +121,7 @@ class LargeFVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LargeFColorLabel:
     color: int
     edge_sketches: tuple[EdgeSketchLabel, ...]  # forest edges, tree parts left in the context
@@ -196,7 +196,7 @@ def query_large_f(
 # -- recursive prevalence-split scheme -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecursiveVertexLabel:
     vertex: int
     f: int
@@ -207,7 +207,7 @@ class RecursiveVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecursiveColorLabel:
     color: int
     branch: int | None  # index into the node's prevalent list, if prevalent

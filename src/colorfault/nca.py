@@ -43,7 +43,7 @@ ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NcaStructure:
     parent: tuple[int | None, ...]
     pre: tuple[int, ...]
@@ -118,7 +118,7 @@ def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
 # -- one-fault connectivity oracle ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneFaultOracle:
     """O(n)-word centralized structure answering (u, v, c) connectivity."""
 
@@ -129,11 +129,29 @@ class OneFaultOracle:
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
 
     def query(self, u: int, v: int, c: int) -> bool:
-        cu, cv = self.cids(c, (u, v))
-        return cu == cv
+        """cid(u, G-c) == cid(v, G-c): ``cids(c, (u, v))`` unrolled, its checks in its order."""
+        if not 0 <= c < self.C:
+            raise GraphError(f"color {c} outside palette")
+        n, own = self.n, self.vertex_colors
+        if not 0 <= u < n:
+            raise GraphError(f"vertex {u} out of range")
+        if own is not None and own[u] == c:
+            raise RemovedVertexError(f"vertex {u} has color {c}")
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range")
+        if own is not None and own[v] == c:
+            raise RemovedVertexError(f"vertex {v} has color {c}")
+        s = self.structure
+        stamps, answers = s.arrays.get(c, ()), s.answers.get(c, ())
+        pre = s.pre
+        i = bisect_right(stamps, pre[u])
+        cu = answers[i - 1] if i else None
+        j = bisect_right(stamps, pre[v])
+        cv = answers[j - 1] if j else None
+        return (s.root[u] if cu is None else cu) == (s.root[v] if cv is None else cv)
 
     def cids(self, c: int, vertices: Iterable[int]) -> list[int]:
-        """cid(v, G-c) for each of ``vertices``: the one read-off of the index.
+        """cid(v, G-c) for each of ``vertices``: the batch read-off of the index.
 
         The answer is the index's at v's nearest c-colored ancestor, its
         payload, or, with none, v's root: the path to the root survives, and
@@ -310,7 +328,7 @@ def nca_threshold(n: int) -> int:
     return max(2, math.isqrt(n) // 2 + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NcaVertexLabel:
     vertex: int
     pre: int
@@ -320,7 +338,7 @@ class NcaVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NcaColorLabel:
     color: int
     prevalent: bool

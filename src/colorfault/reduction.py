@@ -66,7 +66,7 @@ class ExactSingleSource:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionVertexLabel:
     vertex: int
     rows: dict[frozenset[int], int]  # fault set -> grid mask: bit i is the answer in cell i
@@ -74,7 +74,7 @@ class ReductionVertexLabel:
     own_color: int | None = None  # vertex mode only: v's color, whose fault removes v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionColorLabel:
     color: int
     bits: int = field(default=0, compare=False)

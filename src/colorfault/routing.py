@@ -83,7 +83,7 @@ class Hop(NamedTuple):
     color: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortedNetwork:
     """Port p of vertex v is its p-th incident edge in increasing edge id.
 
@@ -119,7 +119,7 @@ class PortedNetwork:
 # -- interval tree routing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNodeTable:
     """Interval routing at one node: T's steps are ports, a fragment table's are blocks."""
 
@@ -143,7 +143,7 @@ class TreeNodeTable:
         raise RoutingBugError("interval tables inconsistent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeRouting:
     """Tables and destination labels for one rooted tree (or forest)."""
 
@@ -184,7 +184,7 @@ def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRou
 # -- blocks and per-color recovery structure -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FirstRecEdgeBlock:
     """First recovery edge on a directed fragment-tree path."""
 
@@ -193,7 +193,7 @@ class FirstRecEdgeBlock:
     into_target_fragment: bool  # False in a fragment table, which has no one target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorStructure:
     """Everything the scheme derives from T - c for one color c on T."""
 
@@ -205,8 +205,11 @@ class ColorStructure:
     # frag root -> (a(v,c), block e(a(v,c), v, c), its forest number) for v in it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingTable:
+    """v's table.  ``bits`` charges for its parent port and color; ``route``
+    reads the same facts off the step's shared parent ``Hop``."""
+
     vertex: int
     parent_port: int | None
     parent_color: int | None
@@ -216,7 +219,7 @@ class RoutingTable:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingVertexLabel:
     vertex: int
     tree_label: int
@@ -226,14 +229,14 @@ class RoutingVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingColorLabel:
     color: int
     blocks: dict[int, FirstRecEdgeBlock | None]  # anchor -> FirstRecEdge(r, a, c)
     bits: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageHeader:
     # permanent part, written once at the source
     color: int
@@ -258,7 +261,7 @@ class MessageHeader:
         return 2 + 1 + wport + wid + 2
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingScheme:
     graph: ColoredGraph
     net: PortedNetwork

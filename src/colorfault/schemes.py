@@ -32,7 +32,7 @@ from .two_fault import SCHEME as TWO_SCHEME
 from .two_fault import label_two_fault, query_two_fault_ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scheme:
     name: str  # the --scheme choice
     label_scheme: str  # LabelSet.scheme of the labels it builds

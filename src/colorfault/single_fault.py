@@ -42,7 +42,7 @@ class SizeLimitError(ValueError):
     """Input too large for the exhaustive ball-packing search."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RulingSet:
     """A0 (component minima), the chosen sequence A, the halting index k, and P(v).
 
@@ -127,7 +127,7 @@ def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleFaultVertexLabel:
     vertex: int
     anchor: int
@@ -136,7 +136,7 @@ class SingleFaultVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingleFaultColorLabel:
     color: int
     cid_by_anchor: dict[int, int]
@@ -207,7 +207,7 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
 
 def query_single_fault(lv: SingleFaultVertexLabel, lc: SingleFaultColorLabel) -> int:
     """cid(v, G-c) from the two labels alone."""
-    if lv.own_color is not None and lv.own_color == lc.color:
+    if lv.own_color == lc.color:
         raise RemovedVertexError(f"vertex {lv.vertex} has color {lc.color}")
     hit = lv.cid_by_color.get(lc.color)
     if hit is not None:

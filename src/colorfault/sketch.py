@@ -89,7 +89,7 @@ def _hash_fields(*fields: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SketchParams:
     n: int
     edge_id_bound: int
@@ -177,7 +177,7 @@ class SketchParams:
         return min((h & -h).bit_length() - 1, self.levels - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSketchLabel:
     """A vertex's pre-order number in T and its tree's pre-order interval [first, end).
 
@@ -195,7 +195,7 @@ class VertexSketchLabel:
         return self.params.scheme_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSketchLabel:
     eid: int
     scheme_id: int
@@ -209,7 +209,7 @@ class EdgeSketchLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeFaultLabels:
     """Label set over V u E; a query reads only ``params`` from it."""
 

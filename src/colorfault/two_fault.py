@@ -69,14 +69,14 @@ def greedy_hitting_set(sets: Sequence[Collection[int]], n: int) -> tuple[int, ..
 # -- data types -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncatedTree:
     vertices: tuple[int, ...]
     colors: frozenset[int]  # colors present in the tree
     full: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColorEntry:
     cid_minus_c: int
     pair_cids: dict[int, int]  # d in tree colors -> cid(v, G-{c,d})
@@ -85,7 +85,7 @@ class ColorEntry:
     rep_pair_cids: dict[int, int]  # d on T[s,rep] -> cid(rep, G-{c,d})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoFaultVertexLabel:
     vertex: int
     root_id: int
@@ -94,7 +94,7 @@ class TwoFaultVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoFaultColorLabel:
     color: int
     pairs: dict[tuple[int, int], int]  # (u in U, d on T[s,u]) -> cid(u, G-{color,d})

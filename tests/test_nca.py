@@ -139,6 +139,13 @@ def test_oracle_reflexive():
             assert o.query(v, v, c)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except (GraphError, RemovedVertexError) as e:
+        return type(e), str(e)
+
+
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
 def test_oracle_cid_rejects_bad_ids(mode):
     g = gen_random(12, 18, 4, seed=7, mode=mode)
@@ -148,6 +155,10 @@ def test_oracle_cid_rejects_bad_ids(mode):
         for v, c in ((-1, 0), (g.n, 0), (0, -1), (0, g.C)):
             with pytest.raises(GraphError):
                 oracle.cids(c, [1, v])
+            with pytest.raises(GraphError):
+                oracle.query(1, v, c)
+            with pytest.raises(GraphError):
+                oracle.query(v, 1, c)
         for c in range(g.C):
             part = brute_force_partition(g, {c})
             live = [v for v in range(g.n) if part[v] is not None]
@@ -155,6 +166,23 @@ def test_oracle_cid_rejects_bad_ids(mode):
             for v in set(range(g.n)) - set(live):
                 with pytest.raises(RemovedVertexError):
                     oracle.cids(c, [v])
+                with pytest.raises(RemovedVertexError):
+                    oracle.query(v, live[0], c)
+                with pytest.raises(RemovedVertexError):
+                    oracle.query(live[0], v, c)
+                # u is checked in full before v, as in cids
+                for bad in (-1, g.n):
+                    with pytest.raises(RemovedVertexError):
+                        oracle.query(v, bad, c)
+        # the pair query is cids' read-off for one pair: same answers, same errors
+        ids = range(-1, g.n + 1)
+        for c in range(-1, g.C + 1):
+            for u in ids:
+                for v in ids:
+                    want = _outcome(lambda: oracle.cids(c, (u, v)))
+                    if isinstance(want, list):
+                        want = want[0] == want[1]
+                    assert _outcome(lambda: oracle.query(u, v, c)) == want, (u, v, c)
 
 
 def _check_oracle(g, o):

@@ -672,7 +672,11 @@ def test_route_traces_pinned(name):
 
 
 def check_steps_match_tables(scheme):
-    """The T step ``route`` walks at each vertex says what its ``TreeNodeTable`` says."""
+    """The T step ``route`` walks at each vertex says what its tables say.
+
+    Both its ``TreeNodeTable`` and its ``RoutingTable``: the latter's parent
+    port and color are those of the step's parent ``Hop``, None at a root.
+    """
     tr, ports = scheme.tree_routing, scheme.net.ports
     assert len(tr.steps) == scheme.graph.n == len(tr.tables)
     for v, (pre, end, up, children) in enumerate(tr.steps):
@@ -686,6 +690,11 @@ def check_steps_match_tables(scheme):
         bounds = [pre + 1] + [hi for hi, _hop in children]
         assert [lo for lo, _hi, _port in table.child_slots] == bounds[:-1]
         assert bounds[-1] == end
+        # the table charges bits for the parent port and color that route reads off the Hop
+        row = scheme.tables[v]
+        assert row.vertex == v
+        assert row.parent_port == (None if up is None else up.port)
+        assert row.parent_color == (None if up is None else up.color)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
