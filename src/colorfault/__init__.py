@@ -23,7 +23,6 @@ from .graph import (
     components,
     edge_graph,
     parse_graph,
-    reduce_between_modes,
     remove_colors,
     serialize_graph,
     spanning_forest,
@@ -98,7 +97,6 @@ __all__ = [
     "query_recursive_ids",
     "query_single_fault",
     "query_two_fault_ids",
-    "reduce_between_modes",
     "remove_colors",
     "route",
     "serialize_graph",

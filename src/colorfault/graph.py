@@ -115,15 +115,33 @@ class ColoredGraph:
         return self._adj[v]
 
     def color_classes(self) -> list[list[int]]:
-        """Edge ids per color (edge mode) or vertex ids per color (vertex mode)."""
+        """Per color, the ids of the edges its fault removes, increasing.
+
+        Edge mode: the edges of that color.  Vertex mode: the edges at that
+        color's vertices, so an edge between two colors is in both lists.
+        """
         classes: list[list[int]] = [[] for _ in range(self.C)]
         if self.mode == EDGE:
             for eid, c in enumerate(self.edge_colors or ()):
                 classes[c].append(eid)
-        else:
-            for v, c in enumerate(self.vertex_colors or ()):
-                classes[c].append(v)
+            return classes
+        vc = self.vertex_colors or ()
+        for eid, (u, v) in enumerate(self.edges):
+            a, b = vc[u], vc[v]
+            classes[a].append(eid)
+            if b != a:
+                classes[b].append(eid)
         return classes
+
+    def keep_edges(self, eids: Iterable[int]) -> "ColoredGraph":
+        """The same vertices and colors with only the edges ``eids``, renumbered in that order."""
+        eids = list(eids)
+        ec = self.edge_colors
+        return ColoredGraph(
+            n=self.n, mode=self.mode, edges=tuple(self.edges[e] for e in eids), C=self.C,
+            edge_colors=None if ec is None else tuple(ec[e] for e in eids),
+            vertex_colors=self.vertex_colors,
+        )
 
     def check_fault_set(self, colors: Iterable[int]) -> frozenset[int]:
         F = frozenset(colors)
@@ -201,7 +219,7 @@ class UnionFind:
     There is no path compression, so :meth:`rollback` can restore the parents,
     sizes and per-set minima exactly; union by size keeps every tree's height,
     and so a find, at O(log n).  The divide-and-conquer sweep over a family of
-    fault sets (:func:`cids_after_faults`) and the per-color certificate
+    fault sets (:func:`cids_after_faults`) and the per-class certificate
     forests roll back; every other caller only unions.
     """
 
@@ -499,33 +517,6 @@ def cids_after_faults(
 
     solve(0, len(keys), pending)
     return out
-
-
-# -- vertex-mode subdivision -------------------------------------------------
-
-
-def reduce_between_modes(g: ColoredGraph) -> ColoredGraph:
-    """Subdivide every edge of a vertex-colored graph into an edge-colored one.
-
-    Each half-edge gets the color of its incident original vertex; the palette
-    is unchanged.  The output has n+m vertices and 2m edges, and connectivity
-    of surviving original vertices under any fault set agrees with the input.
-    Raises GraphError for an edge-colored input.
-    """
-    if g.mode != VERTEX:
-        raise GraphError("only a vertex-colored graph is subdivided")
-    new_edges: list[tuple[int, int]] = []
-    ecolors: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        x = g.n + eid
-        new_edges.append((u, x))
-        ecolors.append(g.vertex_color(u))
-        new_edges.append((x, v))
-        ecolors.append(g.vertex_color(v))
-    return ColoredGraph(
-        n=g.n + g.m, mode=EDGE, edges=tuple(new_edges), C=max(g.C, 1),
-        edge_colors=tuple(ecolors),
-    )
 
 
 # -- text format --------------------------------------------------------------

@@ -1,21 +1,27 @@
 """Labels for two or more color faults.
 
-Two schemes share one sparsifier.  The certificate keeps, per color, a spanning
-forest of that color's subgraph; the union H preserves connectivity under every
-color fault set exactly, because a surviving edge always has a same-colored
-forest path.  Both schemes then run the edge-fault sketch labels of
-:mod:`colorfault.sketch` on H: a spanning forest T of H, vertex labels holding
-pre-order positions in T, and tree-edge labels holding subtree sketches.
+Two schemes share one sparsifier, and both run on the graph as given in
+either mode.  The certificate keeps a spanning forest of each class: a color's
+edges (edge mode), or the edges whose end colors are {a, b} (vertex mode).  An
+edge survives F exactly when its class does, and then its class forest joins
+its ends, so the union H preserves connectivity under every F exactly.  Both
+schemes then run the edge-fault sketch labels of :mod:`colorfault.sketch` on
+H: a spanning forest T of H, vertex labels holding pre-order positions in T,
+and tree-edge labels holding subtree sketches.  A color's fault removes its
+edges, or in vertex mode the edges at its vertices: their number is its
+prevalence, and they are what its label carries.  An edge whose two end colors
+both fail comes with both labels, so a query takes faulty edges as a set.
 
 The recursive scheme splits colors by prevalence against a threshold Delta:
 prevalent colors are handled by recursing into the graph without them (one
 level per removable fault), rare colors by the sketch, whose edge labels they
-carry for their whole class.  T takes prevalent-colored edges first, so few
-rare edges are tree edges and few rare color labels carry a subtree sketch.
-Below f = 2 a node's labels are the one-fault labels of its graph themselves.
-A descent on a prevalent color that leaves no other fault fails that color
-again in the child, which has no edge of it; a node with no fault left asks
-its sketch with no faulty edge, which is exact, since T spans the node's graph.
+carry for their whole class.  T takes the edges no rare color removes first,
+so few rare color labels carry a subtree sketch.  The child g - h keeps the
+vertex ids and colors and drops the edges h removes.  Below f = 2 a node's
+labels are the one-fault labels of its graph themselves.  A descent on a
+prevalent color that leaves no other fault fails that color again in the
+child, which has no edge of it; a node with no fault left asks its sketch
+with no faulty edge, which is exact, since T spans the node's graph.
 Its queries read only the labels of u, v and F.
 
 The large-f scheme lets every color fault, so a color label would have to
@@ -25,12 +31,8 @@ sketch label set, in ``meta["context"]``): a color label carries only the
 names and sampling levels of its forest edges, a query looks up the tree-edge
 labels of the faulted edges in the context, and each vertex label is charged
 one sketch, since the context holds one subtree sketch per tree edge.  T takes
-the smallest color classes first, which caps the tree edges of any one color.
-
-Vertex-colored inputs are subdivided into the equivalent edge-colored graph up
-front (original vertex ids are preserved); conveniently, a color's class size
-in the subdivided graph equals its volume in the original, which is exactly the
-prevalence measure vertex mode calls for.
+the smallest color classes first, which caps the tree edges of any one color;
+each edge is sketched once, although a vertex-mode edge is in two colors' lists.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import VERTEX, ColoredGraph, UnionFind, edge_graph, path_colors, reduce_between_modes
+from .graph import EDGE, VERTEX, ColoredGraph, UnionFind, path_colors
 from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
@@ -72,41 +74,39 @@ RECURSIVE_SCHEME = "multi-fault"
 
 @dataclass(frozen=True, slots=True)
 class ColorForestCertificate:
-    """H = union of per-color spanning forests of an edge-colored graph."""
+    """H = union of per-class spanning forests (per color, or per color pair in vertex mode)."""
 
-    graph: ColoredGraph  # the graph H lives in (input, or its subdivision)
+    graph: ColoredGraph  # the input graph, which H is a subgraph of
     edge_ids: tuple[int, ...]
-    per_color: tuple[tuple[int, ...], ...]  # forest edge ids per color
+    per_color: tuple[tuple[int, ...], ...]  # per color, the forest edges its fault removes
 
     @property
     def m(self) -> int:
         return len(self.edge_ids)
 
     def subgraph(self) -> ColoredGraph:
-        """H as a standalone edge-colored graph (edge ids renumbered)."""
-        g = self.graph
-        triples = [
-            (g.edges[eid][0], g.edges[eid][1], g.edge_color(eid))
-            for eid in self.edge_ids
-        ]
-        return edge_graph(g.n, triples, C=g.C)
+        """H as a standalone graph in the input's mode (edge ids renumbered)."""
+        return self.graph.keep_edges(self.edge_ids)
 
 
 def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
-    """Spanning forest per color class, scanned in increasing edge id."""
-    if g.mode == VERTEX:
-        g = reduce_between_modes(g)
-    forests: list[list[int]] = []
+    """Spanning forest per class, scanned in increasing edge id."""
+    vc = g.vertex_colors
+    classes: dict[int | frozenset[int], list[int]] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        key = g.edge_color(eid) if g.mode == EDGE else frozenset((vc[u], vc[v]))
+        classes.setdefault(key, []).append(eid)
+    kept: list[int] = []
     uf = UnionFind(g.n)
-    for cls in g.color_classes():
+    for cls in classes.values():
         mark = uf.checkpoint()
-        forests.append([eid for eid in cls if uf.union(*g.edges[eid])])
+        kept.extend(eid for eid in cls if uf.union(*g.edges[eid]))
         uf.rollback(mark)
-    edge_ids = sorted(eid for forest in forests for eid in forest)
+    keep = set(kept)
     return ColorForestCertificate(
         graph=g,
-        edge_ids=tuple(edge_ids),
-        per_color=tuple(tuple(f) for f in forests),
+        edge_ids=tuple(sorted(kept)),
+        per_color=tuple(tuple(e for e in cls if e in keep) for cls in g.color_classes()),
     )
 
 
@@ -141,16 +141,19 @@ def label_large_f(
     """
     cert = build_certificate(g)
     smallest_first = sorted(range(g.C), key=lambda c: len(cert.per_color[c]))
+    # once per edge: a vertex-mode edge is in both end colors' lists, and an
+    # edge sketched twice cancels out of every subtree sketch
+    order = dict.fromkeys(eid for c in smallest_first for eid in cert.per_color[c])
     ctx = build_edge_fault_labels(
-        cert.graph,
+        g,
         seed=seed,
         repetitions=repetitions,
         checksum_bits=checksum_bits,
-        order=[eid for c in smallest_first for eid in cert.per_color[c]],
+        order=list(order),
     )
     params = ctx.params
     edge_bits = params.cell_bits + params.repetitions * params.levels
-    wlen = width_for(cert.graph.n)
+    wlen = width_for(g.n)
     own = g.vertex_colors if g.mode == VERTEX else [None] * g.n
     wown = width_for(g.C) if g.mode == VERTEX else 0
     vertex_labels = tuple(
@@ -261,25 +264,22 @@ def _recurse(
     ecls = g.color_classes()
     prevalent = [c for c in range(g.C) if len(ecls[c]) >= delta]
     branch_of = {c: i for i, c in enumerate(prevalent)}
+    rare = {eid for c in range(g.C) if c not in branch_of for eid in ecls[c]}
     ctx = build_edge_fault_labels(
         g,
         seed=sketch_seed,
         repetitions=repetitions,
         checksum_bits=checksum_bits,
-        order=sorted(range(g.m), key=lambda eid: g.edge_color(eid) not in branch_of),
+        order=sorted(range(g.m), key=rare.__contains__),
     )
 
     child_vls: list[list] = []
     child_cls: list[list] = []
     child_manifests = {}
     for idx, h in enumerate(prevalent):
-        # g - h keeps every other color's spanning forest, so it is its own certificate
-        triples = [
-            (u, v, g.edge_color(eid))
-            for eid, (u, v) in enumerate(g.edges)
-            if g.edge_color(eid) != h
-        ]
-        child = edge_graph(g.n, triples, C=g.C)
+        # g - h keeps every other class's spanning forest, so it is its own certificate
+        dropped = set(ecls[h])
+        child = g.keep_edges(eid for eid in range(g.m) if eid not in dropped)
         vls, cls, man = _recurse(
             child, f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
         )
@@ -348,12 +348,9 @@ def label_recursive(
             color_labels=ls.color_labels,
             meta={**ls.meta, "f": 1},
         )
-    # vertex-colored input is subdivided to the equivalent edge-colored
-    # instance; vertex ids and the palette are preserved
     cert = build_certificate(g)
     vls, cls, manifest = _recurse(cert.subgraph(), f, seed, repetitions, checksum_bits)
-    manifest["m"] = cert.graph.m
-    vls = vls[: g.n]
+    manifest["m"] = g.m
     if g.mode == VERTEX:
         wown = width_for(g.C)
         vls = [replace(l, own_color=c, bits=l.bits + wown)
@@ -364,7 +361,7 @@ def label_recursive(
         C=g.C,
         mode=g.mode,
         vertex_labels=tuple(vls),
-        color_labels=tuple(cls[: g.C]),
+        color_labels=tuple(cls),
         meta={"f": f, "seed": seed, "manifest": manifest},
     )
 

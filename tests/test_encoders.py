@@ -148,6 +148,17 @@ def test_spider_scheme_decode_f2():
     assert agree / cap >= 0.99
 
 
+def test_vertex_subdivided_spider_decodes_through_the_recursive_scheme():
+    # the recursive scheme runs on the vertex-colored graph as given
+    rng = random.Random(5)
+    cap = spider_capacity(2, 8, 16)
+    bits = [rng.randrange(2) for _ in range(cap)]
+    inst = encode_spider(2, 8, 16, bits, subdivide="vertex")
+    ls = label_recursive(inst.graph, f=2, seed=3)
+    assert ls.meta["manifest"]["n"] == len(ls.vertex_labels) == inst.graph.n
+    assert inst.decode(lambda u, v, F: query_recursive_ids(ls, u, v, F)) == bits
+
+
 def test_spider_subdivisions_round_trip():
     rng = random.Random(13)
     cap = spider_capacity(2, 4, 2)

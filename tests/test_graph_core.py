@@ -21,7 +21,6 @@ from colorfault.graph import (
     parse_graph,
     path_colors,
     preorder,
-    reduce_between_modes,
     remove_colors,
     serialize_graph,
     spanning_forest,
@@ -331,30 +330,6 @@ def test_bfs_forest_matches_a_tree_per_component_minimum(case):
     for v in range(g.n):
         if comp[v] is None:
             assert (forest.parent[v], forest.parent_edge[v], forest.depth[v]) == (None, None, -1)
-
-
-# -- mode reduction --------------------------------------------------------------
-
-
-def test_reduce_rejects_edge_colored_graph():
-    with pytest.raises(GraphError):
-        reduce_between_modes(TRIANGLE)
-
-
-def test_reduce_vertex_to_edge_round():
-    g = gen_random(12, 20, 3, seed=5, mode="vertex")
-    r = reduce_between_modes(g)
-    assert r.mode == "edge" and r.n == g.n + g.m and r.m == 2 * g.m
-    for c in range(g.C):
-        for u in range(g.n):
-            if g.vertex_color(u) == c:
-                continue
-            for v in range(u + 1, g.n):
-                if g.vertex_color(v) == c:
-                    continue
-                assert brute_force_connected(g, u, v, {c}) == brute_force_connected(
-                    r, u, v, {c}
-                )
 
 
 # -- text format -----------------------------------------------------------------

@@ -107,9 +107,8 @@ def test_certificate_minus_a_color_is_its_own_certificate(seed, mode, n, m, C):
     # the recursive scheme hands H - h to its child without re-sparsifying it
     g = gen_random(n, m, C, seed=seed, mode=mode, simple=False)
     H = build_certificate(g).subgraph()
-    for h in range(C):
-        child = edge_graph(H.n, [(u, v, H.edge_color(eid)) for eid, (u, v) in enumerate(H.edges)
-                                 if H.edge_color(eid) != h], C=H.C)
+    for h, dropped in enumerate(H.color_classes()):
+        child = H.keep_edges(eid for eid in range(H.m) if eid not in dropped)
         cert = build_certificate(child)
         assert cert.edge_ids == tuple(range(child.m))
         assert cert.subgraph() == child
@@ -239,6 +238,58 @@ def test_recursive_vertex_mode_agreement():
     assert _sampled_agreement(2, 12, 20, 4, (4, 60), 500, mode="vertex") >= 0.99
 
 
+# (build, query, largest fault set) per multi-fault scheme
+VERTEX_MODE_SCHEMES = {
+    "recursive-f2": (lambda g, s: label_recursive(g, 2, seed=s), query_recursive_ids, 2),
+    "recursive-f3": (lambda g, s: label_recursive(g, 3, seed=s), query_recursive_ids, 3),
+    "large": (lambda g, s: label_large_f(g, seed=s), query_large_f_ids, 5),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(VERTEX_MODE_SCHEMES))
+def test_vertex_mode_multigraphs_agree_with_brute_force(scheme):
+    # seeded vertex-colored multigraphs, run as given: a sketch may only err
+    # toward "disconnected", and at the default repetitions it almost never does
+    build, query, budget = VERTEX_MODE_SCHEMES[scheme]
+    rng = random.Random(41)
+    misses = wrong_connected = total = 0
+    for i in range(24):
+        g = gen_random(10 + i % 9, 18 + 2 * (i % 7), 3 + i % 4, seed=700 + i,
+                       mode="vertex", simple=False)
+        ls = build(g, i)
+        for _ in range(300):
+            F = rng.sample(range(g.C), rng.randrange(0, min(budget, g.C) + 1))
+            alive = [x for x in range(g.n) if g.vertex_color(x) not in F]
+            if not alive:
+                continue
+            u, v = rng.choice(alive), rng.choice(alive)
+            got, want = query(ls, u, v, F), brute_force_connected(g, u, v, F)
+            total += 1
+            misses += got != want
+            wrong_connected += got and not want
+    assert wrong_connected == 0
+    assert misses <= total // 100, (misses, total)
+
+
+@pytest.mark.parametrize("scheme", sorted(VERTEX_MODE_SCHEMES))
+def test_edge_whose_two_end_colors_fail(scheme):
+    # 1-2 (twice) joins colors 1 and 2, so F ⊇ {1, 2} fails it from both sides;
+    # 0 and 3 stay joined through 4 until color 3 fails too
+    g = vertex_graph([0, 1, 2, 0, 3], [(0, 1), (1, 2), (1, 2), (2, 3), (0, 4), (4, 3)])
+    build, query, budget = VERTEX_MODE_SCHEMES[scheme]
+    ls = build(g, 5)
+    if scheme == "large":
+        ones, twos = ({e.eid for e in ls.color_labels[c].edge_sketches} for c in (1, 2))
+        assert ones & twos
+    for size in range(budget + 1):
+        for F in itertools.combinations(range(g.C), size):
+            for u, v in itertools.combinations(range(g.n), 2):
+                if {g.vertex_color(u), g.vertex_color(v)} & set(F):
+                    continue
+                assert query(ls, u, v, F) == brute_force_connected(g, u, v, F), (u, v, F)
+    assert query(ls, 0, 3, (1, 2)) and not query(ls, 0, 3, (1, 3))
+
+
 def test_recursive_rejects_oversized_fault_sets():
     g = gen_random(10, 16, 4, seed=2)
     ls = label_recursive(g, f=2, seed=1)
@@ -286,6 +337,20 @@ def test_manifest_records_each_node():
     for h, child in man["children"].items():
         assert child["f"] == 2
         assert 1.0 <= man["delta"] <= max(man["certificate_edges"], 1)
+
+
+def test_vertex_mode_manifests_report_the_input_graph():
+    # no subdivision: every node indexes the input's n vertices, the top its m
+    # edges, and each child the certificate minus the edges its color removes
+    g = gen_random(384, 768, 64, seed=11, mode="vertex")
+    H = build_certificate(g).subgraph()
+    man = label_recursive(g, f=2, seed=1).meta["manifest"]
+    assert (man["n"], man["m"], man["certificate_edges"]) == (g.n, g.m, H.m)
+    removed = H.color_classes()
+    assert man["children"]
+    for h, child in man["children"].items():
+        assert (child["n"], child["m"]) == (g.n, H.m - len(removed[h]))
+    assert label_large_f(g, seed=1).meta["certificate_edges"] == H.m <= g.m
 
 
 def test_recursive_queries_read_only_labels():
@@ -336,12 +401,15 @@ def pinned_multi_answers(mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
 
 # Re-recorded when sketch queries moved to tree parts; the True counts were
 # edge (117, 148) and vertex (94, 111) before, and the 64 RemovedVertexError
-# answers in vertex mode are unchanged.
+# answers in vertex mode are unchanged.  The vertex pair was re-recorded again
+# when the multi-fault schemes stopped subdividing vertex-colored graphs: the
+# True counts went from (129, 126) to (130, 131), and the misses against brute
+# force from 2 to 1 (large-f) and from 5 to 0 (recursive f = 3).
 PINNED = {
     "edge": ((175, "7f8378bcd3729c9f23ff4a3f51dd75c1bc5d92c6e0079058c468d99fd599aa32"),
              (173, "f034d81f938701397c7fbd3486a3de9eea5e2950c8fb4c0b0b4d2cb4ccec5563")),
-    "vertex": ((129, "dcf144c5d8f5054b37500d2df33f7b40b70ee3c31e801263baf47499669cc694"),
-               (126, "f6f55a20f0e28d3bbad57edb71f62279988fd260487ed327dbcc4146e22f0258")),
+    "vertex": ((130, "7a01ff336fc81c6f3099332afa27593b25bbeb0f3106eb13a8a8b4c95c348ac4"),
+               (131, "f24bb22a7c438301feb4603a0cdb2a6b65d211dd5ef066dbf57ae83dab531fcc")),
 }
 
 
