@@ -154,6 +154,8 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     g = _read_graph(args.graph)
+    if g.n == 0:
+        raise GraphError("the graph has no vertices to draw query pairs from")
     seed = args.seed if args.seed is not None else _default_seed()
     scheme = SCHEMES[args.scheme]
     max_faults = scheme.budget(args.f)

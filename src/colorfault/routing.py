@@ -28,14 +28,17 @@ target in a component without an anchor gets a* = -1, and its route is all
 final approach from the source.
 
 Each port of the network is an immutable ``Hop`` record (a NamedTuple:
-source, port, neighbor, edge id, edge color) built once with the network,
-and each vertex's T table is also kept as a plain step naming the ``Hop``s of
-its ports (``TreeRouting.steps``).  The simulator ``route`` decides once per
-phase: it climbs a fragment to its first c-colored parent edge, or walks T
-toward a tree label (stopping early at t) and crosses a block's recovery
-edge there.  Only phase boundaries touch the header; each hop appends a
-shared ``Hop`` and allocates nothing, and the hop budget, the forbidden-color
-check (in a climb, its stop condition) and ``on_state`` run at every hop.
+source, port, neighbor, edge id, edge color) built once with the network.
+Every routing tree, T and each fragment forest, keeps one interval step per
+node, a plain tuple whose ways are T's ``Hop``s or a forest's blocks; T is
+oriented and numbered once (``build_tree_routing``), and the build reads each
+vertex's parent, parent-edge color and tree label off its T step.  The
+simulator ``route`` decides once per phase: it climbs a fragment to its first
+c-colored parent edge, or walks T toward a tree label (stopping early at t)
+and crosses a block's recovery edge there.  Only phase boundaries touch the
+header; each hop appends a shared ``Hop`` and allocates nothing, and the hop
+budget, the forbidden-color check (in a climb, its stop condition) and
+``on_state`` run at every hop.
 """
 
 from __future__ import annotations
@@ -117,68 +120,63 @@ class PortedNetwork:
 
 
 # -- interval tree routing -----------------------------------------------------------
+#
+# Every routing tree keeps one step per node, the plain tuple
+# (pre, end, up, ((hi, way), ...)): the node's pre-order number, the end of its
+# subtree interval [pre, end), the way to its parent (None at a root), and a way
+# to each child with the end of that child's interval.  The child intervals tile
+# (pre, end), so hi alone bounds each.  A way is a port's ``Hop`` in T and a
+# ``FirstRecEdgeBlock`` in a fragment forest.  Steps stay exact tuples, which
+# ``route``'s inlined walk unpacks at every hop.
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNodeTable:
-    """Interval routing at one node: T's steps are ports, a fragment table's are blocks."""
-
-    parent_port: int | FirstRecEdgeBlock | None
-    pre: int
-    end: int  # subtree interval [pre, end)
-    # (lo, hi, step), excluded from size
-    child_slots: tuple[tuple[int, int, int | FirstRecEdgeBlock], ...]
-
-    def next_port_for(self, target_label: int) -> int | FirstRecEdgeBlock | None:
-        """Step on the tree path toward the labeled target; None when arrived."""
-        if self.pre == target_label:
-            return None
-        if not (self.pre <= target_label < self.end):
-            if self.parent_port is None:
-                raise RoutingBugError("target outside this routing tree")
-            return self.parent_port
-        for lo, hi, port in self.child_slots:
-            if lo <= target_label < hi:
-                return port
-        raise RoutingBugError("interval tables inconsistent")
+def _toward(step, x: int):
+    """The way out of ``step`` toward the node numbered x; None when x is its own."""
+    pre, end, up, children = step
+    if pre == x:
+        return None
+    if not pre < x < end:
+        if up is None:
+            raise RoutingBugError("target outside this routing tree")
+        return up
+    for hi, way in children:
+        if x < hi:
+            return way
+    raise RoutingBugError("interval tables inconsistent")
 
 
 @dataclass(frozen=True, slots=True)
 class TreeRouting:
-    """Tables and destination labels for one rooted tree (or forest)."""
+    """Interval routing over one rooted forest of the network: a step per vertex.
 
-    tables: dict[int, TreeNodeTable]
-    label: dict[int, int]  # vertex -> DFS entry index
-    # per vertex, the tables as route walks them: (pre, end, parent Hop or None,
-    # ((hi, child Hop), ...)); the child intervals tile (pre, end), so hi alone bounds each
+    A vertex's tree label is its step's ``pre``; ``order`` lists the vertices
+    by it.
+    """
+
     steps: tuple[tuple[int, int, Hop | None, tuple[tuple[int, Hop], ...]], ...]
+    order: tuple[int, ...]
 
 
 def build_tree_routing(net: PortedNetwork, tree_edges: Iterable[int]) -> TreeRouting:
-    """Interval labeling of the forest ``tree_edges``, a table and label per vertex.
+    """Interval routing over the forest ``tree_edges``, the one place a tree is numbered.
 
     Each tree is rooted at its minimum id and numbered in pre-order with
     children in id order; a vertex no tree edge touches is a singleton tree.
     """
     parent, parent_edge = orient_forest(net.graph, tree_edges)
     order, pre, end = preorder(parent)
-    up = [None if p is None else net.port_of(v, parent_edge[v]) for v, p in enumerate(parent)]
-    slots: dict[int, list[tuple[int, int, int]]] = {v: [] for v in order}
-    for v in order:  # children come in pre-order, so their slots are sorted
+    ports, port_of = net.ports, net.port_index
+    children: list[list[tuple[int, Hop]]] = [[] for _ in parent]
+    for v in order:  # children come in pre-order, so each list is sorted
         p = parent[v]
         if p is not None:
-            slots[p].append((pre[v], end[v], net.port_of(p, parent_edge[v])))
-    tables = {
-        v: TreeNodeTable(parent_port=up[v], pre=pre[v], end=end[v], child_slots=tuple(child_slots))
-        for v, child_slots in slots.items()
-    }
-    ports = net.ports
+            children[p].append((end[v], ports[p][port_of[p, parent_edge[v]]]))
     steps = tuple(
-        (pre[v], end[v], None if up[v] is None else ports[v][up[v]],
-         tuple((hi, ports[v][port]) for _lo, hi, port in slots[v]))
-        for v in range(len(parent))
+        (pre[v], end[v], None if p is None else ports[v][port_of[v, parent_edge[v]]],
+         tuple(children[v]))
+        for v, p in enumerate(parent)
     )
-    return TreeRouting(tables, {v: pre[v] for v in slots}, steps)
+    return TreeRouting(steps, tuple(order))
 
 
 # -- blocks and per-color recovery structure -------------------------------------------
@@ -197,25 +195,22 @@ class FirstRecEdgeBlock:
 class ColorStructure:
     """Everything the scheme derives from T - c for one color c on T."""
 
-    color: int
     fragment_of: tuple[int, ...]  # fragment root per vertex
     frag_adj: dict[int, list[tuple[int, int]]]  # frag root -> (other root, edge id)
-    fragment_tables: dict[int, TreeNodeTable]  # frag root -> its table in the fragment forest
+    fragment_tables: dict[int, tuple]  # frag root -> its step in the fragment forest
     fragment_labels: dict[int, tuple[int, FirstRecEdgeBlock | None, int]]
     # frag root -> (a(v,c), block e(a(v,c), v, c), its forest number) for v in it
 
 
 @dataclass(frozen=True, slots=True)
 class RoutingTable:
-    """v's table.  ``bits`` charges for its parent port and color; ``route``
-    reads the same facts off the step's shared parent ``Hop``."""
+    """v's table.  ``bits`` also charges for v's parent port and color, which
+    ``route`` reads off the parent ``Hop`` of v's T step."""
 
     vertex: int
-    parent_port: int | None
-    parent_color: int | None
     blocks: dict[int, FirstRecEdgeBlock | None]  # anchor -> block for color c(v)
-    # color on P(v), unless v is in an anchor fragment -> v's fragment's table
-    fragment_tables: dict[int, TreeNodeTable]
+    # color on P(v), unless v is in an anchor fragment -> v's fragment's step
+    fragment_tables: dict[int, tuple]
     bits: int = field(default=0, compare=False)
 
 
@@ -266,10 +261,8 @@ class RoutingScheme:
     graph: ColoredGraph
     net: PortedNetwork
     ruling: RulingSet
-    anchors: tuple[int, ...]
     tree_routing: TreeRouting
-    colors_on_tree: frozenset[int]
-    structures: dict[int, ColorStructure]
+    structures: dict[int, ColorStructure]  # one per color on T
     tables: tuple[RoutingTable, ...]
     vertex_labels: tuple[RoutingVertexLabel, ...]
     color_labels: tuple[RoutingColorLabel, ...]
@@ -289,31 +282,21 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     if len(tree_edges) != g.n - 1:
         raise GraphError("routing scheme needs a connected graph")
     net = PortedNetwork.build(g)
-    root = 0 if g.n else -1
+    tree_routing = build_tree_routing(net, tree_edges)  # rooted at 0
 
-    tparent, tparent_edge = orient_forest(g, tree_edges)  # rooted at 0
-    torder = preorder(tparent)[0]
-    tree_routing = build_tree_routing(net, tree_edges)
-
-    colors_on_tree = frozenset(g.edge_color(eid) for eid in tree_edges)
     structures = {}
     anchor_reach = {}  # color -> forest root (each anchor fragment among them) -> its BFS
-    for c in sorted(colors_on_tree):
-        structures[c], anchor_reach[c] = _build_color_structure(
-            g, net, c, tparent, tparent_edge, torder, anchors, tree_routing.label
-        )
+    for c in sorted({up.color for _pre, _end, up, _ch in tree_routing.steps if up is not None}):
+        structures[c], anchor_reach[c] = _build_color_structure(g, net, c, tree_routing, anchors)
 
     tables, vertex_labels, color_labels = _build_tables_and_labels(
-        g, net, anchors, ruling.anchor, root, tparent_edge, tree_routing,
-        connectivity, structures, anchor_reach,
+        g, net, anchors, ruling.anchor, tree_routing.steps, connectivity, structures, anchor_reach,
     )
     return RoutingScheme(
         graph=g,
         net=net,
         ruling=ruling,
-        anchors=anchors,
         tree_routing=tree_routing,
-        colors_on_tree=colors_on_tree,
         structures=structures,
         tables=tables,
         vertex_labels=vertex_labels,
@@ -322,14 +305,15 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     )
 
 
-def _build_color_structure(g, net, c, tparent, tparent_edge, torder, anchors, tree_label):
+def _build_color_structure(g, net, c, tree_routing, anchors):
     n = g.n
     colors = g.edge_colors
+    steps = tree_routing.steps
     # fragment root: the root r, or a vertex whose parent edge is c-colored
     fragment_of = [0] * n
-    for v in torder:
-        pe = tparent_edge[v]
-        fragment_of[v] = v if pe is None or colors[pe] == c else fragment_of[tparent[v]]
+    for v in tree_routing.order:
+        up = steps[v][2]
+        fragment_of[v] = v if up is None or up.color == c else fragment_of[up.dst]
 
     frag_adj: dict[int, list[tuple[int, int]]] = {
         v: [] for v in range(n) if fragment_of[v] == v
@@ -366,27 +350,26 @@ def _build_color_structure(g, net, c, tparent, tparent_edge, torder, anchors, tr
     order, pre, end = preorder([
         index[reach[hang[fr][1]][fr][1]] if hang[fr][0] else None for fr in frags
     ])
-    cross = partial(_crossing, g, net, fragment_of, tree_label)
-    slots: dict[int, list] = {fr: [] for fr in frags}
+    cross = partial(_crossing, g, net, fragment_of, steps)
+    children: dict[int, list] = {fr: [] for fr in frags}
     up = {}  # fragment hung without an anchor -> block toward its forest parent
-    for i in order:  # children come in pre-order, so their slots are sorted
+    for i in order:  # children come in pre-order, so each list is sorted
         dist, root = hang[frags[i]]
         if dist:
             _dist, peer, eid = reach[root][frags[i]]
-            slots[peer].append((pre[i], end[i], cross(peer, eid)))
+            children[peer].append((end[i], cross(peer, eid)))
             if root not in lead:
                 up[frags[i]] = cross(frags[i], eid)
     tables = {
-        fr: TreeNodeTable(up.get(fr), pre[index[fr]], end[index[fr]], tuple(slots[fr]))
-        for fr in frags
+        fr: (pre[index[fr]], end[index[fr]], up.get(fr), tuple(children[fr])) for fr in frags
     }
     labels = {}
     for fr, (dist, root) in hang.items():
-        num = tables[fr].pre
-        block = tables[root].next_port_for(num) if dist and root in lead else None
+        num = tables[fr][0]
+        block = _toward(tables[root], num) if dist and root in lead else None
         block = block and replace(block, into_target_fragment=dist == 1)
         labels[fr] = (lead.get(root, -1), block, num)
-    return ColorStructure(c, tuple(fragment_of), frag_adj, tables, labels), reach
+    return ColorStructure(tuple(fragment_of), frag_adj, tables, labels), reach
 
 
 def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int | None, int | None]]:
@@ -399,24 +382,23 @@ def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int | None
     return {fr: (dist, peer, eid) for fr, peer, eid, dist in bfs(frag_adj.get, (source_frag,))}
 
 
-def _block_for(g, net, cs, tree_label, from_frag, reach) -> FirstRecEdgeBlock | None:
+def _block_for(g, net, cs, steps, from_frag, reach) -> FirstRecEdgeBlock | None:
     """FirstRecEdge on the fragment path from_frag -> target, ``reach`` the target's BFS."""
     dist, _peer, eid = reach.get(from_frag, (0, None, None))
     if dist == 0:  # from_frag is the target, or the fragment tree does not reach it
         return None
-    return _crossing(g, net, cs.fragment_of, tree_label, from_frag, eid, dist == 1)
+    return _crossing(g, net, cs.fragment_of, steps, from_frag, eid, dist == 1)
 
 
-def _crossing(g, net, fragment_of, tree_label, from_frag, eid, into_target=False):
+def _crossing(g, net, fragment_of, steps, from_frag, eid, into_target=False):
     """The block that leaves fragment ``from_frag`` over recovery edge ``eid``."""
     u, v = g.edges[eid]
     x = u if fragment_of[u] == from_frag else v
-    return FirstRecEdgeBlock(net.port_of(x, eid), tree_label[x], into_target)
+    return FirstRecEdgeBlock(net.port_of(x, eid), steps[x][0], into_target)
 
 
 def _build_tables_and_labels(
-    g, net, anchors, anchor_of, root, tparent_edge, tree_routing,
-    connectivity, structures, anchor_reach,
+    g, net, anchors, anchor_of, steps, connectivity, structures, anchor_reach,
 ):
     n = g.n
     wid = id_width(max(n, 2))
@@ -428,15 +410,14 @@ def _build_tables_and_labels(
     vertex_labels = []
     for v in range(n):
         wport_v = width_for(max(len(net.ports[v]), 2))  # the vertex's own ports
-        pe = tparent_edge[v]
-        pcolor = g.edge_color(pe) if pe is not None else None
+        up = steps[v][2]
         blocks: dict[int, FirstRecEdgeBlock | None] = {}
-        if pcolor is not None:
-            cs = structures[pcolor]
+        if up is not None:
+            cs = structures[up.color]
             for a in anchor_list:
                 blocks[a] = _block_for(
-                    g, net, cs, tree_routing.label,
-                    cs.fragment_of[v], anchor_reach[pcolor][cs.fragment_of[a]],
+                    g, net, cs, steps,
+                    cs.fragment_of[v], anchor_reach[up.color][cs.fragment_of[a]],
                 )
         on_path = connectivity.vertex_labels[v].cid_by_color  # v stores data for these c
         frags = {c: structures[c].fragment_of[v] for c in sorted(on_path)}
@@ -448,24 +429,15 @@ def _build_tables_and_labels(
         tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
         tbits += len(anchor_list) * wblock
         tbits += len(fragment_tables) * (wc + wport_v + 2 * wid)
-        tbits += wblock * sum(t.parent_port is not None for t in fragment_tables.values())
-        tables.append(
-            RoutingTable(
-                vertex=v,
-                parent_port=tree_routing.tables[v].parent_port,
-                parent_color=pcolor,
-                blocks=blocks,
-                fragment_tables=fragment_tables,
-                bits=tbits,
-            )
-        )
+        tbits += wblock * sum(t[2] is not None for t in fragment_tables.values())
+        tables.append(RoutingTable(v, blocks, fragment_tables, tbits))
 
         lbits = wid + wid + width_for(n + 1)
         lbits += len(per_color) * (wc + wid + wblock + wid)
         vertex_labels.append(
             RoutingVertexLabel(
                 vertex=v,
-                tree_label=tree_routing.label[v],
+                tree_label=steps[v][0],
                 anchor=anchor_of[v],
                 per_color=per_color,
                 bits=lbits,
@@ -480,9 +452,8 @@ def _build_tables_and_labels(
             if cs is None:
                 blocks[a] = None
             else:
-                blocks[a] = _block_for(
-                    g, net, cs, tree_routing.label,
-                    cs.fragment_of[root], anchor_reach[c][cs.fragment_of[a]],
+                blocks[a] = _block_for(  # from the fragment of T's root 0
+                    g, net, cs, steps, cs.fragment_of[0], anchor_reach[c][cs.fragment_of[a]],
                 )
         cbits = wc + width_for(len(anchor_list) + 1) + len(anchor_list) * wblock
         color_labels.append(RoutingColorLabel(c, blocks, cbits))
@@ -604,7 +575,7 @@ def route(
             table = tables[v].fragment_tables.get(h.color)
             if table is None:
                 raise RoutingBugError("fragment table missing on the final approach")
-            nb = h.next_block = table.next_port_for(h.target_fragment_label)
+            nb = h.next_block = _toward(table, h.target_fragment_label)
         x = h.target_tree_label if nb is None else nb.x_tree_label
         while x is not None:  # walk T toward the tree label x, stopping at t on the way
             pre, end, hop, children = steps[v]

@@ -183,6 +183,16 @@ def test_trials_and_fault_budget_rejected(tmp_path, capsys, argv, cause):
     assert captured.out == "" and captured.err.startswith("error: ") and cause in captured.err
 
 
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_verify_rejects_graph_without_vertices(tmp_path, capsys, name):
+    gpath = tmp_path / "empty.ccg"
+    gpath.write_text("ccg 1 edge 0 0 0\n")
+    assert main(["verify", str(gpath), "--scheme", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "no vertices" in captured.err
+
+
 def test_route_trace_format(tmp_path, capsys):
     g = gen_random(10, 18, 3, seed=8, connected=True)
     gpath = write_graph(tmp_path, g)

@@ -64,7 +64,7 @@ def test_certificate_exact_multigraph():
     _exhaustive_certificate_check(g)
 
 
-def test_certificate_vertex_mode_subdivides():
+def test_certificate_vertex_mode_keeps_answers():
     # u, v colored a; w colored h; direct edge must survive {h} in the certificate
     g = vertex_graph([0, 0, 2], [(0, 2), (2, 1), (0, 1)])
     cert = build_certificate(g)

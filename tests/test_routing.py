@@ -19,6 +19,7 @@ from colorfault.routing import (
     UnreachableError,
     _block_for,
     _fragment_bfs,
+    _toward,
     build_routing_scheme,
     build_tree_routing,
     header_bit_sizes,
@@ -37,7 +38,7 @@ def expected_first_recovery_block(
     if cs is None:
         return None
     return _block_for(
-        scheme.graph, scheme.net, cs, scheme.tree_routing.label,
+        scheme.graph, scheme.net, cs, scheme.tree_routing.steps,
         cs.fragment_of[v], _fragment_bfs(cs.frag_adj, cs.fragment_of[a_star]),
     )
 
@@ -77,8 +78,7 @@ def test_tree_routing_walks_tree_paths():
                 for _ in range(n + 1):
                     if cur == v:
                         break
-                    port = tr.tables[cur].next_port_for(tr.label[v])
-                    cur = net.ports[cur][port].dst
+                    cur = _toward(tr.steps[cur], tr.steps[v][0]).dst
                 assert cur == v
 
 
@@ -86,8 +86,8 @@ def test_tree_route_arrival_is_none():
     g = gen_path(3, coloring="uniform", C=1)
     net = PortedNetwork.build(g)
     tr = build_tree_routing(net, [0, 1])
-    assert tr.tables[1].next_port_for(tr.label[1]) is None
-    assert tr.tables[1].next_port_for(tr.label[2]) is not None
+    assert _toward(tr.steps[1], tr.steps[1][0]) is None
+    assert _toward(tr.steps[1], tr.steps[2][0]) is not None
 
 
 # -- scheme construction ------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_color_absent_from_tree_has_single_fragment():
     # parallel edge colored 1 can never join the spanning tree
     g = edge_graph(3, [(0, 1, 0), (1, 2, 0), (0, 1, 1)])
     scheme = build_routing_scheme(g)
-    assert 1 not in scheme.colors_on_tree
+    assert 1 not in scheme.structures
     lbl = scheme.color_labels[1]
     assert all(b is None for b in lbl.blocks.values())
     result = route(scheme, 0, 2, 1)
@@ -116,7 +116,7 @@ def test_color_absent_from_tree_has_single_fragment():
 def test_block_counts_bounded():
     g = gen_random(24, 50, 5, seed=7, connected=True)
     scheme = build_routing_scheme(g)
-    A = len(scheme.anchors)
+    A = len(scheme.ruling.anchors())
     for table in scheme.tables:
         assert len(table.blocks) in (0, A)
     for lbl in scheme.vertex_labels:
@@ -237,25 +237,20 @@ def connected_edge_multigraphs(draw, max_n=12, max_extra=16):
 
 def tc_routing(scheme, c):
     """The reference: interval routing over T_c, the tree (T - c) plus c's recovery edges."""
-    g, net = scheme.graph, scheme.net
-    tree_edges = [net.ports[v][t.parent_port].edge
-                  for v, t in scheme.tree_routing.tables.items() if t.parent_port is not None]
+    tree_edges = [up.edge for _pre, _end, up, _ch in scheme.tree_routing.steps
+                  if up is not None and up.color != c]
     cs = scheme.structures[c]
     recovery = {eid for adj in cs.frag_adj.values() for _other, eid in adj}
-    return build_tree_routing(
-        net, [e for e in tree_edges if g.edge_color(e) != c] + sorted(recovery))
+    return build_tree_routing(scheme.net, tree_edges + sorted(recovery))
 
 
 def tc_path(scheme, tc, s, t):
-    """The hops of the T_c path from s to t, walked with the reference tables ``tc``."""
-    g, net = scheme.graph, scheme.net
+    """The hops of the T_c path from s to t, walked with the reference steps ``tc``."""
     cur, walk = s, []
     while cur != t:
-        port = tc.tables[cur].next_port_for(tc.label[t])
-        hop = net.ports[cur][port]
-        eid, nxt = hop.edge, hop.dst
-        walk.append(Hop(cur, port, nxt, eid, g.edge_color(eid)))
-        cur = nxt
+        hop = _toward(tc.steps[cur], tc.steps[t][0])
+        walk.append(hop)
+        cur = hop.dst
     return tuple(walk)
 
 
@@ -303,10 +298,10 @@ def test_final_approach_walks_tc_path(g):
 @settings(max_examples=150, deadline=None)
 def test_fragment_forest_invariants(g):
     scheme = build_routing_scheme(g)
-    tree_label = scheme.tree_routing.label
+    steps = scheme.tree_routing.steps
     for c, cs in scheme.structures.items():
         lead = {}
-        for a in sorted(scheme.anchors):
+        for a in sorted(scheme.ruling.anchors()):
             lead.setdefault(cs.fragment_of[a], a)
         members = {}
         for v, fr in enumerate(cs.fragment_of):
@@ -327,12 +322,12 @@ def test_fragment_forest_invariants(g):
             near = min(((reach[a_fr][0], a_fr) for a_fr in lead if a_fr in reach),
                        default=None)
             a_vc, block, number = cs.fragment_labels[fr]
-            assert number == cs.fragment_tables[fr].pre
+            assert number == cs.fragment_tables[fr][0]
             if near is None:
                 assert (a_vc, block) == (-1, None)
             else:
                 assert a_vc == lead[near[1]]
-                assert block == _block_for(g, scheme.net, cs, tree_label, near[1], reach)
+                assert block == _block_for(g, scheme.net, cs, steps, near[1], reach)
 
 
 def test_refusals_match_brute_force_on_random_sweep():
@@ -469,25 +464,49 @@ def test_two_vertex_bounce_exhausts_hop_budget():
     assert visited == [1, 0] * 5
 
 
-def test_missing_fragment_table_on_final_approach_is_a_bug():
-    scheme = build_routing_scheme(PINNED_GRAPHS["random"]())
+def final_approach_start(scheme, descends=False):
+    """(s, t, c, v) of the first route whose final approach reads a table at v != t;
+    with ``descends``, one whose table there steps down to a child of v's fragment."""
     for s, t, c in route_triples(scheme.graph):
         starts = []
 
         def watch(v, h, t=t):
             if v != t and not starts and in_final_approach(h):
-                starts.append(v)
+                starts.append((v, h.target_fragment_label))
 
         try:
             route(scheme, s, t, c, on_state=watch)
         except UnreachableError:
             continue
         if starts:
-            break
-    else:
-        pytest.fail("no route with a final approach")
-    scheme.tables[starts[0]].fragment_tables.pop(c)
+            v, x = starts[0]
+            pre, end, _up, _children = scheme.tables[v].fragment_tables[c]
+            if not descends or pre < x < end:
+                return s, t, c, v
+    pytest.fail("no route with a final approach")
+
+
+def test_missing_fragment_table_on_final_approach_is_a_bug():
+    scheme = build_routing_scheme(PINNED_GRAPHS["random"]())
+    s, t, c, v = final_approach_start(scheme)
+    scheme.tables[v].fragment_tables.pop(c)
     with pytest.raises(RoutingBugError, match="fragment table missing on the final approach"):
+        route(scheme, s, t, c)
+
+
+def test_fragment_step_contract_errors():
+    # _toward's two contract errors, on a fragment-forest step the final approach reads
+    scheme = build_routing_scheme(PINNED_GRAPHS["random"]())
+    s, t, c, v = final_approach_start(scheme, descends=True)
+    stored = scheme.tables[v].fragment_tables
+    pre, end, up, children = intact = stored[c]
+    stored[c] = (pre, end, up, ())
+    with pytest.raises(RoutingBugError, match="interval tables inconsistent"):
+        route(scheme, s, t, c)
+    stored[c] = intact
+    assert route(scheme, s, t, c).trace[-1].dst == t
+    stored[c] = (pre, pre + 1, None, children)
+    with pytest.raises(RoutingBugError, match="target outside this routing tree"):
         route(scheme, s, t, c)
 
 
@@ -549,8 +568,8 @@ def test_header_and_table_sizes():
 def pinned_routing_outputs(g):
     """(delivered routes, sha256) of the whole scheme and of every route.
 
-    Hashes the tables, the vertex and color labels, T's tables and labels,
-    each color's fragments with their forest tables and labels (dicts as
+    Hashes the tables, the vertex and color labels, T's steps and pre-order,
+    each color's fragments with their forest steps and labels (dicts as
     sorted items), and the trace and header of route(s, t, c) for every
     s != t and color c, or the type name of its refusal.
     """
@@ -562,14 +581,13 @@ def pinned_routing_outputs(g):
         h.update(b"\n")
 
     for t in scheme.tables:
-        put((t.vertex, t.parent_port, t.parent_color, sorted(t.blocks.items()),
-             sorted(t.fragment_tables.items()), t.bits))
+        put((t.vertex, sorted(t.blocks.items()), sorted(t.fragment_tables.items()), t.bits))
     for lbl in scheme.vertex_labels:
         put((lbl.vertex, lbl.tree_label, lbl.anchor, sorted(lbl.per_color.items()), lbl.bits))
     for lbl in scheme.color_labels:
         put((lbl.color, sorted(lbl.blocks.items()), lbl.bits))
-    put(sorted(scheme.tree_routing.tables.items()))
-    put(sorted(scheme.tree_routing.label.items()))
+    put(scheme.tree_routing.steps)
+    put(scheme.tree_routing.order)
     for c, cs in sorted(scheme.structures.items()):
         put((c, cs.fragment_of, sorted(cs.frag_adj.items()),
              sorted(cs.fragment_tables.items()), sorted(cs.fragment_labels.items())))
@@ -589,12 +607,13 @@ def pinned_routing_outputs(g):
     return delivered, h.hexdigest()
 
 
-# Recorded once anchor fragments stopped storing fragment tables, which no final
-# approach reads: the tables and their bits differ, while every route, header and
-# label equals the earlier pins; test_route_traces_pinned holds the routes' hops.
+# Recorded once every routing tree kept one step tuple per node: the earlier
+# pins' tables, rewritten as steps and hashed this way, give these digests, so
+# every table, label, route and header is unchanged; test_route_traces_pinned
+# holds the routes' hops.
 PINNED = {
-    "random": (2032, "edd431e93ee7c747560d4d95728b440a701336053182b065a80eba97f425a34b"),
-    "grid": (51584, "501bf259a0574883a22a50e58619bc3326379d67fac3cebfd7a455c716b54a2f"),
+    "random": (2032, "05afa75bc2fa6ffc7875a5b72754cf90a89ebb07579001c49b6ecdae56d9b3b7"),
+    "grid": (51584, "be5eb29966669861fba80788add6dab87471434e247c6a5ccb59bfa72226a63d"),
 }
 PINNED_GRAPHS = {
     "random": lambda: gen_random(24, 44, 4, seed=5, connected=True),
@@ -671,37 +690,52 @@ def test_route_traces_pinned(name):
 # -- the per-vertex T steps, and on_state, on the pinned and random graphs -------
 
 
-def check_steps_match_tables(scheme):
-    """The T step ``route`` walks at each vertex says what its tables say.
+def check_step_tiling(steps, pre_of, way_type):
+    """Each step is an exact tuple (pre, end, up, ((hi, way), ...)) whose child
+    intervals tile (pre, end): the first hi above a label then finds its child.
 
-    Both its ``TreeNodeTable`` and its ``RoutingTable``: the latter's parent
-    port and color are those of the step's parent ``Hop``, None at a root.
+    ``pre_of(way)`` is the number of the child a way leads to.
     """
+    for step in steps:
+        assert type(step) is tuple and len(step) == 4
+        pre, end, up, children = step
+        assert up is None or type(up) is way_type
+        assert type(children) is tuple
+        lo = pre + 1
+        for child in children:
+            assert type(child) is tuple and len(child) == 2
+            hi, way = child
+            assert type(way) is way_type and pre_of(way) == lo < hi
+            lo = hi
+        assert lo == end
+
+
+def check_steps(scheme):
+    """T's steps and every color's fragment-forest steps tile their intervals; T's
+    ways are the ports' shared ``Hop``s, and its pre-order lists each vertex at its label."""
     tr, ports = scheme.tree_routing, scheme.net.ports
-    assert len(tr.steps) == scheme.graph.n == len(tr.tables)
-    for v, (pre, end, up, children) in enumerate(tr.steps):
-        table = tr.tables[v]
-        assert (pre, end) == (table.pre, table.end)
-        assert up is (None if table.parent_port is None else ports[v][table.parent_port])
-        assert len(children) == len(table.child_slots)
-        for (hi, hop), (_lo, table_hi, port) in zip(children, table.child_slots):
-            assert hi == table_hi and hop is ports[v][port]
-        # the child intervals tile (pre, end), so the first hi above a label finds its child
-        bounds = [pre + 1] + [hi for hi, _hop in children]
-        assert [lo for lo, _hi, _port in table.child_slots] == bounds[:-1]
-        assert bounds[-1] == end
-        # the table charges bits for the parent port and color that route reads off the Hop
-        row = scheme.tables[v]
-        assert row.vertex == v
-        assert row.parent_port == (None if up is None else up.port)
-        assert row.parent_color == (None if up is None else up.color)
+    assert len(tr.steps) == scheme.graph.n == len(tr.order)
+    check_step_tiling(tr.steps, lambda hop: tr.steps[hop.dst][0], Hop)
+    for v, (pre, _end, up, children) in enumerate(tr.steps):
+        assert tr.order[pre] == v
+        for hop in ([] if up is None else [up]) + [hop for _hi, hop in children]:
+            assert hop.src == v and ports[v][hop.port] is hop
+        for hi, hop in children:  # a child's parent way is the same edge back
+            assert tr.steps[hop.dst][1] == hi and tr.steps[hop.dst][2].edge == hop.edge
+    for cs in scheme.structures.values():
+
+        def entered(block, cs=cs):  # the number of the fragment a block's recovery edge enters
+            x = tr.order[block.x_tree_label]
+            return cs.fragment_tables[cs.fragment_of[ports[x][block.port].dst]][0]
+
+        check_step_tiling(cs.fragment_tables.values(), entered, FirstRecEdgeBlock)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_steps_and_on_state_on_pinned_graphs(name):
     g = PINNED_GRAPHS[name]()
     scheme = build_routing_scheme(g)
-    check_steps_match_tables(scheme)
+    check_steps(scheme)
     check_on_state(scheme, route_triples(g))
 
 
@@ -709,5 +743,5 @@ def test_steps_and_on_state_on_pinned_graphs(name):
 @settings(max_examples=100, deadline=None)
 def test_steps_and_on_state_on_random_graphs(g):
     scheme = build_routing_scheme(g)
-    check_steps_match_tables(scheme)
+    check_steps(scheme)
     check_on_state(scheme, route_triples(g))
