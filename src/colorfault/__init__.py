@@ -45,10 +45,9 @@ from .oracle import brute_force_connected
 from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from .routing import build_routing_scheme, route
 from .single_fault import (
-    ball_packing_exact,
-    ball_packing_greedy,
     build_ruling_set,
     label_single_fault,
+    packing_certificate,
     pair_connected,
     query_single_fault,
 )
@@ -67,8 +66,6 @@ __all__ = [
     "LabelSet",
     "ParseError",
     "RemovedVertexError",
-    "ball_packing_exact",
-    "ball_packing_greedy",
     "bfs_tree",
     "brute_force_connected",
     "build_all_pairs",
@@ -89,6 +86,7 @@ __all__ = [
     "label_single_fault",
     "label_two_fault",
     "measure_labels",
+    "packing_certificate",
     "pair_connected",
     "parse_graph",
     "query_all_pairs_ids",

@@ -27,7 +27,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .labels import loglog_slope, measure_labels, report_lines
+from .labels import LabelSet, loglog_slope, measure_labels, report_lines
 from .nca import build_one_fault_oracle, dump_oracle, load_oracle, oracle_file_bits
 from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
@@ -115,8 +115,10 @@ def cmd_query(args) -> int:
     with open(args.labels, "rb") as fh:
         try:
             ls = pickle.load(fh)
-        except (pickle.UnpicklingError, EOFError) as exc:
+        except (pickle.UnpicklingError, EOFError, ImportError, AttributeError) as exc:
             raise GraphError(f"{args.labels} is not a label file: {exc}") from exc
+    if not isinstance(ls, LabelSet):
+        raise GraphError(f"{args.labels} is not a label file: it holds a {type(ls).__name__}")
     colors = [int(c) for c in args.colors.split(",")] if args.colors else []
     try:
         ok = query(ls, args.u, args.v, colors)
@@ -156,8 +158,10 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     if g.n == 0:
         raise GraphError("the graph has no vertices to draw query pairs from")
-    seed = args.seed if args.seed is not None else _default_seed()
     scheme = SCHEMES[args.scheme]
+    if g.C == 0 and scheme.max_faults is not None:
+        raise GraphError(f"the graph has no colors to fail; scheme {scheme.name} needs one in F")
+    seed = args.seed if args.seed is not None else _default_seed()
     max_faults = scheme.budget(args.f)
     ls = scheme.build(g, f=args.f, seed=seed, repetitions=args.repetitions,
                       checksum_bits=args.checksum_bits)
@@ -200,6 +204,7 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes must all be at least 1, got {args.sizes}")
+    report: dict = {"scheme": args.scheme, "generator": args.generator}
     rows = []
     for n in sizes:
         if args.generator == "path":
@@ -213,10 +218,14 @@ def cmd_bench(args) -> int:
         max_bits = ls.max_label_bits()
         words = max_bits / max(id_width(max(g.n, 2)), 1)
         rows.append((n, max_bits, words))
-    report: dict = {"scheme": args.scheme, "generator": args.generator}
-    for n, bits, words in rows:
-        report[f"n{n}.max_bits"] = bits
+        report[f"n{n}.max_bits"] = max_bits
         report[f"n{n}.max_words"] = round(words, 2)
+        if args.scheme == "single":  # the ruling set's k and packing_certificate's r
+            r = ls.meta["k"] // 4
+            report[f"n{n}.k"] = ls.meta["k"]
+            report[f"n{n}.r"] = r
+            if r:
+                report[f"n{n}.words_per_r"] = round(words / r, 2)
     if len(rows) >= 2:
         report["slope_bits"] = round(
             loglog_slope([r[0] for r in rows], [r[1] for r in rows]), 4

@@ -4,7 +4,9 @@ Both encoders turn an arbitrary bit string into a coloring of a fixed topology
 such that each bit is recoverable with one connectivity query against a small
 fault set.  They are used to exercise the exact constructions behind the
 length lower bounds: packed proper balls (one fault per bit) and multi-arm
-parallel-edge spiders (f faults per bit).  A ball is ``single_fault.proper_ball``.
+parallel-edge spiders (f faults per bit).  A ball is ``single_fault.proper_ball``;
+the default ball centers are ``single_fault.packing_certificate``'s, read off
+the topology's ruling sequence, so a ball encoding runs at any n.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 
 from .graph import EDGE, VERTEX, ColoredGraph, GraphError, as_view
 from .oracle import brute_force_connected
-from .single_fault import ball_packing_exact, find_disjoint_proper_balls, proper_ball
+from .single_fault import build_ruling_set, packing_certificate, proper_ball
 
 
 class WitnessError(ValueError):
@@ -70,11 +72,13 @@ def encode_balls(
     exactly the disconnection of the center from its radius witness under the
     single fault {l}.  Each ball is one ``proper_ball``, and its layer edges
     come from its own vertices' adjacency: the work is linear in the balls.
+    Without ``centers`` the balls are ``packing_certificate``'s, r = floor(k/4);
+    explicit centers may pack more.  Either way each ball is checked proper
+    and disjoint from the earlier ones.
     """
     gv = as_view(topology)
     if centers is None:
-        r = ball_packing_exact(gv)
-        centers = find_disjoint_proper_balls(gv, r) or []
+        centers = packing_certificate(build_ruling_set(gv))[1]
     r = len(centers)
     balls = [proper_ball(gv, v, r) for v in centers]
     covered: set[int] = set()

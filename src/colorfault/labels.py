@@ -100,8 +100,10 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
     if len(set(xs)) < 2 or min(xs) <= 0:
         raise ValueError(f"a log-log slope needs two distinct positive x values, got {list(xs)}")
+    if min(ys) <= 0:
+        raise ValueError(f"a log-log slope needs positive y values, got {list(ys)}")
     lx = [math.log(x) for x in xs]
-    ly = [math.log(max(y, 1e-12)) for y in ys]
+    ly = [math.log(y) for y in ys]
     mean_x = sum(lx) / len(lx)
     mean_y = sum(ly) / len(ly)
     num = sum((a - mean_x) * (b - mean_y) for a, b in zip(lx, ly))

@@ -10,10 +10,12 @@ every a in A.  Every entry is read off the index of the one-fault oracle
 O(n) words.  Queries resolve with one map hit or one anchor lookup.  Label
 sizes come from ``label_bits``, given the ruling set and its path colors.
 
-The halting iteration k doubles as a greedy upper bound tied to the packing of
-disjoint proper balls in the topology: floor(k/4) never exceeds the exact
-packing number, and k = O(sqrt n).  A proper r-ball is one BFS bounded at r
-(``proper_ball``), which the exact packing and the ball encoder share.
+The halting iteration k also bounds the packing number bp(G), the largest r
+admitting r vertex-disjoint proper r-balls: ``packing_certificate`` reads
+floor(k/4) such balls off A, so floor(k/4) <= bp(G), and since a proper r-ball
+holds at least r + 1 vertices, k = O(sqrt n).  A proper r-ball is one BFS
+bounded at r (``proper_ball``), which checks the certificate's balls in the
+ball encoder.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ from .labels import LabelSet
 from .nca import build_one_fault_oracle
 
 SCHEME = "single-fault"
-EXACT_PACKING_MAX_N = 32  # ``ball_packing_exact``'s exhaustive search refuses larger graphs
-
-
-class SizeLimitError(ValueError):
-    """Input too large for the exhaustive ball-packing search."""
-
 
 @dataclass(frozen=True, slots=True)
 class RulingSet:
@@ -227,11 +223,6 @@ def pair_connected(
 # -- ball packing -------------------------------------------------------------
 
 
-def ball_packing_greedy(g: ColoredGraph | GraphView) -> int:
-    """Halting iteration k of the ruling-set loop: floor(k/4) <= exact packing."""
-    return _ruling_sequence(as_view(g))[2]
-
-
 def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, int] | None:
     """Distance of every vertex within r of ``center`` by a BFS that stops at depth r.
 
@@ -248,50 +239,21 @@ def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, i
     return dist if d >= r else None
 
 
-def find_disjoint_proper_balls(g: ColoredGraph | GraphView, r: int) -> list[int] | None:
-    """Centers of r pairwise disjoint proper r-balls, or None.
+def packing_certificate(ruling: RulingSet) -> tuple[int, tuple[int, ...]]:
+    """(r, centers): r = floor(k/4) pairwise disjoint proper r-balls, read off A.
 
-    Candidate centers are the vertices whose ``proper_ball`` exists; balls
-    are bitmasks so disjointness is a single AND.
+    The centers are the anchors a_j with 2r < j <= 3r, ``A[2r:3r]``; A holds
+    a_1 ... a_{k-1}, and 3r <= k - r <= k - 1 once r >= 1, so there are r of
+    them.  When a_j was chosen it lay at distance exactly j >= 2r + 1 from
+    A0 u {a_1, ..., a_{j-1}}, a set that meets its component.  Hence:
+
+    - for i < j, dist(a_i, a_j) >= j > 2r (or a_i lies in another component),
+      so the r-balls of a_i and a_j are disjoint;
+    - a shortest path from a_j to that set has length j > r, and its vertex r
+      steps from a_j lies at distance exactly r: every r-ball is proper.
+
+    So floor(k/4) <= bp(G), certified in O(k) time once the ruling set is
+    built; ``proper_ball`` checks each ball.
     """
-    gv = as_view(g)
-    if r == 0:
-        return []
-    balls = {}
-    for v in range(gv.n):
-        dist = proper_ball(gv, v, r) if gv.vertex_present(v) else None
-        if dist is not None:
-            balls[v] = sum(1 << u for u in dist)
-    candidates = list(balls)
-    if len(candidates) < r:
-        return None
-
-    chosen: list[int] = []
-
-    def search(start: int, used: int) -> bool:
-        if len(chosen) == r:
-            return True
-        for idx in range(start, len(candidates)):
-            if len(chosen) + len(candidates) - idx < r:
-                return False
-            v = candidates[idx]
-            if balls[v] & used:
-                continue
-            chosen.append(v)
-            if search(idx + 1, used | balls[v]):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if search(0, 0) else None
-
-
-def ball_packing_exact(g: ColoredGraph | GraphView) -> int:
-    """Maximum r admitting r vertex-disjoint proper r-balls (exhaustive)."""
-    gv = as_view(g)
-    if gv.n > EXACT_PACKING_MAX_N:
-        raise SizeLimitError(f"n = {gv.n} exceeds EXACT_PACKING_MAX_N = {EXACT_PACKING_MAX_N}")
-    # a proper r-ball holds >= r+1 vertices, so r*(r+1) <= n; a radius past
-    # every eccentricity has no proper ball, so its search fails at once
-    fits = (r for r in range(gv.n, 0, -1) if r * (r + 1) <= gv.n)
-    return next((r for r in fits if find_disjoint_proper_balls(gv, r) is not None), 0)
+    r = ruling.k // 4
+    return r, ruling.A[2 * r:3 * r]

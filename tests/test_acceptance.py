@@ -42,8 +42,6 @@ from colorfault.reduction import (
 )
 from colorfault.routing import build_routing_scheme, header_bit_sizes, route
 from colorfault.single_fault import (
-    ball_packing_exact,
-    ball_packing_greedy,
     label_single_fault,
     pair_connected,
     query_single_fault,
@@ -53,6 +51,11 @@ from colorfault.two_fault import label_two_fault, query_two_fault_ids
 from test_nca import label_nca, nca_query
 from test_reduction import row_separation_estimate
 from test_routing import expected_first_recovery_block
+from test_single_fault import (
+    ball_packing_exact,
+    check_packing_certificate,
+    find_disjoint_proper_balls,
+)
 from test_two_fault import derived_cid
 
 
@@ -82,6 +85,7 @@ def _single_fault_corpus():
 
 def _check_single_fault_exact(g, rng) -> int:
     ls = label_single_fault(g)
+    check_packing_certificate(g)
     # the length bound of criterion 2 holds on every corpus instance
     w = max(1, width_for(max(g.n, g.C, 2)))
     assert ls.max_label_bits() <= 3 * ls.meta["k"] * w
@@ -134,6 +138,7 @@ def test_criterion_2_single_fault_length():
         k = ls.meta["k"]
         w = max(1, width_for(max(g.n, g.C, 2)))
         assert ls.max_label_bits() <= 3 * k * w, (i, ls.max_label_bits(), 3 * k * w)
+        check_packing_certificate(g)
 
     # growth on paths: a label holds O(bp) entries of one id-width each, so
     # the slope assertion reads label size in id-words; raw bits carry an
@@ -142,7 +147,9 @@ def test_criterion_2_single_fault_length():
     words = []
     bits = []
     for n in sizes:
-        ls = label_single_fault(gen_path(n))
+        g = gen_path(n)
+        ls = label_single_fault(g)
+        check_packing_certificate(g)
         w = max(1, width_for(max(n, ls.C, 2)))
         mx = ls.max_label_bits()
         bits.append(mx)
@@ -150,7 +157,7 @@ def test_criterion_2_single_fault_length():
     slope_words = loglog_slope(sizes, words)
     slope_bits = loglog_slope(sizes, bits)
 
-    # greedy bound against the exact packing number, exhaustively at n <= 14
+    # the certified floor(k/4) against the exact packing number, exhaustively at n <= 14
     quarter_ok = True
     small = [gen_path(n) for n in range(2, 15)]
     small += [gen_wheel(n, coloring="uniform", C=3, seed=0) for n in range(4, 15)]
@@ -162,7 +169,7 @@ def test_criterion_2_single_fault_length():
         m = min(6 + s % 9, n * (n - 1) // 2)
         small.append(gen_random(n, m, 2 + s % 4, seed=s))
     for g in small:
-        if ball_packing_greedy(g) // 4 > ball_packing_exact(g):
+        if check_packing_certificate(g) > ball_packing_exact(g):
             quarter_ok = False
             break
     ok = abs(slope_words - 0.5) <= 0.1 and quarter_ok
@@ -170,7 +177,8 @@ def test_criterion_2_single_fault_length():
         "2 (single-fault length)",
         ok,
         f"bit bound on 40 instances; path slope {slope_words:.3f} words "
-        f"({slope_bits:.3f} bits, reported); floor(k/4) <= bp on {len(small)} small graphs",
+        f"({slope_bits:.3f} bits, reported); floor(k/4) <= bp on {len(small)} small graphs; "
+        "certified floor(k/4) balls proper and disjoint on all",
     )
 
 
@@ -198,7 +206,8 @@ def test_criterion_3_lower_bound_round_trips():
         t = gen_tree(4 + seed % 11, seed=seed)
         r = ball_packing_exact(t)
         bits = [rng.randrange(2) for _ in range(r * r)]
-        inst = encode_balls(t, bits)
+        inst = encode_balls(t, bits, centers=find_disjoint_proper_balls(t, r))
+        assert inst.capacity == r * r
         assert inst.decode_with_oracle() == bits
         assert inst.decode(_single_fault_answer(inst.graph)) == bits
     # spiders: brute force decodes exactly; matching schemes decode >= 99%/bit

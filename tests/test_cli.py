@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -149,20 +150,25 @@ def test_sketch_schemes_reject_empty_sketch_params(tmp_path, capsys, command, sc
 
 
 def test_bench_reports_slope(capsys):
-    assert main(["bench", "--scheme", "single", "--sizes", "32,64,128",
+    assert main(["bench", "--scheme", "single", "--sizes", "4,32,64,128",
                  "--generator", "path"]) == 0
     out = capsys.readouterr().out
     assert "slope_words=" in out and "n64.max_bits=" in out
+    # the ruling set's k, the certified r = floor(k/4), and label words per r when r >= 1
+    assert "n4.k=3\nn4.r=0\nn32.max_bits=" in out
+    assert "n32.k=8\nn32.r=2\nn32.words_per_r=" in out
+    assert "n128.k=16\nn128.r=4\nn128.words_per_r=" in out
 
 
 def test_bench_multi_on_dense_random(capsys):
     assert main(["bench", "--scheme", "multi", "--generator", "random", "--coloring", "uniform",
                  "--density", "4", "--f", "2", "--sizes", "16,32", "--seed", "0"]) == 0
-    assert "slope_bits=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "slope_bits=" in out and ".k=" not in out and ".r=" not in out  # single only
 
 
 @pytest.mark.parametrize("sizes, cause", [("8,8", "distinct"), ("0,8", "--sizes"),
-                                          ("8,0", "--sizes")])
+                                          ("8,0", "--sizes"), ("1,2", "positive y")])
 def test_bench_rejects_degenerate_sizes(capsys, sizes, cause):
     assert main(["bench", "--scheme", "single", "--sizes", sizes]) == 1
     captured = capsys.readouterr()
@@ -191,6 +197,20 @@ def test_verify_rejects_graph_without_vertices(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert "no vertices" in captured.err
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_verify_graph_without_colors(tmp_path, capsys, name):
+    # a one-fault or two-fault scheme has no color to fail; the others answer F = {}
+    gpath = tmp_path / "colorless.ccg"
+    gpath.write_text("ccg 1 edge 3 0 0\n")
+    code = main(["verify", str(gpath), "--scheme", name, "--trials", "20"])
+    captured = capsys.readouterr()
+    if SCHEMES[name].max_faults is None:
+        assert code == 0 and "agreement=1.000" in captured.out
+    else:
+        assert code == 1 and captured.out == "" and captured.err.startswith("error: ")
+        assert "no colors to fail" in captured.err
 
 
 def test_route_trace_format(tmp_path, capsys):
@@ -289,6 +309,15 @@ def test_encode_balls_cli(tmp_path, capsys):
     assert "round_trip=1" in out
 
 
+def test_encode_balls_cli_without_centers(tmp_path, capsys):
+    # the certificate gives k = 9 and r = 2 on the 40-path: 4 bits
+    gpath = write_graph(tmp_path, gen_path(40))
+    assert main(["encode", "balls", gpath, "--bits", "1101",
+                 "--decode-with", "scheme"]) == 0
+    out = capsys.readouterr().out
+    assert "capacity=4" in out and "decoded=1101" in out and "round_trip=1" in out
+
+
 def test_encode_spider_cli(capsys):
     assert main(["encode", "spider", "--f", "2", "--q", "4", "--arms", "3",
                  "--bits", "10" * 9, "--decode-with", "scheme", "--seed", "2"]) == 0
@@ -342,6 +371,20 @@ def test_query_of_a_file_that_is_not_labels_is_an_error_line(tmp_path, capsys, c
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "bad.bin" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, cause", [
+    (pickle.dumps([1, 2, 3]), "it holds a list"),
+    (b"cno_such_module\nThing\n.", "No module named 'no_such_module'"),
+    (b"cpickle\nNoSuchThing\n.", "NoSuchThing"),
+], ids=["list", "missing-module", "missing-class"])
+def test_query_of_a_foreign_pickle_is_an_error_line(tmp_path, capsys, data, cause):
+    bad = tmp_path / "foreign.pkl"
+    bad.write_bytes(data)
+    assert main(["query", str(bad), "0", "1", "--colors", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad} is not a label file: ")
+    assert cause in err and err.count("\n") == 1
 
 
 def test_oracle_round_trip_on_vertex_colored_graph(tmp_path, capsys):

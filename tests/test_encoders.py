@@ -11,9 +11,10 @@ from colorfault.encoders import (
     parse_bits,
     spider_capacity,
 )
-from colorfault.generators import gen_path, gen_tree, gen_wheel
+from colorfault.generators import gen_grid, gen_path, gen_tree, gen_wheel
 from colorfault.multi_fault import label_recursive, query_recursive_ids
-from colorfault.single_fault import label_single_fault, query_single_fault
+from colorfault.single_fault import build_ruling_set, label_single_fault, query_single_fault
+from test_single_fault import ball_packing_exact, find_disjoint_proper_balls
 
 
 def single_fault_answer(graph):
@@ -53,22 +54,34 @@ def test_balls_every_bit_pattern_path9():
         assert inst.decode_with_oracle() == list(bits)
 
 
-def test_balls_default_witness_from_exact_packing():
+def test_balls_default_centers_from_certificate():
+    # k = 4 on the 9-path: one certified ball, 1 bit; explicit centers [1, 7] carry 4
     g = gen_path(9)
-    inst = encode_balls(g, [1, 1, 0, 1])
-    assert inst.capacity == 4
-    assert inst.decode_with_oracle() == [1, 1, 0, 1]
+    for bit in (0, 1):
+        inst = encode_balls(g, [bit])
+        assert inst.capacity == (build_ruling_set(g).k // 4) ** 2 == 1
+        assert inst.decode_with_oracle() == [bit]
+        assert inst.decode(single_fault_answer(inst.graph)) == [bit]
+    with pytest.raises(ValueError, match="need exactly 1 bits"):
+        encode_balls(g, [1, 1, 0, 1])
+
+
+def test_balls_certificate_round_trip_on_grid32():
+    # 16 bits (r = 4) on the certificate's default balls, decoded through single labels
+    rng = random.Random(32)
+    bits = [rng.randrange(2) for _ in range(16)]
+    inst = encode_balls(gen_grid(32, 32), bits)
+    assert inst.capacity == 16
+    assert inst.decode(single_fault_answer(inst.graph)) == bits
 
 
 def test_balls_scheme_decode_matches():
-    from colorfault.single_fault import ball_packing_exact
-
     rng = random.Random(5)
     for seed in range(10):
         g = gen_tree(rng.randrange(4, 14), seed=seed)
         r = ball_packing_exact(g)
         bits = [rng.randrange(2) for _ in range(r * r)]
-        inst = encode_balls(g, bits)
+        inst = encode_balls(g, bits, centers=find_disjoint_proper_balls(g, r))
         assert inst.capacity == r * r
         assert inst.decode_with_oracle() == bits
         assert inst.decode(single_fault_answer(inst.graph)) == bits

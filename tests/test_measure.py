@@ -47,6 +47,13 @@ def test_loglog_slope_rejects_degenerate_x(xs, cause):
         loglog_slope(xs, [3] * len(xs))
 
 
+@pytest.mark.parametrize("ys", [[0, 5], [4, -1, 9]])
+def test_loglog_slope_rejects_non_positive_y(ys):
+    # a zero label size has no logarithm; clamping it would fit a steep slope
+    with pytest.raises(ValueError, match="positive y"):
+        loglog_slope([1, 2, 4][:len(ys)], ys)
+
+
 def test_report_lines_flatten():
     lines = report_lines({"a": 1, "b": {"c": 2.5}})
     assert "a=1" in lines and "b.c=2.500" in lines

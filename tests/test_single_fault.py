@@ -14,18 +14,15 @@ from colorfault.graph import (
     path_colors,
     vertex_graph,
 )
-from colorfault.generators import gen_path, gen_random, gen_tree, gen_wheel
+from colorfault.generators import gen_grid, gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.oracle import brute_force_partition
 from colorfault.single_fault import (
-    EXACT_PACKING_MAX_N,
-    SizeLimitError,
-    ball_packing_exact,
-    ball_packing_greedy,
     build_ruling_set,
-    find_disjoint_proper_balls,
     label_bits,
     label_single_fault,
+    packing_certificate,
     pair_connected,
+    proper_ball,
     query_single_fault,
 )
 
@@ -261,28 +258,84 @@ def test_vertex_mode_anchor_color_in_map():
 # -- ball packing ---------------------------------------------------------------
 
 
+def find_disjoint_proper_balls(g, r):
+    """Centers of r pairwise disjoint proper r-balls, or None (exhaustive reference).
+
+    Candidate centers are the vertices whose ``proper_ball`` exists; balls
+    are bitmasks so disjointness is a single AND.
+    """
+    if r == 0:
+        return []
+    balls = {}
+    for v in range(g.n):
+        dist = proper_ball(g, v, r)
+        if dist is not None:
+            balls[v] = sum(1 << u for u in dist)
+    candidates = list(balls)
+    chosen = []
+
+    def search(start, used):
+        if len(chosen) == r:
+            return True
+        for idx in range(start, len(candidates)):
+            if len(chosen) + len(candidates) - idx < r:
+                return False
+            v = candidates[idx]
+            if balls[v] & used:
+                continue
+            chosen.append(v)
+            if search(idx + 1, used | balls[v]):
+                return True
+            chosen.pop()
+        return False
+
+    return chosen if search(0, 0) else None
+
+
+def ball_packing_exact(g):
+    """bp(G): the maximum r admitting r vertex-disjoint proper r-balls (exponential)."""
+    # a proper r-ball holds >= r+1 vertices, so r*(r+1) <= n; a radius past
+    # every eccentricity has no proper ball, so its search fails at once
+    fits = (r for r in range(g.n, 0, -1) if r * (r + 1) <= g.n)
+    return next((r for r in fits if find_disjoint_proper_balls(g, r) is not None), 0)
+
+
+def assert_disjoint_proper_balls(g, centers, r):
+    seen = set()
+    for v in centers:
+        depth = dist_from(g, v)
+        assert r in depth.values(), (v, r)
+        ball = {u for u, d in depth.items() if d <= r}
+        assert not (ball & seen), (v, r)
+        seen |= ball
+
+
+def check_packing_certificate(g):
+    """r = floor(k/4) centers whose r-balls are proper and pairwise disjoint; returns r."""
+    ruling = build_ruling_set(g)
+    r, centers = packing_certificate(ruling)
+    assert r == ruling.k // 4 and len(centers) == r
+    assert_disjoint_proper_balls(g, centers, r)
+    return r
+
+
 def test_greedy_equals_k():
-    assert ball_packing_greedy(gen_path(9)) == 4
-    assert ball_packing_greedy(edge_graph(1, [], C=1)) == 1
+    assert build_ruling_set(gen_path(9)).k == 4
+    assert build_ruling_set(edge_graph(1, [], C=1)).k == 1
 
 
 def test_greedy_sqrt_bound():
     for seed in range(10):
         g = gen_random(30, 45, 5, seed=seed)
-        assert ball_packing_greedy(g) <= 4 * (math.isqrt(g.n) + 1)
-    assert ball_packing_greedy(gen_path(30)) <= 4 * (math.isqrt(30) + 1)
+        assert build_ruling_set(g).k <= 4 * (math.isqrt(g.n) + 1)
+    assert build_ruling_set(gen_path(30)).k <= 4 * (math.isqrt(30) + 1)
 
 
 def test_exact_small_cases():
     assert ball_packing_exact(gen_path(2)) == 1
     assert ball_packing_exact(edge_graph(1, [], C=1)) == 0
     assert ball_packing_exact(gen_path(9)) == 2
-
-
-def test_exact_size_limit():
-    with pytest.raises(SizeLimitError, match="n = 33 exceeds EXACT_PACKING_MAX_N = 32"):
-        ball_packing_exact(gen_path(EXACT_PACKING_MAX_N + 1))
-    assert ball_packing_exact(gen_path(EXACT_PACKING_MAX_N)) == 4
+    assert ball_packing_exact(gen_path(32)) == 4
 
 
 def test_exact_respects_sqrt_n():
@@ -295,22 +348,36 @@ def test_witness_balls_are_proper_and_disjoint():
     g = gen_path(9)
     centers = find_disjoint_proper_balls(g, 2)
     assert centers is not None and len(centers) == 2
-    seen = set()
-    for v in centers:
-        depth = dist_from(g, v)
-        ball = {u for u, d in depth.items() if d <= 2}
-        assert 2 in depth.values()
-        assert not (ball & seen)
-        seen |= ball
+    assert_disjoint_proper_balls(g, centers, 2)
 
 
 def test_greedy_quarter_bounds_exact():
     for seed in range(12):
         g = gen_random(12, 16, 4, seed=seed)
-        assert ball_packing_greedy(g) // 4 <= ball_packing_exact(g)
+        assert build_ruling_set(g).k // 4 <= ball_packing_exact(g)
     for n in range(2, 15):
         g = gen_path(n)
-        assert ball_packing_greedy(g) // 4 <= ball_packing_exact(g)
+        assert build_ruling_set(g).k // 4 <= ball_packing_exact(g)
+
+
+def test_packing_certificate_small_cases():
+    assert packing_certificate(build_ruling_set(gen_path(9))) == (1, (6,))  # A = (1, 3, 6)
+    assert packing_certificate(build_ruling_set(gen_path(4))) == (0, ())
+    assert packing_certificate(build_ruling_set(edge_graph(0, [], C=0))) == (0, ())
+
+
+@pytest.mark.parametrize("n", [2 ** i for i in range(1, 13)])
+def test_packing_certificate_on_paths_and_grids(n):
+    # 2, 4, ..., 4096 vertices: a path, and a side x side grid with side*side <= n
+    check_packing_certificate(gen_path(n))
+    side = math.isqrt(n)
+    check_packing_certificate(gen_grid(side, side))
+
+
+def test_packing_certificate_counts():
+    assert check_packing_certificate(gen_path(2560)) == 18
+    assert check_packing_certificate(gen_path(4096)) == 22
+    assert check_packing_certificate(gen_grid(32, 32)) == 4
 
 
 # -- sizes ----------------------------------------------------------------------
