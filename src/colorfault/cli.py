@@ -226,6 +226,11 @@ def cmd_bench(args) -> int:
             report[f"n{n}.r"] = r
             if r:
                 report[f"n{n}.words_per_r"] = round(words / r, 2)
+        elif args.scheme == "two-diam":  # the paper's O~(D * sqrt n) words
+            D = ls.meta["depth"]
+            report[f"n{n}.D"] = D
+            if D:
+                report[f"n{n}.words_per_D_sqrt_n"] = round(words / (D * math.sqrt(n)), 2)
     if len(rows) >= 2:
         report["slope_bits"] = round(
             loglog_slope([r[0] for r in rows], [r[1] for r in rows]), 4

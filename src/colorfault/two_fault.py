@@ -6,8 +6,10 @@ color c on T[s,v], a BFS of G-c from v is truncated at ceil(sqrt n)
 vertices: a smaller tree spans v's whole component of G-c, a full one is hit by
 a greedily chosen set U.  The vertex label stores cid(v, G-c), the pair cids
 for every color in the truncated tree, and, for full trees, a representative
-u in U with the pair cids along T[s,u].  A color label covers all of U.  The
-five-way case analysis at query time resolves cid(v, G-{c,d}) from the two
+u in U.  The label of color c holds cid(u, G-{c,d}) for every u in U that
+survives c and every d on T[s,u]; the query reads the representative's pair
+cids from there, so a vertex label holds O(D·sqrt n) ids for D the depth of T.
+The five-way case analysis at query time resolves cid(v, G-{c,d}) from the two
 vertex labels and two color labels alone, exactly.
 """
 
@@ -81,8 +83,7 @@ class ColorEntry:
     cid_minus_c: int
     pair_cids: dict[int, int]  # d in tree colors -> cid(v, G-{c,d})
     full: bool
-    rep: int | None
-    rep_pair_cids: dict[int, int]  # d on T[s,rep] -> cid(rep, G-{c,d})
+    rep: int | None  # in U; c's color label holds its pair cids
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,10 +149,6 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         want(v, c, c)
         for d in t.colors - {own[v]}:
             want(v, c, d)
-        rep = reps.get((v, c))
-        if rep is not None:
-            for d in colors_on_path[rep]:
-                want(rep, c, d)
     for c in range(g.C):
         for u in U:
             if own[u] != c:  # u itself dies with c; never consulted for this color
@@ -173,21 +170,17 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         entries: dict[int, ColorEntry] = {}
         for c in sorted(colors_on_path[v]):
             t = truncated[(v, c)]
-            rep = reps.get((v, c))
             entries[c] = ColorEntry(
                 cid_minus_c=pair_cid(v, c, c),
                 pair_cids={d: pair_cid(v, c, d) for d in sorted(t.colors - {own[v]})},
                 full=t.full,
-                rep=rep,
-                rep_pair_cids={} if rep is None else {
-                    d: pair_cid(rep, c, d) for d in sorted(colors_on_path[rep])
-                },
+                rep=reps.get((v, c)),
             )
         bits = wid + (wc if g.mode == VERTEX else 0) + wlen
         for c, e in entries.items():
             bits += wc + wid + 1 + wlen + len(e.pair_cids) * (wc + wid)
             if e.full:
-                bits += wid + wlen + len(e.rep_pair_cids) * (wc + wid)
+                bits += wid
         vertex_labels.append(
             TwoFaultVertexLabel(
                 v,
@@ -248,10 +241,11 @@ def _derive_cid(
         return entry.cid_minus_c
     rep = entry.rep
     assert rep is not None
+    # rep lies in U and survives c, so each color label holds its pair cids
     hit = ld.pairs.get((rep, c))
     if hit is not None:
         return hit
-    hit = entry.rep_pair_cids.get(d)
+    hit = lc.pairs.get((rep, d))
     if hit is not None:
         return hit
     return lv.root_id  # neither color on T[s,rep]: rep reaches the root

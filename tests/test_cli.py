@@ -160,6 +160,17 @@ def test_bench_reports_slope(capsys):
     assert "n128.k=16\nn128.r=4\nn128.words_per_r=" in out
 
 
+def test_bench_two_diam_reports_depth(capsys):
+    assert main(["bench", "--scheme", "two-diam", "--sizes", "1,4,16",
+                 "--generator", "path", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    # the BFS depth D, and label words per D * sqrt(n) when D >= 1
+    assert "n1.D=0\nn4.max_bits=" in out
+    assert "n4.D=3\nn4.words_per_D_sqrt_n=" in out
+    assert "n16.D=15\nn16.words_per_D_sqrt_n=" in out
+    assert ".k=" not in out and ".r=" not in out
+
+
 def test_bench_multi_on_dense_random(capsys):
     assert main(["bench", "--scheme", "multi", "--generator", "random", "--coloring", "uniform",
                  "--density", "4", "--f", "2", "--sizes", "16,32", "--seed", "0"]) == 0

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from colorfault.bits import id_width, width_for
-from colorfault.generators import gen_path, gen_random
+from colorfault.generators import gen_grid, gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph
 from colorfault.labels import LabelSet
 from colorfault.oracle import brute_force_partition
@@ -168,25 +168,48 @@ def test_label_size_bound():
 
 
 def test_entry_counts_respect_structure():
-    g = gen_random(40, 80, 8, seed=11, connected=True)
-    ls = label_two_fault(g)
-    cap = ls.meta["cap"]
-    D = max(ls.meta["depth"], 1)
-    for lbl in ls.vertex_labels:
-        assert len(lbl.entries) <= D
-        for e in lbl.entries.values():
-            assert len(e.pair_cids) <= cap
-            assert len(e.rep_pair_cids) <= D
-    U = ls.meta["hitting_set"]
-    for lbl in ls.color_labels:
-        assert len(lbl.pairs) <= len(U) * D
+    for mode in ("edge", "vertex"):
+        g = gen_random(40, 80, 8, seed=11, mode=mode, connected=True)
+        ls = label_two_fault(g)
+        cap = ls.meta["cap"]
+        D = max(ls.meta["depth"], 1)
+        U = ls.meta["hitting_set"]
+        full = 0
+        for lbl in ls.vertex_labels:
+            assert len(lbl.entries) <= D
+            for c, e in lbl.entries.items():
+                assert len(e.pair_cids) <= cap
+                if not e.full:
+                    continue
+                # the query reads rep's pair cids from c's color label
+                full += 1
+                rep = ls.vertex_labels[e.rep]
+                assert e.rep in U and rep.own_color != c
+                assert all((e.rep, d) in ls.color_labels[c].pairs for d in rep.entries)
+        assert full, mode
+        for lbl in ls.color_labels:
+            assert len(lbl.pairs) <= len(U) * D
 
 
-# Recorded before the pair cids came from one fault-set sweep: (max, total)
-# label bits and the hitting set of label_two_fault on gen_random(40, 70, 8, seed=9).
+def test_label_size_d_sqrt_n():
+    # the paper's O~(diam * sqrt n) bits: at most D * sqrt(n) ids and colors
+    graphs = [gen_path(n) for n in (32, 64, 128)] + [gen_grid(a, a) for a in (8, 12)]
+    graphs += [gen_random(30, 60, 8, seed=seed, connected=True) for seed in range(8)]
+    graphs.append(gen_random(30, 60, 8, seed=0, mode="vertex", connected=True))
+    for g in graphs:
+        ls = label_two_fault(g)
+        D = max(ls.meta["depth"], 1)
+        bound = D * math.sqrt(g.n) * id_width(g.n) * width_for(max(g.C, 2))
+        assert ls.max_label_bits() <= bound, (g.n, g.m, g.mode)
+
+
+# (max, total) label bits and the hitting set of label_two_fault on
+# gen_random(40, 70, 8, seed=9).  The hitting sets date from before the pair
+# cids came from one fault-set sweep; the sizes were re-recorded when vertex
+# labels stopped copying the representative's pair cids from the color label.
 PINNED = {
-    "edge": ((326, 7898), (2, 4, 5, 8, 12, 17)),
-    "vertex": ((306, 7334), (3, 4, 8, 12, 17)),
+    "edge": ((236, 6239), (2, 4, 5, 8, 12, 17)),
+    "vertex": ((216, 5594), (3, 4, 8, 12, 17)),
 }
 
 
