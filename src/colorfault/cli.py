@@ -28,7 +28,13 @@ from .graph import (
     serialize_graph,
 )
 from .labels import LabelSet, loglog_slope, measure_labels, report_lines
-from .nca import build_one_fault_oracle, dump_oracle, load_oracle, oracle_file_bits
+from .nca import (
+    build_one_fault_oracle,
+    dump_oracle,
+    load_oracle,
+    oracle_file_bits,
+    oracle_index_words,
+)
 from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
 from .schemes import SCHEMES, query
@@ -140,6 +146,7 @@ def cmd_oracle(args) -> int:
         print(f"bytes={len(data)}")
         print(f"header_bits={header}")
         print(f"body_bits={body}")
+        print(f"index_words={oracle_index_words(oracle)}")
         return 0
     with open(args.oracle, "rb") as fh:
         oracle = load_oracle(fh.read())

@@ -5,9 +5,15 @@ for each color, the stamps of its vertices form one sorted tuple, with a
 parallel tuple of answers: the vertex at its pre stamp, its nearest
 strictly-above same-color ancestor at its post stamp.  The nearest c-colored
 ancestor of v (v itself included) is then the answer at the predecessor of
-pre(v) in c's stamps.  Binary search gives O(log n) queries; the
-asymptotically faster predecessor structures this replaces would return
-identical answers.
+pre(v) in c's stamps.  A color with s_c >= ``BUCKETED`` stamps also gets a
+bucket table: the key range [0, 2n) is cut into at most s_c buckets of a
+power-of-two width 2^shift, the largest <= 4n/s_c, and ``first[b]`` counts the
+stamps below b << shift.  A predecessor search then bisects only its key's
+bucket, which holds one or two stamps on average, so a query makes O(1)
+expected probes where the stamps spread evenly and never more than a plain
+binary search.  The tables hold at most sum(s_c + 1) <= 2n + n/32 words over
+all colors, so the O(n)-word bound holds.  A shorter array keeps the plain
+binary search: there the extra table reads cost more than they save.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .bits import BitReader, BitWriter, id_width, width_for
@@ -41,6 +48,7 @@ from .labels import LabelSet
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
+BUCKETED = 64  # stamps from which a color's predecessor search reads a bucket table
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +123,36 @@ def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
     return answers[idx - 1] if idx else None
 
 
+def _entry(stamps: tuple[int, ...], answers: tuple, n: int) -> tuple:
+    """(stamps, answers, shift, first): a color's predecessor index over keys in [0, 2n).
+
+    ``first[b]`` is the number of stamps below b << shift, so the stamps of
+    key k's bucket are ``stamps[first[k >> shift]:first[(k >> shift) + 1]]``.
+    The width 2^shift is the largest power of two <= 4n / len(stamps), hence
+    above 2n / len(stamps): at most len(stamps) buckets.  Fewer than
+    ``BUCKETED`` stamps get no table (shift 0, first None).
+    """
+    if len(stamps) < BUCKETED:
+        return stamps, answers, 0, None
+    shift = (4 * n // len(stamps)).bit_length() - 1
+    counts = [0] * (((2 * n - 1) >> shift) + 2)
+    for x in stamps:
+        counts[(x >> shift) + 1] += 1
+    return stamps, answers, shift, tuple(accumulate(counts))
+
+
+def _rank(entry: tuple, key: int) -> int:
+    """bisect_right(stamps, key), searching only key's bucket when the entry has a table."""
+    stamps, _answers, shift, first = entry
+    if first is None:
+        return bisect_right(stamps, key)
+    b = key >> shift
+    return bisect_right(stamps, key, first[b], first[b + 1])
+
+
+_NO_STAMPS = ((), (), 0, None)  # the entry of a color no forest vertex has
+
+
 # -- one-fault connectivity oracle ---------------------------------------------
 
 
@@ -127,6 +165,8 @@ class OneFaultOracle:
     structure: NcaStructure  # its ``root``: each vertex's tree root, its component minimum
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
+    # per color: its ``_entry`` over the structure's stamps and payload answers
+    index: dict[int, tuple] = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
         """cid(u, G-c) == cid(v, G-c): ``cids(c, (u, v))`` unrolled, its checks in its order."""
@@ -142,11 +182,17 @@ class OneFaultOracle:
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
         s = self.structure
-        stamps, answers = s.arrays.get(c, ()), s.answers.get(c, ())
-        pre = s.pre
-        i = bisect_right(stamps, pre[u])
+        stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
+        ku, kv = s.pre[u], s.pre[v]
+        if first is None:
+            i = bisect_right(stamps, ku)
+            j = bisect_right(stamps, kv)
+        else:  # _rank, inlined
+            b = ku >> shift
+            i = bisect_right(stamps, ku, first[b], first[b + 1])
+            b = kv >> shift
+            j = bisect_right(stamps, kv, first[b], first[b + 1])
         cu = answers[i - 1] if i else None
-        j = bisect_right(stamps, pre[v])
         cv = answers[j - 1] if j else None
         return (s.root[u] if cu is None else cu) == (s.root[v] if cv is None else cv)
 
@@ -155,21 +201,26 @@ class OneFaultOracle:
 
         The answer is the index's at v's nearest c-colored ancestor, its
         payload, or, with none, v's root: the path to the root survives, and
-        the root is its component minimum.  c's stamps are bound once for all
-        the vertices.  Raises GraphError for an id outside the graph or the
+        the root is its component minimum.  c's index entry is bound once for
+        all the vertices.  Raises GraphError for an id outside the graph or the
         palette, and RemovedVertexError for a vertex of color c itself.
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
         s = self.structure
-        stamps, answers = s.arrays.get(c, ()), s.answers.get(c, ())
+        stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
         out = []
         for v in vertices:
             if not 0 <= v < self.n:
                 raise GraphError(f"vertex {v} out of range")
             if self.vertex_colors is not None and self.vertex_colors[v] == c:
                 raise RemovedVertexError(f"vertex {v} has color {c}")
-            i = bisect_right(stamps, s.pre[v])  # _predecessor, inlined
+            key = s.pre[v]
+            if first is None:  # _rank, inlined
+                i = bisect_right(stamps, key)
+            else:
+                b = key >> shift
+                i = bisect_right(stamps, key, first[b], first[b + 1])
             cid = answers[i - 1] if i else None
             out.append(s.root[v] if cid is None else cid)
         return out
@@ -184,13 +235,17 @@ def _oracle(
 ) -> OneFaultOracle:
     """The oracle over a forest, its index answering each stored vertex's payload.
 
-    Raises GraphError when the parents do not form a forest.
+    Both ``build_one_fault_oracle`` and ``load_oracle`` end here, so the
+    bucket tables are derived, never stored.  Raises GraphError when the
+    parents do not form a forest.
     """
+    n = len(parent)
     s = build_nca(parent, colors)
     answers = {c: tuple([None if w is None else payloads[w] for w in a])
                for c, a in s.answers.items()}
+    index = {c: _entry(stamps, answers[c], n) for c, stamps in s.arrays.items()}
     return OneFaultOracle(
-        len(parent), C, replace(s, answers=answers), tuple(payloads), vertex_colors
+        n, C, replace(s, answers=answers), tuple(payloads), vertex_colors, index
     )
 
 
@@ -238,6 +293,16 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
 def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
     """(header bits, body bits) of the canonical encoding."""
     return 32 + 8 + 8 + 32 + 32, o.n * (2 * id_width(o.n) + width_for(o.C))
+
+
+def oracle_index_words(o: OneFaultOracle) -> int:
+    """Words the query index holds: every color's stamps and answers, and its bucket table.
+
+    At most 2 * 2n for the stamps and answers (two stamps per colored
+    vertex) plus 2n + n/32 for the tables: O(n), like the file.
+    """
+    return sum(2 * len(stamps) + (0 if first is None else len(first))
+               for stamps, _answers, _shift, first in o.index.values())
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
@@ -366,13 +431,17 @@ def _split_labels(
     tau = nca_threshold(n)
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
-    prevalent = [c for c in range(C) if len(s.arrays.get(c, ())) >= 2 * tau]
+    prevalent = [(c, _entry(s.arrays[c], s.answers[c], n))
+                 for c in range(C) if len(s.arrays.get(c, ())) >= 2 * tau]
 
     extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
     vertex_labels = []
     for v in range(n):
         pre = s.pre[v]
-        hits = {c: _predecessor(s.arrays[c], s.answers[c], pre) for c in prevalent}
+        hits = {}
+        for c, entry in prevalent:
+            i = _rank(entry, pre)
+            hits[c] = entry[1][i - 1] if i else None
         bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
         vertex_labels.append(NcaVertexLabel(
             v, pre,
@@ -425,13 +494,24 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     )
 
 
-def query_nca_connectivity(lv: NcaVertexLabel, lc: NcaColorLabel) -> int:
-    """cid(v, G-c) from the two labels alone."""
-    if lv.own_color == lc.color:
-        raise RemovedVertexError(f"vertex {lv.vertex} has color {lc.color}")
-    hit = query_nca_labels(lv, lc)
-    return lv.root_cid if hit is None else hit  # type: ignore[return-value]
-
-
 def pair_connected_nca(lu: NcaVertexLabel, lv: NcaVertexLabel, lc: NcaColorLabel) -> bool:
-    return query_nca_connectivity(lu, lc) == query_nca_connectivity(lv, lc)
+    """cid(u, G-c) == cid(v, G-c) from the three labels alone, in one frame.
+
+    Each side is ``query_nca_labels``, or with no hit the tree root's cid;
+    RemovedVertexError names u before v when the fault removes an endpoint.
+    """
+    c = lc.color
+    if lu.own_color == c:
+        raise RemovedVertexError(f"vertex {lu.vertex} has color {c}")
+    if lv.own_color == c:
+        raise RemovedVertexError(f"vertex {lv.vertex} has color {c}")
+    if lc.prevalent:
+        hu = lu.prevalent.get(c)
+        hv = lv.prevalent.get(c)
+    else:  # _predecessor, inlined
+        stamps = lc.stamps
+        i = bisect_right(stamps, lu.pre)
+        hu = lc.answers[i - 1] if i else None
+        j = bisect_right(stamps, lv.pre)
+        hv = lc.answers[j - 1] if j else None
+    return (lu.root_cid if hu is None else hu) == (lv.root_cid if hv is None else hv)

@@ -217,7 +217,22 @@ def query_single_fault(lv: SingleFaultVertexLabel, lc: SingleFaultColorLabel) ->
 def pair_connected(
     lu: SingleFaultVertexLabel, lv: SingleFaultVertexLabel, lc: SingleFaultColorLabel
 ) -> bool:
-    return query_single_fault(lu, lc) == query_single_fault(lv, lc)
+    """cid(u, G-c) == cid(v, G-c): ``query_single_fault`` on both sides, in one frame.
+
+    The same checks in the same order: RemovedVertexError names u before v.
+    """
+    c = lc.color
+    if lu.own_color == c:
+        raise RemovedVertexError(f"vertex {lu.vertex} has color {c}")
+    if lv.own_color == c:
+        raise RemovedVertexError(f"vertex {lv.vertex} has color {c}")
+    cu = lu.cid_by_color.get(c)
+    if cu is None:
+        cu = lc.cid_by_anchor.get(lu.anchor, lu.anchor)
+    cv = lv.cid_by_color.get(c)
+    if cv is None:
+        cv = lc.cid_by_anchor.get(lv.anchor, lv.anchor)
+    return cu == cv
 
 
 # -- ball packing -------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from colorfault.cli import main
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import parse_graph, serialize_graph
+from colorfault.nca import load_oracle, oracle_index_words
 from colorfault.oracle import brute_force_connected
 from colorfault.schemes import SCHEMES
 
@@ -396,6 +397,20 @@ def test_query_of_a_foreign_pickle_is_an_error_line(tmp_path, capsys, data, caus
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {bad} is not a label file: ")
     assert cause in err and err.count("\n") == 1
+
+
+def test_oracle_build_prints_index_words(tmp_path, capsys):
+    # connected, edge mode: every non-root forest vertex is colored, so the
+    # stamps and answers alone take 4 (n - 1) words; two long colors add tables
+    n = 200
+    g = gen_random(n, 2 * n, 2, seed=3, connected=True)
+    opath = tmp_path / "oracle.bin"
+    assert main(["oracle", "build", write_graph(tmp_path, g), "-o", str(opath)]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    assert list(out) == ["bytes", "header_bits", "body_bits", "index_words"]
+    words = int(out["index_words"])
+    assert words == oracle_index_words(load_oracle(opath.read_bytes()))
+    assert 4 * (n - 1) < words <= 6 * n + n / 32
 
 
 def test_oracle_round_trip_on_vertex_colored_graph(tmp_path, capsys):

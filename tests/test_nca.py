@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfault.bits import BitWriter, id_width, width_for
-from colorfault.generators import gen_random
+from colorfault.generators import gen_grid, gen_path, gen_random
 from colorfault.graph import VERTEX, GraphError, RemovedVertexError, edge_graph
 from colorfault.labels import LabelSet
 from colorfault.nca import (
+    BUCKETED,
     ORACLE_MAGIC,
     ORACLE_VERSION,
     NcaStructure,
     _predecessor,
+    _rank,
     _split_labels,
     build_nca,
     build_one_fault_oracle,
@@ -27,6 +31,8 @@ from colorfault.nca import (
     load_oracle,
     nca_threshold,
     oracle_file_bits,
+    oracle_index_words,
+    pair_connected_nca,
     query_nca_labels,
 )
 from colorfault.oracle import brute_force_partition
@@ -243,6 +249,81 @@ def test_oracle_vertex_mode():
 def test_oracle_disconnected():
     g = edge_graph(7, [(0, 1, 0), (1, 2, 1), (4, 5, 0), (5, 6, 1)], C=3)
     _check_oracle(g, build_one_fault_oracle(g))
+
+
+# graphs with colors on both sides of the bucket cut-off: a one-color star, a
+# path and a grid, disconnected inputs, and random graphs in both modes
+BUCKET_GRAPHS = {
+    "path-unique": gen_path(90),
+    "path-uniform": gen_path(90, coloring="uniform", C=2, seed=1),
+    "grid": gen_grid(9, 11, coloring="uniform", C=3, seed=2),
+    "star": edge_graph(70, [(0, i, 0) for i in range(1, 70)], C=1),
+    "two-stars": edge_graph(
+        101, [(0, i, 0) for i in range(1, 50)] + [(50, i, i % 2) for i in range(51, 100)], C=3
+    ),
+    "random-forest": gen_random(120, 80, 2, seed=4),
+    "random-edge": gen_random(130, 260, 3, seed=5, connected=True),
+    "random-vertex": gen_random(130, 260, 2, seed=6, mode="vertex", connected=True),
+    "random-vertex-disconnected": gen_random(140, 110, 2, seed=7, mode="vertex"),
+}
+
+
+class Probed(tuple):
+    """A tuple that records every index read from it (``bisect`` reads through ``__getitem__``)."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("name", sorted(BUCKET_GRAPHS))
+def test_bucket_lookups_equal_bisect_right(name):
+    g = BUCKET_GRAPHS[name]
+    o = build_one_fault_oracle(g)
+    loaded = load_oracle(dump_oracle(o))
+    assert loaded.index == o.index  # derived on load, never stored
+    s, n = o.structure, g.n
+    assert o.index.keys() == s.arrays.keys()
+    for c, entry in o.index.items():
+        stamps, answers, shift, first = entry
+        assert stamps is s.arrays[c] and answers is s.answers[c]
+        assert (first is None) == (len(stamps) < BUCKETED)
+        if first is not None:
+            assert 1 << shift <= 4 * n / len(stamps) < 2 << shift
+            assert first[0] == 0 and first[-1] == len(stamps)
+            assert len(first) <= len(stamps) + 1
+        for key in range(2 * n):
+            assert _rank(entry, key) == bisect_right(stamps, key), (c, key)
+        if first is None:
+            continue
+        # every search reads only its key's bucket, in _rank, the pair
+        # query and the batch read-off alike
+        probed = Probed(stamps)
+        bucket = [range(first[k >> shift], first[(k >> shift) + 1]) for k in range(2 * n)]
+        for key in range(2 * n):
+            probed.read = []
+            _rank((probed, answers, shift, first), key)
+            assert all(i in bucket[key] for i in probed.read), (c, key)
+        reading = replace(o, index={**o.index, c: (probed, answers, shift, first)})
+        live = [v for v in range(n) if g.vertex_colors is None or g.vertex_colors[v] != c]
+        for u, v in zip(live, live[1:] + live[:1]):
+            probed.read = []
+            reading.query(u, v, c)
+            assert all(i in bucket[s.pre[u]] or i in bucket[s.pre[v]] for i in probed.read)
+            probed.read = []
+            reading.cids(c, [v])
+            assert all(i in bucket[s.pre[v]] for i in probed.read)
+    tables = [first for _s, _a, _shift, first in o.index.values() if first is not None]
+    assert sum(map(len, tables)) <= 4 * n + n / 16
+    assert tables or name == "path-unique"  # every other graph has a long color
+    assert oracle_index_words(o) <= 6 * n + n / 32
+    # the pair query and the batch read-off, through the tables
+    for oracle in (o, loaded):
+        _check_oracle(g, oracle)
+        for c in range(g.C):
+            part = brute_force_partition(g, {c})
+            live = [v for v in range(n) if part[v] is not None]
+            assert oracle.cids(c, live) == [part[v] for v in live]
 
 
 # -- oracle file --------------------------------------------------------------------
@@ -465,9 +546,34 @@ def test_threshold_examples():
     assert nca_threshold(2) == 2
 
 
-def test_connectivity_labels_exact():
-    from colorfault.nca import pair_connected_nca
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_pair_query_matches_per_vertex_read_offs(mode):
+    # every ordered pair, removed endpoints and u == v included: the one-frame
+    # pair query answers and raises as two reads of query_nca_labels, each
+    # falling back to the root's cid, with u checked before v
+    def read_off(lv, lc):
+        if lv.own_color == lc.color:
+            raise RemovedVertexError(f"vertex {lv.vertex} has color {lc.color}")
+        hit = query_nca_labels(lv, lc)
+        return lv.root_cid if hit is None else hit
 
+    graphs = [gen_random(14, 22, 4, seed=seed, mode=mode) for seed in range(4)]
+    graphs += [gen_random(30, 26, 9, seed=9, mode=mode, simple=False),  # rare colors, disconnected
+               gen_path(12, coloring="uniform", C=2, seed=1, mode=mode)]
+    kinds = set()
+    for g in graphs:
+        ls = label_nca_connectivity(g)
+        for lc in ls.color_labels:
+            kinds.add(lc.prevalent)
+            for lu in ls.vertex_labels:
+                for lv in ls.vertex_labels:
+                    got = _outcome(lambda: pair_connected_nca(lu, lv, lc))
+                    want = _outcome(lambda: read_off(lu, lc) == read_off(lv, lc))
+                    assert got == want, (lu.vertex, lv.vertex, lc.color)
+    assert kinds == {False, True}
+
+
+def test_connectivity_labels_exact():
     graphs = [gen_random(14, 24, 4, seed=seed, mode=mode)
               for seed in range(6) for mode in ("edge", "vertex")]
     for g in graphs + VERTEX_GRAPHS:

@@ -244,6 +244,31 @@ def test_exactness_disconnected():
     _check_exact(g)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except RemovedVertexError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_pair_query_matches_per_vertex_read_offs(mode):
+    # every ordered pair, removed endpoints and u == v included: the one-frame
+    # pair query answers and raises as its two per-vertex read-offs in turn
+    graphs = [gen_random(14, 22, 4, seed=seed, mode=mode) for seed in range(4)]
+    graphs += [gen_random(24, 20, 5, seed=9, mode=mode, simple=False),  # disconnected multigraph
+               gen_path(12, coloring="uniform", C=2, seed=1, mode=mode)]
+    for g in graphs:
+        ls = label_single_fault(g)
+        for lc in ls.color_labels:
+            for lu in ls.vertex_labels:
+                for lv in ls.vertex_labels:
+                    def want():
+                        return query_single_fault(lu, lc) == query_single_fault(lv, lc)
+                    got = _outcome(lambda: pair_connected(lu, lv, lc))
+                    assert got == _outcome(want), (lu.vertex, lv.vertex, lc.color)
+
+
 def test_vertex_mode_anchor_color_in_map():
     # anchor's color on P(v) populates the vertex map
     g = vertex_graph([0, 1, 2], [(0, 1), (1, 2)])
