@@ -23,7 +23,6 @@ from .graph import (
     ColoredGraph,
     GraphError,
     RemovedVertexError,
-    bfs_tree,
     parse_graph,
     serialize_graph,
 )
@@ -38,11 +37,8 @@ from .nca import (
 from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
 from .schemes import SCHEMES, query
+from .single_fault import packing_certificate
 from .sketch import DEFAULT_CHECKSUM_BITS, DEFAULT_REPETITIONS
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CFL_SEED", "0"))
 
 
 def _read_graph(path: str) -> ColoredGraph:
@@ -62,25 +58,24 @@ def _emit(report: dict, summary: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     kind = args.kind
     if kind == "random":
         g = generators.gen_random(
-            args.n, args.m, args.C, seed=seed, mode=args.mode,
+            args.n, args.m, args.C, seed=args.seed, mode=args.mode,
             coloring=args.coloring, simple=not args.multigraph,
             connected=args.connected,
         )
     elif kind == "path":
         g = generators.gen_path(args.n, coloring=args.coloring, C=args.C,
-                                seed=seed, mode=args.mode)
+                                seed=args.seed, mode=args.mode)
     elif kind == "wheel":
         g = generators.gen_wheel(args.n, coloring=args.coloring, C=args.C,
-                                 seed=seed, mode=args.mode)
+                                 seed=args.seed, mode=args.mode)
     elif kind == "grid":
         g = generators.gen_grid(args.rows, args.cols, coloring=args.coloring,
-                                C=args.C, seed=seed, mode=args.mode)
+                                C=args.C, seed=args.seed, mode=args.mode)
     elif kind == "tree":
-        g = generators.gen_tree(args.n, seed=seed, coloring=args.coloring,
+        g = generators.gen_tree(args.n, seed=args.seed, coloring=args.coloring,
                                 C=args.C, mode=args.mode)
     else:
         raise GraphError(f"unknown generator {kind!r}")
@@ -95,17 +90,8 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     g = _read_graph(args.graph)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.scheme == "two-diam" and not args.force:
-        depth = max(bfs_tree(g).depth, default=0)
-        if depth > math.sqrt(g.n):
-            print(
-                f"warning: measured depth {depth} exceeds sqrt(n)={math.sqrt(g.n):.1f}; "
-                "the length guarantee degrades, refusing (use --force to build anyway)",
-                file=sys.stderr,
-            )
-            return 0
-    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=seed, repetitions=args.repetitions,
+    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed,
+                                    repetitions=args.repetitions,
                                     checksum_bits=args.checksum_bits)
     report = measure_labels(ls)
     if args.scheme == "multi" and "manifest" in ls.meta:
@@ -168,11 +154,10 @@ def cmd_verify(args) -> int:
     scheme = SCHEMES[args.scheme]
     if g.C == 0 and scheme.max_faults is not None:
         raise GraphError(f"the graph has no colors to fail; scheme {scheme.name} needs one in F")
-    seed = args.seed if args.seed is not None else _default_seed()
     max_faults = scheme.budget(args.f)
-    ls = scheme.build(g, f=args.f, seed=seed, repetitions=args.repetitions,
+    ls = scheme.build(g, f=args.f, seed=args.seed, repetitions=args.repetitions,
                       checksum_bits=args.checksum_bits)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     skipped = 0
     mismatches = []  # (u, v, F, wrong answer)
     for _ in range(args.trials):
@@ -196,7 +181,7 @@ def cmd_verify(args) -> int:
         "agreement": (effective - len(mismatches)) / max(effective, 1),
         "false_connected": false_connected,
         "false_disconnected": len(mismatches) - false_connected,
-        "seed": seed,
+        "seed": args.seed,
         "mismatch": tuple(  # each replays as `cfl label --seed S -o` then `cfl query`
             f"u={u} v={v} F={','.join(map(str, F))} got={int(got)} want={int(not got)}"
             for u, v, F, got in mismatches
@@ -207,7 +192,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes must all be at least 1, got {args.sizes}")
@@ -215,20 +199,20 @@ def cmd_bench(args) -> int:
     rows = []
     for n in sizes:
         if args.generator == "path":
-            g = generators.gen_path(n, coloring=args.coloring, C=args.C, seed=seed)
+            g = generators.gen_path(n, coloring=args.coloring, C=args.C, seed=args.seed)
         else:
             g = generators.gen_random(
                 n, int(n * args.density), args.C or max(2, math.isqrt(n)),
-                seed=seed, coloring=args.coloring, connected=True,
+                seed=args.seed, coloring=args.coloring, connected=True,
             )
-        ls = SCHEMES[args.scheme].build(g, f=args.f, seed=seed)
+        ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed)
         max_bits = ls.max_label_bits()
         words = max_bits / max(id_width(max(g.n, 2)), 1)
         rows.append((n, max_bits, words))
         report[f"n{n}.max_bits"] = max_bits
         report[f"n{n}.max_words"] = round(words, 2)
         if args.scheme == "single":  # the ruling set's k and packing_certificate's r
-            r = ls.meta["k"] // 4
+            r = packing_certificate(ls.meta["k"], ls.meta["A"])[0]
             report[f"n{n}.k"] = ls.meta["k"]
             report[f"n{n}.r"] = r
             if r:
@@ -269,7 +253,6 @@ def cmd_route(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     bits = parse_bits(args.bits)
     if args.encoder == "balls":
         g = _read_graph(args.graph)
@@ -283,7 +266,7 @@ def cmd_encode(args) -> int:
     else:
         faults = max((len(e.faults) for e in inst.decoder), default=1)
         scheme = SCHEMES["single" if faults <= 1 else "multi"]
-        ls = scheme.build(inst.graph, f=faults, seed=seed)
+        ls = scheme.build(inst.graph, f=faults, seed=args.seed)
         decoded = inst.decode(lambda u, v, F: query(ls, u, v, F))
     matches = sum(a == b for a, b in zip(decoded, bits))
     report = {
@@ -299,10 +282,16 @@ def cmd_encode(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _add_seed(p) -> None:
+    # argparse converts a string default with ``type`` only when --seed is absent
+    p.add_argument("--seed", type=int, default=os.environ.get("CFL_SEED", "0"),
+                   help="default: the CFL_SEED environment variable, else 0")
+
+
 def _add_common_gen(p) -> None:
     p.add_argument("--coloring", choices=generators.COLORINGS, default="uniform")
     p.add_argument("--C", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--mode", choices=("edge", "vertex"), default=EDGE)
     p.add_argument("-o", "--output", default=None)
 
@@ -338,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--f", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true",
-                   help="build two-diam labels even when depth exceeds sqrt(n)")
+    _add_seed(p)
     p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS,
                    help="sketch repetitions for multi/large schemes")
     p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS,
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
     p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -387,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, default=0)
     p.add_argument("--density", type=float, default=1.6)
     p.add_argument("--f", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -406,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     eb.add_argument("--bits", required=True)
     eb.add_argument("--centers", default=None)
     eb.add_argument("--decode-with", choices=("oracle", "scheme"), default="oracle")
-    eb.add_argument("--seed", type=int, default=None)
+    _add_seed(eb)
     eb.add_argument("--summary", default=None)
     es = esub.add_parser("spider")
     es.add_argument("--f", type=int, required=True)
@@ -415,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--bits", required=True)
     es.add_argument("--subdivide", choices=("edge", "vertex"), default=None)
     es.add_argument("--decode-with", choices=("oracle", "scheme"), default="oracle")
-    es.add_argument("--seed", type=int, default=None)
+    _add_seed(es)
     es.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_encode)
 

@@ -78,7 +78,8 @@ def encode_balls(
     """
     gv = as_view(topology)
     if centers is None:
-        centers = packing_certificate(build_ruling_set(gv))[1]
+        ruling = build_ruling_set(gv)
+        centers = packing_certificate(ruling.k, ruling.A)[1]
     r = len(centers)
     balls = [proper_ball(gv, v, r) for v in centers]
     covered: set[int] = set()

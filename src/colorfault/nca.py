@@ -1,34 +1,38 @@
-"""Nearest-colored-ancestor structures: centralized one-fault oracle and labels.
+"""Nearest-colored-ancestor index: the one-fault oracle and its labels.
 
-One index serves every query here.  A rooted forest gets DFS pre/post stamps;
-for each color, the stamps of its vertices form one sorted tuple, with a
-parallel tuple of answers: the vertex at its pre stamp, its nearest
-strictly-above same-color ancestor at its post stamp.  The nearest c-colored
-ancestor of v (v itself included) is then the answer at the predecessor of
-pre(v) in c's stamps.  A color with s_c >= ``BUCKETED`` stamps also gets a
-bucket table: the key range [0, 2n) is cut into at most s_c buckets of a
-power-of-two width 2^shift, the largest <= 4n/s_c, and ``first[b]`` counts the
-stamps below b << shift.  A predecessor search then bisects only its key's
-bucket, which holds one or two stamps on average, so a query makes O(1)
-expected probes where the stamps spread evenly and never more than a plain
-binary search.  The tables hold at most sum(s_c + 1) <= 2n + n/32 words over
-all colors, so the O(n)-word bound holds.  A shorter array keeps the plain
-binary search: there the extra table reads cost more than they save.
+One index serves every query here, the ``OneFaultOracle``.  A rooted forest
+gets DFS pre/post stamps; each vertex carries a payload, and for each color
+the stamps of its vertices form one sorted tuple, with a parallel tuple of
+answers: the vertex's payload at its pre stamp, the payload of its nearest
+strictly-above same-color ancestor at its post stamp.  The answer at the
+nearest c-colored ancestor of v (v itself included) is then the one at the
+predecessor of pre(v) in c's stamps.  A color with s_c >= ``BUCKETED`` stamps
+also gets a bucket table: the key range [0, 2n) is cut into at most s_c
+buckets of a power-of-two width 2^shift, the largest <= 4n/s_c, and
+``first[b]`` counts the stamps below b << shift.  A predecessor search then
+bisects only its key's bucket, which holds one or two stamps on average, so a
+query makes O(1) expected probes where the stamps spread evenly and never more
+than a plain binary search.  The tables hold at most sum(s_c + 1) <= 2n + n/32
+words over all colors, so the O(n)-word bound holds.  A shorter array keeps
+the plain binary search: there the extra table reads cost more than they save.
+``build_nca`` builds the whole index in one pass, the tables included.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
 (vertex mode, on the graph as given, with no subdivision) and stores
-cid(u, G-color) as its payload.  Its index answers payloads instead of
-vertices, so ``OneFaultOracle.cids`` reads cid(v, G-c) off the index
-directly; the one-fault labels of ``single_fault`` take every entry from it.
-The connectivity labels here split the same index by color prevalence.  The
-oracle file stores one row per vertex, (parent, color, cid), in both modes.
+cid(u, G-color) as its payload, so ``OneFaultOracle.cids`` reads cid(v, G-c)
+off the index directly; the one-fault labels of ``single_fault`` take every
+entry from it.  The oracle file stores one row per vertex, (parent, color,
+cid), in both modes, and ``load_oracle`` rebuilds the index with
+``build_nca``.  The connectivity labels here cut the same index by color
+prevalence: vertex labels hold the answers of the long colors, color labels
+the stamps and answers of the short ones.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -49,78 +53,6 @@ ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
 BUCKETED = 64  # stamps from which a color's predecessor search reads a bucket table
-
-
-@dataclass(frozen=True, slots=True)
-class NcaStructure:
-    parent: tuple[int | None, ...]
-    pre: tuple[int, ...]
-    root: tuple[int, ...]  # per vertex: the root of its tree
-    colors: tuple[int | None, ...]
-    arrays: dict[int, tuple[int, ...]]  # per color: sorted pre/post stamps
-    # parallel to arrays: the vertex at pre, its above at post (the oracle's: their payloads)
-    answers: dict[int, tuple[int | None, ...]]
-
-
-def build_nca(parent: list[int | None], colors: list[int | None]) -> NcaStructure:
-    """Index a rooted forest for nearest-colored-ancestor queries.
-
-    ``parent[v] is None`` marks roots; ``colors[v] is None`` leaves v out of
-    every array.  The stamps are a DFS's that visits roots and children by
-    increasing id, read off ``preorder``: v enters at 2 pre - depth and exits
-    at 2 end - depth - 1.  Walking a color's vertices in pre-order, a stack of
-    open ones exits each vertex whose subtree has ended, with the vertex below
-    it, its nearest strictly-above same-color ancestor, as the answer at its
-    exit.  Raises GraphError when the parents do not form a forest.
-    """
-    n = len(parent)
-    order, pre, end = preorder(parent)
-    if len(order) != n:
-        raise GraphError("parent pointers do not form a forest")
-    depth = [0] * n
-    root = list(range(n))
-    members: dict[int, list[int]] = {}  # per color: its vertices in pre-order
-    for v in order:
-        p = parent[v]
-        if p is not None:
-            depth[v] = depth[p] + 1
-            root[v] = root[p]
-        if colors[v] is not None:
-            members.setdefault(colors[v], []).append(v)
-    arrays: dict[int, tuple[int, ...]] = {}
-    answers: dict[int, tuple[int | None, ...]] = {}
-    for c, vs in members.items():
-        stamps, above, chain = [], [], []  # chain: the color's open vertices
-        for v in vs + [None]:  # None closes every open vertex
-            until = n if v is None else pre[v]
-            while chain and end[chain[-1]] <= until:
-                x = chain.pop()
-                stamps.append(2 * end[x] - depth[x] - 1)
-                above.append(chain[-1] if chain else None)
-            if v is not None:
-                chain.append(v)
-                stamps.append(2 * pre[v] - depth[v])
-                above.append(v)
-        arrays[c], answers[c] = tuple(stamps), tuple(above)
-    return NcaStructure(
-        parent=tuple(parent),
-        pre=tuple(2 * i - d for i, d in zip(pre, depth)),
-        root=tuple(root),
-        colors=tuple(colors),
-        arrays=arrays,
-        answers=answers,
-    )
-
-
-def _predecessor(stamps: tuple[int, ...], answers: tuple, key: int):
-    """Answer stored at the last stamp <= key, or None when there is none.
-
-    A pre-stamp hit is an ancestor of the key's vertex with no same-color
-    stamp between them; a post-stamp hit is a finished subtree, whose stored
-    above is the answer.
-    """
-    idx = bisect_right(stamps, key)
-    return answers[idx - 1] if idx else None
 
 
 def _entry(stamps: tuple[int, ...], answers: tuple, n: int) -> tuple:
@@ -162,10 +94,13 @@ class OneFaultOracle:
 
     n: int  # vertices of the graph, the forest's
     C: int
-    structure: NcaStructure  # its ``root``: each vertex's tree root, its component minimum
+    parent: tuple[int | None, ...]  # the spanning forest; None at a root
+    pre: tuple[int, ...]  # per vertex: its pre stamp, the key of its searches
+    root: tuple[int, ...]  # per vertex: the root of its tree, its component minimum
+    colors: tuple[int | None, ...]  # per vertex: its forest color (None at a root)
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
-    # per color: its ``_entry`` over the structure's stamps and payload answers
+    # per color: its ``_entry`` over the color's stamps and payload answers
     index: dict[int, tuple] = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
@@ -181,9 +116,9 @@ class OneFaultOracle:
             raise GraphError(f"vertex {v} out of range")
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
-        s = self.structure
         stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
-        ku, kv = s.pre[u], s.pre[v]
+        pre = self.pre
+        ku, kv = pre[u], pre[v]
         if first is None:
             i = bisect_right(stamps, ku)
             j = bisect_right(stamps, kv)
@@ -194,7 +129,8 @@ class OneFaultOracle:
             j = bisect_right(stamps, kv, first[b], first[b + 1])
         cu = answers[i - 1] if i else None
         cv = answers[j - 1] if j else None
-        return (s.root[u] if cu is None else cu) == (s.root[v] if cv is None else cv)
+        root = self.root
+        return (root[u] if cu is None else cu) == (root[v] if cv is None else cv)
 
     def cids(self, c: int, vertices: Iterable[int]) -> list[int]:
         """cid(v, G-c) for each of ``vertices``: the batch read-off of the index.
@@ -207,45 +143,77 @@ class OneFaultOracle:
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        s = self.structure
         stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
+        n, own, pre, root = self.n, self.vertex_colors, self.pre, self.root
         out = []
         for v in vertices:
-            if not 0 <= v < self.n:
+            if not 0 <= v < n:
                 raise GraphError(f"vertex {v} out of range")
-            if self.vertex_colors is not None and self.vertex_colors[v] == c:
+            if own is not None and own[v] == c:
                 raise RemovedVertexError(f"vertex {v} has color {c}")
-            key = s.pre[v]
+            key = pre[v]
             if first is None:  # _rank, inlined
                 i = bisect_right(stamps, key)
             else:
                 b = key >> shift
                 i = bisect_right(stamps, key, first[b], first[b + 1])
             cid = answers[i - 1] if i else None
-            out.append(s.root[v] if cid is None else cid)
+            out.append(root[v] if cid is None else cid)
         return out
 
 
-def _oracle(
-    parent: list[int | None],
-    colors: list[int | None],
-    payloads: list[int],
+def build_nca(
+    parent: Sequence[int | None],
+    colors: Sequence[int | None],
+    payloads: Sequence[int],
     C: int,
-    vertex_colors: tuple[int, ...] | None,
+    vertex_colors: tuple[int, ...] | None = None,
 ) -> OneFaultOracle:
-    """The oracle over a forest, its index answering each stored vertex's payload.
+    """Index a rooted forest for nearest-colored-ancestor queries answering payloads.
 
-    Both ``build_one_fault_oracle`` and ``load_oracle`` end here, so the
-    bucket tables are derived, never stored.  Raises GraphError when the
-    parents do not form a forest.
+    ``parent[v] is None`` marks roots; ``colors[v] is None`` leaves v out of
+    every color's stamps.  The stamps are a DFS's that visits roots and
+    children by increasing id, read off ``preorder``: v enters at
+    2 pre - depth and exits at 2 end - depth - 1.  Walking a color's vertices
+    in pre-order, a stack of open ones exits each vertex whose subtree has
+    ended, with the payload of the vertex below it, its nearest strictly-above
+    same-color ancestor, as the answer at its exit.  Each color's entry, its
+    bucket table included, is written as its stamps are done, so
+    ``build_one_fault_oracle`` and ``load_oracle`` both derive the tables and
+    never store them.  Raises GraphError when the parents do not form a forest.
     """
     n = len(parent)
-    s = build_nca(parent, colors)
-    answers = {c: tuple([None if w is None else payloads[w] for w in a])
-               for c, a in s.answers.items()}
-    index = {c: _entry(stamps, answers[c], n) for c, stamps in s.arrays.items()}
+    order, pre, end = preorder(parent)
+    if len(order) != n:
+        raise GraphError("parent pointers do not form a forest")
+    depth = [0] * n
+    root = list(range(n))
+    members: dict[int, list[int]] = {}  # per color: its vertices in pre-order
+    for v in order:
+        p = parent[v]
+        if p is not None:
+            depth[v] = depth[p] + 1
+            root[v] = root[p]
+        if colors[v] is not None:
+            members.setdefault(colors[v], []).append(v)
+    key = tuple(2 * i - d for i, d in zip(pre, depth))  # per vertex: its pre stamp
+    index: dict[int, tuple] = {}
+    for c, vs in members.items():
+        stamps, above, chain = [], [], []  # chain: the color's open vertices
+        for v in vs + [None]:  # None closes every open vertex
+            until = n if v is None else pre[v]
+            while chain and end[chain[-1]] <= until:
+                x = chain.pop()
+                stamps.append(2 * end[x] - depth[x] - 1)
+                above.append(payloads[chain[-1]] if chain else None)
+            if v is not None:
+                chain.append(v)
+                stamps.append(key[v])
+                above.append(payloads[v])
+        index[c] = _entry(tuple(stamps), tuple(above), n)
     return OneFaultOracle(
-        n, C, replace(s, answers=answers), tuple(payloads), vertex_colors, index
+        n, C, tuple(parent), key, tuple(root), tuple(colors), tuple(payloads),
+        vertex_colors, index,
     )
 
 
@@ -274,7 +242,7 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
         for v, value in got.items():
             if value is not None:
                 payloads[v] = value
-    return _oracle(parent, colors, payloads, g.C, g.vertex_colors)
+    return build_nca(parent, colors, payloads, g.C, g.vertex_colors)
 
 
 # -- canonical oracle file -------------------------------------------------------
@@ -306,11 +274,11 @@ def oracle_index_words(o: OneFaultOracle) -> int:
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
-    s, n = o.structure, o.n
+    n = o.n
     wid = id_width(n)
     wc = width_for(o.C)
     if o.vertex_colors is None:
-        row_colors = [0 if c is None else c for c in s.colors]
+        row_colors = [0 if c is None else c for c in o.colors]
     else:
         row_colors = list(o.vertex_colors)
     w = BitWriter()
@@ -320,7 +288,7 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
     w.write(n, 32)
     w.write(o.C, 32)
     for v in range(n):
-        p = s.parent[v]
+        p = o.parent[v]
         w.write(v if p is None else p, wid)
         w.write(row_colors[v], wc)
         w.write(o.payloads[v], wid)
@@ -373,9 +341,9 @@ def load_oracle(data: bytes) -> OneFaultOracle:
         raise GraphError("oracle file: padding bits after its body are not 0")
     if mode_byte == 0:
         colors = [None if p is None else c for p, c in zip(parent, row_colors)]
-        return _oracle(parent, colors, payloads, C, None)
+        return build_nca(parent, colors, payloads, C)
     colors = [None if p is None else row_colors[p] for p in parent]
-    return _oracle(parent, colors, payloads, C, tuple(row_colors))
+    return build_nca(parent, colors, payloads, C, tuple(row_colors))
 
 
 # -- nearest-colored-ancestor labels ---------------------------------------------
@@ -413,31 +381,29 @@ class NcaColorLabel:
 
 
 def _split_labels(
-    s: NcaStructure,
-    C: int,
-    wid: int,
-    wc: int,
-    root_cid: Sequence[int] | None = None,
-    own_colors: Sequence[int] | None = None,
+    o: OneFaultOracle, wid: int, wc: int, connectivity: bool = False
 ) -> tuple[tuple[NcaVertexLabel, ...], tuple[NcaColorLabel, ...], int]:
-    """Prevalence-split labels over one index: (vertex labels, color labels, tau).
+    """Prevalence-split labels over the index: (vertex labels, color labels, tau).
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the vertex labels; rarer colors ship their stamps and the index's
-    answers in the color label.  Connectivity labels also carry ``root_cid``
-    and, in vertex mode, the vertex's own color.
+    from the vertex labels, each hit read off the index's entry; rarer colors
+    ship the entry's stamps and answers in the color label.  Connectivity
+    labels also carry the tree root's cid and, in vertex mode, the vertex's
+    own color.
     """
-    n = len(s.parent)
+    n, C = o.n, o.C
     tau = nca_threshold(n)
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
-    prevalent = [(c, _entry(s.arrays[c], s.answers[c], n))
-                 for c in range(C) if len(s.arrays.get(c, ())) >= 2 * tau]
+    entries = [o.index.get(c, _NO_STAMPS) for c in range(C)]
+    prevalent = [(c, entry) for c, entry in enumerate(entries) if len(entry[0]) >= 2 * tau]
+    root_cid = o.root if connectivity else None
+    own_colors = o.vertex_colors
 
     extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
     vertex_labels = []
     for v in range(n):
-        pre = s.pre[v]
+        pre = o.pre[v]
         hits = {}
         for c, entry in prevalent:
             i = _rank(entry, pre)
@@ -451,13 +417,12 @@ def _split_labels(
         ))
 
     color_labels = []
-    for c in range(C):
-        stamps = s.arrays.get(c, ())
+    for c, (stamps, answers, _shift, _first) in enumerate(entries):
         if len(stamps) >= 2 * tau:
             color_labels.append(NcaColorLabel(c, True, (), (), wc + 1))
             continue
         bits = wc + 1 + wlen + len(stamps) // 2 * (2 * wstamp + 2 * wid + 1)
-        color_labels.append(NcaColorLabel(c, False, stamps, s.answers.get(c, ()), bits))
+        color_labels.append(NcaColorLabel(c, False, stamps, answers, bits))
     return tuple(vertex_labels), tuple(color_labels), tau
 
 
@@ -465,23 +430,23 @@ def query_nca_labels(lv: NcaVertexLabel, lc: NcaColorLabel) -> int | None:
     """The stored answer at lv's nearest ancestor in lc's color, from the labels alone."""
     if lc.prevalent:
         return lv.prevalent.get(lc.color)
-    return _predecessor(lc.stamps, lc.answers, lv.pre)
+    i = bisect_right(lc.stamps, lv.pre)
+    return lc.answers[i - 1] if i else None
 
 
 # -- connectivity labels via nearest colored ancestors ---------------------------
 
 
 def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
-    """One-fault connectivity labels built from the ancestor structure.
+    """One-fault connectivity labels cut from the one-fault oracle's index.
 
     The centralized oracle's index, distributed: an answer is the index's at
     the nearest ancestor, that ancestor's cid in G minus its color.  Exact,
     like the oracle.
     """
-    s = build_one_fault_oracle(g).structure
     vertex_labels, color_labels, tau = _split_labels(
-        s, g.C, id_width(max(g.n, 2)), width_for(max(g.C, 2)),
-        root_cid=s.root, own_colors=g.vertex_colors,
+        build_one_fault_oracle(g), id_width(max(g.n, 2)), width_for(max(g.C, 2)),
+        connectivity=True,
     )
     return LabelSet(
         scheme=CONN_SCHEME,
@@ -508,7 +473,7 @@ def pair_connected_nca(lu: NcaVertexLabel, lv: NcaVertexLabel, lc: NcaColorLabel
     if lc.prevalent:
         hu = lu.prevalent.get(c)
         hv = lv.prevalent.get(c)
-    else:  # _predecessor, inlined
+    else:  # query_nca_labels, inlined
         stamps = lc.stamps
         i = bisect_right(stamps, lu.pre)
         hu = lc.answers[i - 1] if i else None

@@ -12,7 +12,7 @@ sizes come from ``label_bits``, given the ruling set and its path colors.
 
 The halting iteration k also bounds the packing number bp(G), the largest r
 admitting r vertex-disjoint proper r-balls: ``packing_certificate`` reads
-floor(k/4) such balls off A, so floor(k/4) <= bp(G), and since a proper r-ball
+floor(k/4) such balls off k and A (a label set's ``meta`` holds both), so floor(k/4) <= bp(G), and since a proper r-ball
 holds at least r + 1 vertices, k = O(sqrt n).  A proper r-ball is one BFS
 bounded at r (``proper_ball``), which checks the certificate's balls in the
 ball encoder.
@@ -254,8 +254,8 @@ def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, i
     return dist if d >= r else None
 
 
-def packing_certificate(ruling: RulingSet) -> tuple[int, tuple[int, ...]]:
-    """(r, centers): r = floor(k/4) pairwise disjoint proper r-balls, read off A.
+def packing_certificate(k: int, A: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(r, centers): r = floor(k/4) pairwise disjoint proper r-balls, off a ruling set's k and A.
 
     The centers are the anchors a_j with 2r < j <= 3r, ``A[2r:3r]``; A holds
     a_1 ... a_{k-1}, and 3r <= k - r <= k - 1 once r >= 1, so there are r of
@@ -270,5 +270,5 @@ def packing_certificate(ruling: RulingSet) -> tuple[int, tuple[int, ...]]:
     So floor(k/4) <= bp(G), certified in O(k) time once the ruling set is
     built; ``proper_ball`` checks each ball.
     """
-    r = ruling.k // 4
-    return r, ruling.A[2 * r:3 * r]
+    r = k // 4
+    return r, A[2 * r:3 * r]

@@ -527,7 +527,7 @@ def test_criterion_9_nca_oracle():
                         assert oracle.query(u, v, c) == (part[u] == part[v])
                     checked += 1
         _header, body = oracle_file_bits(oracle)
-        n_forest = len(oracle.structure.parent)
+        n_forest = len(oracle.parent)
         assert body <= 3 * n_forest * id_width(n_forest)
 
     # nearest-colored-ancestor labels: agreement and the 3 sqrt(n) word bound
@@ -538,7 +538,7 @@ def test_criterion_9_nca_oracle():
         assert ls.max_label_bits() <= 3 * math.sqrt(n) * id_width(n)
         from colorfault.nca import build_nca
 
-        s = build_nca(parent, colors)
+        s = build_nca(parent, colors, range(n), 8)
         for v in range(n):
             for c in range(8):
                 assert query_nca_labels(

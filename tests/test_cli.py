@@ -51,8 +51,7 @@ def test_label_query_verify_round_trip(tmp_path, capsys, name):
     g = gen_random(24, 40, 4, seed=11, connected=True)
     gpath = write_graph(tmp_path, g)
     labels = tmp_path / "labels.bin"
-    assert main(["label", gpath, "--scheme", name, "--force", "--seed", "3",
-                 "-o", str(labels)]) == 0
+    assert main(["label", gpath, "--scheme", name, "--seed", "3", "-o", str(labels)]) == 0
     capsys.readouterr()
     rng = random.Random(5)
     for _ in range(20):
@@ -76,7 +75,7 @@ def test_label_query_verify_round_trip(tmp_path, capsys, name):
 def test_query_rejects_out_of_range_ids(tmp_path, capsys, name, u, v, colors):
     gpath = write_graph(tmp_path, gen_path(9))  # unique colors: C = 8
     labels = tmp_path / "labels.bin"
-    assert main(["label", gpath, "--scheme", name, "--force", "-o", str(labels)]) == 0
+    assert main(["label", gpath, "--scheme", name, "-o", str(labels)]) == 0
     capsys.readouterr()
     assert main(["query", str(labels), u, v, "--colors", colors]) == 1
     captured = capsys.readouterr()
@@ -92,16 +91,19 @@ def test_label_summary_file(tmp_path):
     assert data["scheme"] == "single-fault"
 
 
-def test_two_diam_refusal_and_force(tmp_path, capsys):
+def test_two_diam_builds_on_a_deep_graph(tmp_path, capsys):
     g = gen_path(30, coloring="uniform", C=3, seed=3)  # depth 29 >> sqrt(30)
     gpath = write_graph(tmp_path, g)
     labels = tmp_path / "l.bin"
     assert main(["label", gpath, "--scheme", "two-diam", "-o", str(labels)]) == 0
     captured = capsys.readouterr()
-    assert "refusing" in captured.err
-    assert not labels.exists()
-    assert main(["label", gpath, "--scheme", "two-diam", "--force", "-o", str(labels)]) == 0
+    assert "max_bits=" in captured.out and captured.err == ""
     assert labels.exists()
+    assert main(["query", str(labels), "0", "29", "--colors", "0,1"]) == 0
+    want = int(brute_force_connected(g, 0, 29, [0, 1]))
+    assert capsys.readouterr().out.strip() == f"connected={want}"
+    with pytest.raises(SystemExit):  # the flag that overrode a depth refusal is gone
+        main(["label", gpath, "--scheme", "two-diam", "--force"])
 
 
 def test_multi_label_manifest_in_report(tmp_path, capsys):
@@ -344,6 +346,19 @@ def test_cfl_seed_env(tmp_path, monkeypatch):
     assert main(["gen", "random", "--n", "10", "--m", "15", "--C", "3",
                  "--seed", "99", "-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_bad_cfl_seed_env_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CFL_SEED", "nine")
+    argv = ["gen", "random", "--n", "10", "--m", "15", "--C", "3", "-o", str(tmp_path / "a")]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code != 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("argument --seed: invalid int value: 'nine'")
+    assert "Traceback" not in err and not (tmp_path / "a").exists()
+    # an explicit --seed does not read CFL_SEED
+    assert main(argv + ["--seed", "4"]) == 0
 
 
 def test_bad_graph_file_errors(tmp_path, capsys):

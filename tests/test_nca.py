@@ -20,8 +20,7 @@ from colorfault.nca import (
     BUCKETED,
     ORACLE_MAGIC,
     ORACLE_VERSION,
-    NcaStructure,
-    _predecessor,
+    OneFaultOracle,
     _rank,
     _split_labels,
     build_nca,
@@ -57,11 +56,16 @@ def naive_nearest_colored_ancestor(
     return None
 
 
-def nca_query(s: NcaStructure, v: int, c: int) -> int | None:
-    """Nearest c-colored ancestor of v (v itself included), or None, off the index."""
-    if not 0 <= v < len(s.pre):
+def nca_query(o: OneFaultOracle, v: int, c: int) -> int | None:
+    """The answer at v's nearest c-colored ancestor (v itself included), or None, off the index.
+
+    With payloads ``range(n)`` (see ``build_nca``) that answer is the ancestor itself.
+    """
+    if not 0 <= v < o.n:
         raise GraphError(f"vertex {v} out of range")
-    return _predecessor(s.arrays.get(c, ()), s.answers.get(c, ()), s.pre[v])
+    stamps, answers, _shift, _first = o.index.get(c, ((), (), 0, None))
+    i = bisect_right(stamps, o.pre[v])
+    return answers[i - 1] if i else None
 
 
 def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> LabelSet:
@@ -72,8 +76,8 @@ def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> Lab
     label and are answered by predecessor search against pre(v).
     """
     n = len(parent)
-    s = build_nca(parent, colors)
-    vertex_labels, color_labels, tau = _split_labels(s, C, id_width(n), width_for(C))
+    o = build_nca(parent, colors, range(n), C)
+    vertex_labels, color_labels, tau = _split_labels(o, id_width(n), width_for(C))
     return LabelSet(
         scheme="nca",
         n=n,
@@ -95,22 +99,26 @@ def random_forest(rng, n):
 # -- structure ------------------------------------------------------------------
 
 
+def build_chain():
+    return build_nca(CHAIN_PARENT, CHAIN_COLORS, range(len(CHAIN_PARENT)), C=3)
+
+
 def test_per_color_array_sizes():
-    s = build_nca(CHAIN_PARENT, CHAIN_COLORS)
-    assert len(s.arrays[RED]) == 4
-    assert len(s.arrays[BLUE]) == 4
+    o = build_chain()
+    assert len(o.index[RED][0]) == 4
+    assert len(o.index[BLUE][0]) == 4
 
 
 def test_dfs_preorder_root_first():
-    s = build_nca(CHAIN_PARENT, CHAIN_COLORS)
-    assert s.pre[0] == 0
+    o = build_chain()
+    assert o.pre[0] == 0
 
 
 def test_chain_queries():
-    s = build_nca(CHAIN_PARENT, CHAIN_COLORS)
-    assert nca_query(s, 3, RED) == 2
-    assert nca_query(s, 1, GREEN) is None
-    assert nca_query(s, 2, RED) == 2  # self-inclusive
+    o = build_chain()
+    assert nca_query(o, 3, RED) == 2
+    assert nca_query(o, 1, GREEN) is None
+    assert nca_query(o, 2, RED) == 2  # self-inclusive
 
 
 def test_matches_naive_walk_on_random_trees():
@@ -119,10 +127,10 @@ def test_matches_naive_walk_on_random_trees():
         n = rng.randrange(2, 30)
         parent = random_forest(rng, n)
         colors = [rng.randrange(4) if rng.random() < 0.8 else None for _ in range(n)]
-        s = build_nca(parent, colors)
+        o = build_nca(parent, colors, range(n), C=4)
         for v in range(n):
             for c in range(4):
-                assert nca_query(s, v, c) == naive_nearest_colored_ancestor(
+                assert nca_query(o, v, c) == naive_nearest_colored_ancestor(
                     parent, colors, v, c
                 ), (parent, colors, v, c)
 
@@ -226,7 +234,8 @@ VERTEX_GRAPHS = [gen_random(12, 18, 4, seed=7, mode="vertex")] + [
 def test_oracle_vertex_mode():
     for g in VERTEX_GRAPHS:
         o = build_one_fault_oracle(g)
-        assert len(o.structure.parent) == g.n  # the graph as given, not subdivided
+        assert len(o.parent) == g.n  # the graph as given, not subdivided
+        assert load_oracle(dump_oracle(o)) == o
         for oracle in (o, load_oracle(dump_oracle(o))):
             _check_oracle(g, oracle)
         # the one-fault labels read the same index; an anchor of the failed
@@ -282,11 +291,11 @@ def test_bucket_lookups_equal_bisect_right(name):
     o = build_one_fault_oracle(g)
     loaded = load_oracle(dump_oracle(o))
     assert loaded.index == o.index  # derived on load, never stored
-    s, n = o.structure, g.n
-    assert o.index.keys() == s.arrays.keys()
+    assert loaded == o
+    n = g.n
+    assert o.index.keys() == {c for c in o.colors if c is not None}
     for c, entry in o.index.items():
         stamps, answers, shift, first = entry
-        assert stamps is s.arrays[c] and answers is s.answers[c]
         assert (first is None) == (len(stamps) < BUCKETED)
         if first is not None:
             assert 1 << shift <= 4 * n / len(stamps) < 2 << shift
@@ -309,10 +318,10 @@ def test_bucket_lookups_equal_bisect_right(name):
         for u, v in zip(live, live[1:] + live[:1]):
             probed.read = []
             reading.query(u, v, c)
-            assert all(i in bucket[s.pre[u]] or i in bucket[s.pre[v]] for i in probed.read)
+            assert all(i in bucket[o.pre[u]] or i in bucket[o.pre[v]] for i in probed.read)
             probed.read = []
             reading.cids(c, [v])
-            assert all(i in bucket[s.pre[v]] for i in probed.read)
+            assert all(i in bucket[o.pre[v]] for i in probed.read)
     tables = [first for _s, _a, _shift, first in o.index.values() if first is not None]
     assert sum(map(len, tables)) <= 4 * n + n / 16
     assert tables or name == "path-unique"  # every other graph has a long color
@@ -354,7 +363,7 @@ def test_oracle_file_size_bound(mode):
     g = gen_random(40, 70, 8, seed=9, mode=mode)
     o = build_one_fault_oracle(g)
     header, body = oracle_file_bits(o)
-    n = len(o.structure.parent)
+    n = len(o.parent)
     assert body <= 3 * n * id_width(n)
     # the counted bits are the file's, up to the padding of its last byte
     assert 0 <= 8 * len(dump_oracle(o)) - header - body < 8
@@ -430,14 +439,13 @@ def test_oracle_file_rejects_impossible_cid(mode):
     # other vertex a cid no larger than its own id
     g = gen_random(16, 26, 5, seed=3, mode=mode)
     o = build_one_fault_oracle(g)
-    s = o.structure
-    n = len(s.parent)
-    parents = [v if p is None else p for v, p in enumerate(s.parent)]
-    colors = g.vertex_colors or [0 if c is None else c for c in s.colors]
+    n = len(o.parent)
+    parents = [v if p is None else p for v, p in enumerate(o.parent)]
+    colors = g.vertex_colors or [0 if c is None else c for c in o.colors]
     cids = list(o.payloads)
     vertex = mode == VERTEX
     assert _oracle_file(parents, colors, cids, g.C, vertex) == _DUMPED[mode]
-    v = next(v for v in range(n - 1) if s.parent[v] is not None)
+    v = next(v for v in range(n - 1) if o.parent[v] is not None)
     raised = cids[:v] + [n - 1] + cids[v + 1:]
     with pytest.raises(GraphError):
         load_oracle(_oracle_file(parents, colors, raised, g.C, vertex))
@@ -484,7 +492,7 @@ def test_outputs_pinned(mode):
 
     g = gen_random(40, 70, 8, seed=9, mode=mode)
     o = build_one_fault_oracle(g)
-    forest = label_nca(list(o.structure.parent), list(o.structure.colors), C=g.C)
+    forest = label_nca(list(o.parent), list(o.colors), C=g.C)
     assert (
         hashlib.sha256(dump_oracle(o)).hexdigest(),
         bits(forest),
@@ -522,13 +530,13 @@ def test_labels_match_structure_on_random_trees():
         parent = random_forest(rng, n)
         C = rng.randrange(1, 7)
         colors = [rng.randrange(C) if rng.random() < 0.85 else None for _ in range(n)]
-        s = build_nca(parent, colors)
+        o = build_nca(parent, colors, range(n), C)
         ls = label_nca(parent, colors, C=C)
         for v in range(n):
             for c in range(C):
                 assert query_nca_labels(
                     ls.vertex_labels[v], ls.color_labels[c]
-                ) == nca_query(s, v, c)
+                ) == nca_query(o, v, c)
 
 
 def test_label_size_bound_on_acceptance_family():

@@ -338,7 +338,7 @@ def assert_disjoint_proper_balls(g, centers, r):
 def check_packing_certificate(g):
     """r = floor(k/4) centers whose r-balls are proper and pairwise disjoint; returns r."""
     ruling = build_ruling_set(g)
-    r, centers = packing_certificate(ruling)
+    r, centers = packing_certificate(ruling.k, ruling.A)
     assert r == ruling.k // 4 and len(centers) == r
     assert_disjoint_proper_balls(g, centers, r)
     return r
@@ -386,9 +386,13 @@ def test_greedy_quarter_bounds_exact():
 
 
 def test_packing_certificate_small_cases():
-    assert packing_certificate(build_ruling_set(gen_path(9))) == (1, (6,))  # A = (1, 3, 6)
-    assert packing_certificate(build_ruling_set(gen_path(4))) == (0, ())
-    assert packing_certificate(build_ruling_set(edge_graph(0, [], C=0))) == (0, ())
+    def certificate(g):
+        ruling = build_ruling_set(g)
+        return packing_certificate(ruling.k, ruling.A)
+
+    assert certificate(gen_path(9)) == (1, (6,))  # A = (1, 3, 6)
+    assert certificate(gen_path(4)) == (0, ())
+    assert certificate(edge_graph(0, [], C=0)) == (0, ())
 
 
 @pytest.mark.parametrize("n", [2 ** i for i in range(1, 13)])
