@@ -8,10 +8,12 @@ neighbors in increasing ``(neighbor id, edge id)`` order, and component ids are
 minimum vertex ids.
 
 Graphs are immutable after construction; all queries are pure reads and safe to
-share between threads.  A :class:`GraphView` is the one representation of
-G - F: it tests survival inline from its fault set, and a view with no faults
-hands out the graph's own immutable adjacency tuples.  The one
-:class:`UnionFind` has no path compression, so that it can roll back.
+share between threads.  A graph holds its one-fault oracle once it is built, a
+pure function of the graph, so sharing stays safe.  A :class:`GraphView` is
+the one representation of G - F: it tests survival inline from its fault set,
+and a view with no faults hands out the graph's own immutable adjacency
+tuples.  The one :class:`UnionFind` has no path compression, so that it can
+roll back.
 :func:`bfs` is the one first-discovery breadth-first walk; :func:`bfs_tree`
 is its forest of every component, each tree rooted at its minimum id.
 """
@@ -62,6 +64,8 @@ class ColoredGraph:
     _adj: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    # the one-fault oracle, set by ``nca.build_one_fault_oracle`` on first use
+    _oracle: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 0:

@@ -22,11 +22,13 @@ forest with its parent-edge color (edge mode) or its parent's own color
 (vertex mode, on the graph as given, with no subdivision) and stores
 cid(u, G-color) as its payload, so ``OneFaultOracle.cids`` reads cid(v, G-c)
 off the index directly; the one-fault labels of ``single_fault`` take every
-entry from it.  The oracle file stores one row per vertex, (parent, color,
-cid), in both modes, and ``load_oracle`` rebuilds the index with
-``build_nca``.  The connectivity labels here cut the same index by color
-prevalence: vertex labels hold the answers of the long colors, color labels
-the stamps and answers of the short ones.
+entry from it.  A graph keeps its oracle once built, so the oracle, the
+one-fault labels and the connectivity labels of one graph share one build.
+The oracle file stores one row per vertex, (parent, color, cid), in both
+modes, and ``load_oracle`` rebuilds the index with ``build_nca``.  The
+connectivity labels here cut the same index by color prevalence: vertex
+labels hold the answers of the long colors, color labels the stamps and
+answers of the short ones.
 """
 
 from __future__ import annotations
@@ -226,7 +228,11 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
     payload is cid(w, G minus that color).  In vertex mode the nearest such w
     above a surviving v sits below v's nearest ancestor of the failed color,
     so it survives too; a w of its parent's color is never read and stores w.
+    The oracle is built once per graph and kept on it: every later call,
+    the label builds' included, returns that same frozen object.
     """
+    if g._oracle is not None:
+        return g._oracle  # type: ignore[return-value]
     parent, edge_of = orient_forest(g, spanning_forest(g))
     colors: list[int | None]
     if g.mode == EDGE:
@@ -242,7 +248,9 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
         for v, value in got.items():
             if value is not None:
                 payloads[v] = value
-    return build_nca(parent, colors, payloads, g.C, g.vertex_colors)
+    oracle = build_nca(parent, colors, payloads, g.C, g.vertex_colors)
+    object.__setattr__(g, "_oracle", oracle)
+    return oracle
 
 
 # -- canonical oracle file -------------------------------------------------------
@@ -257,10 +265,12 @@ def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
 # Timestamps and per-color arrays are derived deterministically on load, so
 # the body costs at most 3 * ceil(log2 n) bits per vertex when C <= n.
 
+HEADER_WIDTHS = (32, 8, 8, 32, 32)  # magic, version, mode byte, n, C
+
 
 def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
     """(header bits, body bits) of the canonical encoding."""
-    return 32 + 8 + 8 + 32 + 32, o.n * (2 * id_width(o.n) + width_for(o.C))
+    return sum(HEADER_WIDTHS), o.n * (2 * id_width(o.n) + width_for(o.C))
 
 
 def oracle_index_words(o: OneFaultOracle) -> int:
@@ -282,11 +292,9 @@ def dump_oracle(o: OneFaultOracle) -> bytes:
     else:
         row_colors = list(o.vertex_colors)
     w = BitWriter()
-    w.write(ORACLE_MAGIC, 32)
-    w.write(ORACLE_VERSION, 8)
-    w.write(0 if o.vertex_colors is None else 1, 8)
-    w.write(n, 32)
-    w.write(o.C, 32)
+    mode_byte = 0 if o.vertex_colors is None else 1
+    for value, width in zip((ORACLE_MAGIC, ORACLE_VERSION, mode_byte, n, o.C), HEADER_WIDTHS):
+        w.write(value, width)
     for v in range(n):
         p = o.parent[v]
         w.write(v if p is None else p, wid)
@@ -306,16 +314,14 @@ def load_oracle(data: bytes) -> OneFaultOracle:
         if r.remaining < bits:
             raise GraphError(f"oracle file truncated in its {part}")
 
-    expect(32 + 8 + 8 + 32 + 32, "header")
-    if r.read(32) != ORACLE_MAGIC:
+    expect(sum(HEADER_WIDTHS), "header")
+    magic, version, mode_byte, n, C = (r.read(width) for width in HEADER_WIDTHS)
+    if magic != ORACLE_MAGIC:
         raise GraphError("not an oracle file")
-    if r.read(8) != ORACLE_VERSION:
+    if version != ORACLE_VERSION:
         raise GraphError("unsupported oracle file version")
-    mode_byte = r.read(8)
     if mode_byte > 1:
         raise GraphError(f"oracle file: unknown mode byte {mode_byte}")
-    n = r.read(32)
-    C = r.read(32)
     wid = id_width(n)
     wc = width_for(C)
     expect(n * (wid + wc + wid), "body")

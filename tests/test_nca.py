@@ -1,9 +1,11 @@
 import hashlib
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
@@ -14,8 +16,11 @@ from hypothesis import strategies as st
 
 from colorfault.bits import BitWriter, id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
-from colorfault.graph import VERTEX, GraphError, RemovedVertexError, edge_graph
+from colorfault.graph import (
+    VERTEX, GraphError, RemovedVertexError, edge_graph, parse_graph, serialize_graph,
+)
 from colorfault.labels import LabelSet
+import colorfault.nca as nca_module
 from colorfault.nca import (
     BUCKETED,
     ORACLE_MAGIC,
@@ -35,7 +40,7 @@ from colorfault.nca import (
     query_nca_labels,
 )
 from colorfault.oracle import brute_force_partition
-from colorfault.single_fault import label_single_fault, query_single_fault
+from colorfault.single_fault import build_ruling_set, label_single_fault, query_single_fault
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -602,3 +607,74 @@ def test_connectivity_labels_exact():
                             ls.color_labels[c],
                         )
                         assert got == (part[u] == part[v])
+
+
+# -- one oracle per graph --------------------------------------------------------
+
+
+def test_oracle_is_built_once_per_graph():
+    g = gen_random(30, 50, 4, seed=2)
+    assert build_one_fault_oracle(g) is build_one_fault_oracle(g)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_one_fault_setup_runs_one_sweep(mode, monkeypatch):
+    """The oracle, its file round trip and both label builds share one cids sweep."""
+    text = serialize_graph(gen_random(60, 110, 4, seed=5, mode=mode))
+    calls = []
+    sweep = nca_module.cids_after_faults
+    monkeypatch.setattr(nca_module, "cids_after_faults",
+                        lambda *args: calls.append(1) or sweep(*args))
+    g = parse_graph(text)
+    loaded = load_oracle(dump_oracle(build_one_fault_oracle(g)))
+    single = label_single_fault(g, build_ruling_set(g))
+    conn = label_nca_connectivity(g)
+    assert len(calls) == 1
+    assert loaded == build_one_fault_oracle(g)
+    fresh = parse_graph(text)
+    assert fresh._oracle is None
+    assert single == label_single_fault(fresh)
+    assert conn == label_nca_connectivity(parse_graph(text))
+    assert len(calls) == 3  # each fresh graph built its own
+
+
+def test_oracle_memo_leaves_graph_identity_alone():
+    g = gen_random(25, 40, 3, seed=8, mode=VERTEX)
+    before = (hash(g), repr(g))
+    twin = parse_graph(serialize_graph(g))
+    build_one_fault_oracle(g)
+    assert g._oracle is not None
+    assert (hash(g), repr(g)) == before
+    assert g == twin and hash(g) == hash(twin)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.adjacency(3) == g.adjacency(3)
+
+
+def test_derived_graphs_start_without_an_oracle():
+    g = gen_random(25, 40, 3, seed=4)
+    o = build_one_fault_oracle(g)
+    kept = g.keep_edges(range(g.m - 5))
+    same = replace(g)
+    assert kept._oracle is None and same._oracle is None
+    assert build_one_fault_oracle(same) is not o
+    assert build_one_fault_oracle(same) == o
+
+
+def test_threads_racing_to_build_one_graphs_oracle_agree():
+    """A race may build twice, but every thread gets the graph's one oracle value."""
+    g = gen_random(400, 800, 4, seed=6)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(build_one_fault_oracle(g)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(o == g._oracle for o in got)
+    assert build_one_fault_oracle(g) is g._oracle
