@@ -14,6 +14,7 @@ import os
 import pickle
 import random
 import sys
+import time
 
 from . import generators
 from .bits import id_width
@@ -205,12 +206,15 @@ def cmd_bench(args) -> int:
                 n, int(n * args.density), args.C or max(2, math.isqrt(n)),
                 seed=args.seed, coloring=args.coloring, connected=True,
             )
+        start = time.thread_time()
         ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed)
+        build_s = time.thread_time() - start
         max_bits = ls.max_label_bits()
         words = max_bits / max(id_width(max(g.n, 2)), 1)
         rows.append((n, max_bits, words))
         report[f"n{n}.max_bits"] = max_bits
         report[f"n{n}.max_words"] = round(words, 2)
+        report[f"n{n}.build_s"] = round(build_s, 4)  # thread CPU seconds of the build
         if args.scheme == "single":  # the ruling set's k and packing_certificate's r
             r = packing_certificate(ls.meta["k"], ls.meta["A"])[0]
             report[f"n{n}.k"] = ls.meta["k"]

@@ -18,10 +18,13 @@ level per removable fault), rare colors by the sketch, whose edge labels they
 carry for their whole class.  T takes the edges no rare color removes first,
 so few rare color labels carry a subtree sketch.  The child g - h keeps the
 vertex ids and colors and drops the edges h removes.  Below f = 2 a node's
-labels are the one-fault labels of its graph themselves.  A descent on a
-prevalent color that leaves no other fault fails that color again in the
-child, which has no edge of it; a node with no fault left asks its sketch
-with no faulty edge, which is exact, since T spans the node's graph.
+labels are the one-fault labels of its graph themselves, and an f = 2 node
+reads every entry of them from one pair sweep of its own graph: the entry
+cid(v, (g - h) - c) is cid(v, g - {h, c}), so one ``cids_after_faults`` over
+the pairs {h, c} serves all its children, and no child oracle is built.  A
+descent on a prevalent color that leaves no other fault fails that color
+again in the child, which has no edge of it; a node with no fault left asks
+its sketch with no faulty edge, which is exact, since T spans the node's graph.
 Its queries read only the labels of u, v and F.
 
 The large-f scheme lets every color fault, so a color label would have to
@@ -42,11 +45,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, UnionFind, path_colors
+from .graph import EDGE, VERTEX, ColoredGraph, UnionFind, cids_after_faults, path_colors
 from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
     SingleFaultVertexLabel,
+    _assemble,
+    _entries,
     build_ruling_set,
     label_bits,
     label_single_fault,
@@ -238,18 +243,60 @@ def _b_estimate(level: int, b1: float, m_cert: int, sketch_label_bits: int) -> f
     return b
 
 
+def _drop(g: ColoredGraph, removed: list[int]) -> ColoredGraph:
+    """The child g - h: g without the edges ``removed`` of h's fault.
+
+    It keeps every other class's spanning forest, so it is its own certificate.
+    """
+    dropped = set(removed)
+    return g.keep_edges(eid for eid in range(g.m) if eid not in dropped)
+
+
+def _leaves(g: ColoredGraph, prevalent: list[int], ecls: list[list[int]]) -> list[tuple]:
+    """(vertex labels, color labels, manifest) of each one-fault child g - h, h prevalent.
+
+    A leaf's entries are cid(v, (g - h) - c) = cid(v, g - {h, c}), so one
+    ``cids_after_faults`` sweep of g over the pairs {h, c} gives them all
+    ({h} when c = h); a pair of two prevalent colors serves both children.
+    Each child copy is built only for its ruling set and path colors: in
+    vertex mode its h-colored vertices stay isolated A0 anchors, which no
+    entry lists, so g - {h, c} removing them changes no listed value.
+    """
+    plans = []
+    wanted: dict[frozenset[int], list[int]] = {}
+    for h in prevalent:
+        child = _drop(g, ecls[h])
+        ruling = build_ruling_set(child)
+        colors_on_path = path_colors(child, ruling.parent, ruling.parent_edge)
+        entries = _entries(child, ruling, colors_on_path)
+        for c, (on_path, live) in enumerate(entries):
+            if on_path or live:
+                listed = wanted.setdefault(frozenset((h, c)), [])
+                listed += on_path
+                listed += live
+        plans.append((h, ruling, colors_on_path, entries, child.m))
+        del child
+    swept = cids_after_faults(g, wanted)
+
+    out = []
+    for h, ruling, colors_on_path, entries, m in plans:
+        def cids(c: int, vertices: list[int], h: int = h) -> list[int]:
+            found = swept.get(frozenset((h, c)), {})
+            return [found[v] for v in vertices]
+
+        base = _assemble(g, ruling, colors_on_path, entries, cids)
+        manifest = {"f": 1, "n": g.n, "m": m, "scheme": "single-fault"}
+        out.append((base.vertex_labels, base.color_labels, manifest))
+    return out
+
+
 def _recurse(
     g: ColoredGraph, f: int, seed: int, repetitions: int, checksum_bits: int
 ) -> tuple[list, list, dict]:
-    """Returns (vertex labels, color labels, manifest) of the certificate ``g``.
+    """Returns (vertex labels, color labels, manifest) of the certificate ``g``, f >= 2.
 
-    Below f = 2 these are the one-fault labels of ``g`` themselves.
+    The children of an f = 2 node are one-fault leaves (``_leaves``).
     """
-    if f <= 1:
-        base = label_single_fault(g)
-        manifest = {"f": 1, "n": g.n, "m": g.m, "scheme": "single-fault"}
-        return list(base.vertex_labels), list(base.color_labels), manifest
-
     sketch_seed = _hash_fields(seed, 0xEDE)
     params = SketchParams.create(g.n, g.m, sketch_seed, repetitions, checksum_bits)
     sketch_label_bits = params.sketch_bits if g.n else 0
@@ -273,31 +320,27 @@ def _recurse(
         order=sorted(range(g.m), key=rare.__contains__),
     )
 
-    child_vls: list[list] = []
-    child_cls: list[list] = []
-    child_manifests = {}
-    for idx, h in enumerate(prevalent):
-        # g - h keeps every other class's spanning forest, so it is its own certificate
-        dropped = set(ecls[h])
-        child = g.keep_edges(eid for eid in range(g.m) if eid not in dropped)
-        vls, cls, man = _recurse(
-            child, f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
-        )
-        child_vls.append(vls)
-        child_cls.append(cls)
-        child_manifests[h] = man
+    if f == 2:
+        subs = _leaves(g, prevalent, ecls)
+    else:
+        subs = [
+            _recurse(
+                _drop(g, ecls[h]), f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
+            )
+            for idx, h in enumerate(prevalent)
+        ]
 
     wbranch = width_for(g.C + 1)
     vertex_labels = []
     for v in range(g.n):
-        children = tuple(child_vls[i][v] for i in range(len(prevalent)))
+        children = tuple(vls[v] for vls, _, _ in subs)
         sk = ctx.vertex_labels[v]
         bits = wbranch + sk.bits + sum(ch.bits for ch in children)
         vertex_labels.append(RecursiveVertexLabel(v, f, sk, children, bits=bits))
 
     color_labels = []
     for c in range(g.C):
-        children = tuple(child_cls[i][c] for i in range(len(prevalent)))
+        children = tuple(cls[c] for _, cls, _ in subs)
         if c in branch_of:
             sketches: tuple[EdgeSketchLabel, ...] = ()
         else:
@@ -322,7 +365,7 @@ def _recurse(
         "b_lower_estimate": b_lower,
         "sketch_label_bits": sketch_label_bits,
         "prevalent_colors": prevalent,
-        "children": child_manifests,
+        "children": {h: man for h, (_, _, man) in zip(prevalent, subs)},
     }
     return vertex_labels, color_labels, manifest
 

@@ -5,10 +5,12 @@ sequence A = (a_1, ..., a_{k-1}) where a_i is the minimum-id vertex at distance
 exactly i from everything chosen so far.  Every vertex then has a shortest path
 P(v) of length < k to A0 u A.  A vertex label stores its anchor and
 cid(v, G-d) for each color d on P(v); a color label stores cid(a, G-c) for
-every a in A.  Every entry is read off the index of the one-fault oracle
-(``nca.build_one_fault_oracle``), which holds cid(v, G-c) for all (v, c) in
-O(n) words.  Queries resolve with one map hit or one anchor lookup.  Label
-sizes come from ``label_bits``, given the ruling set and its path colors.
+every a in A.  ``label_single_fault`` reads every entry off the index of
+the one-fault oracle (``nca.build_one_fault_oracle``), which holds
+cid(v, G-c) for all (v, c) in O(n) words; the recursion's one-fault leaves
+read them from a pair sweep (``multi_fault``) and share the same assembly.
+Queries resolve with one map hit or one anchor lookup.  Label sizes come from
+``label_bits``, given the ruling set and its path colors.
 
 The halting iteration k also bounds the packing number bp(G), the largest r
 admitting r vertex-disjoint proper r-balls: ``packing_certificate`` reads
@@ -21,6 +23,7 @@ ball encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .bits import id_width, width_for
 from .graph import (
@@ -75,11 +78,12 @@ def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int
     depth = list(forest.depth)
     A: list[int] = []
     queue: list[int] = []
+    adjacency = [gv.adjacency(v) for v in range(gv.n)]  # once: a vertex is entered many times
     i = 1
     while True:
         for x in queue:  # the queue grows while it is scanned
             dx = depth[x] + 1
-            for w, _eid in gv.adjacency(x):
+            for w, _eid in adjacency[x]:
                 if depth[w] > dx:
                     depth[w] = dx
                     queue.append(w)
@@ -161,26 +165,48 @@ def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> Labe
     if ruling is None:
         ruling = build_ruling_set(g)
     colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
-    vertex_bits, color_bits = label_bits(g, ruling, colors_on_path)
-    oracle = build_one_fault_oracle(g)
-    own = g.vertex_colors
+    entries = _entries(g, ruling, colors_on_path)
+    return _assemble(g, ruling, colors_on_path, entries, build_one_fault_oracle(g).cids)
 
-    on_path: list[list[int]] = [[] for _ in range(g.C)]  # per color: the v with it on P(v)
+
+def _entries(
+    g: ColoredGraph, ruling: RulingSet, colors_on_path: list[frozenset[int]]
+) -> list[tuple[list[int], list[int]]]:
+    """Per color c, the vertices whose cid(v, G-c) the labels hold.
+
+    These are the v with c on P(v), increasing, for v's map, and the anchors
+    of A that c does not remove, for c's label.  Neither list holds a vertex
+    of color c: c is never v's own color on P(v).
+    """
+    own = g.vertex_colors
+    on_path: list[list[int]] = [[] for _ in range(g.C)]
     for v in range(g.n):
         for c in colors_on_path[v]:
             on_path[c].append(v)
+    return [(on_path[c], [a for a in ruling.A if own is None or own[a] != c]) for c in range(g.C)]
+
+
+def _assemble(
+    g: ColoredGraph,
+    ruling: RulingSet,
+    colors_on_path: list[frozenset[int]],
+    entries: list[tuple[list[int], list[int]]],
+    cids: Callable[[int, list[int]], Iterable[int]],
+) -> LabelSet:
+    """The labels from ``_entries``, given ``cids(c, vertices)``: cid(v, G-c) per listed v."""
+    vertex_bits, color_bits = label_bits(g, ruling, colors_on_path)
+    own = g.vertex_colors
     mappings: list[dict[int, int]] = [{} for _ in range(g.n)]
     color_labels = []
-    for c in range(g.C):  # in increasing c, so each mapping is sorted
-        # c is not v's own color, so v survives G-c
-        for v, value in zip(on_path[c], oracle.cids(c, on_path[c])):
+    for c, (on_path, live) in enumerate(entries):  # in increasing c, so each mapping is sorted
+        for v, value in zip(on_path, cids(c, on_path)):
             mappings[v][c] = value
         # an anchor removed by its own color is never consulted: any vertex
         # anchored there has c on P(v), so the query resolves earlier
-        live = [a for a in ruling.A if own is None or own[a] != c]
-        read = dict(zip(live, oracle.cids(c, live)))
-        entries = {a: read.get(a, a) for a in ruling.A}
-        color_labels.append(SingleFaultColorLabel(c, entries, color_bits[c]))
+        read = dict(zip(live, cids(c, live)))
+        color_labels.append(
+            SingleFaultColorLabel(c, {a: read.get(a, a) for a in ruling.A}, color_bits[c])
+        )
 
     vertex_labels = []
     for v, mapping in enumerate(mappings):

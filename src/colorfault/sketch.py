@@ -4,7 +4,11 @@ These are Dory–Parter f-edge-fault labels (PODC 2021) built from XOR cut
 sketches in the style of Kapron–King–Mountjoy (SODA 2013).  The sketch of a
 vertex set S holds, for t repetitions and levels 0..L-1 (L = floor(log2 m) + 1),
 the XOR of the names of the sampled edges crossing the cut (S, V-S); an edge
-is sampled at level i with probability 2^-i via a seeded hash.  So the sketch
+is sampled at level i with probability 2^-i via a seeded hash.  That hash is
+three splitmix rounds over (seed, repetition, edge id), and the first two
+depend only on the seed and the repetition, so a build computes them once per
+repetition and a sampling level costs one round; an edge's t contributions
+share one int per distinct level.  So the sketch
 of a union of disjoint sets is the XOR of their sketches, and the sketch of a
 whole connected component is zero.  An edge name packs both endpoints, the
 edge id and a keyed checksum, so a cell holding exactly one cut edge is
@@ -48,7 +52,7 @@ Seeding is splittable and counter-based: every random decision is a hash of
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
@@ -69,6 +73,7 @@ DEFAULT_CHECKSUM_BITS = 32
 _MASK64 = (1 << 64) - 1
 _CHECKSUM_SALT = 0xC5EC5EC5EC5EC5E5
 _LEVEL_SALT = 0x1E7E11E7E11E7E17
+_TOP_BIT = 1 << 63  # caps a level hash's trailing zeros at 63
 
 
 class SchemeMismatchError(ValueError):
@@ -171,11 +176,6 @@ class SketchParams:
             return None
         return (a, b, eid) if chk == self.checksum(a, b, eid) else None
 
-    def edge_level(self, rep: int, eid: int) -> int:
-        """Deepest sampling level of the edge: trailing zeros, capped."""
-        h = _hash_fields(self.seed ^ _LEVEL_SALT, rep, eid) | (1 << 63)
-        return min((h & -h).bit_length() - 1, self.levels - 1)
-
 
 @dataclass(frozen=True, slots=True)
 class VertexSketchLabel:
@@ -231,17 +231,6 @@ class EdgeFaultLabels:
         return max(sizes, default=0)
 
 
-def _edge_contributions(params: SketchParams, name: int, level_per_rep: Sequence[int]) -> tuple[int, ...]:
-    w = params.cell_bits
-    out = []
-    for level in level_per_rep:
-        acc = 0
-        for i in range(level + 1):
-            acc |= name << (w * i)
-        out.append(acc)
-    return tuple(out)
-
-
 def build_edge_fault_labels(
     source: ColoredGraph | GraphView,
     seed: int,
@@ -271,27 +260,52 @@ def build_edge_fault_labels(
 
     ebits = params.cell_bits + t * L  # name + membership bit-vector
     tree_bits = 2 * params.id_bits + t * L * w  # lower endpoint's (pre, size) + subtree sketch
+    tree_eids = set(parent_edge)
+    # the seed and repetition rounds of every level hash, once per build
+    keys, top = [_hash_fields(seed ^ _LEVEL_SALT, r) for r in range(t)], L - 1
+    sid = params.scheme_id
     acc = [[0] * t for _ in range(n)]
-    edge_labels: dict[int, EdgeSketchLabel] = {}
+    built: dict[int, EdgeSketchLabel] = {}
+    tree_rows: dict[int, tuple] = {}  # a tree edge's label waits for its subtree sketch
     for eid in eids:
         u, v = g.edges[eid]
-        name = params.edge_name(pre[u], pre[v], eid)
-        levels = tuple(params.edge_level(r, eid) for r in range(t))
-        contrib = _edge_contributions(params, name, levels) if u != v else (0,) * t
-        edge_labels[eid] = EdgeSketchLabel(
-            eid=eid, scheme_id=params.scheme_id, name=name, level_per_rep=levels,
-            endpoints=tuple(sorted((pre[u], pre[v]))), contrib=contrib, bits=ebits,
-        )
+        a, b = pre[u], pre[v]
+        name = params.edge_name(a, b, eid)
+        # level r is _hash_fields(seed ^ _LEVEL_SALT, r, eid)'s trailing zeros, capped at
+        # L - 1: its last round, ``_splitmix64(keys[r] ^ eid)``, inlined
+        levels = []
+        for key in keys:
+            x = ((key ^ eid) + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            x = (x ^ (x >> 31)) | _TOP_BIT
+            level = (x & -x).bit_length() - 1
+            levels.append(level if level < top else top)
         if u != v:
+            # the name in cells 0..i, for each level i up to the deepest: one int per distinct level
+            cells = [name]
+            for i in range(1, max(levels) + 1):
+                cells.append(cells[-1] | name << (w * i))
+            contrib = tuple([cells[level] for level in levels])
             acc[u] = list(map(xor, acc[u], contrib))
             acc[v] = list(map(xor, acc[v], contrib))
+        else:
+            contrib = (0,) * t
+        row = (eid, sid, name, tuple(levels))
+        ends = (a, b) if a <= b else (b, a)
+        if eid in tree_eids:
+            tree_rows[eid] = (row, ends, contrib)
+        else:
+            built[eid] = EdgeSketchLabel(*row, None, (), ends, contrib, ebits)
     for x in reversed(order):  # acc[x] is complete: x's subtree sketch
         p = parent[x]
         if p is not None:
             acc[p] = list(map(xor, acc[p], acc[x]))
             eid = parent_edge[x]
-            edge_labels[eid] = replace(edge_labels[eid], lower=(pre[x], end[x] - pre[x]),
-                                       subtree=tuple(acc[x]), bits=ebits + tree_bits)
+            row, ends, contrib = tree_rows[eid]
+            built[eid] = EdgeSketchLabel(*row, (pre[x], end[x] - pre[x]), tuple(acc[x]),
+                                         ends, contrib, ebits + tree_bits)
+    edge_labels = {eid: built[eid] for eid in eids}
     vbits = 3 * params.id_bits + 64  # pre, tree interval, scheme id
     vertex_labels = tuple(VertexSketchLabel(pre[x], tree[x], params, vbits) for x in range(n))
     return EdgeFaultLabels("edge-fault-sketch", params, vertex_labels, edge_labels)

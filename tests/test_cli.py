@@ -181,6 +181,16 @@ def test_bench_multi_on_dense_random(capsys):
     assert "slope_bits=" in out and ".k=" not in out and ".r=" not in out  # single only
 
 
+def test_bench_reports_build_time(capsys):
+    assert main(["bench", "--scheme", "multi", "--sizes", "16,32", "--f", "2",
+                 "--generator", "random", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for n in (16, 32):
+        at = lines.index(next(l for l in lines if l.startswith(f"n{n}.max_words=")))
+        key, value = lines[at + 1].split("=")
+        assert key == f"n{n}.build_s" and float(value) >= 0  # thread CPU seconds
+
+
 @pytest.mark.parametrize("sizes, cause", [("8,8", "distinct"), ("0,8", "--sizes"),
                                           ("8,0", "--sizes"), ("1,2", "positive y")])
 def test_bench_rejects_degenerate_sizes(capsys, sizes, cause):

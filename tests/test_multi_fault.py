@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorfault import multi_fault, single_fault
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph, vertex_graph
 from colorfault.multi_fault import (
@@ -416,3 +417,69 @@ PINNED = {
 @pytest.mark.parametrize("mode", sorted(PINNED))
 def test_answers_pinned(mode):
     assert pinned_multi_answers(mode) == PINNED[mode]
+
+
+# -- one pair sweep per f = 2 node ----------------------------------------------
+
+
+def per_child_leaves(g, prevalent, ecls):
+    """The reference leaves: each child g - h as its own graph, by ``label_single_fault``."""
+    out = []
+    for h in prevalent:
+        dropped = set(ecls[h])
+        child = g.keep_edges(eid for eid in range(g.m) if eid not in dropped)
+        base = label_single_fault(child)
+        manifest = {"f": 1, "n": child.n, "m": child.m, "scheme": "single-fault"}
+        out.append((base.vertex_labels, base.color_labels, manifest))
+    return out
+
+
+def _spy_sweeps(monkeypatch):
+    """Record the fault-set family of every ``cids_after_faults`` call of the recursion."""
+    families = []
+    sweep = multi_fault.cids_after_faults
+    monkeypatch.setattr(multi_fault, "cids_after_faults",
+                        lambda g, wanted: families.append(wanted) or sweep(g, wanted))
+    return families
+
+
+def _f2_prevalent_lists(manifest):
+    """The prevalent list of every f = 2 node, in build order."""
+    if manifest["f"] == 2:
+        return [manifest["prevalent_colors"]]
+    return [p for child in manifest["children"].values() for p in _f2_prevalent_lists(child)]
+
+
+@pytest.mark.parametrize("f", (2, 3))
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+@pytest.mark.parametrize("seed", (4, 17))
+def test_leaves_equal_per_child_builds(f, mode, seed, monkeypatch):
+    g = gen_random(36, 100, 6, seed=seed, mode=mode)
+    families = _spy_sweeps(monkeypatch)
+    got = label_recursive(g, f, seed=seed)
+    monkeypatch.setattr(multi_fault, "_leaves", per_child_leaves)
+    want = label_recursive(g, f, seed=seed)
+    assert got.meta == want.meta
+    assert got == want
+    same_repr = repr(got) == repr(want)  # every label's bits, at every node
+    assert same_repr
+    # some pair {h, c} of two prevalent colors serves both children in one sweep
+    shared = [F for family, prevalent in zip(families, _f2_prevalent_lists(got.meta["manifest"]))
+              for F in family if len(F) == 2 and F <= set(prevalent)]
+    assert shared
+
+
+@pytest.mark.parametrize("f", (2, 3))
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_each_f2_node_sweeps_once_and_builds_no_oracle(f, mode, monkeypatch):
+    g = gen_random(36, 100, 6, seed=8, mode=mode)
+    families = _spy_sweeps(monkeypatch)
+    oracles = []
+    build = single_fault.build_one_fault_oracle
+    monkeypatch.setattr(single_fault, "build_one_fault_oracle",
+                        lambda g: oracles.append(1) or build(g))
+    ls = label_recursive(g, f, seed=2)
+    nodes = _f2_prevalent_lists(ls.meta["manifest"])
+    assert nodes and all(nodes)
+    assert len(families) == len(nodes)
+    assert oracles == []

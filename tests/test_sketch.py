@@ -7,13 +7,24 @@ import pytest
 
 from colorfault import multi_fault
 from colorfault.generators import gen_path, gen_random
-from colorfault.graph import UnionFind, edge_graph
+from colorfault.graph import (
+    UnionFind,
+    as_view,
+    edge_graph,
+    orient_forest,
+    preorder,
+    spanning_forest,
+)
 from colorfault.oracle import brute_force_partition
 from colorfault.sketch import (
     _CHECKSUM_SALT,
+    _LEVEL_SALT,
+    EdgeSketchLabel,
+    EdgeFaultLabels,
     SchemeMismatchError,
     SketchParams,
     TreeParts,
+    VertexSketchLabel,
     _hash_fields,
     build_edge_fault_labels,
     decode_cut_edge,
@@ -234,13 +245,122 @@ def test_label_bit_accounting():
     assert len(tree_edges(labels)) == g.n - 1  # gen_random is connected here
 
 
+# -- the per-cell reference build -------------------------------------------------
+
+
+def edge_level(params, rep, eid):
+    """Deepest sampling level of the edge: trailing zeros of its three-round hash, capped."""
+    h = _hash_fields(params.seed ^ _LEVEL_SALT, rep, eid) | (1 << 63)
+    return min((h & -h).bit_length() - 1, params.levels - 1)
+
+
+def _edge_contributions(params, name, level_per_rep):
+    w = params.cell_bits
+    out = []
+    for level in level_per_rep:
+        acc = 0
+        for i in range(level + 1):
+            acc |= name << (w * i)
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_build(source, seed, repetitions=24, checksum_bits=32, order=None):
+    """``build_edge_fault_labels`` one hash per cell and one contribution per repetition."""
+    gv = as_view(source)
+    g, n = gv.graph, gv.n
+    eids = [eid for eid, _, _ in gv.surviving_edges()] if order is None else list(order)
+    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions, checksum_bits)
+    t, L, w = params.repetitions, params.levels, params.cell_bits
+    parent, parent_edge = orient_forest(g, spanning_forest(gv, eids))
+    order, pre, end = preorder(parent)
+    tree = [(0, 0)] * n
+    for x in order:
+        p = parent[x]
+        tree[x] = (pre[x], end[x]) if p is None else tree[p]
+    ebits = params.cell_bits + t * L
+    tree_bits = 2 * params.id_bits + t * L * w
+    acc = [[0] * t for _ in range(n)]
+    edge_labels = {}
+    for eid in eids:
+        u, v = g.edges[eid]
+        name = params.edge_name(pre[u], pre[v], eid)
+        levels = tuple(edge_level(params, r, eid) for r in range(t))
+        contrib = _edge_contributions(params, name, levels) if u != v else (0,) * t
+        edge_labels[eid] = EdgeSketchLabel(
+            eid=eid, scheme_id=params.scheme_id, name=name, level_per_rep=levels,
+            endpoints=tuple(sorted((pre[u], pre[v]))), contrib=contrib, bits=ebits,
+        )
+        if u != v:
+            acc[u] = list(map(xor, acc[u], contrib))
+            acc[v] = list(map(xor, acc[v], contrib))
+    for x in reversed(order):
+        p = parent[x]
+        if p is not None:
+            acc[p] = list(map(xor, acc[p], acc[x]))
+            eid = parent_edge[x]
+            edge_labels[eid] = dataclasses.replace(
+                edge_labels[eid], lower=(pre[x], end[x] - pre[x]),
+                subtree=tuple(acc[x]), bits=ebits + tree_bits)
+    vbits = 3 * params.id_bits + 64
+    vertex_labels = tuple(VertexSketchLabel(pre[x], tree[x], params, vbits) for x in range(n))
+    return EdgeFaultLabels("edge-fault-sketch", params, vertex_labels, edge_labels)
+
+
+def zipf_graph(n, m, C, seed, mode="edge"):
+    """``gen_random``'s edges under a Zipf(1.3) palette, as the skewed benchmark draws it."""
+    g = gen_random(n, m, C, seed=seed, mode=mode)
+    rng = random.Random(seed)
+    weights = [1 / (k + 1) ** 1.3 for k in range(C)]
+    colors = tuple(rng.choices(range(C), weights, k=g.m if mode == "edge" else n))
+    if mode == "edge":
+        return dataclasses.replace(g, edge_colors=colors)
+    return dataclasses.replace(g, vertex_colors=colors)
+
+
+REFERENCE_GRAPHS = {
+    "zipf": lambda s: (zipf_graph(60, 150, 12, seed=s), None),
+    "vertex": lambda s: (zipf_graph(50, 110, 6, seed=s, mode="vertex").view({s % 6}), None),
+    "loops-parallel": lambda s: (
+        edge_graph(6, [(0, 1, 0), (0, 1, 1), (1, 1, 2), (1, 2, 0), (2, 2, 1), (2, 3, 2),
+                       (3, 4, 0), (3, 4, 0), (4, 5, 1), (5, 0, 2), (5, 5, 0)]), None),
+    "disconnected": lambda s: (gen_random(40, 30, 4, seed=s), None),
+    "path": lambda s: (gen_path(70, coloring="uniform", C=5, seed=s), None),
+    "order": lambda s: (gen_random(30, 70, 5, seed=s),
+                        random.Random(s).sample(range(70), 70)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_GRAPHS))
+def test_build_matches_per_cell_reference(kind, seed):
+    source, order = REFERENCE_GRAPHS[kind](seed)
+    for sketch_seed, reps in ((seed, 24), (seed + 40, 5)):
+        got = build_edge_fault_labels(source, seed=sketch_seed, repetitions=reps, order=order)
+        want = reference_build(source, seed=sketch_seed, repetitions=reps, order=order)
+        assert list(got.edge_labels) == list(want.edge_labels)
+        for eid, lbl in got.edge_labels.items():
+            ref = want.edge_labels[eid]
+            assert lbl.level_per_rep == ref.level_per_rep
+            assert (lbl.contrib, lbl.endpoints, lbl.bits) == (ref.contrib, ref.endpoints, ref.bits)
+            assert (lbl.lower, lbl.subtree) == (ref.lower, ref.subtree)
+            # one int object per distinct level of the edge
+            by_level = {}
+            for level, cell in zip(lbl.level_per_rep, lbl.contrib):
+                assert by_level.setdefault(level, cell) is cell
+        assert [l.bits for l in got.vertex_labels] == [l.bits for l in want.vertex_labels]
+        assert got == want
+        same_repr = repr(got) == repr(want)  # a bool: a diff of two such reprs takes minutes
+        assert same_repr
+
+
 def test_membership_reproducible_from_seed():
     g = gen_random(10, 18, 3, seed=33)
     labels = build_edge_fault_labels(g, seed=10)
     p = labels.params
     for eid, lbl in labels.edge_labels.items():
         assert lbl.level_per_rep == tuple(
-            p.edge_level(r, eid) for r in range(p.repetitions)
+            edge_level(p, r, eid) for r in range(p.repetitions)
         )
 
 
