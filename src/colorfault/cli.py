@@ -39,7 +39,7 @@ from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
 from .schemes import SCHEMES, query
 from .single_fault import packing_certificate
-from .sketch import DEFAULT_CHECKSUM_BITS, DEFAULT_REPETITIONS
+from .sketch import DEFAULT_REPETITIONS
 
 
 def _read_graph(path: str) -> ColoredGraph:
@@ -91,9 +91,7 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     g = _read_graph(args.graph)
-    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed,
-                                    repetitions=args.repetitions,
-                                    checksum_bits=args.checksum_bits)
+    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed, repetitions=args.repetitions)
     report = measure_labels(ls)
     if args.scheme == "multi" and "manifest" in ls.meta:
         report["manifest"] = ls.meta["manifest"]
@@ -112,9 +110,8 @@ def cmd_query(args) -> int:
             raise GraphError(f"{args.labels} is not a label file: {exc}") from exc
     if not isinstance(ls, LabelSet):
         raise GraphError(f"{args.labels} is not a label file: it holds a {type(ls).__name__}")
-    colors = [int(c) for c in args.colors.split(",")] if args.colors else []
     try:
-        ok = query(ls, args.u, args.v, colors)
+        ok = query(ls, args.u, args.v, args.colors)
     except RemovedVertexError as exc:
         print(f"error=removed-vertex detail={exc}")
         return 2
@@ -156,8 +153,7 @@ def cmd_verify(args) -> int:
     if g.C == 0 and scheme.max_faults is not None:
         raise GraphError(f"the graph has no colors to fail; scheme {scheme.name} needs one in F")
     max_faults = scheme.budget(args.f)
-    ls = scheme.build(g, f=args.f, seed=args.seed, repetitions=args.repetitions,
-                      checksum_bits=args.checksum_bits)
+    ls = scheme.build(g, f=args.f, seed=args.seed, repetitions=args.repetitions)
     rng = random.Random(args.seed)
     skipped = 0
     mismatches = []  # (u, v, F, wrong answer)
@@ -193,9 +189,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if min(sizes) < 1:
-        raise ValueError(f"--sizes must all be at least 1, got {args.sizes}")
+    sizes = args.sizes
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes must all be at least 1, got {','.join(map(str, sizes))}")
     report: dict = {"scheme": args.scheme, "generator": args.generator}
     rows = []
     for n in sizes:
@@ -260,8 +256,7 @@ def cmd_encode(args) -> int:
     bits = parse_bits(args.bits)
     if args.encoder == "balls":
         g = _read_graph(args.graph)
-        centers = [int(x) for x in args.centers.split(",")] if args.centers else None
-        inst = encode_balls(g, bits, centers=centers)
+        inst = encode_balls(g, bits, centers=args.centers or None)
     else:
         inst = encode_spider(args.f, args.q, args.arms, bits,
                              subdivide=args.subdivide)
@@ -284,6 +279,15 @@ def cmd_encode(args) -> int:
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; the empty string is the empty list."""
+    try:
+        return [int(item) for item in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_seed(p) -> None:
@@ -334,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS,
                    help="sketch repetitions for multi/large schemes")
-    p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS,
-                   help="sketch edge-name checksum width")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_label)
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels")
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
-    p.add_argument("--colors", default="", help="comma-separated faulted colors")
+    p.add_argument("--colors", type=_int_list, default=[], help="comma-separated faulted colors")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("oracle", help="centralized one-fault oracle")
@@ -364,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--f", type=int, default=2)
     p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
-    p.add_argument("--checksum-bits", type=int, default=DEFAULT_CHECKSUM_BITS)
     p.add_argument("--trials", type=int, default=200)
     _add_seed(p)
     p.add_argument("--summary", default=None)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure label sizes across sizes")
     p.add_argument("--scheme", choices=tuple(SCHEMES), default="single")
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
+    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated n values")
     p.add_argument("--generator", choices=("path", "random"), default="path")
     p.add_argument("--coloring", choices=generators.COLORINGS, default="unique")
     p.add_argument("--C", type=int, default=0)
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     eb = esub.add_parser("balls")
     eb.add_argument("graph")
     eb.add_argument("--bits", required=True)
-    eb.add_argument("--centers", default=None)
+    eb.add_argument("--centers", type=_int_list, default=None)
     eb.add_argument("--decode-with", choices=("oracle", "scheme"), default="oracle")
     _add_seed(eb)
     eb.add_argument("--summary", default=None)

@@ -38,8 +38,8 @@ class ParseError(GraphError):
         self.line = line
 
 
-class InvalidFaultSetError(ValueError):
-    """Fault set mentions a color id outside the palette."""
+class InvalidFaultSetError(GraphError):
+    """A fault set names a color outside the palette, or breaks a scheme's budget."""
 
 
 class RemovedVertexError(ValueError):
@@ -153,9 +153,6 @@ class ColoredGraph:
             if not 0 <= c < self.C:
                 raise InvalidFaultSetError(f"color {c} outside palette of size {self.C}")
         return F
-
-    def view(self, faults: Iterable[int] = ()) -> "GraphView":
-        return remove_colors(self, faults)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,19 +288,16 @@ def components(gv: ColoredGraph | GraphView) -> list[int | None]:
     return [uf.component_min(v) if gv.vertex_present(v) else None for v in range(gv.n)]
 
 
-def spanning_forest(
-    gv: ColoredGraph | GraphView, order: Iterable[int] | None = None
-) -> tuple[int, ...]:
+def spanning_forest(g: ColoredGraph, order: Iterable[int] | None = None) -> tuple[int, ...]:
     """Maximal forest of the edges in ``order`` as a tuple of edge ids, in scan order.
 
-    The default scans the surviving edges by increasing id, giving a sorted
-    tuple; a caller-given ``order`` picks which edges are preferred.
+    The default scans every edge by increasing id, giving a sorted tuple; a
+    caller-given ``order`` picks which edges are preferred.
     """
-    gv = as_view(gv)
     if order is None:
-        order = (eid for eid, _, _ in gv.surviving_edges())
-    edges = gv.graph.edges
-    uf = UnionFind(gv.n)
+        order = range(g.m)
+    edges = g.edges
+    uf = UnionFind(g.n)
     forest: list[int] = []
     for eid in order:
         u, v = edges[eid]

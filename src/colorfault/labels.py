@@ -6,7 +6,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .graph import GraphError, RemovedVertexError
+from .graph import GraphError, InvalidFaultSetError, RemovedVertexError
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +27,7 @@ class LabelSet:
     meta: dict = field(default_factory=dict)
 
     def check_ids(self, u: int, v: int, colors: Iterable[int]) -> None:
-        """Raise GraphError unless u and v are vertices and every color is in the palette."""
+        """GraphError for a vertex out of range; InvalidFaultSetError for a color not in 0..C-1."""
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             bad = v if 0 <= u < n else u
@@ -35,7 +35,7 @@ class LabelSet:
         C = self.C
         for c in colors:
             if not 0 <= c < C:
-                raise GraphError(f"color {c} outside palette of size {C}")
+                raise InvalidFaultSetError(f"color {c} outside palette of size {C}")
 
     def vertex_bits(self) -> list[int]:
         return [lbl.bits for lbl in self.vertex_labels]

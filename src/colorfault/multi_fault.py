@@ -45,7 +45,15 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import EDGE, VERTEX, ColoredGraph, UnionFind, cids_after_faults, path_colors
+from .graph import (
+    EDGE,
+    VERTEX,
+    ColoredGraph,
+    InvalidFaultSetError,
+    UnionFind,
+    cids_after_faults,
+    path_colors,
+)
 from .labels import LabelSet, check_removed
 from .single_fault import (
     SingleFaultColorLabel,
@@ -58,7 +66,6 @@ from .single_fault import (
     pair_connected,
 )
 from .sketch import (
-    DEFAULT_CHECKSUM_BITS,
     DEFAULT_REPETITIONS,
     EdgeFaultLabels,
     EdgeSketchLabel,
@@ -137,7 +144,6 @@ def label_large_f(
     g: ColoredGraph,
     seed: int,
     repetitions: int = DEFAULT_REPETITIONS,
-    checksum_bits: int = DEFAULT_CHECKSUM_BITS,
 ) -> LabelSet:
     """Sketch the certificate; a color ships its forest edges' names and levels.
 
@@ -149,13 +155,7 @@ def label_large_f(
     # once per edge: a vertex-mode edge is in both end colors' lists, and an
     # edge sketched twice cancels out of every subtree sketch
     order = dict.fromkeys(eid for c in smallest_first for eid in cert.per_color[c])
-    ctx = build_edge_fault_labels(
-        g,
-        seed=seed,
-        repetitions=repetitions,
-        checksum_bits=checksum_bits,
-        order=list(order),
-    )
+    ctx = build_edge_fault_labels(g, seed=seed, repetitions=repetitions, order=list(order))
     params = ctx.params
     edge_bits = params.cell_bits + params.repetitions * params.levels
     wlen = width_for(g.n)
@@ -290,15 +290,13 @@ def _leaves(g: ColoredGraph, prevalent: list[int], ecls: list[list[int]]) -> lis
     return out
 
 
-def _recurse(
-    g: ColoredGraph, f: int, seed: int, repetitions: int, checksum_bits: int
-) -> tuple[list, list, dict]:
+def _recurse(g: ColoredGraph, f: int, seed: int, repetitions: int) -> tuple[list, list, dict]:
     """Returns (vertex labels, color labels, manifest) of the certificate ``g``, f >= 2.
 
     The children of an f = 2 node are one-fault leaves (``_leaves``).
     """
     sketch_seed = _hash_fields(seed, 0xEDE)
-    params = SketchParams.create(g.n, g.m, sketch_seed, repetitions, checksum_bits)
+    params = SketchParams.create(g.n, g.m, sketch_seed, repetitions)
     sketch_label_bits = params.sketch_bits if g.n else 0
 
     ruling = build_ruling_set(g)  # b1: g's largest one-fault label, sized unbuilt
@@ -316,7 +314,6 @@ def _recurse(
         g,
         seed=sketch_seed,
         repetitions=repetitions,
-        checksum_bits=checksum_bits,
         order=sorted(range(g.m), key=rare.__contains__),
     )
 
@@ -324,9 +321,7 @@ def _recurse(
         subs = _leaves(g, prevalent, ecls)
     else:
         subs = [
-            _recurse(
-                _drop(g, ecls[h]), f - 1, _hash_fields(seed, idx + 1), repetitions, checksum_bits
-            )
+            _recurse(_drop(g, ecls[h]), f - 1, _hash_fields(seed, idx + 1), repetitions)
             for idx, h in enumerate(prevalent)
         ]
 
@@ -375,7 +370,6 @@ def label_recursive(
     f: int,
     seed: int,
     repetitions: int = DEFAULT_REPETITIONS,
-    checksum_bits: int = DEFAULT_CHECKSUM_BITS,
 ) -> LabelSet:
     """Prevalence-split recursion; f = 1 is exactly the one-fault scheme."""
     if f < 1:
@@ -392,7 +386,7 @@ def label_recursive(
             meta={**ls.meta, "f": 1},
         )
     cert = build_certificate(g)
-    vls, cls, manifest = _recurse(cert.subgraph(), f, seed, repetitions, checksum_bits)
+    vls, cls, manifest = _recurse(cert.subgraph(), f, seed, repetitions)
     manifest["m"] = g.m
     if g.mode == VERTEX:
         wown = width_for(g.C)
@@ -414,14 +408,14 @@ def query_recursive(lu, lv, color_labels: Sequence) -> bool:
     faults = list(color_labels)
     # f = 1 builds plain one-fault labels
     if len(faults) > (lu.f if isinstance(lu, RecursiveVertexLabel) else 1):
-        raise ValueError("fault set larger than the scheme's budget")
+        raise InvalidFaultSetError("fault set larger than the scheme's budget")
     check_removed(lu, lv, [c.color for c in faults])
     return _query_node(lu, lv, faults)
 
 
 def _query_base(lu, lv, faults) -> bool:
     if not faults:
-        raise ValueError("the plain one-fault scheme needs a faulted color")
+        raise InvalidFaultSetError("the plain one-fault scheme needs a faulted color")
     return pair_connected(lu, lv, faults[0])
 
 

@@ -387,7 +387,7 @@ class NcaColorLabel:
 
 
 def _split_labels(
-    o: OneFaultOracle, wid: int, wc: int, connectivity: bool = False
+    o: OneFaultOracle, connectivity: bool = False
 ) -> tuple[tuple[NcaVertexLabel, ...], tuple[NcaColorLabel, ...], int]:
     """Prevalence-split labels over the index: (vertex labels, color labels, tau).
 
@@ -399,6 +399,7 @@ def _split_labels(
     """
     n, C = o.n, o.C
     tau = nca_threshold(n)
+    wid, wc = id_width(max(n, 2)), width_for(max(C, 2))
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
     entries = [o.index.get(c, _NO_STAMPS) for c in range(C)]
@@ -450,10 +451,7 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     the nearest ancestor, that ancestor's cid in G minus its color.  Exact,
     like the oracle.
     """
-    vertex_labels, color_labels, tau = _split_labels(
-        build_one_fault_oracle(g), id_width(max(g.n, 2)), width_for(max(g.C, 2)),
-        connectivity=True,
-    )
+    vertex_labels, color_labels, tau = _split_labels(build_one_fault_oracle(g), connectivity=True)
     return LabelSet(
         scheme=CONN_SCHEME,
         n=g.n,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bits import width_for
-from .graph import VERTEX, ColoredGraph, cids_after_faults
+from .graph import VERTEX, ColoredGraph, InvalidFaultSetError, cids_after_faults
 from .labels import LabelSet, check_removed
 from .sketch import _hash_fields as derive_seed
 
@@ -153,7 +153,7 @@ def query_all_pairs(
     check_removed(lu, lw, [fl.color for fl in fault_labels])
     key = frozenset(fl.color for fl in fault_labels)
     if key not in lu.rows:
-        raise ValueError("fault set larger than the scheme's budget")
+        raise InvalidFaultSetError("fault set larger than the scheme's budget")
     return lu.rows[key] == lw.rows[key]
 
 

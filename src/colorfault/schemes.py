@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .graph import GraphError
+from .graph import GraphError, InvalidFaultSetError
 from .labels import LabelSet
 from .multi_fault import (
     LARGE_SCHEME,
@@ -36,7 +36,7 @@ from .two_fault import label_two_fault, query_two_fault_ids
 class Scheme:
     name: str  # the --scheme choice
     label_scheme: str  # LabelSet.scheme of the labels it builds
-    build: Callable[..., LabelSet]  # (g, *, f, seed, repetitions, checksum_bits)
+    build: Callable[..., LabelSet]  # (g, *, f, seed, repetitions)
     ask: Callable[[LabelSet, int, int, list[int]], bool]  # colors sorted, distinct
     max_faults: int | None  # None: the f the labels were built for
     false_answer: bool | None = None  # the one wrong answer it may give; None: exact
@@ -72,14 +72,14 @@ SCHEMES: dict[str, Scheme] = {s.name: s for s in (
 
 
 def query(ls: LabelSet, u: int, v: int, colors: Iterable[int]) -> bool:
-    """Answer from ``ls`` after checking ids and the fault budget (GraphError)."""
+    """Answer after checking the ids (GraphError) and the fault set (InvalidFaultSetError)."""
     scheme = next((s for s in SCHEMES.values() if s.label_scheme == ls.scheme), None)
     if scheme is None:
         raise GraphError(f"unknown label file scheme {ls.scheme!r}")
     F = sorted(set(colors))
     ls.check_ids(u, v, F)
     if scheme.max_faults is not None and not 1 <= len(F) <= scheme.max_faults:
-        raise GraphError(
+        raise InvalidFaultSetError(
             f"scheme {scheme.name} needs 1..{scheme.max_faults} faulted colors, got {len(F)}"
         )
     return scheme.ask(ls, u, v, F)

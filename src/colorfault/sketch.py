@@ -11,13 +11,15 @@ repetition and a sampling level costs one round; an edge's t contributions
 share one int per distinct level.  So the sketch
 of a union of disjoint sets is the XOR of their sketches, and the sketch of a
 whole connected component is zero.  An edge name packs both endpoints, the
-edge id and a keyed checksum, so a cell holding exactly one cut edge is
-recognizable and decodable.
+edge id and a keyed checksum of a fixed ``CHECKSUM_BITS`` = 32 bits, so a
+cell holding exactly one cut edge is recognizable and decodable, and a cell
+holding the XOR of several names passes the checksum with probability 2^-32.
 
 The build fixes a spanning forest T of the graph (the caller may say which
-edges T should prefer) and numbers the vertices in T's pre-order, so that each
-subtree is an interval of pre-order numbers.  Edge names pack pre-order
-numbers.  The labels are:
+edges to sketch and which T should prefer; the default is every edge by id)
+and numbers the vertices in T's pre-order, so that each subtree is an
+interval of pre-order numbers.  Edge names pack pre-order numbers.  The
+labels are:
 
 - a vertex: its pre-order number, its tree's pre-order interval and the
   scheme id; no sketch;
@@ -57,18 +59,10 @@ from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .bits import id_width, width_for
-from .graph import (
-    ColoredGraph,
-    GraphView,
-    UnionFind,
-    as_view,
-    orient_forest,
-    preorder,
-    spanning_forest,
-)
+from .graph import ColoredGraph, UnionFind, orient_forest, preorder, spanning_forest
 
 DEFAULT_REPETITIONS = 24
-DEFAULT_CHECKSUM_BITS = 32
+CHECKSUM_BITS = 32  # a cell naming no single edge passes with probability 2^-32
 
 _MASK64 = (1 << 64) - 1
 _CHECKSUM_SALT = 0xC5EC5EC5EC5EC5E5
@@ -100,7 +94,7 @@ class SketchParams:
     edge_id_bound: int
     seed: int
     repetitions: int
-    checksum_bits: int
+    checksum_bits: int  # always CHECKSUM_BITS; the scheme id hashes it
     levels: int
     id_bits: int
     eid_bits: int
@@ -114,26 +108,22 @@ class SketchParams:
         edge_id_bound: int,
         seed: int,
         repetitions: int = DEFAULT_REPETITIONS,
-        checksum_bits: int = DEFAULT_CHECKSUM_BITS,
     ) -> "SketchParams":
-        # no repetition leaves no sketch, and without a checksum any in-range
-        # cell decodes, so a query could answer "connected" wrongly
+        # no repetition leaves no sketch
         if repetitions < 1:
             raise ValueError(f"sketch repetitions must be >= 1, got {repetitions}")
-        if checksum_bits < 1:
-            raise ValueError(f"sketch checksum bits must be >= 1, got {checksum_bits}")
         m = max(edge_id_bound, 1)
         levels = m.bit_length()  # floor(log2 m) + 1
         wid = id_width(max(n, 2))
         weid = max(width_for(m), 1)
-        cell = 2 * wid + weid + checksum_bits
-        scheme_id = _hash_fields(seed, n, edge_id_bound, repetitions, checksum_bits)
+        cell = 2 * wid + weid + CHECKSUM_BITS
+        scheme_id = _hash_fields(seed, n, edge_id_bound, repetitions, CHECKSUM_BITS)
         return SketchParams(
             n=n,
             edge_id_bound=edge_id_bound,
             seed=seed,
             repetitions=repetitions,
-            checksum_bits=checksum_bits,
+            checksum_bits=CHECKSUM_BITS,
             levels=levels,
             id_bits=wid,
             eid_bits=weid,
@@ -232,26 +222,24 @@ class EdgeFaultLabels:
 
 
 def build_edge_fault_labels(
-    source: ColoredGraph | GraphView,
+    g: ColoredGraph,
     seed: int,
     repetitions: int = DEFAULT_REPETITIONS,
-    checksum_bits: int = DEFAULT_CHECKSUM_BITS,
     order: Sequence[int] | None = None,
 ) -> EdgeFaultLabels:
-    """Tree-part sketch labels for the edges ``order`` of a graph or fault view.
+    """Tree-part sketch labels for the edges ``order`` of ``g``.
 
     ``order`` lists the edge ids to sketch, in the order the spanning forest T
-    prefers them; the default is every surviving edge by increasing id.
+    prefers them; the default is every edge by increasing id.
     Self-loops get a label but never influence connectivity: their sketch
     contribution is zero.
     """
-    gv = as_view(source)
-    g, n = gv.graph, gv.n
-    eids = [eid for eid, _, _ in gv.surviving_edges()] if order is None else list(order)
-    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions, checksum_bits)
+    n = g.n
+    eids = list(range(g.m)) if order is None else list(order)
+    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions)
     t, L, w = params.repetitions, params.levels, params.cell_bits
 
-    parent, parent_edge = orient_forest(g, spanning_forest(gv, eids))
+    parent, parent_edge = orient_forest(g, spanning_forest(g, eids))
     order, pre, end = preorder(parent)
     tree: list[tuple[int, int]] = [(0, 0)] * n
     for x in order:

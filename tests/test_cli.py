@@ -143,8 +143,7 @@ def test_verify_two_diam(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["label", "verify"])
 @pytest.mark.parametrize("scheme", ["multi", "large"])
-@pytest.mark.parametrize("flag", [["--repetitions", "0"], ["--repetitions", "-1"],
-                                  ["--checksum-bits", "0"]])
+@pytest.mark.parametrize("flag", [["--repetitions", "0"], ["--repetitions", "-1"]])
 def test_sketch_schemes_reject_empty_sketch_params(tmp_path, capsys, command, scheme, flag):
     gpath = write_graph(tmp_path, gen_random(12, 24, 4, seed=4))
     assert main([command, gpath, "--scheme", scheme, "--seed", "5", *flag]) == 1
@@ -197,6 +196,43 @@ def test_bench_rejects_degenerate_sizes(capsys, sizes, cause):
     assert main(["bench", "--scheme", "single", "--sizes", sizes]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and cause in captured.err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--sizes", ["bench", "--sizes", "8,x"]),
+    ("--colors", ["query", "labels.bin", "0", "1", "--colors", "0,x"]),
+    ("--centers", ["encode", "balls", "g.ccg", "--bits", "10", "--centers", "1,,7"]),
+])
+def test_malformed_list_flag_is_named(capsys, flag, argv):
+    # a usage error naming the flag, like a malformed --seed, not a bare int() message
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument {flag}: expected comma-separated integers" in err.splitlines()[-1]
+
+
+def test_empty_colors_mean_no_faults(tmp_path, capsys):
+    g = gen_random(12, 14, 3, seed=8)  # sparse: some pairs are apart with no fault
+    gpath = write_graph(tmp_path, g)
+    labels = tmp_path / "labels.bin"
+    assert main(["label", gpath, "--scheme", "multi", "-o", str(labels)]) == 0
+    capsys.readouterr()
+    for u in range(g.n):
+        want = int(brute_force_connected(g, 0, u))
+        for colors in (["--colors", ""], []):
+            assert main(["query", str(labels), "0", str(u), *colors]) == 0
+            assert capsys.readouterr().out.strip() == f"connected={want}"
+
+
+@pytest.mark.parametrize("command", ["label", "verify"])
+def test_checksum_width_is_not_a_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "--repetitions" in out and "--checksum" not in out
 
 
 @pytest.mark.parametrize("argv, cause", [

@@ -2,8 +2,16 @@
 
 import pytest
 
-from colorfault.generators import gen_path
-from colorfault.graph import ColoredGraph, GraphError, components, parse_graph, serialize_graph
+from colorfault.generators import gen_path, gen_random
+from colorfault.graph import (
+    ColoredGraph,
+    GraphError,
+    InvalidFaultSetError,
+    cids_after_faults,
+    components,
+    parse_graph,
+    serialize_graph,
+)
 from colorfault.multi_fault import (
     build_certificate,
     label_large_f,
@@ -12,7 +20,9 @@ from colorfault.multi_fault import (
     query_recursive_ids,
 )
 from colorfault.nca import build_one_fault_oracle
+from colorfault.oracle import brute_force_connected
 from colorfault.reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
+from colorfault.schemes import SCHEMES, query
 from colorfault.single_fault import build_ruling_set, label_single_fault
 from colorfault.two_fault import label_two_fault, query_two_fault_ids
 
@@ -85,3 +95,47 @@ def test_id_queries_reject_out_of_range_ids(name, u, v, F):
     assert not ask(ls, 0, 8, (3, 4))  # a valid question still answers
     with pytest.raises(GraphError):
         ask(ls, u, v, F)
+
+
+# the message of a fault set over budget, per scheme with one
+OVER_BUDGET = {
+    "single": "needs 1..1 faulted colors, got 2",
+    "nca": "needs 1..1 faulted colors, got 2",
+    "two-diam": "needs 1..2 faulted colors, got 3",
+    "multi": "larger than the scheme's budget",
+    "all-pairs": "larger than the scheme's budget",
+}
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_bad_fault_sets_raise_one_error(name, f):
+    # a color outside the palette, too many colors or none at f = 1: one GraphError subclass
+    scheme = SCHEMES[name]
+    g = gen_random(12, 24, 4, seed=4, connected=True)
+    ls = scheme.build(g, f=f, seed=1, repetitions=24)
+    with pytest.raises(InvalidFaultSetError, match="color 4 outside palette of size 4"):
+        query(ls, 0, 5, [0, 4])
+    if name in OVER_BUDGET:  # large-f labels let every color fail
+        with pytest.raises(InvalidFaultSetError, match=OVER_BUDGET[name]):
+            query(ls, 0, 5, range(scheme.budget(f) + 1))
+    if scheme.max_faults is not None or (name, f) == ("multi", 1):
+        with pytest.raises(InvalidFaultSetError, match="got 0|needs a faulted color"):
+            query(ls, 0, 5, [])
+    else:
+        assert query(ls, 0, 5, []) == brute_force_connected(g, 0, 5)
+
+
+def test_id_queries_and_sweeps_raise_one_fault_set_error():
+    assert issubclass(InvalidFaultSetError, GraphError)
+    over = (1, 2, 3)
+    with pytest.raises(InvalidFaultSetError, match="larger than the scheme's budget"):
+        query_recursive_ids(label_recursive(PATH9, 2, 0), 0, 8, over)
+    with pytest.raises(InvalidFaultSetError, match="larger than the scheme's budget"):
+        query_all_pairs_ids(ID_QUERIES["all-pairs"][0](), 0, 8, over)
+    for bad in (-1, 8):
+        message = f"color {bad} outside palette of size 8"
+        with pytest.raises(InvalidFaultSetError, match=message):
+            cids_after_faults(PATH9, {frozenset((bad,)): [0]})
+        with pytest.raises(InvalidFaultSetError, match=message):
+            brute_force_connected(PATH9, 0, 8, [bad])

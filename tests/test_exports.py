@@ -8,7 +8,7 @@ import pytest
 import colorfault
 from colorfault.generators import gen_random
 from colorfault.schemes import SCHEMES
-from colorfault.sketch import DEFAULT_CHECKSUM_BITS, DEFAULT_REPETITIONS
+from colorfault.sketch import DEFAULT_REPETITIONS
 
 
 def test_every_exported_name_resolves():
@@ -40,8 +40,7 @@ def test_every_record_is_slotted():
 def test_label_set_pickle_round_trip(name):
     # `cfl label -o` writes label sets as pickles
     g = gen_random(24, 40, 4, seed=11, connected=True)
-    ls = SCHEMES[name].build(g, f=2, seed=3, repetitions=DEFAULT_REPETITIONS,
-                             checksum_bits=DEFAULT_CHECKSUM_BITS)
+    ls = SCHEMES[name].build(g, f=2, seed=3, repetitions=DEFAULT_REPETITIONS)
     back = pickle.loads(pickle.dumps(ls))
     assert back == ls
     assert back.vertex_bits() == ls.vertex_bits()

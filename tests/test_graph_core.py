@@ -408,6 +408,29 @@ def test_cids_after_faults_matches_brute_force(seed, mode, simple):
         assert got[F] == {v: truth[v] for v in vertices}, sorted(F)
 
 
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+@pytest.mark.parametrize("C", [3, 6])
+@pytest.mark.parametrize("family", ["singletons", "pairs", "mixed"])
+def test_cids_after_faults_on_large_classes(family, C, mode):
+    # dozens of edges per class: long kill lists that stay pending deep in the sweep
+    g = gen_random(60, 240, C, seed=C, mode=mode)
+    rng = random.Random(C)
+    if family == "singletons":  # the one-fault oracle's family
+        sets = [frozenset((c,)) for c in range(C)]
+    elif family == "pairs":  # an f = 2 node's family: each {h, c}, and {h}
+        sets = [frozenset((h, c)) for h in range(C) for c in range(h, C)]
+    else:
+        every = [frozenset(F) for size in range(4)
+                 for F in itertools.combinations(range(C), size)]
+        sets = rng.sample(every, len(every) // 2)
+    wanted = {F: rng.sample(range(g.n), rng.randrange(g.n // 2, g.n + 1)) for F in sets}
+    got = cids_after_faults(g, wanted)
+    assert set(got) == set(sets)
+    for F, vertices in wanted.items():
+        truth = brute_force_partition(g, F)
+        assert got[F] == {v: truth[v] for v in vertices}, sorted(F)
+
+
 @given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]),
        st.integers(0, 30), st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
@@ -454,7 +477,7 @@ def test_cids_after_faults_rejects_bad_color():
 def test_dual_oracles_agree_on_random_queries():
     rng = random.Random(123)
     g = gen_random(30, 60, 6, seed=42)
-    roots = [bfs_tree(g.view({c})).root for c in range(g.C)]  # the BFS side
+    roots = [bfs_tree(remove_colors(g, {c})).root for c in range(g.C)]  # the BFS side
     for _ in range(1000):
         u, v, c = rng.randrange(g.n), rng.randrange(g.n), rng.randrange(g.C)
         assert brute_force_connected(g, u, v, {c}) == (roots[c][u] == roots[c][v])

@@ -82,7 +82,7 @@ def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> Lab
     """
     n = len(parent)
     o = build_nca(parent, colors, range(n), C)
-    vertex_labels, color_labels, tau = _split_labels(o, id_width(n), width_for(C))
+    vertex_labels, color_labels, tau = _split_labels(o)
     return LabelSet(
         scheme="nca",
         n=n,

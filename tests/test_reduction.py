@@ -116,7 +116,7 @@ def test_augment_reproducible_and_never_failing():
     assert a.graph == b.graph and a.source_edges == b.source_edges
     # the source and its edges survive every fault over the original palette
     for c in range(g.C):
-        view = a.graph.view({c})
+        view = remove_colors(a.graph, {c})
         assert view.vertex_present(a.source)
         surviving = {eid for eid, _u, _v in view.surviving_edges()}
         for k in range(len(g.edges), a.graph.m):

@@ -9,7 +9,6 @@ from colorfault import multi_fault
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import (
     UnionFind,
-    as_view,
     edge_graph,
     orient_forest,
     preorder,
@@ -19,6 +18,7 @@ from colorfault.oracle import brute_force_partition
 from colorfault.sketch import (
     _CHECKSUM_SALT,
     _LEVEL_SALT,
+    CHECKSUM_BITS,
     EdgeSketchLabel,
     EdgeFaultLabels,
     SchemeMismatchError,
@@ -265,14 +265,13 @@ def _edge_contributions(params, name, level_per_rep):
     return tuple(out)
 
 
-def reference_build(source, seed, repetitions=24, checksum_bits=32, order=None):
+def reference_build(g, seed, repetitions=24, order=None):
     """``build_edge_fault_labels`` one hash per cell and one contribution per repetition."""
-    gv = as_view(source)
-    g, n = gv.graph, gv.n
-    eids = [eid for eid, _, _ in gv.surviving_edges()] if order is None else list(order)
-    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions, checksum_bits)
+    n = g.n
+    eids = list(range(g.m)) if order is None else list(order)
+    params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions)
     t, L, w = params.repetitions, params.levels, params.cell_bits
-    parent, parent_edge = orient_forest(g, spanning_forest(gv, eids))
+    parent, parent_edge = orient_forest(g, spanning_forest(g, eids))
     order, pre, end = preorder(parent)
     tree = [(0, 0)] * n
     for x in order:
@@ -320,7 +319,7 @@ def zipf_graph(n, m, C, seed, mode="edge"):
 
 REFERENCE_GRAPHS = {
     "zipf": lambda s: (zipf_graph(60, 150, 12, seed=s), None),
-    "vertex": lambda s: (zipf_graph(50, 110, 6, seed=s, mode="vertex").view({s % 6}), None),
+    "vertex": lambda s: (zipf_graph(50, 110, 6, seed=s, mode="vertex"), None),
     "loops-parallel": lambda s: (
         edge_graph(6, [(0, 1, 0), (0, 1, 1), (1, 1, 2), (1, 2, 0), (2, 2, 1), (2, 3, 2),
                        (3, 4, 0), (3, 4, 0), (4, 5, 1), (5, 0, 2), (5, 5, 0)]), None),
@@ -371,15 +370,30 @@ def test_parse_name_rejects_self_loop_names():
     assert p.parse_name(p.edge_name(3, 3, 1)) is None
 
 
-@pytest.mark.parametrize("repetitions, checksum_bits", [(0, 32), (-1, 32), (24, 0), (24, -3)])
+@pytest.mark.parametrize("repetitions, checksum_bits", [(0, 32), (-1, 32)])
 def test_params_reject_empty_sketches_and_checksums(repetitions, checksum_bits):
-    # repetitions=-1 gave a negative label size; with no checksum bits any
-    # in-range cell decodes, and a query may wrongly answer "connected"
+    # repetitions=-1 gave a negative label size; the checksum width is fixed,
+    # since with none any in-range cell decodes and a query may answer "connected"
+    assert CHECKSUM_BITS == checksum_bits
     with pytest.raises(ValueError):
-        SketchParams.create(10, 20, 1, repetitions=repetitions, checksum_bits=checksum_bits)
+        SketchParams.create(10, 20, 1, repetitions=repetitions)
     with pytest.raises(ValueError):
-        build_edge_fault_labels(gen_path(5), seed=1, repetitions=repetitions,
-                                checksum_bits=checksum_bits)
+        build_edge_fault_labels(gen_path(5), seed=1, repetitions=repetitions)
+
+
+@pytest.mark.parametrize("n, m, seed, t", [(0, 0, 0, 1), (2, 1, 0, 1), (60, 150, 14, 5),
+                                         (384, 768, 5, 24), (1000, 4096, -5, 24)])
+def test_params_pin_the_fixed_checksum(n, m, seed, t):
+    p = SketchParams.create(n, m, seed, t)
+    assert p.checksum_bits == CHECKSUM_BITS == 32
+    assert p.cell_bits == 2 * p.id_bits + p.eid_bits + 32
+    assert p.scheme_id == _hash_fields(seed, n, m, t, 32)
+
+
+def test_scheme_ids_are_pinned():
+    # a change to the checksum width or to the id hash moves these
+    assert SketchParams.create(384, 768, 5, 24).scheme_id == 0x7A27818B78DDAF8A
+    assert SketchParams.create(2, 1, 0, 1).scheme_id == 0x5BFD0A2F0C7C16AE
 
 
 def test_checksum_matches_hash_fields():

@@ -5,7 +5,7 @@ import pytest
 
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
-from colorfault.graph import RemovedVertexError, edge_graph
+from colorfault.graph import RemovedVertexError, edge_graph, remove_colors
 from colorfault.labels import LabelSet
 from colorfault.oracle import brute_force_partition
 from colorfault.two_fault import (
@@ -61,7 +61,7 @@ def test_greedy_size_bound():
 
 def test_truncated_tree_small_spans_component():
     g = gen_path(6, coloring="uniform", C=2, seed=0)
-    view = g.view({1})
+    view = remove_colors(g, {1})
     t = truncated_bfs(view, 0, cap=3)
     assert len(t.vertices) <= 3
     big = truncated_bfs(view, 0, cap=100)
@@ -74,7 +74,7 @@ def test_truncated_tree_small_spans_component():
 
 def test_truncated_tree_cap_exact():
     g = gen_random(25, 60, 4, seed=2, connected=True)
-    t = truncated_bfs(g.view({0}), 3, cap=5)
+    t = truncated_bfs(remove_colors(g, {0}), 3, cap=5)
     assert t.full and len(t.vertices) == 5
 
 
