@@ -15,15 +15,12 @@ from .graph import (
     VERTEX,
     ColoredGraph,
     GraphError,
-    GraphView,
     InvalidFaultSetError,
     ParseError,
     RemovedVertexError,
     bfs_tree,
-    components,
     edge_graph,
     parse_graph,
-    remove_colors,
     serialize_graph,
     spanning_forest,
     vertex_graph,
@@ -41,7 +38,7 @@ from .nca import (
     build_one_fault_oracle,
     label_nca_connectivity,
 )
-from .oracle import brute_force_connected
+from .oracle import brute_force_connected, brute_force_partition
 from .reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from .routing import build_routing_scheme, route
 from .single_fault import (
@@ -61,13 +58,13 @@ __all__ = [
     "EncodedInstance",
     "ExactSingleSource",
     "GraphError",
-    "GraphView",
     "InvalidFaultSetError",
     "LabelSet",
     "ParseError",
     "RemovedVertexError",
     "bfs_tree",
     "brute_force_connected",
+    "brute_force_partition",
     "build_all_pairs",
     "build_certificate",
     "build_edge_fault_labels",
@@ -75,7 +72,6 @@ __all__ = [
     "build_one_fault_oracle",
     "build_routing_scheme",
     "build_ruling_set",
-    "components",
     "edge_graph",
     "encode_balls",
     "encode_spider",
@@ -95,7 +91,6 @@ __all__ = [
     "query_recursive_ids",
     "query_single_fault",
     "query_two_fault_ids",
-    "remove_colors",
     "route",
     "serialize_graph",
     "spanning_forest",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graph import EDGE, VERTEX, ColoredGraph, GraphError, as_view
+from .graph import EDGE, VERTEX, ColoredGraph, GraphError
 from .oracle import brute_force_connected
 from .single_fault import build_ruling_set, packing_certificate, proper_ball
 
@@ -76,12 +76,11 @@ def encode_balls(
     explicit centers may pack more.  Either way each ball is checked proper
     and disjoint from the earlier ones.
     """
-    gv = as_view(topology)
     if centers is None:
-        ruling = build_ruling_set(gv)
+        ruling = build_ruling_set(topology)
         centers = packing_certificate(ruling.k, ruling.A)[1]
     r = len(centers)
-    balls = [proper_ball(gv, v, r) for v in centers]
+    balls = [proper_ball(topology, v, r) for v in centers]
     covered: set[int] = set()
     witnesses = []
     for v, ball in zip(centers, balls):
@@ -99,7 +98,7 @@ def encode_balls(
     for k, ball in enumerate(balls):
         for a, l in ball.items():
             if l < r and bits[k * r + l]:
-                for b, eid in gv.adjacency(a):
+                for b, eid in topology.adjacency(a):
                     if ball.get(b) == l + 1:  # the edge crosses layers l -> l+1 of ball k
                         edge_colors[eid] = l
     graph = ColoredGraph(

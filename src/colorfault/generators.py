@@ -52,6 +52,8 @@ def gen_random(
     """Random multigraph; ``simple`` samples edges without replacement."""
     if n < 0 or m < 0:
         raise GraphError("n and m must be non-negative")
+    if m and not n:
+        raise GraphError(f"{m} edges need at least one vertex")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if connected and n > 1:

@@ -1,19 +1,17 @@
-"""Colored multigraphs, fault views, and connectivity primitives.
+"""Colored multigraphs and connectivity primitives.
 
 A :class:`ColoredGraph` is an undirected multigraph whose edges (edge mode) or
 vertices (vertex mode) carry a color from a palette ``0..C-1``.  A fault set is
-a set of colors; removing it deletes every element of those colors.  Everything
-here is deterministic: edges are scanned in increasing edge id, BFS explores
-neighbors in increasing ``(neighbor id, edge id)`` order, and component ids are
-minimum vertex ids.
+a set of colors; removing it deletes every element of those colors, and
+:meth:`ColoredGraph.color_classes` lists the edges each color's fault removes.
+Everything here is deterministic: edges are scanned in increasing edge id, BFS
+explores neighbors in increasing ``(neighbor id, edge id)`` order, and
+component ids are minimum vertex ids.
 
 Graphs are immutable after construction; all queries are pure reads and safe to
 share between threads.  A graph holds its one-fault oracle once it is built, a
-pure function of the graph, so sharing stays safe.  A :class:`GraphView` is
-the one representation of G - F: it tests survival inline from its fault set,
-and a view with no faults hands out the graph's own immutable adjacency
-tuples.  The one :class:`UnionFind` has no path compression, so that it can
-roll back.
+pure function of the graph, so sharing stays safe.  The one
+:class:`UnionFind` has no path compression, so that it can roll back.
 :func:`bfs` is the one first-discovery breadth-first walk; :func:`bfs_tree`
 is its forest of every component, each tree rooted at its minimum id.
 """
@@ -155,62 +153,6 @@ class ColoredGraph:
         return F
 
 
-@dataclass(frozen=True, slots=True)
-class GraphView:
-    """``graph`` minus a fault set; vertex ids are preserved.
-
-    In vertex mode, removed vertices stay in the id space but are non-members:
-    they have no surviving edges and vertex-specific queries on them error.
-    """
-
-    graph: ColoredGraph
-    faults: frozenset[int]
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def vertex_present(self, v: int) -> bool:
-        g = self.graph
-        return g.mode == EDGE or g.vertex_colors[v] not in self.faults
-
-    def surviving_edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (edge id, u, v) in increasing edge id."""
-        g, F = self.graph, self.faults
-        edges = enumerate(g.edges)
-        if g.mode == EDGE:
-            ec = g.edge_colors
-            return ((eid, u, v) for eid, (u, v) in edges if ec[eid] not in F)
-        vc = g.vertex_colors
-        return ((eid, u, v) for eid, (u, v) in edges if vc[u] not in F and vc[v] not in F)
-
-    def adjacency(self, v: int) -> Sequence[tuple[int, int]]:
-        """Surviving (neighbor, edge id) pairs of ``v``, sorted; empty for a removed ``v``.
-
-        With no faults this is the graph's own tuple, so callers only iterate it.
-        """
-        g, F = self.graph, self.faults
-        adj = g.adjacency(v)
-        if not F:
-            return adj
-        if g.mode == EDGE:
-            ec = g.edge_colors
-            return [(w, eid) for w, eid in adj if ec[eid] not in F]
-        vc = g.vertex_colors
-        return [] if vc[v] in F else [(w, eid) for w, eid in adj if vc[w] not in F]
-
-
-def as_view(g: ColoredGraph | GraphView) -> GraphView:
-    if isinstance(g, GraphView):
-        return g
-    return GraphView(g, frozenset())
-
-
-def remove_colors(g: ColoredGraph, faults: Iterable[int]) -> GraphView:
-    """View of ``g`` with every element colored by ``faults`` removed."""
-    return GraphView(g, g.check_fault_set(faults))
-
-
 # -- union-find -----------------------------------------------------------
 
 
@@ -269,23 +211,6 @@ class UnionFind:
 
 
 # -- connectivity primitives ------------------------------------------------
-
-
-def union_find(gv: ColoredGraph | GraphView) -> UnionFind:
-    """Union-find over the surviving edges: the one loop that partitions G - F."""
-    gv = as_view(gv)
-    uf = UnionFind(gv.n)
-    for _eid, u, v in gv.surviving_edges():
-        if u != v:
-            uf.union(u, v)
-    return uf
-
-
-def components(gv: ColoredGraph | GraphView) -> list[int | None]:
-    """Component id (minimum member id) per vertex; None for removed vertices."""
-    gv = as_view(gv)
-    uf = union_find(gv)
-    return [uf.component_min(v) if gv.vertex_present(v) else None for v in range(gv.n)]
 
 
 def spanning_forest(g: ColoredGraph, order: Iterable[int] | None = None) -> tuple[int, ...]:
@@ -420,27 +345,25 @@ def bfs(
 
 @dataclass(frozen=True, slots=True)
 class BfsTree:
-    root: tuple[int | None, ...]  # v's tree's root; None for removed vertices
+    root: tuple[int, ...]  # v's tree's root
     parent: tuple[int | None, ...]
     parent_edge: tuple[int | None, ...]
-    depth: tuple[int, ...]  # -1 for removed vertices
+    depth: tuple[int, ...]
 
 
-def bfs_tree(gv: ColoredGraph | GraphView) -> BfsTree:
+def bfs_tree(g: ColoredGraph) -> BfsTree:
     """The BFS forest of every component, each tree rooted at its minimum id.
 
-    This is :func:`bfs` from the present vertices in increasing id, so
-    neighbors are explored in (id, edge id) order and each vertex no tree has
-    reached yet starts the next tree.
+    This is :func:`bfs` from every vertex in increasing id, so neighbors are
+    explored in (id, edge id) order and each vertex no tree has reached yet
+    starts the next tree.
     """
-    gv = as_view(gv)
-    n = gv.n
-    root_of: list[int | None] = [None] * n
+    n = g.n
+    root_of = [0] * n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
-    depth = [-1] * n
-    roots = (s for s in range(n) if gv.vertex_present(s))
-    for x, p, eid, d in bfs(gv.adjacency, roots):
+    depth = [0] * n
+    for x, p, eid, d in bfs(g.adjacency, range(n)):
         root_of[x] = x if p is None else root_of[p]
         parent[x] = p
         parent_edge[x] = eid

@@ -29,9 +29,7 @@ from .bits import id_width, width_for
 from .graph import (
     ColoredGraph,
     GraphError,
-    GraphView,
     RemovedVertexError,
-    as_view,
     bfs,
     bfs_tree,
     path_colors,
@@ -45,10 +43,10 @@ SCHEME = "single-fault"
 class RulingSet:
     """A0 (component minima), the chosen sequence A, the halting index k, and P(v).
 
-    ``depth`` is each vertex's distance to A0 u A (-1 if removed).  The
-    shortest paths P(v) form a forest: ``parent`` and ``parent_edge`` give
-    v's next step towards A0 u A (None at an anchor or a removed vertex), and
-    ``anchor`` the vertex of A0 u A where P(v) ends.
+    ``depth`` is each vertex's distance to A0 u A.  The shortest paths P(v)
+    form a forest: ``parent`` and ``parent_edge`` give v's next step towards
+    A0 u A (None at an anchor), and ``anchor`` the vertex of A0 u A where
+    P(v) ends.
     """
 
     A0: tuple[int, ...]
@@ -57,13 +55,13 @@ class RulingSet:
     depth: tuple[int, ...] = field(compare=False, repr=False)
     parent: tuple[int | None, ...] = field(compare=False, repr=False)
     parent_edge: tuple[int | None, ...] = field(compare=False, repr=False)
-    anchor: tuple[int | None, ...] = field(compare=False, repr=False)
+    anchor: tuple[int, ...] = field(compare=False, repr=False)
 
     def anchors(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.A0) | set(self.A)))
 
 
-def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int]]:
+def _ruling_sequence(g: ColoredGraph) -> tuple[list[int], list[int], int, list[int]]:
     """(A0, A, k, depth): the distance-i selection loop with minimum-id tie-breaks.
 
     The BFS forest of G seeds A0 and the distances; each new anchor then
@@ -73,12 +71,12 @@ def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int
     enters a vertex again whenever a new anchor brings it closer, so it keeps
     its own queue.
     """
-    forest = bfs_tree(gv)
+    forest = bfs_tree(g)
     A0 = [v for v, r in enumerate(forest.root) if r == v]
     depth = list(forest.depth)
     A: list[int] = []
     queue: list[int] = []
-    adjacency = [gv.adjacency(v) for v in range(gv.n)]  # once: a vertex is entered many times
+    adjacency = [g.adjacency(v) for v in range(g.n)]  # once: a vertex is entered many times
     i = 1
     while True:
         for x in queue:  # the queue grows while it is scanned
@@ -98,7 +96,7 @@ def _ruling_sequence(gv: GraphView) -> tuple[list[int], list[int], int, list[int
     return A0, A, i, depth
 
 
-def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
+def build_ruling_set(g: ColoredGraph) -> RulingSet:
     """A0, A and k from ``_ruling_sequence``, then the paths P(v).
 
     P(v) steps from v to its minimum-id neighbor one level closer (first edge
@@ -107,18 +105,15 @@ def build_ruling_set(g: ColoredGraph | GraphView) -> RulingSet:
     lies on the chain of v, u's chain is a suffix of v's, and the union of all
     chains is a forest.
     """
-    gv = as_view(g)
-    A0, A, k, depth = _ruling_sequence(gv)
-    n = gv.n
+    A0, A, k, depth = _ruling_sequence(g)
+    n = g.n
     parent: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
-    anchor: list[int | None] = [None] * n
+    anchor = list(range(n))  # an anchor's own
     for w in sorted(range(n), key=depth.__getitem__):
         d = depth[w]
-        if d == 0:
-            anchor[w] = w
-        elif d > 0:
-            x, eid = next((x, eid) for x, eid in gv.adjacency(w) if depth[x] == d - 1)
+        if d:
+            x, eid = next((x, eid) for x, eid in g.adjacency(w) if depth[x] == d - 1)
             parent[w] = x
             parent_edge[w] = eid
             anchor[w] = anchor[x]
@@ -212,7 +207,7 @@ def _assemble(
     for v, mapping in enumerate(mappings):
         assert len(mapping) < ruling.k
         vertex_labels.append(SingleFaultVertexLabel(
-            v, ruling.anchor[v], mapping,  # type: ignore[arg-type]
+            v, ruling.anchor[v], mapping,
             None if own is None else own[v], vertex_bits[v],
         ))
 
@@ -264,16 +259,15 @@ def pair_connected(
 # -- ball packing -------------------------------------------------------------
 
 
-def proper_ball(g: ColoredGraph | GraphView, center: int, r: int) -> dict[int, int] | None:
+def proper_ball(g: ColoredGraph, center: int, r: int) -> dict[int, int] | None:
     """Distance of every vertex within r of ``center`` by a BFS that stops at depth r.
 
     None when no vertex lies at distance exactly r: the ball is not proper.
     """
-    gv = as_view(g)
-    if not 0 <= center < gv.n:
+    if not 0 <= center < g.n:
         raise GraphError(f"center {center} out of range")
     dist = {}
-    for x, _p, _eid, d in bfs(gv.adjacency, (center,)):
+    for x, _p, _eid, d in bfs(g.adjacency, (center,)):
         if d > r:
             break
         dist[x] = d

@@ -3,8 +3,9 @@
 Per component, a BFS tree T rooted at the minimum id s, all of them one
 forest from :func:`colorfault.graph.bfs_tree`.  For each vertex v and each
 color c on T[s,v], a BFS of G-c from v is truncated at ceil(sqrt n)
-vertices: a smaller tree spans v's whole component of G-c, a full one is hit by
-a greedily chosen set U.  The vertex label stores cid(v, G-c), the pair cids
+vertices: a smaller tree spans v's whole component of G-c, a full one is hit
+by a greedily chosen set U.  The walk skips c's class of
+``ColoredGraph.color_classes``, built once per color.  The vertex label stores cid(v, G-c), the pair cids
 for every color in the truncated tree, and, for full trees, a representative
 u in U.  The label of color c holds cid(u, G-{c,d}) for every u in U that
 survives c and every d on T[s,u]; the query reads the representative's pair
@@ -25,13 +26,11 @@ from .graph import (
     EDGE,
     VERTEX,
     ColoredGraph,
-    GraphView,
     RemovedVertexError,
     bfs,
     bfs_tree,
     cids_after_faults,
     path_colors,
-    remove_colors,
 )
 from .labels import LabelSet
 
@@ -102,11 +101,22 @@ class TwoFaultColorLabel:
     bits: int = field(default=0, compare=False)
 
 
-def truncated_bfs(gv: GraphView, origin: int, cap: int) -> TruncatedTree:
-    """BFS from origin halting once ``cap`` vertices are reached."""
-    walk = list(islice(bfs(gv.adjacency, (origin,)), cap))
+def truncated_bfs(
+    g: ColoredGraph, removed: Collection[int], origin: int, cap: int
+) -> TruncatedTree:
+    """BFS of ``g`` minus the edge ids ``removed`` from a live origin, halting at ``cap`` vertices.
+
+    With ``removed`` a color's class (``ColoredGraph.color_classes``) this
+    walks G - c exactly, in vertex mode too: the walk enters only live
+    vertices, so an edge at a c-colored vertex is one whose far end has color c.
+    """
+    adj = g.adjacency
+
+    def adjacency(x: int) -> list[tuple[int, int]]:
+        return [(w, eid) for w, eid in adj(x) if eid not in removed]
+
+    walk = list(islice(bfs(adjacency, (origin,)), cap))
     order = [x for x, _p, _eid, _d in walk]
-    g = gv.graph
     if g.mode == EDGE:
         colors = {g.edge_color(eid) for _x, _p, eid, _d in walk[1:]}
     else:
@@ -121,11 +131,12 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
     # colors on T[s,v]; vertex mode includes both endpoints, minus v's own
     colors_on_path = path_colors(g, forest.parent, forest.parent_edge)
 
+    removed = [frozenset(cls) for cls in g.color_classes()]
     truncated: dict[tuple[int, int], TruncatedTree] = {}
     full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
     for v in range(g.n):
         for c in sorted(colors_on_path[v]):
-            t = truncated_bfs(remove_colors(g, {c}), v, cap)
+            t = truncated_bfs(g, removed[c], v, cap)
             truncated[(v, c)] = t
             if t.full:
                 full_family.append(((v, c), t))
@@ -184,7 +195,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
         vertex_labels.append(
             TwoFaultVertexLabel(
                 v,
-                root_id=forest.root[v],  # type: ignore[arg-type]
+                root_id=forest.root[v],
                 own_color=own[v],
                 entries=entries,
                 bits=bits,

@@ -14,12 +14,7 @@ import pytest
 from colorfault.bits import id_width, width_for
 from colorfault.encoders import encode_balls, encode_spider, spider_capacity
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_tree, gen_wheel
-from colorfault.graph import (
-    RemovedVertexError,
-    components,
-    edge_graph,
-    remove_colors,
-)
+from colorfault.graph import RemovedVertexError, edge_graph
 from colorfault.labels import loglog_slope
 from colorfault.multi_fault import (
     build_certificate,
@@ -392,7 +387,7 @@ def test_criterion_7_routing():
         scheme = build_routing_scheme(g)
         wid = id_width(g.n)
         for c in range(g.C):
-            comp = components(remove_colors(g, {c}))
+            comp = brute_force_partition(g, {c})
             if len(set(comp)) != 1:
                 continue  # criterion scopes to G - c connected
             cs = scheme.structures.get(c)
@@ -444,7 +439,7 @@ def test_criterion_7_literal_size_constants():
     k = scheme.ruling.k
     worst_perm = 0
     for c in range(g.C):
-        comp = components(remove_colors(g, {c}))
+        comp = brute_force_partition(g, {c})
         if len(set(comp)) != 1:
             continue
         for t in range(1, g.n):

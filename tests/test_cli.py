@@ -7,7 +7,7 @@ import pytest
 
 from colorfault.cli import main
 from colorfault.generators import gen_path, gen_random
-from colorfault.graph import parse_graph, serialize_graph
+from colorfault.graph import GraphError, parse_graph, serialize_graph
 from colorfault.nca import load_oracle, oracle_index_words
 from colorfault.oracle import brute_force_connected
 from colorfault.schemes import SCHEMES
@@ -32,6 +32,16 @@ def test_gen_random_reproducible(tmp_path):
     assert main(args + ["-o", str(a)]) == 0
     assert main(args + ["-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("simple", [True, False])
+def test_gen_random_edges_need_a_vertex(capsys, simple):
+    with pytest.raises(GraphError, match="3 edges need at least one vertex"):
+        gen_random(0, 3, 2, seed=1, simple=simple)
+    assert gen_random(0, 0, 2, seed=1).n == 0
+    args = ["gen", "random", "--n", "0", "--m", "3"] + ([] if simple else ["--multigraph"])
+    assert main(args) == 1
+    assert capsys.readouterr().err.strip() == "error: 3 edges need at least one vertex"
 
 
 def test_label_and_query_single(tmp_path, capsys):

@@ -8,7 +8,6 @@ from colorfault.graph import (
     GraphError,
     InvalidFaultSetError,
     cids_after_faults,
-    components,
     parse_graph,
     serialize_graph,
 )
@@ -20,7 +19,7 @@ from colorfault.multi_fault import (
     query_recursive_ids,
 )
 from colorfault.nca import build_one_fault_oracle
-from colorfault.oracle import brute_force_connected
+from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.reduction import ExactSingleSource, build_all_pairs, query_all_pairs_ids
 from colorfault.schemes import SCHEMES, query
 from colorfault.single_fault import build_ruling_set, label_single_fault
@@ -35,7 +34,7 @@ LOOPY = ColoredGraph(n=2, mode="edge", edges=((0, 0), (1, 1)), C=1,
 
 def test_empty_graph_round_trip():
     assert parse_graph(serialize_graph(EMPTY)) == EMPTY
-    assert components(EMPTY) == []
+    assert brute_force_partition(EMPTY) == []
     assert build_ruling_set(EMPTY).k == 1
     ls = label_single_fault(EMPTY)
     assert ls.vertex_labels == () and ls.color_labels == ()

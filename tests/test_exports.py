@@ -30,7 +30,7 @@ def _dataclasses():
 def test_every_record_is_slotted():
     # a record with a per-instance __dict__ costs a pointer chase on every field read
     records = list(_dataclasses())
-    assert len(records) >= 37
+    assert len(records) >= 36
     for cls in records:
         assert "__slots__" in vars(cls), cls.__qualname__
         assert not hasattr(object.__new__(cls), "__dict__"), cls.__qualname__

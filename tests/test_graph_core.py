@@ -15,13 +15,11 @@ from colorfault.graph import (
     bfs,
     bfs_tree,
     cids_after_faults,
-    components,
     edge_graph,
     orient_forest,
     parse_graph,
     path_colors,
     preorder,
-    remove_colors,
     serialize_graph,
     spanning_forest,
     vertex_graph,
@@ -40,32 +38,50 @@ def random_graphs(seed_base=0, count=10, n=20, m=35, C=5, mode="edge"):
     return [gen_random(n, m, C, seed=seed_base + i, mode=mode) for i in range(count)]
 
 
-# -- remove_colors ------------------------------------------------------------
+# -- what a fault removes --------------------------------------------------------
+
+
+def edge_present(g, F, eid):
+    """The per-edge survival rule: the edge's color, or both end colors, survive F."""
+    if g.mode == "edge":
+        return g.edge_color(eid) not in F
+    u, v = g.edges[eid]
+    return g.vertex_color(u) not in F and g.vertex_color(v) not in F
+
+
+def bfs_cids(g, F):
+    """cid per vertex under F by ``bfs`` over the per-edge rule; None for a removed vertex.
+
+    A walk independent of the union-find in ``brute_force_partition``.
+    """
+    def adjacency(x):
+        return [(w, eid) for w, eid in g.adjacency(x) if edge_present(g, F, eid)]
+
+    live = [v for v in range(g.n) if g.mode == "edge" or g.vertex_color(v) not in F]
+    cid = [None] * g.n
+    for x, p, _eid, _d in bfs(adjacency, live):
+        cid[x] = x if p is None else cid[p]
+    return cid
 
 
 def test_remove_colors_triangle():
-    view = remove_colors(TRIANGLE, {RED})
-    assert [(eid, u, v) for eid, u, v in view.surviving_edges()] == [(1, 0, 2)]
-
-
-def test_remove_nothing_is_identity():
-    view = remove_colors(TRIANGLE, set())
-    assert list(view.surviving_edges()) == [(0, 0, 1), (1, 0, 2), (2, 1, 2)]
+    assert TRIANGLE.color_classes() == [[0, 2], [1]]
+    assert brute_force_partition(TRIANGLE, {RED}) == [0, 1, 0]
+    assert brute_force_partition(TRIANGLE, ()) == [0, 0, 0]
 
 
 def test_remove_colors_bad_color():
     with pytest.raises(InvalidFaultSetError):
-        remove_colors(TRIANGLE, {7})
+        brute_force_partition(TRIANGLE, {7})
 
 
 def test_remove_colors_matches_union_find_partition():
-    # the union-find partition against the independent BFS forest's roots
+    # the union-find partition against the independent BFS cids
     for mode in ("edge", "vertex"):
         g = gen_random(20, 35, 5, seed=7, mode=mode)
         for F in [(), (3,), (0, 2), (1, 3, 4)]:
-            view = remove_colors(g, F)
-            part = components(view)
-            assert part == list(bfs_tree(view).root)
+            part = brute_force_partition(g, F)
+            assert part == bfs_cids(g, F)
             for v in range(g.n):
                 if part[v] is None:
                     with pytest.raises(RemovedVertexError):
@@ -74,19 +90,8 @@ def test_remove_colors_matches_union_find_partition():
 
 def test_vertex_mode_removal_isolates():
     g = vertex_graph([0, 1, 0], [(0, 1), (1, 2), (0, 2)])
-    view = remove_colors(g, {1})
-    assert not view.vertex_present(1)
-    assert list(view.surviving_edges()) == [(2, 0, 2)]
-    assert components(view)[1] is None
-
-
-def edge_present(view, eid):
-    """The per-edge survival rule the views applied before testing it inline."""
-    g = view.graph
-    if g.mode == "edge":
-        return g.edge_color(eid) not in view.faults
-    u, v = g.edges[eid]
-    return view.vertex_present(u) and view.vertex_present(v)
+    assert g.color_classes() == [[0, 1, 2], [0, 1]]
+    assert brute_force_partition(g, {1}) == [0, None, 0]
 
 
 @st.composite
@@ -108,23 +113,15 @@ def multigraphs_with_faults(draw, min_n=1, max_n=7, max_edges=16):
 @given(multigraphs_with_faults())
 @settings(max_examples=200, deadline=None)
 def test_view_matches_the_per_edge_rule(case):
+    # the classes of F are exactly the edges the per-edge rule removes, and
+    # the union-find partition agrees with the BFS over that rule
     g, F = case
-    view = remove_colors(g, F)
-    assert list(view.surviving_edges()) == [
-        (eid, u, v) for eid, (u, v) in enumerate(g.edges) if edge_present(view, eid)
-    ]
-    for v in range(g.n):
-        got = list(view.adjacency(v))
-        assert got == [(w, eid) for w, eid in g.adjacency(v) if edge_present(view, eid)]
-        if not view.vertex_present(v):
-            assert got == []
-
-
-@pytest.mark.parametrize("mode", ["edge", "vertex"])
-def test_fault_free_view_hands_out_the_graphs_adjacency(mode):
-    g = gen_random(12, 24, 3, seed=5, mode=mode, simple=False)
-    view = remove_colors(g, ())
-    assert all(view.adjacency(v) is g.adjacency(v) for v in range(g.n))
+    classes = g.color_classes()
+    assert {eid for c in F for eid in classes[c]} == {
+        eid for eid in range(g.m) if not edge_present(g, F, eid)
+    }
+    assert all(cls == sorted(set(cls)) for cls in classes)
+    assert brute_force_partition(g, F) == bfs_cids(g, F)
 
 
 # -- union-find ------------------------------------------------------------------
@@ -182,7 +179,7 @@ def test_cid_no_fault_matches_union_find():
     # the union-find cid against the independent BFS forest's roots
     for g in random_graphs():
         part = brute_force_partition(g)
-        assert part == list(bfs_tree(g).root)
+        assert part == list(bfs_tree(g).root) == bfs_cids(g, ())
         assert all(part[v] <= v for v in range(g.n))
 
 
@@ -205,7 +202,7 @@ def test_cid_and_connected_contracts(mode):
                     call()
             continue
         assert brute_force_connected(g, u, u, F)
-        root = bfs_tree(remove_colors(g, F)).root  # an independent BFS cid
+        root = bfs_cids(g, F)  # an independent BFS cid
         assert brute_force_partition(g, F)[u] == root[u]
         if mode == "edge" or g.vertex_color(v) not in F:
             assert brute_force_connected(g, u, v, F) == (root[u] == root[v])
@@ -231,8 +228,8 @@ def test_spanning_forest_is_maximal_and_acyclic():
         sub = edge_graph(
             g.n, [(g.edges[e][0], g.edges[e][1], 0) for e in forest], C=1
         )
-        assert components(sub) == components(g)
-        assert len(forest) == g.n - len(set(components(g)))
+        assert brute_force_partition(sub) == brute_force_partition(g)
+        assert len(forest) == g.n - len(set(brute_force_partition(g)))
 
 
 # -- bfs -----------------------------------------------------------------------
@@ -317,19 +314,17 @@ def test_bfs_matches_all_pairs_shortest_paths():
 @given(st.one_of(multigraphs_with_faults(), multigraphs_with_faults(0, 14, 8)))
 @settings(max_examples=200, deadline=None)
 def test_bfs_forest_matches_a_tree_per_component_minimum(case):
+    # on g minus the edges F removes, so the faults still shape the forest
     g, F = case
-    view = remove_colors(g, F)
-    forest = bfs_tree(view)
-    comp = components(view)
+    g = g.keep_edges(eid for eid in range(g.m) if edge_present(g, F, eid))
+    forest = bfs_tree(g)
+    comp = brute_force_partition(g)
     assert list(forest.root) == comp
-    for s in sorted({c for c in comp if c is not None}):
-        tree = {x: (p, eid, d) for x, p, eid, d in bfs(view.adjacency, (s,))}
+    for s in sorted(set(comp)):
+        tree = {x: (p, eid, d) for x, p, eid, d in bfs(g.adjacency, (s,))}
         assert sorted(tree) == [v for v in range(g.n) if comp[v] == s]
         for v, got in tree.items():
             assert got == (forest.parent[v], forest.parent_edge[v], forest.depth[v])
-    for v in range(g.n):
-        if comp[v] is None:
-            assert (forest.parent[v], forest.parent_edge[v], forest.depth[v]) == (None, None, -1)
 
 
 # -- text format -----------------------------------------------------------------
@@ -380,8 +375,8 @@ def test_vertex_mode_round_trip():
 @settings(max_examples=25, deadline=None)
 def test_monotone_removal(seed):
     g = gen_random(14, 24, 5, seed=seed)
-    small = components(remove_colors(g, {0}))
-    big = components(remove_colors(g, {0, 1}))
+    small = brute_force_partition(g, {0})
+    big = brute_force_partition(g, {0, 1})
     # every component under the larger fault set refines the smaller one
     rep: dict[int, int] = {}
     for v in range(g.n):
@@ -477,7 +472,7 @@ def test_cids_after_faults_rejects_bad_color():
 def test_dual_oracles_agree_on_random_queries():
     rng = random.Random(123)
     g = gen_random(30, 60, 6, seed=42)
-    roots = [bfs_tree(remove_colors(g, {c})).root for c in range(g.C)]  # the BFS side
+    roots = [bfs_cids(g, {c}) for c in range(g.C)]  # the BFS side
     for _ in range(1000):
         u, v, c = rng.randrange(g.n), rng.randrange(g.n), rng.randrange(g.C)
         assert brute_force_connected(g, u, v, {c}) == (roots[c][u] == roots[c][v])
@@ -485,7 +480,7 @@ def test_dual_oracles_agree_on_random_queries():
 
 def test_self_loops_do_not_affect_connectivity():
     g = edge_graph(3, [(0, 0, 0), (1, 2, 1)])
-    assert components(g) == [0, 1, 1]
+    assert brute_force_partition(g) == [0, 1, 1]
     assert spanning_forest(g) == (1,)
 
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
-from colorfault.graph import GraphError, components, edge_graph, remove_colors
-from colorfault.oracle import brute_force_connected
+from colorfault.graph import GraphError, edge_graph
+from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.routing import (
     FirstRecEdgeBlock,
     Hop,
@@ -125,7 +125,7 @@ def test_block_counts_bounded():
 
 def _sweep(g, seeded_pairs=None):
     scheme = build_routing_scheme(g)
-    comp_by_color = {c: components(remove_colors(g, {c})) for c in range(g.C)}
+    comp_by_color = {c: brute_force_partition(g, {c}) for c in range(g.C)}
     checked = 0
     for c in range(g.C):
         comp = comp_by_color[c]
@@ -264,7 +264,7 @@ def check_final_approach_is_tc_path(scheme):
     its final approach starts it walks the T_c path, at vertices that carry tables."""
     g = scheme.graph
     for c in range(g.C):
-        comp = components(remove_colors(g, {c}))
+        comp = brute_force_partition(g, {c})
         tc = tc_routing(scheme, c) if c in scheme.structures else None
         for s, t in itertools.permutations(range(g.n), 2):
             if comp[s] != comp[t]:
@@ -339,7 +339,7 @@ def test_refusals_match_brute_force_on_random_sweep():
         g = gen_random(n, int(n * 1.7), 3 + seed % 4, seed=seed, connected=True)
         scheme = build_routing_scheme(g)
         for c in range(g.C):
-            comp = components(remove_colors(g, {c}))
+            comp = brute_force_partition(g, {c})
             for s, t in itertools.permutations(range(g.n), 2):
                 if comp[s] != comp[t]:
                     with pytest.raises(UnreachableError):

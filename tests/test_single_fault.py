@@ -9,10 +9,8 @@ from colorfault.bits import width_for
 from colorfault.graph import (
     RemovedVertexError,
     bfs,
-    components,
     edge_graph,
     path_colors,
-    remove_colors,
     vertex_graph,
 )
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_tree, gen_wheel
@@ -69,7 +67,7 @@ def test_ruling_set_invariants_random():
             assert min(dist_from(g, s).get(v, math.inf) for s in chosen) < rs.k
 
 
-def reference_ruling_and_paths(gv):
+def reference_ruling_and_paths(g):
     """The ruling set and anchor forest by a fresh BFS per round.
 
     Round i runs a multi-source BFS from A0 u {a_1..a_{i-1}} and picks the
@@ -77,8 +75,8 @@ def reference_ruling_and_paths(gv):
     every anchor, each level scanned in increasing id, then gives
     (depth, parent, parent_edge, anchor).
     """
-    n = gv.n
-    A0 = sorted({c for c in components(gv) if c is not None})
+    n = g.n
+    A0 = sorted(set(brute_force_partition(g)))
     A = []
     i = 1
     while True:
@@ -87,7 +85,7 @@ def reference_ruling_and_paths(gv):
         for s in queue:
             depth[s] = 0
         for x in queue:
-            for w, _eid in gv.adjacency(x):
+            for w, _eid in g.adjacency(x):
                 if depth[w] < 0:
                     depth[w] = depth[x] + 1
                     queue.append(w)
@@ -105,7 +103,7 @@ def reference_ruling_and_paths(gv):
     while level:
         nxt = []
         for x in level:
-            for w, eid in gv.adjacency(x):
+            for w, eid in g.adjacency(x):
                 if anchor[w] is None:
                     parent[w] = x
                     parent_edge[w] = eid
@@ -128,15 +126,19 @@ def reference_ruling_and_paths(gv):
 def test_ruling_set_and_anchor_paths_match_reference(n, m, C, seed, mode, simple, faults):
     m = min(m, n * (n - 1) // 2) if simple else m
     g = gen_random(n, m, C, seed=seed, mode=mode, simple=simple)
-    gv = remove_colors(g, {c for c in faults if c < C})
-    (A0, A, k), depth, paths = reference_ruling_and_paths(gv)
-    rs = build_ruling_set(gv)
+    # the input is g minus the faulted classes: in vertex mode a faulted
+    # vertex stays, isolated
+    classes = g.color_classes()
+    dead = {eid for c in faults if c < C for eid in classes[c]}
+    g = g.keep_edges(eid for eid in range(g.m) if eid not in dead)
+    (A0, A, k), depth, paths = reference_ruling_and_paths(g)
+    rs = build_ruling_set(g)
     assert (rs.A0, rs.A, rs.k) == (A0, A, k)
     assert list(rs.depth) == depth
     assert (list(rs.parent), list(rs.parent_edge), list(rs.anchor)) == paths
     for v in range(n):
-        if not gv.vertex_present(v):
-            assert rs.depth[v] == -1 and paths[2][v] is None
+        if not g.adjacency(v):
+            assert rs.depth[v] == 0 and rs.anchor[v] == v
 
 
 # Recorded before the ruling set and the anchor forest shared one distance

@@ -5,7 +5,7 @@ import pytest
 
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
-from colorfault.graph import RemovedVertexError, edge_graph, remove_colors
+from colorfault.graph import RemovedVertexError, edge_graph
 from colorfault.labels import LabelSet
 from colorfault.oracle import brute_force_partition
 from colorfault.two_fault import (
@@ -61,21 +61,39 @@ def test_greedy_size_bound():
 
 def test_truncated_tree_small_spans_component():
     g = gen_path(6, coloring="uniform", C=2, seed=0)
-    view = remove_colors(g, {1})
-    t = truncated_bfs(view, 0, cap=3)
+    removed = frozenset(g.color_classes()[1])
+    t = truncated_bfs(g, removed, 0, cap=3)
     assert len(t.vertices) <= 3
-    big = truncated_bfs(view, 0, cap=100)
-    from colorfault.graph import components
-
-    comp = components(view)
+    big = truncated_bfs(g, removed, 0, cap=100)
+    comp = brute_force_partition(g, {1})
     want = {v for v in range(g.n) if comp[v] == comp[0]}
     assert set(big.vertices) == want and not big.full
 
 
 def test_truncated_tree_cap_exact():
     g = gen_random(25, 60, 4, seed=2, connected=True)
-    t = truncated_bfs(remove_colors(g, {0}), 3, cap=5)
+    t = truncated_bfs(g, frozenset(g.color_classes()[0]), 3, cap=5)
     assert t.full and len(t.vertices) == 5
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_uncapped_walk_spans_the_component_of_g_minus_c(mode):
+    # in vertex mode an edge of c's class reaches a c-colored vertex, which
+    # the walk from a live vertex must not enter
+    cases = 0
+    for s in range(10):
+        g = gen_random(18, 30, 4, seed=s, mode=mode, simple=False)
+        classes = g.color_classes()
+        for c in range(g.C):
+            part = brute_force_partition(g, {c})
+            for v in range(g.n):
+                if part[v] is None:
+                    continue
+                t = truncated_bfs(g, frozenset(classes[c]), v, cap=g.n + 1)
+                assert sorted(t.vertices) == [x for x in range(g.n) if part[x] == part[v]]
+                assert not t.full
+                cases += 1
+    assert cases > 500
 
 
 # -- labels ----------------------------------------------------------------------
