@@ -193,6 +193,24 @@ class UnionFind:
             self.min_id[a] = self.min_id[b]
         return True
 
+    def union_all(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """:meth:`union` of every pair, with the arrays looked up once."""
+        parent, size, min_id, trail = self.parent, self.size, self.min_id, self.trail
+        for a, b in pairs:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            trail.append((b, a, min_id[a]))
+            parent[b] = a
+            size[a] += size[b]
+            if min_id[b] < min_id[a]:
+                min_id[a] = min_id[b]
+
     def checkpoint(self) -> int:
         return len(self.trail)
 
@@ -374,6 +392,25 @@ def bfs_tree(g: ColoredGraph) -> BfsTree:
 # -- fault-set family sweep ---------------------------------------------------
 
 
+def edge_classes(g: ColoredGraph) -> dict[int | tuple[int, int], list[int]]:
+    """Edge ids grouped by what removes them, each group increasing, in order of its first edge.
+
+    Edge mode keys an edge by its color; vertex mode by its unordered pair of
+    end colors ``(a, b)``, a <= b, which a fault of a or of b removes.  Self-loops
+    are kept, in the class of their one end color.
+    """
+    classes: dict[int | tuple[int, int], list[int]] = {}
+    if g.mode == EDGE:
+        for eid, c in enumerate(g.edge_colors or ()):
+            classes.setdefault(c, []).append(eid)
+        return classes
+    vc = g.vertex_colors or ()
+    for eid, (u, v) in enumerate(g.edges):
+        a, b = vc[u], vc[v]
+        classes.setdefault((a, b) if a <= b else (b, a), []).append(eid)
+    return classes
+
+
 def cids_after_faults(
     g: ColoredGraph, wanted: dict[frozenset[int], Iterable[int]]
 ) -> dict[frozenset[int], dict[int, int | None]]:
@@ -383,8 +420,13 @@ def cids_after_faults(
     their sorted tuples, so sets sharing their smallest color sit together,
     and the sweep divides and conquers over that order: an edge is unioned at
     the highest node of the recursion whose sets all keep it, instead of
-    once per set.  Vertices removed by F (vertex mode) come out as None; a
-    vertex outside 0..n-1 raises ``GraphError``.
+    once per set.  Edges are swept in groups, one per kill list (the sorted
+    indices of the sets an edge fails in, a function of its
+    :func:`edge_classes` key), so a node tests each group once: a group no set
+    of a side kills is unioned whole, and any other passes down whole.  Every
+    answer is a component minimum, so the order of unions cannot change it.
+    Vertices removed by F (vertex mode) come out as None; a vertex outside
+    0..n-1 raises ``GraphError``.
     """
     keys = sorted((g.check_fault_set(F) for F in wanted), key=sorted)
     out: dict[frozenset[int], dict[int, int | None]] = {F: {} for F in keys}
@@ -394,25 +436,25 @@ def cids_after_faults(
     for i, F in enumerate(keys):
         for c in F:
             killed_by[c].append(i)
+    edges = g.edges
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for key, eids in edge_classes(g).items():
+        if isinstance(key, int):
+            kill = killed_by[key]
+        else:
+            a, b = key
+            kill = killed_by[a] if a == b else sorted({*killed_by[a], *killed_by[b]})
+        pairs = [(u, v) for u, v in map(edges.__getitem__, eids) if u != v]
+        if pairs:
+            groups.setdefault(tuple(kill), []).extend(pairs)
     uf = UnionFind(g.n)
-    # an edge with its kill list: the sorted indices of the sets it fails in
-    pending: list[tuple[int, int, list[int]]] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        if g.mode == EDGE:
-            kill = killed_by[g.edge_color(eid)]
-        else:
-            cu, cv = g.vertex_color(u), g.vertex_color(v)
-            kill = killed_by[cu] if cu == cv else sorted({*killed_by[cu], *killed_by[cv]})
-        if kill:
-            pending.append((u, v, kill))
-        else:
-            uf.union(u, v)
+    uf.union_all(groups.pop((), ()))
     vertex_colors = g.vertex_colors if g.mode == VERTEX else None
     n = g.n
 
-    def solve(lo: int, hi: int, edges: list[tuple[int, int, list[int]]]) -> None:
+    def solve(
+        lo: int, hi: int, pending: list[tuple[tuple[int, ...], list[tuple[int, int]]]]
+    ) -> None:
         if hi - lo == 1:
             F = keys[lo]
             res = out[F]
@@ -425,18 +467,18 @@ def cids_after_faults(
         mid = (lo + hi) // 2
         for side_lo, side_hi in ((lo, mid), (mid, hi)):
             mark = uf.checkpoint()
-            dirty: list[tuple[int, int, list[int]]] = []
-            for edge in edges:
-                kill = edge[2]
+            dirty = []
+            for group in pending:
+                kill = group[0]
                 i = bisect_left(kill, side_lo)
                 if i < len(kill) and kill[i] < side_hi:
-                    dirty.append(edge)
+                    dirty.append(group)
                 else:
-                    uf.union(edge[0], edge[1])
+                    uf.union_all(group[1])
             solve(side_lo, side_hi, dirty)
             uf.rollback(mark)
 
-    solve(0, len(keys), pending)
+    solve(0, len(keys), list(groups.items()))
     return out
 
 

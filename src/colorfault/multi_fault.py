@@ -46,12 +46,12 @@ from typing import Iterable, Sequence
 
 from .bits import width_for
 from .graph import (
-    EDGE,
     VERTEX,
     ColoredGraph,
     InvalidFaultSetError,
     UnionFind,
     cids_after_faults,
+    edge_classes,
     path_colors,
 )
 from .labels import LabelSet, check_removed
@@ -102,15 +102,10 @@ class ColorForestCertificate:
 
 
 def build_certificate(g: ColoredGraph) -> ColorForestCertificate:
-    """Spanning forest per class, scanned in increasing edge id."""
-    vc = g.vertex_colors
-    classes: dict[int | frozenset[int], list[int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        key = g.edge_color(eid) if g.mode == EDGE else frozenset((vc[u], vc[v]))
-        classes.setdefault(key, []).append(eid)
+    """Spanning forest per class of ``edge_classes``, scanned in increasing edge id."""
     kept: list[int] = []
     uf = UnionFind(g.n)
-    for cls in classes.values():
+    for cls in edge_classes(g).values():
         mark = uf.checkpoint()
         kept.extend(eid for eid in cls if uf.union(*g.edges[eid]))
         uf.rollback(mark)
@@ -276,6 +271,8 @@ def _leaves(g: ColoredGraph, prevalent: list[int], ecls: list[list[int]]) -> lis
                 listed += live
         plans.append((h, ruling, colors_on_path, entries, child.m))
         del child
+    for listed in wanted.values():  # each vertex once, however many lists name it
+        listed[:] = dict.fromkeys(listed)
     swept = cids_after_faults(g, wanted)
 
     out = []

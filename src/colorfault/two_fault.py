@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Collection, Sequence
 
@@ -42,7 +43,13 @@ SCHEME = "two-fault-diam"
 
 def greedy_hitting_set(sets: Sequence[Collection[int]], n: int) -> tuple[int, ...]:
     """Hit every set, repeatedly taking the vertex covering the most still-unhit
-    sets (minimum id on ties)."""
+    sets (minimum id on ties).
+
+    The pick is lazy: a heap holds ``(-gain, v)`` with each gain as last
+    computed, and its top is taken once its recomputed gain equals its key.
+    Gains only fall, so no other vertex can gain more, and the heap's order
+    puts the minimum id first among equal gains.
+    """
     for i, s in enumerate(sets):
         if not s:
             raise ValueError(f"set {i} is empty and cannot be hit")
@@ -52,18 +59,18 @@ def greedy_hitting_set(sets: Sequence[Collection[int]], n: int) -> tuple[int, ..
             if not 0 <= v < n:
                 raise ValueError(f"element {v} outside universe of size {n}")
             covers.setdefault(v, set()).add(i)
+    heap = [(-len(hit), v) for v, hit in covers.items()]
+    heapify(heap)
     unhit = set(range(len(sets)))
     chosen: list[int] = []
     while unhit:
-        best_v = -1
-        best_gain = 0
-        for v in sorted(covers):
-            gain = len(covers[v] & unhit)
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        chosen.append(best_v)
-        unhit -= covers[best_v]
+        key, v = heappop(heap)
+        gain = len(covers[v] & unhit)
+        if gain == -key:
+            chosen.append(v)
+            unhit -= covers[v]
+        elif gain:
+            heappush(heap, (-gain, v))
     return tuple(sorted(chosen))
 
 

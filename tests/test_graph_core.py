@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorfault import graph as graph_module
 from colorfault.graph import (
     ColoredGraph,
     GraphError,
@@ -15,6 +17,7 @@ from colorfault.graph import (
     bfs,
     bfs_tree,
     cids_after_faults,
+    edge_classes,
     edge_graph,
     orient_forest,
     parse_graph,
@@ -152,6 +155,20 @@ def test_union_find_rolls_back_to_each_checkpoint(n, ops):
         for x in range(n):
             assert uf.component_min(x) == block.index(block[x])
             assert all(uf.connected(x, y) == (block[x] == block[y]) for y in range(n))
+
+
+@given(st.integers(1, 10), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_union_all_is_union_of_each_pair(n, pairs):
+    pairs = [(a % n, b % n) for a, b in pairs]
+    one, each = UnionFind(n), UnionFind(n)
+    one.union_all(pairs)
+    for a, b in pairs:
+        each.union(a, b)
+    assert (one.parent, one.size, one.min_id, one.trail) == (
+        each.parent, each.size, each.min_id, each.trail)
+    one.rollback(0)
+    assert (one.parent, one.size, one.min_id) == (list(range(n)), [1] * n, list(range(n)))
 
 
 # -- cid (the brute-force reference) ------------------------------------------
@@ -424,6 +441,53 @@ def test_cids_after_faults_on_large_classes(family, C, mode):
     for F, vertices in wanted.items():
         truth = brute_force_partition(g, F)
         assert got[F] == {v: truth[v] for v in vertices}, sorted(F)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_edge_classes_key_edges_by_what_removes_them(mode):
+    g = gen_random(30, 80, 5, seed=9, mode=mode, simple=False)
+    classes = edge_classes(g)
+    assert sorted(e for cls in classes.values() for e in cls) == list(range(g.m))
+    assert all(cls == sorted(cls) for cls in classes.values())
+    assert [cls[0] for cls in classes.values()] == sorted(cls[0] for cls in classes.values())
+    for key, cls in classes.items():
+        for eid in cls:
+            u, v = g.edges[eid]
+            if mode == "edge":
+                assert key == g.edge_color(eid)
+            else:
+                assert key == tuple(sorted((g.vertex_color(u), g.vertex_color(v))))
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_cids_after_faults_tests_each_kill_list_once_per_side(mode, monkeypatch):
+    # the pairs family of an f = 2 node over long classes: each internal node of
+    # the sweep tests each distinct kill list at most once per side
+    C = 3
+    g = gen_random(60, 240, C, seed=C, mode=mode)
+    family = [frozenset((h, c)) for h in range(C) for c in range(h, C)]
+    kill_lists = set()  # an edge's kill list is the sets it fails in
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            if mode == "edge":
+                removers = {g.edge_color(eid)}
+            else:
+                removers = {g.vertex_color(u), g.vertex_color(v)}
+            kill = frozenset(F for F in family if F & removers)
+            if kill:
+                kill_lists.add(kill)
+    calls = 0
+
+    def counted(a, x):
+        nonlocal calls
+        calls += 1
+        return bisect.bisect_left(a, x)
+
+    monkeypatch.setattr(graph_module, "bisect_left", counted)
+    got = cids_after_faults(g, {F: range(g.n) for F in family})
+    assert 0 < calls <= 2 * (len(family) - 1) * len(kill_lists)
+    for F in family:
+        assert list(got[F].values()) == brute_force_partition(g, F)
 
 
 @given(st.integers(0, 2**30), st.sampled_from(["edge", "vertex"]),

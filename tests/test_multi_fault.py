@@ -467,6 +467,8 @@ def test_leaves_equal_per_child_builds(f, mode, seed, monkeypatch):
     shared = [F for family, prevalent in zip(families, _f2_prevalent_lists(got.meta["manifest"]))
               for F in family if len(F) == 2 and F <= set(prevalent)]
     assert shared
+    # each vertex is listed once per pair, whichever children and lists ask for it
+    assert all(len(list(vs)) == len(set(vs)) for family in families for vs in family.values())
 
 
 @pytest.mark.parametrize("f", (2, 3))

@@ -56,6 +56,40 @@ def test_greedy_size_bound():
         assert len(U) <= (n / delta) * (math.log(k) + 1)
 
 
+def reference_greedy(sets, n):
+    """The eager greedy loop: rescan every vertex per pick, minimum id on ties."""
+    covers = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            covers.setdefault(v, set()).add(i)
+    unhit = set(range(len(sets)))
+    chosen = []
+    while unhit:
+        best_v = -1
+        best_gain = 0
+        for v in sorted(covers):
+            gain = len(covers[v] & unhit)
+            if gain > best_gain:
+                best_gain = gain
+                best_v = v
+        chosen.append(best_v)
+        unhit -= covers[best_v]
+    return tuple(sorted(chosen))
+
+
+def test_lazy_greedy_matches_the_eager_loop_on_ties():
+    rng = random.Random(38)
+    for trial in range(2000):
+        # a small universe and equal-size sets, so many vertices tie on gain
+        # at every pick, and vertices are often listed out of id order
+        n = rng.randrange(2, 16)
+        size = rng.randrange(1, min(n, 4) + 1)
+        sets = [rng.sample(range(n), size) for _ in range(rng.randrange(1, 30))]
+        if trial % 2:
+            sets = [set(s) for s in sets]
+        assert greedy_hitting_set(sets, n) == reference_greedy(sets, n), sets
+
+
 # -- truncated trees ----------------------------------------------------------------
 
 
