@@ -193,24 +193,6 @@ class UnionFind:
             self.min_id[a] = self.min_id[b]
         return True
 
-    def union_all(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """:meth:`union` of every pair, with the arrays looked up once."""
-        parent, size, min_id, trail = self.parent, self.size, self.min_id, self.trail
-        for a, b in pairs:
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a == b:
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            trail.append((b, a, min_id[a]))
-            parent[b] = a
-            size[a] += size[b]
-            if min_id[b] < min_id[a]:
-                min_id[a] = min_id[b]
-
     def checkpoint(self) -> int:
         return len(self.trail)
 
@@ -392,17 +374,18 @@ def bfs_tree(g: ColoredGraph) -> BfsTree:
 # -- fault-set family sweep ---------------------------------------------------
 
 
-def edge_classes(g: ColoredGraph) -> dict[int | tuple[int, int], list[int]]:
+def edge_classes(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
     """Edge ids grouped by what removes them, each group increasing, in order of its first edge.
 
-    Edge mode keys an edge by its color; vertex mode by its unordered pair of
-    end colors ``(a, b)``, a <= b, which a fault of a or of b removes.  Self-loops
-    are kept, in the class of their one end color.
+    A class is keyed by the colors ``(a, b)``, a <= b, whose fault removes its
+    edges: ``(c, c)`` for an edge of color c in edge mode, the unordered pair of
+    end colors in vertex mode.  Self-loops are kept, in the class of their one
+    end color.
     """
-    classes: dict[int | tuple[int, int], list[int]] = {}
+    classes: dict[tuple[int, int], list[int]] = {}
     if g.mode == EDGE:
         for eid, c in enumerate(g.edge_colors or ()):
-            classes.setdefault(c, []).append(eid)
+            classes.setdefault((c, c), []).append(eid)
         return classes
     vc = g.vertex_colors or ()
     for eid, (u, v) in enumerate(g.edges):
@@ -438,17 +421,15 @@ def cids_after_faults(
             killed_by[c].append(i)
     edges = g.edges
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for key, eids in edge_classes(g).items():
-        if isinstance(key, int):
-            kill = killed_by[key]
-        else:
-            a, b = key
-            kill = killed_by[a] if a == b else sorted({*killed_by[a], *killed_by[b]})
+    for (a, b), eids in edge_classes(g).items():
+        kill = killed_by[a] if a == b else sorted({*killed_by[a], *killed_by[b]})
         pairs = [(u, v) for u, v in map(edges.__getitem__, eids) if u != v]
         if pairs:
             groups.setdefault(tuple(kill), []).extend(pairs)
     uf = UnionFind(g.n)
-    uf.union_all(groups.pop((), ()))
+    union = uf.union
+    for u, v in groups.pop((), ()):
+        union(u, v)
     vertex_colors = g.vertex_colors if g.mode == VERTEX else None
     n = g.n
 
@@ -474,7 +455,8 @@ def cids_after_faults(
                 if i < len(kill) and kill[i] < side_hi:
                     dirty.append(group)
                 else:
-                    uf.union_all(group[1])
+                    for u, v in group[1]:
+                        union(u, v)
             solve(side_lo, side_hi, dirty)
             uf.rollback(mark)
 

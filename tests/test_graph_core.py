@@ -157,20 +157,6 @@ def test_union_find_rolls_back_to_each_checkpoint(n, ops):
             assert all(uf.connected(x, y) == (block[x] == block[y]) for y in range(n))
 
 
-@given(st.integers(1, 10), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
-@settings(max_examples=100, deadline=None)
-def test_union_all_is_union_of_each_pair(n, pairs):
-    pairs = [(a % n, b % n) for a, b in pairs]
-    one, each = UnionFind(n), UnionFind(n)
-    one.union_all(pairs)
-    for a, b in pairs:
-        each.union(a, b)
-    assert (one.parent, one.size, one.min_id, one.trail) == (
-        each.parent, each.size, each.min_id, each.trail)
-    one.rollback(0)
-    assert (one.parent, one.size, one.min_id) == (list(range(n)), [1] * n, list(range(n)))
-
-
 # -- cid (the brute-force reference) ------------------------------------------
 
 
@@ -454,7 +440,7 @@ def test_edge_classes_key_edges_by_what_removes_them(mode):
         for eid in cls:
             u, v = g.edges[eid]
             if mode == "edge":
-                assert key == g.edge_color(eid)
+                assert key == (g.edge_color(eid), g.edge_color(eid))
             else:
                 assert key == tuple(sorted((g.vertex_color(u), g.vertex_color(v))))
 
