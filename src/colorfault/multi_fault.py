@@ -407,31 +407,27 @@ def query_recursive(lu, lv, color_labels: Sequence) -> bool:
     if len(faults) > (lu.f if isinstance(lu, RecursiveVertexLabel) else 1):
         raise InvalidFaultSetError("fault set larger than the scheme's budget")
     check_removed(lu, lv, [c.color for c in faults])
-    return _query_node(lu, lv, faults)
-
-
-def _query_base(lu, lv, faults) -> bool:
-    if not faults:
-        raise InvalidFaultSetError("the plain one-fault scheme needs a faulted color")
-    return pair_connected(lu, lv, faults[0])
-
-
-def _query_node(lu, lv, faults) -> bool:
-    kind = _COLOR_KIND.get(type(lu))
-    if kind is None or type(lv) is not type(lu) or any(type(fc) is not kind for fc in faults):
-        raise SchemeMismatchError("labels of builds with different fault budgets")
-    if kind is SingleFaultColorLabel:
-        return _query_base(lu, lv, faults)
-    descend = [fc for fc in faults if fc.branch is not None]
-    if descend:
-        pick = min(descend, key=lambda fc: fc.branch)
+    while True:
+        kind = _COLOR_KIND.get(type(lu))
+        if kind is None or type(lv) is not type(lu) or any(type(fc) is not kind for fc in faults):
+            raise SchemeMismatchError("labels of builds with different fault budgets")
+        if kind is SingleFaultColorLabel:
+            if not faults:
+                raise InvalidFaultSetError("the plain one-fault scheme needs a faulted color")
+            return pair_connected(lu, lv, faults[0])
+        pick = None  # the first fault of the smallest branch
+        for fc in faults:
+            if fc.branch is not None and (pick is None or fc.branch < pick.branch):
+                pick = fc
+        if pick is None:
+            break
         branch = pick.branch
         if branch >= len(lu.children) or branch >= len(lv.children):
             raise SchemeMismatchError("color label references a missing branch")
         # g - h has no h edge, so with no other fault the child fails h again:
         # that changes nothing, and the one-fault leaves always get a fault
-        rest = [fc.children[branch] for fc in faults if fc is not pick] or [pick.children[branch]]
-        return _query_node(lu.children[branch], lv.children[branch], rest)
+        faults = [fc.children[branch] for fc in faults if fc is not pick] or [pick.children[branch]]
+        lu, lv = lu.children[branch], lv.children[branch]
     # all faulted colors are low-prevalence (or none is left): one edge-fault
     # query, exact with no faulty edges since T spans the node's graph
     edge_faults = [e for fc in faults for e in fc.edge_sketches]

@@ -21,11 +21,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bits import width_for
-from .graph import VERTEX, ColoredGraph, InvalidFaultSetError, cids_after_faults
-from .labels import LabelSet, check_removed
+from .graph import (
+    VERTEX,
+    ColoredGraph,
+    InvalidFaultSetError,
+    RemovedVertexError,
+    cids_after_faults,
+)
+from .labels import LabelSet
 from .sketch import _hash_fields as derive_seed
 
 SCHEME = "all-pairs-reduction"
@@ -140,28 +146,21 @@ def build_all_pairs(
     )
 
 
-def query_all_pairs(
-    lu: ReductionVertexLabel,
-    lw: ReductionVertexLabel,
-    fault_labels: Sequence[ReductionColorLabel],
-) -> bool:
+def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
     """Connected iff the two vertices agree with the source in every cell.
 
     A fault set names the same colors in every cell, so its colors select one
     grid mask per vertex; a set the labels hold no mask for is over budget.
     """
-    check_removed(lu, lw, [fl.color for fl in fault_labels])
-    key = frozenset(fl.color for fl in fault_labels)
-    if key not in lu.rows:
+    key = frozenset(F)
+    n = ls.n
+    if not (0 <= u < n and 0 <= w < n) or key and not 0 <= min(key) <= max(key) < ls.C:
+        ls.check_ids(u, w, sorted(key))  # names the bad id
+    lu, lw = ls.vertex_labels[u], ls.vertex_labels[w]
+    for lbl in (lu, lw):
+        if lbl.own_color in key:
+            raise RemovedVertexError(f"vertex {lbl.vertex} has a faulted color")
+    mask = lu.rows.get(key)
+    if mask is None:
         raise InvalidFaultSetError("fault set larger than the scheme's budget")
-    return lu.rows[key] == lw.rows[key]
-
-
-def query_all_pairs_ids(ls: LabelSet, u: int, w: int, F: Iterable[int]) -> bool:
-    colors = sorted(set(F))
-    ls.check_ids(u, w, colors)
-    return query_all_pairs(
-        ls.vertex_labels[u],
-        ls.vertex_labels[w],
-        [ls.color_labels[c] for c in colors],
-    )
+    return mask == lw.rows[key]

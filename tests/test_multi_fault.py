@@ -10,8 +10,17 @@ from hypothesis import strategies as st
 
 from colorfault import multi_fault, single_fault
 from colorfault.generators import gen_path, gen_random
-from colorfault.graph import RemovedVertexError, edge_graph, vertex_graph
+from colorfault.graph import (
+    GraphError,
+    InvalidFaultSetError,
+    RemovedVertexError,
+    edge_graph,
+    vertex_graph,
+)
+from colorfault.labels import check_removed
 from colorfault.multi_fault import (
+    RecursiveColorLabel,
+    RecursiveVertexLabel,
     build_certificate,
     label_large_f,
     label_recursive,
@@ -21,8 +30,13 @@ from colorfault.multi_fault import (
     query_recursive_ids,
 )
 from colorfault.oracle import brute_force_connected, brute_force_partition
-from colorfault.single_fault import label_single_fault
-from colorfault.sketch import SchemeMismatchError
+from colorfault.single_fault import (
+    SingleFaultColorLabel,
+    SingleFaultVertexLabel,
+    label_single_fault,
+    pair_connected,
+)
+from colorfault.sketch import SchemeMismatchError, query_edge_fault
 
 
 # -- certificate ---------------------------------------------------------------
@@ -310,6 +324,104 @@ def test_recursive_rejects_labels_of_another_budget():
             with pytest.raises(SchemeMismatchError):
                 query_recursive(vertices.vertex_labels[4], vertices.vertex_labels[9],
                                 [colors.color_labels[c] for c in sorted(F)])
+
+
+# -- the recursive query before its descent became a loop --------------------------
+
+
+REFERENCE_COLOR_KIND = {RecursiveVertexLabel: RecursiveColorLabel,
+                        SingleFaultVertexLabel: SingleFaultColorLabel}
+
+
+def reference_query_recursive(lu, lv, color_labels) -> bool:
+    faults = list(color_labels)
+    if len(faults) > (lu.f if isinstance(lu, RecursiveVertexLabel) else 1):
+        raise InvalidFaultSetError("fault set larger than the scheme's budget")
+    check_removed(lu, lv, [c.color for c in faults])
+    return reference_query_node(lu, lv, faults)
+
+
+def reference_query_base(lu, lv, faults) -> bool:
+    if not faults:
+        raise InvalidFaultSetError("the plain one-fault scheme needs a faulted color")
+    return pair_connected(lu, lv, faults[0])
+
+
+def reference_query_node(lu, lv, faults) -> bool:
+    kind = REFERENCE_COLOR_KIND.get(type(lu))
+    if kind is None or type(lv) is not type(lu) or any(type(fc) is not kind for fc in faults):
+        raise SchemeMismatchError("labels of builds with different fault budgets")
+    if kind is SingleFaultColorLabel:
+        return reference_query_base(lu, lv, faults)
+    descend = [fc for fc in faults if fc.branch is not None]
+    if descend:
+        pick = min(descend, key=lambda fc: fc.branch)
+        branch = pick.branch
+        if branch >= len(lu.children) or branch >= len(lv.children):
+            raise SchemeMismatchError("color label references a missing branch")
+        rest = [fc.children[branch] for fc in faults if fc is not pick] or [pick.children[branch]]
+        return reference_query_node(lu.children[branch], lv.children[branch], rest)
+    edge_faults = [e for fc in faults for e in fc.edge_sketches]
+    return query_edge_fault(lu.sketch, lu.sketch, lv.sketch, edge_faults)
+
+
+def reference_query_recursive_ids(ls, u, v, F) -> bool:
+    colors = sorted(set(F))
+    ls.check_ids(u, v, colors)
+    return reference_query_recursive(
+        ls.vertex_labels[u], ls.vertex_labels[v], [ls.color_labels[c] for c in colors])
+
+
+def outcome(fn, *args):
+    """The answer, or the type and text of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: see the caller
+        return type(exc), str(exc)
+
+
+def test_recursive_query_matches_the_unfolded_reference():
+    # builds at budgets 1-3 over 40 vertices: the other-budget pair of
+    # test_recursive_rejects_labels_of_another_budget, graphs with fewer
+    # prevalent colors (missing branches when mixed) or with rare colors
+    # (the sketch branch), and a vertex-mode graph (removed endpoints)
+    graphs = [gen_random(40, 120, 6, seed=3), gen_random(40, 80, 6, seed=5),
+              gen_random(40, 100, 12, seed=7), gen_random(40, 120, 8, seed=3, mode="vertex")]
+    builds = [label_recursive(g, f, seed=1) for g in graphs for f in (1, 2, 3)]
+    rng = random.Random(40)
+    seen = set()
+    for trial in range(6000):
+        ls = rng.choice(builds)
+        f = ls.meta["f"]
+        mixed = [ls if rng.random() < 0.7 else rng.choice(builds) for _ in range(3)]
+        if trial % 2:  # labels, possibly of other builds
+            colors = rng.sample(range(mixed[2].C), min(rng.randrange(0, f + 2), mixed[2].C))
+            colors += colors[:rng.randrange(0, 2)]
+            args = (mixed[0].vertex_labels[rng.randrange(ls.n)],
+                    mixed[1].vertex_labels[rng.randrange(ls.n)],
+                    [mixed[2].color_labels[c] for c in colors])
+            want = outcome(reference_query_recursive, *args)
+            assert outcome(query_recursive, *args) == want, (trial, args[2])
+        else:  # ids, some out of range
+            u, v = (rng.randrange(-2, ls.n + 2) if rng.random() < 0.1 else rng.randrange(ls.n)
+                    for _ in range(2))
+            palette = range(-2, ls.C + 2) if rng.random() < 0.1 else range(ls.C)
+            F = rng.sample(palette, rng.randrange(0, f + 2))
+            want = outcome(reference_query_recursive_ids, ls, u, v, F)
+            assert outcome(query_recursive_ids, ls, u, v, F) == want, (trial, u, v, F)
+        seen.add(want if isinstance(want, bool) else (want[0], want[1].split()[0]))
+    assert seen == {
+        True, False,
+        (GraphError, "vertex"),
+        (InvalidFaultSetError, "color"),
+        (InvalidFaultSetError, "fault"),
+        (InvalidFaultSetError, "the"),
+        (RemovedVertexError, "vertex"),
+        (SchemeMismatchError, "labels"),
+        (SchemeMismatchError, "color"),
+        (SchemeMismatchError, "vertex"),  # the sketches of two builds
+        (SchemeMismatchError, "edge"),
+    }
 
 
 @pytest.mark.parametrize("f", (2, 3))

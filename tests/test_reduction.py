@@ -14,10 +14,13 @@ from colorfault.graph import (
     EDGE,
     VERTEX,
     ColoredGraph,
+    GraphError,
+    InvalidFaultSetError,
     RemovedVertexError,
     edge_graph,
     vertex_graph,
 )
+from colorfault.labels import check_removed
 from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.reduction import (
     ExactSingleSource,
@@ -311,3 +314,54 @@ def test_oversized_fault_set_rejected():
     ls = build_all_pairs(g, f=1, inner=ExactSingleSource(1, g.C), alpha=1.0, seed=4)
     with pytest.raises(ValueError, match="budget"):
         query_all_pairs_ids(ls, 0, 1, [0, 1])
+
+
+# -- the query before its checks shared one frame ----------------------------------
+
+
+def reference_query_all_pairs(lu, lw, fault_labels) -> bool:
+    check_removed(lu, lw, [fl.color for fl in fault_labels])
+    key = frozenset(fl.color for fl in fault_labels)
+    if key not in lu.rows:
+        raise InvalidFaultSetError("fault set larger than the scheme's budget")
+    return lu.rows[key] == lw.rows[key]
+
+
+def reference_query_all_pairs_ids(ls, u, w, F) -> bool:
+    colors = sorted(set(F))
+    ls.check_ids(u, w, colors)
+    return reference_query_all_pairs(
+        ls.vertex_labels[u],
+        ls.vertex_labels[w],
+        [ls.color_labels[c] for c in colors],
+    )
+
+
+def outcome(fn, *args):
+    """The answer, or the type and text of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: see the caller
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_query_matches_the_unfolded_reference(mode):
+    # random pairs and fault sets, with bad vertex and color ids, repeated
+    # colors, over-budget sets and (vertex mode) removed endpoints
+    g = gen_random(12, 20, 4, seed=5, mode=mode)
+    ls = build_all_pairs(g, 2, ExactSingleSource(2, g.C), alpha=1.0, seed=3)
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(4000):
+        u, w = (rng.randrange(-2, g.n + 2) if rng.random() < 0.1 else rng.randrange(g.n)
+                for _ in range(2))
+        palette = range(-2, g.C + 2) if rng.random() < 0.1 else range(g.C)
+        F = rng.sample(palette, rng.randrange(0, 4))
+        F += F[:rng.randrange(0, 2)]
+        want = outcome(reference_query_all_pairs_ids, ls, u, w, F)
+        assert outcome(query_all_pairs_ids, ls, u, w, iter(F)) == want, (u, w, F)
+        seen.add(want if isinstance(want, bool) else (want[0], want[1].split()[0]))
+    assert {True, False, (GraphError, "vertex"), (InvalidFaultSetError, "color"),
+            (InvalidFaultSetError, "fault")} <= seen
+    assert ((RemovedVertexError, "vertex") in seen) == (mode == "vertex")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from colorfault import two_fault
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
 from colorfault.graph import RemovedVertexError, edge_graph
@@ -191,6 +192,86 @@ def test_pair_query_examples():
     assert not query_two_fault_ids(ls, 0, 3, 0, 1)
     assert not query_two_fault_ids(ls, 0, 3, 1, 1)
     assert query_two_fault_ids(ls, 2, 3, 1, 1)
+
+
+def derive_case(ls: LabelSet, v: int, c: int, d: int) -> int:
+    """Which of ``_derive_cid``'s five cases answers for v, or 0 if v is removed."""
+    lv = ls.vertex_labels[v]
+    if lv.own_color is not None and lv.own_color in (c, d):
+        return 0
+    if c not in lv.entries and d not in lv.entries:
+        return 1  # neither color on T[s,v]: the root
+    if c not in lv.entries:
+        c, d = d, c
+    entry = lv.entries[c]
+    if d in entry.pair_cids:
+        return 2  # the truncated tree's pair cid
+    if not entry.full:
+        return 3  # the small tree's cid(v, G-c)
+    if (entry.rep, c) in ls.color_labels[d].pairs or (entry.rep, d) in ls.color_labels[c].pairs:
+        return 4  # the representative's pair cid from a color label
+    return 5  # neither color on T[s,rep]: the root
+
+
+def outcome(fn, *args):
+    """The answer, or the type and text of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: see the callers
+        return type(exc), str(exc)
+
+
+def two_read_offs(ls: LabelSet, u: int, v: int, c: int, d: int) -> bool:
+    """The pair answer from ``_derive_cid`` on both sides, u checked before v."""
+    cu = derived_cid(ls, u, c, d)
+    if u == v:
+        return True
+    return cu == derived_cid(ls, v, c, d)
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_pair_entry_matches_two_read_offs(mode):
+    # every ordered pair, u == v and c == d included, on a graph where each of
+    # _derive_cid's five cases fires (and, in vertex mode, removed vertices)
+    g = gen_random(18, 30, 6, seed=0, mode=mode, connected=True)
+    ls = label_two_fault(g)
+    fired = set()
+    for c in range(g.C):
+        for d in range(g.C):
+            fired.update(derive_case(ls, v, c, d) for v in range(g.n))
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = outcome(two_read_offs, ls, u, v, c, d)
+                    assert outcome(query_two_fault_ids, ls, u, v, c, d) == want, (u, v, c, d)
+    assert fired >= {1, 2, 3, 4, 5}
+    assert (0 in fired) == (mode == "vertex")
+
+
+def test_pair_entry_skips_derive_cid_when_neither_side_holds_a_color(monkeypatch):
+    # the entry answers _derive_cid's first case itself; the query's latency
+    # rests on that, and no answer would change if the shortcut went
+    ls = label_two_fault(gen_random(18, 30, 6, seed=0, connected=True))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _derive_cid(*args)
+
+    monkeypatch.setattr(two_fault, "_derive_cid", counted)
+    held = [set(lbl.entries) for lbl in ls.vertex_labels]
+    shortcut = [(u, v, c, d) for u in range(ls.n) for v in range(ls.n) if u != v
+                for c in range(ls.C) for d in range(ls.C) if not {c, d} & (held[u] | held[v])]
+    held_by_u = [(u, v, c, d) for u in range(ls.n) for v in range(ls.n) if u != v
+                 for c in range(ls.C) for d in range(ls.C)
+                 if c in held[u] and not {c, d} & held[v]]
+    assert shortcut and held_by_u
+    for u, v, c, d in shortcut:
+        query_two_fault_ids(ls, u, v, c, d)
+    assert calls == []
+    for u, v, c, d in held_by_u[:50]:
+        query_two_fault_ids(ls, u, v, c, d)
+    assert len(calls) == 50
+    assert all(args[0] is ls.vertex_labels[u] for args, (u, *_) in zip(calls, held_by_u))
 
 
 def test_small_tree_case_soundness():
