@@ -6,16 +6,14 @@ the stamps of its vertices form one sorted tuple, with a parallel tuple of
 answers: the vertex's payload at its pre stamp, the payload of its nearest
 strictly-above same-color ancestor at its post stamp.  The answer at the
 nearest c-colored ancestor of v (v itself included) is then the one at the
-predecessor of pre(v) in c's stamps.  A color with s_c >= ``BUCKETED`` stamps
-also gets a bucket table: the key range [0, 2n) is cut into at most s_c
-buckets of a power-of-two width 2^shift, the largest <= 4n/s_c, and
-``first[b]`` counts the stamps below b << shift.  A predecessor search then
-bisects only its key's bucket, which holds one or two stamps on average, so a
-query makes O(1) expected probes where the stamps spread evenly and never more
-than a plain binary search.  The tables hold at most sum(s_c + 1) <= 2n + n/32
-words over all colors, so the O(n)-word bound holds.  A shorter array keeps
-the plain binary search: there the extra table reads cost more than they save.
-``build_nca`` builds the whole index in one pass, the tables included.
+predecessor of pre(v) in c's stamps.  A color on at least n/``TABLED``
+forest vertices also gets a per-vertex answer table: ``table[v]`` is that
+answer (or None), so a query on such a color reads it in two tuple reads,
+with no search.  Fewer than ``TABLED`` colors are that long, so the tables
+add fewer than ``TABLED`` * n words to the <= 4n of stamps and answers: the
+O(n)-word bound holds.  A shorter color keeps the plain binary search over
+its stamps.  ``build_nca`` builds the whole index in one pass, the tables
+included.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
@@ -33,9 +31,9 @@ answers of the short ones.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .bits import BitReader, BitWriter, id_width, width_for
@@ -54,37 +52,12 @@ from .labels import LabelSet
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
-BUCKETED = 64  # stamps from which a color's predecessor search reads a bucket table
+# A color on >= n/TABLED forest vertices gets a per-vertex answer table.  At
+# most n - 1 vertices are colored, so fewer than TABLED colors do, and the
+# index holds at most 4n (stamps and answers) + TABLED * n (tables) words.
+TABLED = 8
 
-
-def _entry(stamps: tuple[int, ...], answers: tuple, n: int) -> tuple:
-    """(stamps, answers, shift, first): a color's predecessor index over keys in [0, 2n).
-
-    ``first[b]`` is the number of stamps below b << shift, so the stamps of
-    key k's bucket are ``stamps[first[k >> shift]:first[(k >> shift) + 1]]``.
-    The width 2^shift is the largest power of two <= 4n / len(stamps), hence
-    above 2n / len(stamps): at most len(stamps) buckets.  Fewer than
-    ``BUCKETED`` stamps get no table (shift 0, first None).
-    """
-    if len(stamps) < BUCKETED:
-        return stamps, answers, 0, None
-    shift = (4 * n // len(stamps)).bit_length() - 1
-    counts = [0] * (((2 * n - 1) >> shift) + 2)
-    for x in stamps:
-        counts[(x >> shift) + 1] += 1
-    return stamps, answers, shift, tuple(accumulate(counts))
-
-
-def _rank(entry: tuple, key: int) -> int:
-    """bisect_right(stamps, key), searching only key's bucket when the entry has a table."""
-    stamps, _answers, shift, first = entry
-    if first is None:
-        return bisect_right(stamps, key)
-    b = key >> shift
-    return bisect_right(stamps, key, first[b], first[b + 1])
-
-
-_NO_STAMPS = ((), (), 0, None)  # the entry of a color no forest vertex has
+_NO_STAMPS = ((), (), None)  # the entry of a color no forest vertex has
 
 
 # -- one-fault connectivity oracle ---------------------------------------------
@@ -102,7 +75,7 @@ class OneFaultOracle:
     colors: tuple[int | None, ...]  # per vertex: its forest color (None at a root)
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
-    # per color: its ``_entry`` over the color's stamps and payload answers
+    # per color: (stamps, answers, table), its table None on a short color
     index: dict[int, tuple] = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
@@ -118,19 +91,15 @@ class OneFaultOracle:
             raise GraphError(f"vertex {v} out of range")
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
-        stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
-        pre = self.pre
-        ku, kv = pre[u], pre[v]
-        if first is None:
-            i = bisect_right(stamps, ku)
-            j = bisect_right(stamps, kv)
-        else:  # _rank, inlined
-            b = ku >> shift
-            i = bisect_right(stamps, ku, first[b], first[b + 1])
-            b = kv >> shift
-            j = bisect_right(stamps, kv, first[b], first[b + 1])
-        cu = answers[i - 1] if i else None
-        cv = answers[j - 1] if j else None
+        stamps, answers, table = self.index.get(c, _NO_STAMPS)
+        if table is not None:
+            cu, cv = table[u], table[v]
+        else:
+            pre = self.pre
+            i = bisect_right(stamps, pre[u])
+            j = bisect_right(stamps, pre[v])
+            cu = answers[i - 1] if i else None
+            cv = answers[j - 1] if j else None
         root = self.root
         return (root[u] if cu is None else cu) == (root[v] if cv is None else cv)
 
@@ -140,12 +109,13 @@ class OneFaultOracle:
         The answer is the index's at v's nearest c-colored ancestor, its
         payload, or, with none, v's root: the path to the root survives, and
         the root is its component minimum.  c's index entry is bound once for
-        all the vertices.  Raises GraphError for an id outside the graph or the
+        all the vertices: a long color's table is read, a short color's
+        stamps searched.  Raises GraphError for an id outside the graph or the
         palette, and RemovedVertexError for a vertex of color c itself.
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        stamps, answers, shift, first = self.index.get(c, _NO_STAMPS)
+        stamps, answers, table = self.index.get(c, _NO_STAMPS)
         n, own, pre, root = self.n, self.vertex_colors, self.pre, self.root
         out = []
         for v in vertices:
@@ -153,13 +123,11 @@ class OneFaultOracle:
                 raise GraphError(f"vertex {v} out of range")
             if own is not None and own[v] == c:
                 raise RemovedVertexError(f"vertex {v} has color {c}")
-            key = pre[v]
-            if first is None:  # _rank, inlined
-                i = bisect_right(stamps, key)
+            if table is not None:
+                cid = table[v]
             else:
-                b = key >> shift
-                i = bisect_right(stamps, key, first[b], first[b + 1])
-            cid = answers[i - 1] if i else None
+                i = bisect_right(stamps, pre[v])
+                cid = answers[i - 1] if i else None
             out.append(root[v] if cid is None else cid)
         return out
 
@@ -179,10 +147,14 @@ def build_nca(
     2 pre - depth and exits at 2 end - depth - 1.  Walking a color's vertices
     in pre-order, a stack of open ones exits each vertex whose subtree has
     ended, with the payload of the vertex below it, its nearest strictly-above
-    same-color ancestor, as the answer at its exit.  Each color's entry, its
-    bucket table included, is written as its stamps are done, so
-    ``build_one_fault_oracle`` and ``load_oracle`` both derive the tables and
-    never store them.  Raises GraphError when the parents do not form a forest.
+    same-color ancestor, as the answer at its exit.  A color on at least
+    n/``TABLED`` vertices also gets its per-vertex answer table, painted from
+    its stamps: each stamp's answer holds over the pre-order positions from
+    its own (v's pre at v's enter stamp, x's end at x's exit) up to the next
+    stamp's, the later of two stamps at one position winning, and
+    ``table[v]`` is the answer at pre[v].  ``build_one_fault_oracle`` and
+    ``load_oracle`` both derive the tables and never store them.  Raises
+    GraphError when the parents do not form a forest.
     """
     n = len(parent)
     order, pre, end = preorder(parent)
@@ -201,18 +173,27 @@ def build_nca(
     key = tuple(2 * i - d for i, d in zip(pre, depth))  # per vertex: its pre stamp
     index: dict[int, tuple] = {}
     for c, vs in members.items():
-        stamps, above, chain = [], [], []  # chain: the color's open vertices
+        stamps, above, at = [], [], []  # at: each stamp's pre-order position
+        chain = []  # the color's open vertices
         for v in vs + [None]:  # None closes every open vertex
             until = n if v is None else pre[v]
             while chain and end[chain[-1]] <= until:
                 x = chain.pop()
                 stamps.append(2 * end[x] - depth[x] - 1)
                 above.append(payloads[chain[-1]] if chain else None)
+                at.append(end[x])
             if v is not None:
                 chain.append(v)
                 stamps.append(key[v])
                 above.append(payloads[v])
-        index[c] = _entry(tuple(stamps), tuple(above), n)
+                at.append(pre[v])
+        table = None
+        if TABLED * len(vs) >= n:
+            by_pos = [None] * n
+            for a, b, answer in zip(at, at[1:] + [n], above):
+                by_pos[a:b] = [answer] * (b - a)
+            table = tuple(map(by_pos.__getitem__, pre))
+        index[c] = (tuple(stamps), tuple(above), table)
     return OneFaultOracle(
         n, C, tuple(parent), key, tuple(root), tuple(colors), tuple(payloads),
         vertex_colors, index,
@@ -274,13 +255,18 @@ def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
 
 
 def oracle_index_words(o: OneFaultOracle) -> int:
-    """Words the query index holds: every color's stamps and answers, and its bucket table.
+    """Words the query index holds: every color's stamps and answers, and its answer table.
 
     At most 2 * 2n for the stamps and answers (two stamps per colored
-    vertex) plus 2n + n/32 for the tables: O(n), like the file.
+    vertex) plus n per table, fewer than ``TABLED`` of them: O(n), like the file.
     """
-    return sum(2 * len(stamps) + (0 if first is None else len(first))
-               for stamps, _answers, _shift, first in o.index.values())
+    return sum(2 * len(stamps) + (0 if table is None else len(table))
+               for stamps, _answers, table in o.index.values())
+
+
+def oracle_table_colors(o: OneFaultOracle) -> int:
+    """The colors with a per-vertex answer table: fewer than ``TABLED``."""
+    return sum(table is not None for _stamps, _answers, table in o.index.values())
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
@@ -362,8 +348,6 @@ def nca_threshold(n: int) -> int:
     id-widths under the canonical encoding; the sqrt(n) asymptotics and the
     query procedure are unchanged.
     """
-    import math
-
     return max(2, math.isqrt(n) // 2 + 1)
 
 
@@ -392,7 +376,8 @@ def _split_labels(
     """Prevalence-split labels over the index: (vertex labels, color labels, tau).
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the vertex labels, each hit read off the index's entry; rarer colors
+    from the vertex labels, each hit read off the color's table or, for a
+    color too short for one, found by predecessor search; rarer colors
     ship the entry's stamps and answers in the color label.  Connectivity
     labels also carry the tree root's cid and, in vertex mode, the vertex's
     own color.
@@ -403,28 +388,33 @@ def _split_labels(
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
     entries = [o.index.get(c, _NO_STAMPS) for c in range(C)]
-    prevalent = [(c, entry) for c, entry in enumerate(entries) if len(entry[0]) >= 2 * tau]
+    columns = []  # per prevalent color: its answer at every vertex, a table's or searched
+    for c, (stamps, answers, table) in enumerate(entries):
+        if len(stamps) < 2 * tau:
+            continue
+        if table is None:
+            ranks = (bisect_right(stamps, key) for key in o.pre)
+            table = [answers[i - 1] if i else None for i in ranks]
+        columns.append((c, table))
     root_cid = o.root if connectivity else None
     own_colors = o.vertex_colors
 
     extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
     vertex_labels = []
     for v in range(n):
-        pre = o.pre[v]
         hits = {}
-        for c, entry in prevalent:
-            i = _rank(entry, pre)
-            hits[c] = entry[1][i - 1] if i else None
+        for c, table in columns:
+            hits[c] = table[v]
         bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
         vertex_labels.append(NcaVertexLabel(
-            v, pre,
+            v, o.pre[v],
             None if root_cid is None else root_cid[v],
             None if own_colors is None else own_colors[v],
             hits, bits,
         ))
 
     color_labels = []
-    for c, (stamps, answers, _shift, _first) in enumerate(entries):
+    for c, (stamps, answers, _table) in enumerate(entries):
         if len(stamps) >= 2 * tau:
             color_labels.append(NcaColorLabel(c, True, (), (), wc + 1))
             continue

@@ -478,9 +478,10 @@ def test_oracle_build_prints_index_words(tmp_path, capsys):
     opath = tmp_path / "oracle.bin"
     assert main(["oracle", "build", write_graph(tmp_path, g), "-o", str(opath)]) == 0
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
-    assert list(out) == ["bytes", "header_bits", "body_bits", "index_words"]
+    assert list(out) == ["bytes", "header_bits", "body_bits", "index_words", "table_colors"]
     words = int(out["index_words"])
     assert words == oracle_index_words(load_oracle(opath.read_bytes()))
+    assert out["table_colors"] == "2"
     assert 4 * (n - 1) < words <= 6 * n + n / 32
 
 

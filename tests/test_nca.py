@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,11 +23,10 @@ from colorfault.graph import (
 from colorfault.labels import LabelSet
 import colorfault.nca as nca_module
 from colorfault.nca import (
-    BUCKETED,
     ORACLE_MAGIC,
     ORACLE_VERSION,
+    TABLED,
     OneFaultOracle,
-    _rank,
     _split_labels,
     build_nca,
     build_one_fault_oracle,
@@ -36,6 +36,7 @@ from colorfault.nca import (
     nca_threshold,
     oracle_file_bits,
     oracle_index_words,
+    oracle_table_colors,
     pair_connected_nca,
     query_nca_labels,
 )
@@ -68,7 +69,7 @@ def nca_query(o: OneFaultOracle, v: int, c: int) -> int | None:
     """
     if not 0 <= v < o.n:
         raise GraphError(f"vertex {v} out of range")
-    stamps, answers, _shift, _first = o.index.get(c, ((), (), 0, None))
+    stamps, answers, _table = o.index.get(c, ((), (), None))
     i = bisect_right(stamps, o.pre[v])
     return answers[i - 1] if i else None
 
@@ -265,9 +266,9 @@ def test_oracle_disconnected():
     _check_oracle(g, build_one_fault_oracle(g))
 
 
-# graphs with colors on both sides of the bucket cut-off: a one-color star, a
+# graphs with colors on both sides of the table cut-off: a one-color star, a
 # path and a grid, disconnected inputs, and random graphs in both modes
-BUCKET_GRAPHS = {
+TABLE_GRAPHS = {
     "path-unique": gen_path(90),
     "path-uniform": gen_path(90, coloring="uniform", C=2, seed=1),
     "grid": gen_grid(9, 11, coloring="uniform", C=3, seed=2),
@@ -290,47 +291,36 @@ class Probed(tuple):
         return tuple.__getitem__(self, i)
 
 
-@pytest.mark.parametrize("name", sorted(BUCKET_GRAPHS))
-def test_bucket_lookups_equal_bisect_right(name):
-    g = BUCKET_GRAPHS[name]
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_answer_tables_equal_bisect_right(name):
+    g = TABLE_GRAPHS[name]
     o = build_one_fault_oracle(g)
     loaded = load_oracle(dump_oracle(o))
     assert loaded.index == o.index  # derived on load, never stored
     assert loaded == o
     n = g.n
-    assert o.index.keys() == {c for c in o.colors if c is not None}
-    for c, entry in o.index.items():
-        stamps, answers, shift, first = entry
-        assert (first is None) == (len(stamps) < BUCKETED)
-        if first is not None:
-            assert 1 << shift <= 4 * n / len(stamps) < 2 << shift
-            assert first[0] == 0 and first[-1] == len(stamps)
-            assert len(first) <= len(stamps) + 1
-        for key in range(2 * n):
-            assert _rank(entry, key) == bisect_right(stamps, key), (c, key)
-        if first is None:
-            continue
-        # every search reads only its key's bucket, in _rank, the pair
-        # query and the batch read-off alike
-        probed = Probed(stamps)
-        bucket = [range(first[k >> shift], first[(k >> shift) + 1]) for k in range(2 * n)]
-        for key in range(2 * n):
-            probed.read = []
-            _rank((probed, answers, shift, first), key)
-            assert all(i in bucket[key] for i in probed.read), (c, key)
-        reading = replace(o, index={**o.index, c: (probed, answers, shift, first)})
+    sizes = Counter(c for c in o.colors if c is not None)
+    assert o.index.keys() == sizes.keys()
+    for c, (stamps, answers, table) in o.index.items():
+        assert (table is not None) == (TABLED * sizes[c] >= n), c
         live = [v for v in range(n) if g.vertex_colors is None or g.vertex_colors[v] != c]
+        probed = Probed(stamps)
+        reading = replace(o, index={**o.index, c: (probed, answers, table)})
+        probed.read = []
         for u, v in zip(live, live[1:] + live[:1]):
-            probed.read = []
             reading.query(u, v, c)
-            assert all(i in bucket[o.pre[u]] or i in bucket[o.pre[v]] for i in probed.read)
-            probed.read = []
-            reading.cids(c, [v])
-            assert all(i in bucket[o.pre[v]] for i in probed.read)
-    tables = [first for _s, _a, _shift, first in o.index.values() if first is not None]
-    assert sum(map(len, tables)) <= 4 * n + n / 16
+        reading.cids(c, live)
+        if table is None:
+            assert probed.read  # the probe sees a search
+            continue
+        for v in range(n):
+            i = bisect_right(stamps, o.pre[v])
+            assert table[v] == (answers[i - 1] if i else None), (c, v)
+        assert probed.read == []  # a table color's stamps are never searched
+    tables = [table for _s, _a, table in o.index.values() if table is not None]
+    assert oracle_table_colors(o) == len(tables) < TABLED
     assert tables or name == "path-unique"  # every other graph has a long color
-    assert oracle_index_words(o) <= 6 * n + n / 32
+    assert oracle_index_words(o) < 12 * n
     # the pair query and the batch read-off, through the tables
     for oracle in (o, loaded):
         _check_oracle(g, oracle)
@@ -338,6 +328,28 @@ def test_bucket_lookups_equal_bisect_right(name):
             part = brute_force_partition(g, {c})
             live = [v for v in range(n) if part[v] is not None]
             assert oracle.cids(c, live) == [part[v] for v in live]
+
+
+@pytest.mark.parametrize("g", [
+    gen_random(40, 70, 3, seed=11, connected=True),
+    gen_random(45, 30, 3, seed=12),
+    gen_random(40, 70, 2, seed=13, mode="vertex", connected=True),
+    gen_random(45, 30, 2, seed=14, mode="vertex"),
+], ids=["edge", "edge-disconnected", "vertex", "vertex-disconnected"])
+def test_table_reads_equal_searches_errors_included(g):
+    o = build_one_fault_oracle(g)
+    assert any(table is not None for _s, _a, table in o.index.values())
+    searched = replace(o, index={c: (s, a, None) for c, (s, a, _t) in o.index.items()})
+    ids = [-1, *range(g.n), g.n]
+    for c in [-1, *range(g.C), g.C]:
+        for u in ids:
+            alone = _outcome(lambda: o.cids(c, [u]))
+            assert alone == _outcome(lambda: searched.cids(c, [u])), (u, c)
+            for v in ids:
+                got = _outcome(lambda: o.query(u, v, c))
+                assert got == _outcome(lambda: searched.query(u, v, c)), (u, v, c)
+                if isinstance(alone, tuple):  # a bad c or u is named before v
+                    assert got == alone, (u, v, c)
 
 
 # -- oracle file --------------------------------------------------------------------

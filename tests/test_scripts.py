@@ -45,3 +45,5 @@ def test_fingerprint_script_is_stable():
         joined += single
     # one run over several workloads prints the single-workload blocks in order
     assert joined == _run_script("fingerprint.py", "--workload", *expected, "--seed", "1")
+    # and those blocks are the pinned seed-1 fingerprint
+    assert joined == (SCRIPTS / "fingerprint-seed1.txt").read_text().splitlines()
