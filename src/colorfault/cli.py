@@ -35,6 +35,7 @@ from .nca import (
     oracle_file_bits,
     oracle_index_words,
     oracle_table_colors,
+    oracle_uncut_colors,
 )
 from .oracle import brute_force_connected
 from .routing import UnreachableError, build_routing_scheme, route
@@ -133,6 +134,7 @@ def cmd_oracle(args) -> int:
         print(f"body_bits={body}")
         print(f"index_words={oracle_index_words(oracle)}")
         print(f"table_colors={oracle_table_colors(oracle)}")
+        print(f"uncut_colors={oracle_uncut_colors(oracle)}")
         return 0
     with open(args.oracle, "rb") as fh:
         oracle = load_oracle(fh.read())

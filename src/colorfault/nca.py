@@ -6,14 +6,17 @@ the stamps of its vertices form one sorted tuple, with a parallel tuple of
 answers: the vertex's payload at its pre stamp, the payload of its nearest
 strictly-above same-color ancestor at its post stamp.  The answer at the
 nearest c-colored ancestor of v (v itself included) is then the one at the
-predecessor of pre(v) in c's stamps.  A color on at least n/``TABLED``
-forest vertices also gets a per-vertex answer table: ``table[v]`` is that
-answer (or None), so a query on such a color reads it in two tuple reads,
-with no search.  Fewer than ``TABLED`` colors are that long, so the tables
-add fewer than ``TABLED`` * n words to the <= 4n of stamps and answers: the
-O(n)-word bound holds.  A shorter color keeps the plain binary search over
-its stamps.  ``build_nca`` builds the whole index in one pass, the tables
-included.
+predecessor of pre(v) in c's stamps.  Each palette color's entry,
+(stamps, answers, table), takes one of three forms.  A root-answered color,
+each of whose forest vertices (if any) has its root's id as payload, has the
+oracle's own ``root`` tuple as its table, shared, with no words of its own.
+Any other color on at least n/``TABLED`` forest vertices has a painted
+per-vertex table, ``table[v]`` being that answer (or None); fewer than
+``TABLED`` colors are that long, so these add fewer than ``TABLED`` * n
+words to the <= 4n of stamps and answers: the O(n)-word bound holds.  The
+rest keep ``table`` None and the plain binary search over their stamps.  A
+query reads a table twice, with no search.  ``build_nca`` builds the whole
+index in one pass, the tables included.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
@@ -52,12 +55,11 @@ from .labels import LabelSet
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
-# A color on >= n/TABLED forest vertices gets a per-vertex answer table.  At
-# most n - 1 vertices are colored, so fewer than TABLED colors do, and the
-# index holds at most 4n (stamps and answers) + TABLED * n (tables) words.
+# A color on >= n/TABLED forest vertices, unless root-answered, gets a painted
+# per-vertex answer table.  At most n - 1 vertices are colored, so fewer than
+# TABLED colors do, and the index holds at most 4n (stamps and answers) +
+# TABLED * n (tables) words.
 TABLED = 8
-
-_NO_STAMPS = ((), (), None)  # the entry of a color no forest vertex has
 
 
 # -- one-fault connectivity oracle ---------------------------------------------
@@ -75,7 +77,8 @@ class OneFaultOracle:
     colors: tuple[int | None, ...]  # per vertex: its forest color (None at a root)
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
-    # per color: (stamps, answers, table), its table None on a short color
+    # per palette color: (stamps, answers, table), its table ``root`` on a
+    # root-answered color, painted on a long one, None on a searched one
     index: dict[int, tuple] = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
@@ -91,7 +94,7 @@ class OneFaultOracle:
             raise GraphError(f"vertex {v} out of range")
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
-        stamps, answers, table = self.index.get(c, _NO_STAMPS)
+        stamps, answers, table = self.index[c]
         if table is not None:
             cu, cv = table[u], table[v]
         else:
@@ -109,13 +112,14 @@ class OneFaultOracle:
         The answer is the index's at v's nearest c-colored ancestor, its
         payload, or, with none, v's root: the path to the root survives, and
         the root is its component minimum.  c's index entry is bound once for
-        all the vertices: a long color's table is read, a short color's
-        stamps searched.  Raises GraphError for an id outside the graph or the
-        palette, and RemovedVertexError for a vertex of color c itself.
+        all the vertices: a root-answered or painted color's table is read,
+        any other color's stamps searched.  Raises GraphError for an id
+        outside the graph or the palette, and RemovedVertexError for a vertex
+        of color c itself.
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        stamps, answers, table = self.index.get(c, _NO_STAMPS)
+        stamps, answers, table = self.index[c]
         n, own, pre, root = self.n, self.vertex_colors, self.pre, self.root
         out = []
         for v in vertices:
@@ -147,14 +151,20 @@ def build_nca(
     2 pre - depth and exits at 2 end - depth - 1.  Walking a color's vertices
     in pre-order, a stack of open ones exits each vertex whose subtree has
     ended, with the payload of the vertex below it, its nearest strictly-above
-    same-color ancestor, as the answer at its exit.  A color on at least
-    n/``TABLED`` vertices also gets its per-vertex answer table, painted from
-    its stamps: each stamp's answer holds over the pre-order positions from
-    its own (v's pre at v's enter stamp, x's end at x's exit) up to the next
-    stamp's, the later of two stamps at one position winning, and
-    ``table[v]`` is the answer at pre[v].  ``build_one_fault_oracle`` and
-    ``load_oracle`` both derive the tables and never store them.  Raises
-    GraphError when the parents do not form a forest.
+    same-color ancestor, as the answer at its exit.  Each color in
+    ``range(C)`` gets an entry.  A color whose every vertex has its root's id
+    as payload, or which is on no vertex, is root-answered: its table is the
+    shared ``root`` tuple, since every answer, or its absence, reads as v's
+    root.  For the oracle's payloads that is a color whose failure cuts
+    nothing; in vertex mode a failed vertex stores its own id, so some such
+    colors stay searched.  Any other color on at least n/``TABLED`` vertices
+    gets its per-vertex answer table, painted from its stamps: each stamp's
+    answer holds over the pre-order positions from its own (v's pre at v's
+    enter stamp, x's end at x's exit) up to the next stamp's, the later of
+    two stamps at one position winning, and ``table[v]`` is the answer at
+    pre[v].  ``build_one_fault_oracle`` and ``load_oracle`` both derive the
+    tables and never store them.  Raises GraphError when the parents do not
+    form a forest.
     """
     n = len(parent)
     order, pre, end = preorder(parent)
@@ -171,7 +181,9 @@ def build_nca(
         if colors[v] is not None:
             members.setdefault(colors[v], []).append(v)
     key = tuple(2 * i - d for i, d in zip(pre, depth))  # per vertex: its pre stamp
-    index: dict[int, tuple] = {}
+    root = tuple(root)
+    cut = {c for c, p, r in zip(colors, payloads, root) if c is not None and p != r}
+    index: dict[int, tuple] = dict.fromkeys(range(C), ((), (), root))
     for c, vs in members.items():
         stamps, above, at = [], [], []  # at: each stamp's pre-order position
         chain = []  # the color's open vertices
@@ -188,14 +200,16 @@ def build_nca(
                 above.append(payloads[v])
                 at.append(pre[v])
         table = None
-        if TABLED * len(vs) >= n:
+        if c not in cut:
+            table = root
+        elif TABLED * len(vs) >= n:
             by_pos = [None] * n
             for a, b, answer in zip(at, at[1:] + [n], above):
                 by_pos[a:b] = [answer] * (b - a)
             table = tuple(map(by_pos.__getitem__, pre))
         index[c] = (tuple(stamps), tuple(above), table)
     return OneFaultOracle(
-        n, C, tuple(parent), key, tuple(root), tuple(colors), tuple(payloads),
+        n, C, tuple(parent), key, root, tuple(colors), tuple(payloads),
         vertex_colors, index,
     )
 
@@ -255,18 +269,25 @@ def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
 
 
 def oracle_index_words(o: OneFaultOracle) -> int:
-    """Words the query index holds: every color's stamps and answers, and its answer table.
+    """Words the query index holds: every color's stamps and answers, and its painted table.
 
     At most 2 * 2n for the stamps and answers (two stamps per colored
-    vertex) plus n per table, fewer than ``TABLED`` of them: O(n), like the file.
+    vertex) plus n per painted table, fewer than ``TABLED`` of them: O(n),
+    like the file.  A root-answered color's table is the shared ``root``
+    tuple, no words of its own.
     """
-    return sum(2 * len(stamps) + (0 if table is None else len(table))
+    return sum(2 * len(stamps) + (0 if table is None or table is o.root else len(table))
                for stamps, _answers, table in o.index.values())
 
 
 def oracle_table_colors(o: OneFaultOracle) -> int:
-    """The colors with a per-vertex answer table: fewer than ``TABLED``."""
-    return sum(table is not None for _stamps, _answers, table in o.index.values())
+    """The colors with a painted per-vertex answer table: fewer than ``TABLED``."""
+    return sum(table is not None and table is not o.root for _s, _a, table in o.index.values())
+
+
+def oracle_uncut_colors(o: OneFaultOracle) -> int:
+    """The root-answered colors: in edge mode exactly those whose failure cuts nothing."""
+    return sum(table is o.root for _stamps, _answers, table in o.index.values())
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
@@ -376,8 +397,9 @@ def _split_labels(
     """Prevalence-split labels over the index: (vertex labels, color labels, tau).
 
     Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the vertex labels, each hit read off the color's table or, for a
-    color too short for one, found by predecessor search; rarer colors
+    from the vertex labels, each hit read off the color's painted table or
+    found by predecessor search (a root-answered color too: a hit is the
+    stored answer or None, never a root); rarer colors
     ship the entry's stamps and answers in the color label.  Connectivity
     labels also carry the tree root's cid and, in vertex mode, the vertex's
     own color.
@@ -387,12 +409,12 @@ def _split_labels(
     wid, wc = id_width(max(n, 2)), width_for(max(C, 2))
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
-    entries = [o.index.get(c, _NO_STAMPS) for c in range(C)]
+    entries = [o.index[c] for c in range(C)]
     columns = []  # per prevalent color: its answer at every vertex, a table's or searched
     for c, (stamps, answers, table) in enumerate(entries):
         if len(stamps) < 2 * tau:
             continue
-        if table is None:
+        if table is None or table is o.root:
             ranks = (bisect_right(stamps, key) for key in o.pre)
             table = [answers[i - 1] if i else None for i in ranks]
         columns.append((c, table))

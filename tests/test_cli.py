@@ -8,7 +8,7 @@ import pytest
 from colorfault.cli import main
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import GraphError, parse_graph, serialize_graph
-from colorfault.nca import load_oracle, oracle_index_words
+from colorfault.nca import load_oracle, oracle_index_words, oracle_uncut_colors
 from colorfault.oracle import brute_force_connected
 from colorfault.schemes import SCHEMES
 
@@ -478,10 +478,12 @@ def test_oracle_build_prints_index_words(tmp_path, capsys):
     opath = tmp_path / "oracle.bin"
     assert main(["oracle", "build", write_graph(tmp_path, g), "-o", str(opath)]) == 0
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
-    assert list(out) == ["bytes", "header_bits", "body_bits", "index_words", "table_colors"]
+    assert list(out) == ["bytes", "header_bits", "body_bits", "index_words", "table_colors",
+                         "uncut_colors"]
     words = int(out["index_words"])
     assert words == oracle_index_words(load_oracle(opath.read_bytes()))
     assert out["table_colors"] == "2"
+    assert int(out["uncut_colors"]) == oracle_uncut_colors(load_oracle(opath.read_bytes()))
     assert 4 * (n - 1) < words <= 6 * n + n / 32
 
 

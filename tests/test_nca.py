@@ -19,6 +19,7 @@ from colorfault.bits import BitWriter, id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
 from colorfault.graph import (
     VERTEX, GraphError, RemovedVertexError, edge_graph, parse_graph, serialize_graph,
+    vertex_graph,
 )
 from colorfault.labels import LabelSet
 import colorfault.nca as nca_module
@@ -37,6 +38,7 @@ from colorfault.nca import (
     oracle_file_bits,
     oracle_index_words,
     oracle_table_colors,
+    oracle_uncut_colors,
     pair_connected_nca,
     query_nca_labels,
 )
@@ -283,6 +285,12 @@ TABLE_GRAPHS = {
 }
 
 
+def _cuts_nothing(g, o, c):
+    """Brute force: every vertex that survives c keeps its tree root's id as its cid in G - c."""
+    part = brute_force_partition(g, {c})
+    return all(cid is None or cid == o.root[v] for v, cid in enumerate(part))
+
+
 class Probed(tuple):
     """A tuple that records every index read from it (``bisect`` reads through ``__getitem__``)."""
 
@@ -300,9 +308,18 @@ def test_answer_tables_equal_bisect_right(name):
     assert loaded == o
     n = g.n
     sizes = Counter(c for c in o.colors if c is not None)
-    assert o.index.keys() == sizes.keys()
+    assert o.index.keys() == set(range(g.C))  # every palette color has an entry
     for c, (stamps, answers, table) in o.index.items():
-        assert (table is not None) == (TABLED * sizes[c] >= n), c
+        # the rule: each forest vertex of color c has its root's id as payload
+        rule = all(o.payloads[v] == o.root[v] for v in range(n) if o.colors[v] == c)
+        assert (table is o.root) == rule, c
+        uncut = _cuts_nothing(g, o, c)
+        if g.mode == "edge":
+            assert (table is o.root) == uncut, c  # root-answered iff it cuts nothing
+        else:
+            assert table is not o.root or uncut, c
+        if table is not o.root:
+            assert (table is not None) == (TABLED * sizes[c] >= n), c
         live = [v for v in range(n) if g.vertex_colors is None or g.vertex_colors[v] != c]
         probed = Probed(stamps)
         reading = replace(o, index={**o.index, c: (probed, answers, table)})
@@ -313,11 +330,12 @@ def test_answer_tables_equal_bisect_right(name):
         if table is None:
             assert probed.read  # the probe sees a search
             continue
-        for v in range(n):
-            i = bisect_right(stamps, o.pre[v])
-            assert table[v] == (answers[i - 1] if i else None), (c, v)
+        if table is not o.root:
+            for v in range(n):
+                i = bisect_right(stamps, o.pre[v])
+                assert table[v] == (answers[i - 1] if i else None), (c, v)
         assert probed.read == []  # a table color's stamps are never searched
-    tables = [table for _s, _a, table in o.index.values() if table is not None]
+    tables = [t for _s, _a, t in o.index.values() if t is not None and t is not o.root]
     assert oracle_table_colors(o) == len(tables) < TABLED
     assert tables or name == "path-unique"  # every other graph has a long color
     assert oracle_index_words(o) < 12 * n
@@ -350,6 +368,119 @@ def test_table_reads_equal_searches_errors_included(g):
                 assert got == _outcome(lambda: searched.query(u, v, c)), (u, v, c)
                 if isinstance(alone, tuple):  # a bad c or u is named before v
                     assert got == alone, (u, v, c)
+
+
+# -- root-answered colors ---------------------------------------------------------
+
+
+def _ladder(k):
+    """Two rails of k vertices joined by rungs; the BFS forest runs along the top rail.
+
+    The top rail's color 1 is on k - 1 forest vertices and its failure cuts
+    nothing, so it is a prevalent color answered by the shared root tuple.
+    """
+    top = [(i, i + 1, 1) for i in range(k - 1)]
+    rungs = [(i, k + i, 0) for i in range(k)]
+    bottom = [(k + i, k + i + 1, 2) for i in range(k - 1)]
+    return edge_graph(2 * k, top + rungs + bottom, C=4)
+
+
+# each graph's palette has colors on no forest vertex: two past every edge's or
+# vertex's color, and in the hand-built vertex graph color 3 sits on an
+# isolated root and color 5 on nothing
+UNCUT_GRAPHS = {
+    "edge": replace(gen_random(50, 100, 16, seed=31, connected=True), C=18),
+    "edge-disconnected": replace(gen_random(60, 45, 10, seed=32), C=12),
+    "vertex": replace(gen_random(50, 110, 12, seed=33, mode="vertex", connected=True), C=14),
+    "vertex-disconnected": replace(gen_random(60, 50, 8, seed=34, mode="vertex"), C=10),
+    # the component minima 0 (color 1) and 3 (color 2) fail with their colors;
+    # 0's fault cuts nothing from 1 and 2, but moves their cid to 1
+    "vertex-minimum-colored": vertex_graph(
+        [1, 0, 0, 2, 0, 0, 0, 3, 0, 4, 4],
+        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (8, 9), (9, 10)], C=6,
+    ),
+    "ladder": _ladder(20),
+}
+
+
+def _searched_roots(o):
+    """``o`` with every root-answered color's table set to None, so its stamps are searched."""
+    index = {c: (s, a, None if t is o.root else t) for c, (s, a, t) in o.index.items()}
+    return replace(o, index=index)
+
+
+@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
+def test_root_answered_exactly_when_the_color_cuts_nothing(name):
+    g = UNCUT_GRAPHS[name]
+    o = build_one_fault_oracle(g)
+    on_forest = set(o.colors)
+    assert any(c not in on_forest for c in range(g.C))  # a palette color on no forest vertex
+    uncut = {c for c in range(g.C) if _cuts_nothing(g, o, c)}
+    answered = {c for c, (_s, _a, table) in o.index.items() if table is o.root}
+    assert answered and oracle_uncut_colors(o) == len(answered)
+    assert {c for c in range(g.C) if c not in on_forest} <= answered
+    if g.mode == "edge":
+        assert answered == uncut
+    else:  # a vertex of color c stores itself, so a fault that cuts nothing may still search
+        assert answered <= uncut
+    if name == "vertex-minimum-colored":
+        assert answered == {3, 5} and uncut == {3, 4, 5}
+
+
+@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
+def test_root_answered_colors_read_no_stamps(name):
+    g = UNCUT_GRAPHS[name]
+    o = build_one_fault_oracle(g)
+    for c, (stamps, answers, table) in o.index.items():
+        if table is not o.root:
+            continue
+        live = [v for v in range(g.n) if g.vertex_colors is None or g.vertex_colors[v] != c]
+        probed = Probed(stamps)
+        probed.read = []
+        reading = replace(o, index={**o.index, c: (probed, answers, table)})
+        for u, v in zip(live, live[1:] + live[:1]):
+            assert reading.query(u, v, c) == (o.root[u] == o.root[v])
+        assert reading.cids(c, live) == [o.root[v] for v in live]
+        assert probed.read == [], c
+
+
+@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
+def test_load_oracle_derives_the_root_answers(name):
+    o = build_one_fault_oracle(UNCUT_GRAPHS[name])
+    loaded = load_oracle(dump_oracle(o))
+    for c, (_s, _a, table) in o.index.items():
+        assert (loaded.index[c][2] is loaded.root) == (table is o.root), c
+    assert oracle_uncut_colors(loaded) == oracle_uncut_colors(o) > 0
+
+
+@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
+def test_root_answers_equal_searches_errors_included(name):
+    g = UNCUT_GRAPHS[name]
+    o = build_one_fault_oracle(g)
+    searched = _searched_roots(o)
+    _check_oracle(g, o)
+    ids = [-1, *range(g.n), g.n]
+    for c in [-1, *range(g.C), g.C]:
+        for u in ids:
+            assert _outcome(lambda: o.cids(c, [u])) == _outcome(lambda: searched.cids(c, [u]))
+            for v in ids:
+                got = _outcome(lambda: o.query(u, v, c))
+                assert got == _outcome(lambda: searched.query(u, v, c)), (u, v, c)
+
+
+@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
+def test_connectivity_labels_ignore_root_answers(name):
+    g = UNCUT_GRAPHS[name]
+    o = build_one_fault_oracle(g)
+    labels = label_nca_connectivity(g)
+    vertex_labels, color_labels, tau = _split_labels(_searched_roots(o), connectivity=True)
+    assert labels.meta["threshold"] == tau
+    assert labels.vertex_labels == vertex_labels and labels.color_labels == color_labels
+    assert [lb.bits for lb in labels.vertex_labels] == [lb.bits for lb in vertex_labels]
+    assert [lb.bits for lb in labels.color_labels] == [lb.bits for lb in color_labels]
+    if name == "ladder":  # a prevalent color, answered by the root tuple in the oracle
+        assert o.index[1][2] is o.root and len(o.index[1][0]) >= 2 * tau
+        assert 1 in labels.vertex_labels[0].prevalent
 
 
 # -- oracle file --------------------------------------------------------------------
