@@ -9,7 +9,9 @@ nearest c-colored ancestor of v (v itself included) is then the one at the
 predecessor of pre(v) in c's stamps.  Each palette color's entry,
 (stamps, answers, table), takes one of three forms.  A root-answered color,
 each of whose forest vertices (if any) has its root's id as payload, has the
-oracle's own ``root`` tuple as its table, shared, with no words of its own.
+oracle's own ``root`` tuple as its table, shared, with no words of its own;
+the colors on no forest vertex share one such entry, ``off_forest``, and
+have no key in the index, so it stays O(n) words whatever the palette size.
 Any other color on at least n/``TABLED`` forest vertices has a painted
 per-vertex table, ``table[v]`` being that answer (or None); fewer than
 ``TABLED`` colors are that long, so these add fewer than ``TABLED`` * n
@@ -77,9 +79,11 @@ class OneFaultOracle:
     colors: tuple[int | None, ...]  # per vertex: its forest color (None at a root)
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
-    # per palette color: (stamps, answers, table), its table ``root`` on a
+    # per forest color: (stamps, answers, table), its table ``root`` on a
     # root-answered color, painted on a long one, None on a searched one
     index: dict[int, tuple] = field(repr=False, compare=False)
+    # the entry of every palette color on no forest vertex: ((), (), root)
+    off_forest: tuple = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
         """cid(u, G-c) == cid(v, G-c): ``cids(c, (u, v))`` unrolled, its checks in its order."""
@@ -94,7 +98,7 @@ class OneFaultOracle:
             raise GraphError(f"vertex {v} out of range")
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
-        stamps, answers, table = self.index[c]
+        stamps, answers, table = self.index.get(c, self.off_forest)
         if table is not None:
             cu, cv = table[u], table[v]
         else:
@@ -119,7 +123,7 @@ class OneFaultOracle:
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        stamps, answers, table = self.index[c]
+        stamps, answers, table = self.index.get(c, self.off_forest)
         n, own, pre, root = self.n, self.vertex_colors, self.pre, self.root
         out = []
         for v in vertices:
@@ -151,20 +155,22 @@ def build_nca(
     2 pre - depth and exits at 2 end - depth - 1.  Walking a color's vertices
     in pre-order, a stack of open ones exits each vertex whose subtree has
     ended, with the payload of the vertex below it, its nearest strictly-above
-    same-color ancestor, as the answer at its exit.  Each color in
-    ``range(C)`` gets an entry.  A color whose every vertex has its root's id
-    as payload, or which is on no vertex, is root-answered: its table is the
-    shared ``root`` tuple, since every answer, or its absence, reads as v's
-    root.  For the oracle's payloads that is a color whose failure cuts
-    nothing; in vertex mode a failed vertex stores its own id, so some such
-    colors stay searched.  Any other color on at least n/``TABLED`` vertices
-    gets its per-vertex answer table, painted from its stamps: each stamp's
-    answer holds over the pre-order positions from its own (v's pre at v's
-    enter stamp, x's end at x's exit) up to the next stamp's, the later of
-    two stamps at one position winning, and ``table[v]`` is the answer at
-    pre[v].  ``build_one_fault_oracle`` and ``load_oracle`` both derive the
-    tables and never store them.  Raises GraphError when the parents do not
-    form a forest.
+    same-color ancestor, as the answer at its exit.  Each color on some
+    vertex gets an entry; the rest of ``range(C)`` read the one shared
+    ``off_forest`` entry, ((), (), root), so the index costs O(n), not O(C).
+    A color whose every vertex has its root's id as payload, or which is on
+    no vertex, is root-answered: its table is the shared ``root`` tuple,
+    since every answer, or its absence, reads as v's root.  For the oracle's
+    payloads that is a color whose failure cuts nothing; in vertex mode a
+    failed vertex stores its own id, so some such colors stay searched.  Any
+    other color on at least n/``TABLED`` vertices gets its per-vertex answer
+    table, painted from its stamps: each stamp's answer holds over the
+    pre-order positions from its own (v's pre at v's enter stamp, x's end at
+    x's exit) up to the next stamp's, the later of two stamps at one position
+    winning, and ``table[v]`` is the answer at pre[v].
+    ``build_one_fault_oracle`` and ``load_oracle`` both derive the tables and
+    never store them.  Raises GraphError when the parents do not form a
+    forest.
     """
     n = len(parent)
     order, pre, end = preorder(parent)
@@ -183,7 +189,7 @@ def build_nca(
     key = tuple(2 * i - d for i, d in zip(pre, depth))  # per vertex: its pre stamp
     root = tuple(root)
     cut = {c for c, p, r in zip(colors, payloads, root) if c is not None and p != r}
-    index: dict[int, tuple] = dict.fromkeys(range(C), ((), (), root))
+    index: dict[int, tuple] = {}
     for c, vs in members.items():
         stamps, above, at = [], [], []  # at: each stamp's pre-order position
         chain = []  # the color's open vertices
@@ -210,7 +216,7 @@ def build_nca(
         index[c] = (tuple(stamps), tuple(above), table)
     return OneFaultOracle(
         n, C, tuple(parent), key, root, tuple(colors), tuple(payloads),
-        vertex_colors, index,
+        vertex_colors, index, ((), (), root),
     )
 
 
@@ -274,7 +280,8 @@ def oracle_index_words(o: OneFaultOracle) -> int:
     At most 2 * 2n for the stamps and answers (two stamps per colored
     vertex) plus n per painted table, fewer than ``TABLED`` of them: O(n),
     like the file.  A root-answered color's table is the shared ``root``
-    tuple, no words of its own.
+    tuple, and the colors on no forest vertex share ``off_forest``: no words
+    of their own.
     """
     return sum(2 * len(stamps) + (0 if table is None or table is o.root else len(table))
                for stamps, _answers, table in o.index.values())
@@ -286,8 +293,11 @@ def oracle_table_colors(o: OneFaultOracle) -> int:
 
 
 def oracle_uncut_colors(o: OneFaultOracle) -> int:
-    """The root-answered colors: in edge mode exactly those whose failure cuts nothing."""
-    return sum(table is o.root for _stamps, _answers, table in o.index.values())
+    """The root-answered colors, those on no forest vertex included.
+
+    In edge mode exactly the colors whose failure cuts nothing.
+    """
+    return o.C - len(o.index) + sum(table is o.root for _s, _a, table in o.index.values())
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
@@ -409,7 +419,7 @@ def _split_labels(
     wid, wc = id_width(max(n, 2)), width_for(max(C, 2))
     wstamp = width_for(2 * n)
     wlen = width_for(n + 1)
-    entries = [o.index[c] for c in range(C)]
+    entries = [o.index.get(c, o.off_forest) for c in range(C)]
     columns = []  # per prevalent color: its answer at every vertex, a table's or searched
     for c, (stamps, answers, table) in enumerate(entries):
         if len(stamps) < 2 * tau:

@@ -285,6 +285,36 @@ TABLE_GRAPHS = {
 }
 
 
+def _ladder(k):
+    """Two rails of k vertices joined by rungs; the BFS forest runs along the top rail.
+
+    The top rail's color 1 is on k - 1 forest vertices and its failure cuts
+    nothing, so it is a prevalent color answered by the shared root tuple.
+    """
+    top = [(i, i + 1, 1) for i in range(k - 1)]
+    rungs = [(i, k + i, 0) for i in range(k)]
+    bottom = [(k + i, k + i + 1, 2) for i in range(k - 1)]
+    return edge_graph(2 * k, top + rungs + bottom, C=4)
+
+
+# each graph's palette has colors on no forest vertex: two past every edge's or
+# vertex's color, and in the hand-built vertex graph color 3 sits on an
+# isolated root and color 5 on nothing
+UNCUT_GRAPHS = {
+    "edge": replace(gen_random(50, 100, 16, seed=31, connected=True), C=18),
+    "edge-disconnected": replace(gen_random(60, 45, 10, seed=32), C=12),
+    "vertex": replace(gen_random(50, 110, 12, seed=33, mode="vertex", connected=True), C=14),
+    "vertex-disconnected": replace(gen_random(60, 50, 8, seed=34, mode="vertex"), C=10),
+    # the component minima 0 (color 1) and 3 (color 2) fail with their colors;
+    # 0's fault cuts nothing from 1 and 2, but moves their cid to 1
+    "vertex-minimum-colored": vertex_graph(
+        [1, 0, 0, 2, 0, 0, 0, 3, 0, 4, 4],
+        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (8, 9), (9, 10)], C=6,
+    ),
+    "ladder": _ladder(20),
+}
+
+
 def _cuts_nothing(g, o, c):
     """Brute force: every vertex that survives c keeps its tree root's id as its cid in G - c."""
     part = brute_force_partition(g, {c})
@@ -299,25 +329,32 @@ class Probed(tuple):
         return tuple.__getitem__(self, i)
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+# the graphs with no painted table: no color on n/TABLED forest vertices cuts anything
+UNPAINTED = {"path-unique", "edge", "edge-disconnected"}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS | UNCUT_GRAPHS))
 def test_answer_tables_equal_bisect_right(name):
-    g = TABLE_GRAPHS[name]
+    g = (TABLE_GRAPHS | UNCUT_GRAPHS)[name]
     o = build_one_fault_oracle(g)
     loaded = load_oracle(dump_oracle(o))
     assert loaded.index == o.index  # derived on load, never stored
     assert loaded == o
     n = g.n
     sizes = Counter(c for c in o.colors if c is not None)
-    assert o.index.keys() == set(range(g.C))  # every palette color has an entry
-    for c, (stamps, answers, table) in o.index.items():
+    assert o.index.keys() == sizes.keys()  # a key per forest color only
+    assert o.off_forest == ((), (), o.root) and o.off_forest[2] is o.root
+    answered, uncut = set(), set()
+    for c in range(g.C):
+        stamps, answers, table = entry = o.index.get(c, o.off_forest)
+        assert c in o.index or entry is o.off_forest, c  # the rest share one entry
         # the rule: each forest vertex of color c has its root's id as payload
         rule = all(o.payloads[v] == o.root[v] for v in range(n) if o.colors[v] == c)
         assert (table is o.root) == rule, c
-        uncut = _cuts_nothing(g, o, c)
-        if g.mode == "edge":
-            assert (table is o.root) == uncut, c  # root-answered iff it cuts nothing
-        else:
-            assert table is not o.root or uncut, c
+        if table is o.root:
+            answered.add(c)
+        if _cuts_nothing(g, o, c):
+            uncut.add(c)
         if table is not o.root:
             assert (table is not None) == (TABLED * sizes[c] >= n), c
         live = [v for v in range(n) if g.vertex_colors is None or g.vertex_colors[v] != c]
@@ -330,15 +367,25 @@ def test_answer_tables_equal_bisect_right(name):
         if table is None:
             assert probed.read  # the probe sees a search
             continue
-        if table is not o.root:
-            for v in range(n):
-                i = bisect_right(stamps, o.pre[v])
-                assert table[v] == (answers[i - 1] if i else None), (c, v)
+        for v in range(n):
+            i = bisect_right(stamps, o.pre[v])
+            got = answers[i - 1] if i else None
+            assert table[v] == (o.root[v] if table is o.root and got is None else got), (c, v)
         assert probed.read == []  # a table color's stamps are never searched
+    if g.mode == "edge":
+        assert answered == uncut  # root-answered iff it cuts nothing
+    else:  # a vertex of color c stores itself, so a fault that cuts nothing may still search
+        assert answered <= uncut
+    assert oracle_uncut_colors(o) == len(answered)
     tables = [t for _s, _a, t in o.index.values() if t is not None and t is not o.root]
     assert oracle_table_colors(o) == len(tables) < TABLED
-    assert tables or name == "path-unique"  # every other graph has a long color
+    assert bool(tables) == (name not in UNPAINTED)
     assert oracle_index_words(o) < 12 * n
+    if name in UNCUT_GRAPHS:  # each has a palette color on no forest vertex
+        assert set(range(g.C)) - sizes.keys() <= answered
+        assert set(range(g.C)) - sizes.keys()
+    if name == "vertex-minimum-colored":
+        assert answered == {3, 5} and uncut == {3, 4, 5}
     # the pair query and the batch read-off, through the tables
     for oracle in (o, loaded):
         _check_oracle(g, oracle)
@@ -373,75 +420,10 @@ def test_table_reads_equal_searches_errors_included(g):
 # -- root-answered colors ---------------------------------------------------------
 
 
-def _ladder(k):
-    """Two rails of k vertices joined by rungs; the BFS forest runs along the top rail.
-
-    The top rail's color 1 is on k - 1 forest vertices and its failure cuts
-    nothing, so it is a prevalent color answered by the shared root tuple.
-    """
-    top = [(i, i + 1, 1) for i in range(k - 1)]
-    rungs = [(i, k + i, 0) for i in range(k)]
-    bottom = [(k + i, k + i + 1, 2) for i in range(k - 1)]
-    return edge_graph(2 * k, top + rungs + bottom, C=4)
-
-
-# each graph's palette has colors on no forest vertex: two past every edge's or
-# vertex's color, and in the hand-built vertex graph color 3 sits on an
-# isolated root and color 5 on nothing
-UNCUT_GRAPHS = {
-    "edge": replace(gen_random(50, 100, 16, seed=31, connected=True), C=18),
-    "edge-disconnected": replace(gen_random(60, 45, 10, seed=32), C=12),
-    "vertex": replace(gen_random(50, 110, 12, seed=33, mode="vertex", connected=True), C=14),
-    "vertex-disconnected": replace(gen_random(60, 50, 8, seed=34, mode="vertex"), C=10),
-    # the component minima 0 (color 1) and 3 (color 2) fail with their colors;
-    # 0's fault cuts nothing from 1 and 2, but moves their cid to 1
-    "vertex-minimum-colored": vertex_graph(
-        [1, 0, 0, 2, 0, 0, 0, 3, 0, 4, 4],
-        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (8, 9), (9, 10)], C=6,
-    ),
-    "ladder": _ladder(20),
-}
-
-
 def _searched_roots(o):
     """``o`` with every root-answered color's table set to None, so its stamps are searched."""
     index = {c: (s, a, None if t is o.root else t) for c, (s, a, t) in o.index.items()}
-    return replace(o, index=index)
-
-
-@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
-def test_root_answered_exactly_when_the_color_cuts_nothing(name):
-    g = UNCUT_GRAPHS[name]
-    o = build_one_fault_oracle(g)
-    on_forest = set(o.colors)
-    assert any(c not in on_forest for c in range(g.C))  # a palette color on no forest vertex
-    uncut = {c for c in range(g.C) if _cuts_nothing(g, o, c)}
-    answered = {c for c, (_s, _a, table) in o.index.items() if table is o.root}
-    assert answered and oracle_uncut_colors(o) == len(answered)
-    assert {c for c in range(g.C) if c not in on_forest} <= answered
-    if g.mode == "edge":
-        assert answered == uncut
-    else:  # a vertex of color c stores itself, so a fault that cuts nothing may still search
-        assert answered <= uncut
-    if name == "vertex-minimum-colored":
-        assert answered == {3, 5} and uncut == {3, 4, 5}
-
-
-@pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
-def test_root_answered_colors_read_no_stamps(name):
-    g = UNCUT_GRAPHS[name]
-    o = build_one_fault_oracle(g)
-    for c, (stamps, answers, table) in o.index.items():
-        if table is not o.root:
-            continue
-        live = [v for v in range(g.n) if g.vertex_colors is None or g.vertex_colors[v] != c]
-        probed = Probed(stamps)
-        probed.read = []
-        reading = replace(o, index={**o.index, c: (probed, answers, table)})
-        for u, v in zip(live, live[1:] + live[:1]):
-            assert reading.query(u, v, c) == (o.root[u] == o.root[v])
-        assert reading.cids(c, live) == [o.root[v] for v in live]
-        assert probed.read == [], c
+    return replace(o, index=index, off_forest=((), (), None))
 
 
 @pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
@@ -450,6 +432,7 @@ def test_load_oracle_derives_the_root_answers(name):
     loaded = load_oracle(dump_oracle(o))
     for c, (_s, _a, table) in o.index.items():
         assert (loaded.index[c][2] is loaded.root) == (table is o.root), c
+    assert loaded.off_forest[2] is loaded.root
     assert oracle_uncut_colors(loaded) == oracle_uncut_colors(o) > 0
 
 
@@ -543,6 +526,19 @@ def test_hand_written_oracle_file_loads():
     assert not o.query(0, 2, 1)
     assert o.query(1, 2, 1)
     assert not o.query(1, 2, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_oracle_file_with_a_huge_palette_loads_in_o_n(n):
+    # a header-only or one-row file whose palette is the largest the header holds
+    C = 2**32 - 1
+    o = load_oracle(_oracle_file((0,)[:n], (0,)[:n], (0,)[:n], C))
+    assert o.index == {} and o.off_forest[2] is o.root  # no key per palette color
+    assert oracle_uncut_colors(o) == C and oracle_index_words(o) == 0
+    if n:
+        assert o.query(0, 0, C - 1) and o.cids(C - 1, [0]) == [0]
+    with pytest.raises(GraphError):
+        o.cids(C, [])
 
 
 _DUMPED = {mode: dump_oracle(build_one_fault_oracle(gen_random(16, 26, 5, seed=3, mode=mode)))
