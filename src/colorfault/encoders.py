@@ -49,12 +49,16 @@ class EncodedInstance:
 
 
 def parse_bits(text: str) -> list[int]:
-    bits = []
-    for ch in text.strip():
-        if ch not in "01":
-            raise ValueError(f"bit string must be 0s and 1s, got {ch!r}")
-        bits.append(int(ch))
-    return bits
+    text = text.strip()
+    _check_bits(text, "01")
+    return [int(ch) for ch in text]
+
+
+def _check_bits(bits: Sequence, digits: Sequence = (0, 1)) -> None:
+    """ValueError naming the first of ``bits`` that is not one of ``digits``."""
+    for b in bits:
+        if b not in digits:
+            raise ValueError(f"bit string must be 0s and 1s, got {b!r}")
 
 
 # -- packed proper balls ----------------------------------------------------------
@@ -92,6 +96,7 @@ def encode_balls(
         witnesses.append(min(u for u, d in ball.items() if d == r))
     if len(bits) != r * r:
         raise ValueError(f"need exactly {r * r} bits, got {len(bits)}")
+    _check_bits(bits)
 
     never = r  # palette {0..r-1} u {never-failing}
     edge_colors = [never] * topology.m
@@ -151,6 +156,7 @@ def encode_spider(
     M = len(subsets)
     if len(bits) != arms * M:
         raise ValueError(f"need exactly {arms * M} bits, got {len(bits)}")
+    _check_bits(bits)
 
     never = q
     n = 1 + arms * M

@@ -117,22 +117,18 @@ class ColoredGraph:
         return self._adj[v]
 
     def color_classes(self) -> list[list[int]]:
-        """Per color, the ids of the edges its fault removes, increasing.
+        """Per color, the ids of the edges its fault removes, increasing, read off :func:`edge_classes`.
 
         Edge mode: the edges of that color.  Vertex mode: the edges at that
         color's vertices, so an edge between two colors is in both lists.
         """
         classes: list[list[int]] = [[] for _ in range(self.C)]
-        if self.mode == EDGE:
-            for eid, c in enumerate(self.edge_colors or ()):
-                classes[c].append(eid)
-            return classes
-        vc = self.vertex_colors or ()
-        for eid, (u, v) in enumerate(self.edges):
-            a, b = vc[u], vc[v]
-            classes[a].append(eid)
+        for (a, b), eids in edge_classes(self).items():
+            classes[a] += eids
             if b != a:
-                classes[b].append(eid)
+                classes[b] += eids
+        for cls in classes:
+            cls.sort()  # in vertex mode a color's edges come from several classes
         return classes
 
     def keep_edges(self, eids: Iterable[int]) -> "ColoredGraph":

@@ -1,24 +1,25 @@
 """Nearest-colored-ancestor index: the one-fault oracle and its labels.
 
 One index serves every query here, the ``OneFaultOracle``.  A rooted forest
-gets DFS pre/post stamps; each vertex carries a payload, and for each color
-the stamps of its vertices form one sorted tuple, with a parallel tuple of
-answers: the vertex's payload at its pre stamp, the payload of its nearest
-strictly-above same-color ancestor at its post stamp.  The answer at the
-nearest c-colored ancestor of v (v itself included) is then the one at the
-predecessor of pre(v) in c's stamps.  Each palette color's entry,
-(stamps, answers, table), takes one of three forms.  A root-answered color,
-each of whose forest vertices (if any) has its root's id as payload, has the
-oracle's own ``root`` tuple as its table, shared, with no words of its own;
-the colors on no forest vertex share one such entry, ``off_forest``, and
-have no key in the index, so it stays O(n) words whatever the palette size.
-Any other color on at least n/``TABLED`` forest vertices has a painted
-per-vertex table, ``table[v]`` being that answer (or None); fewer than
-``TABLED`` colors are that long, so these add fewer than ``TABLED`` * n
-words to the <= 4n of stamps and answers: the O(n)-word bound holds.  The
-rest keep ``table`` None and the plain binary search over their stamps.  A
-query reads a table twice, with no search.  ``build_nca`` builds the whole
-index in one pass, the tables included.
+is numbered in pre-order, and each vertex carries a payload.  A color's stamps
+are pre-order positions, in one non-decreasing tuple with a parallel tuple
+of answers: each of its vertices v enters at pre[v], answering v's payload,
+and exits at the end of v's subtree, answering the payload of its nearest
+strictly-above same-color ancestor (or None).  Of two stamps at one position
+the later wins, so the answer at the nearest c-colored ancestor of v (v
+itself included) is the one at the last stamp <= pre[v], ``bisect_right``'s.
+Only a color whose failure cuts something has a key in the index: one with
+a vertex whose payload is not its root's id.  Every other palette color
+reads the one shared entry ``uncut``, ((), (), root), whose table answers
+each vertex's root, so the index stays O(n) words whatever the palette size.
+A keyed color's entry, (stamps, answers, table), takes one of two forms.  On
+at least n/``TABLED`` forest vertices it has a painted per-vertex table,
+``table[v]`` being that answer (or None); fewer than ``TABLED`` colors are
+that long, so these add fewer than ``TABLED`` * n words to the <= 4n of
+stamps and answers: the O(n)-word bound holds.  The rest keep ``table`` None
+and the plain binary search over their stamps.  A query reads a table twice,
+with no search.  ``build_nca`` builds the whole index in one pass, the tables
+included.
 
 The one-fault connectivity oracle colors each non-root vertex of a spanning
 forest with its parent-edge color (edge mode) or its parent's own color
@@ -30,8 +31,8 @@ one-fault labels and the connectivity labels of one graph share one build.
 The oracle file stores one row per vertex, (parent, color, cid), in both
 modes, and ``load_oracle`` rebuilds the index with ``build_nca``.  The
 connectivity labels here cut the same index by color prevalence: vertex
-labels hold the answers of the long colors, color labels the stamps and
-answers of the short ones.
+labels hold the answers of the long keyed colors, painted by the oracle's
+one painter, color labels the stamps and answers of the short ones.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .labels import LabelSet
 ORACLE_MAGIC = 0x43464C4F  # "CFLO"
 ORACLE_VERSION = 2
 CONN_SCHEME = "nca-connectivity"
-# A color on >= n/TABLED forest vertices, unless root-answered, gets a painted
-# per-vertex answer table.  At most n - 1 vertices are colored, so fewer than
+# A keyed color on >= n/TABLED forest vertices gets a painted per-vertex
+# answer table.  At most n - 1 vertices are colored, so fewer than
 # TABLED colors do, and the index holds at most 4n (stamps and answers) +
 # TABLED * n (tables) words.
 TABLED = 8
@@ -74,16 +75,16 @@ class OneFaultOracle:
     n: int  # vertices of the graph, the forest's
     C: int
     parent: tuple[int | None, ...]  # the spanning forest; None at a root
-    pre: tuple[int, ...]  # per vertex: its pre stamp, the key of its searches
+    pre: tuple[int, ...]  # per vertex: its pre-order number, the key of its searches
     root: tuple[int, ...]  # per vertex: the root of its tree, its component minimum
     colors: tuple[int | None, ...]  # per vertex: its forest color (None at a root)
     payloads: tuple[int, ...]  # per vertex: cid in G minus its forest color (a root: itself)
     vertex_colors: tuple[int, ...] | None  # the graph's colors (vertex mode)
-    # per forest color: (stamps, answers, table), its table ``root`` on a
-    # root-answered color, painted on a long one, None on a searched one
+    # per color whose failure cuts something: (stamps, answers, table), its
+    # table painted on a long color, None on a searched one
     index: dict[int, tuple] = field(repr=False, compare=False)
-    # the entry of every palette color on no forest vertex: ((), (), root)
-    off_forest: tuple = field(repr=False, compare=False)
+    # the entry of every palette color without a key: ((), (), root)
+    uncut: tuple = field(repr=False, compare=False)
 
     def query(self, u: int, v: int, c: int) -> bool:
         """cid(u, G-c) == cid(v, G-c): ``cids(c, (u, v))`` unrolled, its checks in its order."""
@@ -98,7 +99,7 @@ class OneFaultOracle:
             raise GraphError(f"vertex {v} out of range")
         if own is not None and own[v] == c:
             raise RemovedVertexError(f"vertex {v} has color {c}")
-        stamps, answers, table = self.index.get(c, self.off_forest)
+        stamps, answers, table = self.index.get(c, self.uncut)
         if table is not None:
             cu, cv = table[u], table[v]
         else:
@@ -115,15 +116,15 @@ class OneFaultOracle:
 
         The answer is the index's at v's nearest c-colored ancestor, its
         payload, or, with none, v's root: the path to the root survives, and
-        the root is its component minimum.  c's index entry is bound once for
-        all the vertices: a root-answered or painted color's table is read,
-        any other color's stamps searched.  Raises GraphError for an id
+        the root is its component minimum.  c's entry is bound once for all
+        the vertices: a painted color's table, or the shared ``uncut`` one,
+        is read, a searched color's stamps are searched.  Raises GraphError for an id
         outside the graph or the palette, and RemovedVertexError for a vertex
         of color c itself.
         """
         if not 0 <= c < self.C:
             raise GraphError(f"color {c} outside palette")
-        stamps, answers, table = self.index.get(c, self.off_forest)
+        stamps, answers, table = self.index.get(c, self.uncut)
         n, own, pre, root = self.n, self.vertex_colors, self.pre, self.root
         out = []
         for v in vertices:
@@ -147,77 +148,79 @@ def build_nca(
     C: int,
     vertex_colors: tuple[int, ...] | None = None,
 ) -> OneFaultOracle:
-    """Index a rooted forest for nearest-colored-ancestor queries answering payloads.
+    """Index a rooted forest for nearest-colored-ancestor answers: keys for the colors that cut.
 
     ``parent[v] is None`` marks roots; ``colors[v] is None`` leaves v out of
-    every color's stamps.  The stamps are a DFS's that visits roots and
-    children by increasing id, read off ``preorder``: v enters at
-    2 pre - depth and exits at 2 end - depth - 1.  Walking a color's vertices
-    in pre-order, a stack of open ones exits each vertex whose subtree has
-    ended, with the payload of the vertex below it, its nearest strictly-above
-    same-color ancestor, as the answer at its exit.  Each color on some
-    vertex gets an entry; the rest of ``range(C)`` read the one shared
-    ``off_forest`` entry, ((), (), root), so the index costs O(n), not O(C).
-    A color whose every vertex has its root's id as payload, or which is on
-    no vertex, is root-answered: its table is the shared ``root`` tuple,
-    since every answer, or its absence, reads as v's root.  For the oracle's
-    payloads that is a color whose failure cuts nothing; in vertex mode a
-    failed vertex stores its own id, so some such colors stay searched.  Any
-    other color on at least n/``TABLED`` vertices gets its per-vertex answer
-    table, painted from its stamps: each stamp's answer holds over the
-    pre-order positions from its own (v's pre at v's enter stamp, x's end at
-    x's exit) up to the next stamp's, the later of two stamps at one position
-    winning, and ``table[v]`` is the answer at pre[v].
-    ``build_one_fault_oracle`` and ``load_oracle`` both derive the tables and
-    never store them.  Raises GraphError when the parents do not form a
-    forest.
+    every color's stamps.  The numbering is ``preorder``'s, roots and
+    children by increasing id: v enters at pre[v] and exits at end[v], the
+    end of its subtree.  Walking a color's vertices in pre-order, a stack of
+    open ones exits each vertex whose subtree has ended, with the payload of
+    the vertex below it, its nearest strictly-above same-color ancestor, as
+    the answer at its exit; at one position the exits come before the enter,
+    and ``bisect_right`` takes the last.  A color gets a key only when some
+    vertex of it has a payload other than its root's id: for the oracle's
+    payloads, a color whose failure cuts something (in vertex mode a failed
+    vertex stores its own id, so a color that cuts nothing may still get
+    one).  Every other color of ``range(C)`` reads the one shared ``uncut``
+    entry, ((), (), root): with no key, every answer reads as v's root, and
+    the index costs O(n), not O(C).  A keyed color on at least n/``TABLED``
+    vertices gets its per-vertex answer table, painted from its stamps by
+    ``_paint``; the rest are searched.  ``build_one_fault_oracle`` and
+    ``load_oracle`` both derive the tables and never store them.  Raises
+    GraphError when the parents do not form a forest.
     """
     n = len(parent)
     order, pre, end = preorder(parent)
     if len(order) != n:
         raise GraphError("parent pointers do not form a forest")
-    depth = [0] * n
     root = list(range(n))
     members: dict[int, list[int]] = {}  # per color: its vertices in pre-order
     for v in order:
         p = parent[v]
         if p is not None:
-            depth[v] = depth[p] + 1
             root[v] = root[p]
         if colors[v] is not None:
             members.setdefault(colors[v], []).append(v)
-    key = tuple(2 * i - d for i, d in zip(pre, depth))  # per vertex: its pre stamp
-    root = tuple(root)
+    pre, root = tuple(pre), tuple(root)
     cut = {c for c, p, r in zip(colors, payloads, root) if c is not None and p != r}
     index: dict[int, tuple] = {}
     for c, vs in members.items():
-        stamps, above, at = [], [], []  # at: each stamp's pre-order position
+        if c not in cut:
+            continue
+        stamps, answers = [], []
         chain = []  # the color's open vertices
         for v in vs + [None]:  # None closes every open vertex
             until = n if v is None else pre[v]
             while chain and end[chain[-1]] <= until:
                 x = chain.pop()
-                stamps.append(2 * end[x] - depth[x] - 1)
-                above.append(payloads[chain[-1]] if chain else None)
-                at.append(end[x])
+                stamps.append(end[x])
+                answers.append(payloads[chain[-1]] if chain else None)
             if v is not None:
                 chain.append(v)
-                stamps.append(key[v])
-                above.append(payloads[v])
-                at.append(pre[v])
-        table = None
-        if c not in cut:
-            table = root
-        elif TABLED * len(vs) >= n:
-            by_pos = [None] * n
-            for a, b, answer in zip(at, at[1:] + [n], above):
-                by_pos[a:b] = [answer] * (b - a)
-            table = tuple(map(by_pos.__getitem__, pre))
-        index[c] = (tuple(stamps), tuple(above), table)
+                stamps.append(pre[v])
+                answers.append(payloads[v])
+        stamps, answers = tuple(stamps), tuple(answers)
+        table = _paint(stamps, answers, pre) if TABLED * len(vs) >= n else None
+        index[c] = (stamps, answers, table)
     return OneFaultOracle(
-        n, C, tuple(parent), key, root, tuple(colors), tuple(payloads),
+        n, C, tuple(parent), pre, root, tuple(colors), tuple(payloads),
         vertex_colors, index, ((), (), root),
     )
+
+
+def _paint(stamps: tuple[int, ...], answers: tuple, pre: Sequence[int]) -> tuple:
+    """Per vertex v, the answer at the last of ``stamps`` <= pre[v]: ``bisect_right``'s, read off.
+
+    Each stamp's answer holds over the positions from its own up to the next
+    stamp's, the later of two stamps at one position winning; None before the
+    first.  The oracle's tables and the labels' prevalent columns are both
+    painted here.
+    """
+    n = len(pre)
+    by_pos = [None] * n
+    for a, b, answer in zip(stamps, stamps[1:] + (n,), answers):
+        by_pos[a:b] = [answer] * (b - a)
+    return tuple(map(by_pos.__getitem__, pre))
 
 
 def build_one_fault_oracle(g: ColoredGraph) -> OneFaultOracle:
@@ -275,29 +278,27 @@ def oracle_file_bits(o: OneFaultOracle) -> tuple[int, int]:
 
 
 def oracle_index_words(o: OneFaultOracle) -> int:
-    """Words the query index holds: every color's stamps and answers, and its painted table.
+    """Words the query index holds: each keyed color's stamps and answers, and its painted table.
 
     At most 2 * 2n for the stamps and answers (two stamps per colored
     vertex) plus n per painted table, fewer than ``TABLED`` of them: O(n),
-    like the file.  A root-answered color's table is the shared ``root``
-    tuple, and the colors on no forest vertex share ``off_forest``: no words
-    of their own.
+    like the file.  The colors without a key share ``uncut``: no words.
     """
-    return sum(2 * len(stamps) + (0 if table is None or table is o.root else len(table))
+    return sum(2 * len(stamps) + (0 if table is None else len(table))
                for stamps, _answers, table in o.index.values())
 
 
 def oracle_table_colors(o: OneFaultOracle) -> int:
     """The colors with a painted per-vertex answer table: fewer than ``TABLED``."""
-    return sum(table is not None and table is not o.root for _s, _a, table in o.index.values())
+    return sum(table is not None for _s, _a, table in o.index.values())
 
 
 def oracle_uncut_colors(o: OneFaultOracle) -> int:
-    """The root-answered colors, those on no forest vertex included.
+    """The palette colors without a key, which read the shared ``uncut`` entry.
 
     In edge mode exactly the colors whose failure cuts nothing.
     """
-    return o.C - len(o.index) + sum(table is o.root for _s, _a, table in o.index.values())
+    return o.C - len(o.index)
 
 
 def dump_oracle(o: OneFaultOracle) -> bytes:
@@ -386,7 +387,7 @@ def nca_threshold(n: int) -> int:
 class NcaVertexLabel:
     vertex: int
     pre: int
-    root_cid: int | None  # connectivity labels: cid of the tree root
+    root_cid: int  # cid of the tree root: the answer with no hit
     own_color: int | None  # vertex-mode connectivity labels: the vertex's color
     prevalent: dict[int, int | None]  # color -> answer at the nearest ancestor (None = absent)
     bits: int = field(default=0, compare=False)
@@ -396,57 +397,45 @@ class NcaVertexLabel:
 class NcaColorLabel:
     color: int
     prevalent: bool
-    stamps: tuple[int, ...]  # the color's sorted pre/post stamps (rare colors only)
+    stamps: tuple[int, ...]  # the color's enter/exit positions (short keyed colors only)
     answers: tuple[int | None, ...]  # parallel to stamps
     bits: int = field(default=0, compare=False)
 
 
 def _split_labels(
-    o: OneFaultOracle, connectivity: bool = False
+    o: OneFaultOracle,
 ) -> tuple[tuple[NcaVertexLabel, ...], tuple[NcaColorLabel, ...], int]:
     """Prevalence-split labels over the index: (vertex labels, color labels, tau).
 
-    Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from the vertex labels, each hit read off the color's painted table or
-    found by predecessor search (a root-answered color too: a hit is the
-    stored answer or None, never a root); rarer colors
-    ship the entry's stamps and answers in the color label.  Connectivity
-    labels also carry the tree root's cid and, in vertex mode, the vertex's
-    own color.
+    Keyed colors with at least ``nca_threshold(n)`` vertices are answered
+    directly from the vertex labels, each hit read off the color's painted
+    table, or off a column painted here by the same painter; rarer keyed
+    colors ship the entry's stamps and answers in the color label, and a
+    color without a key ships none.  With no hit the answer is the tree
+    root's cid, which every vertex label carries, with the vertex's own
+    color in vertex mode.  Stamps are positions 0..n.
     """
     n, C = o.n, o.C
     tau = nca_threshold(n)
     wid, wc = id_width(max(n, 2)), width_for(max(C, 2))
-    wstamp = width_for(2 * n)
-    wlen = width_for(n + 1)
-    entries = [o.index.get(c, o.off_forest) for c in range(C)]
-    columns = []  # per prevalent color: its answer at every vertex, a table's or searched
-    for c, (stamps, answers, table) in enumerate(entries):
-        if len(stamps) < 2 * tau:
-            continue
-        if table is None or table is o.root:
-            ranks = (bisect_right(stamps, key) for key in o.pre)
-            table = [answers[i - 1] if i else None for i in ranks]
-        columns.append((c, table))
-    root_cid = o.root if connectivity else None
+    wstamp = wlen = width_for(n + 1)  # a position 0..n; a count 0..n
+    columns = [(c, _paint(stamps, answers, o.pre) if table is None else table)
+               for c, (stamps, answers, table) in sorted(o.index.items())
+               if len(stamps) >= 2 * tau]
     own_colors = o.vertex_colors
 
-    extra = (0 if root_cid is None else wid) + (0 if own_colors is None else wc)
+    extra = wid + (0 if own_colors is None else wc)
     vertex_labels = []
     for v in range(n):
-        hits = {}
-        for c, table in columns:
-            hits[c] = table[v]
+        hits = {c: table[v] for c, table in columns}
         bits = wstamp + extra + wlen + len(hits) * (wc + wid + 1)
         vertex_labels.append(NcaVertexLabel(
-            v, o.pre[v],
-            None if root_cid is None else root_cid[v],
-            None if own_colors is None else own_colors[v],
-            hits, bits,
+            v, o.pre[v], o.root[v], None if own_colors is None else own_colors[v], hits, bits,
         ))
 
     color_labels = []
-    for c, (stamps, answers, _table) in enumerate(entries):
+    for c in range(C):
+        stamps, answers, _table = o.index.get(c, o.uncut)
         if len(stamps) >= 2 * tau:
             color_labels.append(NcaColorLabel(c, True, (), (), wc + 1))
             continue
@@ -473,7 +462,7 @@ def label_nca_connectivity(g: ColoredGraph) -> LabelSet:
     the nearest ancestor, that ancestor's cid in G minus its color.  Exact,
     like the oracle.
     """
-    vertex_labels, color_labels, tau = _split_labels(build_one_fault_oracle(g), connectivity=True)
+    vertex_labels, color_labels, tau = _split_labels(build_one_fault_oracle(g))
     return LabelSet(
         scheme=CONN_SCHEME,
         n=g.n,

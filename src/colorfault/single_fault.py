@@ -263,9 +263,12 @@ def proper_ball(g: ColoredGraph, center: int, r: int) -> dict[int, int] | None:
     """Distance of every vertex within r of ``center`` by a BFS that stops at depth r.
 
     None when no vertex lies at distance exactly r: the ball is not proper.
+    A negative r is a ValueError.
     """
     if not 0 <= center < g.n:
         raise GraphError(f"center {center} out of range")
+    if r < 0:
+        raise ValueError(f"ball radius {r} is negative")
     dist = {}
     for x, _p, _eid, d in bfs(g.adjacency, (center,)):
         if d > r:

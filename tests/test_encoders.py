@@ -93,6 +93,8 @@ def test_balls_witness_validation():
         encode_balls(g, [1, 0, 1, 0], centers=[1, 2])  # overlapping balls
     with pytest.raises(ValueError):
         encode_balls(g, [1, 0], centers=[1, 7])  # wrong length
+    with pytest.raises(ValueError, match="bit string must be 0s and 1s, got 2"):
+        encode_balls(g, [2, 2, 2, 2], centers=[1, 7])  # decoded as 1s had it been accepted
 
 
 # -- spiders ---------------------------------------------------------------------
@@ -114,6 +116,8 @@ def test_spider_f1_round_trip():
     inst = encode_spider(1, 2, 2, [1, 0, 0, 1])
     assert inst.decode_with_oracle() == [1, 0, 0, 1]
     assert inst.decode(single_fault_answer(inst.graph)) == [1, 0, 0, 1]
+    with pytest.raises(ValueError, match="bit string must be 0s and 1s, got 2"):
+        encode_spider(1, 2, 1, [2, 0])
 
 
 def test_spider_survivor_property():
@@ -193,7 +197,7 @@ def test_spider_subdivisions_round_trip():
 
 def test_parse_bits():
     assert parse_bits("0101") == [0, 1, 0, 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bit string must be 0s and 1s, got '2'"):
         parse_bits("012")
 
 

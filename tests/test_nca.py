@@ -54,34 +54,33 @@ CHAIN_COLORS = [RED, BLUE, RED, BLUE]
 
 def naive_nearest_colored_ancestor(
     parent: list[int | None], colors: list[int | None], v: int, c: int
-) -> int | None:
-    """Reference oracle: walk the parent chain."""
-    x: int | None = v
-    while x is not None:
-        if colors[x] == c:
-            return x
+) -> int:
+    """Reference oracle: walk the parent chain to the first vertex of color c, or to the root."""
+    x = v
+    while colors[x] != c and parent[x] is not None:
         x = parent[x]
-    return None
+    return x
 
 
-def nca_query(o: OneFaultOracle, v: int, c: int) -> int | None:
-    """The answer at v's nearest c-colored ancestor (v itself included), or None, off the index.
+def nca_query(o: OneFaultOracle, v: int, c: int) -> int:
+    """The answer at v's nearest c-colored ancestor (v itself included), or v's root, searched.
 
     With payloads ``range(n)`` (see ``build_nca``) that answer is the ancestor itself.
     """
     if not 0 <= v < o.n:
         raise GraphError(f"vertex {v} out of range")
-    stamps, answers, _table = o.index.get(c, ((), (), None))
+    stamps, answers, _table = o.index.get(c, o.uncut)
     i = bisect_right(stamps, o.pre[v])
-    return answers[i - 1] if i else None
+    return o.root[v] if not i or answers[i - 1] is None else answers[i - 1]
 
 
 def label_nca(parent: list[int | None], colors: list[int | None], C: int) -> LabelSet:
     """Nearest-colored-ancestor labels with the connectivity labels' prevalence split.
 
-    Colors with at least ``nca_threshold(n)`` vertices are answered directly
-    from vertex labels; rarer colors ship their whole stamp array in the color
-    label and are answered by predecessor search against pre(v).
+    Keyed colors with at least ``nca_threshold(n)`` vertices are answered
+    directly from vertex labels; rarer ones ship their whole stamp array in
+    the color label and are answered by predecessor search against pre(v),
+    and with no hit by the root's id in the vertex label.
     """
     n = len(parent)
     o = build_nca(parent, colors, range(n), C)
@@ -125,7 +124,7 @@ def test_dfs_preorder_root_first():
 def test_chain_queries():
     o = build_chain()
     assert nca_query(o, 3, RED) == 2
-    assert nca_query(o, 1, GREEN) is None
+    assert nca_query(o, 1, GREEN) == 0  # no green ancestor: the root
     assert nca_query(o, 2, RED) == 2  # self-inclusive
 
 
@@ -289,7 +288,7 @@ def _ladder(k):
     """Two rails of k vertices joined by rungs; the BFS forest runs along the top rail.
 
     The top rail's color 1 is on k - 1 forest vertices and its failure cuts
-    nothing, so it is a prevalent color answered by the shared root tuple.
+    nothing, so this long color has no key and reads the shared ``uncut`` entry.
     """
     top = [(i, i + 1, 1) for i in range(k - 1)]
     rungs = [(i, k + i, 0) for i in range(k)]
@@ -342,24 +341,24 @@ def test_answer_tables_equal_bisect_right(name):
     assert loaded == o
     n = g.n
     sizes = Counter(c for c in o.colors if c is not None)
-    assert o.index.keys() == sizes.keys()  # a key per forest color only
-    assert o.off_forest == ((), (), o.root) and o.off_forest[2] is o.root
-    answered, uncut = set(), set()
+    # the rule: a key exactly for each color with a forest vertex whose payload is not its root's id
+    keyed = {c for c, p, r in zip(o.colors, o.payloads, o.root) if c is not None and p != r}
+    assert o.index.keys() == keyed
+    assert o.uncut == ((), (), o.root) and o.uncut[2] is o.root
+    uncut = set()
     for c in range(g.C):
-        stamps, answers, table = entry = o.index.get(c, o.off_forest)
-        assert c in o.index or entry is o.off_forest, c  # the rest share one entry
-        # the rule: each forest vertex of color c has its root's id as payload
-        rule = all(o.payloads[v] == o.root[v] for v in range(n) if o.colors[v] == c)
-        assert (table is o.root) == rule, c
-        if table is o.root:
-            answered.add(c)
+        stamps, answers, table = entry = o.index.get(c, o.uncut)
+        assert c in o.index or entry is o.uncut, c  # the rest share one entry
         if _cuts_nothing(g, o, c):
             uncut.add(c)
-        if table is not o.root:
+        if c in o.index:
             assert (table is not None) == (TABLED * sizes[c] >= n), c
         live = [v for v in range(n) if g.vertex_colors is None or g.vertex_colors[v] != c]
         probed = Probed(stamps)
-        reading = replace(o, index={**o.index, c: (probed, answers, table)})
+        if c in o.index:
+            reading = replace(o, index={**o.index, c: (probed, answers, table)})
+        else:
+            reading = replace(o, uncut=(probed, answers, table))
         probed.read = []
         for u, v in zip(live, live[1:] + live[:1]):
             reading.query(u, v, c)
@@ -370,22 +369,23 @@ def test_answer_tables_equal_bisect_right(name):
         for v in range(n):
             i = bisect_right(stamps, o.pre[v])
             got = answers[i - 1] if i else None
-            assert table[v] == (o.root[v] if table is o.root and got is None else got), (c, v)
+            if c not in o.index:  # the shared entry's table: its empty search, read as the root
+                got = o.root[v] if got is None else got
+            assert table[v] == got, (c, v)
         assert probed.read == []  # a table color's stamps are never searched
     if g.mode == "edge":
-        assert answered == uncut  # root-answered iff it cuts nothing
-    else:  # a vertex of color c stores itself, so a fault that cuts nothing may still search
-        assert answered <= uncut
-    assert oracle_uncut_colors(o) == len(answered)
-    tables = [t for _s, _a, t in o.index.values() if t is not None and t is not o.root]
+        assert keyed == set(range(g.C)) - uncut  # a key iff the color's failure cuts something
+    else:  # a vertex of color c stores itself, so a fault that cuts nothing may still get a key
+        assert set(range(g.C)) - keyed <= uncut
+    assert oracle_uncut_colors(o) == g.C - len(keyed)
+    tables = [t for _s, _a, t in o.index.values() if t is not None]
     assert oracle_table_colors(o) == len(tables) < TABLED
     assert bool(tables) == (name not in UNPAINTED)
     assert oracle_index_words(o) < 12 * n
-    if name in UNCUT_GRAPHS:  # each has a palette color on no forest vertex
-        assert set(range(g.C)) - sizes.keys() <= answered
+    if name in UNCUT_GRAPHS:  # each has a palette color on no forest vertex, and so no key
         assert set(range(g.C)) - sizes.keys()
     if name == "vertex-minimum-colored":
-        assert answered == {3, 5} and uncut == {3, 4, 5}
+        assert set(range(g.C)) - keyed == {3, 5} and uncut == {3, 4, 5}
     # the pair query and the batch read-off, through the tables
     for oracle in (o, loaded):
         _check_oracle(g, oracle)
@@ -404,7 +404,8 @@ def test_answer_tables_equal_bisect_right(name):
 def test_table_reads_equal_searches_errors_included(g):
     o = build_one_fault_oracle(g)
     assert any(table is not None for _s, _a, table in o.index.values())
-    searched = replace(o, index={c: (s, a, None) for c, (s, a, _t) in o.index.items()})
+    searched = replace(_searched_uncut(o),
+                       index={c: (s, a, None) for c, (s, a, _t) in o.index.items()})
     ids = [-1, *range(g.n), g.n]
     for c in [-1, *range(g.C), g.C]:
         for u in ids:
@@ -417,22 +418,20 @@ def test_table_reads_equal_searches_errors_included(g):
                     assert got == alone, (u, v, c)
 
 
-# -- root-answered colors ---------------------------------------------------------
+# -- colors without a key ---------------------------------------------------------
 
 
-def _searched_roots(o):
-    """``o`` with every root-answered color's table set to None, so its stamps are searched."""
-    index = {c: (s, a, None if t is o.root else t) for c, (s, a, t) in o.index.items()}
-    return replace(o, index=index, off_forest=((), (), None))
+def _searched_uncut(o):
+    """``o`` with the shared ``uncut`` entry's table set to None: its empty stamps are searched."""
+    return replace(o, uncut=((), (), None))
 
 
 @pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
 def test_load_oracle_derives_the_root_answers(name):
     o = build_one_fault_oracle(UNCUT_GRAPHS[name])
     loaded = load_oracle(dump_oracle(o))
-    for c, (_s, _a, table) in o.index.items():
-        assert (loaded.index[c][2] is loaded.root) == (table is o.root), c
-    assert loaded.off_forest[2] is loaded.root
+    assert loaded.index.keys() == o.index.keys()
+    assert loaded.uncut == ((), (), loaded.root) and loaded.uncut[2] is loaded.root
     assert oracle_uncut_colors(loaded) == oracle_uncut_colors(o) > 0
 
 
@@ -440,7 +439,7 @@ def test_load_oracle_derives_the_root_answers(name):
 def test_root_answers_equal_searches_errors_included(name):
     g = UNCUT_GRAPHS[name]
     o = build_one_fault_oracle(g)
-    searched = _searched_roots(o)
+    searched = _searched_uncut(o)
     _check_oracle(g, o)
     ids = [-1, *range(g.n), g.n]
     for c in [-1, *range(g.C), g.C]:
@@ -453,17 +452,29 @@ def test_root_answers_equal_searches_errors_included(name):
 
 @pytest.mark.parametrize("name", sorted(UNCUT_GRAPHS))
 def test_connectivity_labels_ignore_root_answers(name):
+    # a color without a key ships no stamps and has no vertex column, and
+    # every label answer, errors included, is the oracle's
     g = UNCUT_GRAPHS[name]
     o = build_one_fault_oracle(g)
     labels = label_nca_connectivity(g)
-    vertex_labels, color_labels, tau = _split_labels(_searched_roots(o), connectivity=True)
-    assert labels.meta["threshold"] == tau
-    assert labels.vertex_labels == vertex_labels and labels.color_labels == color_labels
-    assert [lb.bits for lb in labels.vertex_labels] == [lb.bits for lb in vertex_labels]
-    assert [lb.bits for lb in labels.color_labels] == [lb.bits for lb in color_labels]
-    if name == "ladder":  # a prevalent color, answered by the root tuple in the oracle
-        assert o.index[1][2] is o.root and len(o.index[1][0]) >= 2 * tau
-        assert 1 in labels.vertex_labels[0].prevalent
+    for c, lc in enumerate(labels.color_labels):
+        if c not in o.index:
+            assert not lc.prevalent and lc.stamps == () and lc.answers == (), c
+            assert all(c not in lv.prevalent for lv in labels.vertex_labels), c
+
+    def read_off(lv, lc):
+        if lv.own_color == lc.color:
+            raise RemovedVertexError(f"vertex {lv.vertex} has color {lc.color}")
+        hit = query_nca_labels(lv, lc)
+        return lv.root_cid if hit is None else hit
+
+    for c, lc in enumerate(labels.color_labels):
+        for v, lv in enumerate(labels.vertex_labels):
+            want = _outcome(lambda: o.cids(c, [v]))
+            assert _outcome(lambda: [read_off(lv, lc)]) == want, (v, c)
+    if name == "ladder":  # a long color whose failure cuts nothing: no key, so no column
+        assert 1 not in o.index and o.colors.count(1) >= labels.meta["threshold"]
+        assert 1 not in labels.vertex_labels[0].prevalent
 
 
 # -- oracle file --------------------------------------------------------------------
@@ -533,7 +544,7 @@ def test_oracle_file_with_a_huge_palette_loads_in_o_n(n):
     # a header-only or one-row file whose palette is the largest the header holds
     C = 2**32 - 1
     o = load_oracle(_oracle_file((0,)[:n], (0,)[:n], (0,)[:n], C))
-    assert o.index == {} and o.off_forest[2] is o.root  # no key per palette color
+    assert o.index == {} and o.uncut[2] is o.root  # no key per palette color
     assert oracle_uncut_colors(o) == C and oracle_index_words(o) == 0
     if n:
         assert o.query(0, 0, C - 1) and o.cids(C - 1, [0]) == [0]
@@ -617,14 +628,17 @@ def test_cli_rejects_cyclic_oracle_file(tmp_path):
 
 # sha256 of the oracle file, then (max, total) label bits of label_nca on the
 # oracle's forest and of label_nca_connectivity, on gen_random(40, 70, 8,
-# seed=9).  The edge row's bits were recorded before the index was merged
-# into one DFS; the vertex row's when the vertex-mode forest stopped being
-# subdivided (n vertices, not n + m).  Both hashes are of version-2 files.
+# seed=9).  Both hashes are of version-2 files.  The bits were recorded when
+# stamps became pre-order positions (0..n, one bit narrower than the Euler
+# stamps where width_for(n + 1) < width_for(2n)) and only the colors that cut
+# something kept stamps; every vertex label carries its root's id since, so
+# the forest labels' totals rose by it (edge 2705, vertex 2284 before) while
+# every other number fell (edge 91, 91, 2945 and vertex 64, 64, 2644 before).
 PINNED = {
     "edge": ("2e5c4e7216bee34a39aefa8a056812d91afe820e72ea69bbbfe14862ac22c827",
-             (91, 2705), (91, 2945)),
+             (85, 2895), (58, 2376)),
     "vertex": ("585696963339aa661153c159bbae7b0612ad0a21793554f35fb371e4adf2dd17",
-               (64, 2284), (64, 2644)),
+               (60, 2476), (60, 2152)),
 }
 
 
@@ -664,7 +678,9 @@ def test_all_distinct_colors_two_timestamps():
     ls = label_nca(parent, colors, C=5)
     for lbl in ls.color_labels:
         assert not lbl.prevalent
-        assert len(lbl.stamps) == 2  # one colored vertex = one (pre, post) pair
+        # one colored vertex = one (enter, exit) pair; color 0, on the root
+        # alone, cuts nothing and ships none
+        assert len(lbl.stamps) == (0 if lbl.color == 0 else 2)
 
 
 def test_labels_match_structure_on_random_trees():
@@ -678,9 +694,8 @@ def test_labels_match_structure_on_random_trees():
         ls = label_nca(parent, colors, C=C)
         for v in range(n):
             for c in range(C):
-                assert query_nca_labels(
-                    ls.vertex_labels[v], ls.color_labels[c]
-                ) == nca_query(o, v, c)
+                hit = query_nca_labels(ls.vertex_labels[v], ls.color_labels[c])
+                assert (ls.vertex_labels[v].root_cid if hit is None else hit) == nca_query(o, v, c)
 
 
 def test_label_size_bound_on_acceptance_family():

@@ -377,6 +377,9 @@ def test_witness_balls_are_proper_and_disjoint():
     centers = find_disjoint_proper_balls(g, 2)
     assert centers is not None and len(centers) == 2
     assert_disjoint_proper_balls(g, centers, 2)
+    assert proper_ball(g, 0, 0) == {0: 0}
+    with pytest.raises(ValueError):  # no ball of negative radius, not even an empty one
+        proper_ball(g, 0, -1)
 
 
 def test_greedy_quarter_bounds_exact():
