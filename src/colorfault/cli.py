@@ -93,7 +93,9 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     g = _read_graph(args.graph)
-    ls = SCHEMES[args.scheme].build(g, f=args.f, seed=args.seed, repetitions=args.repetitions)
+    scheme = SCHEMES[args.scheme]
+    scheme.budget(args.f)
+    ls = scheme.build(g, f=args.f, seed=args.seed, repetitions=args.repetitions)
     report = measure_labels(ls)
     if args.scheme == "multi" and "manifest" in ls.meta:
         report["manifest"] = ls.meta["manifest"]

@@ -27,6 +27,13 @@ so the route walks the T_c path through fragments that carry tables.  A
 target in a component without an anchor gets a* = -1, and its route is all
 final approach from the source.
 
+The build makes one pass over the colors on T, in increasing color.  For
+each color c it builds c's fragments and fragment forest (a
+``ColorStructure``), writes c's part of every output (the anchor blocks of
+the vertices under a c-colored T edge, the per-color entry and fragment table
+of each vertex with c on P(v), and c's color label), and drops the structure,
+so a built scheme keeps only what ``route`` reads.
+
 Each port of the network is an immutable ``Hop`` record (a NamedTuple:
 source, port, neighbor, edge id, edge color) built once with the network.
 Every routing tree, T and each fragment forest, keeps one interval step per
@@ -59,12 +66,7 @@ from .graph import (
     spanning_forest,
 )
 from .labels import LabelSet
-from .single_fault import (
-    RulingSet,
-    build_ruling_set,
-    label_single_fault,
-    pair_connected,
-)
+from .single_fault import build_ruling_set, label_single_fault, pair_connected
 
 
 class UnreachableError(ValueError):
@@ -193,7 +195,7 @@ class FirstRecEdgeBlock:
 
 @dataclass(frozen=True, slots=True)
 class ColorStructure:
-    """Everything the scheme derives from T - c for one color c on T."""
+    """What the build derives from T - c for one color c on T, read and then dropped."""
 
     fragment_of: tuple[int, ...]  # fragment root per vertex
     frag_adj: dict[int, list[tuple[int, int]]]  # frag root -> (other root, edge id)
@@ -256,13 +258,11 @@ class MessageHeader:
         return 2 + 1 + wport + wid + 2
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RoutingScheme:
     graph: ColoredGraph
     net: PortedNetwork
-    ruling: RulingSet
     tree_routing: TreeRouting
-    structures: dict[int, ColorStructure]  # one per color on T
     tables: tuple[RoutingTable, ...]
     vertex_labels: tuple[RoutingVertexLabel, ...]
     color_labels: tuple[RoutingColorLabel, ...]
@@ -283,25 +283,63 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
         raise GraphError("routing scheme needs a connected graph")
     net = PortedNetwork.build(g)
     tree_routing = build_tree_routing(net, tree_edges)  # rooted at 0
+    steps = tree_routing.steps
 
-    structures = {}
-    anchor_reach = {}  # color -> forest root (each anchor fragment among them) -> its BFS
-    for c in sorted({up.color for _pre, _end, up, _ch in tree_routing.steps if up is not None}):
-        structures[c], anchor_reach[c] = _build_color_structure(g, net, c, tree_routing, anchors)
+    n = g.n
+    below: dict[int, list[int]] = {}  # color -> vertices whose T parent edge has it
+    for v, (_pre, _end, up, _children) in enumerate(steps):
+        if up is not None:
+            below.setdefault(up.color, []).append(v)
+    on_path: dict[int, list[int]] = {}  # color -> vertices with it on P(v)
+    for v, lbl in enumerate(connectivity.vertex_labels):
+        for c in lbl.cid_by_color:
+            on_path.setdefault(c, []).append(v)
+    blocks: list[dict[int, FirstRecEdgeBlock | None]] = [{} for _ in range(n)]
+    per_color: list[dict[int, tuple]] = [{} for _ in range(n)]
+    fragment_tables: list[dict[int, tuple]] = [{} for _ in range(n)]
+    color_blocks = [dict.fromkeys(anchors) for _ in range(g.C)]  # a color off T: all None
+    # one pass per color on T, in increasing color: build its fragment forest,
+    # write its part of every table and label, and drop it
+    for c in sorted(below):
+        cs, reach = _build_color_structure(g, net, c, tree_routing, anchors)
+        toward = [(a, reach[cs.fragment_of[a]]) for a in anchors]
 
-    tables, vertex_labels, color_labels = _build_tables_and_labels(
-        g, net, anchors, ruling.anchor, tree_routing.steps, connectivity, structures, anchor_reach,
-    )
+        def blocks_from(v):
+            return {a: _block_for(g, net, cs, steps, cs.fragment_of[v], r) for a, r in toward}
+
+        for v in below[c]:
+            blocks[v] = blocks_from(v)
+        color_blocks[c] = blocks_from(0)  # from the fragment of T's root 0
+        for v in on_path.get(c, ()):
+            fr = cs.fragment_of[v]
+            label = per_color[v][c] = cs.fragment_labels[fr]
+            # a final approach reads a table only where v's entry has a block or
+            # no anchor (``route``), so never in an anchor fragment
+            if label[1] is not None or label[0] < 0:
+                fragment_tables[v][c] = cs.fragment_tables[fr]
+
+    wid = id_width(max(n, 2))
+    wc = width_for(max(g.C, 2))
+    wport = width_for(max(net.max_ports(), 2))  # ports named at other vertices
+    wblock = wport + wid + 2  # port, L_T(x), into-target flag, defined flag
+    tables = []
+    vertex_labels = []
+    for v in range(n):
+        wport_v = width_for(max(len(net.ports[v]), 2))  # the vertex's own ports
+        tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
+        tbits += len(anchors) * wblock
+        tbits += len(fragment_tables[v]) * (wc + wport_v + 2 * wid)
+        tbits += wblock * sum(t[2] is not None for t in fragment_tables[v].values())
+        tables.append(RoutingTable(v, blocks[v], fragment_tables[v], tbits))
+        lbits = wid + wid + width_for(n + 1)
+        lbits += len(per_color[v]) * (wc + wid + wblock + wid)
+        vertex_labels.append(
+            RoutingVertexLabel(v, steps[v][0], ruling.anchor[v], per_color[v], lbits))
+    cbits = wc + width_for(len(anchors) + 1) + len(anchors) * wblock
+    color_labels = tuple(RoutingColorLabel(c, b, cbits) for c, b in enumerate(color_blocks))
     return RoutingScheme(
-        graph=g,
-        net=net,
-        ruling=ruling,
-        tree_routing=tree_routing,
-        structures=structures,
-        tables=tables,
-        vertex_labels=vertex_labels,
-        color_labels=color_labels,
-        connectivity=connectivity,
+        graph=g, net=net, tree_routing=tree_routing, tables=tuple(tables),
+        vertex_labels=tuple(vertex_labels), color_labels=color_labels, connectivity=connectivity,
     )
 
 
@@ -395,69 +433,6 @@ def _crossing(g, net, fragment_of, steps, from_frag, eid, into_target=False):
     u, v = g.edges[eid]
     x = u if fragment_of[u] == from_frag else v
     return FirstRecEdgeBlock(net.port_of(x, eid), steps[x][0], into_target)
-
-
-def _build_tables_and_labels(
-    g, net, anchors, anchor_of, steps, connectivity, structures, anchor_reach,
-):
-    n = g.n
-    wid = id_width(max(n, 2))
-    wc = width_for(max(g.C, 2))
-    wport = width_for(max(net.max_ports(), 2))  # ports named at other vertices
-    wblock = wport + wid + 2  # port, L_T(x), into-target flag, defined flag
-    anchor_list = list(anchors)
-    tables = []
-    vertex_labels = []
-    for v in range(n):
-        wport_v = width_for(max(len(net.ports[v]), 2))  # the vertex's own ports
-        up = steps[v][2]
-        blocks: dict[int, FirstRecEdgeBlock | None] = {}
-        if up is not None:
-            cs = structures[up.color]
-            for a in anchor_list:
-                blocks[a] = _block_for(
-                    g, net, cs, steps,
-                    cs.fragment_of[v], anchor_reach[up.color][cs.fragment_of[a]],
-                )
-        on_path = connectivity.vertex_labels[v].cid_by_color  # v stores data for these c
-        frags = {c: structures[c].fragment_of[v] for c in sorted(on_path)}
-        per_color = {c: structures[c].fragment_labels[fr] for c, fr in frags.items()}
-        # a final approach reads a table only where v's entry has a block or no
-        # anchor (``route``), so never in an anchor fragment
-        fragment_tables = {c: structures[c].fragment_tables[fr] for c, fr in frags.items()
-                           if per_color[c][1] is not None or per_color[c][0] < 0}
-        tbits = (wport_v + 2 * wid) + wc + 1  # R_T(v) with parent port, c(v)
-        tbits += len(anchor_list) * wblock
-        tbits += len(fragment_tables) * (wc + wport_v + 2 * wid)
-        tbits += wblock * sum(t[2] is not None for t in fragment_tables.values())
-        tables.append(RoutingTable(v, blocks, fragment_tables, tbits))
-
-        lbits = wid + wid + width_for(n + 1)
-        lbits += len(per_color) * (wc + wid + wblock + wid)
-        vertex_labels.append(
-            RoutingVertexLabel(
-                vertex=v,
-                tree_label=steps[v][0],
-                anchor=anchor_of[v],
-                per_color=per_color,
-                bits=lbits,
-            )
-        )
-
-    color_labels = []
-    for c in range(g.C):
-        blocks = {}
-        cs = structures.get(c)
-        for a in anchor_list:
-            if cs is None:
-                blocks[a] = None
-            else:
-                blocks[a] = _block_for(  # from the fragment of T's root 0
-                    g, net, cs, steps, cs.fragment_of[0], anchor_reach[c][cs.fragment_of[a]],
-                )
-        cbits = wc + width_for(len(anchor_list) + 1) + len(anchor_list) * wblock
-        color_labels.append(RoutingColorLabel(c, blocks, cbits))
-    return tuple(tables), tuple(vertex_labels), tuple(color_labels)
 
 
 # -- simulation --------------------------------------------------------------------

@@ -46,7 +46,7 @@ from colorfault.sketch import build_edge_fault_labels, query_edge_fault
 from colorfault.two_fault import label_two_fault, query_two_fault_ids
 from test_nca import label_nca, nca_query
 from test_reduction import row_separation_estimate
-from test_routing import expected_first_recovery_block
+from test_routing import color_structures, expected_first_recovery_block
 from test_single_fault import (
     ball_packing_exact,
     check_packing_certificate,
@@ -385,12 +385,13 @@ def test_criterion_7_routing():
         n = 8 + (i * 4) % 25  # 8..32
         g = gen_random(n, int(n * 1.6), 3 + i % 3, seed=5000 + i, connected=True)
         scheme = build_routing_scheme(g)
+        structures = color_structures(scheme)
         wid = id_width(g.n)
         for c in range(g.C):
             comp = brute_force_partition(g, {c})
             if len(set(comp)) != 1:
                 continue  # criterion scopes to G - c connected
-            cs = scheme.structures.get(c)
+            cs = structures.get(c)
             for s in range(g.n):
                 for t in range(g.n):
                     if s == t:
@@ -402,7 +403,7 @@ def test_criterion_7_routing():
                         if h.up is False and cs is not None:
                             if cs.fragment_of[v] != cs.fragment_of[h.a_star]:
                                 assert h.next_block == expected_first_recovery_block(
-                                    scheme, v, c, h.a_star
+                                    scheme, cs, v, h.a_star
                                 )
 
                     result = route(scheme, s, t, c, on_state=check)
@@ -412,7 +413,7 @@ def test_criterion_7_routing():
                     _perm, mut = header_bit_sizes(scheme, result.header)
                     assert mut <= 4 * wid
                     delivered += 1
-        k = scheme.ruling.k
+        k = scheme.connectivity.meta["k"]
         for lbl in scheme.color_labels:
             assert lbl.bits <= 4 * k * wid
     report(
@@ -436,7 +437,7 @@ def test_criterion_7_literal_size_constants():
     g = gen_random(24, 38, 4, seed=5100, connected=True)
     scheme = build_routing_scheme(g)
     wid = id_width(g.n)
-    k = scheme.ruling.k
+    k = scheme.connectivity.meta["k"]
     worst_perm = 0
     for c in range(g.C):
         comp = brute_force_partition(g, {c})

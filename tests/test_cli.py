@@ -251,6 +251,7 @@ def test_checksum_width_is_not_a_flag(capsys, command):
     (["verify", "--scheme", "all-pairs", "--trials", "0"], "--trials"),
     (["verify", "--scheme", "all-pairs", "--f", "-1"], "fault budget"),
     (["verify", "--scheme", "large", "--f", "-1"], "fault budget"),  # large builds for any f
+    (["label", "--scheme", "large", "--f", "-3"], "fault budget"),
 ])
 def test_trials_and_fault_budget_rejected(tmp_path, capsys, argv, cause):
     gpath = write_graph(tmp_path, gen_random(12, 20, 3, seed=9))

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -11,6 +12,7 @@ from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
 from colorfault.graph import GraphError, edge_graph
 from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.routing import (
+    ColorStructure,
     FirstRecEdgeBlock,
     Hop,
     PortedNetwork,
@@ -18,6 +20,7 @@ from colorfault.routing import (
     RoutingScheme,
     UnreachableError,
     _block_for,
+    _build_color_structure,
     _fragment_bfs,
     _toward,
     build_routing_scheme,
@@ -30,13 +33,25 @@ from colorfault.routing import (
 FOUR_CYCLE = edge_graph(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3)])
 
 
+def scheme_anchors(scheme: RoutingScheme) -> tuple[int, ...]:
+    """A0 u A, read off the one-fault labels' ``meta``."""
+    meta = scheme.connectivity.meta
+    return tuple(sorted(set(meta["A0"]) | set(meta["A"])))
+
+
+def color_structures(scheme: RoutingScheme) -> dict[int, ColorStructure]:
+    """Color on T -> its ``ColorStructure``, rebuilt as the build makes and drops it."""
+    steps, anchors = scheme.tree_routing.steps, scheme_anchors(scheme)
+    on_tree = sorted({up.color for _pre, _end, up, _ch in steps if up is not None})
+    return {c: _build_color_structure(scheme.graph, scheme.net, c, scheme.tree_routing,
+                                      anchors)[0] for c in on_tree}
+
+
 def expected_first_recovery_block(
-    scheme: RoutingScheme, v: int, c: int, a_star: int
+    scheme: RoutingScheme, cs: ColorStructure, v: int, a_star: int
 ) -> FirstRecEdgeBlock | None:
-    """The e_i block invariant (I) demands while sitting in v's fragment."""
-    cs = scheme.structures.get(c)
-    if cs is None:
-        return None
+    """The e_i block invariant (I) demands while sitting in v's fragment, ``cs``
+    the structure of the avoided color."""
     return _block_for(
         scheme.graph, scheme.net, cs, scheme.tree_routing.steps,
         cs.fragment_of[v], _fragment_bfs(cs.frag_adj, cs.fragment_of[a_star]),
@@ -106,25 +121,47 @@ def test_color_absent_from_tree_has_single_fragment():
     # parallel edge colored 1 can never join the spanning tree
     g = edge_graph(3, [(0, 1, 0), (1, 2, 0), (0, 1, 1)])
     scheme = build_routing_scheme(g)
-    assert 1 not in scheme.structures
+    assert 1 not in color_structures(scheme)
     lbl = scheme.color_labels[1]
     assert all(b is None for b in lbl.blocks.values())
     result = route(scheme, 0, 2, 1)
     assert result.trace[-1].dst == 2 and all(h.color != 1 for h in result.trace)
 
 
+def test_scheme_keeps_only_what_route_reads():
+    # each color's fragment forest is dropped once its part of the tables and
+    # labels is written: no ColorStructure outlives the build
+    scheme = build_routing_scheme(PINNED_GRAPHS["random"]())
+    assert [f.name for f in dataclasses.fields(scheme)] == [
+        "graph", "net", "tree_routing", "tables", "vertex_labels", "color_labels",
+        "connectivity",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scheme.tables = ()
+    seen, todo = set(), [scheme]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, ColorStructure)
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > scheme.graph.n
+
+
 def test_block_counts_bounded():
     g = gen_random(24, 50, 5, seed=7, connected=True)
     scheme = build_routing_scheme(g)
-    A = len(scheme.ruling.anchors())
+    A = len(scheme_anchors(scheme))
     for table in scheme.tables:
         assert len(table.blocks) in (0, A)
     for lbl in scheme.vertex_labels:
-        assert len(lbl.per_color) <= max(scheme.ruling.k - 1, 0)
+        assert len(lbl.per_color) <= max(scheme.connectivity.meta["k"] - 1, 0)
 
 
 def _sweep(g, seeded_pairs=None):
     scheme = build_routing_scheme(g)
+    structures = color_structures(scheme)
     comp_by_color = {c: brute_force_partition(g, {c}) for c in range(g.C)}
     checked = 0
     for c in range(g.C):
@@ -138,12 +175,12 @@ def _sweep(g, seeded_pairs=None):
 
                 def check(v, h):
                     if h.up is False and h.next_block is not None:
-                        cs = scheme.structures.get(c)
+                        cs = structures.get(c)
                         if cs is None:
                             return
                         if cs.fragment_of[v] != cs.fragment_of[h.a_star]:
                             assert h.next_block == expected_first_recovery_block(
-                                scheme, v, c, h.a_star
+                                scheme, cs, v, h.a_star
                             )
 
                 result = route(scheme, s, t, c, on_state=check)
@@ -217,7 +254,7 @@ def test_doubled_path_maximal_fragmentation():
     triples += [(i, i + 1, 1) for i in range(n - 1)]
     scheme, checked = _sweep(edge_graph(n, triples))
     assert checked == 2 * n * (n - 1)
-    assert max(len(set(cs.fragment_of)) for cs in scheme.structures.values()) == n
+    assert max(len(set(cs.fragment_of)) for cs in color_structures(scheme).values()) == n
 
 
 # -- the final approach over the fragment forest ------------------------------------
@@ -235,11 +272,11 @@ def connected_edge_multigraphs(draw, max_n=12, max_extra=16):
     return edge_graph(n, [(u, v, c) for (u, v), c in zip(edges, colors)], C=C)
 
 
-def tc_routing(scheme, c):
-    """The reference: interval routing over T_c, the tree (T - c) plus c's recovery edges."""
+def tc_routing(scheme, c, cs):
+    """The reference: interval routing over T_c, the tree (T - c) plus c's recovery
+    edges, ``cs`` the structure of c."""
     tree_edges = [up.edge for _pre, _end, up, _ch in scheme.tree_routing.steps
                   if up is not None and up.color != c]
-    cs = scheme.structures[c]
     recovery = {eid for adj in cs.frag_adj.values() for _other, eid in adj}
     return build_tree_routing(scheme.net, tree_edges + sorted(recovery))
 
@@ -263,9 +300,10 @@ def check_final_approach_is_tc_path(scheme):
     """Every route is delivered exactly when G - c connects s and t, and from where
     its final approach starts it walks the T_c path, at vertices that carry tables."""
     g = scheme.graph
+    structures = color_structures(scheme)
     for c in range(g.C):
         comp = brute_force_partition(g, {c})
-        tc = tc_routing(scheme, c) if c in scheme.structures else None
+        tc = tc_routing(scheme, c, structures[c]) if c in structures else None
         for s, t in itertools.permutations(range(g.n), 2):
             if comp[s] != comp[t]:
                 with pytest.raises(UnreachableError):
@@ -299,9 +337,9 @@ def test_final_approach_walks_tc_path(g):
 def test_fragment_forest_invariants(g):
     scheme = build_routing_scheme(g)
     steps = scheme.tree_routing.steps
-    for c, cs in scheme.structures.items():
+    for c, cs in color_structures(scheme).items():
         lead = {}
-        for a in sorted(scheme.ruling.anchors()):
+        for a in scheme_anchors(scheme):
             lead.setdefault(cs.fragment_of[a], a)
         members = {}
         for v, fr in enumerate(cs.fragment_of):
@@ -422,10 +460,12 @@ def test_unknown_ids_are_graph_errors():
 
 
 def set_step(scheme, v, step):
-    """Replace the T step that ``route`` reads at v, as a corrupted build would leave it."""
+    """A copy of the scheme whose T step at v is ``step``, as a corrupted build would
+    leave it."""
     steps = list(scheme.tree_routing.steps)
     steps[v] = step
-    scheme.tree_routing = dataclasses.replace(scheme.tree_routing, steps=tuple(steps))
+    return dataclasses.replace(
+        scheme, tree_routing=dataclasses.replace(scheme.tree_routing, steps=tuple(steps)))
 
 
 def test_hop_over_forbidden_edge_is_a_bug():
@@ -434,9 +474,9 @@ def test_hop_over_forbidden_edge_is_a_bug():
     assert route(scheme, 0, 2, 0).trace[0].edge == 3
     swapped = dict(zip(scheme.net.ports[0], scheme.net.ports[0][::-1]))
     pre, end, _up, children = scheme.tree_routing.steps[0]  # 0 is T's root
-    set_step(scheme, 0, (pre, end, None, tuple((hi, swapped[hop]) for hi, hop in children)))
+    bad = set_step(scheme, 0, (pre, end, None, tuple((hi, swapped[hop]) for hi, hop in children)))
     with pytest.raises(RoutingBugError, match="routed over a forbidden edge"):
-        route(scheme, 0, 2, 0)
+        route(bad, 0, 2, 0)
 
 
 def test_two_vertex_bounce_exhausts_hop_budget():
@@ -446,21 +486,20 @@ def test_two_vertex_bounce_exhausts_hop_budget():
     assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
     intact = scheme.tree_routing.steps
     pre, end, up, ((hi, _down),) = intact[1]
-    set_step(scheme, 1, (pre, end, up, ((hi, up),)))
+    bad = set_step(scheme, 1, (pre, end, up, ((hi, up),)))
     visited = []
     with pytest.raises(RoutingBugError, match="hop budget exceeded"):
-        route(scheme, 0, 2, 2, on_state=lambda v, _h: visited.append(v))
+        route(bad, 0, 2, 2, on_state=lambda v, _h: visited.append(v))
     assert len(visited) == 1 + g.n * g.n
     assert visited == [0, 1] * 5
     # 1 -> 2 climbs to the root 0 before it walks down; give the root a
     # parent step back to 1 and the climb bounces instead
-    set_step(scheme, 1, intact[1])
     assert [hop.dst for hop in route(scheme, 1, 2, 2).trace] == [0, 1, 2]
     pre, end, _up, children = intact[0]
-    set_step(scheme, 0, (pre, end, scheme.net.ports[0][0], children))
+    bad = set_step(scheme, 0, (pre, end, scheme.net.ports[0][0], children))
     visited.clear()
     with pytest.raises(RoutingBugError, match="hop budget exceeded"):
-        route(scheme, 1, 2, 2, on_state=lambda v, _h: visited.append(v))
+        route(bad, 1, 2, 2, on_state=lambda v, _h: visited.append(v))
     assert visited == [1, 0] * 5
 
 
@@ -517,14 +556,11 @@ def test_tree_step_contract_errors():
     assert [hop.dst for hop in route(scheme, 0, 2, 2).trace] == [1, 2]
     intact = scheme.tree_routing.steps
     pre, end, up, _children = intact[1]
-    set_step(scheme, 1, (pre, end, up, ()))
     with pytest.raises(RoutingBugError, match="interval tables inconsistent"):
-        route(scheme, 0, 2, 2)
-    set_step(scheme, 1, intact[1])
+        route(set_step(scheme, 1, (pre, end, up, ())), 0, 2, 2)
     pre, _end, up, children = intact[0]
-    set_step(scheme, 0, (pre, pre + 1, up, children))
     with pytest.raises(RoutingBugError, match="target outside this routing tree"):
-        route(scheme, 0, 2, 2)
+        route(set_step(scheme, 0, (pre, pre + 1, up, children)), 0, 2, 2)
 
 
 def test_ladder_with_alternating_colors():
@@ -552,7 +588,7 @@ def test_header_and_table_sizes():
         g = gen_random(24, 44, 4, seed=seed, connected=True)
         scheme = build_routing_scheme(g)
         wid = id_width(g.n)
-        k = scheme.ruling.k
+        k = scheme.connectivity.meta["k"]
         for table in scheme.tables:
             assert table.bits <= KAPPA_TABLE * k * wid
         for lbl in scheme.vertex_labels:
@@ -588,7 +624,7 @@ def pinned_routing_outputs(g):
         put((lbl.color, sorted(lbl.blocks.items()), lbl.bits))
     put(scheme.tree_routing.steps)
     put(scheme.tree_routing.order)
-    for c, cs in sorted(scheme.structures.items()):
+    for c, cs in sorted(color_structures(scheme).items()):
         put((c, cs.fragment_of, sorted(cs.frag_adj.items()),
              sorted(cs.fragment_tables.items()), sorted(cs.fragment_labels.items())))
     delivered = 0
@@ -676,7 +712,8 @@ def test_anchorless_refusals_are_delivered(name):
     for s, t, c in ANCHORLESS_REFUSALS[name]:
         assert brute_force_connected(g, s, t, {c})
         assert scheme.vertex_labels[t].per_color[c][0] == -1
-        assert route(scheme, s, t, c).trace == tc_path(scheme, tc_routing(scheme, c), s, t)
+        tc = tc_routing(scheme, c, color_structures(scheme)[c])
+        assert route(scheme, s, t, c).trace == tc_path(scheme, tc, s, t)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_PINNED))
@@ -722,7 +759,7 @@ def check_steps(scheme):
             assert hop.src == v and ports[v][hop.port] is hop
         for hi, hop in children:  # a child's parent way is the same edge back
             assert tr.steps[hop.dst][1] == hi and tr.steps[hop.dst][2].edge == hop.edge
-    for cs in scheme.structures.values():
+    for cs in color_structures(scheme).values():
 
         def entered(block, cs=cs):  # the number of the fragment a block's recovery edge enters
             x = tr.order[block.x_tree_label]
