@@ -131,9 +131,17 @@ class ColoredGraph:
             cls.sort()  # in vertex mode a color's edges come from several classes
         return classes
 
+    def check_edge_ids(self, eids: Iterable[int]) -> list[int]:
+        """``eids`` as a list, repeats kept; GraphError for an id outside 0..m-1."""
+        eids = list(eids)
+        if eids and not (0 <= min(eids) and max(eids) < self.m):
+            bad = next(e for e in eids if not 0 <= e < self.m)
+            raise GraphError(f"edge id {bad} outside 0..{self.m - 1}")
+        return eids
+
     def keep_edges(self, eids: Iterable[int]) -> "ColoredGraph":
         """The same vertices and colors with only the edges ``eids``, renumbered in that order."""
-        eids = list(eids)
+        eids = self.check_edge_ids(eids)
         ec = self.edge_colors
         return ColoredGraph(
             n=self.n, mode=self.mode, edges=tuple(self.edges[e] for e in eids), C=self.C,
@@ -213,10 +221,10 @@ def spanning_forest(g: ColoredGraph, order: Iterable[int] | None = None) -> tupl
     """Maximal forest of the edges in ``order`` as a tuple of edge ids, in scan order.
 
     The default scans every edge by increasing id, giving a sorted tuple; a
-    caller-given ``order`` picks which edges are preferred.
+    caller-given ``order`` picks which edges are preferred, and may repeat one.
+    Raises GraphError for an id outside 0..m-1.
     """
-    if order is None:
-        order = range(g.m)
+    order = range(g.m) if order is None else g.check_edge_ids(order)
     edges = g.edges
     uf = UnionFind(g.n)
     forest: list[int] = []

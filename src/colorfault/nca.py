@@ -167,9 +167,13 @@ def build_nca(
     vertices gets its per-vertex answer table, painted from its stamps by
     ``_paint``; the rest are searched.  ``build_one_fault_oracle`` and
     ``load_oracle`` both derive the tables and never store them.  Raises
-    GraphError when the parents do not form a forest.
+    GraphError when the parents do not form a forest, when ``colors`` or
+    ``payloads`` does not hold one entry per vertex, or for a color outside
+    0..C-1.
     """
     n = len(parent)
+    if not len(colors) == len(payloads) == n:
+        raise GraphError("colors and payloads need one entry per vertex")
     order, pre, end = preorder(parent)
     if len(order) != n:
         raise GraphError("parent pointers do not form a forest")
@@ -181,6 +185,9 @@ def build_nca(
             root[v] = root[p]
         if colors[v] is not None:
             members.setdefault(colors[v], []).append(v)
+    for c in members:
+        if not 0 <= c < C:
+            raise GraphError(f"color {c} outside palette of size {C}")
     pre, root = tuple(pre), tuple(root)
     cut = {c for c, p, r in zip(colors, payloads, root) if c is not None and p != r}
     index: dict[int, tuple] = {}

@@ -28,11 +28,13 @@ target in a component without an anchor gets a* = -1, and its route is all
 final approach from the source.
 
 The build makes one pass over the colors on T, in increasing color.  For
-each color c it builds c's fragments and fragment forest (a
-``ColorStructure``), writes c's part of every output (the anchor blocks of
-the vertices under a c-colored T edge, the per-color entry and fragment table
-of each vertex with c on P(v), and c's color label), and drops the structure,
-so a built scheme keeps only what ``route`` reads.
+each color c, one loop of BFS walks over c's fragment tree (from each anchor
+fragment in increasing root, then from each fragment no walk has reached)
+hangs every fragment from its nearest root, giving c's fragment forest (a
+``ColorStructure``), and writes each fragment's block toward every anchor:
+the anchor blocks of the fragment's root, or c's color label at T's root.
+Once the per-color entry and fragment table of each vertex with c on P(v)
+are written too, the structure is dropped: a scheme keeps what ``route`` reads.
 
 Each port of the network is an immutable ``Hop`` record (a NamedTuple:
 source, port, neighbor, edge id, edge color) built once with the network.
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .bits import id_width, width_for
@@ -301,15 +304,10 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
     # one pass per color on T, in increasing color: build its fragment forest,
     # write its part of every table and label, and drop it
     for c in sorted(below):
-        cs, reach = _build_color_structure(g, net, c, tree_routing, anchors)
-        toward = [(a, reach[cs.fragment_of[a]]) for a in anchors]
-
-        def blocks_from(v):
-            return {a: _block_for(g, net, cs, steps, cs.fragment_of[v], r) for a, r in toward}
-
-        for v in below[c]:
-            blocks[v] = blocks_from(v)
-        color_blocks[c] = blocks_from(0)  # from the fragment of T's root 0
+        cs, frag_blocks = _build_color_structure(g, net, c, tree_routing, anchors)
+        for v in below[c]:  # each is the root of its fragment
+            blocks[v] = frag_blocks[v]
+        color_blocks[c] = frag_blocks[0]  # from the fragment of T's root 0
         for v in on_path.get(c, ()):
             fr = cs.fragment_of[v]
             label = per_color[v][c] = cs.fragment_labels[fr]
@@ -344,6 +342,7 @@ def build_routing_scheme(g: ColoredGraph) -> RoutingScheme:
 
 
 def _build_color_structure(g, net, c, tree_routing, anchors):
+    """(c's ``ColorStructure``, fragment root -> anchor -> its first recovery block)."""
     n = g.n
     colors = g.edge_colors
     steps = tree_routing.steps
@@ -366,35 +365,34 @@ def _build_color_structure(g, net, c, tree_routing, anchors):
             frag_adj[fv].append((fu, eid))
     frags = sorted(frag_adj)
     frag_adj = {k: sorted(v) for k, v in frag_adj.items()}
-    lead: dict[int, int] = {}  # anchor fragment -> its minimum anchor
+    lead: dict[int, list[int]] = {}  # anchor fragment -> its anchors, increasing
     for a in sorted(anchors):
-        lead.setdefault(fragment_of[a], a)
+        lead.setdefault(fragment_of[a], []).append(a)
+    cross = partial(_crossing, g, net, fragment_of, steps)
 
-    # the fragment forest: each fragment hangs from its nearest anchor fragment
-    # (ties to the smaller root), read off the anchor fragments' BFS trees; a
-    # component of G - c without an anchor hangs from its minimum fragment
-    reach = {fr: _fragment_bfs(frag_adj, fr) for fr in sorted(lead)}
-    hang: dict[int, tuple[int, int]] = {}  # fragment -> (dist, forest root)
-    for root, tree in reach.items():  # increasing root, so a tie keeps the smaller
-        for fr, (dist, _peer, _eid) in tree.items():
+    # one BFS over the fragment tree from each anchor fragment, in increasing
+    # root, then from each fragment no walk has reached (``chain`` reads ``hang``
+    # lazily): at each fragment it reaches, a walk writes the block toward its
+    # root's anchors and hangs the fragment from the root if nearer than before
+    # (a tie keeps the smaller root); a block no walk writes stays None
+    blocks = {fr: dict.fromkeys(anchors) for fr in frags}
+    hang: dict[int, tuple] = {}  # fragment -> (dist, forest root, peer, edge id)
+    for root in chain(sorted(lead), (fr for fr in frags if fr not in hang)):
+        for fr, peer, eid, dist in bfs(frag_adj.get, (root,)):
+            if dist and root in lead:
+                block = cross(fr, eid, dist == 1)  # one per (fragment, anchor fragment)
+                for a in lead[root]:
+                    blocks[fr][a] = block
             if fr not in hang or dist < hang[fr][0]:
-                hang[fr] = (dist, root)
-    for root in frags:
-        if root not in hang:
-            reach[root] = _fragment_bfs(frag_adj, root)
-            hang.update((fr, (dist, root)) for fr, (dist, _p, _e) in reach[root].items())
+                hang[fr] = (dist, root, peer, eid)
     index = {fr: i for i, fr in enumerate(frags)}
     # a fragment's forest parent is the peer one hop closer to its root
-    order, pre, end = preorder([
-        index[reach[hang[fr][1]][fr][1]] if hang[fr][0] else None for fr in frags
-    ])
-    cross = partial(_crossing, g, net, fragment_of, steps)
+    order, pre, end = preorder([index[hang[fr][2]] if hang[fr][0] else None for fr in frags])
     children: dict[int, list] = {fr: [] for fr in frags}
     up = {}  # fragment hung without an anchor -> block toward its forest parent
     for i in order:  # children come in pre-order, so each list is sorted
-        dist, root = hang[frags[i]]
+        dist, root, peer, eid = hang[frags[i]]
         if dist:
-            _dist, peer, eid = reach[root][frags[i]]
             children[peer].append((end[i], cross(peer, eid)))
             if root not in lead:
                 up[frags[i]] = cross(frags[i], eid)
@@ -402,30 +400,12 @@ def _build_color_structure(g, net, c, tree_routing, anchors):
         fr: (pre[index[fr]], end[index[fr]], up.get(fr), tuple(children[fr])) for fr in frags
     }
     labels = {}
-    for fr, (dist, root) in hang.items():
+    for fr, (dist, root, _peer, _eid) in hang.items():
         num = tables[fr][0]
         block = _toward(tables[root], num) if dist and root in lead else None
         block = block and replace(block, into_target_fragment=dist == 1)
-        labels[fr] = (lead.get(root, -1), block, num)
-    return ColorStructure(tuple(fragment_of), frag_adj, tables, labels), reach
-
-
-def _fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int | None, int | None]]:
-    """BFS over the fragment tree from a fragment: frag -> (dist, peer, edge id).
-
-    ``peer`` is the neighbor fragment one hop closer to the source (None at
-    the source); the edge id is the recovery edge between them.  The fragment
-    graph is a forest, so each fragment has one such peer whatever the order.
-    """
-    return {fr: (dist, peer, eid) for fr, peer, eid, dist in bfs(frag_adj.get, (source_frag,))}
-
-
-def _block_for(g, net, cs, steps, from_frag, reach) -> FirstRecEdgeBlock | None:
-    """FirstRecEdge on the fragment path from_frag -> target, ``reach`` the target's BFS."""
-    dist, _peer, eid = reach.get(from_frag, (0, None, None))
-    if dist == 0:  # from_frag is the target, or the fragment tree does not reach it
-        return None
-    return _crossing(g, net, cs.fragment_of, steps, from_frag, eid, dist == 1)
+        labels[fr] = (lead[root][0] if root in lead else -1, block, num)
+    return ColorStructure(tuple(fragment_of), frag_adj, tables, labels), blocks
 
 
 def _crossing(g, net, fragment_of, steps, from_frag, eid, into_target=False):
@@ -458,27 +438,16 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
     if not 0 <= c < g.C:
         raise GraphError(f"color {c} outside palette of size {g.C}")
     lt = scheme.vertex_labels[t]
-    lcol = scheme.color_labels[c]
-    if c in lt.per_color:
-        a_star, target_block, fragment_label = lt.per_color[c]
-        return MessageHeader(
-            color=c,
-            a_star=a_star,
-            root_block=lcol.blocks.get(a_star),
-            target_tree_label=lt.tree_label,
-            target_on_path=True,
-            target_block=target_block,
-            target_fragment_label=fragment_label,
-            up=None if a_star < 0 else True,  # no anchor: the whole route is the final approach
-        )
+    a_star, target_block, fragment_label = lt.per_color.get(c, (lt.anchor, None, None))
     return MessageHeader(
         color=c,
-        a_star=lt.anchor,
-        root_block=lcol.blocks.get(lt.anchor),
+        a_star=a_star,
+        root_block=scheme.color_labels[c].blocks.get(a_star),
         target_tree_label=lt.tree_label,
-        target_on_path=False,
-        target_block=None,
-        target_fragment_label=None,
+        target_on_path=c in lt.per_color,
+        target_block=target_block,
+        target_fragment_label=fragment_label,
+        up=None if a_star < 0 else True,  # no anchor: the whole route is the final approach
     )
 
 

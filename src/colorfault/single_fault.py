@@ -291,7 +291,10 @@ def packing_certificate(k: int, A: tuple[int, ...]) -> tuple[int, tuple[int, ...
       steps from a_j lies at distance exactly r: every r-ball is proper.
 
     So floor(k/4) <= bp(G), certified in O(k) time once the ruling set is
-    built; ``proper_ball`` checks each ball.
+    built; ``proper_ball`` checks each ball.  Raises ValueError unless
+    ``len(A) == k - 1``.
     """
+    if len(A) != k - 1:
+        raise ValueError(f"a ruling set with k = {k} has k - 1 anchors in A, not {len(A)}")
     r = k // 4
     return r, A[2 * r:3 * r]

@@ -59,7 +59,7 @@ from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .bits import id_width, width_for
-from .graph import ColoredGraph, UnionFind, orient_forest, preorder, spanning_forest
+from .graph import ColoredGraph, GraphError, UnionFind, orient_forest, preorder, spanning_forest
 
 DEFAULT_REPETITIONS = 24
 CHECKSUM_BITS = 32  # a cell naming no single edge passes with probability 2^-32
@@ -232,10 +232,13 @@ def build_edge_fault_labels(
     ``order`` lists the edge ids to sketch, in the order the spanning forest T
     prefers them; the default is every edge by increasing id.
     Self-loops get a label but never influence connectivity: their sketch
-    contribution is zero.
+    contribution is zero.  Raises GraphError for an id outside 0..m-1 or one
+    listed twice, whose two contributions would cancel.
     """
     n = g.n
-    eids = list(range(g.m)) if order is None else list(order)
+    eids = list(range(g.m)) if order is None else g.check_edge_ids(order)
+    if len(set(eids)) != len(eids):
+        raise GraphError("an edge id is listed twice in order")
     params = SketchParams.create(n, max(eids, default=-1) + 1, seed, repetitions)
     t, L, w = params.repetitions, params.levels, params.cell_bits
 

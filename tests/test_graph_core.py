@@ -235,6 +235,17 @@ def test_spanning_forest_is_maximal_and_acyclic():
         assert len(forest) == g.n - len(set(brute_force_partition(g)))
 
 
+def test_edge_ids_outside_range_are_graph_errors():
+    # a negative id would index from the end, and keep the last edge
+    for bad in ([-1, 0], [0, 3], [3]):
+        with pytest.raises(GraphError):
+            spanning_forest(TRIANGLE, bad)
+        with pytest.raises(GraphError):
+            TRIANGLE.keep_edges(bad)
+    assert spanning_forest(TRIANGLE, [2, 2, 0, 1, 0]) == (2, 0)  # repeats stay accepted
+    assert TRIANGLE.keep_edges([2]).edges == ((1, 2),)
+
+
 # -- bfs -----------------------------------------------------------------------
 
 

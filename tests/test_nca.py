@@ -110,6 +110,19 @@ def build_chain():
     return build_nca(CHAIN_PARENT, CHAIN_COLORS, range(len(CHAIN_PARENT)), C=3)
 
 
+def test_build_rejects_misfit_colors_and_payloads():
+    # zip would drop vertex 1's payload, and 0 and 1 would read as joined once 1 fails
+    assert not build_nca([None, 0], [None, 1], [0, 1], 2).query(0, 1, 1)
+    with pytest.raises(GraphError, match="one entry per vertex"):
+        build_nca([None, 0], [None, 1], [0], 2)
+    with pytest.raises(GraphError, match="one entry per vertex"):
+        build_nca([None, 0], [None], [0, 1], 2)
+    # a color outside the palette would fail later, inside dump_oracle's BitWriter
+    for bad in (5, 2, -1):
+        with pytest.raises(GraphError, match="outside palette"):
+            build_nca([None, 0], [None, bad], [0, 1], 2)
+
+
 def test_per_color_array_sizes():
     o = build_chain()
     assert len(o.index[RED][0]) == 4

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorfault.generators import gen_grid, gen_path, gen_random, gen_wheel
-from colorfault.graph import GraphError, edge_graph
+from colorfault.graph import GraphError, bfs, edge_graph
 from colorfault.oracle import brute_force_connected, brute_force_partition
 from colorfault.routing import (
     ColorStructure,
@@ -19,9 +19,7 @@ from colorfault.routing import (
     RoutingBugError,
     RoutingScheme,
     UnreachableError,
-    _block_for,
     _build_color_structure,
-    _fragment_bfs,
     _toward,
     build_routing_scheme,
     build_tree_routing,
@@ -47,15 +45,35 @@ def color_structures(scheme: RoutingScheme) -> dict[int, ColorStructure]:
                                       anchors)[0] for c in on_tree}
 
 
+def fragment_bfs(frag_adj, source_frag: int) -> dict[int, tuple[int, int | None, int | None]]:
+    """The reference walk out of one fragment: frag -> (dist, peer, edge id).
+
+    ``peer`` is the neighbor fragment one hop closer to the source (None at
+    the source); the edge id is the recovery edge between them.  The fragment
+    graph is a forest, so each fragment has one such peer whatever the order.
+    """
+    return {fr: (dist, peer, eid) for fr, peer, eid, dist in bfs(frag_adj.get, (source_frag,))}
+
+
+def block_for(scheme, cs, from_frag, reach) -> FirstRecEdgeBlock | None:
+    """The reference FirstRecEdge on the fragment path from_frag -> target, ``reach``
+    the target's ``fragment_bfs``; None from the target or outside its component."""
+    dist, _peer, eid = reach.get(from_frag, (0, None, None))
+    if dist == 0:
+        return None
+    u, v = scheme.graph.edges[eid]
+    x = u if cs.fragment_of[u] == from_frag else v
+    return FirstRecEdgeBlock(scheme.net.port_of(x, eid), scheme.tree_routing.steps[x][0],
+                             dist == 1)
+
+
 def expected_first_recovery_block(
     scheme: RoutingScheme, cs: ColorStructure, v: int, a_star: int
 ) -> FirstRecEdgeBlock | None:
     """The e_i block invariant (I) demands while sitting in v's fragment, ``cs``
     the structure of the avoided color."""
-    return _block_for(
-        scheme.graph, scheme.net, cs, scheme.tree_routing.steps,
-        cs.fragment_of[v], _fragment_bfs(cs.frag_adj, cs.fragment_of[a_star]),
-    )
+    reach = fragment_bfs(cs.frag_adj, cs.fragment_of[a_star])
+    return block_for(scheme, cs, cs.fragment_of[v], reach)
 
 
 # -- ported network ------------------------------------------------------------
@@ -336,7 +354,6 @@ def test_final_approach_walks_tc_path(g):
 @settings(max_examples=150, deadline=None)
 def test_fragment_forest_invariants(g):
     scheme = build_routing_scheme(g)
-    steps = scheme.tree_routing.steps
     for c, cs in color_structures(scheme).items():
         lead = {}
         for a in scheme_anchors(scheme):
@@ -356,7 +373,7 @@ def test_fragment_forest_invariants(g):
                     assert scheme.tables[v].fragment_tables[c] == cs.fragment_tables[fr]
             # a(v, c) is the minimum anchor of the nearest anchor fragment by
             # (distance, root) in a BFS out of v's fragment, or -1 when none is reached
-            reach = _fragment_bfs(cs.frag_adj, fr)
+            reach = fragment_bfs(cs.frag_adj, fr)
             near = min(((reach[a_fr][0], a_fr) for a_fr in lead if a_fr in reach),
                        default=None)
             a_vc, block, number = cs.fragment_labels[fr]
@@ -365,7 +382,27 @@ def test_fragment_forest_invariants(g):
                 assert (a_vc, block) == (-1, None)
             else:
                 assert a_vc == lead[near[1]]
-                assert block == _block_for(g, scheme.net, cs, steps, near[1], reach)
+                assert block == block_for(scheme, cs, near[1], reach)
+
+
+@given(connected_edge_multigraphs())
+# G - 2 has a component without an anchor, whose fragments get no block
+@example(gen_random(24, 44, 4, seed=5, connected=True))
+@settings(max_examples=150, deadline=None)
+def test_blocks_match_per_anchor_fragment_bfs(g):
+    # every fragment root's table and every color label (from T's root 0) hold,
+    # for each anchor, the first recovery edge on the fragment path toward it,
+    # as one BFS out of that anchor's fragment finds it
+    scheme = build_routing_scheme(g)
+    anchors = scheme_anchors(scheme)
+    for c, cs in color_structures(scheme).items():
+        for v, fr in enumerate(cs.fragment_of):
+            if fr != v:
+                continue
+            stored = scheme.color_labels[c].blocks if v == 0 else scheme.tables[v].blocks
+            assert list(stored) == list(anchors)
+            for a in anchors:
+                assert stored[a] == expected_first_recovery_block(scheme, cs, v, a)
 
 
 def test_refusals_match_brute_force_on_random_sweep():

@@ -401,6 +401,14 @@ def test_packing_certificate_small_cases():
     assert certificate(edge_graph(0, [], C=0)) == (0, ())
 
 
+def test_packing_certificate_needs_k_minus_one_anchors():
+    # A holds a_1 ... a_{k-1}; any other length is not a ruling set's
+    for k, A in ((-5, ()), (0, ()), (12, (1, 2)), (2, (1, 2))):
+        with pytest.raises(ValueError):
+            packing_certificate(k, A)
+    assert packing_certificate(1, ()) == (0, ())
+
+
 @pytest.mark.parametrize("n", [2 ** i for i in range(1, 13)])
 def test_packing_certificate_on_paths_and_grids(n):
     # 2, 4, ..., 4096 vertices: a path, and a side x side grid with side*side <= n

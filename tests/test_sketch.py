@@ -8,6 +8,7 @@ import pytest
 from colorfault import multi_fault
 from colorfault.generators import gen_path, gen_random
 from colorfault.graph import (
+    GraphError,
     UnionFind,
     edge_graph,
     orient_forest,
@@ -153,6 +154,16 @@ def test_path_middle_fault_disconnects():
     lu, lv = labels.vertex_labels[0], labels.vertex_labels[2]
     assert not query_edge_fault(labels, lu, lv, [labels.edge_labels[1]])
     assert query_edge_fault(labels, lu, lv, [])
+
+
+def test_order_with_a_bad_or_repeated_edge_id_is_rejected():
+    g = edge_graph(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+    for order in ([2, 0, 99], [-1, 0, 1], [2, 0, 1, 1]):  # edge 1 twice would cancel out
+        with pytest.raises(GraphError):
+            build_edge_fault_labels(g, seed=1, order=order)
+    labels = build_edge_fault_labels(g, seed=1, order=[2, 0, 1])
+    lu, lv = labels.vertex_labels[1], labels.vertex_labels[0]
+    assert query_edge_fault(labels, lu, lv, [labels.edge_labels[0]])  # 1-2-0 still joins them
 
 
 def test_no_fault_matches_plain_connectivity():
