@@ -154,8 +154,9 @@ def encode_spider(
         raise GraphError("need f >= 1, q >= f, arms >= 1")
     subsets = colex_subsets(q, f)
     M = len(subsets)
-    if len(bits) != arms * M:
-        raise ValueError(f"need exactly {arms * M} bits, got {len(bits)}")
+    need = spider_capacity(f, q, arms)
+    if len(bits) != need:
+        raise ValueError(f"need exactly {need} bits, got {len(bits)}")
     _check_bits(bits)
 
     never = q

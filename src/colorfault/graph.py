@@ -241,10 +241,10 @@ def orient_forest(
     """(parent, parent edge) of the forest ``edge_ids``, each tree rooted at its minimum id.
 
     A vertex has one path to its tree's root, so the :func:`bfs` parents are
-    those of any walk from that root.
+    those of any walk from that root.  Raises GraphError for an id outside 0..m-1.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in edge_ids:
+    for eid in g.check_edge_ids(edge_ids):
         a, b = g.edges[eid]
         adj[a].append((b, eid))
         adj[b].append((a, eid))

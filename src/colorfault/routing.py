@@ -36,8 +36,9 @@ the anchor blocks of the fragment's root, or c's color label at T's root.
 Once the per-color entry and fragment table of each vertex with c on P(v)
 are written too, the structure is dropped: a scheme keeps what ``route`` reads.
 
-Each port of the network is an immutable ``Hop`` record (a NamedTuple:
-source, port, neighbor, edge id, edge color) built once with the network.
+Each port of the network is an immutable ``Hop`` record (a frozen slot
+record: source, port, neighbor, edge id, edge color) built once with the
+network.
 Every routing tree, T and each fragment forest, keeps one interval step per
 node, a plain tuple whose ways are T's ``Hop``s or a forest's blocks; T is
 oriented and numbered once (``build_tree_routing``), and the build reads each
@@ -45,9 +46,10 @@ vertex's parent, parent-edge color and tree label off its T step.  The
 simulator ``route`` decides once per phase: it climbs a fragment to its first
 c-colored parent edge, or walks T toward a tree label (stopping early at t)
 and crosses a block's recovery edge there.  Only phase boundaries touch the
-header; each hop appends a shared ``Hop`` and allocates nothing, and the hop
-budget, the forbidden-color check (in a climb, its stop condition) and
-``on_state`` run at every hop.
+header; each hop appends a shared ``Hop`` and allocates nothing.  Each
+phase's loop runs at most the hops left in the budget of n * n, so the budget
+holds across phases; the forbidden-color check (in a climb, its stop
+condition) and ``on_state`` run at every hop.
 """
 
 from __future__ import annotations
@@ -83,7 +85,14 @@ class RoutingBugError(RuntimeError):
 # -- ported network ---------------------------------------------------------------
 
 
-class Hop(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Hop:
+    """One port: leave ``src`` by ``port`` over edge ``edge`` (color ``color``) to ``dst``.
+
+    A slot record, not a NamedTuple: ``route`` reads ``dst`` and ``color`` at
+    every hop, and a slot read is the faster one.
+    """
+
     src: int
     port: int
     dst: int
@@ -439,16 +448,10 @@ def make_header(scheme: RoutingScheme, t: int, c: int) -> MessageHeader:
         raise GraphError(f"color {c} outside palette of size {g.C}")
     lt = scheme.vertex_labels[t]
     a_star, target_block, fragment_label = lt.per_color.get(c, (lt.anchor, None, None))
-    return MessageHeader(
-        color=c,
-        a_star=a_star,
-        root_block=scheme.color_labels[c].blocks.get(a_star),
-        target_tree_label=lt.tree_label,
-        target_on_path=c in lt.per_color,
-        target_block=target_block,
-        target_fragment_label=fragment_label,
-        up=None if a_star < 0 else True,  # no anchor: the whole route is the final approach
-    )
+    # in field order; with no anchor, up is None: the whole route is the final approach
+    return MessageHeader(c, a_star, scheme.color_labels[c].blocks.get(a_star), lt.tree_label,
+                         c in lt.per_color, target_block, fragment_label,
+                         None if a_star < 0 else True)
 
 
 def route(
@@ -485,15 +488,15 @@ def route(
     if on_state is not None:
         on_state(v, h)
     # one pass per phase: climb the fragment, or walk T toward a tree label and
-    # cross a recovery edge there; the header is touched only between phases
+    # cross a recovery edge there; the header is touched only between phases.
+    # Each phase's loop runs at most the hops left in the budget, and its
+    # ``else`` fires on the one hop past it
     while v != t:
         up = h.up
         if up:
             hop = steps[v][2]
             if hop is not None and hop.color != c:
-                while True:  # climb inside the fragment, to its first c-colored parent edge
-                    if len(trace) >= budget:
-                        raise RoutingBugError("hop budget exceeded")
+                for _ in range(budget - len(trace)):  # climb to the first c-colored parent edge
                     record(hop)
                     v = hop.dst
                     if on_state is not None:
@@ -501,6 +504,8 @@ def route(
                     hop = steps[v][2]
                     if v == t or hop is None or hop.color == c:
                         break
+                else:
+                    raise RoutingBugError("hop budget exceeded")
                 continue
             block = h.root_block if hop is None else tables[v].blocks.get(h.a_star)
             if block is None:
@@ -521,9 +526,15 @@ def route(
                 raise RoutingBugError("fragment table missing on the final approach")
             nb = h.next_block = _toward(table, h.target_fragment_label)
         x = h.target_tree_label if nb is None else nb.x_tree_label
-        while x is not None:  # walk T toward the tree label x, stopping at t on the way
+        for _ in range(budget - len(trace)):  # walk T toward x, stopping at t on the way
             pre, end, hop, children = steps[v]
-            if pre == x:  # cross the block's recovery edge, the phase's last hop
+            if pre < x < end:
+                for hi, hop in children:
+                    if x < hi:
+                        break
+                else:
+                    raise RoutingBugError("interval tables inconsistent")
+            elif pre == x:  # cross the block's recovery edge, the phase's last hop
                 if nb is None:
                     raise RoutingBugError("tree routing asked to move while already there")
                 if up is None:
@@ -535,24 +546,18 @@ def route(
                     h.up = True
                 hop = scheme.net.ports[v][nb.port]
                 x = None
-            elif pre < x < end:
-                for hi, hop in children:
-                    if x < hi:
-                        break
-                else:
-                    raise RoutingBugError("interval tables inconsistent")
             elif hop is None:
                 raise RoutingBugError("target outside this routing tree")
-            if len(trace) >= budget:
-                raise RoutingBugError("hop budget exceeded")
             if hop.color == c:
                 raise RoutingBugError("routed over a forbidden edge")
             record(hop)
             v = hop.dst
             if on_state is not None:
                 on_state(v, h)
-            if v == t:
+            if v == t or x is None:
                 break
+        else:
+            raise RoutingBugError("hop budget exceeded")
     return RouteResult(s, t, c, tuple(trace), h)
 
 

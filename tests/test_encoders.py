@@ -110,6 +110,8 @@ def test_spider_capacities():
     assert spider_capacity(1, 2, 2) == 4
     assert spider_capacity(2, 4, 3) == 18
     assert spider_capacity(3, 4, 2) == 8
+    with pytest.raises(ValueError, match="need exactly 18 bits, got 17"):
+        encode_spider(2, 4, 3, [0] * 17)
 
 
 def test_spider_f1_round_trip():

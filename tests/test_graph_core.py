@@ -242,6 +242,8 @@ def test_edge_ids_outside_range_are_graph_errors():
             spanning_forest(TRIANGLE, bad)
         with pytest.raises(GraphError):
             TRIANGLE.keep_edges(bad)
+        with pytest.raises(GraphError):
+            orient_forest(TRIANGLE, bad)
     assert spanning_forest(TRIANGLE, [2, 2, 0, 1, 0]) == (2, 0)  # repeats stay accepted
     assert TRIANGLE.keep_edges([2]).edges == ((1, 2),)
 

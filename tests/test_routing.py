@@ -123,6 +123,15 @@ def test_tree_route_arrival_is_none():
     assert _toward(tr.steps[1], tr.steps[2][0]) is not None
 
 
+def test_tree_routing_rejects_edge_ids_outside_range():
+    # -1 would index from the end and orient the last edge; 999 indexes past it
+    g = gen_grid(3, 4)
+    net = PortedNetwork.build(g)
+    for bad in (999, -1):
+        with pytest.raises(GraphError, match=f"edge id {bad} outside 0..{g.m - 1}"):
+            build_tree_routing(net, [0, 1, bad])
+
+
 # -- scheme construction ------------------------------------------------------------
 
 
@@ -538,6 +547,39 @@ def test_two_vertex_bounce_exhausts_hop_budget():
     with pytest.raises(RoutingBugError, match="hop budget exceeded"):
         route(bad, 1, 2, 2, on_state=lambda v, _h: visited.append(v))
     assert visited == [1, 0] * 5
+
+
+def test_hop_budget_counts_across_phases():
+    # a fragment root v whose block crosses into its own T child w, in v's
+    # fragment: the message climbs back to v, crosses again, and so on
+    g = gen_random(12, 22, 3, seed=4, connected=True)
+    scheme = build_routing_scheme(g)
+    steps = scheme.tree_routing.steps
+    for v, (pre, _end, up, children) in enumerate(steps):
+        c = None if up is None else up.color
+        w_hop = next((hop for _hi, hop in children if hop.color != c), None)
+        if c is None or w_hop is None:
+            continue
+        comp = brute_force_partition(g, {c})
+        t = next((t for t in range(g.n) if t not in (v, w_hop.dst) and comp[t] == comp[v]
+                  and make_header(scheme, t, c).a_star >= 0), None)
+        if t is not None:
+            break
+    else:
+        pytest.fail("no fragment root with a child in its fragment")
+    a_star = make_header(scheme, t, c).a_star
+    table = scheme.tables[v]
+    loop = FirstRecEdgeBlock(w_hop.port, pre, False)
+    tables = list(scheme.tables)
+    tables[v] = dataclasses.replace(table, blocks={**table.blocks, a_star: loop})
+    bad = dataclasses.replace(scheme, tables=tuple(tables))
+    # n * n hops alternate the two phases, so the climb (from w) and the
+    # crossing (from v) each meet the end of the budget from one source
+    for s, other in ((v, w_hop.dst), (w_hop.dst, v)):
+        visited = []
+        with pytest.raises(RoutingBugError, match="hop budget exceeded"):
+            route(bad, s, t, c, on_state=lambda x, _h: visited.append(x))
+        assert visited == [(s, other)[i % 2] for i in range(1 + g.n * g.n)]
 
 
 def final_approach_start(scheme, descends=False):
