@@ -167,13 +167,16 @@ def build_nca(
     vertices gets its per-vertex answer table, painted from its stamps by
     ``_paint``; the rest are searched.  ``build_one_fault_oracle`` and
     ``load_oracle`` both derive the tables and never store them.  Raises
-    GraphError when the parents do not form a forest, when ``colors`` or
-    ``payloads`` does not hold one entry per vertex, or for a color outside
-    0..C-1.
+    GraphError for a parent outside 0..n-1, when the parents do not form a
+    forest, when ``colors`` or ``payloads`` does not hold one entry per
+    vertex, or for a color outside 0..C-1.
     """
     n = len(parent)
     if not len(colors) == len(payloads) == n:
         raise GraphError("colors and payloads need one entry per vertex")
+    for v, p in enumerate(parent):
+        if p is not None and not 0 <= p < n:
+            raise GraphError(f"vertex {v} has parent {p} outside 0..{n - 1}")
     order, pre, end = preorder(parent)
     if len(order) != n:
         raise GraphError("parent pointers do not form a forest")

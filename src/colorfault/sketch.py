@@ -215,11 +215,6 @@ class EdgeFaultLabels:
     def label_groups(self) -> dict[str, Sequence]:
         return {"vertex": self.vertex_labels, "edge": tuple(self.edge_labels.values())}
 
-    def max_label_bits(self) -> int:
-        sizes = [l.bits for l in self.vertex_labels]
-        sizes += [l.bits for l in self.edge_labels.values()]
-        return max(sizes, default=0)
-
 
 def build_edge_fault_labels(
     g: ColoredGraph,

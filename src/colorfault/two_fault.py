@@ -1,15 +1,19 @@
 """Deterministic labels for two color faults on bounded-diameter graphs.
 
 Per component, a BFS tree T rooted at the minimum id s, all of them one
-forest from :func:`colorfault.graph.bfs_tree`.  For each vertex v and each
-color c on T[s,v], a BFS of G-c from v is truncated at ceil(sqrt n)
-vertices: a smaller tree spans v's whole component of G-c, a full one is hit
-by a greedily chosen set U.  The walk skips c's class of
-``ColoredGraph.color_classes``, built once per color.  The vertex label stores cid(v, G-c), the pair cids
-for every color in the truncated tree, and, for full trees, a representative
-u in U.  The label of color c holds cid(u, G-{c,d}) for every u in U that
-survives c and every d on T[s,u]; the query reads the representative's pair
-cids from there, so a vertex label holds O(D·sqrt n) ids for D the depth of T.
+forest from :func:`colorfault.graph.bfs_tree`.  The build takes one
+truncated tree per vertex v and color c on T[s,v]: a BFS of G-c from v that
+stops at ceil(sqrt n) vertices and skips c's class of
+``ColoredGraph.color_classes``, built once per color.  A smaller tree spans
+v's whole component of G-c; the full ones are hit by a greedily chosen set U.
+The vertex label stores cid(v, G-c), the pair cids for every color in the
+truncated tree, and, for full trees, a representative u in U.  The label of
+color c holds cid(u, G-{c,d}) for every u in U that survives c and every d on
+T[s,u].  Those stored pairs are stated once in ``label_two_fault``: the same
+statement lists every fault set and vertex for one ``cids_after_faults``
+sweep and reads its answers back into the labels.  The query reads the
+representative's pair cids from the color labels, so a vertex label holds
+O(D·sqrt n) ids for D the depth of T.
 The five-way case analysis of ``_derive_cid`` resolves cid(v, G-{c,d}) from the
 two vertex labels and two color labels alone, exactly.  Its first case, neither
 c nor d on T[s,v], gives s: the entry ``query_two_fault_ids`` resolves that case
@@ -22,13 +26,14 @@ import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .bits import id_width, width_for
 from .graph import (
     EDGE,
     VERTEX,
     ColoredGraph,
+    GraphError,
     RemovedVertexError,
     bfs,
     bfs_tree,
@@ -118,7 +123,10 @@ def truncated_bfs(
     With ``removed`` a color's class (``ColoredGraph.color_classes``) this
     walks G - c exactly, in vertex mode too: the walk enters only live
     vertices, so an edge at a c-colored vertex is one whose far end has color c.
+    Raises GraphError for an origin outside 0..n-1.
     """
+    if not 0 <= origin < g.n:
+        raise GraphError(f"origin {origin} out of range")
     adj = g.adjacency
 
     def adjacency(x: int) -> list[tuple[int, int]]:
@@ -134,92 +142,76 @@ def truncated_bfs(
 
 
 def label_two_fault(g: ColoredGraph) -> LabelSet:
+    """Two-fault labels of ``g``: one truncated tree per (v, c), one sweep, one read-back.
+
+    Vertex v's entry for a color c on T[s,v] stores cid(v, G-c) and, for
+    each color d of v's truncated tree of G-c other than v's own,
+    cid(v, G-{c,d}); a full tree adds its representative, its least vertex
+    in the hitting set U.  Color c's label stores cid(u, G-{c,d}) for every
+    u in U that survives c and every d on T[s,u].  ``meta`` holds the cap,
+    the depth of T, U and the number of full trees.
+    """
     cap = math.isqrt(g.n) if math.isqrt(g.n) ** 2 == g.n else math.isqrt(g.n) + 1
     cap = max(cap, 1)
     forest = bfs_tree(g)
     # colors on T[s,v]; vertex mode includes both endpoints, minus v's own
     colors_on_path = path_colors(g, forest.parent, forest.parent_edge)
-
-    removed = [frozenset(cls) for cls in g.color_classes()]
-    truncated: dict[tuple[int, int], TruncatedTree] = {}
-    full_family: list[tuple[tuple[int, int], TruncatedTree]] = []
-    for v in range(g.n):
-        for c in sorted(colors_on_path[v]):
-            t = truncated_bfs(g, removed[c], v, cap)
-            truncated[(v, c)] = t
-            if t.full:
-                full_family.append(((v, c), t))
-
-    if full_family:
-        U = greedy_hitting_set([t.vertices for _key, t in full_family], g.n)
-    else:
-        U = ()
-    in_U = set(U)
-    reps = {key: min(w for w in t.vertices if w in in_U) for key, t in full_family}
     own = g.vertex_colors if g.mode == VERTEX else [None] * g.n
 
-    # every cid(x, G-{c,d}) the labels store, with d = c for cid(x, G-c);
-    # colors_on_path[x] never holds x's own color
+    removed = [frozenset(cls) for cls in g.color_classes()]
+    trees = {
+        (v, c): truncated_bfs(g, removed[c], v, cap)
+        for v in range(g.n)
+        for c in sorted(colors_on_path[v])
+    }
+    full = [t.vertices for t in trees.values() if t.full]
+    U = greedy_hitting_set(full, g.n)
+    in_U = set(U)
+
+    # The stored pairs, stated once for the sweep and the read-back: entry
+    # (v, c) holds cid(v, G-{c,d}) for d = c and each d of entry_colors[v, c],
+    # and color c's label for each (u, d) of color_pairs(c).
+    entry_colors = {(v, c): sorted(t.colors - {own[v]}) for (v, c), t in trees.items()}
+
+    def color_pairs(c: int) -> Iterator[tuple[int, int]]:
+        # u itself dies with c and is never consulted for it;
+        # colors_on_path[u] never holds u's own color
+        return ((u, d) for u in U if own[u] != c for d in sorted(colors_on_path[u]))
+
     wanted: dict[frozenset[int], set[int]] = {}
-
-    def want(x: int, c: int, d: int) -> None:
-        wanted.setdefault(frozenset((c, d)), set()).add(x)
-
-    for (v, c), t in truncated.items():
-        want(v, c, c)
-        for d in t.colors - {own[v]}:
-            want(v, c, d)
+    for (v, c), ds in entry_colors.items():
+        for d in (c, *ds):
+            wanted.setdefault(frozenset((c, d)), set()).add(v)
     for c in range(g.C):
-        for u in U:
-            if own[u] != c:  # u itself dies with c; never consulted for this color
-                for d in colors_on_path[u]:
-                    want(u, c, d)
+        for u, d in color_pairs(c):
+            wanted.setdefault(frozenset((c, d)), set()).add(u)
     cids = cids_after_faults(g, wanted)
-
-    def pair_cid(x: int, c: int, d: int) -> int:
-        value = cids[frozenset((c, d))][x]
-        assert value is not None
-        return value
+    # each vertex asked about survives its fault set, so no stored cid is None
+    assert all(None not in by_vertex.values() for by_vertex in cids.values())
 
     wid = id_width(max(g.n, 2))
     wc = width_for(max(g.C, 2))
     wlen = width_for(g.n + 1)
 
-    vertex_labels = []
-    for v in range(g.n):
-        entries: dict[int, ColorEntry] = {}
-        for c in sorted(colors_on_path[v]):
-            t = truncated[(v, c)]
-            entries[c] = ColorEntry(
-                cid_minus_c=pair_cid(v, c, c),
-                pair_cids={d: pair_cid(v, c, d) for d in sorted(t.colors - {own[v]})},
-                full=t.full,
-                rep=reps.get((v, c)),
-            )
-        bits = wid + (wc if g.mode == VERTEX else 0) + wlen
-        for c, e in entries.items():
-            bits += wc + wid + 1 + wlen + len(e.pair_cids) * (wc + wid)
-            if e.full:
-                bits += wid
-        vertex_labels.append(
-            TwoFaultVertexLabel(
-                v,
-                root_id=forest.root[v],
-                own_color=own[v],
-                entries=entries,
-                bits=bits,
-            )
+    entries: list[dict[int, ColorEntry]] = [{} for _ in range(g.n)]
+    bits = [wid + (wc if g.mode == VERTEX else 0) + wlen] * g.n
+    for (v, c), t in trees.items():
+        ds = entry_colors[v, c]
+        entries[v][c] = ColorEntry(
+            cid_minus_c=cids[frozenset((c,))][v],
+            pair_cids={d: cids[frozenset((c, d))][v] for d in ds},
+            full=t.full,
+            rep=min(w for w in t.vertices if w in in_U) if t.full else None,
         )
-
+        bits[v] += wc + wid + 1 + wlen + len(ds) * (wc + wid) + (wid if t.full else 0)
+    vertex_labels = [
+        TwoFaultVertexLabel(v, forest.root[v], own[v], entries[v], bits[v]) for v in range(g.n)
+    ]
     color_labels = []
     for c in range(g.C):
-        pairs = {
-            (u, d): pair_cid(u, c, d)
-            for u in U if own[u] != c
-            for d in sorted(colors_on_path[u])
-        }
-        bits = wc + wlen + len(pairs) * (wid + wc + wid)
-        color_labels.append(TwoFaultColorLabel(c, pairs, bits))
+        pairs = {(u, d): cids[frozenset((c, d))][u] for u, d in color_pairs(c)}
+        bits_c = wc + wlen + len(pairs) * (wid + wc + wid)
+        color_labels.append(TwoFaultColorLabel(c, pairs, bits_c))
 
     return LabelSet(
         scheme=SCHEME,
@@ -232,7 +224,7 @@ def label_two_fault(g: ColoredGraph) -> LabelSet:
             "cap": cap,
             "depth": max(forest.depth, default=0),
             "hitting_set": U,
-            "full_trees": len(full_family),
+            "full_trees": len(full),
         },
     )
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from colorfault.cli import main
-from colorfault.generators import gen_path, gen_random
+from colorfault.generators import gen_grid, gen_path, gen_random, gen_tree, gen_wheel
 from colorfault.graph import GraphError, parse_graph, serialize_graph
 from colorfault.nca import load_oracle, oracle_index_words, oracle_uncut_colors
 from colorfault.oracle import brute_force_connected
@@ -24,6 +24,24 @@ def test_gen_writes_canonical_text(tmp_path, capsys):
     assert main(["gen", "path", "--n", "9", "-o", str(out)]) == 0
     g = parse_graph(out.read_text())
     assert g.n == 9 and g.m == 8
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["wheel", "--n", "8"], lambda: gen_wheel(8, coloring="uniform", C=3, seed=5)),
+    (["grid", "--rows", "3", "--cols", "4"],
+     lambda: gen_grid(3, 4, coloring="uniform", C=3, seed=5)),
+    (["tree", "--n", "9", "--mode", "vertex"],
+     lambda: gen_tree(9, seed=5, coloring="uniform", C=3, mode="vertex")),
+])
+def test_gen_wheel_grid_tree(tmp_path, argv, make):
+    out = tmp_path / "g.ccg"
+    assert main(["gen", *argv, "--C", "3", "--seed", "5", "-o", str(out)]) == 0
+    assert out.read_text() == serialize_graph(make())
+
+
+def test_gen_without_output_writes_stdout(capsys):
+    assert main(["gen", "path", "--n", "9", "--coloring", "unique"]) == 0
+    assert capsys.readouterr().out == serialize_graph(gen_path(9))
 
 
 def test_gen_random_reproducible(tmp_path):
@@ -284,6 +302,44 @@ def test_verify_graph_without_colors(tmp_path, capsys, name):
         assert "no colors to fail" in captured.err
 
 
+VERTEX_GRAPH = gen_random(14, 22, 3, seed=8, mode="vertex")  # vertex 0 has color 2
+
+
+@pytest.mark.parametrize("name", ["single", "two-diam"])
+def test_query_of_a_removed_vertex(tmp_path, capsys, name):
+    gpath = write_graph(tmp_path, VERTEX_GRAPH)
+    labels = tmp_path / "labels.bin"
+    assert main(["label", gpath, "--scheme", name, "-o", str(labels)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(labels), "0", "1", "--colors", "2"]) == 2
+    assert capsys.readouterr().out.startswith("error=removed-vertex detail=")
+
+
+def test_verify_counts_trials_with_a_removed_vertex(tmp_path, capsys):
+    g = VERTEX_GRAPH
+    gpath = write_graph(tmp_path, g)
+    assert main(["verify", gpath, "--scheme", "two-diam", "--trials", "40", "--seed", "3"]) == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    # the same draws as cmd_verify: a trial is skipped when u or v has a failed color
+    rng = random.Random(3)
+    removed = 0
+    for _ in range(40):
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        F = rng.sample(range(g.C), rng.randrange(1, 3))
+        removed += g.vertex_color(u) in F or g.vertex_color(v) in F
+    assert 0 < removed < 40
+    assert int(report["skipped_removed"]) == removed
+    assert report["agreement"] == "1.000"
+
+
+def test_route_to_an_unreachable_target(tmp_path, capsys):
+    # the path's edge 2-3 has the unique color 2
+    gpath = write_graph(tmp_path, gen_path(5))
+    assert main(["route", gpath, "--source", "0", "--target", "4", "--avoid", "2"]) == 2
+    out = capsys.readouterr().out
+    assert out == "error=unreachable detail=0 and 4 are separated once color 2 fails\n"
+
+
 def test_route_trace_format(tmp_path, capsys):
     g = gen_random(10, 18, 3, seed=8, connected=True)
     gpath = write_graph(tmp_path, g)
@@ -387,6 +443,17 @@ def test_encode_balls_cli_without_centers(tmp_path, capsys):
                  "--decode-with", "scheme"]) == 0
     out = capsys.readouterr().out
     assert "capacity=4" in out and "decoded=1101" in out and "round_trip=1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["balls", "GRAPH", "--bits", "1010", "--centers", "1,7"],
+    ["spider", "--f", "2", "--q", "4", "--arms", "3", "--bits", "10" * 9],
+])
+def test_encode_decodes_with_the_oracle_by_default(tmp_path, capsys, argv):
+    argv = [write_graph(tmp_path, gen_path(9)) if a == "GRAPH" else a for a in argv]
+    assert main(["encode", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "round_trip=1" in out and "bit_accuracy=1" in out
 
 
 def test_encode_spider_cli(capsys):

@@ -373,6 +373,25 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("ccg 2 edge 1 0 1\n")
 
 
+@pytest.mark.parametrize("text, line, cause", [
+    ("", 1, "missing header"),
+    ("# nothing but a comment\n\n", 1, "missing header"),
+    ("# c\nccg 1 both 2 0 1\n", 2, "unknown mode 'both'"),
+    ("ccg 1 edge two 0 1\n", 1, "header counts must be integers"),
+    ("ccg 1 edge 2 0 -1\n", 1, "header counts must be non-negative"),
+    ("ccg 1 edge 2 1 1\n0 x 0\n", 2, "vertex id must be an integer, got 'x'"),
+    ("ccg 1 edge 2 1 1\n0 1 0.5\n", 2, "color id must be an integer, got '0.5'"),
+    ("ccg 1 edge 2 1 1\n0 1\n", 2, "edge line must be 'u v c'"),
+    ("ccg 1 vertex 2 1 1\n0\n0 0\n0 1\n", 3, "vertex color line must be a single color id"),
+    ("ccg 1 vertex 2 1 1\n0\n0\n0 1 0\n", 4, "edge line must be 'u v'"),
+    ("ccg 1 vertex 2 1 1\n0\n0\n0 y\n", 4, "vertex id must be an integer, got 'y'"),
+])
+def test_parse_error_branches_name_their_line(text, line, cause):
+    with pytest.raises(ParseError, match=cause) as e:
+        parse_graph(text)
+    assert e.value.line == line
+
+
 def test_round_trip_preserves_edge_multiset():
     g = gen_random(15, 40, 6, seed=9, simple=False)
     h = parse_graph(serialize_graph(g))
@@ -561,3 +580,23 @@ def test_construction_validation():
         edge_graph(2, [(0, 1, 3)], C=2)
     with pytest.raises(GraphError):
         vertex_graph([0, 1], [(0, 1)], C=1)
+
+
+@pytest.mark.parametrize("kwargs, cause", [
+    (dict(n=-1, mode="edge", edges=(), C=1, edge_colors=()), "vertex count must be >= 0"),
+    (dict(n=2, mode="edge", edges=(), C=-1, edge_colors=()), "palette size must be >= 0"),
+    (dict(n=2, mode="both", edges=(), C=1, edge_colors=()), "unknown mode 'both'"),
+    (dict(n=2, mode="edge", edges=((0, 1),), C=1, edge_colors=(0,), vertex_colors=(0, 0)),
+     "edge mode must not carry vertex colors"),
+    (dict(n=2, mode="edge", edges=((0, 1),), C=1), "edge mode needs one color per edge"),
+    (dict(n=2, mode="edge", edges=((0, 1),), C=1, edge_colors=(0, 0)),
+     "edge mode needs one color per edge"),
+    (dict(n=2, mode="vertex", edges=((0, 1),), C=1, vertex_colors=(0, 0), edge_colors=(0,)),
+     "vertex mode must not carry edge colors"),
+    (dict(n=2, mode="vertex", edges=((0, 1),), C=1), "vertex mode needs one color per vertex"),
+    (dict(n=2, mode="vertex", edges=((0, 1),), C=1, vertex_colors=(0,)),
+     "vertex mode needs one color per vertex"),
+])
+def test_construction_rejects_misfit_counts_modes_and_colors(kwargs, cause):
+    with pytest.raises(GraphError, match=cause):
+        ColoredGraph(**kwargs)

@@ -123,6 +123,15 @@ def test_build_rejects_misfit_colors_and_payloads():
             build_nca([None, 0], [None, bad], [0, 1], 2)
 
 
+@pytest.mark.parametrize("parent, colors, cause", [
+    ([None, 3], [None, 0], "vertex 1 has parent 3 outside 0..1"),  # would index past the end
+    ([None, 0, -2], [None, 0, 0], "vertex 2 has parent -2 outside 0..2"),  # would wrap to 1
+], ids=["past-the-end", "negative"])
+def test_build_rejects_parents_outside_range(parent, colors, cause):
+    with pytest.raises(GraphError, match=cause):
+        build_nca(parent, colors, [0] * len(parent), 1)
+
+
 def test_per_color_array_sizes():
     o = build_chain()
     assert len(o.index[RED][0]) == 4

@@ -6,7 +6,7 @@ import pytest
 from colorfault import two_fault
 from colorfault.bits import id_width, width_for
 from colorfault.generators import gen_grid, gen_path, gen_random
-from colorfault.graph import RemovedVertexError, edge_graph
+from colorfault.graph import GraphError, RemovedVertexError, edge_graph
 from colorfault.labels import LabelSet
 from colorfault.oracle import brute_force_partition
 from colorfault.two_fault import (
@@ -131,6 +131,14 @@ def test_uncapped_walk_spans_the_component_of_g_minus_c(mode):
     assert cases > 500
 
 
+@pytest.mark.parametrize("origin", [-1, 12])
+def test_truncated_bfs_rejects_origin_out_of_range(origin):
+    # from -1 the walk read vertex 11's neighbours and listed -1 as a tree vertex
+    g = gen_random(12, 24, 4, seed=1, connected=True)
+    with pytest.raises(GraphError, match=f"origin {origin} out of range"):
+        truncated_bfs(g, frozenset(), origin, 3)
+
+
 # -- labels ----------------------------------------------------------------------
 
 
@@ -142,6 +150,29 @@ def test_label_contents_path_aba():
     assert l2.entries[0].cid_minus_c == 1
     assert l2.entries[1].cid_minus_c == 2
     assert l2.root_id == 0
+
+
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_one_sweep_requests_exactly_the_stored_pairs(mode, monkeypatch):
+    # every (fault set, vertex) the sweep answers is stored in some label, and
+    # every stored cid is the sweep's answer: {c} for cid(v, G-c), {c, d} else
+    calls = []
+    sweep = two_fault.cids_after_faults
+    monkeypatch.setattr(two_fault, "cids_after_faults",
+                        lambda g, wanted: calls.append((wanted, sweep(g, wanted))) or calls[-1][1])
+    ls = label_two_fault(gen_random(40, 70, 8, seed=9, mode=mode))
+    stored = []  # (fault set, vertex, stored cid)
+    for lbl in ls.vertex_labels:
+        for c, e in lbl.entries.items():
+            stored.append((frozenset((c,)), lbl.vertex, e.cid_minus_c))
+            stored += [(frozenset((c, d)), lbl.vertex, cid) for d, cid in e.pair_cids.items()]
+    for lbl in ls.color_labels:
+        stored += [(frozenset((lbl.color, d)), u, cid) for (u, d), cid in lbl.pairs.items()]
+    assert len(calls) == 1
+    wanted, answers = calls[0]
+    assert any(lbl.pairs for lbl in ls.color_labels)
+    assert {(F, x) for F, xs in wanted.items() for x in xs} == {(F, x) for F, x, _ in stored}
+    assert all(answers[F][x] == cid for F, x, cid in stored)
 
 
 def test_all_distinct_star_has_no_hitting_set():
