@@ -302,8 +302,8 @@ def _add_seed(p) -> None:
                    help="default: the CFL_SEED environment variable, else 0")
 
 
-def _add_common_gen(p) -> None:
-    p.add_argument("--coloring", choices=generators.COLORINGS, default="uniform")
+def _add_common_gen(p, coloring: str = "uniform") -> None:
+    p.add_argument("--coloring", choices=generators.COLORINGS, default=coloring)
     p.add_argument("--C", type=int, default=4)
     _add_seed(p)
     p.add_argument("--mode", choices=("edge", "vertex"), default=EDGE)
@@ -328,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in ("path", "wheel", "tree"):
         pk = gsub.add_parser(kind)
         pk.add_argument("--n", type=int, required=True)
-        if kind == "path":
-            pk.set_defaults(coloring="unique")
-        _add_common_gen(pk)
+        _add_common_gen(pk, "unique" if kind == "path" else "uniform")
     pg = gsub.add_parser("grid")
     pg.add_argument("--rows", type=int, required=True)
     pg.add_argument("--cols", type=int, required=True)

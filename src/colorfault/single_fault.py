@@ -5,10 +5,12 @@ sequence A = (a_1, ..., a_{k-1}) where a_i is the minimum-id vertex at distance
 exactly i from everything chosen so far.  Every vertex then has a shortest path
 P(v) of length < k to A0 u A.  A vertex label stores its anchor and
 cid(v, G-d) for each color d on P(v); a color label stores cid(a, G-c) for
-every a in A.  ``label_single_fault`` reads every entry off the index of
-the one-fault oracle (``nca.build_one_fault_oracle``), which holds
-cid(v, G-c) for all (v, c) in O(n) words; the recursion's one-fault leaves
-read them from a pair sweep (``multi_fault``) and share the same assembly.
+every a in A, as one tuple in A's order beside an anchor -> position index
+that every color label of the set shares.  ``label_single_fault`` reads every
+entry off the index of the one-fault oracle (``nca.build_one_fault_oracle``),
+which holds cid(v, G-c) for all (v, c) in O(n) words, and checks in O(n) that
+a ruling set it is given lies in G; the recursion's one-fault leaves read the
+entries from a pair sweep (``multi_fault``) and share the same assembly.
 Queries resolve with one map hit or one anchor lookup.  Label sizes come from
 ``label_bits``, given the ruling set and its path colors.
 
@@ -131,11 +133,27 @@ class SingleFaultVertexLabel:
     bits: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SingleFaultColorLabel:
+    """cid(a, G-c) for every anchor a of A, as one tuple in A's order.
+
+    ``anchor_index`` maps each a to its position in A; every color label of
+    one label set shares that one dict, and nothing mutates it.
+    """
+
     color: int
-    cid_by_anchor: dict[int, int]
+    anchor_cids: tuple[int, ...]
+    anchor_index: dict[int, int]
     bits: int = field(default=0, compare=False)
+
+    @property
+    def cid_by_anchor(self) -> dict[int, int]:
+        """The label's content, a -> cid(a, G-c), rebuilt on each read (queries index instead)."""
+        return dict(zip(self.anchor_index, self.anchor_cids))
+
+    def __repr__(self) -> str:
+        return (f"SingleFaultColorLabel(color={self.color!r}, "
+                f"cid_by_anchor={self.cid_by_anchor!r}, bits={self.bits!r})")
 
 
 def label_bits(
@@ -156,12 +174,38 @@ def label_bits(
 
 
 def label_single_fault(g: ColoredGraph, ruling: RulingSet | None = None) -> LabelSet:
-    """Build the one-fault labels; handles disconnected input via A0."""
+    """Build the one-fault labels; handles disconnected input via A0.
+
+    A given ``ruling`` must fit ``g`` (``_check_ruling``), else GraphError.
+    """
+    oracle = build_one_fault_oracle(g)
     if ruling is None:
         ruling = build_ruling_set(g)
+    else:
+        _check_ruling(g, ruling, oracle.root)
     colors_on_path = path_colors(g, ruling.parent, ruling.parent_edge)
     entries = _entries(g, ruling, colors_on_path)
-    return _assemble(g, ruling, colors_on_path, entries, build_one_fault_oracle(g).cids)
+    return _assemble(g, ruling, colors_on_path, entries, oracle.cids)
+
+
+def _check_ruling(g: ColoredGraph, ruling: RulingSet, root: tuple[int, ...]) -> None:
+    """GraphError unless ``ruling``, the ruling set of some graph, fits ``g``, in O(n).
+
+    Each step v -> parent[v] of a path P(v) must be an edge of g between the
+    two, and each root of the paths' forest an anchor of A or its component's
+    minimum in g (``root``), whose cid no single fault moves.
+    """
+    n = g.n
+    if len(ruling.parent) != n:
+        raise GraphError(f"ruling set of {len(ruling.parent)} vertices for a graph of {n}")
+    edges, m, in_A = g.edges, g.m, set(ruling.A)
+    for v, (p, eid) in enumerate(zip(ruling.parent, ruling.parent_edge)):
+        if p is None:
+            ok = v in in_A or root[v] == v
+        else:
+            ok = eid < m and edges[eid] in ((v, p), (p, v))
+        if not ok:
+            raise GraphError(f"ruling set not built on this graph: vertex {v}'s path P(v)")
 
 
 def _entries(
@@ -191,17 +235,21 @@ def _assemble(
     """The labels from ``_entries``, given ``cids(c, vertices)``: cid(v, G-c) per listed v."""
     vertex_bits, color_bits = label_bits(g, ruling, colors_on_path)
     own = g.vertex_colors
+    A = ruling.A
+    index = {a: i for i, a in enumerate(A)}  # shared by every color label
     mappings: list[dict[int, int]] = [{} for _ in range(g.n)]
     color_labels = []
     for c, (on_path, live) in enumerate(entries):  # in increasing c, so each mapping is sorted
         for v, value in zip(on_path, cids(c, on_path)):
             mappings[v][c] = value
-        # an anchor removed by its own color is never consulted: any vertex
-        # anchored there has c on P(v), so the query resolves earlier
-        read = dict(zip(live, cids(c, live)))
-        color_labels.append(
-            SingleFaultColorLabel(c, {a: read.get(a, a) for a in ruling.A}, color_bits[c])
-        )
+        values = cids(c, live)
+        if len(live) < len(A):
+            # an anchor removed by its own color keeps its own id, never
+            # consulted: any vertex anchored there has c on P(v), so the
+            # query resolves earlier
+            read = iter(values)
+            values = [a if own[a] == c else next(read) for a in A]
+        color_labels.append(SingleFaultColorLabel(c, tuple(values), index, color_bits[c]))
 
     vertex_labels = []
     for v, mapping in enumerate(mappings):
@@ -229,10 +277,9 @@ def query_single_fault(lv: SingleFaultVertexLabel, lc: SingleFaultColorLabel) ->
     hit = lv.cid_by_color.get(lc.color)
     if hit is not None:
         return hit
-    hit = lc.cid_by_anchor.get(lv.anchor)
-    if hit is not None:
-        return hit
-    return lv.anchor  # anchor is a component minimum (A0): its own cid
+    i = lc.anchor_index.get(lv.anchor)
+    # an anchor outside A is a component minimum (A0): its own cid
+    return lv.anchor if i is None else lc.anchor_cids[i]
 
 
 def pair_connected(
@@ -249,10 +296,12 @@ def pair_connected(
         raise RemovedVertexError(f"vertex {lv.vertex} has color {c}")
     cu = lu.cid_by_color.get(c)
     if cu is None:
-        cu = lc.cid_by_anchor.get(lu.anchor, lu.anchor)
+        i = lc.anchor_index.get(lu.anchor)
+        cu = lu.anchor if i is None else lc.anchor_cids[i]
     cv = lv.cid_by_color.get(c)
     if cv is None:
-        cv = lc.cid_by_anchor.get(lv.anchor, lv.anchor)
+        i = lc.anchor_index.get(lv.anchor)
+        cv = lv.anchor if i is None else lc.anchor_cids[i]
     return cu == cv
 
 

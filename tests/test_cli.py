@@ -44,6 +44,12 @@ def test_gen_without_output_writes_stdout(capsys):
     assert capsys.readouterr().out == serialize_graph(gen_path(9))
 
 
+def test_gen_path_defaults_to_unique_colors(capsys):
+    # no --coloring: gen_path's own default, one color per edge
+    assert main(["gen", "path", "--n", "9"]) == 0
+    assert capsys.readouterr().out == serialize_graph(gen_path(9))
+
+
 def test_gen_random_reproducible(tmp_path):
     a, b = tmp_path / "a.ccg", tmp_path / "b.ccg"
     args = ["gen", "random", "--n", "12", "--m", "20", "--C", "4", "--seed", "7"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from colorfault.bits import width_for
 from colorfault.graph import (
+    GraphError,
     RemovedVertexError,
     bfs,
     edge_graph,
@@ -187,6 +188,22 @@ def test_label_contents_path_aba():
     assert l2.cid_by_color == {1: 2}
 
 
+def test_ruling_set_of_another_graph_rejected():
+    # another n: the per-vertex paths do not fit
+    with pytest.raises(GraphError, match="12 vertices for a graph of 6"):
+        label_single_fault(gen_path(6), build_ruling_set(gen_path(12)))
+    # the same n: a parent edge that does not join v to its parent
+    g = gen_random(12, 20, 3, seed=2, connected=True)
+    other = build_ruling_set(gen_random(12, 20, 3, seed=1, connected=True))
+    with pytest.raises(GraphError, match="not built on this graph"):
+        label_single_fault(g, other)
+    # no parent edge to check, but the root 1 is neither in A nor its component's minimum
+    g = edge_graph(3, [(1, 2, 0), (0, 1, 1)])
+    with pytest.raises(GraphError, match="not built on this graph"):
+        label_single_fault(g, build_ruling_set(g.keep_edges([0])))
+    assert label_single_fault(g, build_ruling_set(g)) == label_single_fault(g)
+
+
 def test_isolated_vertex_label():
     g = edge_graph(3, [(0, 1, 0)], C=1)
     lbl = label_single_fault(g).vertex_labels[2]
@@ -200,6 +217,10 @@ def test_map_sizes_below_k():
         k = ls.meta["k"]
         assert all(len(l.cid_by_color) < k for l in ls.vertex_labels)
         assert all(len(l.cid_by_anchor) == len(ls.meta["A"]) for l in ls.color_labels)
+        # one tuple of cids per color label, over one anchor index they all share
+        index = ls.color_labels[0].anchor_index
+        assert all(type(l.anchor_cids) is tuple and len(l.anchor_cids) == len(ls.meta["A"])
+                   and l.anchor_index is index for l in ls.color_labels)
 
 
 # -- queries -------------------------------------------------------------------
